@@ -30,6 +30,10 @@ from .fields import COMPLEX, EXACT
 from .qseries import Truncation
 
 
+class UsageError(ValueError):
+    """An argument value the command cannot run with (exit code 2)."""
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srcid",
@@ -81,15 +85,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> SamplingConfig:
-    return SamplingConfig(
-        master_seed=args.seed,
-        points=args.points,
-        tol_singular=getattr(args, "tol_singular", 1e-3),
-        tol_match=getattr(args, "tol", None),
-        field=args.field,
-        nmax=args.nmax,
-        trunc=Truncation(),
-    )
+    try:
+        return SamplingConfig(
+            master_seed=args.seed,
+            points=args.points,
+            tol_singular=getattr(args, "tol_singular", 1e-3),
+            tol_match=getattr(args, "tol", None),
+            field=args.field,
+            nmax=args.nmax,
+            trunc=Truncation(),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _emit(text: str, out_path):
@@ -194,6 +201,8 @@ def _params_as_dict(params) -> dict:
 
 
 def _cmd_sample(args) -> int:
+    if args.regime == "elliptic" and args.field == EXACT:
+        raise UsageError("elliptic parameters are complex-only")
     config = _config_from_args(args)
     rows = []
     for index in range(args.points):
@@ -224,6 +233,9 @@ def _cmd_bench(args) -> int:
         return 2
     if any(n < 1 or n > sources.SIZE_CAP for n in sizes):
         print(f"error: sizes must lie in [1, {sources.SIZE_CAP}]", file=sys.stderr)
+        return 2
+    if args.reps < 1:
+        print("error: --reps must be at least 1", file=sys.stderr)
         return 2
     lines = [f"{'n':>4s} {'subset_ms':>12s} {'det_ms':>12s} {'ratio':>10s}"]
     ratios = []
@@ -283,6 +295,9 @@ def main(argv=None) -> int:
             return _cmd_bench(args)
     except UnknownCaseError as exc:
         print(f"error: unknown case {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")
     return 2

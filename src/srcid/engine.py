@@ -1606,7 +1606,23 @@ def sample_params(regime: str, config: SamplingConfig, point_index: int):
     raise ValueError(f"unknown regime {regime!r}")
 
 
+def _check_point(checks, field_name: str, tol: float, index: int, seed: str) -> PointRecord:
+    """The point's record: its worst check against the tolerance."""
+    worst = None
+    for label, lhs, rhs in checks:
+        res = residual_of(field_name, lhs, rhs)
+        if worst is None or res > worst[0]:
+            worst = (res, label, lhs, rhs)
+    res, label, lhs, rhs = worst
+    return PointRecord(index, seed, res, res <= tol, label=label, lhs=str(lhs), rhs=str(rhs))
+
+
 def run_case(case_id: str, config: SamplingConfig) -> VerificationReport:
+    """Check the case at ``config.points`` seeded points.
+
+    A point whose runner or checks raise is recorded as failed, with the
+    exception's text, and the remaining points still run.
+    """
     case = get_case(case_id)
     field_name = config.field or case.fields[0]
     if field_name not in case.fields:
@@ -1625,26 +1641,16 @@ def run_case(case_id: str, config: SamplingConfig) -> VerificationReport:
         seed = point_seed(config.master_seed, case_id, index)
         ctx = PointContext(random.Random(seed), field_name, config)
         try:
-            checks = case.runner(ctx)
+            record = _check_point(case.runner(ctx), field_name, tol, index, seed)
         except SamplingError as exc:
-            report.points.append(
-                PointRecord(index, seed, math.inf, False, error=f"sampling: {exc}")
+            record = PointRecord(index, seed, math.inf, False, error=f"sampling: {exc}")
+        except Exception as exc:  # one failed point; the run goes on
+            record = PointRecord(
+                index, seed, math.inf, False, error=f"{type(exc).__name__}: {exc}"
             )
-            report.passed = False
-            report.max_rel_err = math.inf
-            continue
-        worst = None
-        for label, lhs, rhs in checks:
-            res = residual_of(field_name, lhs, rhs)
-            if worst is None or res > worst[0]:
-                worst = (res, label, lhs, rhs)
-        res, label, lhs, rhs = worst
-        ok = res <= tol
-        report.points.append(
-            PointRecord(index, seed, res, ok, label=label, lhs=str(lhs), rhs=str(rhs))
-        )
-        report.max_rel_err = max(report.max_rel_err, res)
-        report.passed = report.passed and ok
+        report.points.append(record)
+        report.max_rel_err = max(report.max_rel_err, record.residual)
+        report.passed = report.passed and record.ok
     report.millis = (time.perf_counter() - start) * 1000.0
     return report
 

@@ -138,6 +138,51 @@ def test_bench_rejects_bad_sizes(capsys):
     assert code == 2
 
 
+def test_bench_rejects_zero_reps(capsys):
+    code, out, err = run_cli(capsys, "bench", "--sizes", "4", "--reps", "0")
+    assert code == 2
+    assert out == ""
+    assert "--reps" in err and "Traceback" not in err
+
+
+def test_verify_rejects_zero_points(capsys):
+    code, out, err = run_cli(capsys, "verify", "--case", "rational_ik", "--points", "0")
+    assert code == 2
+    assert out == ""
+    assert "points" in err and "Traceback" not in err
+
+
+def test_verify_rejects_zero_tol_singular(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--case", "rational_ik", "--tol-singular", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "tol_singular" in err and "Traceback" not in err
+
+
+def test_sample_rejects_exact_elliptic(capsys):
+    code, out, err = run_cli(
+        capsys, "sample", "--regime", "elliptic", "--field", "exact",
+    )
+    assert code == 2
+    assert out == ""
+    assert "complex-only" in err and "Traceback" not in err
+
+
+def test_verify_runner_error_is_a_failed_point(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--case", "*symmetrization*", "--nmax", "0", "--points", "2",
+        "--format", "json", "--no-timings",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert len(doc["cases"]) == 3
+    for case in doc["cases"]:
+        assert not case["pass"]
+        assert all("Error: " in point["error"] for point in case["points"])
+
+
 def test_bench_ratios_increase_with_size():
     ratios = bench_ratios(sizes=(8, 10, 12), reps=3, seed=1)
     assert len(ratios) == 3

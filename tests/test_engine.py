@@ -204,3 +204,17 @@ def test_sampling_failure_recorded_per_point():
         assert all(p.error and "sampling" in p.error for p in rep.points)
     finally:
         del REGISTRY[case.case_id]
+
+
+def test_runner_exception_recorded_per_point():
+    # at --nmax 0 the symmetrization sides reject their empty point; the
+    # report carries the exception's type and text and every point still runs
+    rep = run_case(
+        "divided_difference_symmetrization",
+        SamplingConfig(master_seed=1, points=3, nmax=0),
+    )
+    assert not rep.passed
+    assert rep.max_rel_err == float("inf")
+    assert len(rep.points) == 3
+    assert all(not p.ok for p in rep.points)
+    assert all(p.error == "ValueError: needs len(u) == len(v) >= 1" for p in rep.points)

@@ -3,11 +3,12 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from srcid.symmetrize import (
-    delta_product,
+    PERM_CAP,
     divided_difference,
     lascoux_rhs_via_source,
     lascoux_symmetrized_sides,
@@ -175,27 +176,93 @@ def _apply_dd(f, k):
 # ---------------------------------------------------------------------------
 
 
+def delta_product(xs, c):
+    """Delta factor prod_{i<j} (x_i - x_j - c)/(x_i - x_j)."""
+    acc = c - c + 1
+    n = len(xs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc *= (xs[i] - xs[j] - c) / (xs[i] - xs[j])
+    return acc
+
+
+def sym_c_literal(slots, u, c):
+    """Sym_c by its definition: the Delta-twisted slot product over all n! orderings."""
+    total = c - c
+    for xs in permutations(u):
+        term = delta_product(xs, c)
+        for slot, x in zip(slots, xs):
+            term *= slot(x)
+        total += term
+    return total
+
+
+def distinct_points(rng, n):
+    pts = []
+    while len(pts) < n:
+        x = rand_fraction(rng)
+        if x not in pts:
+            pts.append(x)
+    return tuple(pts)
+
+
+def one(x):
+    return Fraction(1)
+
+
 def test_sym_c_single_variable():
-    g = lambda xs: xs[0] ** 2 + 1
-    assert sym_c(g, (Fraction(3),), Fraction(5)) == 10
+    assert sym_c([lambda x: x**2 + 1], (Fraction(3),), Fraction(5)) == 10
 
 
 def test_sym_c_constant_at_c_zero():
     rng = random.Random(19)
     for n in (2, 3, 4):
-        pts = []
-        while len(pts) < n:
-            x = rand_fraction(rng)
-            if x not in pts:
-                pts.append(x)
-        assert sym_c(lambda xs: Fraction(1), tuple(pts), Fraction(0)) == math.factorial(n)
+        pts = distinct_points(rng, n)
+        assert sym_c([one] * n, pts, Fraction(0)) == math.factorial(n)
 
 
 def test_sym_c_twisted_constant_sum():
     # sum over S_n of the Delta twist alone is n!
     rng = random.Random(23)
     c, u, _ = lascoux_point(rng, 3)
-    assert sym_c(lambda xs: Fraction(1), u, c) == 6
+    assert sym_c([one] * 3, u, c) == 6
+
+
+def test_sym_c_of_one_is_n_factorial():
+    # the rational Hall-Littlewood limit: Sym_c(1) = n! for every c
+    rng = random.Random(24)
+    for n in range(1, PERM_CAP + 1):
+        c = rand_fraction(rng)
+        u = distinct_points(rng, n)
+        assert sym_c([one] * n, u, c) == math.factorial(n)
+
+
+def test_sym_c_matches_the_literal_permutation_sum():
+    # random exact slot tables, some entries zero, some slots an indicator
+    rng = random.Random(25)
+    for n in range(1, 7):
+        for trial in range(4):
+            c = rand_fraction(rng)
+            u = distinct_points(rng, n)
+            slots = []
+            for _ in range(n):
+                values = {x: rand_fraction(rng) if rng.random() < 0.7 else Fraction(0) for x in u}
+                slots.append(values.__getitem__)
+            if trial % 2:
+                pinned = rng.choice(u)
+                slots[rng.randrange(n)] = lambda x, p=pinned: Fraction(int(x == p))
+            assert sym_c(slots, u, c) == sym_c_literal(slots, u, c)
+
+
+def test_sym_c_rejects_bad_arguments():
+    rng = random.Random(26)
+    u = distinct_points(rng, PERM_CAP + 1)
+    with pytest.raises(ValueError):
+        sym_c([one] * len(u), u, Fraction(1))
+    with pytest.raises(ValueError):
+        sym_c([one] * 2, u[:3], Fraction(1))
+    with pytest.raises(ZeroDivisionError):
+        sym_c([one] * 2, (Fraction(1), Fraction(1)), Fraction(1))
 
 
 def test_delta_product_empty():
@@ -333,5 +400,19 @@ def test_reduction_identity_exact():
     rng = random.Random(67)
     for n in (2, 3, 4, 5):
         c, u, v = lascoux_point(rng, n)
+        lhs, rhs = reduction_identity_sides(u, v, c)
+        assert lhs == rhs
+
+
+def test_symmetrization_identities_beyond_the_registry_sizes():
+    # the registry draws n <= 6; the subset DP reaches n = 8 at library level
+    rng = random.Random(71)
+    for n in (7, 8):
+        c, u, v = lascoux_point(rng, n)
+        coeffs = [rand_fraction(rng) for _ in range(n + 1)]
+        lhs, rhs = lascoux_symmetrized_sides(u, v, c, coeffs)
+        assert lhs == rhs == lascoux_rhs_via_source(u, v, c, coeffs)
+        lhs, rhs = lascoux_tau_sides(u, v, c)
+        assert lhs == rhs == lascoux_tau_rhs_via_source(u, v, c)
         lhs, rhs = reduction_identity_sides(u, v, c)
         assert lhs == rhs
