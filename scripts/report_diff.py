@@ -1,0 +1,86 @@
+"""Compare the verification reports of a base commit and the working tree.
+
+    python3 scripts/report_diff.py --base <rev> [--points N]
+
+Run from the repository root.  The base commit is exported with
+``git archive`` into a temporary directory (as in ``bench_compare.py``);
+the head is the working tree.  For each field, ``srcid verify --field
+<field> --format json --no-timings`` runs on both, and the script prints
+the sha256 of each report, then every point whose record differs, with
+its case, index, residual and pass flag before and after, and a count of
+the points that differ and of those whose pass flag changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_compare import ROOT, export
+
+FIELDS = ("exact", "complex")
+
+
+def report(tree: Path, field: str, points: int) -> str:
+    """The JSON report of ``srcid verify`` over every case of ``field``, default seed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "srcid.cli", "verify", "--field", field, "--format", "json",
+         "--no-timings", "--points", str(points)],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"{tree} verify --field {field} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    return proc.stdout
+
+
+def points_of(text: str) -> dict:
+    doc = json.loads(text)
+    return {(case["id"], point["index"]): point
+            for case in doc["cases"] for point in case["points"]}
+
+
+def outcome(point) -> str:
+    return "absent" if point is None else f"{point['residual']:.3g} ok={point['ok']}"
+
+
+def compare(field: str, before: str, after: str) -> None:
+    for side, text in (("base", before), ("head", after)):
+        print(f"{field} {side} sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+    old, new = points_of(before), points_of(after)
+    differing = flipped = 0
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        differing += 1
+        if a is None or b is None or a["ok"] != b["ok"]:
+            flipped += 1
+        print(f"  {field} {key[0]}#{key[1]}: {outcome(a)} -> {outcome(b)}")
+    print(f"{field}: {differing} of {len(old)} points differ, {flipped} changed pass/fail")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--points", type=int, default=10)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        export(args.base, base)
+        for field in FIELDS:
+            before = report(base, field, args.points)
+            after = report(ROOT, field, args.points)
+            compare(field, before, after)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

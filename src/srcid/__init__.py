@@ -65,10 +65,7 @@ from .engine import (
     VerificationReport,
     run_case,
     sample_params,
-    verify_degeneration,
-    verify_identity,
     verify_q_identities,
-    verify_specialization,
 )
 
 __version__ = "0.1.0"

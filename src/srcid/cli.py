@@ -206,7 +206,10 @@ def _cmd_sample(args) -> int:
     config = _config_from_args(args)
     rows = []
     for index in range(args.points):
-        params = engine.sample_params(args.regime, config, index)
+        try:
+            params = engine.sample_params(args.regime, config, index)
+        except ValueError as exc:  # --nmax below the regime's sizes
+            raise UsageError(str(exc)) from exc
         rows.append({
             "point": index,
             "regime": args.regime,
@@ -239,15 +242,7 @@ def _cmd_bench(args) -> int:
         return 2
     lines = [f"{'n':>4s} {'subset_ms':>12s} {'det_ms':>12s} {'ratio':>10s}"]
     ratios = []
-    for n in sizes:
-        params = _bench_point(args.seed, n)
-        t_subset = min(
-            _timed(lambda: sources.rational_F(params)) for _ in range(args.reps)
-        )
-        t_det = min(
-            _timed(lambda: detreps.det_rep("rational", args.family, "F", params))
-            for _ in range(args.reps)
-        )
+    for n, t_subset, t_det in _bench_times(sizes, args.family, args.reps, args.seed):
         ratio = t_subset / t_det if t_det > 0 else float("inf")
         ratios.append(ratio)
         lines.append(f"{n:4d} {t_subset * 1e3:12.3f} {t_det * 1e3:12.3f} {ratio:10.2f}")
@@ -263,10 +258,8 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def bench_ratios(sizes=(8, 10, 12), family: str = "scalar_product",
-                 reps: int = 3, seed: int = 20260801) -> list:
-    """subset-sum/determinant time ratios for n = m in ``sizes``."""
-    out = []
+def _bench_times(sizes, family: str, reps: int, seed: int):
+    """(n, best subset-sum seconds, best determinant seconds) per n = m in ``sizes``."""
     for n in sizes:
         params = _bench_point(seed, n)
         t_subset = min(_timed(lambda: sources.rational_F(params)) for _ in range(reps))
@@ -274,8 +267,13 @@ def bench_ratios(sizes=(8, 10, 12), family: str = "scalar_product",
             _timed(lambda: detreps.det_rep("rational", family, "F", params))
             for _ in range(reps)
         )
-        out.append(t_subset / t_det)
-    return out
+        yield n, t_subset, t_det
+
+
+def bench_ratios(sizes=(8, 10, 12), family: str = "scalar_product",
+                 reps: int = 3, seed: int = 20260801) -> list:
+    """subset-sum/determinant time ratios for n = m in ``sizes``."""
+    return [t_subset / t_det for _, t_subset, t_det in _bench_times(sizes, family, reps, seed)]
 
 
 def main(argv=None) -> int:

@@ -64,8 +64,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import det, prod
-from .qseries import DEFAULT_TRUNCATION, psi_A, qpoch_n, theta
+from .linalg import det, prod, vandermonde
+from .qseries import DEFAULT_TRUNCATION, psi_A, theta
+from .sources import REGIMES, member_ratios
 
 AVAILABILITY = {
     "elliptic": frozenset({"mpt", "bs"}),
@@ -121,6 +122,36 @@ def _pairs_below(xs):
 
 
 # ---------------------------------------------------------------------------
+# nome-0 sides, read off the regime table
+# ---------------------------------------------------------------------------
+
+
+def _flat_side(regime, side, params):
+    """Nodes, row shift, effective z, member ratios and prefactor of one side.
+
+    The F side runs over v with sigma^-1 and q^{m-1} z, the G side over u
+    with sigma and q^{m-n} z (q^k reads 1 in the rational regime).
+    """
+    reg = REGIMES[regime]
+    n, m = len(params.u), len(params.v)
+    ratio = member_ratios(regime, side, params)
+    if side == "F":
+        zeff = reg.scale(params, m - 1) * params.z
+        return params.v, reg.shift(params, inverse=True), zeff, ratio, 1
+    zeff = reg.scale(params, m - n) * params.z
+    return params.u, reg.shift(params), zeff, ratio, reg.prefactor(params)
+
+
+def _shift_columns(nodes, shift, zeff, ratio):
+    """cols[j][k] = x_j^k - zeff * shift(x_j)^k * ratio_j for the nodes x_j."""
+    size = len(nodes)
+    return [
+        [x**k - zeff * shift(x) ** k * ratio[j] for k in range(size)]
+        for j, x in enumerate(nodes)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # mpt family
 # ---------------------------------------------------------------------------
 
@@ -129,21 +160,14 @@ def _mpt_elliptic(side, params, aux, trunc):
     p, q, lam, z, u, v = params.p, params.q, params.lam, params.z, params.u, params.v
     n = params.n
     r = aux.r
+    ratio = member_ratios("elliptic", side, params, trunc)
     if side == "F":
         mat = aux.pmat
         nodes = [1 / vj for vj in v]
-        ratio = [
-            prod(theta(ul / vj, p, trunc) / theta(q * ul / vj, p, trunc) for ul in u)
-            for vj in v
-        ]
         balance = lam * prod(u)  # theta(balance * prod nodes) = theta(L prod u / prod v)
     else:
         mat = aux.qmat
         nodes = list(u)
-        ratio = [
-            prod(theta(uj / vl, p, trunc) / theta(q * uj / vl, p, trunc) for vl in v)
-            for uj in u
-        ]
         balance = lam / prod(v)
     _require(mat is not None and len(mat) == n, "mpt needs an n x n mixing matrix")
     anchor = prod(nodes)
@@ -166,56 +190,16 @@ def _mpt_elliptic(side, params, aux, trunc):
 
 def _mpt_flat(regime, side, params, aux, trunc):
     """mpt at nome 0: mixed monomial numerator over a mixed psi denominator."""
-    if regime == "trig":
-        q, z, u, v = params.q, params.z, params.u, params.v
-    else:
-        c, z, u, v = params.c, params.z, params.u, params.v
-    n, m = len(u), len(v)
-    r = aux.r
-    if side == "F":
-        size = m
-        mat = aux.pmat
-        nodes = list(v)
-        if regime == "trig":
-            shift = lambda x: x / q
-            zeff = q ** (m - 1) * z
-            ratio = [prod((vj - ul) / (vj - q * ul) for ul in u) for vj in v]
-        else:
-            shift = lambda x: x - c
-            zeff = z
-            ratio = [prod((vj - ul) / (vj - ul - c) for ul in u) for vj in v]
-        pref = 1
-    else:
-        size = n
-        mat = aux.qmat
-        nodes = list(u)
-        if regime == "trig":
-            shift = lambda x: q * x
-            zeff = q ** (m - n) * z
-            ratio = [prod((vl - uj) / (vl - q * uj) for vl in v) for uj in u]
-            pref = qpoch_n(z, q, m - n)
-        else:
-            shift = lambda x: x + c
-            zeff = z
-            ratio = [prod((uj - vl) / (uj - vl + c) for vl in v) for uj in u]
-            pref = (1 - z) ** (m - n)
+    nodes, shift, zeff, ratio, pref = _flat_side(regime, side, params)
+    size = len(nodes)
+    mat = aux.pmat if side == "F" else aux.qmat
     _require(mat is not None and len(mat) == size, "mpt needs a size-matched mixing matrix")
-    anchor = prod(nodes)
+    r = aux.r
     cols_den = [[psi_A(k, size, x, 0, r) for k in range(1, size + 1)] for x in nodes]
-    mixed_den = _mix_rows(mat, cols_den)
-    denom = det(mixed_den)
+    denom = det(_mix_rows(mat, cols_den))
     _require(denom != 0, "singular mixed psi matrix")
-    entries = [
-        [
-            sum(
-                mat[i][k] * (nodes[j] ** k - zeff * shift(nodes[j]) ** k * ratio[j])
-                for k in range(size)
-            )
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
-    return pref * (1 - r * anchor) / denom * det(entries)
+    entries = _mix_rows(mat, _shift_columns(nodes, shift, zeff, ratio))
+    return pref * (1 - r * prod(nodes)) / denom * det(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -223,42 +207,10 @@ def _mpt_flat(regime, side, params, aux, trunc):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_product_trig(side, params):
-    q, z, u, v = params.q, params.z, params.u, params.v
-    n, m = params.n, params.m
-    if side == "F":
-        ratio = [prod((vj - ul) / (vj - q * ul) for ul in u) for vj in v]
-        entries = [
-            [v[j] ** i - z * q ** (m - 1 - i) * v[j] ** i * ratio[j] for j in range(m)]
-            for i in range(m)
-        ]
-        denom = prod(v[j] - v[i] for i, j in _pairs_below(v))
-        return det(entries) / denom
-    ratio = [prod((vl - uj) / (vl - q * uj) for vl in v) for uj in u]
-    entries = [
-        [u[j] ** i - z * q ** (m - n + i) * u[j] ** i * ratio[j] for j in range(n)]
-        for i in range(n)
-    ]
-    denom = prod(u[j] - u[i] for i, j in _pairs_below(u))
-    return qpoch_n(z, q, m - n) * det(entries) / denom
-
-
-def _scalar_product_rational(side, params):
-    c, z, u, v = params.c, params.z, params.u, params.v
-    n, m = params.n, params.m
-    if side == "F":
-        ratio = [prod((vj - ul) / (vj - ul - c) for ul in u) for vj in v]
-        entries = [
-            [v[j] ** i - z * (v[j] - c) ** i * ratio[j] for j in range(m)] for i in range(m)
-        ]
-        denom = prod(v[j] - v[i] for i, j in _pairs_below(v))
-        return det(entries) / denom
-    ratio = [prod((uj - vl) / (uj - vl + c) for vl in v) for uj in u]
-    entries = [
-        [u[j] ** i - z * (u[j] + c) ** i * ratio[j] for j in range(n)] for i in range(n)
-    ]
-    denom = prod(u[j] - u[i] for i, j in _pairs_below(u))
-    return (1 - z) ** (m - n) * det(entries) / denom
+def _scalar_product(regime, side, params):
+    nodes, shift, zeff, ratio, pref = _flat_side(regime, side, params)
+    entries = [list(row) for row in zip(*_shift_columns(nodes, shift, zeff, ratio))]
+    return pref * det(entries) / vandermonde(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -268,46 +220,31 @@ def _scalar_product_rational(side, params):
 
 def build_dwbc_matrix(regime: str, side: str, params):
     """Domain-wall matrix only (no prefactor): Y/Z for n >= m, U/V for n < m."""
-    if regime == "trig":
-        q, z, u, v = params.q, params.z, params.u, params.v
-    elif regime == "rational":
-        c, z, u, v = params.c, params.z, params.u, params.v
-    else:
+    if regime not in ("trig", "rational"):
         raise UnavailableRepresentationError("dwbc exists in the trig and rational regimes")
+    reg = REGIMES[regime]
+    z, u, v = params.z, params.u, params.v
     n, m = len(u), len(v)
-    rows = []
+    sigma = reg.shift(params)
+    zq = z * reg.scale(params, m - n)
     if n >= m:
-        for i in range(m):
-            if regime == "trig":
-                rows.append(
-                    [1 / (v[i] - u[j]) - z * q ** (m - n) / (v[i] - q * u[j]) for j in range(n)]
-                )
-            else:
-                rows.append([1 / (v[i] - u[j]) - z / (v[i] - u[j] - c) for j in range(n)])
+        rows = [[1 / (vi - uj) - zq / (vi - sigma(uj)) for uj in u] for vi in v]
         for i in range(m, n):
             e = n - 1 - i
             if side == "F":
-                rows.append([u[j] ** e for j in range(n)])
-            elif regime == "trig":
-                rows.append([u[j] ** e - z * q ** (m - 1 - i) * u[j] ** e for j in range(n)])
+                rows.append([uj**e for uj in u])
             else:
-                rows.append([u[j] ** e - z * (u[j] + c) ** e for j in range(n)])
+                rows.append([uj**e - zq * sigma(uj) ** e for uj in u])
         return rows
-    for i in range(n):
-        if regime == "trig":
-            rows.append(
-                [1 / (u[i] - v[j]) - z * q ** (m - n) / (q * u[i] - v[j]) for j in range(m)]
-            )
-        else:
-            rows.append([1 / (u[i] - v[j]) - z / (u[i] - v[j] + c) for j in range(m)])
+    rows = [[1 / (ui - vj) - zq / (sigma(ui) - vj) for vj in v] for ui in u]
+    unshift = reg.shift(params, inverse=True)
+    zf = z * reg.scale(params, m - n - 1)
     for i in range(n, m):
         e = m - 1 - i
         if side == "G":
-            rows.append([v[j] ** e for j in range(m)])
-        elif regime == "trig":
-            rows.append([v[j] ** e - z * q ** (i - n) * v[j] ** e for j in range(m)])
+            rows.append([vj**e for vj in v])
         else:
-            rows.append([v[j] ** e - z * (v[j] - c) ** e for j in range(m)])
+            rows.append([vj**e - zf * unshift(vj) ** e for vj in v])
     return rows
 
 
@@ -325,10 +262,7 @@ def _dwbc(regime, side, params):
         pref /= prod(u[j] - u[i] for i, j in _pairs_below(u))
     value = pref * det(matrix)
     if side == "G":
-        if regime == "trig":
-            value *= qpoch_n(params.z, params.q, m - n)
-        else:
-            value *= (1 - params.z) ** (m - n)
+        value *= REGIMES[regime].prefactor(params)
     return value
 
 
@@ -343,6 +277,7 @@ def _bs_elliptic(side, params, aux, trunc):
     eta = aux.eta
     _require(eta is not None and len(eta) == n, "bs needs eta of matching length")
     _require(len(set(eta)) == n, "eta nodes must be pairwise distinct")
+    ratio = member_ratios("elliptic", side, params, trunc)
     if side == "F":
         # second Frobenius parameter pinned so that its balance theta matches
         # theta(L prod u / prod v); rows are eta_i, columns v_j
@@ -352,10 +287,6 @@ def _bs_elliptic(side, params, aux, trunc):
         for i, j in _pairs_below(v):
             pref /= theta(v[j] / v[i], p, trunc) / v[j]
             pref /= eta[j] * theta(eta[i] / eta[j], p, trunc)
-        ratio = [
-            prod(theta(uk / vj, p, trunc) / theta(q * uk / vj, p, trunc) for uk in u)
-            for vj in v
-        ]
         entries = [
             [
                 theta(delta * eta[i] / v[j], p, trunc)
@@ -377,9 +308,6 @@ def _bs_elliptic(side, params, aux, trunc):
     for i, j in _pairs_below(u):
         pref /= u[j] * theta(u[i] / u[j], p, trunc)
         pref /= theta(eta[j] / eta[i], p, trunc) / eta[j]
-    ratio = [
-        prod(theta(ui / vk, p, trunc) / theta(q * ui / vk, p, trunc) for vk in v) for ui in u
-    ]
     entries = [
         [
             theta(delta * u[i] / eta[j], p, trunc)
@@ -398,42 +326,12 @@ def _bs_elliptic(side, params, aux, trunc):
 
 
 def _bs_flat(regime, side, params, aux, trunc, limit: bool):
-    if regime == "trig":
-        q, z, u, v = params.q, params.z, params.u, params.v
-    else:
-        c, z, u, v = params.c, params.z, params.u, params.v
-    n, m = len(u), len(v)
+    xs, row_shift, zeff, ratio, pref = _flat_side(regime, side, params)
+    size = len(xs)
     eta = aux.eta
-    if side == "F":
-        size = m
-        xs = v
-        if regime == "trig":
-            zeff = q ** (m - 1) * z
-            row_shift = lambda x: x / q
-            ratio = [prod((vi - uk) / (vi - q * uk) for uk in u) for vi in v]
-        else:
-            zeff = z
-            row_shift = lambda x: x - c
-            ratio = [prod((vi - uk) / (vi - uk - c) for uk in u) for vi in v]
-        pref = 1
-    else:
-        size = n
-        xs = u
-        if regime == "trig":
-            zeff = q ** (m - n) * z
-            row_shift = lambda x: q * x
-            ratio = [prod((ui - vk) / (q * ui - vk) for vk in v) for ui in u]
-            pref = qpoch_n(z, q, m - n)
-        else:
-            zeff = z
-            row_shift = lambda x: x + c
-            ratio = [prod((ui - vk) / (ui - vk + c) for vk in v) for ui in u]
-            pref = (1 - z) ** (m - n)
     _require(eta is not None and len(eta) == size, "bs needs eta of matching length")
     _require(len(set(eta)) == size, "eta nodes must be pairwise distinct")
-    eta_ref = (
-        tuple(q * e for e in eta) if regime == "trig" else tuple(e + c for e in eta)
-    )
+    eta_ref = tuple(map(REGIMES[regime].shift(params), eta))
 
     def lagrange(jj, x):
         acc = x - x + 1
@@ -527,9 +425,7 @@ def det_rep(
             return _mpt_elliptic(side, params, aux, trunc)
         return _mpt_flat(regime, side, params, aux, trunc)
     if family == "scalar_product":
-        if regime == "trig":
-            return _scalar_product_trig(side, params)
-        return _scalar_product_rational(side, params)
+        return _scalar_product(regime, side, params)
     if family == "dwbc":
         return _dwbc(regime, side, params)
     if family == "bs":

@@ -26,13 +26,13 @@ import math
 import random
 import time
 from itertools import combinations
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import detreps, linalg, sources, symmetrize, wallcross
+from . import linalg, sources, symmetrize, wallcross
 from .detreps import AuxInvariantError, AuxParams, det_rep
-from .fields import EXACT, COMPLEX, get_field, magnitude
+from .fields import EXACT, COMPLEX, get_field
 from .linalg import (
     cauchy_vandermonde_closed,
     cauchy_vandermonde_matrix,
@@ -42,7 +42,7 @@ from .linalg import (
     frobenius_matrix,
     prod,
 )
-from .qseries import DEFAULT_TRUNCATION, Truncation, q_binomial, qpoch_n, theta
+from .qseries import DEFAULT_TRUNCATION, Truncation, q_binomial, theta
 from .sources import (
     EllipticParams,
     RatParams,
@@ -78,6 +78,8 @@ class SamplingConfig:
             raise ValueError("points >= 1 required")
         if self.tol_singular <= 0:
             raise ValueError("tol_singular must be positive")
+        if self.nmax is not None and self.nmax < 0:
+            raise ValueError("nmax >= 0 required")
 
 
 @dataclass
@@ -224,30 +226,29 @@ class PointContext:
     # -- size draws ----------------------------------------------------------
 
     def sizes(self, n_range, m_range=None, rule: str = "any"):
-        """Draw (n, m) within ranges, clipped by config.nmax / fixed_sizes."""
-        cfg = self.config
-        nlo, nhi = n_range
-        if cfg.nmax is not None:
-            nhi = min(nhi, cfg.nmax)
-            nlo = min(nlo, nhi)
-        if cfg.fixed_sizes is not None:
-            n = max(nlo, min(nhi, cfg.fixed_sizes[0]))
-        else:
-            n = self.rng.randint(nlo, nhi)
+        """Draw (n, m) within ranges, clipped by config.nmax / fixed_sizes.
+
+        An ``nmax`` below a range's lower end raises ``ValueError``: the
+        case is not defined at those sizes.
+        """
+        n = self._size(n_range, 0)
         if m_range is None:
             return n, n
-        mlo, mhi = m_range
-        if cfg.nmax is not None:
-            mhi = min(mhi, cfg.nmax)
-            mlo = min(mlo, mhi)
         if rule == "m_le_n":
-            mhi = min(mhi, n)
-            mlo = min(mlo, mhi)
+            mhi = min(m_range[1], n)
+            m_range = (min(m_range[0], mhi), mhi)
+        return n, self._size(m_range, 1)
+
+    def _size(self, bounds, axis: int) -> int:
+        cfg = self.config
+        lo, hi = bounds
+        if cfg.nmax is not None:
+            if cfg.nmax < lo:
+                raise ValueError(f"--nmax {cfg.nmax} is below this case's sizes {lo}..{hi}")
+            hi = min(hi, cfg.nmax)
         if cfg.fixed_sizes is not None:
-            m = max(mlo, min(mhi, cfg.fixed_sizes[1]))
-        else:
-            m = self.rng.randint(mlo, mhi)
-        return n, m
+            return max(lo, min(hi, cfg.fixed_sizes[axis]))
+        return self.rng.randint(lo, hi)
 
     # -- parameter bundles ---------------------------------------------------
 
@@ -322,6 +323,18 @@ class PointContext:
             return self.require(*dens)
 
         return self.attempt(draw, accept)
+
+    def sample(self, regime: str, n: int, m: int):
+        """Core parameters of ``regime`` at sizes (n, m); elliptic uses n only."""
+        if regime == "elliptic":
+            return self.sample_elliptic(n)
+        if regime == "trig":
+            return self.sample_trig(n, m)
+        return self.sample_rational(n, m)
+
+    def distinct(self, xs) -> bool:
+        """The entries of ``xs`` are pairwise apart."""
+        return self.require(*[a - b for i, a in enumerate(xs) for b in xs[i + 1 :]])
 
     # -- auxiliary draws ------------------------------------------------------
 
@@ -417,17 +430,6 @@ class PointContext:
         return dens
 
 
-# ---------------------------------------------------------------------------
-# residuals
-# ---------------------------------------------------------------------------
-
-
-def residual_of(field_name: str, lhs, rhs) -> float:
-    if field_name == EXACT:
-        return 0.0 if lhs == rhs else magnitude(lhs - rhs)
-    return abs(complex(lhs) - complex(rhs)) / max(1.0, abs(complex(lhs)), abs(complex(rhs)))
-
-
 @dataclass(frozen=True)
 class CaseDef:
     case_id: str
@@ -484,41 +486,20 @@ def match_cases(patterns, regime: str = "all", field_name: Optional[str] = None)
 # ---------------------------------------------------------------------------
 
 
-def _run_rational_identity(ctx: PointContext):
-    n, m = ctx.sizes((0, 5), (0, 5))
-    params = ctx.sample_rational(n, m)
-    return [("F = G", sources.rational_F(params), sources.rational_G(params))]
+def _identity_runner(regime: str):
+    def run(ctx: PointContext):
+        n, m = ctx.sizes((1, 4)) if regime == "elliptic" else ctx.sizes((0, 5), (0, 5))
+        params = ctx.sample(regime, n, m)
+        lhs = source_subset_sum(regime, "F", params, ctx.trunc)
+        return [("F = G", lhs, source_subset_sum(regime, "G", params, ctx.trunc))]
 
-
-def _run_trig_identity(ctx: PointContext):
-    n, m = ctx.sizes((0, 5), (0, 5))
-    params = ctx.sample_trig(n, m)
-    return [("F = G", sources.trig_F(params), sources.trig_G(params))]
-
-
-def _run_elliptic_identity(ctx: PointContext):
-    n, _ = ctx.sizes((1, 4))
-    params = ctx.sample_elliptic(n)
-    return [
-        (
-            "F = G",
-            sources.elliptic_F(params, ctx.trunc),
-            sources.elliptic_G(params, ctx.trunc),
-        )
-    ]
+    return run
 
 
 def _diff_runner(regime: str, side: str):
     def run(ctx: PointContext):
-        if regime == "elliptic":
-            n, _ = ctx.sizes((1, 3))
-            params = ctx.sample_elliptic(n)
-        elif regime == "trig":
-            n, m = ctx.sizes((1, 4), (1, 4))
-            params = ctx.sample_trig(n, m)
-        else:
-            n, m = ctx.sizes((1, 4), (1, 4))
-            params = ctx.sample_rational(n, m)
+        n, m = ctx.sizes((1, 3)) if regime == "elliptic" else ctx.sizes((1, 4), (1, 4))
+        params = ctx.sample(regime, n, m)
         lhs = source_via_difference_ops(regime, side, params, ctx.trunc)
         rhs = source_subset_sum(regime, side, params, ctx.trunc)
         return [("operator form = subset sum", lhs, rhs)]
@@ -530,18 +511,9 @@ def _det_rep_runner(regime: str, family: str, side: str):
     needs_aux = family in ("mpt", "bs")
 
     def run(ctx: PointContext):
-        if regime == "elliptic":
-            n, _ = ctx.sizes((1, 4))
-            params = ctx.sample_elliptic(n)
-            reference = source_subset_sum("elliptic", side, params, ctx.trunc)
-        elif regime == "trig":
-            n, m = ctx.sizes((1, 4), (1, 4))
-            params = ctx.sample_trig(n, m)
-            reference = source_subset_sum("trig", side, params)
-        else:
-            n, m = ctx.sizes((1, 4), (1, 4))
-            params = ctx.sample_rational(n, m)
-            reference = source_subset_sum("rational", side, params)
+        n, m = ctx.sizes((1, 4)) if regime == "elliptic" else ctx.sizes((1, 4), (1, 4))
+        params = ctx.sample(regime, n, m)
+        reference = source_subset_sum(regime, side, params, ctx.trunc)
         value1 = _det_rep_retry(ctx, regime, family, side, params)
         checks = [("representation = subset sum", value1, reference)]
         if needs_aux or family == "bs_limit":
@@ -584,12 +556,8 @@ def _run_elliptic_det_identity(ctx: PointContext):
 
 def _bs_delta_limit_runner(regime: str):
     def run(ctx: PointContext):
-        if regime == "trig":
-            n, m = ctx.sizes((1, 3), (1, 3))
-            params = ctx.sample_trig(n, m)
-        else:
-            n, m = ctx.sizes((1, 3), (1, 3))
-            params = ctx.sample_rational(n, m)
+        n, m = ctx.sizes((1, 3), (1, 3))
+        params = ctx.sample(regime, n, m)
         side = "F" if ctx.rng.random() < 0.5 else "G"
         aux = ctx.sample_aux(regime, "bs_limit", side, params)
         big = AuxParams(delta=complex(1e6), eta=aux.eta)
@@ -701,241 +669,86 @@ def _substitute_positions(ctx, values):
     return tuple(values[i] for i in order)
 
 
-def _run_rational_vanishing(ctx: PointContext):
-    n, m = ctx.sizes((2, 5), (2, 5), rule="m_le_n")
-    base = ctx.sample_rational(n, m)
-    k = ctx.rng.randrange(n)
+def _vanishing_runner(regime: str, swap: bool, flip_sizes: bool = False):
+    """P = Q = 0 where v holds u_k and sigma(u_k), or with ``swap`` u holds
+    v_k and sigma^-1(v_k).  Sizes are drawn with m <= n, and ``flip_sizes``
+    exchanges them.
+    """
+    def run(ctx: PointContext):
+        n, m = ctx.sizes((2, 5), (2, 5), rule="m_le_n")
+        if flip_sizes:
+            n, m = m, n
+        base = ctx.sample(regime, n, m)
+        anchors = base.v if swap else base.u
+        x = anchors[ctx.rng.randrange(len(anchors))]
+        pair = [x, sources.REGIMES[regime].shift(base, inverse=swap)(x)]
 
-    def build():
-        rest = [ctx.scalar() for _ in range(m - 2)]
-        v = _substitute_positions(ctx, [base.u[k], base.u[k] + base.c] + rest)
-        return RatParams(c=base.c, z=base.z, u=base.u, v=v)
+        def build():
+            rest = [ctx.scalar() for _ in range((n if swap else m) - 2)]
+            vals = _substitute_positions(ctx, pair + rest)
+            return replace(base, u=vals) if swap else replace(base, v=vals)
 
-    def accept(par):
-        dens = [a - b for i, a in enumerate(par.v) for b in par.v[i + 1 :]]
-        return ctx.require(*dens)
+        params = ctx.attempt(build, lambda par: ctx.distinct(par.u if swap else par.v))
+        zero = ctx.field.zero
+        return [
+            ("P = 0", source_polynomial_form(regime, "P", params), zero),
+            ("Q = 0", source_polynomial_form(regime, "Q", params), zero),
+        ]
 
-    params = ctx.attempt(build, accept)
-    zero = ctx.field.zero
-    return [
-        ("P = 0", sources.rational_P(params), zero),
-        ("Q = 0", sources.rational_Q(params), zero),
-    ]
-
-
-def _run_rational_vanishing_swap(ctx: PointContext):
-    m, n = ctx.sizes((2, 5), (2, 5), rule="m_le_n")  # sample then swap to get m > n... m >= n
-    n, m = m, n  # now n <= m with both >= 2; vanish u_i = v_k, u_j = v_k - c
-    base = ctx.sample_rational(n, m)
-    k = ctx.rng.randrange(m)
-
-    def build():
-        rest = [ctx.scalar() for _ in range(n - 2)]
-        u = _substitute_positions(ctx, [base.v[k], base.v[k] - base.c] + rest)
-        return RatParams(c=base.c, z=base.z, u=u, v=base.v)
-
-    def accept(par):
-        dens = [a - b for i, a in enumerate(par.u) for b in par.u[i + 1 :]]
-        dens.append(1 - par.z)
-        return ctx.require(*dens)
-
-    params = ctx.attempt(build, accept)
-    zero = ctx.field.zero
-    return [
-        ("P = 0", sources.rational_P(params), zero),
-        ("Q = 0", sources.rational_Q(params), zero),
-    ]
+    return run
 
 
-def _run_rational_evaluation(ctx: PointContext):
-    n, m = ctx.sizes((1, 5), (1, 5), rule="m_le_n")
-    base = ctx.sample_rational(n, m)
-    u, c, z = base.u, base.c, base.z
-    picks = ctx.rng.sample(range(n), m)
-    split = ctx.rng.randint(0, m)
-    iset, jset = sorted(picks[:split]), sorted(picks[split:])
+def _evaluation_runner(regime: str, swap: bool):
+    """P and Q at v = {u_I, sigma(u_J)} (m <= n), or with ``swap`` at
+    u = {v_I, sigma^-1(v_J)} (n <= m), against their closed product.
 
-    def build():
-        vals = [u[i] for i in iset] + [u[j] + c for j in jset]
-        return RatParams(c=c, z=z, u=u, v=_substitute_positions(ctx, vals))
+    A rejected draw redraws the base point, the split and the order: the
+    acceptance test depends on the substituted values only as a set.
+    """
+    reg = sources.REGIMES[regime]
 
-    def accept(par):
-        dens = [a - b for i, a in enumerate(par.v) for b in par.v[i + 1 :]]
-        return ctx.require(*dens)
+    def run(ctx: PointContext):
+        n, m = ctx.sizes((1, 5), (1, 5), rule="m_le_n")
+        if swap:
+            n, m = m, n
 
-    params = ctx.attempt(build, accept)
-    closed = (-z) ** len(jset)
-    for i in iset:
-        for j in jset:
-            closed *= u[j] - u[i]
-    for i in iset:
-        for j in range(n):
-            closed *= u[i] - u[j] - c
-    not_i = [k for k in range(n) if k not in iset]
-    for j in jset:
-        for k in not_i:
-            closed *= u[j] - u[k] + c
-    return [
-        ("P closed form", sources.rational_P(params), closed),
-        ("Q closed form", sources.rational_Q(params), closed),
-    ]
+        def draw():
+            base = ctx.sample(regime, n, m)
+            xs = base.v if swap else base.u
+            picks = ctx.rng.sample(range(len(xs)), n if swap else m)
+            split = ctx.rng.randint(0, len(picks))
+            iset, jset = sorted(picks[:split]), sorted(picks[split:])
+            shift = reg.shift(base, inverse=swap)
+            vals = _substitute_positions(ctx, [xs[i] for i in iset] + [shift(xs[j]) for j in jset])
+            params = replace(base, u=vals) if swap else replace(base, v=vals)
+            return params, xs, iset, jset
 
+        def accept(drawn):
+            return ctx.distinct(drawn[0].u if swap else drawn[0].v)
 
-def _run_rational_evaluation_swap(ctx: PointContext):
-    n, m = ctx.sizes((1, 5), (1, 5), rule="m_le_n")
-    n, m = m, n  # n <= m roles flipped: substitute into u from v
-    base = ctx.sample_rational(n, m)
-    v, c, z = base.v, base.c, base.z
-    picks = ctx.rng.sample(range(m), n)
-    split = ctx.rng.randint(0, n)
-    iset, jset = sorted(picks[:split]), sorted(picks[split:])
+        params, xs, iset, jset = ctx.attempt(draw, accept)
+        d, sigma = reg.pair(params, ctx.trunc), reg.shift(params)
+        nj = len(jset)
+        others = [k for k in range(len(xs)) if k not in iset]
+        if swap:
+            closed = (-params.z) ** nj * reg.scale(params, -(nj * (nj + 1) // 2))
+            closed *= reg.prefactor(params)
+            factors = [d(xs[i], xs[j]) for i in iset for j in jset]
+            factors += [d(xs[j], sigma(xs[i])) for i in iset for j in range(len(xs))]
+            factors += [d(sigma(xs[k]), xs[j]) for j in jset for k in others]
+        else:
+            closed = (-params.z) ** nj * reg.scale(params, len(iset) * nj + nj * (nj - 1) // 2)
+            factors = [d(xs[j], xs[i]) for i in iset for j in jset]
+            factors += [d(xs[i], sigma(xs[j])) for i in iset for j in range(len(xs))]
+            factors += [d(sigma(xs[j]), xs[k]) for j in jset for k in others]
+        for factor in factors:
+            closed *= factor
+        return [
+            ("P closed form", source_polynomial_form(regime, "P", params), closed),
+            ("Q closed form", source_polynomial_form(regime, "Q", params), closed),
+        ]
 
-    def build():
-        vals = [v[i] for i in iset] + [v[j] - c for j in jset]
-        return RatParams(c=c, z=z, u=_substitute_positions(ctx, vals), v=v)
-
-    def accept(par):
-        dens = [a - b for i, a in enumerate(par.u) for b in par.u[i + 1 :]]
-        dens.append(1 - par.z)
-        return ctx.require(*dens)
-
-    params = ctx.attempt(build, accept)
-    closed = (-z) ** len(jset) * (1 - z) ** (m - n)
-    for i in iset:
-        for j in jset:
-            closed *= v[i] - v[j]
-    for i in iset:
-        for j in range(m):
-            closed *= v[j] - v[i] - c
-    not_i = [k for k in range(m) if k not in iset]
-    for j in jset:
-        for k in not_i:
-            closed *= v[k] - v[j] + c
-    return [
-        ("P closed form", sources.rational_P(params), closed),
-        ("Q closed form", sources.rational_Q(params), closed),
-    ]
-
-
-def _run_trig_vanishing(ctx: PointContext):
-    n, m = ctx.sizes((2, 5), (2, 5), rule="m_le_n")
-    base = ctx.sample_trig(n, m)
-    k = ctx.rng.randrange(n)
-
-    def build():
-        rest = [ctx.scalar() for _ in range(m - 2)]
-        v = _substitute_positions(ctx, [base.u[k], base.q * base.u[k]] + rest)
-        return TrigParams(q=base.q, z=base.z, u=base.u, v=v)
-
-    def accept(par):
-        dens = [a - b for i, a in enumerate(par.v) for b in par.v[i + 1 :]]
-        return ctx.require(*dens)
-
-    params = ctx.attempt(build, accept)
-    zero = ctx.field.zero
-    return [
-        ("P = 0", sources.trig_P(params), zero),
-        ("Q = 0", sources.trig_Q(params), zero),
-    ]
-
-
-def _run_trig_vanishing_swap(ctx: PointContext):
-    n, m = ctx.sizes((2, 5), (2, 5), rule="m_le_n")
-    n, m = m, n
-    base = ctx.sample_trig(n, m)
-    k = ctx.rng.randrange(m)
-
-    def build():
-        rest = [ctx.scalar() for _ in range(n - 2)]
-        u = _substitute_positions(ctx, [base.v[k], base.v[k] / base.q] + rest)
-        return TrigParams(q=base.q, z=base.z, u=u, v=base.v)
-
-    def accept(par):
-        dens = [a - b for i, a in enumerate(par.u) for b in par.u[i + 1 :]]
-        for j in range(1, max(0, n - m) + 1):
-            dens.append(1 - par.q ** (-j) * par.z)
-        return ctx.require(*dens)
-
-    params = ctx.attempt(build, accept)
-    zero = ctx.field.zero
-    return [
-        ("P = 0", sources.trig_P(params), zero),
-        ("Q = 0", sources.trig_Q(params), zero),
-    ]
-
-
-def _run_trig_evaluation(ctx: PointContext):
-    n, m = ctx.sizes((1, 5), (1, 5), rule="m_le_n")
-    base = ctx.sample_trig(n, m)
-    u, q, z = base.u, base.q, base.z
-    picks = ctx.rng.sample(range(n), m)
-    split = ctx.rng.randint(0, m)
-    iset, jset = sorted(picks[:split]), sorted(picks[split:])
-
-    def build():
-        vals = [u[i] for i in iset] + [q * u[j] for j in jset]
-        return TrigParams(q=q, z=z, u=u, v=_substitute_positions(ctx, vals))
-
-    def accept(par):
-        dens = [a - b for i, a in enumerate(par.v) for b in par.v[i + 1 :]]
-        return ctx.require(*dens)
-
-    params = ctx.attempt(build, accept)
-    nj = len(jset)
-    closed = (-z) ** nj * q ** (len(iset) * nj + nj * (nj - 1) // 2)
-    for i in iset:
-        for j in jset:
-            closed *= u[j] - u[i]
-    for i in iset:
-        for j in range(n):
-            closed *= u[i] - q * u[j]
-    not_i = [k for k in range(n) if k not in iset]
-    for j in jset:
-        for k in not_i:
-            closed *= q * u[j] - u[k]
-    return [
-        ("P closed form", sources.trig_P(params), closed),
-        ("Q closed form", sources.trig_Q(params), closed),
-    ]
-
-
-def _run_trig_evaluation_swap(ctx: PointContext):
-    n, m = ctx.sizes((1, 5), (1, 5), rule="m_le_n")
-    n, m = m, n
-    base = ctx.sample_trig(n, m)
-    v, q, z = base.v, base.q, base.z
-    picks = ctx.rng.sample(range(m), n)
-    split = ctx.rng.randint(0, n)
-    iset, jset = sorted(picks[:split]), sorted(picks[split:])
-
-    def build():
-        vals = [v[i] for i in iset] + [v[j] / q for j in jset]
-        return TrigParams(q=q, z=z, u=_substitute_positions(ctx, vals), v=v)
-
-    def accept(par):
-        dens = [a - b for i, a in enumerate(par.u) for b in par.u[i + 1 :]]
-        for j in range(1, max(0, n - m) + 1):
-            dens.append(1 - par.q ** (-j) * par.z)
-        return ctx.require(*dens)
-
-    params = ctx.attempt(build, accept)
-    nj = len(jset)
-    closed = (-z) ** nj * q ** (-(nj * (nj + 1)) // 2)
-    closed *= qpoch_n(z, q, m - n)
-    for i in iset:
-        for j in jset:
-            closed *= v[i] - v[j]
-    for i in iset:
-        for j in range(m):
-            closed *= v[j] - q * v[i]
-    not_i = [k for k in range(m) if k not in iset]
-    for j in jset:
-        for k in not_i:
-            closed *= q * v[k] - v[j]
-    return [
-        ("P closed form", sources.trig_P(params), closed),
-        ("Q closed form", sources.trig_Q(params), closed),
-    ]
+    return run
 
 
 def _run_elliptic_vanishing(ctx: PointContext):
@@ -968,20 +781,18 @@ def _run_elliptic_vanishing(ctx: PointContext):
 
 def _run_elliptic_evaluation(ctx: PointContext):
     n, _ = ctx.sizes((1, 4))
-    base = ctx.sample_elliptic(n)
-    u, q, z, p, lam = base.u, base.q, base.z, base.p, base.lam
-    split = ctx.rng.randint(0, n)
-    order = list(range(n))
-    ctx.rng.shuffle(order)
-    iset, jset = sorted(order[:split]), sorted(order[split:])
 
-    def build():
-        vals = [u[i] for i in iset] + [q * u[j] for j in jset]
-        return EllipticParams(
-            p=p, q=q, lam=lam, z=z, u=u, v=_substitute_positions(ctx, vals)
-        )
+    def draw():
+        base = ctx.sample_elliptic(n)
+        split = ctx.rng.randint(0, n)
+        order = list(range(n))
+        ctx.rng.shuffle(order)
+        iset, jset = sorted(order[:split]), sorted(order[split:])
+        vals = [base.u[i] for i in iset] + [base.q * base.u[j] for j in jset]
+        return replace(base, v=_substitute_positions(ctx, vals)), iset, jset
 
-    def accept(par):
+    def accept(drawn):
+        par = drawn[0]
         try:
             dens = []
             for i in range(n):
@@ -992,7 +803,8 @@ def _run_elliptic_evaluation(ctx: PointContext):
             return False
         return ctx.require(*dens)
 
-    params = ctx.attempt(build, accept)
+    params, iset, jset = ctx.attempt(draw, accept)
+    u, q, z, p, lam = params.u, params.q, params.z, params.p, params.lam
     nj = len(jset)
     closed = (-z) ** nj * q ** (nj * (nj - 1) // 2) * theta(lam, p, ctx.trunc)
     for i in iset:
@@ -1148,8 +960,8 @@ def _run_trig_to_rational_limit(ctx: PointContext):
     target = sources.rational_F(rat)
     f1 = sources.trig_F(trig_at(1e-4))
     f2 = sources.trig_F(trig_at(5e-5))
-    r1 = residual_of(COMPLEX, f1, target)
-    r2 = residual_of(COMPLEX, f2, target)
+    r1 = get_field(COMPLEX).residual(f1, target)
+    r2 = get_field(COMPLEX).residual(f2, target)
     checks = [("exponential-variable limit", f1, target)]
     if r1 > 1e-8:
         # first-order limit: halving the exponent scale halves the residual
@@ -1180,10 +992,7 @@ def _q_identity_subsets(ctx: PointContext, n: int):
     def draw():
         return tuple(ctx.scalar() for _ in range(n))
 
-    def accept(u):
-        return ctx.require(*[a - b for i, a in enumerate(u) for b in u[i + 1 :]])
-
-    return ctx.attempt(draw, accept)
+    return ctx.attempt(draw, ctx.distinct)
 
 
 def _run_q_subset_ratio(ctx: PointContext):
@@ -1369,17 +1178,17 @@ def _build_registry():
     add(CaseDef(
         "rational_source_identity", "identity", "rational",
         "subset-sum identity F = G, additive shifts",
-        (EXACT, COMPLEX), _run_rational_identity,
+        (EXACT, COMPLEX), _identity_runner("rational"),
     ))
     add(CaseDef(
         "trig_source_identity", "identity", "trig",
         "subset-sum identity F = G, multiplicative shifts",
-        (EXACT, COMPLEX), _run_trig_identity,
+        (EXACT, COMPLEX), _identity_runner("trig"),
     ))
     add(CaseDef(
         "elliptic_source_identity", "identity", "elliptic",
         "subset-sum identity F = G, theta weights",
-        (COMPLEX,), _run_elliptic_identity, tol_complex=1e-8,
+        (COMPLEX,), _identity_runner("elliptic"), tol_complex=1e-8,
     ))
     for regime in ("rational", "trig", "elliptic"):
         for side in ("F", "G"):
@@ -1448,42 +1257,42 @@ def _build_registry():
     add(CaseDef(
         "rational_vanishing", "specialization", "rational",
         "cleared polynomials vanish at paired substitutions v = u_k, u_k + c",
-        (EXACT, COMPLEX), _run_rational_vanishing,
+        (EXACT, COMPLEX), _vanishing_runner("rational", swap=False),
     ))
     add(CaseDef(
         "rational_vanishing_swap", "specialization", "rational",
         "vanishing at paired substitutions into u (m > n)",
-        (EXACT, COMPLEX), _run_rational_vanishing_swap,
+        (EXACT, COMPLEX), _vanishing_runner("rational", swap=True),
     ))
     add(CaseDef(
         "rational_evaluation", "specialization", "rational",
         "closed product evaluation at v = {u_I, u_J + c}",
-        (EXACT, COMPLEX), _run_rational_evaluation,
+        (EXACT, COMPLEX), _evaluation_runner("rational", swap=False),
     ))
     add(CaseDef(
         "rational_evaluation_swap", "specialization", "rational",
         "closed product evaluation at u = {v_I, v_J - c} (m > n)",
-        (EXACT, COMPLEX), _run_rational_evaluation_swap,
+        (EXACT, COMPLEX), _evaluation_runner("rational", swap=True),
     ))
     add(CaseDef(
         "trig_vanishing", "specialization", "trig",
         "cleared polynomials vanish at paired substitutions v = u_k, q u_k",
-        (EXACT, COMPLEX), _run_trig_vanishing,
+        (EXACT, COMPLEX), _vanishing_runner("trig", swap=False),
     ))
     add(CaseDef(
         "trig_vanishing_swap", "specialization", "trig",
         "vanishing at paired substitutions into u (m > n)",
-        (EXACT, COMPLEX), _run_trig_vanishing_swap,
+        (EXACT, COMPLEX), _vanishing_runner("trig", swap=True, flip_sizes=True),
     ))
     add(CaseDef(
         "trig_evaluation", "specialization", "trig",
         "closed product evaluation at v = {u_I, q u_J}",
-        (EXACT, COMPLEX), _run_trig_evaluation,
+        (EXACT, COMPLEX), _evaluation_runner("trig", swap=False),
     ))
     add(CaseDef(
         "trig_evaluation_swap", "specialization", "trig",
         "closed product evaluation at u = {v_I, v_J / q} (m > n)",
-        (EXACT, COMPLEX), _run_trig_evaluation_swap,
+        (EXACT, COMPLEX), _evaluation_runner("trig", swap=True),
     ))
     add(CaseDef(
         "elliptic_vanishing", "specialization", "elliptic",
@@ -1594,23 +1403,18 @@ def sample_params(regime: str, config: SamplingConfig, point_index: int):
     rng = random.Random(point_seed(config.master_seed, f"sample_{regime}", point_index))
     field_name = config.field or (COMPLEX if regime == "elliptic" else EXACT)
     ctx = PointContext(rng, field_name, config)
-    if regime == "elliptic":
-        n, _ = ctx.sizes((1, 4))
-        return ctx.sample_elliptic(n)
-    if regime == "trig":
-        n, m = ctx.sizes((0, 5), (0, 5))
-        return ctx.sample_trig(n, m)
-    if regime == "rational":
-        n, m = ctx.sizes((0, 5), (0, 5))
-        return ctx.sample_rational(n, m)
-    raise ValueError(f"unknown regime {regime!r}")
+    if regime not in ("elliptic", "trig", "rational"):
+        raise ValueError(f"unknown regime {regime!r}")
+    n, m = ctx.sizes((1, 4)) if regime == "elliptic" else ctx.sizes((0, 5), (0, 5))
+    return ctx.sample(regime, n, m)
 
 
 def _check_point(checks, field_name: str, tol: float, index: int, seed: str) -> PointRecord:
     """The point's record: its worst check against the tolerance."""
+    residual = get_field(field_name).residual
     worst = None
     for label, lhs, rhs in checks:
-        res = residual_of(field_name, lhs, rhs)
+        res = residual(lhs, rhs)
         if worst is None or res > worst[0]:
             worst = (res, label, lhs, rhs)
     res, label, lhs, rhs = worst
@@ -1655,18 +1459,6 @@ def run_case(case_id: str, config: SamplingConfig) -> VerificationReport:
     return report
 
 
-def verify_identity(case_id: str, config: SamplingConfig) -> VerificationReport:
-    return run_case(case_id, config)
-
-
-def verify_specialization(spec_id: str, config: SamplingConfig) -> VerificationReport:
-    return run_case(spec_id, config)
-
-
-def verify_degeneration(deg_id: str, config: SamplingConfig) -> VerificationReport:
-    return run_case(deg_id, config)
-
-
 def verify_q_identities(config: SamplingConfig) -> VerificationReport:
     """Merged report over all registered q-identity cases."""
     merged = VerificationReport(
@@ -1700,7 +1492,3 @@ def verify_q_identities(config: SamplingConfig) -> VerificationReport:
         merged.passed = merged.passed and sub.passed
     merged.millis = (time.perf_counter() - start) * 1000.0
     return merged
-
-
-def run_cases(case_ids, config: SamplingConfig) -> list:
-    return [run_case(cid, config) for cid in case_ids]

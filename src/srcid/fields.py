@@ -13,8 +13,8 @@ The arithmetic itself is done with the native Python types; Fraction
 already keeps values in lowest terms with a positive denominator, and
 both types raise ``ZeroDivisionError`` on division by exact zero.  The
 field objects below bundle the small amount of policy that differs
-between the two backends: coercion, guarded division, the closeness
-test, and the relative residual used in verification reports.
+between the two backends: the zero and one of the field and the residual
+used in verification reports.
 """
 
 from __future__ import annotations
@@ -28,20 +28,12 @@ class FieldError(ArithmeticError):
     """Base class for field-level failures."""
 
 
-class SingularValueError(FieldError):
-    """Division by a value inside the singular-rejection radius."""
-
-
 class ExactFieldUnavailableError(FieldError):
     """Operation is only defined over the complex field."""
 
 
 EXACT = "exact"
 COMPLEX = "complex"
-
-
-def is_exact_scalar(x) -> bool:
-    return isinstance(x, (Fraction, int))
 
 
 def magnitude(x) -> float:
@@ -54,27 +46,11 @@ def magnitude(x) -> float:
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex doubles with a tolerance-based closeness test.
-
-    ``close(a, b, tol)`` implements |a-b| <= tol * max(1, |a|, |b|).
+    """Complex doubles; a check passes when its residual
+    |a-b| / max(1, |a|, |b|) is within the case tolerance.
     """
 
-    tol_singular: float = 1e-12
-
     name = COMPLEX
-
-    def coerce(self, x) -> complex:
-        if isinstance(x, Fraction):
-            return complex(float(x))
-        return complex(x)
-
-    def div(self, a, b):
-        if abs(b) <= self.tol_singular:
-            raise SingularValueError(f"denominator {b!r} within {self.tol_singular} of zero")
-        return a / b
-
-    def close(self, a, b, tol: float) -> bool:
-        return self.residual(a, b) <= tol
 
     def residual(self, a, b) -> float:
         return abs(a - b) / max(1.0, abs(a), abs(b))
@@ -93,17 +69,6 @@ class ExactField:
     """Arbitrary-precision rationals; equality is literal, no tolerance."""
 
     name = EXACT
-
-    def coerce(self, x) -> Fraction:
-        return Fraction(x)
-
-    def div(self, a, b):
-        if b == 0:
-            raise SingularValueError("exact division by zero")
-        return Fraction(a) / Fraction(b)
-
-    def close(self, a, b, tol: float = 0.0) -> bool:
-        return a == b
 
     def residual(self, a, b) -> float:
         return 0.0 if a == b else magnitude(a - b)

@@ -99,6 +99,11 @@ def prod(values, start=1):
     return math.prod(values, start=start)
 
 
+def vandermonde(xs):
+    """prod_{i < j} (x_j - x_i)."""
+    return prod(xs[j] - xs[i] for i in range(len(xs)) for j in range(i + 1, len(xs)))
+
+
 # ---------------------------------------------------------------------------
 # Frobenius (theta-Cauchy) determinant
 # ---------------------------------------------------------------------------

@@ -1,50 +1,55 @@
-"""Source functions: subset sums, polynomial versions, difference-operator forms.
+"""Source functions: one regime table, one subset-sum kernel, difference-operator forms.
 
-A source function is a sum over subsets K of an index interval, each term
-weighted by (-z)^|K| and cross-ratio products.  The pair (F, G) in each
-regime satisfies F = G; this identity is what most of the verification
-suite exercises.  Writing s = |K|:
+A source function is a sum over subsets K of the v indices (F side) or of
+the u indices (G side), each term carrying a size weight w(|K|) and
+cross-ratio products.  The pair (F, G) in each regime satisfies F = G;
+this identity is what most of the verification suite exercises.
 
-rational (shift parameter c):
+The regimes differ only in their row of ``REGIMES``: a pair function
+d(a, b), a shift sigma, the size weight w(s) and the G side's prefactor.
 
-    F = sum_{K subset [1..m]} (-z)^s  prod_{i in K, j notin K} (v_i - v_j - c)/(v_i - v_j)
-                                      prod_{i in K, k <= n}   (v_i - u_k)/(v_i - u_k - c)
-    G = (1-z)^{m-n} sum_{K subset [1..n]} (-z)^s
-                                      prod_{i in K, j notin K} (u_i - u_j + c)/(u_i - u_j)
-                                      prod_{i in K, k <= m}   (u_i - v_k)/(u_i - v_k + c)
+    regime       d(a, b)        sigma(x)  w(s)                           G prefactor
+    rational     a - b          x + c     (-z)^s                         (1 - z)^{m-n}
+    trig         a - b          q x       (-z)^s q^{s(s-1)/2}            (z; q)_{m-n}
+    trig_lambda  a - b          q x       (-z)^s q^{s(s-1)/2} (1-q^s L)  1
+    elliptic     theta(b/a; p)  q x       (-z)^s q^{s(s-1)/2}            1
+                                            * theta(q^s L prod u / prod v; p)
 
-trigonometric (multiplicative shift q):
+On the G side of ``trig`` the weight takes q^{m-n} z in place of z; the
+elliptic sums need n = m.  Writing s = |K|, every regime sums
 
-    F = sum_{K subset [1..m]} (-z)^s q^{s(s-1)/2}
-            prod (v_i - q v_j)/(v_i - v_j) prod (v_i - u_k)/(v_i - q u_k)
-    G = (z; q)_{m-n} sum_{K subset [1..n]} (-q^{m-n} z)^s q^{s(s-1)/2}
-            prod (q u_i - u_j)/(u_i - u_j) prod (v_k - u_i)/(v_k - q u_i)
+    F = sum_{K subset [1..m]} w(s) prod_{i in K, j notin K} d(v_i, sigma v_j) / d(v_i, v_j)
+                                   prod_{i in K, k <= n}     d(v_i, u_k) / d(v_i, sigma u_k)
+    G = pref sum_{K subset [1..n]} w(s) prod_{i in K, j notin K} d(u_j, sigma u_i) / d(u_j, u_i)
+                                        prod_{i in K, k <= m}     d(v_k, u_i) / d(v_k, sigma u_i)
 
-elliptic (nome p, n = m), with L the extra balancing parameter:
+so the pair ratio takes the summed variables in opposite orders on the two
+sides, while the last product, the member ratio of i, has the same factor
+d(v, u) / d(v, sigma u) for every pair of a v and a u on both.  ``trig_lambda`` is the
+Lambda-weighted trigonometric family whose F/G pair is tied together by the
+finite q-binomial degeneration identity checked in the engine.
 
-    F = sum_K (-z)^s q^{s(s-1)/2} theta(q^s L prod u / prod v; p)
-            prod theta(q v_j/v_i)/theta(v_j/v_i) prod theta(u_k/v_i)/theta(q u_k/v_i)
-    G = same with u <-> v roles swapped on the cross ratios.
+The polynomial versions P and Q are the same sums with the member ratios'
+denominators cleared: each member of K contributes the numerator product
+of its ratio, each non-member the denominator product.  They are what the
+vanishing and evaluation lemmas specialize, so they are summed directly in
+this form rather than by multiplying F by the clearing factor (which would
+be 0/0 at exactly the interesting points).
 
-``trig_lambda`` is the Lambda-weighted trigonometric family in which each
-term additionally carries (1 - q^s Lambda); its F/G pair is tied together
-by the finite q-binomial degeneration identity checked in the engine.
-
-The polynomial versions P and Q are the same sums with the denominators
-(v_i - q u_k), resp. theta(q u_k / v_i), cleared; they are what the
-vanishing and evaluation lemmas specialize, so they are implemented
-directly from their cleared form rather than by multiplying F by the
-clearing factor (which would be 0/0 at exactly the interesting points).
-
-Subsets are enumerated by bitmask; the hard size cap is max(n, m) <= 12.
+One kernel, ``_subset_sum``, evaluates all of them.  It decides the indices
+in or out of K depth first and carries the product of the factors between
+decided indices, so each decision costs one multiplication per earlier
+index: O(m 2^m) multiplications and no division, against O(m^2 2^m) for
+evaluating every subset on its own.  The hard size cap is max(n, m) <= 12.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .linalg import frobenius_matrix, det, prod
+from .linalg import frobenius_matrix, det, prod, vandermonde
 from .qseries import DEFAULT_TRUNCATION, qpoch_n, theta
 
 SIZE_CAP = 12
@@ -107,9 +112,54 @@ class RatParams:
         return len(self.v)
 
 
-def _check_cap(*sizes):
-    if max(sizes, default=0) > SIZE_CAP:
-        raise SizeCapError(f"subset enumeration capped at max(n, m) <= {SIZE_CAP}")
+# ---------------------------------------------------------------------------
+# the regime table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Regime:
+    """One row of ``REGIMES``; every entry takes the core parameters.
+
+    ``pair(params, trunc)`` returns d and ``shift(params, inverse)`` returns
+    sigma or its inverse; ``scale(params, k)`` is q^k, and 1 in the additive
+    regime; ``weights(params, vside, size, trunc)`` lists w(0..size) for the
+    F side (``vside``) or the G side; ``prefactor(params)`` is the G side's
+    factor in front of its sum.
+    """
+
+    pair: Callable
+    shift: Callable
+    scale: Callable
+    weights: Callable
+    prefactor: Callable
+
+
+def _difference(params, trunc):
+    return operator.sub
+
+
+def _theta_quotient(params, trunc):
+    p = params.p
+    return lambda a, b: theta(b / a, p, trunc)
+
+
+def _additive_shift(params, inverse=False):
+    c = params.c
+    return (lambda x: x - c) if inverse else (lambda x: x + c)
+
+
+def _multiplicative_shift(params, inverse=False):
+    q = params.q
+    return (lambda x: x / q) if inverse else (lambda x: q * x)
+
+
+def _unit_scale(params, k):
+    return 1
+
+
+def _q_scale(params, k):
+    return params.q ** k
 
 
 def _signed_powers(z, size):
@@ -120,408 +170,237 @@ def _signed_powers(z, size):
     return out
 
 
-def _q_triangle_powers(q, size):
-    # q^{s(s-1)/2} for s = 0..size
-    out = [q - q + 1]
+def _signed_q_powers(z, q, size):
+    # (-z)^s q^{s(s-1)/2} for s = 0..size
+    tri = [q - q + 1]
     for s in range(1, size + 1):
-        out.append(out[-1] * q ** (s - 1))
-    return out
+        tri.append(tri[-1] * q ** (s - 1))
+    return [a * b for a, b in zip(_signed_powers(z, size), tri)]
 
 
-def _subset_sum(m, term_weight, pair_ratio, member_factor):
-    """Generic sum over K subset [0..m).
+def _rational_weights(params, vside, size, trunc):
+    return _signed_powers(params.z, size)
 
-    ``term_weight(s)`` is the size-only factor, ``pair_ratio[i][j]`` the
-    (i in K, j notin K) factor, ``member_factor[i]`` the per-member factor.
-    """
-    total = None
-    for mask in range(1 << m):
-        inside = [i for i in range(m) if mask >> i & 1]
-        outside = [j for j in range(m) if not mask >> j & 1]
-        term = term_weight(len(inside))
-        for i in inside:
-            row = pair_ratio[i]
-            for j in outside:
-                term *= row[j]
-            term *= member_factor[i]
-        total = term if total is None else total + term
-    return total
+
+def _trig_weights(params, vside, size, trunc):
+    z = params.z if vside else params.q ** (params.m - params.n) * params.z
+    return _signed_q_powers(z, params.q, size)
+
+
+def _trig_lambda_weights(params, vside, size, trunc):
+    if params.lam is None:
+        raise ValueError("trig_lambda regime needs params.lam")
+    q, lam = params.q, params.lam
+    return [w * (1 - q**s * lam) for s, w in enumerate(_signed_q_powers(params.z, q, size))]
+
+
+def _elliptic_weights(params, vside, size, trunc):
+    q, p = params.q, params.p
+    base = params.lam * prod(params.u) / prod(params.v)
+    return [
+        w * theta(q**s * base, p, trunc)
+        for s, w in enumerate(_signed_q_powers(params.z, q, size))
+    ]
+
+
+def _rational_prefactor(params):
+    return (1 - params.z) ** (params.m - params.n)
+
+
+def _trig_prefactor(params):
+    return qpoch_n(params.z, params.q, params.m - params.n)
+
+
+def _no_prefactor(params):
+    return 1
+
+
+REGIMES = {
+    "rational": Regime(
+        _difference, _additive_shift, _unit_scale, _rational_weights, _rational_prefactor
+    ),
+    "trig": Regime(
+        _difference, _multiplicative_shift, _q_scale, _trig_weights, _trig_prefactor
+    ),
+    "trig_lambda": Regime(
+        _difference, _multiplicative_shift, _q_scale, _trig_lambda_weights, _no_prefactor
+    ),
+    "elliptic": Regime(
+        _theta_quotient, _multiplicative_shift, _q_scale, _elliptic_weights, _no_prefactor
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
-# rational regime
+# the subset-sum kernel
+# ---------------------------------------------------------------------------
+
+
+def _check_cap(*sizes):
+    if max(sizes, default=0) > SIZE_CAP:
+        raise SizeCapError(f"subset enumeration capped at max(n, m) <= {SIZE_CAP}")
+
+
+def _subset_sum(weights, pair, inside, outside=None):
+    """Sum over K subset [0..m) of weights[|K|] times the products of
+    pair[i][j] (i in K, j notin K), inside[i] (i in K) and outside[j]
+    (j notin K; no factor when ``outside`` is None).
+
+    Index t joins K with inside[t] and pair[t][j] for every earlier j left
+    out, or stays out with outside[t] and pair[i][t] for every earlier i in
+    K.  Each leaf adds its product to the sum of its size, and the size sums
+    are weighted once at the end.
+    """
+    size = len(inside)
+    by_size = [0] * (size + 1)
+
+    def walk(t, term, members, others):
+        if t == size:
+            by_size[len(members)] += term
+            return
+        take = term * inside[t]
+        row = pair[t]
+        for j in others:
+            take *= row[j]
+        walk(t + 1, take, members + (t,), others)
+        skip = term if outside is None else term * outside[t]
+        for i in members:
+            skip *= pair[i][t]
+        walk(t + 1, skip, members, others + (t,))
+
+    walk(0, 1, (), ())
+    total = weights[0] * by_size[0]
+    for s in range(1, size + 1):
+        total += weights[s] * by_size[s]
+    return total
+
+
+def member_ratios(regime, side, params, trunc=DEFAULT_TRUNCATION):
+    """Member ratio of each summed variable: the product of d(v, u)/d(v, sigma u)
+    over its partners, for each v_i on the F side and each u_k on the G side.
+    """
+    reg = REGIMES[regime]
+    d = reg.pair(params, trunc)
+    u, v = params.u, params.v
+    su = list(map(reg.shift(params), u))
+    if side in ("F", "P"):
+        return [prod(d(x, y) / d(x, sy) for y, sy in zip(u, su)) for x in v]
+    return [prod(d(x, y) / d(x, sy) for x in v) for y, sy in zip(u, su)]
+
+
+def _member_products(regime, side, params, trunc):
+    """The numerator and the denominator product of each member ratio, apart."""
+    reg = REGIMES[regime]
+    d = reg.pair(params, trunc)
+    u, v = params.u, params.v
+    su = list(map(reg.shift(params), u))
+    if side in ("F", "P"):
+        return [prod(d(x, y) for y in u) for x in v], [prod(d(x, y) for y in su) for x in v]
+    return [prod(d(x, y) for x in v) for y in u], [prod(d(x, y) for x in v) for y in su]
+
+
+def _source(regime, side, params, trunc=DEFAULT_TRUNCATION):
+    """F, G (member ratios) or P, Q (cleared) of ``regime`` through the kernel."""
+    reg = REGIMES[regime]
+    _check_cap(len(params.u), len(params.v))
+    vside = side in ("F", "P")
+    xs = params.v if vside else params.u
+    size = len(xs)
+    weights = reg.weights(params, vside, size, trunc)
+    d = reg.pair(params, trunc)
+    shifted = list(map(reg.shift(params), xs))
+    if vside:
+        pair = [
+            [d(xs[i], shifted[j]) / d(xs[i], xs[j]) if j != i else None for j in range(size)]
+            for i in range(size)
+        ]
+    else:
+        pair = [
+            [d(xs[j], shifted[i]) / d(xs[j], xs[i]) if j != i else None for j in range(size)]
+            for i in range(size)
+        ]
+    if side in ("F", "G"):
+        total = _subset_sum(weights, pair, member_ratios(regime, side, params, trunc))
+    else:
+        total = _subset_sum(weights, pair, *_member_products(regime, side, params, trunc))
+    return total if vside else reg.prefactor(params) * total
+
+
+# ---------------------------------------------------------------------------
+# entry points
 # ---------------------------------------------------------------------------
 
 
 def rational_F(params: RatParams):
-    c, z, u, v = params.c, params.z, params.u, params.v
-    n, m = params.n, params.m
-    _check_cap(n, m)
-    pair = [
-        [(v[i] - v[j] - c) / (v[i] - v[j]) if j != i else None for j in range(m)]
-        for i in range(m)
-    ]
-    member = [prod((v[i] - uk) / (v[i] - uk - c) for uk in u) for i in range(m)]
-    zpow = _signed_powers(z, m)
-    return _subset_sum(m, lambda s: zpow[s], pair, member)
+    return _source("rational", "F", params)
 
 
 def rational_G(params: RatParams):
-    c, z, u, v = params.c, params.z, params.u, params.v
-    n, m = params.n, params.m
-    _check_cap(n, m)
-    pair = [
-        [(u[i] - u[j] + c) / (u[i] - u[j]) if j != i else None for j in range(n)]
-        for i in range(n)
-    ]
-    member = [prod((u[i] - vk) / (u[i] - vk + c) for vk in v) for i in range(n)]
-    zpow = _signed_powers(z, n)
-    body = _subset_sum(n, lambda s: zpow[s], pair, member)
-    return (1 - z) ** (m - n) * body
+    return _source("rational", "G", params)
 
 
 def rational_P(params: RatParams):
-    c, z, u, v = params.c, params.z, params.u, params.v
-    n, m = params.n, params.m
-    _check_cap(n, m)
-    pair = [
-        [(v[i] - v[j] - c) / (v[i] - v[j]) if j != i else None for j in range(m)]
-        for i in range(m)
-    ]
-    inside_row = [prod(v[i] - uk for uk in u) for i in range(m)]
-    outside_row = [prod(v[j] - uk - c for uk in u) for j in range(m)]
-    zpow = _signed_powers(z, m)
-    total = None
-    for mask in range(1 << m):
-        inside = [i for i in range(m) if mask >> i & 1]
-        outside = [j for j in range(m) if not mask >> j & 1]
-        term = zpow[len(inside)]
-        for i in inside:
-            row = pair[i]
-            for j in outside:
-                term *= row[j]
-            term *= inside_row[i]
-        for j in outside:
-            term *= outside_row[j]
-        total = term if total is None else total + term
-    return total
+    return _source("rational", "P", params)
 
 
 def rational_Q(params: RatParams):
-    c, z, u, v = params.c, params.z, params.u, params.v
-    n, m = params.n, params.m
-    _check_cap(n, m)
-    pair = [
-        [(u[i] - u[j] + c) / (u[i] - u[j]) if j != i else None for j in range(n)]
-        for i in range(n)
-    ]
-    inside_row = [prod(vk - u[i] for vk in v) for i in range(n)]
-    outside_row = [prod(vk - u[j] - c for vk in v) for j in range(n)]
-    zpow = _signed_powers(z, n)
-    total = None
-    for mask in range(1 << n):
-        inside = [i for i in range(n) if mask >> i & 1]
-        outside = [j for j in range(n) if not mask >> j & 1]
-        term = zpow[len(inside)]
-        for i in inside:
-            row = pair[i]
-            for j in outside:
-                term *= row[j]
-            term *= inside_row[i]
-        for j in outside:
-            term *= outside_row[j]
-        total = term if total is None else total + term
-    return (1 - z) ** (m - n) * total
-
-
-# ---------------------------------------------------------------------------
-# trigonometric regime
-# ---------------------------------------------------------------------------
+    return _source("rational", "Q", params)
 
 
 def trig_F(params: TrigParams):
-    q, z, u, v = params.q, params.z, params.u, params.v
-    n, m = params.n, params.m
-    _check_cap(n, m)
-    pair = [
-        [(v[i] - q * v[j]) / (v[i] - v[j]) if j != i else None for j in range(m)]
-        for i in range(m)
-    ]
-    member = [prod((v[i] - uk) / (v[i] - q * uk) for uk in u) for i in range(m)]
-    zpow = _signed_powers(z, m)
-    qtri = _q_triangle_powers(q, m)
-    return _subset_sum(m, lambda s: zpow[s] * qtri[s], pair, member)
+    return _source("trig", "F", params)
 
 
 def trig_G(params: TrigParams):
-    q, z, u, v = params.q, params.z, params.u, params.v
-    n, m = params.n, params.m
-    _check_cap(n, m)
-    zq = q ** (m - n) * z
-    pair = [
-        [(q * u[i] - u[j]) / (u[i] - u[j]) if j != i else None for j in range(n)]
-        for i in range(n)
-    ]
-    member = [prod((vk - u[i]) / (vk - q * u[i]) for vk in v) for i in range(n)]
-    zpow = _signed_powers(zq, n)
-    qtri = _q_triangle_powers(q, n)
-    body = _subset_sum(n, lambda s: zpow[s] * qtri[s], pair, member)
-    return qpoch_n(z, q, m - n) * body
+    return _source("trig", "G", params)
 
 
 def trig_P(params: TrigParams):
-    q, z, u, v = params.q, params.z, params.u, params.v
-    n, m = params.n, params.m
-    _check_cap(n, m)
-    pair = [
-        [(v[i] - q * v[j]) / (v[i] - v[j]) if j != i else None for j in range(m)]
-        for i in range(m)
-    ]
-    inside_row = [prod(v[i] - uk for uk in u) for i in range(m)]
-    outside_row = [prod(v[j] - q * uk for uk in u) for j in range(m)]
-    zpow = _signed_powers(z, m)
-    qtri = _q_triangle_powers(q, m)
-    total = None
-    for mask in range(1 << m):
-        inside = [i for i in range(m) if mask >> i & 1]
-        outside = [j for j in range(m) if not mask >> j & 1]
-        term = zpow[len(inside)] * qtri[len(inside)]
-        for i in inside:
-            row = pair[i]
-            for j in outside:
-                term *= row[j]
-            term *= inside_row[i]
-        for j in outside:
-            term *= outside_row[j]
-        total = term if total is None else total + term
-    return total
+    return _source("trig", "P", params)
 
 
 def trig_Q(params: TrigParams):
-    q, z, u, v = params.q, params.z, params.u, params.v
-    n, m = params.n, params.m
-    _check_cap(n, m)
-    zq = q ** (m - n) * z
-    pair = [
-        [(q * u[i] - u[j]) / (u[i] - u[j]) if j != i else None for j in range(n)]
-        for i in range(n)
-    ]
-    inside_row = [prod(vk - u[i] for vk in v) for i in range(n)]
-    outside_row = [prod(vk - q * u[j] for vk in v) for j in range(n)]
-    zpow = _signed_powers(zq, n)
-    qtri = _q_triangle_powers(q, n)
-    total = None
-    for mask in range(1 << n):
-        inside = [i for i in range(n) if mask >> i & 1]
-        outside = [j for j in range(n) if not mask >> j & 1]
-        term = zpow[len(inside)] * qtri[len(inside)]
-        for i in inside:
-            row = pair[i]
-            for j in outside:
-                term *= row[j]
-            term *= inside_row[i]
-        for j in outside:
-            term *= outside_row[j]
-        total = term if total is None else total + term
-    return qpoch_n(z, q, m - n) * total
+    return _source("trig", "Q", params)
 
 
 def trig_lambda_F(params: TrigParams):
     """Lambda-weighted v-side sum: each term carries (1 - q^s Lambda)."""
-    if params.lam is None:
-        raise ValueError("trig_lambda regime needs params.lam")
-    q, z, u, v, lam = params.q, params.z, params.u, params.v, params.lam
-    n, m = params.n, params.m
-    _check_cap(n, m)
-    pair = [
-        [(v[i] - q * v[j]) / (v[i] - v[j]) if j != i else None for j in range(m)]
-        for i in range(m)
-    ]
-    member = [prod((v[i] - uk) / (v[i] - q * uk) for uk in u) for i in range(m)]
-    zpow = _signed_powers(z, m)
-    qtri = _q_triangle_powers(q, m)
-    lamw = [1 - q**s * lam for s in range(m + 1)]
-    return _subset_sum(m, lambda s: zpow[s] * qtri[s] * lamw[s], pair, member)
+    return _source("trig_lambda", "F", params)
 
 
 def trig_lambda_G(params: TrigParams):
     """Lambda-weighted u-side sum (no q-Pochhammer prefactor)."""
-    if params.lam is None:
-        raise ValueError("trig_lambda regime needs params.lam")
-    q, z, u, v, lam = params.q, params.z, params.u, params.v, params.lam
-    n, m = params.n, params.m
-    _check_cap(n, m)
-    pair = [
-        [(q * u[i] - u[j]) / (u[i] - u[j]) if j != i else None for j in range(n)]
-        for i in range(n)
-    ]
-    member = [prod((vk - u[i]) / (vk - q * u[i]) for vk in v) for i in range(n)]
-    zpow = _signed_powers(z, n)
-    qtri = _q_triangle_powers(q, n)
-    lamw = [1 - q**s * lam for s in range(n + 1)]
-    return _subset_sum(n, lambda s: zpow[s] * qtri[s] * lamw[s], pair, member)
-
-
-# ---------------------------------------------------------------------------
-# elliptic regime
-# ---------------------------------------------------------------------------
+    return _source("trig_lambda", "G", params)
 
 
 def elliptic_F(params: EllipticParams, trunc=DEFAULT_TRUNCATION):
-    p, q, lam, z, u, v = params.p, params.q, params.lam, params.z, params.u, params.v
-    n = params.n
-    _check_cap(n)
-    base = lam * prod(u) / prod(v)
-    th_lam = [theta(q**s * base, p, trunc) for s in range(n + 1)]
-    pair = [
-        [
-            theta(q * v[j] / v[i], p, trunc) / theta(v[j] / v[i], p, trunc) if j != i else None
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    member = [
-        prod(theta(uk / v[i], p, trunc) / theta(q * uk / v[i], p, trunc) for uk in u)
-        for i in range(n)
-    ]
-    zpow = _signed_powers(z, n)
-    qtri = _q_triangle_powers(q, n)
-    return _subset_sum(n, lambda s: zpow[s] * qtri[s] * th_lam[s], pair, member)
+    return _source("elliptic", "F", params, trunc)
 
 
 def elliptic_G(params: EllipticParams, trunc=DEFAULT_TRUNCATION):
-    p, q, lam, z, u, v = params.p, params.q, params.lam, params.z, params.u, params.v
-    n = params.n
-    _check_cap(n)
-    base = lam * prod(u) / prod(v)
-    th_lam = [theta(q**s * base, p, trunc) for s in range(n + 1)]
-    pair = [
-        [
-            theta(q * u[i] / u[j], p, trunc) / theta(u[i] / u[j], p, trunc) if j != i else None
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    member = [
-        prod(theta(u[i] / vk, p, trunc) / theta(q * u[i] / vk, p, trunc) for vk in v)
-        for i in range(n)
-    ]
-    zpow = _signed_powers(z, n)
-    qtri = _q_triangle_powers(q, n)
-    return _subset_sum(n, lambda s: zpow[s] * qtri[s] * th_lam[s], pair, member)
+    return _source("elliptic", "G", params, trunc)
 
 
 def elliptic_P(params: EllipticParams, trunc=DEFAULT_TRUNCATION):
-    p, q, lam, z, u, v = params.p, params.q, params.lam, params.z, params.u, params.v
-    n = params.n
-    _check_cap(n)
-    base = lam * prod(u) / prod(v)
-    th_lam = [theta(q**s * base, p, trunc) for s in range(n + 1)]
-    pair = [
-        [
-            theta(q * v[j] / v[i], p, trunc) / theta(v[j] / v[i], p, trunc) if j != i else None
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    inside_row = [prod(theta(uk / v[i], p, trunc) for uk in u) for i in range(n)]
-    outside_row = [prod(theta(q * uk / v[j], p, trunc) for uk in u) for j in range(n)]
-    zpow = _signed_powers(z, n)
-    qtri = _q_triangle_powers(q, n)
-    total = None
-    for mask in range(1 << n):
-        inside = [i for i in range(n) if mask >> i & 1]
-        outside = [j for j in range(n) if not mask >> j & 1]
-        term = zpow[len(inside)] * qtri[len(inside)] * th_lam[len(inside)]
-        for i in inside:
-            row = pair[i]
-            for j in outside:
-                term *= row[j]
-            term *= inside_row[i]
-        for j in outside:
-            term *= outside_row[j]
-        total = term if total is None else total + term
-    return total
+    return _source("elliptic", "P", params, trunc)
 
 
 def elliptic_Q(params: EllipticParams, trunc=DEFAULT_TRUNCATION):
-    p, q, lam, z, u, v = params.p, params.q, params.lam, params.z, params.u, params.v
-    n = params.n
-    _check_cap(n)
-    base = lam * prod(u) / prod(v)
-    th_lam = [theta(q**s * base, p, trunc) for s in range(n + 1)]
-    pair = [
-        [
-            theta(q * u[i] / u[j], p, trunc) / theta(u[i] / u[j], p, trunc) if j != i else None
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    inside_row = [prod(theta(u[i] / vk, p, trunc) for vk in v) for i in range(n)]
-    outside_row = [prod(theta(q * u[j] / vk, p, trunc) for vk in v) for j in range(n)]
-    zpow = _signed_powers(z, n)
-    qtri = _q_triangle_powers(q, n)
-    total = None
-    for mask in range(1 << n):
-        inside = [i for i in range(n) if mask >> i & 1]
-        outside = [j for j in range(n) if not mask >> j & 1]
-        term = zpow[len(inside)] * qtri[len(inside)] * th_lam[len(inside)]
-        for i in inside:
-            row = pair[i]
-            for j in outside:
-                term *= row[j]
-            term *= inside_row[i]
-        for j in outside:
-            term *= outside_row[j]
-        total = term if total is None else total + term
-    return total
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
-_SUBSET = {
-    ("rational", "F"): rational_F,
-    ("rational", "G"): rational_G,
-    ("trig", "F"): trig_F,
-    ("trig", "G"): trig_G,
-    ("trig_lambda", "F"): trig_lambda_F,
-    ("trig_lambda", "G"): trig_lambda_G,
-}
-
-_POLY = {
-    ("rational", "P"): rational_P,
-    ("rational", "Q"): rational_Q,
-    ("trig", "P"): trig_P,
-    ("trig", "Q"): trig_Q,
-}
+    return _source("elliptic", "Q", params, trunc)
 
 
 def source_subset_sum(regime: str, side: str, params, trunc=DEFAULT_TRUNCATION):
     """Literal subset-sum evaluation of a source function."""
-    if regime == "elliptic":
-        fn = elliptic_F if side == "F" else elliptic_G if side == "G" else None
-        if fn is None:
-            raise ValueError(f"unknown side {side!r}")
-        return fn(params, trunc)
-    try:
-        return _SUBSET[regime, side](params)
-    except KeyError:
-        raise ValueError(f"unknown (regime, side) = ({regime!r}, {side!r})") from None
+    if regime not in REGIMES or side not in ("F", "G"):
+        raise ValueError(f"unknown (regime, side) = ({regime!r}, {side!r})")
+    return _source(regime, side, params, trunc)
 
 
 def source_polynomial_form(regime: str, side: str, params, trunc=DEFAULT_TRUNCATION):
     """Denominator-cleared polynomial version P/Q of a source function."""
-    if regime == "elliptic":
-        fn = elliptic_P if side == "P" else elliptic_Q if side == "Q" else None
-        if fn is None:
-            raise ValueError(f"unknown side {side!r}")
-        return fn(params, trunc)
-    try:
-        return _POLY[regime, side](params)
-    except KeyError:
-        raise ValueError(f"unknown (regime, side) = ({regime!r}, {side!r})") from None
+    if regime not in ("rational", "trig", "elliptic") or side not in ("P", "Q"):
+        raise ValueError(f"unknown (regime, side) = ({regime!r}, {side!r})")
+    return _source(regime, side, params, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -555,61 +434,22 @@ def apply_difference_product(f, indices, shift, z, point):
 def source_via_difference_ops(regime: str, side: str, params, trunc=DEFAULT_TRUNCATION):
     """Source function as prefactor times a product of difference operators.
 
-    Contract: agrees with :func:`source_subset_sum` on the same parameters
-    (exactly over the rationals, to truncation accuracy over the complex
-    field).
+    The F side shifts v by sigma^-1, the G side shifts u by sigma.  Contract:
+    agrees with :func:`source_subset_sum` on the same parameters (exactly
+    over the rationals, to truncation accuracy over the complex field).
     """
-    if regime == "rational":
-        c, z, u, v = params.c, params.z, params.u, params.v
-        n, m = params.n, params.m
-        if side == "F":
-            pref = prod(vi - uk for vi in v for uk in u)
-            pref /= prod(v[j] - v[i] for i in range(m) for j in range(i + 1, m))
-
-            def inner(vv):
-                num = prod(vv[j] - vv[i] for i in range(m) for j in range(i + 1, m))
-                return num / prod(vi - uk for vi in vv for uk in u)
-
-            return pref * apply_difference_product(inner, range(m), lambda x: x - c, z, v)
-        if side == "G":
-            pref = (1 - z) ** (m - n) * prod(ui - vk for ui in u for vk in v)
-            pref /= prod(u[j] - u[i] for i in range(n) for j in range(i + 1, n))
-
-            def inner(uu):
-                num = prod(uu[j] - uu[i] for i in range(n) for j in range(i + 1, n))
-                return num / prod(ui - vk for ui in uu for vk in v)
-
-            return pref * apply_difference_product(inner, range(n), lambda x: x + c, z, u)
+    if regime not in ("rational", "trig", "elliptic"):
+        raise ValueError(f"unknown regime {regime!r}")
+    if side not in ("F", "G"):
         raise ValueError(f"unknown side {side!r}")
-
-    if regime == "trig":
-        q, z, u, v = params.q, params.z, params.u, params.v
-        n, m = params.n, params.m
-        if side == "F":
-            pref = prod(vi - uk for vi in v for uk in u)
-            pref /= prod(v[j] - v[i] for i in range(m) for j in range(i + 1, m))
-
-            def inner(vv):
-                num = prod(vv[j] - vv[i] for i in range(m) for j in range(i + 1, m))
-                return num / prod(vi - uk for vi in vv for uk in u)
-
-            zeff = z * q ** (m - n - 1)
-            return pref * apply_difference_product(inner, range(m), lambda x: x / q, zeff, v)
-        if side == "G":
-            pref = qpoch_n(z, q, m - n) * prod(vi - uk for vi in v for uk in u)
-            pref /= prod(u[j] - u[i] for i in range(n) for j in range(i + 1, n))
-
-            def inner(uu):
-                num = prod(uu[j] - uu[i] for i in range(n) for j in range(i + 1, n))
-                return num / prod(vi - uk for vi in v for uk in uu)
-
-            zeff = z * q ** (m - n)
-            return pref * apply_difference_product(inner, range(n), lambda x: q * x, zeff, u)
-        raise ValueError(f"unknown side {side!r}")
+    reg = REGIMES[regime]
+    z, u, v = params.z, params.u, params.v
+    n, m = len(u), len(v)
+    xs = v if side == "F" else u
+    shift = reg.shift(params, inverse=side == "F")
 
     if regime == "elliptic":
-        p, q, lam, z, u, v = params.p, params.q, params.lam, params.z, params.u, params.v
-        n = params.n
+        p, lam = params.p, params.lam
         pref = theta(lam, p, trunc)
         pref *= prod(theta(ui / vj, p, trunc) for ui in u for vj in v)
         for i in range(n):
@@ -617,17 +457,17 @@ def source_via_difference_ops(regime: str, side: str, params, trunc=DEFAULT_TRUN
                 pref /= u[j] * theta(u[i] / u[j], p, trunc)
                 pref /= theta(v[j] / v[i], p, trunc) / v[j]
         if side == "F":
+            inner = lambda vv: det(frobenius_matrix(u, vv, lam, p, trunc))
+        else:
+            inner = lambda uu: det(frobenius_matrix(uu, v, lam, p, trunc))
+        return pref * apply_difference_product(inner, range(n), shift, z, xs)
 
-            def inner(vv):
-                return det(frobenius_matrix(u, vv, lam, p, trunc))
-
-            return pref * apply_difference_product(inner, range(n), lambda x: x / q, z, v)
-        if side == "G":
-
-            def inner(uu):
-                return det(frobenius_matrix(uu, v, lam, p, trunc))
-
-            return pref * apply_difference_product(inner, range(n), lambda x: q * x, z, u)
-        raise ValueError(f"unknown side {side!r}")
-
-    raise ValueError(f"unknown regime {regime!r}")
+    pref = prod(vi - uk for vi in v for uk in u) / vandermonde(xs)
+    if side == "F":
+        zeff = z * reg.scale(params, m - n - 1)
+        inner = lambda vv: vandermonde(vv) / prod(vi - uk for vi in vv for uk in u)
+    else:
+        pref = reg.prefactor(params) * pref
+        zeff = z * reg.scale(params, m - n)
+        inner = lambda uu: vandermonde(uu) / prod(vi - uk for vi in v for uk in uu)
+    return pref * apply_difference_product(inner, range(len(xs)), shift, zeff, xs)

@@ -213,3 +213,23 @@ def test_help_exits_zero(capsys):
 
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
+
+
+def test_nmax_below_a_size_range(capsys):
+    # a case is not run outside its registered sizes: its points fail with the range
+    code, out, _ = run_cli(
+        capsys, "verify", "--case", "rational_mpt_F", "--nmax", "0", "--points", "1",
+        "--format", "json", "--no-timings",
+    )
+    assert code == 1
+    (point,) = json.loads(out)["cases"][0]["points"]
+    assert point["error"] == "ValueError: --nmax 0 is below this case's sizes 1..4"
+    code, out, err = run_cli(capsys, "sample", "--regime", "elliptic", "--nmax", "0")
+    assert code == 2
+    assert out == ""
+    assert "below" in err and "Traceback" not in err
+    for command in ("sample", "verify"):
+        code, out, err = run_cli(capsys, command, "--nmax", "-1")
+        assert code == 2
+        assert out == ""
+        assert "nmax" in err and "Traceback" not in err

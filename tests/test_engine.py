@@ -14,10 +14,7 @@ from srcid.engine import (
     point_seed,
     run_case,
     sample_params,
-    verify_degeneration,
-    verify_identity,
     verify_q_identities,
-    verify_specialization,
 )
 from srcid.fields import COMPLEX, EXACT
 
@@ -131,10 +128,11 @@ def test_point_seed_format():
 
 
 def test_kind_wrappers_run():
+    # one case of each kind the removed per-kind aliases covered
     cfg = SamplingConfig(master_seed=3, points=2)
-    assert verify_identity("rational_source_identity", cfg).passed
-    assert verify_specialization("rational_vanishing", cfg).passed
-    assert verify_degeneration("lambda_zero_reduction", cfg).passed
+    assert run_case("rational_source_identity", cfg).passed
+    assert run_case("rational_vanishing", cfg).passed
+    assert run_case("lambda_zero_reduction", cfg).passed
 
 
 def test_verify_q_identities_merges():
@@ -207,14 +205,41 @@ def test_sampling_failure_recorded_per_point():
 
 
 def test_runner_exception_recorded_per_point():
-    # at --nmax 0 the symmetrization sides reject their empty point; the
-    # report carries the exception's type and text and every point still runs
-    rep = run_case(
-        "divided_difference_symmetrization",
-        SamplingConfig(master_seed=1, points=3, nmax=0),
+    # a runner that raises: the report carries the exception's type and
+    # text and every point still runs
+    from srcid.engine import REGISTRY, CaseDef
+
+    def rejects(ctx):
+        raise ValueError("needs len(u) == len(v) >= 1")
+
+    case = CaseDef(
+        "synthetic_raising", "lascoux", "rational",
+        "synthetic case for the exception path", (EXACT,), rejects,
     )
+    REGISTRY[case.case_id] = case
+    try:
+        rep = run_case(case.case_id, SamplingConfig(master_seed=1, points=3))
+    finally:
+        del REGISTRY[case.case_id]
     assert not rep.passed
     assert rep.max_rel_err == float("inf")
     assert len(rep.points) == 3
     assert all(not p.ok for p in rep.points)
     assert all(p.error == "ValueError: needs len(u) == len(v) >= 1" for p in rep.points)
+
+
+def test_nmax_below_a_case_range_fails_its_points():
+    # rational_mpt_F is registered at sizes 1..4: nmax = 0 must not run it at 0
+    rep = run_case("rational_mpt_F", SamplingConfig(master_seed=1, points=2, nmax=0))
+    assert not rep.passed
+    assert all(p.error == "ValueError: --nmax 0 is below this case's sizes 1..4"
+               for p in rep.points)
+    with pytest.raises(ValueError):
+        SamplingConfig(nmax=-1)
+
+
+def test_evaluation_sampler_redraws_the_base_point():
+    # point 197 used to exhaust its resampling cap: every retry reshuffled
+    # the same colliding values
+    rep = run_case("rational_evaluation_swap", SamplingConfig(points=200, field=EXACT))
+    assert rep.passed, [p.error for p in rep.points if not p.ok]

@@ -3,11 +3,13 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from srcid.qseries import Truncation, qpoch_n
+from srcid.linalg import prod
+from srcid.qseries import Truncation, qpoch_n, theta
 from srcid.sources import (
     EllipticParams,
     RatParams,
@@ -409,3 +411,161 @@ def test_dispatchers():
         source_subset_sum("rational", "X", params)
     with pytest.raises(ValueError):
         source_subset_sum("nope", "F", params)
+
+
+# ---------------------------------------------------------------------------
+# the subset-sum kernel against the literal enumeration
+# ---------------------------------------------------------------------------
+
+
+def subset_sum_literal(regime, side, params, trunc=TRUNC):
+    """F, G, P or Q by multiplying out the term of every subset K (a bitmask).
+
+    The pair function d, the shift and the weights are written out here from
+    the formulas of the ``sources`` docstring, apart from the library's
+    regime table.
+    """
+    u, v, z = params.u, params.v, params.z
+    if regime == "rational":
+        c = params.c
+        d, sigma = (lambda a, b: a - b), (lambda x: x + c)
+    elif regime in ("trig", "trig_lambda"):
+        q = params.q
+        d, sigma = (lambda a, b: a - b), (lambda x: q * x)
+    else:
+        q, p = params.q, params.p
+        d, sigma = (lambda a, b: theta(b / a, p, trunc)), (lambda x: q * x)
+    vside = side in ("F", "P")
+    size = len(v) if vside else len(u)
+
+    def weight(s):
+        zz = q ** (len(v) - len(u)) * z if regime == "trig" and not vside else z
+        w = (-zz) ** s
+        if regime != "rational":
+            w *= q ** (s * (s - 1) // 2)
+        if regime == "trig_lambda":
+            w *= 1 - q**s * params.lam
+        if regime == "elliptic":
+            w *= theta(q**s * params.lam * prod(u) / prod(v), p, trunc)
+        return w
+
+    if vside:
+        pair = [[d(v[i], sigma(v[j])) / d(v[i], v[j]) if i != j else None
+                 for j in range(size)] for i in range(size)]
+        num = [prod(d(v[i], uk) for uk in u) for i in range(size)]
+        den = [prod(d(v[i], sigma(uk)) for uk in u) for i in range(size)]
+    else:
+        pair = [[d(u[j], sigma(u[i])) / d(u[j], u[i]) if i != j else None
+                 for j in range(size)] for i in range(size)]
+        num = [prod(d(vk, u[i]) for vk in v) for i in range(size)]
+        den = [prod(d(vk, sigma(u[i])) for vk in v) for i in range(size)]
+    weights = [weight(s) for s in range(size + 1)]
+
+    total = 0
+    for mask in range(1 << size):
+        inside = [i for i in range(size) if mask >> i & 1]
+        outside = [j for j in range(size) if not mask >> j & 1]
+        term = weights[len(inside)]
+        for i in inside:
+            for j in outside:
+                term *= pair[i][j]
+            term = term * num[i] / den[i] if side in ("F", "G") else term * num[i]
+        if side in ("P", "Q"):
+            for j in outside:
+                term *= den[j]
+        total += term
+    if not vside and regime == "rational":
+        total *= (1 - z) ** (len(v) - len(u))
+    if not vside and regime == "trig":
+        total *= qpoch_n(z, q, len(v) - len(u))
+    return total
+
+
+def sample_complex_flat(rng, regime, n, m):
+    u = tuple(rand_complex(rng) for _ in range(n))
+    v = tuple(rand_complex(rng) for _ in range(m))
+    if regime == "rational":
+        return RatParams(c=rand_complex(rng, 0.3, 1.0), z=rand_complex(rng), u=u, v=v)
+    return TrigParams(q=rand_complex(rng, 0.5, 1.7), z=rand_complex(rng), u=u, v=v,
+                      lam=rand_complex(rng))
+
+
+def assert_kernel_matches_literal(regime, side, params, exact):
+    value = (source_subset_sum if side in ("F", "G") else source_polynomial_form)(
+        regime, side, params, TRUNC
+    )
+    literal = subset_sum_literal(regime, side, params)
+    if exact:
+        assert value == literal, (regime, side, params)
+    else:
+        assert abs(value - literal) <= 1e-9 * max(1.0, abs(literal)), (regime, side, params)
+
+
+def test_kernel_matches_the_literal_enumeration():
+    rng = random.Random(71)
+    for n in range(8):
+        for m in range(8):
+            rat = sample_rational(rng, n, m)
+            tri = sample_trig(rng, n, m, with_lam=True)
+            for side in "FGPQ":
+                assert_kernel_matches_literal("rational", side, rat, exact=True)
+                assert_kernel_matches_literal("trig", side, tri, exact=True)
+            for side in "FG":
+                assert_kernel_matches_literal("trig_lambda", side, tri, exact=True)
+            for regime in ("rational", "trig"):
+                params = sample_complex_flat(rng, regime, n, m)
+                for side in "FGPQ":
+                    assert_kernel_matches_literal(regime, side, params, exact=False)
+            params = sample_complex_flat(rng, "trig", n, m)
+            for side in "FG":
+                assert_kernel_matches_literal("trig_lambda", side, params, exact=False)
+    for n in range(8):
+        params = sample_elliptic(rng, n)
+        for side in "FGPQ":
+            assert_kernel_matches_literal("elliptic", side, params, exact=False)
+
+
+def test_cleared_forms_match_the_literal_enumeration_where_F_is_singular():
+    # v holds sigma(u_k) (resp. u holds sigma^-1(v_k)): the member ratio of
+    # that entry divides by zero, the cleared forms stay finite
+    rng = random.Random(73)
+    for n in range(1, 6):
+        for m in range(1, 6):
+            rat = sample_rational(rng, n, m)
+            tri = sample_trig(rng, n, m)
+            for params, up, down in (
+                (rat, lambda x: x + rat.c, lambda x: x - rat.c),
+                (tri, lambda x: tri.q * x, lambda x: x / tri.q),
+            ):
+                regime = "rational" if params is rat else "trig"
+                v_hit = (up(params.u[0]),) + params.v[1:]
+                u_hit = (down(params.v[0]),) + params.u[1:]
+                for point, side in ((replace(params, v=v_hit), "P"),
+                                    (replace(params, u=u_hit), "Q")):
+                    with pytest.raises(ZeroDivisionError):
+                        source_subset_sum(regime, "F" if side == "P" else "G", point)
+                    assert_kernel_matches_literal(regime, side, point, exact=True)
+    for n in range(1, 5):
+        params = sample_elliptic(rng, n)
+        hit = replace(params, v=(params.q * params.u[0],) + params.v[1:])
+        assert_kernel_matches_literal("elliptic", "P", hit, exact=False)
+
+
+def test_elliptic_sums_at_nome_zero_are_the_lambda_weighted_trig_sums():
+    rng = random.Random(83)
+    for n in range(0, 6):
+        tri = sample_trig(rng, n, n, with_lam=True)
+        tri = replace(tri, u=tuple(x or Fraction(1, 7) for x in tri.u),
+                      v=tuple(x or Fraction(1, 9) for x in tri.v))
+        ell = EllipticParams(p=Fraction(0), q=tri.q, lam=tri.lam * prod(tri.v) / prod(tri.u),
+                             z=tri.z, u=tri.u, v=tri.v)
+        assert elliptic_F(ell) == trig_lambda_F(tri)
+        assert elliptic_G(ell) == trig_lambda_G(tri)
+
+
+def test_lambda_weighted_sum_at_lambda_zero_is_the_trig_sum():
+    rng = random.Random(89)
+    for n in range(0, 6):
+        for m in range(0, 6):
+            tri = sample_trig(rng, n, m)
+            assert trig_lambda_F(replace(tri, lam=Fraction(0))) == trig_F(tri)
