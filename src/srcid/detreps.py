@@ -61,12 +61,13 @@ Delta -> infinity).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import det, prod, vandermonde
 from .qseries import DEFAULT_TRUNCATION, psi_A, theta
-from .sources import REGIMES, member_ratios
+from .sources import REGIMES, apart, member_ratios
 
 AVAILABILITY = {
     "elliptic": frozenset({"mpt", "bs"}),
@@ -156,21 +157,32 @@ def _shift_columns(nodes, shift, zeff, ratio):
 # ---------------------------------------------------------------------------
 
 
+def _mpt_nodes(regime, side, params):
+    """The mpt rows' nodes: 1/v (elliptic) or v on the F side, u on the G side."""
+    if side == "G":
+        return list(params.u)
+    return [1 / vj for vj in params.v] if regime == "elliptic" else params.v
+
+
+def _mpt_weight(regime, side, params, r, trunc):
+    """theta(r prod nodes; p), the mpt weight; 1 - r prod nodes at nome 0."""
+    anchor = r * prod(_mpt_nodes(regime, side, params))
+    return theta(anchor, params.p, trunc) if regime == "elliptic" else 1 - anchor
+
+
 def _mpt_elliptic(side, params, aux, trunc):
     p, q, lam, z, u, v = params.p, params.q, params.lam, params.z, params.u, params.v
     n = params.n
     r = aux.r
     ratio = member_ratios("elliptic", side, params, trunc)
+    nodes = _mpt_nodes("elliptic", side, params)
     if side == "F":
         mat = aux.pmat
-        nodes = [1 / vj for vj in v]
         balance = lam * prod(u)  # theta(balance * prod nodes) = theta(L prod u / prod v)
     else:
         mat = aux.qmat
-        nodes = list(u)
         balance = lam / prod(v)
     _require(mat is not None and len(mat) == n, "mpt needs an n x n mixing matrix")
-    anchor = prod(nodes)
     cols_den = [[psi_A(k, n, x, p, r, trunc) for k in range(1, n + 1)] for x in nodes]
     cols_num = [[psi_A(k, n, x, p, balance, trunc) for k in range(1, n + 1)] for x in nodes]
     cols_shift = [
@@ -185,7 +197,7 @@ def _mpt_elliptic(side, params, aux, trunc):
         [mixed_num[i][j] - z * mixed_shift[i][j] * ratio[j] for j in range(n)]
         for i in range(n)
     ]
-    return theta(r * anchor, p, trunc) / denom * det(entries)
+    return _mpt_weight("elliptic", side, params, r, trunc) / denom * det(entries)
 
 
 def _mpt_flat(regime, side, params, aux, trunc):
@@ -199,7 +211,7 @@ def _mpt_flat(regime, side, params, aux, trunc):
     denom = det(_mix_rows(mat, cols_den))
     _require(denom != 0, "singular mixed psi matrix")
     entries = _mix_rows(mat, _shift_columns(nodes, shift, zeff, ratio))
-    return pref * (1 - r * prod(nodes)) / denom * det(entries)
+    return pref * _mpt_weight(regime, side, params, r, trunc) / denom * det(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +283,26 @@ def _dwbc(regime, side, params):
 # ---------------------------------------------------------------------------
 
 
+def _bs_pinned_delta(side, params, eta):
+    """The elliptic bs family's second Frobenius parameter, pinned so that its
+    balance theta matches theta(L prod u / prod v)."""
+    if side == "F":
+        return params.lam * prod(params.u) / prod(eta)
+    return params.lam * prod(eta) / prod(params.v)
+
+
 def _bs_elliptic(side, params, aux, trunc):
-    p, q, lam, z, u, v = params.p, params.q, params.lam, params.z, params.u, params.v
+    p, q, z, u, v = params.p, params.q, params.z, params.u, params.v
     n = params.n
     eta = aux.eta
     _require(eta is not None and len(eta) == n, "bs needs eta of matching length")
     _require(len(set(eta)) == n, "eta nodes must be pairwise distinct")
     ratio = member_ratios("elliptic", side, params, trunc)
+    delta = _bs_pinned_delta(side, params, eta)
+    th_delta = theta(delta, p, trunc)
+    pref = th_delta
     if side == "F":
-        # second Frobenius parameter pinned so that its balance theta matches
-        # theta(L prod u / prod v); rows are eta_i, columns v_j
-        delta = lam * prod(u) / prod(eta)
-        th_delta = theta(delta, p, trunc)
-        pref = th_delta
+        # rows are eta_i, columns v_j
         for i, j in _pairs_below(v):
             pref /= theta(v[j] / v[i], p, trunc) / v[j]
             pref /= eta[j] * theta(eta[i] / eta[j], p, trunc)
@@ -302,9 +321,6 @@ def _bs_elliptic(side, params, aux, trunc):
             for i in range(n)
         ]
         return pref * det(entries)
-    delta = lam * prod(eta) / prod(v)
-    th_delta = theta(delta, p, trunc)
-    pref = th_delta
     for i, j in _pairs_below(u):
         pref /= u[j] * theta(u[i] / u[j], p, trunc)
         pref /= theta(eta[j] / eta[i], p, trunc) / eta[j]
@@ -396,6 +412,31 @@ def izergin_korepin(u, v, c):
     pref /= prod(u[i] - u[j] for i, j in _pairs_below(u))
     entries = [[1 / ((vj - uk) * (vj - uk - c)) for uk in u] for vj in v]
     return pref * det(entries)
+
+
+# ---------------------------------------------------------------------------
+# admissible auxiliary draws
+# ---------------------------------------------------------------------------
+
+
+def aux_general_position(regime, family, side, params, aux, trunc=DEFAULT_TRUNCATION):
+    """The values that must not vanish for ``aux`` to be an admissible draw.
+
+    mpt: its weight theta(r prod nodes; p).  bs and bs_limit: the eta pairs,
+    and theta of the pinned delta and of the eta ratios (elliptic) or delta
+    and 1 - delta.
+    """
+    if family == "mpt":
+        return [_mpt_weight(regime, side, params, aux.r, trunc)]
+    if family not in ("bs", "bs_limit"):
+        return []
+    values = apart(operator.sub, aux.eta)
+    if regime == "elliptic":
+        values.append(theta(_bs_pinned_delta(side, params, aux.eta), params.p, trunc))
+        values += apart(REGIMES["elliptic"].pair(params, trunc), aux.eta)
+    elif aux.delta is not None:
+        values += [aux.delta, 1 - aux.delta]
+    return values
 
 
 # ---------------------------------------------------------------------------

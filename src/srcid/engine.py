@@ -3,7 +3,10 @@
 Every verified statement is a named case.  A case samples "general
 position" parameter points (rejection sampling against a singular-value
 radius), evaluates both sides of its statement, and reports per-point
-residuals.  Over the exact field a pass means literal equality of reduced
+residuals.  General position is the regime table's denominator list,
+``sources.general_position`` (``detreps.aux_general_position`` for the
+auxiliary draws): a draw is accepted when no entry is within the radius
+of 0.  Over the exact field a pass means literal equality of reduced
 fractions; over the complex field it means relative error
 |lhs - rhs| / max(1, |lhs|, |rhs|) within the case tolerance.
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 import cmath
 import fnmatch
 import math
+import operator
 import random
 import time
 from itertools import combinations
@@ -31,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import linalg, sources, symmetrize, wallcross
-from .detreps import AuxInvariantError, AuxParams, det_rep
+from .detreps import AuxInvariantError, AuxParams, aux_general_position, det_rep
 from .fields import EXACT, COMPLEX, get_field
 from .linalg import (
     cauchy_vandermonde_closed,
@@ -215,6 +219,22 @@ class PointContext:
     def require(self, *denominators) -> bool:
         return all(self._denominator_ok(d) for d in denominators)
 
+    def clear(self, values: Callable) -> bool:
+        """The list ``values()`` stays away from 0; a value that cannot be
+        formed (theta at 0, a division by 0) is singular too."""
+        try:
+            return self.require(*values())
+        except (ValueError, ZeroDivisionError):
+            return False
+
+    def general(self, regime: str, params) -> bool:
+        """``params`` are in general position for ``regime``."""
+        return self.clear(lambda: sources.general_position(regime, params, self.trunc))
+
+    def distinct(self, xs, d=operator.sub) -> bool:
+        """d(a, b) stays away from 0 for every two positions of ``xs``."""
+        return self.clear(lambda: sources.apart(d, xs))
+
     def attempt(self, draw: Callable, accept: Callable):
         """Rejection-sample ``draw()`` until ``accept(x)`` holds."""
         for _ in range(self.config.resample_cap):
@@ -260,15 +280,7 @@ class PointContext:
             v = [self.scalar() for _ in range(m)]
             return RatParams(c=c, z=z, u=tuple(u), v=tuple(v))
 
-        def accept(p):
-            dens = [p.c, 1 - p.z]
-            dens += [a - b for idx, a in enumerate(p.u) for b in p.u[idx + 1 :]]
-            dens += [a - b for idx, a in enumerate(p.v) for b in p.v[idx + 1 :]]
-            dens += [vi - uk for vi in p.v for uk in p.u]
-            dens += [vi - uk - p.c for vi in p.v for uk in p.u]
-            return self.require(*dens)
-
-        return self.attempt(draw, accept)
+        return self.attempt(draw, lambda p: self.general("rational", p))
 
     def sample_trig(self, n: int, m: int, with_lam: bool = False) -> TrigParams:
         def draw():
@@ -279,17 +291,7 @@ class PointContext:
             v = [self.scalar() for _ in range(m)]
             return TrigParams(q=q, z=z, u=tuple(u), v=tuple(v), lam=lam)
 
-        def accept(p):
-            dens = []
-            dens += [a - b for idx, a in enumerate(p.u) for b in p.u[idx + 1 :]]
-            dens += [a - b for idx, a in enumerate(p.v) for b in p.v[idx + 1 :]]
-            dens += [vi - uk for vi in p.v for uk in p.u]
-            dens += [vi - p.q * uk for vi in p.v for uk in p.u]
-            for j in range(1, max(0, n - m) + 1):
-                dens.append(1 - p.q ** (-j) * p.z)
-            return self.require(*dens)
-
-        return self.attempt(draw, accept)
+        return self.attempt(draw, lambda p: self.general("trig", p))
 
     def sample_elliptic(self, n: int) -> EllipticParams:
         if self.exact:
@@ -306,23 +308,7 @@ class PointContext:
             v = [self.complex_scalar(0.4, 2.0) for _ in range(n)]
             return EllipticParams(p=p, q=q, lam=lam, z=z, u=tuple(u), v=tuple(v))
 
-        def accept(par):
-            try:
-                dens = [theta(par.lam, par.p, self.trunc)]
-                for i in range(n):
-                    for j in range(n):
-                        if i != j:
-                            dens.append(theta(par.v[j] / par.v[i], par.p, self.trunc))
-                            dens.append(theta(par.u[i] / par.u[j], par.p, self.trunc))
-                for ui in par.u:
-                    for vj in par.v:
-                        dens.append(theta(ui / vj, par.p, self.trunc))
-                        dens.append(theta(par.q * ui / vj, par.p, self.trunc))
-            except ValueError:
-                return False
-            return self.require(*dens)
-
-        return self.attempt(draw, accept)
+        return self.attempt(draw, lambda par: self.general("elliptic", par))
 
     def sample(self, regime: str, n: int, m: int):
         """Core parameters of ``regime`` at sizes (n, m); elliptic uses n only."""
@@ -331,10 +317,6 @@ class PointContext:
         if regime == "trig":
             return self.sample_trig(n, m)
         return self.sample_rational(n, m)
-
-    def distinct(self, xs) -> bool:
-        """The entries of ``xs`` are pairwise apart."""
-        return self.require(*[a - b for i, a in enumerate(xs) for b in xs[i + 1 :]])
 
     # -- auxiliary draws ------------------------------------------------------
 
@@ -377,57 +359,18 @@ class PointContext:
                 return AuxParams(
                     r=r, pmat=mat if side == "F" else None, qmat=mat if side == "G" else None
                 )
-
-            def accept(aux):
-                try:
-                    dens = self._mpt_weight_denominators(regime, side, params, aux)
-                except ValueError:
-                    return False
-                return self.require(*dens)
-
-            return self.attempt(draw, accept)
-        if family in ("bs", "bs_limit"):
+        elif family in ("bs", "bs_limit"):
             def draw():
                 return AuxParams(delta=self.delta_value(), eta=self.eta_nodes(size))
+        else:
+            return AuxParams()
 
-            def accept(aux):
-                try:
-                    dens = self._bs_weight_denominators(regime, side, params, aux)
-                except ValueError:
-                    return False
-                return self.require(*dens)
-
-            return self.attempt(draw, accept)
-        return AuxParams()
-
-    def _mpt_weight_denominators(self, regime, side, params, aux):
-        if regime == "elliptic":
-            anchor = (
-                prod(1 / vj for vj in params.v) if side == "F" else prod(params.u)
+        def accept(aux):
+            return self.clear(
+                lambda: aux_general_position(regime, family, side, params, aux, self.trunc)
             )
-            return [theta(aux.r * anchor, params.p, self.trunc)]
-        nodes = params.v if side == "F" else params.u
-        return [1 - aux.r * prod(nodes)]
 
-    def _bs_weight_denominators(self, regime, side, params, aux):
-        eta = aux.eta
-        dens = [a - b for i, a in enumerate(eta) for b in eta[i + 1 :]]
-        if regime == "elliptic":
-            p = params.p
-            tied = (
-                params.lam * prod(params.u) / prod(eta)
-                if side == "F"
-                else params.lam * prod(eta) / prod(params.v)
-            )
-            dens.append(theta(tied, p, self.trunc))
-            for a in eta:
-                for b in eta:
-                    if a != b:
-                        dens.append(theta(a / b, p, self.trunc))
-            return dens
-        if aux.delta is not None:
-            dens += [aux.delta, 1 - aux.delta]
-        return dens
+        return self.attempt(draw, accept)
 
 
 @dataclass(frozen=True)
@@ -597,17 +540,11 @@ def _run_frobenius(ctx: PointContext):
 
     def accept(t4):
         p, lam, u, v = t4
-        try:
-            dens = [theta(lam, p, ctx.trunc)]
-            dens += [theta(ui / vj, p, ctx.trunc) for ui in u for vj in v]
-            for xs in (u, v):
-                for i in range(n):
-                    for j in range(n):
-                        if i != j:
-                            dens.append(theta(xs[i] / xs[j], p, ctx.trunc))
-        except ValueError:
-            return False
-        return ctx.require(*dens)
+        d = sources.theta_quotient(p, ctx.trunc)
+        return ctx.clear(
+            lambda: [theta(lam, p, ctx.trunc), *(d(vj, ui) for ui in u for vj in v),
+                     *sources.apart(d, u), *sources.apart(d, v)]
+        )
 
     p, lam, u, v = ctx.attempt(draw, accept)
     matrix = frobenius_matrix(u, v, lam, p, ctx.trunc)
@@ -630,15 +567,7 @@ def _run_theta_vandermonde(ctx: PointContext):
 
     def accept(t3):
         p, r, u = t3
-        try:
-            dens = []
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        dens.append(theta(u[i] / u[j], p, ctx.trunc))
-        except ValueError:
-            return False
-        return ctx.require(*dens)
+        return ctx.distinct(u, sources.theta_quotient(p, ctx.trunc))
 
     p, r, u = ctx.attempt(draw, accept)
     lhs, rhs = elliptic_vandermonde_sides(u, p, r, ctx.trunc)
@@ -761,18 +690,8 @@ def _run_elliptic_vanishing(ctx: PointContext):
         v = _substitute_positions(ctx, [base.u[k], base.q * base.u[k]] + rest)
         return EllipticParams(p=base.p, q=base.q, lam=base.lam, z=base.z, u=base.u, v=v)
 
-    def accept(par):
-        try:
-            dens = []
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        dens.append(theta(par.v[j] / par.v[i], par.p, ctx.trunc))
-        except ValueError:
-            return False
-        return ctx.require(*dens)
-
-    params = ctx.attempt(build, accept)
+    d = sources.theta_quotient(base.p, ctx.trunc)
+    params = ctx.attempt(build, lambda par: ctx.distinct(par.v, d))
     return [
         ("P = 0", sources.elliptic_P(params, ctx.trunc), 0j),
         ("Q = 0", sources.elliptic_Q(params, ctx.trunc), 0j),
@@ -793,15 +712,7 @@ def _run_elliptic_evaluation(ctx: PointContext):
 
     def accept(drawn):
         par = drawn[0]
-        try:
-            dens = []
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        dens.append(theta(par.v[j] / par.v[i], par.p, ctx.trunc))
-        except ValueError:
-            return False
-        return ctx.require(*dens)
+        return ctx.distinct(par.v, sources.theta_quotient(par.p, ctx.trunc))
 
     params, iset, jset = ctx.attempt(draw, accept)
     u, q, z, p, lam = params.u, params.q, params.z, params.p, params.lam
@@ -891,14 +802,7 @@ def _run_elliptic_to_trig_limit(ctx: PointContext):
             lam=ctx.complex_scalar(0.3, 1.2),
         )
 
-    def accept(par):
-        dens = [a - b for i, a in enumerate(par.u) for b in par.u[i + 1 :]]
-        dens += [a - b for i, a in enumerate(par.v) for b in par.v[i + 1 :]]
-        dens += [vi - par.q * uk for vi in par.v for uk in par.u]
-        dens += [vi - uk for vi in par.v for uk in par.u]
-        return ctx.require(*dens)
-
-    params = ctx.attempt(draw, accept)
+    params = ctx.attempt(draw, lambda par: ctx.general("trig", par))
     p = 1e-6
     lam_balanced = params.lam * prod(params.v) / prod(params.u)
     ell = EllipticParams(
@@ -923,20 +827,12 @@ def _trig_exponential_point(ctx: PointContext, n: int, m: int):
     def draw():
         c = ctx.rng.uniform(0.3, 0.9)
         z = ctx.complex_scalar(0.3, 1.5)
-        x = [ctx.rng.uniform(-2.0, 2.0) for _ in range(n)]
-        y = [ctx.rng.uniform(-2.0, 2.0) for _ in range(m)]
-        return c, z, x, y
+        x = tuple(ctx.rng.uniform(-2.0, 2.0) for _ in range(n))
+        y = tuple(ctx.rng.uniform(-2.0, 2.0) for _ in range(m))
+        return RatParams(c=c, z=z, u=x, v=y)
 
-    def accept(t4):
-        c, z, x, y = t4
-        dens = [1 - z]
-        dens += [a - b for i, a in enumerate(x) for b in x[i + 1 :]]
-        dens += [a - b for i, a in enumerate(y) for b in y[i + 1 :]]
-        dens += [yi - xk for yi in y for xk in x]
-        dens += [yi - xk - c for yi in y for xk in x]
-        return ctx.require(*dens)
-
-    c, z, x, y = ctx.attempt(draw, accept)
+    real = ctx.attempt(draw, lambda par: ctx.general("rational", par))
+    c, z, x, y = real.c, real.z, real.u, real.v
     rat = RatParams(c=complex(c), z=z, u=tuple(map(complex, x)), v=tuple(map(complex, y)))
 
     def trig_at(e):
@@ -1061,12 +957,12 @@ def _wallcross_point(ctx: PointContext, n: int, m: int):
 
     def accept(t3):
         t, u, v = t3
-        if abs(t) == 1:
-            return False
-        dens = [a - b for i, a in enumerate(u) for b in u[i + 1 :]]
-        dens += [a - b for i, a in enumerate(v) for b in v[i + 1 :]]
-        dens += [vi - uk for vi in v for uk in u]
-        return ctx.require(*dens)
+        return (
+            abs(t) != 1
+            and ctx.distinct(u)
+            and ctx.distinct(v)
+            and ctx.require(*(vi - uk for vi in v for uk in u))
+        )
 
     return ctx.attempt(draw, accept)
 
@@ -1124,15 +1020,14 @@ def _lascoux_point(ctx: PointContext, n: int):
         return c, u, v
 
     def accept(t3):
+        # u_i - u_j is also kept off +-c, and v_i - u_k off 0 and +-c
         c, u, v = t3
-        dens = [a - b for i, a in enumerate(u) for b in u[i + 1 :]]
-        dens += [a - b for i, a in enumerate(v) for b in v[i + 1 :]]
-        dens += [vi - uk for vi in v for uk in u]
-        dens += [vi - uk - c for vi in v for uk in u]
-        dens += [vi - uk + c for vi in v for uk in u]
-        dens += [a - b - c for i, a in enumerate(u) for b in u[i + 1 :]]
-        dens += [b - a - c for i, a in enumerate(u) for b in u[i + 1 :]]
-        return ctx.require(*dens)
+        return (
+            ctx.distinct(u)
+            and ctx.distinct(v)
+            and ctx.distinct(u, lambda a, b: a - b - c)
+            and ctx.require(*(vi - uk - s for vi in v for uk in u for s in (0, c, -c)))
+        )
 
     return ctx.attempt(draw, accept)
 

@@ -6,14 +6,17 @@ cross-ratio products.  The pair (F, G) in each regime satisfies F = G;
 this identity is what most of the verification suite exercises.
 
 The regimes differ only in their row of ``REGIMES``: a pair function
-d(a, b), a shift sigma, the size weight w(s) and the G side's prefactor.
+d(a, b), a shift sigma, the size weight w(s), the G side's prefactor and
+the singular values of the parameters other than u and v.
 
-    regime       d(a, b)        sigma(x)  w(s)                           G prefactor
-    rational     a - b          x + c     (-z)^s                         (1 - z)^{m-n}
-    trig         a - b          q x       (-z)^s q^{s(s-1)/2}            (z; q)_{m-n}
-    trig_lambda  a - b          q x       (-z)^s q^{s(s-1)/2} (1-q^s L)  1
-    elliptic     theta(b/a; p)  q x       (-z)^s q^{s(s-1)/2}            1
+    regime       d(a, b)        sigma(x)  w(s)                           G prefactor     singular
+    rational     a - b          x + c     (-z)^s                         (1 - z)^{m-n}   c, 1 - z
+    trig         a - b          q x       (-z)^s q^{s(s-1)/2}            (z; q)_{m-n}    1 - q^{-j} z
+    trig_lambda  a - b          q x       (-z)^s q^{s(s-1)/2} (1-q^s L)  1               1 - q^{-j} z
+    elliptic     theta(b/a; p)  q x       (-z)^s q^{s(s-1)/2}            1               theta(L; p)
                                             * theta(q^s L prod u / prod v; p)
+
+with j = 1..n-m in the trigonometric rows.
 
 On the G side of ``trig`` the weight takes q^{m-n} z in place of z; the
 elliptic sums need n = m.  Writing s = |K|, every regime sums
@@ -25,7 +28,13 @@ elliptic sums need n = m.  Writing s = |K|, every regime sums
 
 so the pair ratio takes the summed variables in opposite orders on the two
 sides, while the last product, the member ratio of i, has the same factor
-d(v, u) / d(v, sigma u) for every pair of a v and a u on both.  ``trig_lambda`` is the
+d(v, u) / d(v, sigma u) for every pair of a v and a u on both.
+
+A point is in general position when none of the values these sums and
+their determinant forms divide by is 0: d(a, b) for two positions of u or
+of v, d(v_i, u_k), d(v_i, sigma u_k) and the row's singular values.
+``general_position`` lists them; the samplers accept a draw only when every
+entry stays away from 0.  ``trig_lambda`` is the
 Lambda-weighted trigonometric family whose F/G pair is tied together by the
 finite q-binomial degeneration identity checked in the engine.
 
@@ -125,7 +134,8 @@ class Regime:
     sigma or its inverse; ``scale(params, k)`` is q^k, and 1 in the additive
     regime; ``weights(params, vside, size, trunc)`` lists w(0..size) for the
     F side (``vside``) or the G side; ``prefactor(params)`` is the G side's
-    factor in front of its sum.
+    factor in front of its sum; ``singular(params, trunc)`` lists the values
+    besides those of d that must not vanish.
     """
 
     pair: Callable
@@ -133,15 +143,20 @@ class Regime:
     scale: Callable
     weights: Callable
     prefactor: Callable
+    singular: Callable
 
 
 def _difference(params, trunc):
     return operator.sub
 
 
-def _theta_quotient(params, trunc):
-    p = params.p
+def theta_quotient(p, trunc=DEFAULT_TRUNCATION):
+    """The elliptic pair function d(a, b) = theta(b/a; p)."""
     return lambda a, b: theta(b / a, p, trunc)
+
+
+def _theta_quotient(params, trunc):
+    return theta_quotient(params.p, trunc)
 
 
 def _additive_shift(params, inverse=False):
@@ -215,20 +230,65 @@ def _no_prefactor(params):
     return 1
 
 
+def _rational_singular(params, trunc):
+    return [params.c, 1 - params.z]
+
+
+def _trig_singular(params, trunc):
+    # the G prefactor (z; q)_{m-n} divides by these when n > m
+    q, z = params.q, params.z
+    return [1 - q ** (-j) * z for j in range(1, params.n - params.m + 1)]
+
+
+def _elliptic_singular(params, trunc):
+    return [theta(params.lam, params.p, trunc)]
+
+
 REGIMES = {
     "rational": Regime(
-        _difference, _additive_shift, _unit_scale, _rational_weights, _rational_prefactor
+        _difference, _additive_shift, _unit_scale, _rational_weights, _rational_prefactor,
+        _rational_singular,
     ),
     "trig": Regime(
-        _difference, _multiplicative_shift, _q_scale, _trig_weights, _trig_prefactor
+        _difference, _multiplicative_shift, _q_scale, _trig_weights, _trig_prefactor,
+        _trig_singular,
     ),
     "trig_lambda": Regime(
-        _difference, _multiplicative_shift, _q_scale, _trig_lambda_weights, _no_prefactor
+        _difference, _multiplicative_shift, _q_scale, _trig_lambda_weights, _no_prefactor,
+        _trig_singular,
     ),
     "elliptic": Regime(
-        _theta_quotient, _multiplicative_shift, _q_scale, _elliptic_weights, _no_prefactor
+        _theta_quotient, _multiplicative_shift, _q_scale, _elliptic_weights, _no_prefactor,
+        _elliptic_singular,
     ),
 }
+
+
+def apart(d, xs):
+    """d(a, b) over the ordered pairs (a, b) of distinct positions of ``xs``.
+
+    Both orders are listed: |theta(b/a; p)| and |theta(a/b; p)| differ.
+    """
+    return [d(a, b) for i, a in enumerate(xs) for j, b in enumerate(xs) if i != j]
+
+
+def general_position(regime, params, trunc=DEFAULT_TRUNCATION):
+    """The values that must not vanish for ``regime``'s sums at ``params``.
+
+    They are the row's singular values, d over the ordered pairs of
+    positions of u and of v, and d(v_i, u_k) and d(v_i, sigma u_k) for every
+    v_i and u_k: each is a denominator of F, G or a determinant form.
+    """
+    reg = REGIMES[regime]
+    d = reg.pair(params, trunc)
+    u, v = params.u, params.v
+    su = list(map(reg.shift(params), u))
+    values = reg.singular(params, trunc)
+    values += apart(d, u)
+    values += apart(d, v)
+    values += [d(x, y) for x in v for y in u]
+    values += [d(x, sy) for x in v for sy in su]
+    return values
 
 
 # ---------------------------------------------------------------------------

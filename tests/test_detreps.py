@@ -12,11 +12,12 @@ from srcid.detreps import (
     AuxInvariantError,
     AuxParams,
     UnavailableRepresentationError,
+    aux_general_position,
     build_dwbc_matrix,
     det_rep,
     izergin_korepin,
 )
-from srcid.linalg import det_exact
+from srcid.linalg import det_exact, prod
 from srcid.qseries import Truncation
 from srcid.sources import (
     EllipticParams,
@@ -221,6 +222,31 @@ def test_aux_invariants_enforced():
     bad_delta = AuxParams(delta=Fraction(1), eta=(Fraction(1), Fraction(2)))
     with pytest.raises(AuxInvariantError):
         det_rep("trig", "bs", "F", params, bad_delta)
+
+
+def test_admissibility_rejects_a_vanishing_mpt_weight():
+    # at r prod nodes = 1 the flat mpt weight 1 - r prod nodes is 0
+    rng = random.Random(23)
+    for regime, sample in (("rational", sample_rational), ("trig", sample_trig)):
+        params = sample(rng, 2, 3)
+        for side, nodes in (("F", params.v), ("G", params.u)):
+            size = len(nodes)
+            mat = tuple(tuple(Fraction(i == j) for j in range(size)) for i in range(size))
+            hit = AuxParams(r=1 / prod(nodes), pmat=mat, qmat=mat)
+            assert aux_general_position(regime, "mpt", side, params, hit) == [0]
+            fine = AuxParams(r=2 / prod(nodes), pmat=mat, qmat=mat)
+            assert 0 not in aux_general_position(regime, "mpt", side, params, fine)
+
+
+def test_admissibility_lists_the_bs_nodes_and_delta():
+    params = RatParams(c=Fraction(1, 3), z=Fraction(2, 5), u=(Fraction(1),), v=(Fraction(2),))
+    eta = (Fraction(1), Fraction(3))
+    for delta in (Fraction(0), Fraction(1)):
+        aux = AuxParams(delta=delta, eta=eta)
+        assert 0 in aux_general_position("rational", "bs", "F", params, aux)
+    aux = AuxParams(delta=Fraction(5, 2), eta=(Fraction(3), Fraction(3)))
+    assert 0 in aux_general_position("rational", "bs_limit", "F", params, aux)
+    assert aux_general_position("rational", "dwbc", "F", params, AuxParams()) == []
 
 
 # ---------------------------------------------------------------------------

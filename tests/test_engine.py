@@ -1,6 +1,7 @@
 """Engine behavior: sampling, determinism, reports, case registry."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from srcid.engine import (
     verify_q_identities,
 )
 from srcid.fields import COMPLEX, EXACT
+from srcid.sources import theta_quotient
 
 
 def test_registry_covers_every_kind():
@@ -159,6 +161,20 @@ def test_point_context_rejection_sampling():
     assert len(set(values)) == 6
     # the fraction helper honors the nonzero flag
     assert all(ctx.fraction(nonzero=True) != 0 for _ in range(50))
+
+
+def test_distinct_takes_a_pair_function_and_rejects_a_zero_entry():
+    cfg = SamplingConfig(master_seed=1, points=1)
+    exact = PointContext(random.Random("x"), EXACT, cfg)
+    assert exact.distinct((Fraction(1), Fraction(2)))
+    assert not exact.distinct((Fraction(1), Fraction(1)))
+    assert not exact.distinct((Fraction(1), Fraction(4)), lambda a, b: a - b - 3)
+    ctx = PointContext(random.Random("x"), COMPLEX, cfg)
+    d = theta_quotient(0.3 + 0.1j)
+    assert ctx.distinct((1.1 + 0.2j, 0.5 - 0.6j), d)
+    # theta(0; p) and a division by 0 are singular values, not errors
+    assert not ctx.distinct((1.1 + 0.2j, 0j), d)
+    assert not ctx.distinct((0j, 1.1 + 0.2j), d)
 
 
 def test_fixed_sizes_pin_the_case_dimensions():

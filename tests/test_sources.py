@@ -15,11 +15,13 @@ from srcid.sources import (
     RatParams,
     SizeCapError,
     TrigParams,
+    apart,
     apply_difference_product,
     elliptic_F,
     elliptic_G,
     elliptic_P,
     elliptic_Q,
+    general_position,
     rational_F,
     rational_G,
     rational_P,
@@ -27,6 +29,7 @@ from srcid.sources import (
     source_polynomial_form,
     source_subset_sum,
     source_via_difference_ops,
+    theta_quotient,
     trig_F,
     trig_G,
     trig_P,
@@ -569,3 +572,57 @@ def test_lambda_weighted_sum_at_lambda_zero_is_the_trig_sum():
         for m in range(0, 6):
             tri = sample_trig(rng, n, m)
             assert trig_lambda_F(replace(tri, lam=Fraction(0))) == trig_F(tri)
+
+
+# ---------------------------------------------------------------------------
+# general position: the denominators the regime table divides by
+# ---------------------------------------------------------------------------
+
+
+def _coincidences(params, sigma):
+    """The point moved onto each coincidence of u and v that general position guards."""
+    u, v = params.u, params.v
+    return {
+        "u_i = u_j": replace(params, u=(u[0], u[0]) + u[2:]),
+        "v_i = v_j": replace(params, v=(v[1], v[1]) + v[2:]),
+        "v_i = u_k": replace(params, v=(u[1],) + v[1:]),
+        "v_i = sigma(u_k)": replace(params, v=v[:1] + (sigma(u[0]),) + v[2:]),
+    }
+
+
+def test_general_position_vanishes_at_each_guarded_coincidence():
+    F = Fraction
+    rat = RatParams(c=F(1, 3), z=F(2, 5), u=(F(1), F(2), F(-3, 4)), v=(F(5), F(7, 2)))
+    tri = TrigParams(q=F(2, 3), z=F(3, 7), u=(F(1), F(2), F(-3, 4)), v=(F(5), F(7, 2)),
+                     lam=F(1, 5))
+    # dyadic entries whose imaginary and real parts have a dyadic ratio, so that
+    # x / x and (p x) / x round to exactly 1 and p
+    ell = EllipticParams(p=0.25 + 0.125j, q=0.5 - 0.25j, lam=0.75 + 0.5j, z=0.875 - 0.25j,
+                         u=(1 + 0.5j, 0.5 - 0.25j), v=(1.5 + 0.75j, -1 + 0.5j))
+    points = {
+        "rational": (rat, lambda x: x + rat.c, {"z = 1": replace(rat, z=F(1))}),
+        "trig": (tri, lambda x: tri.q * x, {
+            f"z = q^{j}": replace(tri, z=tri.q**j) for j in (1, 2) if j <= tri.n - tri.m
+        }),
+        "trig_lambda": (tri, lambda x: tri.q * x, {"z = q": replace(tri, z=tri.q)}),
+        "elliptic": (ell, lambda x: ell.q * x, {
+            "Lambda = 1": replace(ell, lam=1 + 0j),
+            "v_j = p v_i": replace(ell, v=(ell.v[0], ell.p * ell.v[0])),
+        }),
+    }
+    for regime, (params, sigma, extra) in points.items():
+        assert 0 not in general_position(regime, params), regime
+        hits = {**_coincidences(params, sigma), **extra}
+        assert len(hits) >= 5, regime
+        for name, hit in hits.items():
+            assert 0 in general_position(regime, hit), (regime, name)
+
+
+def test_general_position_lists_every_ordered_pair():
+    ell = EllipticParams(p=0.3 + 0.1j, q=0.6 - 0.3j, lam=0.7 + 0.4j, z=0.9 - 0.2j,
+                         u=(1.1 + 0.2j, 0.5 - 0.6j, 0.9j), v=(1.0 + 0j, -0.8 + 0.3j, 1.3))
+    n = ell.n
+    assert len(general_position("elliptic", ell)) == 1 + 2 * n * (n - 1) + 2 * n * n
+    d = theta_quotient(ell.p)
+    assert apart(d, ell.u) == [d(a, b) for a in ell.u for b in ell.u if a != b]
+    assert abs(d(ell.u[0], ell.u[1])) != abs(d(ell.u[1], ell.u[0]))
