@@ -8,7 +8,9 @@ the head is the working tree.  For each field, ``srcid verify --field
 <field> --format json --no-timings`` runs on both, and the script prints
 the sha256 of each report, then every point whose record differs, with
 its case, index, residual and pass flag before and after, and a count of
-the points that differ and of those whose pass flag changed.
+the points that differ and of those whose pass flag changed.  As with
+diff(1), the exit status is 0 when both fields' reports are byte-identical
+and 1 when either differs; 2 means a report could not be made.
 """
 
 from __future__ import annotations
@@ -51,9 +53,11 @@ def outcome(point) -> str:
     return "absent" if point is None else f"{point['residual']:.3g} ok={point['ok']}"
 
 
-def compare(field: str, before: str, after: str) -> None:
-    for side, text in (("base", before), ("head", after)):
-        print(f"{field} {side} sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+def compare(field: str, before: str, after: str) -> bool:
+    """Print the two reports' hashes and differing points; True when identical."""
+    hashes = [hashlib.sha256(text.encode()).hexdigest() for text in (before, after)]
+    for side, sha in zip(("base", "head"), hashes):
+        print(f"{field} {side} sha256 {sha}")
     old, new = points_of(before), points_of(after)
     differing = flipped = 0
     for key in sorted(old.keys() | new.keys()):
@@ -65,6 +69,7 @@ def compare(field: str, before: str, after: str) -> None:
             flipped += 1
         print(f"  {field} {key[0]}#{key[1]}: {outcome(a)} -> {outcome(b)}")
     print(f"{field}: {differing} of {len(old)} points differ, {flipped} changed pass/fail")
+    return hashes[0] == hashes[1]
 
 
 def main(argv=None) -> int:
@@ -72,14 +77,19 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--points", type=int, default=10)
     args = parser.parse_args(argv)
+    same = True
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
-        export(args.base, base)
-        for field in FIELDS:
-            before = report(base, field, args.points)
-            after = report(ROOT, field, args.points)
-            compare(field, before, after)
-    return 0
+        try:
+            export(args.base, base)
+            for field in FIELDS:
+                before = report(base, field, args.points)
+                after = report(ROOT, field, args.points)
+                same = compare(field, before, after) and same
+        except (RuntimeError, subprocess.CalledProcessError) as exc:
+            print(f"report_diff: {exc}", file=sys.stderr)
+            return 2
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

@@ -65,7 +65,6 @@ from .engine import (
     VerificationReport,
     run_case,
     sample_params,
-    verify_q_identities,
 )
 
 __version__ = "0.1.0"

@@ -1353,37 +1353,3 @@ def run_case(case_id: str, config: SamplingConfig) -> VerificationReport:
     report.millis = (time.perf_counter() - start) * 1000.0
     return report
 
-
-def verify_q_identities(config: SamplingConfig) -> VerificationReport:
-    """Merged report over all registered q-identity cases."""
-    merged = VerificationReport(
-        case_id="q_identities",
-        anchor="all registered q-identities",
-        kind="q_identity",
-        regime="all",
-        field=config.field or EXACT,
-        tol=0.0,
-    )
-    start = time.perf_counter()
-    for case in list_cases():
-        if case.kind != "q_identity":
-            continue
-        sub = run_case(case.case_id, config)
-        offset = len(merged.points)
-        for rec in sub.points:
-            merged.points.append(
-                PointRecord(
-                    offset + rec.index,
-                    rec.seed,
-                    rec.residual,
-                    rec.ok,
-                    label=f"{case.case_id}: {rec.label}",
-                    lhs=rec.lhs,
-                    rhs=rec.rhs,
-                    error=rec.error,
-                )
-            )
-        merged.max_rel_err = max(merged.max_rel_err, sub.max_rel_err)
-        merged.passed = merged.passed and sub.passed
-    merged.millis = (time.perf_counter() - start) * 1000.0
-    return merged

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 
+from .detreps import izergin_korepin
 from .linalg import det, prod
 from .sources import RatParams, rational_P
 
@@ -150,6 +151,9 @@ def lascoux_symmetrized_sides(u, v, c, coeffs):
             / ( prod_{i<j} (v_j - v_i) prod_{i<j} (u_i - u_j) )
           * det 1/((v_j - u_k)(v_j - u_k - c))
           * d_{n-1} ... d_1 f(u_1)
+
+    This is (n-1)!/(-c) times ``detreps.izergin_korepin`` and the chain, but
+    written out so that it stays defined (0 for n >= 2) at c = 0.
     """
     u, v = tuple(u), tuple(v)
     n = len(u)
@@ -190,7 +194,8 @@ def lascoux_tau_sides(u, v, c):
     is the tail prod_{j=t+1}^n prod_k (u_j - v_k - c)/(u_j - v_k), so
 
     lhs = Sym_c( sum_{t=0}^n (-1)^t C(n, t) * tail_t )
-    rhs = n! c^n prod_{i,k} (v_i - u_k + c)
+    rhs = n! (-1)^n IK(u, v + c, c) / prod_{i,k} (v_i - u_k)
+        = n! c^n prod_{i,k} (v_i - u_k + c)
           / ( prod_{i<j} (v_j - v_i) prod_{i<j} (u_i - u_j) )
           * det 1/((v_j - u_k + c)(v_j - u_k))
     """
@@ -207,13 +212,9 @@ def lascoux_tau_sides(u, v, c):
         term = coef * sym_c([unit] * t + [ratio] * (n - t), u, c)
         lhs = term if lhs is None else lhs + term
 
-    pref = math.factorial(n) * c**n
-    pref *= prod(vi - uk + c for vi in v for uk in u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pref /= (v[j] - v[i]) * (u[i] - u[j])
-    entries = [[1 / ((vj - uk + c) * (vj - uk)) for uk in u] for vj in v]
-    rhs = pref * det(entries)
+    shifted = tuple(vk + c for vk in v)
+    rhs = math.factorial(n) * (-1) ** n * izergin_korepin(u, shifted, c)
+    rhs /= prod(vi - uk for vi in v for uk in u)
     return lhs, rhs
 
 

@@ -15,7 +15,6 @@ from srcid.engine import (
     point_seed,
     run_case,
     sample_params,
-    verify_q_identities,
 )
 from srcid.fields import COMPLEX, EXACT
 from srcid.sources import theta_quotient
@@ -135,16 +134,6 @@ def test_kind_wrappers_run():
     assert run_case("rational_source_identity", cfg).passed
     assert run_case("rational_vanishing", cfg).passed
     assert run_case("lambda_zero_reduction", cfg).passed
-
-
-def test_verify_q_identities_merges():
-    cfg = SamplingConfig(master_seed=3, points=2)
-    rep = verify_q_identities(cfg)
-    assert rep.passed
-    q_cases = [c for c in list_cases() if c.kind == "q_identity"]
-    assert len(rep.points) == 2 * len(q_cases)
-    labels = {p.label.split(":")[0] for p in rep.points}
-    assert labels == {c.case_id for c in q_cases}
 
 
 def test_every_registered_case_passes_at_default_tolerance():
