@@ -598,14 +598,13 @@ def _substitute_positions(ctx, values):
     return tuple(values[i] for i in order)
 
 
-def _vanishing_runner(regime: str, swap: bool, flip_sizes: bool = False):
-    """P = Q = 0 where v holds u_k and sigma(u_k), or with ``swap`` u holds
-    v_k and sigma^-1(v_k).  Sizes are drawn with m <= n, and ``flip_sizes``
-    exchanges them.
+def _vanishing_runner(regime: str, swap: bool):
+    """P = Q = 0 where v holds u_k and sigma(u_k) (m <= n), or with ``swap``
+    where u holds v_k and sigma^-1(v_k) (n <= m).
     """
     def run(ctx: PointContext):
         n, m = ctx.sizes((2, 5), (2, 5), rule="m_le_n")
-        if flip_sizes:
+        if swap:
             n, m = m, n
         base = ctx.sample(regime, n, m)
         anchors = base.v if swap else base.u
@@ -1177,7 +1176,7 @@ def _build_registry():
     add(CaseDef(
         "trig_vanishing_swap", "specialization", "trig",
         "vanishing at paired substitutions into u (m > n)",
-        (EXACT, COMPLEX), _vanishing_runner("trig", swap=True, flip_sizes=True),
+        (EXACT, COMPLEX), _vanishing_runner("trig", swap=True),
     ))
     add(CaseDef(
         "trig_evaluation", "specialization", "trig",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from srcid import engine
 from srcid.engine import (
     PointContext,
     SamplingConfig,
@@ -164,6 +165,21 @@ def test_distinct_takes_a_pair_function_and_rejects_a_zero_entry():
     # theta(0; p) and a division by 0 are singular values, not errors
     assert not ctx.distinct((1.1 + 0.2j, 0j), d)
     assert not ctx.distinct((0j, 1.1 + 0.2j), d)
+
+
+def test_swap_vanishing_runners_substitute_into_the_smaller_side(monkeypatch):
+    sizes = []
+    real = engine.source_polynomial_form
+
+    def spy(regime, side, params, *rest):
+        sizes.append((len(params.u), len(params.v)))
+        return real(regime, side, params, *rest)
+
+    monkeypatch.setattr(engine, "source_polynomial_form", spy)
+    for case_id in ("rational_vanishing_swap", "trig_vanishing_swap"):
+        sizes.clear()
+        assert run_case(case_id, SamplingConfig(points=20)).passed
+        assert all(n <= m for n, m in sizes) and any(n < m for n, m in sizes), case_id
 
 
 def test_fixed_sizes_pin_the_case_dimensions():
