@@ -28,15 +28,15 @@ elliptic sums need n = m.  Writing s = |K|, every regime sums
 
 so the pair ratio takes the summed variables in opposite orders on the two
 sides, while the last product, the member ratio of i, has the same factor
-d(v, u) / d(v, sigma u) for every pair of a v and a u on both.
+d(v, u) / d(v, sigma u) for every pair of a v and a u on both.  ``trig_lambda`` is the
+Lambda-weighted trigonometric family whose F/G pair is tied together by the
+finite q-binomial degeneration identity checked in the engine.
 
 A point is in general position when none of the values these sums and
 their determinant forms divide by is 0: d(a, b) for two positions of u or
 of v, d(v_i, u_k), d(v_i, sigma u_k) and the row's singular values.
 ``general_position`` lists them; the samplers accept a draw only when every
-entry stays away from 0.  ``trig_lambda`` is the
-Lambda-weighted trigonometric family whose F/G pair is tied together by the
-finite q-binomial degeneration identity checked in the engine.
+entry stays away from 0.
 
 The polynomial versions P and Q are the same sums with the member ratios'
 denominators cleared: each member of K contributes the numerator product
