@@ -21,6 +21,13 @@ target epsilon and ratio |q|, N = ceil(log eps / log |q|) + guard terms,
 capped at ``max_terms``, and |q| <= 0.9 is enforced as a hard limit.
 ``theta`` stays exact (both fields) when p = 0; every truncated product
 is complex-only.
+
+``qpoch_inf`` reads the powers 1, q, ..., q^{N-1} from a table kept per
+(nome, ``Truncation``) pair, built once by the same repeated multiplication
+the product loop would do, so every value is bit-for-bit what a fresh loop
+gives.  The table is small and bounded: it is emptied when it reaches
+``_POWER_TABLES_MAX`` nomes.  It holds powers of the nome only, never
+values of theta.
 """
 
 from __future__ import annotations
@@ -64,25 +71,51 @@ class Truncation:
 DEFAULT_TRUNCATION = Truncation()
 
 
+_POWER_TABLES: dict = {}  # (q, id(trunc)) -> (trunc, [1, q, ..., q^{N-1}])
+_POWER_TABLES_MAX = 32
+_INEXACT = (complex, float, int)
+
+
 def _reject_exact(*values):
     for x in values:
+        # the exact-type test skips the slower isinstance check of the common
+        # case; a subclass of Fraction still reaches that check
+        if type(x) in _INEXACT:
+            continue
         if isinstance(x, Fraction):
             raise ExactFieldUnavailableError(
                 "truncated infinite products are complex-only; got a Fraction"
             )
 
 
+def _powers(q: complex, trunc: Truncation) -> list:
+    """1, q, ..., q^{N-1} with N = ``trunc.num_terms(|q|)``."""
+    # the entry holds ``trunc``, so its id is not reused while the entry lives
+    key = (q, id(trunc))
+    entry = _POWER_TABLES.get(key)
+    if entry is not None:
+        return entry[1]
+    powers = []
+    power = 1 + 0j
+    for _ in range(trunc.num_terms(abs(q))):
+        powers.append(power)
+        power *= q
+    # q = x + 0j and x - 0j compare equal but may round to powers whose zero
+    # parts differ in sign, so only a q with no zero part is kept
+    if q.real and q.imag:
+        if len(_POWER_TABLES) >= _POWER_TABLES_MAX:
+            _POWER_TABLES.clear()
+        _POWER_TABLES[key] = (trunc, powers)
+    return powers
+
+
 def qpoch_inf(u, q, trunc: Truncation = DEFAULT_TRUNCATION):
     """Truncated (u; q)_inf over the complex field, |q| <= 0.9."""
     _reject_exact(u, q)
     u = complex(u)
-    q = complex(q)
-    n = trunc.num_terms(abs(q))
     acc = 1 + 0j
-    power = 1 + 0j
-    for _ in range(n):
+    for power in _powers(complex(q), trunc):
         acc *= 1 - u * power
-        power *= q
     return acc
 
 

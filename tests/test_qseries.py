@@ -124,6 +124,64 @@ def test_theta_quasi_periodicity_sweep():
         assert resid <= 1e-11 * (1 + abs(theta(u, p)))
 
 
+def _qpoch_inf_loop(u, q, trunc=DEFAULT_TRUNCATION):
+    """(u; q)_inf with the powers of q built inside the product loop."""
+    u, q = complex(u), complex(q)
+    acc = power = 1 + 0j
+    for _ in range(trunc.num_terms(abs(q))):
+        acc *= 1 - u * power
+        power *= q
+    return acc
+
+
+def test_theta_is_bit_identical_to_the_product_loop():
+    rng = random.Random(23)
+    truncs = (DEFAULT_TRUNCATION, Truncation(epsilon=1e-8, guard_terms=2))
+    # more nomes than the power table keeps, each used twice, plus real and
+    # imaginary nomes, whose powers are never kept
+    nomes = [rand_complex(rng, 0.05, 0.9) for _ in range(80)]
+    nomes += [0.4 + 0j, 0.4 - 0j, -0.6 + 0j, -0.6 - 0j, 0.5j, -0.5j, 0.9 + 0j]
+    for p in nomes:
+        for trunc in truncs:
+            for _ in range(2):
+                u = rand_complex(rng, 0.2, 3.0)
+                oracle = _qpoch_inf_loop(u, p, trunc) * _qpoch_inf_loop(p / u, p, trunc)
+                assert theta(u, p, trunc) == oracle
+                assert qpoch_inf(u, p, trunc) == _qpoch_inf_loop(u, p, trunc)
+
+
+def test_theta_keeps_its_errors():
+    # a nome already in the power table, then its rejection cases
+    theta(0.7 + 0.2j, 0.3 + 0.1j)
+    with pytest.raises(TruncationError):
+        theta(0.7 + 0.2j, 0.91)
+    with pytest.raises(TruncationError):
+        theta(0.7 + 0.2j, 0.8 + 0.5j)
+
+    class Exact(Fraction):
+        pass
+
+    for u, p in ((Fraction(1, 2), 0.3 + 0.1j), (0.5 + 0j, Fraction(1, 3)),
+                 (Exact(1, 2), 0.3 + 0.1j), (0.5, Exact(1, 3))):
+        with pytest.raises(ExactFieldUnavailableError):
+            theta(u, p)
+    with pytest.raises(ValueError):
+        theta(0j, 0.3 + 0.1j)
+    with pytest.raises(ValueError):
+        theta(Fraction(0), Fraction(0))
+
+
+def test_theta_at_nome_zero_keeps_the_argument_type():
+    theta(0.5 + 0.25j, 0.3 + 0.1j)
+    theta(0.5, 0.3)
+    for _ in range(2):
+        exact = theta(Fraction(1, 3), 0)
+        assert type(exact) is Fraction and exact == Fraction(2, 3)
+        assert type(theta(Fraction(1, 3), Fraction(0))) is Fraction
+        inexact = theta(0.25, 0)
+        assert type(inexact) is float and inexact == 0.75
+
+
 # ---------------------------------------------------------------------------
 # q-binomials
 # ---------------------------------------------------------------------------
