@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -192,7 +193,8 @@ def _cmd_verify(args) -> int:
 
 def _params_as_dict(params) -> dict:
     out = {}
-    for key, val in vars(params).items():
+    for key in (f.name for f in dataclasses.fields(params) if f.repr):
+        val = getattr(params, key)
         if isinstance(val, tuple):
             out[key] = [str(x) for x in val]
         else:

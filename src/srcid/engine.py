@@ -689,8 +689,8 @@ def _run_elliptic_vanishing(ctx: PointContext):
         v = _substitute_positions(ctx, [base.u[k], base.q * base.u[k]] + rest)
         return EllipticParams(p=base.p, q=base.q, lam=base.lam, z=base.z, u=base.u, v=v)
 
-    d = sources.theta_quotient(base.p, ctx.trunc)
-    params = ctx.attempt(build, lambda par: ctx.distinct(par.v, d))
+    pair = sources.REGIMES["elliptic"].pair
+    params = ctx.attempt(build, lambda par: ctx.distinct(par.v, pair(par, ctx.trunc)))
     return [
         ("P = 0", sources.elliptic_P(params, ctx.trunc), 0j),
         ("Q = 0", sources.elliptic_Q(params, ctx.trunc), 0j),
@@ -709,23 +709,27 @@ def _run_elliptic_evaluation(ctx: PointContext):
         vals = [base.u[i] for i in iset] + [base.q * base.u[j] for j in jset]
         return replace(base, v=_substitute_positions(ctx, vals)), iset, jset
 
+    pair = sources.REGIMES["elliptic"].pair
+
     def accept(drawn):
         par = drawn[0]
-        return ctx.distinct(par.v, sources.theta_quotient(par.p, ctx.trunc))
+        return ctx.distinct(par.v, pair(par, ctx.trunc))
 
     params, iset, jset = ctx.attempt(draw, accept)
+    # d(a, b) = theta(b/a; p) shares its theta values with P and Q at params
+    d = pair(params, ctx.trunc)
     u, q, z, p, lam = params.u, params.q, params.z, params.p, params.lam
     nj = len(jset)
     closed = (-z) ** nj * q ** (nj * (nj - 1) // 2) * theta(lam, p, ctx.trunc)
     for i in iset:
         for j in jset:
-            closed *= theta(u[i] / u[j], p, ctx.trunc)
+            closed *= d(u[j], u[i])
     for i in iset:
         for j in range(n):
-            closed *= theta(q * u[j] / u[i], p, ctx.trunc)
+            closed *= d(u[i], q * u[j])
     for i in jset:
         for j in jset:
-            closed *= theta(u[i] / (q * u[j]), p, ctx.trunc)
+            closed *= d(q * u[j], u[i])
     return [
         ("P closed form", sources.elliptic_P(params, ctx.trunc), closed),
         ("Q closed form", sources.elliptic_Q(params, ctx.trunc), closed),

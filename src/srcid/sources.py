@@ -36,7 +36,20 @@ A point is in general position when none of the values these sums and
 their determinant forms divide by is 0: d(a, b) for two positions of u or
 of v, d(v_i, u_k), d(v_i, sigma u_k) and the row's singular values.
 ``general_position`` lists them; the samplers accept a draw only when every
-entry stays away from 0.
+entry stays away from 0.  The difference a - b is listed once per pair of
+positions, theta(b/a; p) in both orders.
+
+The elliptic sums, their weights and ``general_position`` repeat theta
+arguments: d(v_i, u_k) is a denominator, a member factor on both sides and
+an entry of the P and Q products.  So an ``EllipticParams`` keeps every
+theta(x; p) it has evaluated, per ``Truncation`` and argument x, in its
+``thetas`` field, and each argument is evaluated once per point (an
+argument with a real or imaginary part 0, such as theta(1) = 0 at a
+substituted point, is evaluated each time: x + 0j and x - 0j are one key,
+but their theta values may differ in the sign of a zero part).  The field
+takes no part in ``__init__``, ``==``, ``hash`` or ``repr``, so
+``dataclasses.replace`` returns an object with an empty memo and equal
+points stay equal; the memo lives and dies with its object.
 
 The polynomial versions P and Q are the same sums with the member ratios'
 denominators cleared: each member of K contributes the numerator product
@@ -55,7 +68,7 @@ evaluating every subset on its own.  The hard size cap is max(n, m) <= 12.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .linalg import frobenius_matrix, det, prod, vandermonde
@@ -76,6 +89,8 @@ class EllipticParams:
     z: complex
     u: tuple
     v: tuple
+    # theta(x; p) per Truncation and argument x (module docstring)
+    thetas: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.u) != len(self.v):
@@ -155,8 +170,27 @@ def theta_quotient(p, trunc=DEFAULT_TRUNCATION):
     return lambda a, b: theta(b / a, p, trunc)
 
 
+def _theta_memo(params, trunc):
+    """x -> theta(x; params.p), evaluated once per argument on ``params``."""
+    values = params.thetas.get(trunc)
+    if values is None:
+        values = params.thetas[trunc] = {}
+    p = params.p
+
+    def th(x):
+        value = values.get(x)
+        if value is None:
+            value = theta(x, p, trunc)
+            if x.real and x.imag:  # no zero part whose sign the key would lose
+                values[x] = value
+        return value
+
+    return th
+
+
 def _theta_quotient(params, trunc):
-    return theta_quotient(params.p, trunc)
+    th = _theta_memo(params, trunc)
+    return lambda a, b: th(b / a)
 
 
 def _additive_shift(params, inverse=False):
@@ -210,12 +244,9 @@ def _trig_lambda_weights(params, vside, size, trunc):
 
 
 def _elliptic_weights(params, vside, size, trunc):
-    q, p = params.q, params.p
+    q, th = params.q, _theta_memo(params, trunc)
     base = params.lam * prod(params.u) / prod(params.v)
-    return [
-        w * theta(q**s * base, p, trunc)
-        for s, w in enumerate(_signed_q_powers(params.z, q, size))
-    ]
+    return [w * th(q**s * base) for s, w in enumerate(_signed_q_powers(params.z, q, size))]
 
 
 def _rational_prefactor(params):
@@ -241,7 +272,7 @@ def _trig_singular(params, trunc):
 
 
 def _elliptic_singular(params, trunc):
-    return [theta(params.lam, params.p, trunc)]
+    return [_theta_memo(params, trunc)(params.lam)]
 
 
 REGIMES = {
@@ -265,18 +296,23 @@ REGIMES = {
 
 
 def apart(d, xs):
-    """d(a, b) over the ordered pairs (a, b) of distinct positions of ``xs``.
+    """d(a, b) over the pairs (a, b) of distinct positions of ``xs``.
 
-    Both orders are listed: |theta(b/a; p)| and |theta(a/b; p)| differ.
+    The difference ``operator.sub`` is listed once per unordered pair, as
+    a - b for the earlier position a: b - a = -(a - b) exactly in both
+    fields.  Any other d is listed in both orders, since |theta(b/a; p)|
+    and |theta(a/b; p)| differ.
     """
+    if d is operator.sub:
+        return [a - b for i, a in enumerate(xs) for b in xs[i + 1:]]
     return [d(a, b) for i, a in enumerate(xs) for j, b in enumerate(xs) if i != j]
 
 
 def general_position(regime, params, trunc=DEFAULT_TRUNCATION):
     """The values that must not vanish for ``regime``'s sums at ``params``.
 
-    They are the row's singular values, d over the ordered pairs of
-    positions of u and of v, and d(v_i, u_k) and d(v_i, sigma u_k) for every
+    They are the row's singular values, d over the pairs of positions of u
+    and of v (``apart``), and d(v_i, u_k) and d(v_i, sigma u_k) for every
     v_i and u_k: each is a denominator of F, G or a determinant form.
     """
     reg = REGIMES[regime]
@@ -335,40 +371,42 @@ def _subset_sum(weights, pair, inside, outside=None):
     return total
 
 
+def _ratios(d, u, su, v, vside):
+    # the member ratio of each v_i (F side) or each u_k (G side)
+    if vside:
+        return [prod(d(x, y) / d(x, sy) for y, sy in zip(u, su)) for x in v]
+    return [prod(d(x, y) / d(x, sy) for x in v) for y, sy in zip(u, su)]
+
+
+def _products(d, u, su, v, vside):
+    # the numerator and the denominator product of each member ratio, apart
+    if vside:
+        return [prod(d(x, y) for y in u) for x in v], [prod(d(x, y) for y in su) for x in v]
+    return [prod(d(x, y) for x in v) for y in u], [prod(d(x, y) for x in v) for y in su]
+
+
 def member_ratios(regime, side, params, trunc=DEFAULT_TRUNCATION):
     """Member ratio of each summed variable: the product of d(v, u)/d(v, sigma u)
     over its partners, for each v_i on the F side and each u_k on the G side.
     """
     reg = REGIMES[regime]
-    d = reg.pair(params, trunc)
-    u, v = params.u, params.v
-    su = list(map(reg.shift(params), u))
-    if side in ("F", "P"):
-        return [prod(d(x, y) / d(x, sy) for y, sy in zip(u, su)) for x in v]
-    return [prod(d(x, y) / d(x, sy) for x in v) for y, sy in zip(u, su)]
-
-
-def _member_products(regime, side, params, trunc):
-    """The numerator and the denominator product of each member ratio, apart."""
-    reg = REGIMES[regime]
-    d = reg.pair(params, trunc)
-    u, v = params.u, params.v
-    su = list(map(reg.shift(params), u))
-    if side in ("F", "P"):
-        return [prod(d(x, y) for y in u) for x in v], [prod(d(x, y) for y in su) for x in v]
-    return [prod(d(x, y) for x in v) for y in u], [prod(d(x, y) for x in v) for y in su]
+    su = list(map(reg.shift(params), params.u))
+    return _ratios(reg.pair(params, trunc), params.u, su, params.v, side in ("F", "P"))
 
 
 def _source(regime, side, params, trunc=DEFAULT_TRUNCATION):
     """F, G (member ratios) or P, Q (cleared) of ``regime`` through the kernel."""
     reg = REGIMES[regime]
-    _check_cap(len(params.u), len(params.v))
+    u, v = params.u, params.v
+    _check_cap(len(u), len(v))
     vside = side in ("F", "P")
-    xs = params.v if vside else params.u
+    xs = v if vside else u
     size = len(xs)
     weights = reg.weights(params, vside, size, trunc)
     d = reg.pair(params, trunc)
-    shifted = list(map(reg.shift(params), xs))
+    sigma = reg.shift(params)
+    shifted = list(map(sigma, xs))
+    su = list(map(sigma, u)) if vside else shifted
     if vside:
         pair = [
             [d(xs[i], shifted[j]) / d(xs[i], xs[j]) if j != i else None for j in range(size)]
@@ -380,9 +418,9 @@ def _source(regime, side, params, trunc=DEFAULT_TRUNCATION):
             for i in range(size)
         ]
     if side in ("F", "G"):
-        total = _subset_sum(weights, pair, member_ratios(regime, side, params, trunc))
+        total = _subset_sum(weights, pair, _ratios(d, u, su, v, vside))
     else:
-        total = _subset_sum(weights, pair, *_member_products(regime, side, params, trunc))
+        total = _subset_sum(weights, pair, *_products(d, u, su, v, vside))
     return total if vside else reg.prefactor(params) * total
 
 
@@ -509,13 +547,13 @@ def source_via_difference_ops(regime: str, side: str, params, trunc=DEFAULT_TRUN
     shift = reg.shift(params, inverse=side == "F")
 
     if regime == "elliptic":
-        p, lam = params.p, params.lam
-        pref = theta(lam, p, trunc)
-        pref *= prod(theta(ui / vj, p, trunc) for ui in u for vj in v)
+        p, lam, th = params.p, params.lam, _theta_memo(params, trunc)
+        pref = th(lam)
+        pref *= prod(th(ui / vj) for ui in u for vj in v)
         for i in range(n):
             for j in range(i + 1, n):
-                pref /= u[j] * theta(u[i] / u[j], p, trunc)
-                pref /= theta(v[j] / v[i], p, trunc) / v[j]
+                pref /= u[j] * th(u[i] / u[j])
+                pref /= th(v[j] / v[i]) / v[j]
         if side == "F":
             inner = lambda vv: det(frobenius_matrix(u, vv, lam, p, trunc))
         else:

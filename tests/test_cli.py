@@ -124,6 +124,15 @@ def test_sample_dump(capsys):
     assert all("q" in row["params"] for row in rows)
 
 
+def test_sample_lists_the_elliptic_parameters_only(capsys):
+    code, out, _ = run_cli(
+        capsys, "sample", "--regime", "elliptic", "--field", "complex", "--points", "2",
+    )
+    assert code == 0
+    assert all(sorted(row["params"]) == ["lam", "p", "q", "u", "v", "z"]
+               for row in json.loads(out))
+
+
 def test_bench_outputs_table(capsys):
     code, out, _ = run_cli(capsys, "bench", "--sizes", "4,6", "--reps", "1")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -626,3 +627,64 @@ def test_general_position_lists_every_ordered_pair():
     d = theta_quotient(ell.p)
     assert apart(d, ell.u) == [d(a, b) for a in ell.u for b in ell.u if a != b]
     assert abs(d(ell.u[0], ell.u[1])) != abs(d(ell.u[1], ell.u[0]))
+    # |a - b| = |b - a|: the difference lists each unordered pair once
+    F = Fraction
+    rat = RatParams(c=F(1, 3), z=F(2, 5), u=(F(1), F(2), F(-3, 4)), v=(F(5), F(7, 2)))
+    n, m = rat.n, rat.m
+    assert len(general_position("rational", rat)) == (
+        2 + n * (n - 1) // 2 + m * (m - 1) // 2 + 2 * n * m
+    )
+    assert apart(operator.sub, rat.u) == [F(-1), F(7, 4), F(11, 4)]
+
+
+def _elliptic_point(n=3):
+    rng = random.Random(31)
+
+    def draw(lo=0.4, hi=2.0):
+        return rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+    return EllipticParams(p=draw(0.1, 0.4), q=draw(0.6, 1.5), lam=draw(), z=draw(),
+                          u=tuple(draw() for _ in range(n)), v=tuple(draw() for _ in range(n)))
+
+
+def test_elliptic_theta_values_are_evaluated_once_per_point(monkeypatch):
+    import srcid.sources as sources
+
+    params = _elliptic_point()
+    fresh = replace(params)
+    expected = (general_position("elliptic", fresh), elliptic_F(fresh), elliptic_G(fresh))
+    calls = []
+
+    def counted(x, p, trunc):
+        calls.append(x)
+        return theta(x, p, trunc)
+
+    monkeypatch.setattr(sources, "theta", counted)
+    got = (general_position("elliptic", params), elliptic_F(params), elliptic_G(params))
+    assert got == expected
+    assert calls and len(calls) == len(set(calls))
+    # P and Q share the pair tables, weights and member factors of F and G
+    before = len(calls)
+    for source in (elliptic_F, elliptic_G, elliptic_P, elliptic_Q):
+        source(params)
+    assert len(calls) == before
+
+
+def test_replace_starts_a_fresh_theta_memo():
+    params = _elliptic_point()
+    elliptic_F(params)
+    moved = replace(params, p=0.2 - 0.15j)
+    built = EllipticParams(p=0.2 - 0.15j, q=params.q, lam=params.lam, z=params.z,
+                           u=params.u, v=params.v)
+    assert elliptic_F(moved) == elliptic_F(built)
+    assert elliptic_F(moved) != elliptic_F(params)
+
+
+def test_theta_memo_changes_neither_repr_nor_equality():
+    params, twin = _elliptic_point(), _elliptic_point()
+    before = (repr(params), hash(params))
+    elliptic_F(params)
+    elliptic_G(params)
+    assert (repr(params), hash(params)) == before
+    assert repr(params) == repr(twin) and params == twin and hash(params) == hash(twin)
+    assert "thetas" not in repr(params)
