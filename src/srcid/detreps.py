@@ -397,21 +397,28 @@ def _bs_flat(regime, side, params, aux, trunc, limit: bool):
 # ---------------------------------------------------------------------------
 
 
-def izergin_korepin(u, v, c):
-    """n = m, z = 1 determinant in the P-normalization:
+def izergin_korepin_core(u, v, c, scale=1):
+    """The n = m, z = 1 determinant without its (-c)^n:
 
-    (-c)^n prod (v_i - u_k)(v_i - u_k - c) / (prod (v_j - v_i) prod (u_i - u_j))
+    scale * prod (v_i - u_k)(v_i - u_k - c) / (prod (v_j - v_i) prod (u_i - u_j))
         * det 1 / ((v_j - u_k)(v_j - u_k - c)).
+
+    ``scale`` is multiplied in first, so a caller's prefactor keeps the
+    rounding order of writing it out.  The core stays defined at c = 0.
     """
     n = len(u)
     if len(v) != n:
         raise ValueError("izergin_korepin needs len(u) == len(v)")
-    pref = (-c) ** n
-    pref *= prod((vi - uk) * (vi - uk - c) for vi in v for uk in u)
+    pref = scale * prod((vi - uk) * (vi - uk - c) for vi in v for uk in u)
     pref /= prod(v[j] - v[i] for i, j in _pairs_below(v))
     pref /= prod(u[i] - u[j] for i, j in _pairs_below(u))
     entries = [[1 / ((vj - uk) * (vj - uk - c)) for uk in u] for vj in v]
     return pref * det(entries)
+
+
+def izergin_korepin(u, v, c):
+    """n = m, z = 1 determinant in the P-normalization: (-c)^n times the core."""
+    return izergin_korepin_core(u, v, c, (-c) ** len(u))
 
 
 # ---------------------------------------------------------------------------

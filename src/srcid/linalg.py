@@ -2,10 +2,12 @@
 
 Matrices are plain row-major lists of lists.  Complex matrices go through
 LU with partial pivoting by modulus; exact matrices go through
-fraction-free Bareiss elimination, so rational input gives a bit-exact
-rational determinant.  A singular matrix returns 0 rather than raising:
-the vanishing lemmas downstream rely on exact zero determinants being
-legitimate values.
+fraction-free Bareiss elimination over Python ints (each row scaled to
+integers by the lcm of its denominators, every division exact, one
+Fraction division by the row scales at the end), so rational input gives
+a bit-exact rational determinant.  A singular matrix returns 0 rather than
+raising: the vanishing lemmas downstream rely on exact zero determinants
+being legitimate values.
 
 The closed forms implemented here:
 
@@ -49,11 +51,23 @@ def _all_exact(rows) -> bool:
 
 
 def det_exact(rows) -> Fraction:
-    """Fraction-free Bareiss elimination; exact over the rationals."""
-    a = [[Fraction(x) for x in r] for r in rows]
+    """Bareiss elimination over Python ints; exact over the rationals.
+
+    Each row is scaled to integers by the lcm of its denominators, the
+    elimination divides exactly with ``//``, and the determinant is divided
+    by the product of the row scales once, at the end.
+    """
+    a = []
+    scale = 1
+    for r in rows:
+        row_scale = math.lcm(*(x.denominator for x in r))
+        a.append([x.numerator * (row_scale // x.denominator) for x in r])
+        scale *= row_scale
     n = len(a)
+    if n == 0:
+        return Fraction(1)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for col in range(n - 1):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
@@ -61,13 +75,16 @@ def det_exact(rows) -> Fraction:
         if piv != col:
             a[piv], a[col] = a[col], a[piv]
             sign = -sign
-        pivot = a[col][col]
+        row_c = a[col]
+        pivot = row_c[col]
         for r in range(col + 1, n):
+            row_r = a[r]
+            lead = row_r[col]
             for c in range(col + 1, n):
-                a[r][c] = (a[r][c] * pivot - a[r][col] * a[col][c]) / prev
-            a[r][col] = Fraction(0)
+                row_r[c] = (row_r[c] * pivot - lead * row_c[c]) // prev
+            row_r[col] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def det_complex(rows) -> complex:

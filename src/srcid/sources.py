@@ -63,12 +63,40 @@ in or out of K depth first and carries the product of the factors between
 decided indices, so each decision costs one multiplication per earlier
 index: O(m 2^m) multiplications and no division, against O(m^2 2^m) for
 evaluating every subset on its own.  The hard size cap is max(n, m) <= 12.
+
+Exact rational, trig and trig_lambda points (every scalar an int or a
+Fraction) walk Python ints instead of Fractions, so no step pays a gcd.
+u and v (and c) are scaled by L, the lcm of their denominators, and the
+shift of an integer y is written sigma(y) = (alpha y + beta) / gamma:
+(1, c L, 1) in the rational regime, (a, 0, b) in the trigonometric ones,
+where q = a/b.  The sum is multiplied by D = prod_{i<j} (x_i - x_j) over
+the summed variables x, which clears every pair ratio:
+
+* a pair on the same side of K contributes x_lo - x_hi (the kernel's
+  ``same`` table);
+* a separated pair with ratio d(a, sigma b) / d(a, b) contributes
+  (gamma a - alpha b - beta) / gamma, signed by D's factor;
+* a member contributes v - u for each of its (v, u) pairs, and a
+  non-member gamma v - alpha u - beta = gamma d(v, sigma u);
+* F and G divide the sum once by the product of the non-member factors
+  of all summed variables, and each of their members carries gamma per
+  partner; each non-member of P and Q carries 1/gamma per partner.
+
+The exponent of gamma in a term depends on |K| alone, so the powers are
+folded into the size weights.  F and G are homogeneous of degree 0 in
+(u, v, c) and do not see L, but P and Q have degree size * partners, so
+they are divided by L^(size * partners).  The one division at the end
+raises ``ZeroDivisionError`` where the Fraction tables did: at a repeated
+summed variable (D = 0) and, for F and G, where some d(v_i, sigma u_k) = 0.
+Every other point (elliptic, complex or float) walks the table of d ratios.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .linalg import frobenius_matrix, det, prod, vandermonde
@@ -337,15 +365,17 @@ def _check_cap(*sizes):
         raise SizeCapError(f"subset enumeration capped at max(n, m) <= {SIZE_CAP}")
 
 
-def _subset_sum(weights, pair, inside, outside=None):
+def _subset_sum(weights, pair, inside, outside=None, same=None):
     """Sum over K subset [0..m) of weights[|K|] times the products of
-    pair[i][j] (i in K, j notin K), inside[i] (i in K) and outside[j]
-    (j notin K; no factor when ``outside`` is None).
+    pair[i][j] (i in K, j notin K), inside[i] (i in K), outside[j]
+    (j notin K; no factor when ``outside`` is None) and same[j][i] (i < j
+    on the same side of K; no factor when ``same`` is None).
 
-    Index t joins K with inside[t] and pair[t][j] for every earlier j left
-    out, or stays out with outside[t] and pair[i][t] for every earlier i in
-    K.  Each leaf adds its product to the sum of its size, and the size sums
-    are weighted once at the end.
+    Index t joins K with inside[t], pair[t][j] for every earlier j left out
+    and same[t][i] for every earlier i in K, or stays out with outside[t],
+    pair[i][t] for every earlier i in K and same[t][j] for every earlier j
+    left out.  Each leaf adds its product to the sum of its size, and the
+    size sums are weighted once at the end.
     """
     size = len(inside)
     by_size = [0] * (size + 1)
@@ -358,10 +388,16 @@ def _subset_sum(weights, pair, inside, outside=None):
         row = pair[t]
         for j in others:
             take *= row[j]
-        walk(t + 1, take, members + (t,), others)
         skip = term if outside is None else term * outside[t]
         for i in members:
             skip *= pair[i][t]
+        if same is not None:
+            near = same[t]
+            for i in members:
+                take *= near[i]
+            for j in others:
+                skip *= near[j]
+        walk(t + 1, take, members + (t,), others)
         walk(t + 1, skip, members, others + (t,))
 
     walk(0, 1, (), ())
@@ -394,33 +430,101 @@ def member_ratios(regime, side, params, trunc=DEFAULT_TRUNCATION):
     return _ratios(reg.pair(params, trunc), params.u, su, params.v, side in ("F", "P"))
 
 
+def _pair_table(table, vside):
+    # the F side's pair factor of (i, j) is the ratio of (v_i, v_j), the G side's that of (u_j, u_i)
+    return table if vside else [list(col) for col in zip(*table)]
+
+
+# the scalars besides u and v that the integer walk's regimes read
+_INTEGER_SCALARS = {"rational": ("c", "z"), "trig": ("q", "z"), "trig_lambda": ("q", "z", "lam")}
+
+
+def _integer_point(regime, params):
+    """``params`` with Fraction scalars and (L, sigma) for the integer walk,
+    or ``params`` unchanged and None for the table walk.
+
+    The integer walk takes rational, trig and trig_lambda points whose
+    scalars are all ints or Fractions.  Turning ints into Fractions keeps the
+    weights and the G prefactor exact.  L is the lcm of the denominators of
+    u and v (and of c), and sigma = (alpha, beta, gamma) writes the shift of
+    an integer y as (alpha y + beta) / gamma.
+    """
+    names = _INTEGER_SCALARS.get(regime, ())
+    scalars = {name: getattr(params, name) for name in names}
+    if not names or not all(isinstance(x, (int, Fraction)) for x in (*scalars.values(), *params.u, *params.v)):
+        return params, None
+    ints = {name: Fraction(x) for name, x in scalars.items() if type(x) is not Fraction}
+    if ints:
+        params = replace(params, **ints)
+    dens = [x.denominator for x in (*params.u, *params.v)]
+    if regime == "rational":
+        c = params.c
+        lcm = math.lcm(c.denominator, *dens)
+        return params, (lcm, (1, c.numerator * (lcm // c.denominator), 1))
+    q = params.q
+    return params, (math.lcm(*dens), (q.numerator, 0, q.denominator))
+
+
+def _integer_sum(weights, params, lcm, sigma, vside, cleared):
+    """The kernel's sum over ints, divided once at the end (module docstring)."""
+    alpha, beta, gamma = sigma
+    u = [x.numerator * (lcm // x.denominator) for x in params.u]
+    v = [x.numerator * (lcm // x.denominator) for x in params.v]
+    xs, partners = (v, len(u)) if vside else (u, len(v))
+    size = len(xs)
+
+    def cross(a, b):
+        # gamma (x_a - sigma x_b), with the sign of D's factor x_lo - x_hi over x_a - x_b
+        value = gamma * xs[a] - alpha * xs[b] - beta
+        return value if a < b else -value
+
+    pair = _pair_table([[cross(a, b) if a != b else None for b in range(size)]
+                        for a in range(size)], vside)
+    same = [[xs[i] - xs[t] for i in range(t)] for t in range(size)]
+    if vside:
+        inside = [prod(x - y for y in u) for x in v]
+        outside = [prod(gamma * x - alpha * y - beta for y in u) for x in v]
+    else:
+        inside = [prod(x - y for x in v) for y in u]
+        outside = [prod(gamma * x - alpha * y - beta for x in v) for y in u]
+    if gamma != 1:
+        # 1/gamma per separated pair, and per partner gamma for each member
+        # (F, G) or 1/gamma for each non-member (P, Q)
+        g = Fraction(gamma)
+        weights = [
+            w * g ** (-s * (size - s) + (-(size - s) if cleared else s) * partners)
+            for s, w in enumerate(weights)
+        ]
+    total = _subset_sum(weights, pair, inside, outside, same)
+    divisor = prod(prod(row) for row in same)  # D
+    divisor *= lcm ** (size * partners) if cleared else prod(outside)
+    return total / divisor
+
+
 def _source(regime, side, params, trunc=DEFAULT_TRUNCATION):
     """F, G (member ratios) or P, Q (cleared) of ``regime`` through the kernel."""
     reg = REGIMES[regime]
     u, v = params.u, params.v
     _check_cap(len(u), len(v))
     vside = side in ("F", "P")
+    cleared = side in ("P", "Q")
     xs = v if vside else u
     size = len(xs)
+    params, scaling = _integer_point(regime, params)
     weights = reg.weights(params, vside, size, trunc)
-    d = reg.pair(params, trunc)
-    sigma = reg.shift(params)
-    shifted = list(map(sigma, xs))
-    su = list(map(sigma, u)) if vside else shifted
-    if vside:
-        pair = [
-            [d(xs[i], shifted[j]) / d(xs[i], xs[j]) if j != i else None for j in range(size)]
-            for i in range(size)
-        ]
+    if scaling is not None:
+        total = _integer_sum(weights, params, *scaling, vside, cleared)
     else:
-        pair = [
-            [d(xs[j], shifted[i]) / d(xs[j], xs[i]) if j != i else None for j in range(size)]
-            for i in range(size)
-        ]
-    if side in ("F", "G"):
-        total = _subset_sum(weights, pair, _ratios(d, u, su, v, vside))
-    else:
-        total = _subset_sum(weights, pair, *_products(d, u, su, v, vside))
+        d = reg.pair(params, trunc)
+        sigma = reg.shift(params)
+        shifted = list(map(sigma, xs))
+        su = list(map(sigma, u)) if vside else shifted
+        pair = _pair_table([[d(xs[a], shifted[b]) / d(xs[a], xs[b]) if a != b else None
+                             for b in range(size)] for a in range(size)], vside)
+        if cleared:
+            total = _subset_sum(weights, pair, *_products(d, u, su, v, vside))
+        else:
+            total = _subset_sum(weights, pair, _ratios(d, u, su, v, vside))
     return total if vside else reg.prefactor(params) * total
 
 

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 
-from .detreps import izergin_korepin
-from .linalg import det, prod
+from .detreps import izergin_korepin, izergin_korepin_core
+from .linalg import prod
 from .sources import RatParams, rational_P
 
 PERM_CAP = 10
@@ -152,8 +152,8 @@ def lascoux_symmetrized_sides(u, v, c, coeffs):
           * det 1/((v_j - u_k)(v_j - u_k - c))
           * d_{n-1} ... d_1 f(u_1)
 
-    This is (n-1)!/(-c) times ``detreps.izergin_korepin`` and the chain, but
-    written out so that it stays defined (0 for n >= 2) at c = 0.
+    This is (n-1)! (-c)^{n-1} times ``detreps.izergin_korepin_core`` and the
+    chain, which stays defined (0 for n >= 2) at c = 0.
     """
     u, v = tuple(u), tuple(v)
     n = len(u)
@@ -167,14 +167,8 @@ def lascoux_symmetrized_sides(u, v, c, coeffs):
         term = coef * sym_c(_theta_slots(n, f, plain, shifted, ell), u, c)
         lhs = term if lhs is None else lhs + term
 
-    pref = math.factorial(n - 1) * (-c) ** (n - 1)
-    pref *= prod((vi - uk) * (vi - uk - c) for vi in v for uk in u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pref /= (v[j] - v[i]) * (u[i] - u[j])
-    entries = [[1 / ((vj - uk) * (vj - uk - c)) for uk in u] for vj in v]
-    rhs = pref * det(entries) * newton_chain(coeffs, u)
-    return lhs, rhs
+    core = izergin_korepin_core(u, v, c, math.factorial(n - 1) * (-c) ** (n - 1))
+    return lhs, core * newton_chain(coeffs, u)
 
 
 def lascoux_rhs_via_source(u, v, c, coeffs):

@@ -16,8 +16,9 @@ from srcid.detreps import (
     build_dwbc_matrix,
     det_rep,
     izergin_korepin,
+    izergin_korepin_core,
 )
-from srcid.linalg import det_exact, prod
+from srcid.linalg import det, det_exact, prod
 from srcid.qseries import Truncation
 from srcid.sources import (
     EllipticParams,
@@ -130,6 +131,26 @@ def test_ik_equals_cleared_polynomial():
         break
     via_det = det_rep("rational", "ik", "F", params)
     assert via_det == rational_P(params)
+
+
+def test_ik_is_minus_c_to_the_n_times_its_core():
+    rng = random.Random(4)
+    for n in range(1, 6):
+        params = sample_rational(rng, n, n)
+        u, v, c = params.u, params.v, params.c
+        assert izergin_korepin(u, v, c) == (-c) ** n * izergin_korepin_core(u, v, c)
+        assert izergin_korepin(u, v, c) == izergin_korepin_core(u, v, c, (-c) ** n)
+        # defined at c = 0, where the (-c)^n factor alone vanishes
+        assert izergin_korepin_core(u, v, Fraction(0)) != 0
+        # complex points keep the rounding of the prefactor written out in front
+        uc, vc, cc = (tuple(complex(x) for x in xs) for xs in (u, v, (c,)))
+        cc = cc[0]
+        written = (-cc) ** n
+        written *= prod((vi - uk) * (vi - uk - cc) for vi in vc for uk in uc)
+        written /= prod(vc[j] - vc[i] for i in range(n) for j in range(i + 1, n))
+        written /= prod(uc[i] - uc[j] for i in range(n) for j in range(i + 1, n))
+        written *= det([[1 / ((vj - uk) * (vj - uk - cc)) for uk in uc] for vj in vc])
+        assert izergin_korepin(uc, vc, cc) == written
 
 
 def test_ik_preconditions():

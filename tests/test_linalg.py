@@ -88,6 +88,64 @@ def test_det_multiplicative_exact():
         assert det_exact(ab) == det_exact(a) * det_exact(b)
 
 
+def assert_det_exact_matches_cofactor(rows):
+    before = [list(r) for r in rows]
+    value = det_exact(rows)
+    assert type(value) is Fraction
+    assert value == cofactor_det(rows), rows
+    assert [list(r) for r in rows] == before  # the input is not touched
+    return value
+
+
+def test_det_exact_rows_with_different_denominators():
+    F = Fraction
+    rows = [[F(1, 2), F(1, 3), F(-5, 6)], [F(2, 7), F(3), F(1, 14)], [F(9, 5), F(-4, 15), F(1)]]
+    assert assert_det_exact_matches_cofactor(rows) != 0
+    rng = random.Random(37)
+    for size in range(1, 7):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(size)]
+                for _ in range(size)]
+        assert_det_exact_matches_cofactor(rows)
+
+
+def test_det_exact_swaps_past_a_zero_pivot():
+    F = Fraction
+    rows = [[F(0), F(2, 3), F(1)], [F(0), F(1, 5), F(-2)], [F(3, 4), F(1), F(7, 2)]]
+    assert assert_det_exact_matches_cofactor(rows) != 0
+    # a zero pivot in a later column too, after the first elimination step
+    rows = [[F(1), F(2), F(3), F(1, 2)], [F(2), F(4), F(1), F(1, 3)],
+            [F(1, 2), F(1), F(5), F(1)], [F(3), F(1), F(0), F(2)]]
+    assert assert_det_exact_matches_cofactor(rows) != 0
+
+
+def test_det_exact_singular_is_fraction_zero():
+    F = Fraction
+    singular = [
+        [[F(1, 2), F(1, 3)], [F(3, 2), F(1)]],  # proportional rows
+        [[F(0), F(1, 7), F(2)], [F(0), F(3), F(-1, 2)], [F(0), F(5, 3), F(4)]],  # zero column
+        [[F(1), F(2), F(3)], [F(4), F(5), F(6)], [F(7), F(8), F(9)]],  # zero last pivot
+    ]
+    for rows in singular:
+        value = assert_det_exact_matches_cofactor(rows)
+        assert value == 0 and value == Fraction(0)
+
+
+def test_det_exact_takes_an_int_matrix():
+    # the mixing matrices of the sampler are tuples of int tuples
+    rng = random.Random(41)
+    for size in range(1, 7):
+        rows = tuple(tuple(rng.randint(-5, 5) for _ in range(size)) for _ in range(size))
+        assert_det_exact_matches_cofactor(rows)
+
+
+def test_det_exact_sizes_zero_to_eight():
+    rng = random.Random(43)
+    assert assert_det_exact_matches_cofactor([]) == 1
+    for size in range(1, 9):
+        rows = [[rand_fraction(rng, nonzero=False) for _ in range(size)] for _ in range(size)]
+        assert_det_exact_matches_cofactor(rows)
+
+
 def test_det_complex_accuracy():
     rng = random.Random(31)
     rows = [[rand_complex(rng) for _ in range(5)] for _ in range(5)]

@@ -4,7 +4,7 @@ import cmath
 import math
 import operator
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -553,6 +553,111 @@ def test_cleared_forms_match_the_literal_enumeration_where_F_is_singular():
         params = sample_elliptic(rng, n)
         hit = replace(params, v=(params.q * params.u[0],) + params.v[1:])
         assert_kernel_matches_literal("elliptic", "P", hit, exact=False)
+
+
+# ---------------------------------------------------------------------------
+# the integer walk of exact points
+# ---------------------------------------------------------------------------
+
+
+def exact_point(rng, regime, n, m, q=None):
+    """A rational or trig point in general position, with ``q`` when given."""
+    while True:
+        if regime == "rational":
+            params = sample_rational(rng, n, m)
+        else:
+            params = sample_trig(rng, n, m, with_lam=True)
+            params = replace(params, q=q if q is not None else params.q)
+        if 0 not in general_position(regime, params):
+            return params
+
+
+def as_fractions(params):
+    """``params`` with every int scalar turned into a Fraction."""
+    def conv(x):
+        if isinstance(x, tuple):
+            return tuple(map(Fraction, x))
+        return None if x is None else Fraction(x)
+    return type(params)(**{f.name: conv(getattr(params, f.name)) for f in fields(params)})
+
+
+def assert_integer_walk_matches_literal(regime, params, sides):
+    literal_params = as_fractions(params)
+    for side in sides:
+        value = (source_subset_sum if side in "FG" else source_polynomial_form)(
+            regime, side, params
+        )
+        assert type(value) is Fraction, (regime, side, params)
+        assert value == subset_sum_literal(regime, side, literal_params), (regime, side, params)
+
+
+def denominators_lcm(params):
+    values = params.u + params.v + ((params.c,) if isinstance(params, RatParams) else ())
+    return math.lcm(*(Fraction(x).denominator for x in values))
+
+
+def test_integer_walk_matches_the_literal_enumeration():
+    rng = random.Random(97)
+    for n, m in ((2, 5), (5, 2), (3, 3), (8, 8)):
+        rat = exact_point(rng, "rational", n, m)
+        assert denominators_lcm(rat) != 1
+        assert_integer_walk_matches_literal("rational", rat, "FGPQ")
+        # q < 0, |q| > 1 with a denominator, |q| < 1, an integer q
+        for q in (Fraction(-7, 3), Fraction(-2, 7), Fraction(5, 3), Fraction(3)):
+            tri = exact_point(rng, "trig", n, m, q)
+            assert denominators_lcm(tri) != 1
+            assert_integer_walk_matches_literal("trig", tri, "FGPQ")
+            assert_integer_walk_matches_literal("trig_lambda", tri, "FG")
+
+
+def test_integer_walk_takes_int_params_and_a_zero_entry():
+    F = Fraction
+    rat = RatParams(c=2, z=3, u=(1, -5, 0), v=(5, 7, -4, 9))
+    tri = TrigParams(q=-3, z=2, u=(1, 2, -1, 4), v=(5, 7), lam=2)  # n > m: q^(m-n) on G
+    for regime, params in (("rational", rat), ("trig", tri), ("trig_lambda", tri)):
+        sides = "FG" if regime == "trig_lambda" else "FGPQ"
+        assert_integer_walk_matches_literal(regime, params, sides)
+        swapped = replace(params, u=params.v, v=params.u)
+        assert 0 not in general_position(regime, as_fractions(swapped))
+        assert_integer_walk_matches_literal(regime, swapped, sides)
+    # u_k = 0, next to entries with denominators
+    rng = random.Random(101)
+    for regime in ("rational", "trig"):
+        for n, m in ((3, 2), (2, 4)):
+            while True:
+                params = exact_point(rng, regime, n, m, q=Fraction(-5, 2))
+                params = replace(params, u=(F(0),) + params.u[1:])
+                if 0 not in general_position(regime, params):
+                    break
+            assert_integer_walk_matches_literal(regime, params, "FGPQ")
+
+
+def test_integer_walk_raises_where_the_tables_divide_by_zero():
+    F = Fraction
+    rat = RatParams(c=F(1, 3), z=F(2, 5), u=(F(1, 2), F(2), F(-3, 4)), v=(F(5, 3), F(7, 2)))
+    tri = TrigParams(q=F(-3, 2), z=F(3, 7), u=(F(1, 2), F(2), F(-3, 4)), v=(F(5, 3), F(7, 2)))
+    for regime, params, up, down in (
+        ("rational", rat, lambda x: x + rat.c, lambda x: x - rat.c),
+        ("trig", tri, lambda x: tri.q * x, lambda x: x / tri.q),
+    ):
+        assert 0 not in general_position(regime, params)
+        v_hit = replace(params, v=(up(params.u[1]),) + params.v[1:])  # v_1 = sigma u_2
+        u_hit = replace(params, u=params.u[:2] + (down(params.v[0]),))  # u_3 = sigma^-1 v_1
+        for point, side, cleared in ((v_hit, "F", "P"), (u_hit, "G", "Q")):
+            with pytest.raises(ZeroDivisionError):
+                source_subset_sum(regime, side, point)
+            assert_integer_walk_matches_literal(regime, point, cleared)
+        repeated_v = replace(params, v=(params.v[0], params.v[0]))
+        repeated_u = replace(params, u=(params.u[0], params.u[1], params.u[0]))
+        for point, sides in ((repeated_v, "FP"), (repeated_u, "GQ")):
+            for side in sides:
+                with pytest.raises(ZeroDivisionError):
+                    (source_subset_sum if side in "FG" else source_polynomial_form)(
+                        regime, side, point
+                    )
+        # a repeated partner divides by nothing
+        assert_integer_walk_matches_literal(regime, repeated_u, "FP")
+        assert_integer_walk_matches_literal(regime, repeated_v, "GQ")
 
 
 def test_elliptic_sums_at_nome_zero_are_the_lambda_weighted_trig_sums():
