@@ -7,8 +7,9 @@ Run from the repository root.  The base commit is exported with
 the head is the working tree.  For each field, ``srcid verify --field
 <field> --format json --no-timings`` runs on both, and the script prints
 the sha256 of each report, then every point whose record differs, with
-its case, index, residual and pass flag before and after, and a count of
-the points that differ and of those whose pass flag changed.  As with
+its case, index, residual and pass flag before and after, one line per
+case with differing points (how many of its points differ and how many
+changed their pass flag), and the same two counts over the field.  As with
 diff(1), the exit status is 0 when both fields' reports are byte-identical
 and 1 when either differs; 2 means a report could not be made.
 """
@@ -22,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 from bench_compare import ROOT, export
@@ -59,15 +61,24 @@ def compare(field: str, before: str, after: str) -> bool:
     for side, sha in zip(("base", "head"), hashes):
         print(f"{field} {side} sha256 {sha}")
     old, new = points_of(before), points_of(after)
-    differing = flipped = 0
+    # case -> [points, differing, changed pass/fail]
+    tally = defaultdict(lambda: [0, 0, 0])
     for key in sorted(old.keys() | new.keys()):
+        counts = tally[key[0]]
+        counts[0] += 1
         a, b = old.get(key), new.get(key)
         if a == b:
             continue
-        differing += 1
+        counts[1] += 1
         if a is None or b is None or a["ok"] != b["ok"]:
-            flipped += 1
+            counts[2] += 1
         print(f"  {field} {key[0]}#{key[1]}: {outcome(a)} -> {outcome(b)}")
+    for case, (points, differing, flipped) in tally.items():
+        if differing:
+            print(f"  {field} {case}: {differing} of {points} points differ, "
+                  f"{flipped} changed pass/fail")
+    differing = sum(counts[1] for counts in tally.values())
+    flipped = sum(counts[2] for counts in tally.values())
     print(f"{field}: {differing} of {len(old)} points differ, {flipped} changed pass/fail")
     return hashes[0] == hashes[1]
 

@@ -66,8 +66,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import det, prod, vandermonde
-from .qseries import DEFAULT_TRUNCATION, psi_A, theta
-from .sources import REGIMES, apart, member_ratios
+from .qseries import DEFAULT_TRUNCATION, psi_A
+from .sources import REGIMES, _theta_memo, apart, member_ratios
 
 AVAILABILITY = {
     "elliptic": frozenset({"mpt", "bs"}),
@@ -167,7 +167,7 @@ def _mpt_nodes(regime, side, params):
 def _mpt_weight(regime, side, params, r, trunc):
     """theta(r prod nodes; p), the mpt weight; 1 - r prod nodes at nome 0."""
     anchor = r * prod(_mpt_nodes(regime, side, params))
-    return theta(anchor, params.p, trunc) if regime == "elliptic" else 1 - anchor
+    return _theta_memo(params, trunc)(anchor) if regime == "elliptic" else 1 - anchor
 
 
 def _mpt_elliptic(side, params, aux, trunc):
@@ -292,28 +292,29 @@ def _bs_pinned_delta(side, params, eta):
 
 
 def _bs_elliptic(side, params, aux, trunc):
-    p, q, z, u, v = params.p, params.q, params.z, params.u, params.v
+    q, z, u, v = params.q, params.z, params.u, params.v
+    th = _theta_memo(params, trunc)
     n = params.n
     eta = aux.eta
     _require(eta is not None and len(eta) == n, "bs needs eta of matching length")
     _require(len(set(eta)) == n, "eta nodes must be pairwise distinct")
     ratio = member_ratios("elliptic", side, params, trunc)
     delta = _bs_pinned_delta(side, params, eta)
-    th_delta = theta(delta, p, trunc)
+    th_delta = th(delta)
     pref = th_delta
     if side == "F":
         # rows are eta_i, columns v_j
         for i, j in _pairs_below(v):
-            pref /= theta(v[j] / v[i], p, trunc) / v[j]
-            pref /= eta[j] * theta(eta[i] / eta[j], p, trunc)
+            pref /= th(v[j] / v[i]) / v[j]
+            pref /= eta[j] * th(eta[i] / eta[j])
         entries = [
             [
-                theta(delta * eta[i] / v[j], p, trunc)
-                * prod(theta(eta[k] / v[j], p, trunc) for k in range(n) if k != i)
+                th(delta * eta[i] / v[j])
+                * prod(th(eta[k] / v[j]) for k in range(n) if k != i)
                 / th_delta
                 - z
-                * theta(q * delta * eta[i] / v[j], p, trunc)
-                * prod(theta(q * eta[k] / v[j], p, trunc) for k in range(n) if k != i)
+                * th(q * delta * eta[i] / v[j])
+                * prod(th(q * eta[k] / v[j]) for k in range(n) if k != i)
                 / th_delta
                 * ratio[j]
                 for j in range(n)
@@ -322,16 +323,16 @@ def _bs_elliptic(side, params, aux, trunc):
         ]
         return pref * det(entries)
     for i, j in _pairs_below(u):
-        pref /= u[j] * theta(u[i] / u[j], p, trunc)
-        pref /= theta(eta[j] / eta[i], p, trunc) / eta[j]
+        pref /= u[j] * th(u[i] / u[j])
+        pref /= th(eta[j] / eta[i]) / eta[j]
     entries = [
         [
-            theta(delta * u[i] / eta[j], p, trunc)
-            * prod(theta(u[i] / eta[k], p, trunc) for k in range(n) if k != j)
+            th(delta * u[i] / eta[j])
+            * prod(th(u[i] / eta[k]) for k in range(n) if k != j)
             / th_delta
             - z
-            * theta(q * delta * u[i] / eta[j], p, trunc)
-            * prod(theta(q * u[i] / eta[k], p, trunc) for k in range(n) if k != j)
+            * th(q * delta * u[i] / eta[j])
+            * prod(th(q * u[i] / eta[k]) for k in range(n) if k != j)
             / th_delta
             * ratio[i]
             for j in range(n)
@@ -358,37 +359,29 @@ def _bs_flat(regime, side, params, aux, trunc, limit: bool):
 
     if limit:
         basis = lagrange
+    else:
+        delta = aux.delta
+        _require(delta is not None and delta != 1 and delta != 0, "bs needs delta outside {0, 1}")
+
+        def basis(jj, x):
+            acc = lagrange(jj, x)
+            ref = x - x + 1
+            for k in range(size):
+                if k != jj:
+                    ref *= x - eta_ref[k]
+            return acc - ref / delta
+
+    # each basis value at a node serves the plain matrix and the entries
+    plain = [[basis(j, x) for j in range(size)] for x in xs]
+    if limit:
         denom = prod((xs[j] - xs[i]) * (eta[i] - eta[j]) for i, j in _pairs_below(xs))
-        entries = [
-            [
-                basis(j, xs[i]) - zeff * basis(j, row_shift(xs[i])) * ratio[i]
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-        return pref * det(entries) / denom
-
-    delta = aux.delta
-    _require(delta is not None and delta != 1 and delta != 0, "bs needs delta outside {0, 1}")
-
-    def basis(jj, x):
-        acc = lagrange(jj, x)
-        ref = x - x + 1
-        for k in range(size):
-            if k != jj:
-                ref *= x - eta_ref[k]
-        return acc - ref / delta
-
-    plain = [[basis(j, xs[i]) for j in range(size)] for i in range(size)]
-    denom = det(plain)
-    _require(denom != 0, "degenerate deformed node basis")
-    entries = [
-        [
-            basis(j, xs[i]) - zeff * basis(j, row_shift(xs[i])) * ratio[i]
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
+    else:
+        denom = det(plain)
+        _require(denom != 0, "degenerate deformed node basis")
+    entries = []
+    for x, row, r in zip(xs, plain, ratio):
+        sx = row_shift(x)
+        entries.append([row[j] - zeff * basis(j, sx) * r for j in range(size)])
     return pref * det(entries) / denom
 
 
@@ -439,7 +432,7 @@ def aux_general_position(regime, family, side, params, aux, trunc=DEFAULT_TRUNCA
         return []
     values = apart(operator.sub, aux.eta)
     if regime == "elliptic":
-        values.append(theta(_bs_pinned_delta(side, params, aux.eta), params.p, trunc))
+        values.append(_theta_memo(params, trunc)(_bs_pinned_delta(side, params, aux.eta)))
         values += apart(REGIMES["elliptic"].pair(params, trunc), aux.eta)
     elif aux.delta is not None:
         values += [aux.delta, 1 - aux.delta]

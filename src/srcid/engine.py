@@ -10,6 +10,14 @@ of 0.  Over the exact field a pass means literal equality of reduced
 fractions; over the complex field it means relative error
 |lhs - rhs| / max(1, |lhs|, |rhs|) within the case tolerance.
 
+The runners read the regime table where they can: one vanishing and one
+evaluation runner serve the rational, trigonometric and elliptic
+specializations alike, with d from ``Regime.pair`` and the closed
+product's prefactor from the F-side weight and ``Regime.scale``.  The
+elliptic size draw and the elliptic range of an extra variable
+(``PointContext.variable``) are the only per-regime choices left in them.
+Every theta value at a point comes from one ``sources.theta_memo``.
+
 Determinism contract: the per-point generator is seeded with
 hash(master_seed, case_id, point_index), so reports are byte-identical
 across runs and independent of evaluation order (timings aside).
@@ -46,7 +54,9 @@ from .linalg import (
     frobenius_matrix,
     prod,
 )
-from .qseries import DEFAULT_TRUNCATION, Truncation, q_binomial, theta
+# theta is bound here although no runner calls it: perfbench/test_perfbench.py
+# reads engine.theta
+from .qseries import DEFAULT_TRUNCATION, Truncation, q_binomial, theta  # noqa: F401
 from .sources import (
     EllipticParams,
     RatParams,
@@ -272,6 +282,12 @@ class PointContext:
 
     # -- parameter bundles ---------------------------------------------------
 
+    def variable(self, regime: str):
+        """One entry of u or v: elliptic moduli stay in [0.4, 2]."""
+        if regime == "elliptic":
+            return self.complex_scalar(0.4, 2.0)
+        return self.scalar()
+
     def sample_rational(self, n: int, m: int) -> RatParams:
         def draw():
             c = self.scalar(0.3, 2.0, nonzero=True)
@@ -304,8 +320,8 @@ class PointContext:
                 q *= 2.5 / abs(q)
             lam = self.complex_scalar()
             z = self.complex_scalar()
-            u = [self.complex_scalar(0.4, 2.0) for _ in range(n)]
-            v = [self.complex_scalar(0.4, 2.0) for _ in range(n)]
+            u = [self.variable("elliptic") for _ in range(n)]
+            v = [self.variable("elliptic") for _ in range(n)]
             return EllipticParams(p=p, q=q, lam=lam, z=z, u=tuple(u), v=tuple(v))
 
         return self.attempt(draw, lambda par: self.general("elliptic", par))
@@ -527,28 +543,26 @@ def _run_frobenius(ctx: PointContext):
             return ctx.require(*dens)
 
         u, v, lam = ctx.attempt(draw, accept)
-        p = Fraction(0)
-        matrix = frobenius_matrix(u, v, lam, p)
-        return [("det = closed form", det(matrix), frobenius_closed(u, v, lam, p))]
+        th = sources.theta_memo(Fraction(0))
+    else:
+        def draw():
+            p = ctx.nome()
+            lam = ctx.complex_scalar()
+            u = tuple(ctx.variable("elliptic") for _ in range(n))
+            v = tuple(ctx.variable("elliptic") for _ in range(n))
+            return p, lam, u, v, sources.theta_memo(p, ctx.trunc)
 
-    def draw():
-        p = ctx.nome()
-        lam = ctx.complex_scalar()
-        u = tuple(ctx.complex_scalar(0.4, 2.0) for _ in range(n))
-        v = tuple(ctx.complex_scalar(0.4, 2.0) for _ in range(n))
-        return p, lam, u, v
+        def accept(drawn):
+            lam, u, v, th = drawn[1:]
+            d = sources.theta_quotient(th)
+            return ctx.clear(
+                lambda: [th(lam), *(d(vj, ui) for ui in u for vj in v),
+                         *sources.apart(d, u), *sources.apart(d, v)]
+            )
 
-    def accept(t4):
-        p, lam, u, v = t4
-        d = sources.theta_quotient(p, ctx.trunc)
-        return ctx.clear(
-            lambda: [theta(lam, p, ctx.trunc), *(d(vj, ui) for ui in u for vj in v),
-                     *sources.apart(d, u), *sources.apart(d, v)]
-        )
-
-    p, lam, u, v = ctx.attempt(draw, accept)
-    matrix = frobenius_matrix(u, v, lam, p, ctx.trunc)
-    return [("det = closed form", det(matrix), frobenius_closed(u, v, lam, p, ctx.trunc))]
+        _, lam, u, v, th = ctx.attempt(draw, accept)
+    matrix = frobenius_matrix(u, v, lam, th)
+    return [("det = closed form", det(matrix), frobenius_closed(u, v, lam, th))]
 
 
 def _run_theta_vandermonde(ctx: PointContext):
@@ -556,21 +570,20 @@ def _run_theta_vandermonde(ctx: PointContext):
     if ctx.exact:
         u = ctx.distinct_scalars(n)
         r = ctx.fraction(nonzero=True)
-        lhs, rhs = elliptic_vandermonde_sides(u, Fraction(0), r)
-        return [("det = factorization", lhs, rhs)]
+        p = Fraction(0)
+        th = sources.theta_memo(p)
+    else:
+        def draw():
+            p = ctx.nome()
+            r = ctx.complex_scalar()
+            u = tuple(ctx.variable("elliptic") for _ in range(n))
+            return p, r, u, sources.theta_memo(p, ctx.trunc)
 
-    def draw():
-        p = ctx.nome()
-        r = ctx.complex_scalar()
-        u = tuple(ctx.complex_scalar(0.4, 2.0) for _ in range(n))
-        return p, r, u
+        def accept(drawn):
+            return ctx.distinct(drawn[2], sources.theta_quotient(drawn[3]))
 
-    def accept(t3):
-        p, r, u = t3
-        return ctx.distinct(u, sources.theta_quotient(p, ctx.trunc))
-
-    p, r, u = ctx.attempt(draw, accept)
-    lhs, rhs = elliptic_vandermonde_sides(u, p, r, ctx.trunc)
+        p, r, u, th = ctx.attempt(draw, accept)
+    lhs, rhs = elliptic_vandermonde_sides(u, p, r, th, ctx.trunc)
     return [("det = factorization", lhs, rhs)]
 
 
@@ -602,25 +615,31 @@ def _vanishing_runner(regime: str, swap: bool):
     """P = Q = 0 where v holds u_k and sigma(u_k) (m <= n), or with ``swap``
     where u holds v_k and sigma^-1(v_k) (n <= m).
     """
+    reg = sources.REGIMES[regime]
+
     def run(ctx: PointContext):
-        n, m = ctx.sizes((2, 5), (2, 5), rule="m_le_n")
+        n, m = (ctx.sizes((2, 4)) if regime == "elliptic"
+                else ctx.sizes((2, 5), (2, 5), rule="m_le_n"))
         if swap:
             n, m = m, n
         base = ctx.sample(regime, n, m)
         anchors = base.v if swap else base.u
         x = anchors[ctx.rng.randrange(len(anchors))]
-        pair = [x, sources.REGIMES[regime].shift(base, inverse=swap)(x)]
+        pair = [x, reg.shift(base, inverse=swap)(x)]
 
         def build():
-            rest = [ctx.scalar() for _ in range((n if swap else m) - 2)]
+            rest = [ctx.variable(regime) for _ in range((n if swap else m) - 2)]
             vals = _substitute_positions(ctx, pair + rest)
             return replace(base, u=vals) if swap else replace(base, v=vals)
 
-        params = ctx.attempt(build, lambda par: ctx.distinct(par.u if swap else par.v))
+        def accept(par):
+            return ctx.distinct(par.u if swap else par.v, reg.pair(par, ctx.trunc))
+
+        params = ctx.attempt(build, accept)
         zero = ctx.field.zero
         return [
-            ("P = 0", source_polynomial_form(regime, "P", params), zero),
-            ("Q = 0", source_polynomial_form(regime, "Q", params), zero),
+            ("P = 0", source_polynomial_form(regime, "P", params, ctx.trunc), zero),
+            ("Q = 0", source_polynomial_form(regime, "Q", params, ctx.trunc), zero),
         ]
 
     return run
@@ -631,12 +650,16 @@ def _evaluation_runner(regime: str, swap: bool):
     u = {v_I, sigma^-1(v_J)} (n <= m), against their closed product.
 
     A rejected draw redraws the base point, the split and the order: the
-    acceptance test depends on the substituted values only as a set.
+    acceptance test depends on the substituted values only as a set.  At
+    v = {u_I, sigma(u_J)} the F-side weight w(|J|) times lambda^(|I| |J|)
+    (``Regime.scale``) is the closed product's prefactor: the elliptic
+    weight theta(q^|J| L prod u / prod v; p) is then theta(L; p).
     """
     reg = sources.REGIMES[regime]
 
     def run(ctx: PointContext):
-        n, m = ctx.sizes((1, 5), (1, 5), rule="m_le_n")
+        n, m = (ctx.sizes((1, 4)) if regime == "elliptic"
+                else ctx.sizes((1, 5), (1, 5), rule="m_le_n"))
         if swap:
             n, m = m, n
 
@@ -652,7 +675,8 @@ def _evaluation_runner(regime: str, swap: bool):
             return params, xs, iset, jset
 
         def accept(drawn):
-            return ctx.distinct(drawn[0].u if swap else drawn[0].v)
+            par = drawn[0]
+            return ctx.distinct(par.u if swap else par.v, reg.pair(par, ctx.trunc))
 
         params, xs, iset, jset = ctx.attempt(draw, accept)
         d, sigma = reg.pair(params, ctx.trunc), reg.shift(params)
@@ -665,75 +689,19 @@ def _evaluation_runner(regime: str, swap: bool):
             factors += [d(xs[j], sigma(xs[i])) for i in iset for j in range(len(xs))]
             factors += [d(sigma(xs[k]), xs[j]) for j in jset for k in others]
         else:
-            closed = (-params.z) ** nj * reg.scale(params, len(iset) * nj + nj * (nj - 1) // 2)
+            closed = reg.weights(params, True, nj, ctx.trunc)[nj]
+            closed *= reg.scale(params, len(iset) * nj)
             factors = [d(xs[j], xs[i]) for i in iset for j in jset]
             factors += [d(xs[i], sigma(xs[j])) for i in iset for j in range(len(xs))]
             factors += [d(sigma(xs[j]), xs[k]) for j in jset for k in others]
         for factor in factors:
             closed *= factor
         return [
-            ("P closed form", source_polynomial_form(regime, "P", params), closed),
-            ("Q closed form", source_polynomial_form(regime, "Q", params), closed),
+            ("P closed form", source_polynomial_form(regime, "P", params, ctx.trunc), closed),
+            ("Q closed form", source_polynomial_form(regime, "Q", params, ctx.trunc), closed),
         ]
 
     return run
-
-
-def _run_elliptic_vanishing(ctx: PointContext):
-    n, _ = ctx.sizes((2, 4))
-    base = ctx.sample_elliptic(n)
-    k = ctx.rng.randrange(n)
-
-    def build():
-        rest = [ctx.complex_scalar(0.4, 2.0) for _ in range(n - 2)]
-        v = _substitute_positions(ctx, [base.u[k], base.q * base.u[k]] + rest)
-        return EllipticParams(p=base.p, q=base.q, lam=base.lam, z=base.z, u=base.u, v=v)
-
-    pair = sources.REGIMES["elliptic"].pair
-    params = ctx.attempt(build, lambda par: ctx.distinct(par.v, pair(par, ctx.trunc)))
-    return [
-        ("P = 0", sources.elliptic_P(params, ctx.trunc), 0j),
-        ("Q = 0", sources.elliptic_Q(params, ctx.trunc), 0j),
-    ]
-
-
-def _run_elliptic_evaluation(ctx: PointContext):
-    n, _ = ctx.sizes((1, 4))
-
-    def draw():
-        base = ctx.sample_elliptic(n)
-        split = ctx.rng.randint(0, n)
-        order = list(range(n))
-        ctx.rng.shuffle(order)
-        iset, jset = sorted(order[:split]), sorted(order[split:])
-        vals = [base.u[i] for i in iset] + [base.q * base.u[j] for j in jset]
-        return replace(base, v=_substitute_positions(ctx, vals)), iset, jset
-
-    pair = sources.REGIMES["elliptic"].pair
-
-    def accept(drawn):
-        par = drawn[0]
-        return ctx.distinct(par.v, pair(par, ctx.trunc))
-
-    params, iset, jset = ctx.attempt(draw, accept)
-    # d(a, b) = theta(b/a; p) shares its theta values with P and Q at params
-    d = pair(params, ctx.trunc)
-    u, q, z, p, lam = params.u, params.q, params.z, params.p, params.lam
-    nj = len(jset)
-    closed = (-z) ** nj * q ** (nj * (nj - 1) // 2) * theta(lam, p, ctx.trunc)
-    for i in iset:
-        for j in jset:
-            closed *= d(u[j], u[i])
-    for i in iset:
-        for j in range(n):
-            closed *= d(u[i], q * u[j])
-    for i in jset:
-        for j in jset:
-            closed *= d(q * u[j], u[i])
-    return [
-        ("P closed form", sources.elliptic_P(params, ctx.trunc), closed),
-        ("Q closed form", sources.elliptic_Q(params, ctx.trunc), closed),
-    ]
 
 
 def _run_elliptic_quasi_periodicity(ctx: PointContext):
@@ -894,23 +862,32 @@ def _q_identity_subsets(ctx: PointContext, n: int):
     return ctx.attempt(draw, ctx.distinct)
 
 
-def _run_q_subset_ratio(ctx: PointContext):
-    n = ctx.rng.randint(1, 7)
-    q = ctx.q_scalar()
-    u = _q_identity_subsets(ctx, n)
-    checks = []
+def _fixed_size_subset_sums(u, ratio, one) -> list:
+    """For l = 0..n, the sum over K subset [0..n) with |K| = l of the
+    product of ratio(u_i, u_j) over i in K and j not in K."""
+    n = len(u)
+    sums = []
     for ell in range(n + 1):
         total = None
         for kset in combinations(range(n), ell):
             inside = set(kset)
-            term = q - q + 1
+            term = one
             for i in kset:
                 for j in range(n):
                     if j not in inside:
-                        term *= (u[i] - u[j] / q) / (u[i] - u[j])
+                        term *= ratio(u[i], u[j])
             total = term if total is None else total + term
-        checks.append((f"subset ratio, size {ell}", total, q_binomial(n, ell, 1 / q)))
-    return checks
+        sums.append(total)
+    return sums
+
+
+def _run_q_subset_ratio(ctx: PointContext):
+    n = ctx.rng.randint(1, 7)
+    q = ctx.q_scalar()
+    u = _q_identity_subsets(ctx, n)
+    sums = _fixed_size_subset_sums(u, lambda a, b: (a - b / q) / (a - b), ctx.field.one)
+    return [(f"subset ratio, size {ell}", total, q_binomial(n, ell, 1 / q))
+            for ell, total in enumerate(sums)]
 
 
 def _run_q_inversion_statistic(ctx: PointContext):
@@ -932,20 +909,9 @@ def _run_binomial_subset_identity(ctx: PointContext):
     n = ctx.rng.randint(1, 7)
     c = ctx.scalar(0.3, 2.0, nonzero=True)
     u = _q_identity_subsets(ctx, n)
-    one = ctx.field.one
-    checks = []
-    for ell in range(n + 1):
-        total = None
-        for kset in combinations(range(n), ell):
-            inside = set(kset)
-            term = one
-            for i in kset:
-                for j in range(n):
-                    if j not in inside:
-                        term *= (u[i] - u[j] + c) / (u[i] - u[j])
-            total = term if total is None else total + term
-        checks.append((f"shifted ratios, size {ell}", total, one * math.comb(n, ell)))
-    return checks
+    sums = _fixed_size_subset_sums(u, lambda a, b: (a - b + c) / (a - b), ctx.field.one)
+    return [(f"shifted ratios, size {ell}", total, ctx.field.one * math.comb(n, ell))
+            for ell, total in enumerate(sums)]
 
 
 # -- wall crossing -----------------------------------------------------------
@@ -1195,12 +1161,12 @@ def _build_registry():
     add(CaseDef(
         "elliptic_vanishing", "specialization", "elliptic",
         "cleared theta polynomials vanish at paired substitutions",
-        (COMPLEX,), _run_elliptic_vanishing, tol_complex=1e-8,
+        (COMPLEX,), _vanishing_runner("elliptic", swap=False), tol_complex=1e-8,
     ))
     add(CaseDef(
         "elliptic_evaluation", "specialization", "elliptic",
         "closed theta-product evaluation at v = {u_I, q u_J}",
-        (COMPLEX,), _run_elliptic_evaluation, tol_complex=1e-8,
+        (COMPLEX,), _evaluation_runner("elliptic", swap=False), tol_complex=1e-8,
     ))
     add(CaseDef(
         "elliptic_quasi_periodicity", "specialization", "elliptic",

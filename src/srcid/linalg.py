@@ -31,7 +31,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .qseries import DEFAULT_TRUNCATION, psi_A, qpoch_inf, theta
+# theta is bound here although every theta value arrives as a callable:
+# perfbench/test_perfbench.py reads linalg.theta
+from .qseries import DEFAULT_TRUNCATION, psi_A, qpoch_inf, theta  # noqa: F401
 
 
 def det(rows):
@@ -126,33 +128,30 @@ def vandermonde(xs):
 # ---------------------------------------------------------------------------
 
 
-def frobenius_matrix(u, v, lam, p, trunc=DEFAULT_TRUNCATION):
+def frobenius_matrix(u, v, lam, th):
+    """[theta(L u_i / v_j) / (theta(L) theta(u_i / v_j))], th(x) = theta(x; p)."""
     n = len(u)
     if len(v) != n:
         raise ValueError("frobenius_matrix needs len(u) == len(v)")
-    th_lam = theta(lam, p, trunc)
-    return [
-        [
-            theta(lam * u[i] / v[j], p, trunc) / (th_lam * theta(u[i] / v[j], p, trunc))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    th_lam = th(lam)
+    return [[th(lam * u[i] / v[j]) / (th_lam * th(u[i] / v[j])) for j in range(n)]
+            for i in range(n)]
 
 
-def frobenius_closed(u, v, lam, p, trunc=DEFAULT_TRUNCATION):
+def frobenius_closed(u, v, lam, th):
+    """The factorized Frobenius determinant, th(x) = theta(x; p)."""
     n = len(u)
     if len(v) != n:
         raise ValueError("frobenius_closed needs len(u) == len(v)")
-    num = theta(lam * prod(u) / prod(v), p, trunc)
+    num = th(lam * prod(u) / prod(v))
     for i in range(n):
         for j in range(i + 1, n):
-            num *= u[j] * theta(u[i] / u[j], p, trunc)
-            num *= theta(v[j] / v[i], p, trunc) / v[j]
-    den = theta(lam, p, trunc)
+            num *= u[j] * th(u[i] / u[j])
+            num *= th(v[j] / v[i]) / v[j]
+    den = th(lam)
     for ui in u:
         for vj in v:
-            den *= theta(ui / vj, p, trunc)
+            den *= th(ui / vj)
     return num / den
 
 
@@ -167,21 +166,18 @@ def psi_vandermonde_matrix(u, p, r, trunc=DEFAULT_TRUNCATION):
     return [[psi_A(j, n, u[k], p, r, trunc) for k in range(n)] for j in range(1, n + 1)]
 
 
-def elliptic_vandermonde_sides(u, p, r, trunc=DEFAULT_TRUNCATION):
-    """(lhs, rhs) of the theta Vandermonde factorization."""
+def elliptic_vandermonde_sides(u, p, r, th, trunc=DEFAULT_TRUNCATION):
+    """(lhs, rhs) of the theta Vandermonde factorization, th(x) = theta(x; p).
+
+    At p = 0 the (p; p)_inf factor is 1 and the rhs is exact.
+    """
     n = len(u)
     lhs = det(psi_vandermonde_matrix(u, p, r, trunc))
-    if p == 0:
-        rhs = 1 - r * prod(u)
-        for i in range(n):
-            for j in range(i + 1, n):
-                rhs *= u[j] - u[i]
-        return lhs, rhs
-    rhs = (qpoch_inf(p, p, trunc) / qpoch_inf(p**n, p**n, trunc)) ** n
-    rhs *= theta(r * prod(u), p, trunc)
+    rhs = 1 if p == 0 else (qpoch_inf(p, p, trunc) / qpoch_inf(p**n, p**n, trunc)) ** n
+    rhs *= th(r * prod(u))
     for i in range(n):
         for j in range(i + 1, n):
-            rhs *= u[j] * theta(u[i] / u[j], p, trunc)
+            rhs *= u[j] * th(u[i] / u[j])
     return lhs, rhs
 
 

@@ -41,15 +41,19 @@ positions, theta(b/a; p) in both orders.
 
 The elliptic sums, their weights and ``general_position`` repeat theta
 arguments: d(v_i, u_k) is a denominator, a member factor on both sides and
-an entry of the P and Q products.  So an ``EllipticParams`` keeps every
-theta(x; p) it has evaluated, per ``Truncation`` and argument x, in its
-``thetas`` field, and each argument is evaluated once per point (an
-argument with a real or imaginary part 0, such as theta(1) = 0 at a
-substituted point, is evaluated each time: x + 0j and x - 0j are one key,
-but their theta values may differ in the sign of a zero part).  The field
-takes no part in ``__init__``, ``==``, ``hash`` or ``repr``, so
-``dataclasses.replace`` returns an object with an empty memo and equal
-points stay equal; the memo lives and dies with its object.
+an entry of the P and Q products.  So every theta value at a point comes
+from one memo, made by ``theta_memo(p, trunc)``: a callable x ->
+theta(x; p) that evaluates each argument once and keeps the value in its
+dict (an argument with a real or imaginary part 0 is kept under x and the
+signs of its parts, since x + 0j and x - 0j are one key but may differ in
+theta).  An ``EllipticParams`` holds its memos per ``Truncation`` in its
+``thetas`` field.  The field takes no part in ``__init__``, ``==``,
+``hash`` or ``repr``, so ``dataclasses.replace`` returns an object with an
+empty memo and equal points stay equal; the memo lives and dies with its
+object.  The determinant forms take the same memo: ``linalg``'s Frobenius
+and theta-Vandermonde forms as a theta callable, ``detreps``' elliptic bs
+and mpt forms through their ``EllipticParams``.  There is no module-level
+cache of theta values.
 
 The polynomial versions P and Q are the same sums with the member ratios'
 denominators cleared: each member of K contributes the numerator product
@@ -174,11 +178,14 @@ class Regime:
     """One row of ``REGIMES``; every entry takes the core parameters.
 
     ``pair(params, trunc)`` returns d and ``shift(params, inverse)`` returns
-    sigma or its inverse; ``scale(params, k)`` is q^k, and 1 in the additive
-    regime; ``weights(params, vside, size, trunc)`` lists w(0..size) for the
-    F side (``vside``) or the G side; ``prefactor(params)`` is the G side's
-    factor in front of its sum; ``singular(params, trunc)`` lists the values
-    besides those of d that must not vanish.
+    sigma or its inverse.  ``scale(params, k)`` is lambda^k, where
+    d(sigma a, sigma b) = lambda d(a, b): q in the trigonometric rows, 1 in
+    the rational row and 1 in the elliptic row, whose theta(b/a; p) does not
+    change under a, b -> q a, q b.  ``weights(params, vside, size, trunc)``
+    lists w(0..size) for the F side (``vside``) or the G side;
+    ``prefactor(params)`` is the G side's factor in front of its sum;
+    ``singular(params, trunc)`` lists the values besides those of d that
+    must not vanish.
     """
 
     pair: Callable
@@ -193,32 +200,38 @@ def _difference(params, trunc):
     return operator.sub
 
 
-def theta_quotient(p, trunc=DEFAULT_TRUNCATION):
-    """The elliptic pair function d(a, b) = theta(b/a; p)."""
-    return lambda a, b: theta(b / a, p, trunc)
+def theta_memo(p, trunc=DEFAULT_TRUNCATION, values=None):
+    """x -> theta(x; p), evaluated once per argument held in ``values``.
 
-
-def _theta_memo(params, trunc):
-    """x -> theta(x; params.p), evaluated once per argument on ``params``."""
-    values = params.thetas.get(trunc)
+    ``values`` is the memo's dict, a new one when None; one memo serves one
+    point (module docstring).
+    """
     if values is None:
-        values = params.thetas[trunc] = {}
-    p = params.p
+        values = {}
 
     def th(x):
-        value = values.get(x)
+        # x + 0j and x - 0j are one key, so a zero part's sign joins the key
+        key = x if x.real and x.imag else (x, math.copysign(1, x.real), math.copysign(1, x.imag))
+        value = values.get(key)
         if value is None:
-            value = theta(x, p, trunc)
-            if x.real and x.imag:  # no zero part whose sign the key would lose
-                values[x] = value
+            value = values[key] = theta(x, p, trunc)
         return value
 
     return th
 
 
-def _theta_quotient(params, trunc):
-    th = _theta_memo(params, trunc)
+def _theta_memo(params, trunc):
+    """``theta_memo`` on the ``thetas`` field of an ``EllipticParams``."""
+    return theta_memo(params.p, trunc, params.thetas.setdefault(trunc, {}))
+
+
+def theta_quotient(th):
+    """The elliptic pair function d(a, b) = theta(b/a; p), for th(x) = theta(x; p)."""
     return lambda a, b: th(b / a)
+
+
+def _theta_quotient(params, trunc):
+    return theta_quotient(_theta_memo(params, trunc))
 
 
 def _additive_shift(params, inverse=False):
@@ -317,7 +330,7 @@ REGIMES = {
         _trig_singular,
     ),
     "elliptic": Regime(
-        _theta_quotient, _multiplicative_shift, _q_scale, _elliptic_weights, _no_prefactor,
+        _theta_quotient, _multiplicative_shift, _unit_scale, _elliptic_weights, _no_prefactor,
         _elliptic_singular,
     ),
 }
@@ -651,7 +664,7 @@ def source_via_difference_ops(regime: str, side: str, params, trunc=DEFAULT_TRUN
     shift = reg.shift(params, inverse=side == "F")
 
     if regime == "elliptic":
-        p, lam, th = params.p, params.lam, _theta_memo(params, trunc)
+        lam, th = params.lam, _theta_memo(params, trunc)
         pref = th(lam)
         pref *= prod(th(ui / vj) for ui in u for vj in v)
         for i in range(n):
@@ -659,9 +672,9 @@ def source_via_difference_ops(regime: str, side: str, params, trunc=DEFAULT_TRUN
                 pref /= u[j] * th(u[i] / u[j])
                 pref /= th(v[j] / v[i]) / v[j]
         if side == "F":
-            inner = lambda vv: det(frobenius_matrix(u, vv, lam, p, trunc))
+            inner = lambda vv: det(frobenius_matrix(u, vv, lam, th))
         else:
-            inner = lambda uu: det(frobenius_matrix(uu, v, lam, p, trunc))
+            inner = lambda uu: det(frobenius_matrix(uu, v, lam, th))
         return pref * apply_difference_product(inner, range(n), shift, z, xs)
 
     pref = prod(vi - uk for vi in v for uk in u) / vandermonde(xs)

@@ -18,7 +18,7 @@ from srcid.engine import (
     sample_params,
 )
 from srcid.fields import COMPLEX, EXACT
-from srcid.sources import theta_quotient
+from srcid.sources import theta_memo, theta_quotient
 
 
 def test_registry_covers_every_kind():
@@ -160,7 +160,7 @@ def test_distinct_takes_a_pair_function_and_rejects_a_zero_entry():
     assert not exact.distinct((Fraction(1), Fraction(1)))
     assert not exact.distinct((Fraction(1), Fraction(4)), lambda a, b: a - b - 3)
     ctx = PointContext(random.Random("x"), COMPLEX, cfg)
-    d = theta_quotient(0.3 + 0.1j)
+    d = theta_quotient(theta_memo(0.3 + 0.1j))
     assert ctx.distinct((1.1 + 0.2j, 0.5 - 0.6j), d)
     # theta(0; p) and a division by 0 are singular values, not errors
     assert not ctx.distinct((1.1 + 0.2j, 0j), d)

@@ -16,6 +16,7 @@ from srcid.linalg import (
     frobenius_closed,
     frobenius_matrix,
 )
+from srcid.sources import theta_memo
 
 
 def rand_complex(rng, lo=0.4, hi=2.0):
@@ -162,8 +163,9 @@ def test_frobenius_1x1():
     rng = random.Random(37)
     u, v, lam = (rand_complex(rng) for _ in range(3))
     p = 0.3 * cmath.exp(0.4j)
-    matrix = frobenius_matrix((u,), (v,), lam, p)
-    assert abs(matrix[0][0] - frobenius_closed((u,), (v,), lam, p)) < 1e-12 * abs(
+    th = theta_memo(p)
+    matrix = frobenius_matrix((u,), (v,), lam, th)
+    assert abs(matrix[0][0] - frobenius_closed((u,), (v,), lam, th)) < 1e-12 * abs(
         matrix[0][0]
     )
 
@@ -182,19 +184,19 @@ def test_frobenius_flat_nome_exact():
             if any(lam * ui == vj for ui in u for vj in v):
                 continue
             break
-        p = Fraction(0)
-        assert det(frobenius_matrix(u, v, lam, p)) == frobenius_closed(u, v, lam, p)
+        th = theta_memo(Fraction(0))
+        assert det(frobenius_matrix(u, v, lam, th)) == frobenius_closed(u, v, lam, th)
 
 
 def test_frobenius_matches_determinant():
     rng = random.Random(43)
-    p = 0.3 * cmath.exp(1.1j)
+    th = theta_memo(0.3 * cmath.exp(1.1j))
     for n in (2, 4):
         u = tuple(rand_complex(rng) for _ in range(n))
         v = tuple(rand_complex(rng) for _ in range(n))
         lam = rand_complex(rng)
-        lhs = det(frobenius_matrix(u, v, lam, p))
-        rhs = frobenius_closed(u, v, lam, p)
+        lhs = det(frobenius_matrix(u, v, lam, th))
+        rhs = frobenius_closed(u, v, lam, th)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
@@ -205,17 +207,17 @@ def test_frobenius_permutation_signs():
     u = tuple(rand_complex(rng) for _ in range(n))
     v = tuple(rand_complex(rng) for _ in range(n))
     lam = rand_complex(rng)
-    p = 0.25 * cmath.exp(0.9j)
-    base_det = det(frobenius_matrix(u, v, lam, p))
-    base_closed = frobenius_closed(u, v, lam, p)
+    th = theta_memo(0.25 * cmath.exp(0.9j))
+    base_det = det(frobenius_matrix(u, v, lam, th))
+    base_closed = frobenius_closed(u, v, lam, th)
     for sigma in permutations(range(n)):
         sign_sigma = perm_sign(sigma)
         for tau in permutations(range(n)):
             sign = sign_sigma * perm_sign(tau)
             pu = tuple(u[i] for i in sigma)
             pv = tuple(v[i] for i in tau)
-            d = det(frobenius_matrix(pu, pv, lam, p))
-            c = frobenius_closed(pu, pv, lam, p)
+            d = det(frobenius_matrix(pu, pv, lam, th))
+            c = frobenius_closed(pu, pv, lam, th)
             assert abs(d - sign * base_det) <= 1e-9 * max(1.0, abs(base_det))
             assert abs(c - sign * base_closed) <= 1e-9 * max(1.0, abs(base_closed))
 
@@ -246,7 +248,7 @@ def test_theta_vandermonde_n1():
     rng = random.Random(53)
     u = (rand_complex(rng),)
     p = 0.2 * cmath.exp(0.3j)
-    lhs, rhs = elliptic_vandermonde_sides(u, p, rand_complex(rng))
+    lhs, rhs = elliptic_vandermonde_sides(u, p, rand_complex(rng), theta_memo(p))
     assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
 
 
@@ -254,7 +256,7 @@ def test_theta_vandermonde_flat_nome_exact():
     rng = random.Random(59)
     u = distinct_fractions(rng, 3)
     r = rand_fraction(rng)
-    lhs, rhs = elliptic_vandermonde_sides(u, Fraction(0), r)
+    lhs, rhs = elliptic_vandermonde_sides(u, Fraction(0), r, theta_memo(Fraction(0)))
     assert lhs == rhs
     expected = (1 - r * u[0] * u[1] * u[2])
     for i in range(3):
@@ -270,7 +272,7 @@ def test_theta_vandermonde_sweep():
         u = tuple(rand_complex(rng) for _ in range(n))
         p = rng.uniform(0.1, 0.45) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         r = rand_complex(rng)
-        lhs, rhs = elliptic_vandermonde_sides(u, p, r)
+        lhs, rhs = elliptic_vandermonde_sides(u, p, r, theta_memo(p))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 

@@ -12,6 +12,7 @@ import pytest
 from srcid.linalg import prod
 from srcid.qseries import Truncation, qpoch_n, theta
 from srcid.sources import (
+    REGIMES,
     EllipticParams,
     RatParams,
     SizeCapError,
@@ -30,6 +31,7 @@ from srcid.sources import (
     source_polynomial_form,
     source_subset_sum,
     source_via_difference_ops,
+    theta_memo,
     theta_quotient,
     trig_F,
     trig_G,
@@ -729,7 +731,7 @@ def test_general_position_lists_every_ordered_pair():
                          u=(1.1 + 0.2j, 0.5 - 0.6j, 0.9j), v=(1.0 + 0j, -0.8 + 0.3j, 1.3))
     n = ell.n
     assert len(general_position("elliptic", ell)) == 1 + 2 * n * (n - 1) + 2 * n * n
-    d = theta_quotient(ell.p)
+    d = theta_quotient(theta_memo(ell.p))
     assert apart(d, ell.u) == [d(a, b) for a in ell.u for b in ell.u if a != b]
     assert abs(d(ell.u[0], ell.u[1])) != abs(d(ell.u[1], ell.u[0]))
     # |a - b| = |b - a|: the difference lists each unordered pair once
@@ -773,6 +775,86 @@ def test_elliptic_theta_values_are_evaluated_once_per_point(monkeypatch):
     for source in (elliptic_F, elliptic_G, elliptic_P, elliptic_Q):
         source(params)
     assert len(calls) == before
+
+
+def test_determinant_paths_evaluate_each_theta_value_once_per_point(monkeypatch):
+    """The Frobenius and theta-Vandermonde runners and the elliptic bs and mpt
+    representations take every theta value from one memo per point (psi_A's
+    own theta is left out)."""
+    import srcid.detreps as detreps
+    import srcid.engine as engine
+    import srcid.linalg as linalg
+    import srcid.sources as sources
+
+    calls = []
+
+    def counted(x, p, trunc=TRUNC):
+        calls.append((repr(x), repr(p)))  # repr keeps the sign of a zero part
+        return theta(x, p, trunc)
+
+    for module in (sources, linalg, detreps, engine):
+        monkeypatch.setattr(module, "theta", counted, raising=False)
+    for case_id in ("frobenius_factorization", "theta_vandermonde_factorization"):
+        calls.clear()
+        assert engine.run_case(case_id, engine.SamplingConfig(points=5)).passed
+        assert calls and len(calls) == len(set(calls)), case_id
+    rng = random.Random(37)
+    params = _elliptic_point()
+    mix = ((1, 2, 0), (0, 1, 0), (3, 0, 1))
+    aux = detreps.AuxParams(r=rand_complex(rng), pmat=mix, qmat=mix,
+                            eta=tuple(rand_complex(rng) for _ in range(params.n)))
+    for family in ("bs", "mpt"):
+        for side in ("F", "G"):
+            point = replace(params)
+            calls.clear()
+            assert 0 not in detreps.aux_general_position("elliptic", family, side, point, aux)
+            value = detreps.det_rep("elliptic", family, side, point, aux)
+            assert cmath.isclose(value, source_subset_sum("elliptic", side, point), rel_tol=1e-8)
+            assert calls and len(calls) == len(set(calls)), (family, side)
+
+
+def test_scale_is_the_factor_of_d_under_the_shift():
+    """d(sigma a, sigma b) = scale(params, 1) d(a, b) in every row of the
+    table: literally over the rationals, to rounding in the elliptic row."""
+    F = Fraction
+    rat = RatParams(c=F(1, 3), z=F(2, 5), u=(F(1), F(2), F(-3, 4)), v=(F(5), F(7, 2)))
+    tri = TrigParams(q=F(-2, 3), z=F(3, 7), u=(F(1), F(2), F(-3, 4)), v=(F(5), F(7, 2)),
+                     lam=F(1, 5))
+    ell = _elliptic_point()
+    for regime, params in (("rational", rat), ("trig", tri), ("trig_lambda", tri),
+                           ("elliptic", ell)):
+        reg = REGIMES[regime]
+        d, sigma = reg.pair(params, TRUNC), reg.shift(params)
+        lam = reg.scale(params, 1)
+        xs = params.u + params.v
+        for a in xs:
+            for b in xs:
+                if a == b:
+                    continue
+                lhs, rhs = d(sigma(a), sigma(b)), lam * d(a, b)
+                if regime == "elliptic":
+                    assert abs(lhs - rhs) <= 1e-12 * abs(rhs), (regime, a, b)
+                else:
+                    assert lhs == rhs, (regime, a, b)
+        assert reg.scale(params, 3) == lam**3
+
+
+def test_theta_memo_keys_a_zero_part_with_its_sign(monkeypatch):
+    import srcid.sources as sources
+
+    p = 0.3 + 0.1j
+    calls = []
+
+    def counted(x, p, trunc):
+        calls.append(x)
+        return theta(x, p, trunc)
+
+    monkeypatch.setattr(sources, "theta", counted)
+    th = theta_memo(p, TRUNC)
+    args = (1.5 + 0.5j, 1.5 + 0j, complex(1.5, -0.0), complex(0.0, 0.7), complex(-0.0, 0.7))
+    for x in args + args:
+        assert repr(th(x)) == repr(theta(x, p, TRUNC))
+    assert len(calls) == len(args)
 
 
 def test_replace_starts_a_fresh_theta_memo():
