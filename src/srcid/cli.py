@@ -173,12 +173,10 @@ def _cmd_verify(args) -> int:
     if patterns:
         for pattern in patterns:
             if not engine.match_cases([pattern], regime="all"):
-                print(f"error: no case matches {pattern!r}", file=sys.stderr)
-                return 2
+                raise UsageError(f"no case matches {pattern!r}")
     cases = engine.match_cases(patterns, regime=args.regime, field_name=args.field)
     if not cases:
-        print("error: selection matches no runnable case", file=sys.stderr)
-        return 2
+        raise UsageError("selection matches no runnable case")
     reports = [engine.run_case(c.case_id, config) for c in cases]
     include_timings = not args.no_timings
     if args.format == "json":
@@ -215,7 +213,7 @@ def _cmd_sample(args) -> int:
         rows.append({
             "point": index,
             "regime": args.regime,
-            "field": config.field or (COMPLEX if args.regime == "elliptic" else EXACT),
+            "field": engine.sample_field(args.regime, config),
             "n": len(params.u),
             "m": len(params.v),
             "params": _params_as_dict(params),
@@ -233,15 +231,12 @@ def _bench_point(seed: int, n: int):
 def _cmd_bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        print("error: --sizes must be comma-separated integers", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise UsageError("--sizes must be comma-separated integers") from exc
     if any(n < 1 or n > sources.SIZE_CAP for n in sizes):
-        print(f"error: sizes must lie in [1, {sources.SIZE_CAP}]", file=sys.stderr)
-        return 2
+        raise UsageError(f"sizes must lie in [1, {sources.SIZE_CAP}]")
     if args.reps < 1:
-        print("error: --reps must be at least 1", file=sys.stderr)
-        return 2
+        raise UsageError("--reps must be at least 1")
     lines = [f"{'n':>4s} {'subset_ms':>12s} {'det_ms':>12s} {'ratio':>10s}"]
     ratios = []
     for n, t_subset, t_det in _bench_times(sizes, args.family, args.reps, args.seed):

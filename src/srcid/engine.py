@@ -37,7 +37,6 @@ import math
 import operator
 import random
 import time
-from itertools import combinations
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -865,20 +864,8 @@ def _q_identity_subsets(ctx: PointContext, n: int):
 def _fixed_size_subset_sums(u, ratio, one) -> list:
     """For l = 0..n, the sum over K subset [0..n) with |K| = l of the
     product of ratio(u_i, u_j) over i in K and j not in K."""
-    n = len(u)
-    sums = []
-    for ell in range(n + 1):
-        total = None
-        for kset in combinations(range(n), ell):
-            inside = set(kset)
-            term = one
-            for i in kset:
-                for j in range(n):
-                    if j not in inside:
-                        term *= ratio(u[i], u[j])
-            total = term if total is None else total + term
-        sums.append(total)
-    return sums
+    pair = [[ratio(a, b) if i != j else None for j, b in enumerate(u)] for i, a in enumerate(u)]
+    return sources.subset_sums_by_size(pair, one=one)
 
 
 def _run_q_subset_ratio(ctx: PointContext):
@@ -893,16 +880,11 @@ def _run_q_subset_ratio(ctx: PointContext):
 def _run_q_inversion_statistic(ctx: PointContext):
     n = ctx.rng.randint(1, 7)
     q = ctx.q_scalar()
-    checks = []
-    for ell in range(n + 1):
-        total = None
-        for kset in combinations(range(1, n + 1), ell):
-            inside = set(kset)
-            inv = sum(1 for i in inside for j in range(1, n + 1) if j not in inside and i > j)
-            term = q ** (-inv)
-            total = term if total is None else total + term
-        checks.append((f"inversion stat, size {ell}", total, q_binomial(n, ell, 1 / q)))
-    return checks
+    # K's term is q^-inv(K), inv(K) = #{(i, j) : i in K, j notin K, i > j}
+    pair = [[1 / q if i > j else 1 for j in range(n)] for i in range(n)]
+    sums = sources.subset_sums_by_size(pair, one=ctx.field.one)
+    return [(f"inversion stat, size {ell}", total, q_binomial(n, ell, 1 / q))
+            for ell, total in enumerate(sums)]
 
 
 def _run_binomial_subset_identity(ctx: PointContext):
@@ -1262,11 +1244,15 @@ def point_seed(master_seed: int, case_id: str, index: int) -> str:
     return f"{master_seed}:{case_id}:{index}"
 
 
+def sample_field(regime: str, config: SamplingConfig) -> str:
+    """The field ``sample_params`` draws ``regime``'s points over."""
+    return config.field or (COMPLEX if regime == "elliptic" else EXACT)
+
+
 def sample_params(regime: str, config: SamplingConfig, point_index: int):
     """Public sampling entry point: deterministic params for (seed, index)."""
     rng = random.Random(point_seed(config.master_seed, f"sample_{regime}", point_index))
-    field_name = config.field or (COMPLEX if regime == "elliptic" else EXACT)
-    ctx = PointContext(rng, field_name, config)
+    ctx = PointContext(rng, sample_field(regime, config), config)
     if regime not in ("elliptic", "trig", "rational"):
         raise ValueError(f"unknown regime {regime!r}")
     n, m = ctx.sizes((1, 4)) if regime == "elliptic" else ctx.sizes((0, 5), (0, 5))

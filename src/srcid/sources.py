@@ -62,11 +62,15 @@ vanishing and evaluation lemmas specialize, so they are summed directly in
 this form rather than by multiplying F by the clearing factor (which would
 be 0/0 at exactly the interesting points).
 
-One kernel, ``_subset_sum``, evaluates all of them.  It decides the indices
-in or out of K depth first and carries the product of the factors between
-decided indices, so each decision costs one multiplication per earlier
-index: O(m 2^m) multiplications and no division, against O(m^2 2^m) for
-evaluating every subset on its own.  The hard size cap is max(n, m) <= 12.
+One kernel, ``subset_sums_by_size``, evaluates all of them.  It decides
+the indices in or out of K depth first and carries the product of the
+factors between decided indices, so each decision costs one multiplication
+per earlier index: O(m 2^m) multiplications and no division, against
+O(m^2 2^m) for evaluating every subset on its own.  It returns one sum per
+size |K|; F, G, P and Q weight those sums by w(|K|).  The kernel is the
+only subset enumerator in srcid: the fixed-size cross-ratio and inversion
+sums of ``engine``'s q-identity cases and the chi_t sums of ``wallcross``
+read its per-size sums unweighted.  The hard size cap is max(n, m) <= 12.
 
 Exact rational, trig and trig_lambda points (every scalar an int or a
 Fraction) walk Python ints instead of Fractions, so no step pays a gcd.
@@ -378,26 +382,26 @@ def _check_cap(*sizes):
         raise SizeCapError(f"subset enumeration capped at max(n, m) <= {SIZE_CAP}")
 
 
-def _subset_sum(weights, pair, inside, outside=None, same=None):
-    """Sum over K subset [0..m) of weights[|K|] times the products of
-    pair[i][j] (i in K, j notin K), inside[i] (i in K), outside[j]
-    (j notin K; no factor when ``outside`` is None) and same[j][i] (i < j
-    on the same side of K; no factor when ``same`` is None).
+def subset_sums_by_size(pair, inside=None, outside=None, same=None, one=1):
+    """[S_0, ..., S_m]: S_s sums over K subset [0..m) with |K| = s the
+    products of pair[i][j] (i in K, j notin K), inside[i] (i in K),
+    outside[j] (j notin K) and same[j][i] (i < j on the same side of K).
+    A table that is None contributes no factor, and the empty product is
+    ``one``, so every S_s has the type of the caller's field.
 
     Index t joins K with inside[t], pair[t][j] for every earlier j left out
     and same[t][i] for every earlier i in K, or stays out with outside[t],
     pair[i][t] for every earlier i in K and same[t][j] for every earlier j
-    left out.  Each leaf adds its product to the sum of its size, and the
-    size sums are weighted once at the end.
+    left out.  Each leaf adds its product to the sum of its size.
     """
-    size = len(inside)
+    size = len(pair)
     by_size = [0] * (size + 1)
 
     def walk(t, term, members, others):
         if t == size:
             by_size[len(members)] += term
             return
-        take = term * inside[t]
+        take = term if inside is None else term * inside[t]
         row = pair[t]
         for j in others:
             take *= row[j]
@@ -413,9 +417,15 @@ def _subset_sum(weights, pair, inside, outside=None, same=None):
         walk(t + 1, take, members + (t,), others)
         walk(t + 1, skip, members, others + (t,))
 
-    walk(0, 1, (), ())
+    walk(0, one, (), ())
+    return by_size
+
+
+def _subset_sum(weights, pair, *tables):
+    """sum_s weights[s] S_s over the ``subset_sums_by_size`` of the tables."""
+    by_size = subset_sums_by_size(pair, *tables)
     total = weights[0] * by_size[0]
-    for s in range(1, size + 1):
+    for s in range(1, len(by_size)):
         total += weights[s] * by_size[s]
     return total
 

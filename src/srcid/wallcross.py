@@ -20,6 +20,14 @@ of the generating-series identity
     sum_l (-z)^l t^{l(l-1)/2} chi+(l)
         = prod_{j=1}^{m-n} (1 - t^{m-j} z) * sum_l (-z)^l t^{l(l-1)/2} chi-(l).
 
+Both signs are one sum: with r(a, b) = (1 - t a/b)/(1 - a/b), the '+'
+side's pair factor is r(v_i, v_j) and its member factor r(u_k, v_i), and
+the '-' side takes r with its arguments swapped.  ``sources``' subset-sum
+kernel walks each side once and returns chi(l) for every l together, so
+``geometric_sides`` weights one list per side by the size weights
+(-z)^l t^{l(l-1)/2} of ``sources``, and ``coeff_identity_sides`` and
+``wallcrossing_sides`` read every order they need from one list per side.
+
 The singleton-weighted correction formula expresses chi+(l) - chi-(l)
 through chi-(l - k) with weights built from the statistic
 
@@ -38,7 +46,9 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+from .linalg import prod
 from .qseries import q_factorial, q_binomial, sym_q_factorial, sym_q_number
+from .sources import _signed_q_powers, subset_sums_by_size
 
 DEC_CAP = 8
 
@@ -84,36 +94,32 @@ def s_stat(i1, i2, signed: bool = False) -> int:
     return below - above
 
 
+def _chi_sums(sign: str, t, u, v, top: int = 0) -> list:
+    """[chi(0), chi(1), ...] on the chosen side, through chi(top) at least:
+    chi(l) = 0 for l above the side's size."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if top < 0:
+        raise ValueError("the order l must be non-negative")
+    plus = sign == "+"
+    xs, ys = (v, u) if plus else (u, v)
+
+    def ratio(a, b):
+        # (1 - t a/b) / (1 - a/b) on the '+' side, (1 - t b/a) / (1 - b/a) on the '-' side
+        if not plus:
+            a, b = b, a
+        return (1 - t * a / b) / (1 - a / b)
+
+    one = t - t + 1
+    pair = [[ratio(a, b) if i != j else None for j, b in enumerate(xs)] for i, a in enumerate(xs)]
+    inside = [prod(ratio(y, x) for y in ys) for x in xs]
+    sums = subset_sums_by_size(pair, inside, one=one)
+    return sums + [t - t] * (top + 1 - len(sums))
+
+
 def chi_genus_integral(sign: str, ell: int, t, u, v):
     """Fixed-point subset sum of size ell on the chosen side ('+' or '-')."""
-    n, m = len(u), len(v)
-    if sign == "+":
-        total = t - t
-        for kset in combinations(range(m), ell):
-            inside = set(kset)
-            term = t - t + 1
-            for i in kset:
-                for j in range(m):
-                    if j not in inside:
-                        term *= (1 - t * v[i] / v[j]) / (1 - v[i] / v[j])
-                for uk in u:
-                    term *= (1 - t * uk / v[i]) / (1 - uk / v[i])
-            total += term
-        return total
-    if sign == "-":
-        total = t - t
-        for kset in combinations(range(n), ell):
-            inside = set(kset)
-            term = t - t + 1
-            for i in kset:
-                for j in range(n):
-                    if j not in inside:
-                        term *= (1 - t * u[j] / u[i]) / (1 - u[j] / u[i])
-                for vk in v:
-                    term *= (1 - t * u[i] / vk) / (1 - u[i] / vk)
-            total += term
-        return total
-    raise ValueError("sign must be '+' or '-'")
+    return _chi_sums(sign, t, u, v, ell)[ell]
 
 
 def geometric_sides(z, t, u, v):
@@ -121,13 +127,9 @@ def geometric_sides(z, t, u, v):
     n, m = len(u), len(v)
     if n > m:
         raise ValueError("needs n <= m")
-    lhs = sum(
-        ((-z) ** l * t ** (l * (l - 1) // 2) * chi_genus_integral("+", l, t, u, v))
-        for l in range(m + 1)
-    )
-    rhs = sum(
-        ((-z) ** l * t ** (l * (l - 1) // 2) * chi_genus_integral("-", l, t, u, v))
-        for l in range(n + 1)
+    lhs, rhs = (
+        sum(w * chi for w, chi in zip(_signed_q_powers(z, t, size), _chi_sums(sign, t, u, v)))
+        for sign, size in (("+", m), ("-", n))
     )
     for j in range(1, m - n + 1):
         rhs *= 1 - t ** (m - j) * z
@@ -139,11 +141,12 @@ def coeff_identity_sides(ell: int, m: int, n: int, t, u, v):
     if len(u) != n or len(v) != m or n > m:
         raise ValueError("needs len(u) = n <= len(v) = m")
     lhs = t ** (ell * (ell - 1) // 2) * chi_genus_integral("+", ell, t, u, v)
+    minus = _chi_sums("-", t, u, v, ell)
     rhs = t - t
     for k in range(0, min(ell, m - n) + 1):
         term = t ** (n * k) * t ** (k * (k - 1) // 2) * q_binomial(m - n, k, t)
         term *= t ** ((ell - k) * (ell - k - 1) // 2)
-        term *= chi_genus_integral("-", ell - k, t, u, v)
+        term *= minus[ell - k]
         rhs += term
     return lhs, rhs
 
@@ -181,10 +184,11 @@ def wallcrossing_sides(ell: int, m: int, n: int, t, u, v, singletons_only: bool 
     """(lhs, rhs) of the correction formula: chi+ - chi- vs the Dec sum."""
     if len(u) != n or len(v) != m:
         raise ValueError("needs len(u) = n, len(v) = m")
-    lhs = chi_genus_integral("+", ell, t, u, v) - chi_genus_integral("-", ell, t, u, v)
+    minus = _chi_sums("-", t, u, v, ell)
+    lhs = chi_genus_integral("+", ell, t, u, v) - minus[ell]
     rhs = t - t
     for k in range(1, ell + 1):
-        chi_rest = chi_genus_integral("-", ell - k, t, u, v)
+        chi_rest = minus[ell - k]
         for coll in enumerate_dec(ell, k, singletons_only=singletons_only):
             rhs += dec_weight(coll, ell, m, n, t) * chi_rest
     return lhs, rhs

@@ -6,6 +6,7 @@ import operator
 import random
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -31,6 +32,7 @@ from srcid.sources import (
     source_polynomial_form,
     source_subset_sum,
     source_via_difference_ops,
+    subset_sums_by_size,
     theta_memo,
     theta_quotient,
     trig_F,
@@ -529,6 +531,57 @@ def test_kernel_matches_the_literal_enumeration():
         params = sample_elliptic(rng, n)
         for side in "FGPQ":
             assert_kernel_matches_literal("elliptic", side, params, exact=False)
+
+
+def size_sums_literal(pair, inside=None, outside=None, same=None):
+    """Each size's sum, multiplying out the term of every K of that size."""
+    size = len(pair)
+    sums = []
+    for ell in range(size + 1):
+        total = 0
+        for kset in combinations(range(size), ell):
+            term = Fraction(1)
+            for i in range(size):
+                for j in range(size):
+                    if i in kset and j not in kset:
+                        term *= pair[i][j]
+                    if same is not None and j < i and (i in kset) == (j in kset):
+                        term *= same[i][j]
+                table = inside if i in kset else outside
+                if table is not None:
+                    term *= table[i]
+            total += term
+        sums.append(total)
+    return sums
+
+
+def test_size_sums_match_the_literal_enumeration():
+    # asymmetric Fraction tables with zero entries: a kernel that reads a
+    # table transposed or drops a factor changes some size's sum
+    rng = random.Random(79)
+
+    def entry():
+        return Fraction(0) if rng.random() < 0.1 else rand_fraction(rng)
+
+    zeros = 0
+    for size in range(8):
+        for _ in range(3):
+            pair = [[entry() if i != j else None for j in range(size)] for i in range(size)]
+            inside = [entry() for _ in range(size)]
+            outside = [entry() for _ in range(size)]
+            same = [[entry() for _ in range(t)] for t in range(size)]
+            zeros += sum(row.count(0) for row in pair)
+            for tables in ((pair,), (pair, inside), (pair, inside, outside, same)):
+                sums = subset_sums_by_size(*tables, one=Fraction(1))
+                assert sums == size_sums_literal(*tables), (size, tables)
+    assert zeros
+
+
+def test_size_sums_keep_the_type_of_one():
+    assert subset_sums_by_size([], one=1 + 0j) == [1 + 0j]
+    assert type(subset_sums_by_size([], one=1 + 0j)[0]) is complex
+    assert type(subset_sums_by_size([], one=Fraction(1))[0]) is Fraction
+    assert subset_sums_by_size([[None]], one=Fraction(1)) == [1, 1]
 
 
 def test_cleared_forms_match_the_literal_enumeration_where_F_is_singular():

@@ -132,6 +132,53 @@ def test_s_stat_complement_count():
 # ---------------------------------------------------------------------------
 
 
+def chi_literal(sign, ell, t, u, v):
+    """The fixed-point subset sum of size ell, one subset at a time."""
+    n, m = len(u), len(v)
+    if sign == "+":
+        total = t - t
+        for kset in combinations(range(m), ell):
+            inside = set(kset)
+            term = t - t + 1
+            for i in kset:
+                for j in range(m):
+                    if j not in inside:
+                        term *= (1 - t * v[i] / v[j]) / (1 - v[i] / v[j])
+                for uk in u:
+                    term *= (1 - t * uk / v[i]) / (1 - uk / v[i])
+            total += term
+        return total
+    if sign == "-":
+        total = t - t
+        for kset in combinations(range(n), ell):
+            inside = set(kset)
+            term = t - t + 1
+            for i in kset:
+                for j in range(n):
+                    if j not in inside:
+                        term *= (1 - t * u[j] / u[i]) / (1 - u[j] / u[i])
+                for vk in v:
+                    term *= (1 - t * u[i] / vk) / (1 - u[i] / vk)
+            total += term
+        return total
+    raise ValueError("sign must be '+' or '-'")
+
+
+def test_chi_matches_the_literal_oracle():
+    rng = random.Random(47)
+    for n in range(5):
+        for m in range(5):
+            t, u, v = wallcross_point(rng, n, m)
+            for tt in (t, Fraction(1)):
+                for sign, size in (("+", m), ("-", n)):
+                    for ell in range(size + 2):
+                        value = chi_genus_integral(sign, ell, tt, u, v)
+                        assert value == chi_literal(sign, ell, tt, u, v), (sign, ell, tt, u, v)
+                        assert type(value) is Fraction
+                    with pytest.raises(ValueError):
+                        chi_genus_integral(sign, -1, tt, u, v)
+
+
 def test_chi_size_zero_is_one():
     rng = random.Random(5)
     t, u, v = wallcross_point(rng, 2, 3)
