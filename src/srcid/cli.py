@@ -222,10 +222,12 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _bench_point(seed: int, n: int):
+def _bench_point(seed: int, n: int, family: str):
+    """A rational point at n = m and the family's F-side aux, drawn after it."""
     config = SamplingConfig(master_seed=seed, field=COMPLEX)
     ctx = engine.PointContext(random.Random(f"{seed}:bench:{n}"), COMPLEX, config)
-    return ctx.sample_rational(n, n)
+    params = ctx.sample_rational(n, n)
+    return params, ctx.sample_aux("rational", family, "F", params)
 
 
 def _cmd_bench(args) -> int:
@@ -258,10 +260,10 @@ def _timed(fn) -> float:
 def _bench_times(sizes, family: str, reps: int, seed: int):
     """(n, best subset-sum seconds, best determinant seconds) per n = m in ``sizes``."""
     for n in sizes:
-        params = _bench_point(seed, n)
+        params, aux = _bench_point(seed, n, family)
         t_subset = min(_timed(lambda: sources.rational_F(params)) for _ in range(reps))
         t_det = min(
-            _timed(lambda: detreps.det_rep("rational", family, "F", params))
+            _timed(lambda: detreps.det_rep("rational", family, "F", params, aux))
             for _ in range(reps)
         )
         yield n, t_subset, t_det

@@ -342,46 +342,46 @@ def _bs_elliptic(side, params, aux, trunc):
     return pref * det(entries)
 
 
+def _lagrange_row(x, nodes):
+    """[prod_{k != j} (x - nodes_k) for each j], each the left fold in k from
+    x - x + 1: the differences are formed once, and every j continues the
+    running product of the differences before it with those after it."""
+    diffs = [x - e for e in nodes]
+    head, row = x - x + 1, []
+    for j, d in enumerate(diffs, 1):
+        acc = head
+        for e in diffs[j:]:
+            acc *= e
+        row.append(acc)
+        head *= d
+    return row
+
+
 def _bs_flat(regime, side, params, aux, trunc, limit: bool):
     xs, row_shift, zeff, ratio, pref = _flat_side(regime, side, params)
     size = len(xs)
-    eta = aux.eta
+    eta, delta = aux.eta, aux.delta
     _require(eta is not None and len(eta) == size, "bs needs eta of matching length")
     _require(len(set(eta)) == size, "eta nodes must be pairwise distinct")
+    _require(limit or delta not in (None, 0, 1), "bs needs delta outside {0, 1}")
     eta_ref = tuple(map(REGIMES[regime].shift(params), eta))
 
-    def lagrange(jj, x):
-        acc = x - x + 1
-        for k in range(size):
-            if k != jj:
-                acc *= x - eta[k]
-        return acc
+    def basis(x):
+        # every basis function at x: the Lagrange products, deformed unless limit
+        row = _lagrange_row(x, eta)
+        return row if limit else [a - b / delta for a, b in zip(row, _lagrange_row(x, eta_ref))]
 
-    if limit:
-        basis = lagrange
-    else:
-        delta = aux.delta
-        _require(delta is not None and delta != 1 and delta != 0, "bs needs delta outside {0, 1}")
-
-        def basis(jj, x):
-            acc = lagrange(jj, x)
-            ref = x - x + 1
-            for k in range(size):
-                if k != jj:
-                    ref *= x - eta_ref[k]
-            return acc - ref / delta
-
-    # each basis value at a node serves the plain matrix and the entries
-    plain = [[basis(j, x) for j in range(size)] for x in xs]
+    # each node's basis row serves the plain matrix and the entries
+    plain = [basis(x) for x in xs]
     if limit:
         denom = prod((xs[j] - xs[i]) * (eta[i] - eta[j]) for i, j in _pairs_below(xs))
     else:
         denom = det(plain)
         _require(denom != 0, "degenerate deformed node basis")
-    entries = []
-    for x, row, r in zip(xs, plain, ratio):
-        sx = row_shift(x)
-        entries.append([row[j] - zeff * basis(j, sx) * r for j in range(size)])
+    entries = [
+        [b - zeff * bs * r for b, bs in zip(row, basis(row_shift(x)))]
+        for x, row, r in zip(xs, plain, ratio)
+    ]
     return pref * det(entries) / denom
 
 

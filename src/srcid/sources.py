@@ -392,15 +392,14 @@ def subset_sums_by_size(pair, inside=None, outside=None, same=None, one=1):
     Index t joins K with inside[t], pair[t][j] for every earlier j left out
     and same[t][i] for every earlier i in K, or stays out with outside[t],
     pair[i][t] for every earlier i in K and same[t][j] for every earlier j
-    left out.  Each leaf adds its product to the sum of its size.
+    left out.  Each leaf adds its product to the sum of its size; the two
+    leaves of the last index are added there, without a further call.
     """
     size = len(pair)
     by_size = [0] * (size + 1)
+    last = size - 1
 
     def walk(t, term, members, others):
-        if t == size:
-            by_size[len(members)] += term
-            return
         take = term if inside is None else term * inside[t]
         row = pair[t]
         for j in others:
@@ -414,10 +413,17 @@ def subset_sums_by_size(pair, inside=None, outside=None, same=None, one=1):
                 take *= near[i]
             for j in others:
                 skip *= near[j]
+        if t == last:
+            by_size[len(members) + 1] += take
+            by_size[len(members)] += skip
+            return
         walk(t + 1, take, members + (t,), others)
         walk(t + 1, skip, members, others + (t,))
 
-    walk(0, one, (), ())
+    if size:
+        walk(0, one, (), ())
+    else:
+        by_size[0] += one
     return by_size
 
 

@@ -156,24 +156,27 @@ def verify_coeff_identity(ell, m, n, t, u, v):
     return lhs - rhs
 
 
-def dec_weight(coll, ell: int, m: int, n: int, t, apply_gamma: bool = True):
+def dec_weight(coll, ell: int, m: int, n: int, t, apply_gamma: bool = True, facts=None):
     """Weight of one collection in the singleton correction formula.
 
     [l-k]_t!/[l]_t! * prod_i [d_i - 1]_t!/(t-1) * gamma(d_i)
         * t^{-(l-i) d_i} * (t^{s(I_i, R_i) + m d_i} - t^{s(R_i, I_i) + n d_i})
 
     with R_i = [1..l] minus the union of the first i parts, and
-    gamma(d) = 1 for d = 1, 0 otherwise.
+    gamma(d) = 1 for d = 1, 0 otherwise.  ``facts`` lists [j]_t! for
+    j = 0..l, formed here when omitted.
     """
+    if facts is None:
+        facts = [q_factorial(j, t) for j in range(ell + 1)]
     k = sum(len(part) for part in coll)
-    weight = q_factorial(ell - k, t) / q_factorial(ell, t)
+    weight = facts[ell - k] / facts[ell]
     remaining = set(range(1, ell + 1))
     for i, part in enumerate(coll, start=1):
         d = len(part)
         if apply_gamma and d != 1:
             return t - t
         remaining -= part
-        factor = q_factorial(d - 1, t) / (t - 1)
+        factor = facts[d - 1] / (t - 1)
         factor *= t ** (-(ell - i) * d)
         factor *= t ** (s_stat(part, remaining) + m * d) - t ** (s_stat(remaining, part) + n * d)
         weight *= factor
@@ -187,10 +190,11 @@ def wallcrossing_sides(ell: int, m: int, n: int, t, u, v, singletons_only: bool 
     minus = _chi_sums("-", t, u, v, ell)
     lhs = chi_genus_integral("+", ell, t, u, v) - minus[ell]
     rhs = t - t
+    facts = [q_factorial(j, t) for j in range(ell + 1)]
     for k in range(1, ell + 1):
         chi_rest = minus[ell - k]
         for coll in enumerate_dec(ell, k, singletons_only=singletons_only):
-            rhs += dec_weight(coll, ell, m, n, t) * chi_rest
+            rhs += dec_weight(coll, ell, m, n, t, facts=facts) * chi_rest
     return lhs, rhs
 
 

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from srcid import detreps
 from srcid.cli import bench_ratios, main
 
 
@@ -138,6 +141,15 @@ def test_bench_outputs_table(capsys):
     assert code == 0
     assert "ratio" in out
     assert "ratio strictly increasing" in out
+
+
+@pytest.mark.parametrize("family", sorted(detreps.AVAILABILITY["rational"] - {"ik"}))
+def test_bench_runs_every_family(capsys, family):
+    # bs, bs_limit and mpt need auxiliary parameters, drawn after the point
+    code, out, err = run_cli(capsys, "bench", "--sizes", "2,3", "--reps", "1", "--family", family)
+    assert code == 0, err
+    assert "det_ms" in out and "ratio strictly increasing" in out
+    assert "Traceback" not in err
 
 
 def test_bench_rejects_bad_sizes(capsys):

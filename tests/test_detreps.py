@@ -12,6 +12,7 @@ from srcid.detreps import (
     AuxInvariantError,
     AuxParams,
     UnavailableRepresentationError,
+    _flat_side,
     aux_general_position,
     build_dwbc_matrix,
     det_rep,
@@ -21,6 +22,7 @@ from srcid.detreps import (
 from srcid.linalg import det, det_exact, prod
 from srcid.qseries import Truncation
 from srcid.sources import (
+    REGIMES,
     EllipticParams,
     RatParams,
     TrigParams,
@@ -298,6 +300,75 @@ def test_flat_families_match_sources_exactly():
                     assert v1 == ref, (regime, family, side, n, m)
                     assert v2 == v1
                     hits += 1
+
+
+def bs_flat_literal(regime, side, params, aux, limit):
+    """The nome-0 bs determinant with each basis value its own product of
+    size - 1 factors, formed once per (basis index, node)."""
+    xs, row_shift, zeff, ratio, pref = _flat_side(regime, side, params)
+    size = len(xs)
+    eta = aux.eta
+    eta_ref = tuple(map(REGIMES[regime].shift(params), eta))
+
+    def lagrange(jj, x):
+        acc = x - x + 1
+        for k in range(size):
+            if k != jj:
+                acc *= x - eta[k]
+        return acc
+
+    if limit:
+        basis = lagrange
+    else:
+        delta = aux.delta
+
+        def basis(jj, x):
+            acc = lagrange(jj, x)
+            ref = x - x + 1
+            for k in range(size):
+                if k != jj:
+                    ref *= x - eta_ref[k]
+            return acc - ref / delta
+
+    plain = [[basis(j, x) for j in range(size)] for x in xs]
+    if limit:
+        denom = prod(
+            (xs[j] - xs[i]) * (eta[i] - eta[j]) for i in range(size) for j in range(i + 1, size)
+        )
+    else:
+        denom = det(plain)
+    entries = []
+    for x, row, r in zip(xs, plain, ratio):
+        sx = row_shift(x)
+        entries.append([row[j] - zeff * basis(j, sx) * r for j in range(size)])
+    return pref * det(entries) / denom
+
+
+def test_bs_families_keep_every_bit_of_the_per_index_basis():
+    # equal Fractions over the exact field and equal reprs over the complex
+    # one: the node basis may share work between indices, never reorder it
+    rng = random.Random(37)
+    for regime in ("rational", "trig"):
+        draw = sample_rational if regime == "rational" else sample_trig
+        for family in ("bs", "bs_limit"):
+            for side in ("F", "G"):
+                for size in range(1, 8):
+                    other = rng.randint(1, 4)
+                    n, m = (other, size) if side == "F" else (size, other)
+                    params = draw(rng, n, m)
+                    for cplx in (False, True):
+                        point = _to_complex(params, regime) if cplx else params
+                        aux = sample_aux(rng, size, complex_field=cplx)
+                        limit = family == "bs_limit"
+                        try:
+                            literal = bs_flat_literal(regime, side, point, aux, limit)
+                        except ZeroDivisionError:
+                            continue
+                        value = det_rep(regime, family, side, point, aux)
+                        if cplx:
+                            assert repr(value) == repr(literal), (regime, family, side, size)
+                        else:
+                            assert value == literal, (regime, family, side, size)
 
 
 def sample_elliptic(rng, n):

@@ -577,6 +577,53 @@ def test_size_sums_match_the_literal_enumeration():
     assert zeros
 
 
+def size_sums_walk_literal(pair, inside=None, outside=None, same=None, one=1):
+    """The kernel's walk with one call per leaf: every subset recurses to
+    t = size and adds its product there, in depth-first order."""
+    size = len(pair)
+    by_size = [0] * (size + 1)
+
+    def walk(t, term, members, others):
+        if t == size:
+            by_size[len(members)] += term
+            return
+        take = term if inside is None else term * inside[t]
+        row = pair[t]
+        for j in others:
+            take *= row[j]
+        skip = term if outside is None else term * outside[t]
+        for i in members:
+            skip *= pair[i][t]
+        if same is not None:
+            near = same[t]
+            for i in members:
+                take *= near[i]
+            for j in others:
+                skip *= near[j]
+        walk(t + 1, take, members + (t,), others)
+        walk(t + 1, skip, members, others + (t,))
+
+    walk(0, one, (), ())
+    return by_size
+
+
+def test_size_sums_keep_every_bit_of_the_walk_with_one_call_per_leaf():
+    # complex tables: adding each slot's leaves in another order, or
+    # multiplying a term's factors in another order, moves the last bits
+    rng = random.Random(83)
+    for size in range(9):
+        pair = [[rand_complex(rng) if i != j else None for j in range(size)] for i in range(size)]
+        inside = [rand_complex(rng) for _ in range(size)]
+        outside = [rand_complex(rng) for _ in range(size)]
+        same = [[rand_complex(rng) for _ in range(t)] for t in range(size)]
+        for mask in range(8):
+            tables = [table if mask >> bit & 1 else None
+                      for bit, table in enumerate((inside, outside, same))]
+            sums = subset_sums_by_size(pair, *tables, one=1 + 0j)
+            literal = size_sums_walk_literal(pair, *tables, one=1 + 0j)
+            assert repr(sums) == repr(literal), (size, mask)
+
+
 def test_size_sums_keep_the_type_of_one():
     assert subset_sums_by_size([], one=1 + 0j) == [1 + 0j]
     assert type(subset_sums_by_size([], one=1 + 0j)[0]) is complex
