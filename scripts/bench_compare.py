@@ -7,10 +7,14 @@ Run from the repository root.  Each commit is exported with ``git archive``
 into its own temporary directory, so only committed files are measured.
 Pair i runs ``perfbench/run.py --trace 0`` once on each commit at seed
 ``--seed + i``; even pairs run the base first, odd pairs the head first.
-After the pairs, one ``--trace 1`` run per commit at ``--seed`` gives the
-per-layer metrics.  The file records every run, each side's median and
-quartiles, how many pairs the head won per end-to-end metric (ties count
-for neither side), the report hash of each run, and the machine.
+After the pairs, three ``--trace 1`` runs per commit at ``--seed``,
+alternating base and head, give the per-layer metrics: each layer records
+its three values per side and their median, since a single traced run
+cannot resolve a layer of a few milliseconds.  Count layers must repeat
+exactly across the three runs, or the script stops.  The file records
+every run, each side's median and quartiles, how many pairs the head won
+per end-to-end metric (ties count for neither side), the report hash of
+each run, and the machine.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3  # per commit and workload; each layer records the median
 
 
 def git(*args) -> str:
@@ -82,18 +87,26 @@ def compare(trees: dict, workload: str, pairs: int, seed: int, seconds: float,
             "head_wins": sum(1 for b, h in zip(base, head) if sign * (h - b) > 0),
             "base_wins": sum(1 for b, h in zip(base, head) if sign * (h - b) < 0),
         }
-    traced = {side: bench(trees[side], workload, seed, seconds, trace=1)["metrics"]
-              for side in ("base", "head")}
-    per_layer = {
-        name: {"unit": traced["base"][name]["unit"],
-               "base": traced["base"][name]["value"], "head": traced["head"][name]["value"]}
-        for name in traced["base"]
-        if traced["base"][name]["value"] or traced["head"][name]["value"]
-    }
+    traced = {"base": [], "head": []}
+    for i in range(TRACED_RUNS):
+        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+            traced[side].append(bench(trees[side], workload, seed, seconds, trace=1)["metrics"])
+    per_layer = {}
+    for name, metric in traced["base"][0].items():
+        values = {side: [run[name]["value"] for run in traced[side]] for side in traced}
+        if not any(values["base"] + values["head"]):
+            continue
+        if metric["unit"] == "count" and any(len(set(v)) > 1 for v in values.values()):
+            raise RuntimeError(f"{workload} {name} differs between traced runs: {values}")
+        per_layer[name] = {"unit": metric["unit"],
+                           "base": statistics.median(values["base"]),
+                           "head": statistics.median(values["head"]),
+                           "base_runs": values["base"], "head_runs": values["head"]}
     return {
         "seeds": [seed + i for i in range(pairs)],
         "end_to_end": end_to_end,
         "per_layer_trace_1_seed": seed,
+        "per_layer_trace_1_runs": TRACED_RUNS,
         "per_layer": per_layer,
         "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
         "failed": {side: [r["failed"] for r in runs[side]] for side in runs},

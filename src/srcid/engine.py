@@ -973,11 +973,12 @@ def _lascoux_point(ctx: PointContext, n: int):
     def accept(t3):
         # u_i - u_j is also kept off +-c, and v_i - u_k off 0 and +-c
         c, u, v = t3
+        diffs = (vi - uk for vi in v for uk in u)
         return (
             ctx.distinct(u)
             and ctx.distinct(v)
             and ctx.distinct(u, lambda a, b: a - b - c)
-            and ctx.require(*(vi - uk - s for vi in v for uk in u for s in (0, c, -c)))
+            and ctx.require(*(x for d in diffs for x in (d, d - c, d + c)))
         )
 
     return ctx.attempt(draw, accept)

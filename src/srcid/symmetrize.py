@@ -21,6 +21,13 @@ holds one factor, a function of the single point placed there.
 orderings as a Held-Karp dynamic program over the set of points already
 placed (Held & Karp, J. SIAM 10, 1962): O(n 2^n) multiplications against
 O(n^2 n!) for the literal permutation sum, with the same exact value.
+When c, u and the slot values are ints or Fractions, the DP walks Python
+ints: u and c are scaled to ints a and g by the lcm of their
+denominators, D = prod_{j<k} (a_j - a_k) clears every Delta denominator,
+each slot's row of values is scaled by the lcm of its denominators, and
+the sum is divided once at the end, as in the subset-sum kernel and
+``linalg.det_exact``.
+Complex, float and mixed inputs use the ratio tables in their own field.
 
 The two symmetrization formulas verified here evaluate Sym_c of
 (1 - theta)^{n-1} prod_{j>=2} prod_k (u_j - v_k) f(u_1), resp. of
@@ -33,6 +40,7 @@ shift.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .detreps import izergin_korepin, izergin_korepin_core
 from .linalg import prod
@@ -83,7 +91,12 @@ def sym_c(slots, u, c):
         dp[S + {k}] += dp[S] * slots[|S|](u_k) * prod_{j in S} R[j][k]
 
     and Sym_c = dp[all points].  The pair product is carried per (S, k), at
-    one multiplication each, so the whole sum costs O(n 2^n).
+    one multiplication each, so the whole sum costs O(n 2^n).  Each distinct
+    slot function is evaluated once at the n points.
+
+    When c, u and every slot value are ints or Fractions, the tables are
+    ints (``_integer_tables``) and the sum is one Fraction division at the
+    end; otherwise they are the ratios above, in the field of the inputs.
     """
     u = tuple(u)
     n = len(u)
@@ -93,10 +106,18 @@ def sym_c(slots, u, c):
         raise ValueError(f"sym_c is capped at n <= {PERM_CAP}")
     if len(set(u)) != n:
         raise ZeroDivisionError("sym_c needs pairwise distinct points")
-    zero = c - c
-    one = zero + 1
-    pair = [[(a - b - c) / (a - b) if a != b else one for b in u] for a in u]
-    table = [[slot(x) for x in u] for slot in slots]
+    rows = {id(slot): slot for slot in slots}
+    rows = {key: [slot(x) for x in u] for key, slot in rows.items()}
+    keys = [id(slot) for slot in slots]
+    integer = _integer_tables(u, c, rows, keys)
+    if integer is None:
+        zero = c - c
+        one = zero + 1
+        pair = [[(a - b - c) / (a - b) if a != b else one for b in u] for a in u]
+        table = [rows[key] for key in keys]
+    else:
+        zero, one = 0, 1
+        pair, table, divisor = integer
     size = 1 << n
     dp = [zero] * size
     dp[0] = one
@@ -114,7 +135,38 @@ def sym_c(slots, u, c):
         for k in range(n):
             if not s >> k & 1 and h[k]:
                 dp[s | 1 << k] += acc * h[k] * pr[k]
-    return dp[-1]
+    return dp[-1] if integer is None else Fraction(dp[-1], divisor)
+
+
+def _integer_tables(u, c, rows, keys):
+    """(pair, table, divisor) over ints for sym_c, or None unless c, u and
+    every value in ``rows`` are ints or Fractions.
+
+    With L the lcm of the denominators of c and u, a_j = L u_j and g = L c,
+    R[j][k] = (a_j - a_k - g)/(a_j - a_k).  Each ordering meets every pair
+    once, so D = prod_{j<k} (a_j - a_k) clears all its Delta denominators:
+    pair[j][k] is R[j][k] times D's factor of {j, k}, which is
+    a_j - a_k - g for j < k and a_k - a_j + g for j > k.  Each distinct row
+    of slot values is scaled to ints by M, the lcm of its denominators, and
+    the divisor is D times the M of every slot in ``keys``, repeats included.
+    """
+    exact = (int, Fraction)
+    if not (isinstance(c, exact) and all(isinstance(x, exact) for x in u)
+            and all(isinstance(y, exact) for row in rows.values() for y in row)):
+        return None
+    n = len(u)
+    lcm = math.lcm(c.denominator, *(x.denominator for x in u))
+    a = [x.numerator * (lcm // x.denominator) for x in u]
+    g = c.numerator * (lcm // c.denominator)
+    pair = [[a[j] - a[k] - g if j < k else a[k] - a[j] + g for k in range(n)]
+            for j in range(n)]
+    divisor = prod(a[j] - a[k] for j in range(n) for k in range(j + 1, n))
+    scaled = {}
+    for key, row in rows.items():
+        scale = math.lcm(*(y.denominator for y in row))
+        scaled[key] = [y.numerator * (scale // y.denominator) for y in row], scale
+    divisor *= prod(scaled[key][1] for key in keys)
+    return pair, [scaled[key][0] for key in keys], divisor
 
 
 def _tabulated(fn, u):

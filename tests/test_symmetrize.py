@@ -254,6 +254,98 @@ def test_sym_c_matches_the_literal_permutation_sum():
             assert sym_c(slots, u, c) == sym_c_literal(slots, u, c)
 
 
+def sym_c_ratio_literal(slots, u, c):
+    """The subset DP over the ratio tables, slot by slot, as sym_c ran before
+    its integer tables: the oracle for every bit of the non-exact path."""
+    u = tuple(u)
+    n = len(u)
+    zero = c - c
+    one = zero + 1
+    pair = [[(a - b - c) / (a - b) if a != b else one for b in u] for a in u]
+    table = [[slot(x) for x in u] for slot in slots]
+    size = 1 << n
+    dp = [zero] * size
+    dp[0] = one
+    carried = [[one] * n] + [None] * (size - 1)
+    for s in range(size - 1):
+        if s:
+            low = s & -s
+            prev, row = carried[s ^ low], pair[low.bit_length() - 1]
+            carried[s] = [None if s >> k & 1 else prev[k] * row[k] for k in range(n)]
+        acc = dp[s]
+        if not acc:
+            continue
+        h, pr = table[s.bit_count()], carried[s]
+        for k in range(n):
+            if not s >> k & 1 and h[k]:
+                dp[s | 1 << k] += acc * h[k] * pr[k]
+    return dp[-1]
+
+
+def big_fraction(rng):
+    # denominators from one to six digits, with shared and coprime factors
+    den = rng.choice((1, 7, 12, 360, 9973, 2**17, 3**9 * 5, 999983)) * rng.randint(1, 40)
+    return Fraction(rng.randint(-(10**6), 10**6), den)
+
+
+def test_sym_c_matches_the_literal_sum_on_large_mixed_denominators():
+    rng = random.Random(27)
+    for n in range(1, 7):
+        for trial in range(4):
+            c = Fraction(0) if trial == 3 else big_fraction(rng)
+            u = []
+            while len(u) < n:
+                x = big_fraction(rng)
+                if x not in u:
+                    u.append(x)
+            plain = {x: big_fraction(rng) for x in u}.__getitem__
+            sparse = {x: big_fraction(rng) if rng.random() < 0.5 else 0 for x in u}.__getitem__
+            slots = [rng.choice((plain, sparse)) for _ in range(n)]
+            if trial == 2:
+                slots[rng.randrange(n)] = lambda x: Fraction(0)
+            got = sym_c(slots, u, c)
+            assert type(got) is Fraction
+            assert got == sym_c_literal(slots, u, c)
+            if trial == 2:
+                assert got == 0
+
+
+def test_sym_c_of_int_inputs_is_the_exact_fraction():
+    rng = random.Random(28)
+    for n in range(1, 7):
+        c = rng.choice((0, rng.randint(1, 9), -rng.randint(1, 9)))
+        u = rng.sample(range(-30, 30), n)
+        values = [{x: rng.randint(-9, 9) for x in u} for _ in range(n)]
+        got = sym_c([v.__getitem__ for v in values], u, c)
+        exact = [{Fraction(x): Fraction(y) for x, y in v.items()} for v in values]
+        slots = [v.__getitem__ for v in exact]
+        want = sym_c(slots, [Fraction(x) for x in u], Fraction(c))
+        assert type(got) is Fraction
+        assert got == want == sym_c_literal(slots, [Fraction(x) for x in u], Fraction(c))
+
+
+def test_sym_c_keeps_every_bit_of_the_ratio_tables():
+    # complex, float and mixed inputs take the ratio tables, value for value
+    rng = random.Random(29)
+
+    def cplx():
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    for n in range(1, 7):
+        for kind in ("complex", "complex slots", "float c"):
+            if kind == "complex":
+                c, u = cplx(), [cplx() for _ in range(n)]
+            else:
+                c, u = rand_fraction(rng), list(distinct_points(rng, n))
+                if kind == "float c":
+                    c = float(c)
+            value = cplx if kind != "float c" else (lambda: rand_fraction(rng))
+            rows = [{x: value() if rng.random() < 0.8 else 0 for x in u}.__getitem__
+                    for _ in range(3)]
+            slots = [rng.choice(rows) for _ in range(n)]
+            assert repr(sym_c(slots, u, c)) == repr(sym_c_ratio_literal(slots, u, c))
+
+
 def test_sym_c_rejects_bad_arguments():
     rng = random.Random(26)
     u = distinct_points(rng, PERM_CAP + 1)
@@ -405,9 +497,9 @@ def test_reduction_identity_exact():
 
 
 def test_symmetrization_identities_beyond_the_registry_sizes():
-    # the registry draws n <= 6; the subset DP reaches n = 8 at library level
+    # the registry draws n <= 6; the subset DP reaches PERM_CAP at library level
     rng = random.Random(71)
-    for n in (7, 8):
+    for n in range(7, PERM_CAP + 1):
         c, u, v = lascoux_point(rng, n)
         coeffs = [rand_fraction(rng) for _ in range(n + 1)]
         lhs, rhs = lascoux_symmetrized_sides(u, v, c, coeffs)
