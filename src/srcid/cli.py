@@ -28,7 +28,6 @@ import time
 from . import engine, sources, detreps
 from .engine import SamplingConfig, UnknownCaseError
 from .fields import COMPLEX, EXACT
-from .qseries import Truncation
 
 
 class UsageError(ValueError):
@@ -94,7 +93,6 @@ def _config_from_args(args) -> SamplingConfig:
             tol_match=getattr(args, "tol", None),
             field=args.field,
             nmax=args.nmax,
-            trunc=Truncation(),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import det, prod, vandermonde
-from .qseries import DEFAULT_TRUNCATION, psi_A
+from .qseries import psi_A
 from .sources import REGIMES, _theta_memo, apart, member_ratios
 
 AVAILABILITY = {
@@ -164,17 +164,17 @@ def _mpt_nodes(regime, side, params):
     return [1 / vj for vj in params.v] if regime == "elliptic" else params.v
 
 
-def _mpt_weight(regime, side, params, r, trunc):
+def _mpt_weight(regime, side, params, r):
     """theta(r prod nodes; p), the mpt weight; 1 - r prod nodes at nome 0."""
     anchor = r * prod(_mpt_nodes(regime, side, params))
-    return _theta_memo(params, trunc)(anchor) if regime == "elliptic" else 1 - anchor
+    return _theta_memo(params)(anchor) if regime == "elliptic" else 1 - anchor
 
 
-def _mpt_elliptic(side, params, aux, trunc):
+def _mpt_elliptic(side, params, aux):
     p, q, lam, z, u, v = params.p, params.q, params.lam, params.z, params.u, params.v
     n = params.n
     r = aux.r
-    ratio = member_ratios("elliptic", side, params, trunc)
+    ratio = member_ratios("elliptic", side, params)
     nodes = _mpt_nodes("elliptic", side, params)
     if side == "F":
         mat = aux.pmat
@@ -183,10 +183,10 @@ def _mpt_elliptic(side, params, aux, trunc):
         mat = aux.qmat
         balance = lam / prod(v)
     _require(mat is not None and len(mat) == n, "mpt needs an n x n mixing matrix")
-    cols_den = [[psi_A(k, n, x, p, r, trunc) for k in range(1, n + 1)] for x in nodes]
-    cols_num = [[psi_A(k, n, x, p, balance, trunc) for k in range(1, n + 1)] for x in nodes]
+    cols_den = [[psi_A(k, n, x, p, r) for k in range(1, n + 1)] for x in nodes]
+    cols_num = [[psi_A(k, n, x, p, balance) for k in range(1, n + 1)] for x in nodes]
     cols_shift = [
-        [psi_A(k, n, q * x, p, balance, trunc) for k in range(1, n + 1)] for x in nodes
+        [psi_A(k, n, q * x, p, balance) for k in range(1, n + 1)] for x in nodes
     ]
     mixed_den = _mix_rows(mat, cols_den)
     mixed_num = _mix_rows(mat, cols_num)
@@ -197,10 +197,10 @@ def _mpt_elliptic(side, params, aux, trunc):
         [mixed_num[i][j] - z * mixed_shift[i][j] * ratio[j] for j in range(n)]
         for i in range(n)
     ]
-    return _mpt_weight("elliptic", side, params, r, trunc) / denom * det(entries)
+    return _mpt_weight("elliptic", side, params, r) / denom * det(entries)
 
 
-def _mpt_flat(regime, side, params, aux, trunc):
+def _mpt_flat(regime, side, params, aux):
     """mpt at nome 0: mixed monomial numerator over a mixed psi denominator."""
     nodes, shift, zeff, ratio, pref = _flat_side(regime, side, params)
     size = len(nodes)
@@ -211,7 +211,7 @@ def _mpt_flat(regime, side, params, aux, trunc):
     denom = det(_mix_rows(mat, cols_den))
     _require(denom != 0, "singular mixed psi matrix")
     entries = _mix_rows(mat, _shift_columns(nodes, shift, zeff, ratio))
-    return pref * _mpt_weight(regime, side, params, r, trunc) / denom * det(entries)
+    return pref * _mpt_weight(regime, side, params, r) / denom * det(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +291,14 @@ def _bs_pinned_delta(side, params, eta):
     return params.lam * prod(eta) / prod(params.v)
 
 
-def _bs_elliptic(side, params, aux, trunc):
+def _bs_elliptic(side, params, aux):
     q, z, u, v = params.q, params.z, params.u, params.v
-    th = _theta_memo(params, trunc)
+    th = _theta_memo(params)
     n = params.n
     eta = aux.eta
     _require(eta is not None and len(eta) == n, "bs needs eta of matching length")
     _require(len(set(eta)) == n, "eta nodes must be pairwise distinct")
-    ratio = member_ratios("elliptic", side, params, trunc)
+    ratio = member_ratios("elliptic", side, params)
     delta = _bs_pinned_delta(side, params, eta)
     th_delta = th(delta)
     pref = th_delta
@@ -357,7 +357,7 @@ def _lagrange_row(x, nodes):
     return row
 
 
-def _bs_flat(regime, side, params, aux, trunc, limit: bool):
+def _bs_flat(regime, side, params, aux, limit: bool):
     xs, row_shift, zeff, ratio, pref = _flat_side(regime, side, params)
     size = len(xs)
     eta, delta = aux.eta, aux.delta
@@ -419,7 +419,7 @@ def izergin_korepin(u, v, c):
 # ---------------------------------------------------------------------------
 
 
-def aux_general_position(regime, family, side, params, aux, trunc=DEFAULT_TRUNCATION):
+def aux_general_position(regime, family, side, params, aux):
     """The values that must not vanish for ``aux`` to be an admissible draw.
 
     mpt: its weight theta(r prod nodes; p).  bs and bs_limit: the eta pairs,
@@ -427,13 +427,13 @@ def aux_general_position(regime, family, side, params, aux, trunc=DEFAULT_TRUNCA
     and 1 - delta.
     """
     if family == "mpt":
-        return [_mpt_weight(regime, side, params, aux.r, trunc)]
+        return [_mpt_weight(regime, side, params, aux.r)]
     if family not in ("bs", "bs_limit"):
         return []
     values = apart(operator.sub, aux.eta)
     if regime == "elliptic":
-        values.append(_theta_memo(params, trunc)(_bs_pinned_delta(side, params, aux.eta)))
-        values += apart(REGIMES["elliptic"].pair(params, trunc), aux.eta)
+        values.append(_theta_memo(params)(_bs_pinned_delta(side, params, aux.eta)))
+        values += apart(REGIMES["elliptic"].pair(params), aux.eta)
     elif aux.delta is not None:
         values += [aux.delta, 1 - aux.delta]
     return values
@@ -444,14 +444,7 @@ def aux_general_position(regime, family, side, params, aux, trunc=DEFAULT_TRUNCA
 # ---------------------------------------------------------------------------
 
 
-def det_rep(
-    regime: str,
-    family: str,
-    side: str,
-    params,
-    aux: AuxParams | None = None,
-    trunc=DEFAULT_TRUNCATION,
-):
+def det_rep(regime: str, family: str, side: str, params, aux: AuxParams | None = None):
     """Evaluate one determinant representation of a source function."""
     if regime not in AVAILABILITY:
         raise UnavailableRepresentationError(f"unknown regime {regime!r}")
@@ -463,18 +456,18 @@ def det_rep(
 
     if family == "mpt":
         if regime == "elliptic":
-            return _mpt_elliptic(side, params, aux, trunc)
-        return _mpt_flat(regime, side, params, aux, trunc)
+            return _mpt_elliptic(side, params, aux)
+        return _mpt_flat(regime, side, params, aux)
     if family == "scalar_product":
         return _scalar_product(regime, side, params)
     if family == "dwbc":
         return _dwbc(regime, side, params)
     if family == "bs":
         if regime == "elliptic":
-            return _bs_elliptic(side, params, aux, trunc)
-        return _bs_flat(regime, side, params, aux, trunc, limit=False)
+            return _bs_elliptic(side, params, aux)
+        return _bs_flat(regime, side, params, aux, limit=False)
     if family == "bs_limit":
-        return _bs_flat(regime, side, params, aux, trunc, limit=True)
+        return _bs_flat(regime, side, params, aux, limit=True)
     if family == "ik":
         if params.n != params.m:
             raise ValueError("ik requires n == m")

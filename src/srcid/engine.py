@@ -55,7 +55,7 @@ from .linalg import (
 )
 # theta is bound here although no runner calls it: perfbench/test_perfbench.py
 # reads engine.theta
-from .qseries import DEFAULT_TRUNCATION, Truncation, q_binomial, theta  # noqa: F401
+from .qseries import q_binomial, theta  # noqa: F401
 from .sources import (
     EllipticParams,
     RatParams,
@@ -66,8 +66,11 @@ from .sources import (
 )
 
 
+RESAMPLE_CAP = 1000  # draws per rejection-sampled value
+
+
 class SamplingError(RuntimeError):
-    """Rejection sampling exceeded its resampling cap."""
+    """Rejection sampling exceeded ``RESAMPLE_CAP`` draws."""
 
 
 class UnknownCaseError(KeyError):
@@ -83,14 +86,14 @@ class SamplingConfig:
     field: Optional[str] = None  # None: case-preferred field
     nmax: Optional[int] = None  # cap on sampled sizes
     fixed_sizes: Optional[tuple] = None  # pin (n, m) instead of sampling
-    trunc: Truncation = DEFAULT_TRUNCATION
-    resample_cap: int = 1000
 
     def __post_init__(self):
         if self.points < 1:
             raise ValueError("points >= 1 required")
-        if self.tol_singular <= 0:
-            raise ValueError("tol_singular must be positive")
+        if not 0 < self.tol_singular < math.inf:
+            raise ValueError("tol_singular must be positive and finite")
+        if self.tol_match is not None and not 0 <= self.tol_match < math.inf:
+            raise ValueError("tol_match (--tol) must be non-negative and finite")
         if self.nmax is not None and self.nmax < 0:
             raise ValueError("nmax >= 0 required")
 
@@ -164,7 +167,6 @@ class PointContext:
         self.field_name = field_name
         self.field = get_field(field_name)
         self.config = config
-        self.trunc = config.trunc
         self.tol_singular = config.tol_singular
 
     @property
@@ -209,7 +211,7 @@ class PointContext:
     def distinct_scalars(self, count: int, lo: float = 0.2, hi: float = 3.0) -> tuple:
         out = []
         for _ in range(count):
-            for _ in range(self.config.resample_cap):
+            for _ in range(RESAMPLE_CAP):
                 x = self.scalar(lo, hi)
                 if all(self._denominator_ok(x - y) for y in out):
                     out.append(x)
@@ -238,7 +240,7 @@ class PointContext:
 
     def general(self, regime: str, params) -> bool:
         """``params`` are in general position for ``regime``."""
-        return self.clear(lambda: sources.general_position(regime, params, self.trunc))
+        return self.clear(lambda: sources.general_position(regime, params))
 
     def distinct(self, xs, d=operator.sub) -> bool:
         """d(a, b) stays away from 0 for every two positions of ``xs``."""
@@ -246,7 +248,7 @@ class PointContext:
 
     def attempt(self, draw: Callable, accept: Callable):
         """Rejection-sample ``draw()`` until ``accept(x)`` holds."""
-        for _ in range(self.config.resample_cap):
+        for _ in range(RESAMPLE_CAP):
             x = draw()
             if accept(x):
                 return x
@@ -382,7 +384,7 @@ class PointContext:
 
         def accept(aux):
             return self.clear(
-                lambda: aux_general_position(regime, family, side, params, aux, self.trunc)
+                lambda: aux_general_position(regime, family, side, params, aux)
             )
 
         return self.attempt(draw, accept)
@@ -448,8 +450,8 @@ def _identity_runner(regime: str):
     def run(ctx: PointContext):
         n, m = ctx.sizes((1, 4)) if regime == "elliptic" else ctx.sizes((0, 5), (0, 5))
         params = ctx.sample(regime, n, m)
-        lhs = source_subset_sum(regime, "F", params, ctx.trunc)
-        return [("F = G", lhs, source_subset_sum(regime, "G", params, ctx.trunc))]
+        lhs = source_subset_sum(regime, "F", params)
+        return [("F = G", lhs, source_subset_sum(regime, "G", params))]
 
     return run
 
@@ -458,8 +460,8 @@ def _diff_runner(regime: str, side: str):
     def run(ctx: PointContext):
         n, m = ctx.sizes((1, 3)) if regime == "elliptic" else ctx.sizes((1, 4), (1, 4))
         params = ctx.sample(regime, n, m)
-        lhs = source_via_difference_ops(regime, side, params, ctx.trunc)
-        rhs = source_subset_sum(regime, side, params, ctx.trunc)
+        lhs = source_via_difference_ops(regime, side, params)
+        rhs = source_subset_sum(regime, side, params)
         return [("operator form = subset sum", lhs, rhs)]
 
     return run
@@ -471,7 +473,7 @@ def _det_rep_runner(regime: str, family: str, side: str):
     def run(ctx: PointContext):
         n, m = ctx.sizes((1, 4)) if regime == "elliptic" else ctx.sizes((1, 4), (1, 4))
         params = ctx.sample(regime, n, m)
-        reference = source_subset_sum(regime, side, params, ctx.trunc)
+        reference = source_subset_sum(regime, side, params)
         value1 = _det_rep_retry(ctx, regime, family, side, params)
         checks = [("representation = subset sum", value1, reference)]
         if needs_aux or family == "bs_limit":
@@ -486,7 +488,7 @@ def _det_rep_retry(ctx, regime, family, side, params, attempts: int = 20):
     for _ in range(attempts):
         aux = ctx.sample_aux(regime, family, side, params)
         try:
-            return det_rep(regime, family, side, params, aux, ctx.trunc)
+            return det_rep(regime, family, side, params, aux)
         except AuxInvariantError:
             continue
     raise SamplingError(f"no admissible aux draw for {regime}/{family}/{side}")
@@ -507,8 +509,8 @@ def _run_elliptic_det_identity(ctx: PointContext):
     params = ctx.sample_elliptic(n)
     aux_f = ctx.sample_aux("elliptic", "mpt", "F", params)
     aux_g = ctx.sample_aux("elliptic", "mpt", "G", params)
-    lhs = det_rep("elliptic", "mpt", "F", params, aux_f, ctx.trunc)
-    rhs = det_rep("elliptic", "mpt", "G", params, aux_g, ctx.trunc)
+    lhs = det_rep("elliptic", "mpt", "F", params, aux_f)
+    rhs = det_rep("elliptic", "mpt", "G", params, aux_g)
     return [("mixed-basis determinants agree", lhs, rhs)]
 
 
@@ -519,8 +521,8 @@ def _bs_delta_limit_runner(regime: str):
         side = "F" if ctx.rng.random() < 0.5 else "G"
         aux = ctx.sample_aux(regime, "bs_limit", side, params)
         big = AuxParams(delta=complex(1e6), eta=aux.eta)
-        at_big = det_rep(regime, "bs", side, params, big, ctx.trunc)
-        at_limit = det_rep(regime, "bs_limit", side, params, aux, ctx.trunc)
+        at_big = det_rep(regime, "bs", side, params, big)
+        at_limit = det_rep(regime, "bs_limit", side, params, aux)
         return [("delta -> infinity", at_big, at_limit)]
 
     return run
@@ -549,7 +551,7 @@ def _run_frobenius(ctx: PointContext):
             lam = ctx.complex_scalar()
             u = tuple(ctx.variable("elliptic") for _ in range(n))
             v = tuple(ctx.variable("elliptic") for _ in range(n))
-            return p, lam, u, v, sources.theta_memo(p, ctx.trunc)
+            return p, lam, u, v, sources.theta_memo(p)
 
         def accept(drawn):
             lam, u, v, th = drawn[1:]
@@ -576,13 +578,13 @@ def _run_theta_vandermonde(ctx: PointContext):
             p = ctx.nome()
             r = ctx.complex_scalar()
             u = tuple(ctx.variable("elliptic") for _ in range(n))
-            return p, r, u, sources.theta_memo(p, ctx.trunc)
+            return p, r, u, sources.theta_memo(p)
 
         def accept(drawn):
             return ctx.distinct(drawn[2], sources.theta_quotient(drawn[3]))
 
         p, r, u, th = ctx.attempt(draw, accept)
-    lhs, rhs = elliptic_vandermonde_sides(u, p, r, th, ctx.trunc)
+    lhs, rhs = elliptic_vandermonde_sides(u, p, r, th)
     return [("det = factorization", lhs, rhs)]
 
 
@@ -632,13 +634,13 @@ def _vanishing_runner(regime: str, swap: bool):
             return replace(base, u=vals) if swap else replace(base, v=vals)
 
         def accept(par):
-            return ctx.distinct(par.u if swap else par.v, reg.pair(par, ctx.trunc))
+            return ctx.distinct(par.u if swap else par.v, reg.pair(par))
 
         params = ctx.attempt(build, accept)
         zero = ctx.field.zero
         return [
-            ("P = 0", source_polynomial_form(regime, "P", params, ctx.trunc), zero),
-            ("Q = 0", source_polynomial_form(regime, "Q", params, ctx.trunc), zero),
+            ("P = 0", source_polynomial_form(regime, "P", params), zero),
+            ("Q = 0", source_polynomial_form(regime, "Q", params), zero),
         ]
 
     return run
@@ -675,10 +677,10 @@ def _evaluation_runner(regime: str, swap: bool):
 
         def accept(drawn):
             par = drawn[0]
-            return ctx.distinct(par.u if swap else par.v, reg.pair(par, ctx.trunc))
+            return ctx.distinct(par.u if swap else par.v, reg.pair(par))
 
         params, xs, iset, jset = ctx.attempt(draw, accept)
-        d, sigma = reg.pair(params, ctx.trunc), reg.shift(params)
+        d, sigma = reg.pair(params), reg.shift(params)
         nj = len(jset)
         others = [k for k in range(len(xs)) if k not in iset]
         if swap:
@@ -688,7 +690,7 @@ def _evaluation_runner(regime: str, swap: bool):
             factors += [d(xs[j], sigma(xs[i])) for i in iset for j in range(len(xs))]
             factors += [d(sigma(xs[k]), xs[j]) for j in jset for k in others]
         else:
-            closed = reg.weights(params, True, nj, ctx.trunc)[nj]
+            closed = reg.weights(params, True, nj)[nj]
             closed *= reg.scale(params, len(iset) * nj)
             factors = [d(xs[j], xs[i]) for i in iset for j in jset]
             factors += [d(xs[i], sigma(xs[j])) for i in iset for j in range(len(xs))]
@@ -696,8 +698,8 @@ def _evaluation_runner(regime: str, swap: bool):
         for factor in factors:
             closed *= factor
         return [
-            ("P closed form", source_polynomial_form(regime, "P", params, ctx.trunc), closed),
-            ("Q closed form", source_polynomial_form(regime, "Q", params, ctx.trunc), closed),
+            ("P closed form", source_polynomial_form(regime, "P", params), closed),
+            ("Q closed form", source_polynomial_form(regime, "Q", params), closed),
         ]
 
     return run
@@ -717,11 +719,11 @@ def _run_elliptic_quasi_periodicity(ctx: PointContext):
     mult *= params.v[k] ** (-(n + 1))
     mult *= prod(ui**2 for ui in params.u)
     mult *= prod(1 / params.v[j] for j in range(n) if j != k)
-    p_ref = sources.elliptic_P(params, ctx.trunc)
-    q_ref = sources.elliptic_Q(params, ctx.trunc)
+    p_ref = sources.elliptic_P(params)
+    q_ref = sources.elliptic_Q(params)
     return [
-        ("P multiplier", sources.elliptic_P(shifted, ctx.trunc), mult * p_ref),
-        ("Q multiplier", sources.elliptic_Q(shifted, ctx.trunc), mult * q_ref),
+        ("P multiplier", sources.elliptic_P(shifted), mult * p_ref),
+        ("Q multiplier", sources.elliptic_Q(shifted), mult * q_ref),
     ]
 
 
@@ -781,12 +783,12 @@ def _run_elliptic_to_trig_limit(ctx: PointContext):
     checks = [
         (
             "flat-nome limit, F",
-            sources.elliptic_F(ell, ctx.trunc),
+            sources.elliptic_F(ell),
             sources.trig_lambda_F(params),
         ),
         (
             "flat-nome limit, G",
-            sources.elliptic_G(ell, ctx.trunc),
+            sources.elliptic_G(ell),
             sources.trig_lambda_G(params),
         ),
     ]

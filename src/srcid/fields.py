@@ -15,6 +15,12 @@ both types raise ``ZeroDivisionError`` on division by exact zero.  The
 field objects below bundle the small amount of policy that differs
 between the two backends: the zero and one of the field and the residual
 used in verification reports.
+
+The exact kernels (``linalg.det_exact``, the integer walk of ``sources``
+and ``symmetrize.sym_c``) do their arithmetic over Python ints and divide
+once at the end.  ``is_exact`` is their one test for exact input, and
+``to_integers`` their one scaling to ints: values times L, the lcm of
+their denominators.
 """
 
 from __future__ import annotations
@@ -42,6 +48,25 @@ def magnitude(x) -> float:
         return float(abs(x))
     except OverflowError:
         return math.inf
+
+
+def is_exact(values) -> bool:
+    """Every value is an int or a Fraction."""
+    return all(isinstance(x, (int, Fraction)) for x in values)
+
+
+def to_integers(values):
+    """(ints, L): L is the lcm of the denominators of the exact ``values``
+    (1 when there are none) and ints[i] = L * values[i].
+
+    A value without a denominator (float, complex) raises ``TypeError``;
+    callers test ``is_exact`` first, so the values are not tested twice.
+    """
+    try:
+        lcm = math.lcm(*(x.denominator for x in values))
+    except AttributeError:
+        raise TypeError("to_integers needs ints and Fractions") from None
+    return [x.numerator * (lcm // x.denominator) for x in values], lcm
 
 
 @dataclass(frozen=True)

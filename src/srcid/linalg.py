@@ -2,10 +2,10 @@
 
 Matrices are plain row-major lists of lists.  Complex matrices go through
 LU with partial pivoting by modulus; exact matrices go through
-fraction-free Bareiss elimination over Python ints (each row scaled to
-integers by the lcm of its denominators, every division exact, one
-Fraction division by the row scales at the end), so rational input gives
-a bit-exact rational determinant.  A singular matrix returns 0 rather than
+fraction-free Bareiss elimination over Python ints (each row made ints by
+``fields.to_integers``, every division exact, one Fraction division by the
+row scales at the end), so rational input gives a bit-exact rational
+determinant.  A singular matrix returns 0 rather than
 raising: the vanishing lemmas downstream rely on exact zero determinants
 being legitimate values.
 
@@ -31,9 +31,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .fields import is_exact, to_integers
 # theta is bound here although every theta value arrives as a callable:
 # perfbench/test_perfbench.py reads linalg.theta
-from .qseries import DEFAULT_TRUNCATION, psi_A, qpoch_inf, theta  # noqa: F401
+from .qseries import psi_A, qpoch_inf, theta  # noqa: F401
 
 
 def det(rows):
@@ -43,27 +44,23 @@ def det(rows):
         return 1
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
-    if _all_exact(rows):
+    if is_exact(x for r in rows for x in r):
         return det_exact(rows)
     return det_complex(rows)
-
-
-def _all_exact(rows) -> bool:
-    return all(isinstance(x, (Fraction, int)) for r in rows for x in r)
 
 
 def det_exact(rows) -> Fraction:
     """Bareiss elimination over Python ints; exact over the rationals.
 
-    Each row is scaled to integers by the lcm of its denominators, the
-    elimination divides exactly with ``//``, and the determinant is divided
-    by the product of the row scales once, at the end.
+    Each row is scaled to ints by ``fields.to_integers``, the elimination
+    divides exactly with ``//``, and the determinant is divided by the
+    product of the row scales once, at the end.
     """
     a = []
     scale = 1
     for r in rows:
-        row_scale = math.lcm(*(x.denominator for x in r))
-        a.append([x.numerator * (row_scale // x.denominator) for x in r])
+        ints, row_scale = to_integers(r)
+        a.append(ints)
         scale *= row_scale
     n = len(a)
     if n == 0:
@@ -160,20 +157,20 @@ def frobenius_closed(u, v, lam, th):
 # ---------------------------------------------------------------------------
 
 
-def psi_vandermonde_matrix(u, p, r, trunc=DEFAULT_TRUNCATION):
+def psi_vandermonde_matrix(u, p, r):
     """Matrix [psi_j(u_k)] with row index j, column index k."""
     n = len(u)
-    return [[psi_A(j, n, u[k], p, r, trunc) for k in range(n)] for j in range(1, n + 1)]
+    return [[psi_A(j, n, u[k], p, r) for k in range(n)] for j in range(1, n + 1)]
 
 
-def elliptic_vandermonde_sides(u, p, r, th, trunc=DEFAULT_TRUNCATION):
+def elliptic_vandermonde_sides(u, p, r, th):
     """(lhs, rhs) of the theta Vandermonde factorization, th(x) = theta(x; p).
 
     At p = 0 the (p; p)_inf factor is 1 and the rhs is exact.
     """
     n = len(u)
-    lhs = det(psi_vandermonde_matrix(u, p, r, trunc))
-    rhs = 1 if p == 0 else (qpoch_inf(p, p, trunc) / qpoch_inf(p**n, p**n, trunc)) ** n
+    lhs = det(psi_vandermonde_matrix(u, p, r))
+    rhs = 1 if p == 0 else (qpoch_inf(p, p) / qpoch_inf(p**n, p**n)) ** n
     rhs *= th(r * prod(u))
     for i in range(n):
         for j in range(i + 1, n):

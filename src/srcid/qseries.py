@@ -20,7 +20,9 @@ The infinite products are truncated with a geometric tail bound: with
 target epsilon and ratio |q|, N = ceil(log eps / log |q|) + guard terms,
 capped at ``max_terms``, and |q| <= 0.9 is enforced as a hard limit.
 ``theta`` stays exact (both fields) when p = 0; every truncated product
-is complex-only.
+is complex-only.  The truncation is this module's alone: ``theta``,
+``qpoch_inf`` and ``psi_A`` take a ``Truncation`` and default to
+``DEFAULT_TRUNCATION``, and no caller in srcid passes another.
 
 ``qpoch_inf`` reads the powers 1, q, ..., q^{N-1} from a table kept per
 (nome, ``Truncation``) pair, built once by the same repeated multiplication
@@ -160,24 +162,29 @@ def theta(u, p, trunc: Truncation = DEFAULT_TRUNCATION):
     return qpoch_inf(u, p, trunc) * qpoch_inf(complex(p) / complex(u), p, trunc)
 
 
+def _q_ints(n: int, q):
+    """[[0]_q, [1]_q, ..., [n]_q], each entry the one before it plus the next
+    power of q: one left fold serves every q-integer up to n."""
+    one = q - q + 1
+    out, power = [one - one], one
+    for _ in range(n):
+        out.append(out[-1] + power)
+        power *= q
+    return out
+
+
 def q_int(k: int, q):
     """q-integer [k]_q = 1 + q + ... + q^{k-1}, exact at q = 1."""
     if k < 0:
         raise ValueError("q_int requires k >= 0")
-    one = q - q + 1
-    acc = one - one
-    power = one
-    for _ in range(k):
-        acc += power
-        power *= q
-    return acc
+    return _q_ints(k, q)[k]
 
 
 def q_factorial(k: int, q):
-    one = q - q + 1
-    acc = one
-    for j in range(1, k + 1):
-        acc *= q_int(j, q)
+    """[k]_q! = [1]_q [2]_q ... [k]_q, multiplied left to right."""
+    acc = q - q + 1
+    for x in _q_ints(k, q)[1:]:
+        acc *= x
     return acc
 
 
@@ -189,10 +196,10 @@ def q_binomial(n: int, l: int, q):
     """
     if l < 0 or l > n:
         raise ValueError(f"q_binomial needs 0 <= l <= n, got n={n}, l={l}")
-    one = q - q + 1
-    acc = one
+    ints = _q_ints(n, q)
+    acc = q - q + 1
     for j in range(1, l + 1):
-        acc = acc * q_int(n - l + j, q) / q_int(j, q)
+        acc = acc * ints[n - l + j] / ints[j]
     return acc
 
 

@@ -42,15 +42,17 @@ positions, theta(b/a; p) in both orders.
 The elliptic sums, their weights and ``general_position`` repeat theta
 arguments: d(v_i, u_k) is a denominator, a member factor on both sides and
 an entry of the P and Q products.  So every theta value at a point comes
-from one memo, made by ``theta_memo(p, trunc)``: a callable x ->
-theta(x; p) that evaluates each argument once and keeps the value in its
-dict (an argument with a real or imaginary part 0 is kept under x and the
-signs of its parts, since x + 0j and x - 0j are one key but may differ in
-theta).  An ``EllipticParams`` holds its memos per ``Truncation`` in its
-``thetas`` field.  The field takes no part in ``__init__``, ``==``,
-``hash`` or ``repr``, so ``dataclasses.replace`` returns an object with an
-empty memo and equal points stay equal; the memo lives and dies with its
-object.  The determinant forms take the same memo: ``linalg``'s Frobenius
+from one memo, made by ``theta_memo(p)``: a callable x -> theta(x; p) that
+evaluates each argument once and keeps the value in its dict (an argument
+with a real or imaginary part 0 is kept under x and the signs of its
+parts, since x + 0j and x - 0j are one key but may differ in theta).  An
+``EllipticParams`` holds that one dict, argument -> theta, in its
+``thetas`` field.  The truncation of the theta products is ``qseries``'
+own: every theta here runs at ``qseries.DEFAULT_TRUNCATION``, and no
+function of this module takes a truncation.  The field takes no part in
+``__init__``, ``==``, ``hash`` or ``repr``, so ``dataclasses.replace``
+returns an object with an empty memo and equal points stay equal; the
+memo lives and dies with its object.  The determinant forms take the same memo: ``linalg``'s Frobenius
 and theta-Vandermonde forms as a theta callable, ``detreps``' elliptic bs
 and mpt forms through their ``EllipticParams``.  There is no module-level
 cache of theta values.
@@ -74,16 +76,18 @@ read its per-size sums unweighted.  The hard size cap is max(n, m) <= 12.
 
 Exact rational, trig and trig_lambda points (every scalar an int or a
 Fraction) walk Python ints instead of Fractions, so no step pays a gcd.
-u and v (and c) are scaled by L, the lcm of their denominators, and the
+``fields.to_integers`` makes u and v (and c) ints, times their L, and the
 shift of an integer y is written sigma(y) = (alpha y + beta) / gamma:
 (1, c L, 1) in the rational regime, (a, 0, b) in the trigonometric ones,
 where q = a/b.  The sum is multiplied by D = prod_{i<j} (x_i - x_j) over
-the summed variables x, which clears every pair ratio:
+the summed variables x, which clears every pair ratio
+(``integer_pair_tables`` builds the pair tables and D; ``symmetrize.sym_c``
+takes its tables from it too):
 
 * a pair on the same side of K contributes x_lo - x_hi (the kernel's
   ``same`` table);
 * a separated pair with ratio d(a, sigma b) / d(a, b) contributes
-  (gamma a - alpha b - beta) / gamma, signed by D's factor;
+  (gamma a - alpha b - beta) / gamma, signed by D's factor (``cross``);
 * a member contributes v - u for each of its (v, u) pairs, and a
   non-member gamma v - alpha u - beta = gamma d(v, sigma u);
 * F and G divide the sum once by the product of the non-member factors
@@ -107,8 +111,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .fields import is_exact, to_integers
 from .linalg import frobenius_matrix, det, prod, vandermonde
-from .qseries import DEFAULT_TRUNCATION, qpoch_n, theta
+from .qseries import qpoch_n, theta
 
 SIZE_CAP = 12
 
@@ -125,7 +130,7 @@ class EllipticParams:
     z: complex
     u: tuple
     v: tuple
-    # theta(x; p) per Truncation and argument x (module docstring)
+    # theta(x; p) per argument x (module docstring)
     thetas: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -181,14 +186,14 @@ class RatParams:
 class Regime:
     """One row of ``REGIMES``; every entry takes the core parameters.
 
-    ``pair(params, trunc)`` returns d and ``shift(params, inverse)`` returns
+    ``pair(params)`` returns d and ``shift(params, inverse)`` returns
     sigma or its inverse.  ``scale(params, k)`` is lambda^k, where
     d(sigma a, sigma b) = lambda d(a, b): q in the trigonometric rows, 1 in
     the rational row and 1 in the elliptic row, whose theta(b/a; p) does not
-    change under a, b -> q a, q b.  ``weights(params, vside, size, trunc)``
+    change under a, b -> q a, q b.  ``weights(params, vside, size)``
     lists w(0..size) for the F side (``vside``) or the G side;
     ``prefactor(params)`` is the G side's factor in front of its sum;
-    ``singular(params, trunc)`` lists the values besides those of d that
+    ``singular(params)`` lists the values besides those of d that
     must not vanish.
     """
 
@@ -200,11 +205,11 @@ class Regime:
     singular: Callable
 
 
-def _difference(params, trunc):
+def _difference(params):
     return operator.sub
 
 
-def theta_memo(p, trunc=DEFAULT_TRUNCATION, values=None):
+def theta_memo(p, values=None):
     """x -> theta(x; p), evaluated once per argument held in ``values``.
 
     ``values`` is the memo's dict, a new one when None; one memo serves one
@@ -218,15 +223,15 @@ def theta_memo(p, trunc=DEFAULT_TRUNCATION, values=None):
         key = x if x.real and x.imag else (x, math.copysign(1, x.real), math.copysign(1, x.imag))
         value = values.get(key)
         if value is None:
-            value = values[key] = theta(x, p, trunc)
+            value = values[key] = theta(x, p)
         return value
 
     return th
 
 
-def _theta_memo(params, trunc):
+def _theta_memo(params):
     """``theta_memo`` on the ``thetas`` field of an ``EllipticParams``."""
-    return theta_memo(params.p, trunc, params.thetas.setdefault(trunc, {}))
+    return theta_memo(params.p, params.thetas)
 
 
 def theta_quotient(th):
@@ -234,8 +239,8 @@ def theta_quotient(th):
     return lambda a, b: th(b / a)
 
 
-def _theta_quotient(params, trunc):
-    return theta_quotient(_theta_memo(params, trunc))
+def _theta_quotient(params):
+    return theta_quotient(_theta_memo(params))
 
 
 def _additive_shift(params, inverse=False):
@@ -272,24 +277,24 @@ def _signed_q_powers(z, q, size):
     return [a * b for a, b in zip(_signed_powers(z, size), tri)]
 
 
-def _rational_weights(params, vside, size, trunc):
+def _rational_weights(params, vside, size):
     return _signed_powers(params.z, size)
 
 
-def _trig_weights(params, vside, size, trunc):
+def _trig_weights(params, vside, size):
     z = params.z if vside else params.q ** (params.m - params.n) * params.z
     return _signed_q_powers(z, params.q, size)
 
 
-def _trig_lambda_weights(params, vside, size, trunc):
+def _trig_lambda_weights(params, vside, size):
     if params.lam is None:
         raise ValueError("trig_lambda regime needs params.lam")
     q, lam = params.q, params.lam
     return [w * (1 - q**s * lam) for s, w in enumerate(_signed_q_powers(params.z, q, size))]
 
 
-def _elliptic_weights(params, vside, size, trunc):
-    q, th = params.q, _theta_memo(params, trunc)
+def _elliptic_weights(params, vside, size):
+    q, th = params.q, _theta_memo(params)
     base = params.lam * prod(params.u) / prod(params.v)
     return [w * th(q**s * base) for s, w in enumerate(_signed_q_powers(params.z, q, size))]
 
@@ -306,18 +311,18 @@ def _no_prefactor(params):
     return 1
 
 
-def _rational_singular(params, trunc):
+def _rational_singular(params):
     return [params.c, 1 - params.z]
 
 
-def _trig_singular(params, trunc):
+def _trig_singular(params):
     # the G prefactor (z; q)_{m-n} divides by these when n > m
     q, z = params.q, params.z
     return [1 - q ** (-j) * z for j in range(1, params.n - params.m + 1)]
 
 
-def _elliptic_singular(params, trunc):
-    return [_theta_memo(params, trunc)(params.lam)]
+def _elliptic_singular(params):
+    return [_theta_memo(params)(params.lam)]
 
 
 REGIMES = {
@@ -353,7 +358,7 @@ def apart(d, xs):
     return [d(a, b) for i, a in enumerate(xs) for j, b in enumerate(xs) if i != j]
 
 
-def general_position(regime, params, trunc=DEFAULT_TRUNCATION):
+def general_position(regime, params):
     """The values that must not vanish for ``regime``'s sums at ``params``.
 
     They are the row's singular values, d over the pairs of positions of u
@@ -361,10 +366,10 @@ def general_position(regime, params, trunc=DEFAULT_TRUNCATION):
     v_i and u_k: each is a denominator of F, G or a determinant form.
     """
     reg = REGIMES[regime]
-    d = reg.pair(params, trunc)
+    d = reg.pair(params)
     u, v = params.u, params.v
     su = list(map(reg.shift(params), u))
-    values = reg.singular(params, trunc)
+    values = reg.singular(params)
     values += apart(d, u)
     values += apart(d, v)
     values += [d(x, y) for x in v for y in u]
@@ -450,13 +455,13 @@ def _products(d, u, su, v, vside):
     return [prod(d(x, y) for x in v) for y in u], [prod(d(x, y) for x in v) for y in su]
 
 
-def member_ratios(regime, side, params, trunc=DEFAULT_TRUNCATION):
+def member_ratios(regime, side, params):
     """Member ratio of each summed variable: the product of d(v, u)/d(v, sigma u)
     over its partners, for each v_i on the F side and each u_k on the G side.
     """
     reg = REGIMES[regime]
     su = list(map(reg.shift(params), params.u))
-    return _ratios(reg.pair(params, trunc), params.u, su, params.v, side in ("F", "P"))
+    return _ratios(reg.pair(params), params.u, su, params.v, side in ("F", "P"))
 
 
 def _pair_table(table, vside):
@@ -469,47 +474,54 @@ _INTEGER_SCALARS = {"rational": ("c", "z"), "trig": ("q", "z"), "trig_lambda": (
 
 
 def _integer_point(regime, params):
-    """``params`` with Fraction scalars and (L, sigma) for the integer walk,
-    or ``params`` unchanged and None for the table walk.
+    """``params`` with Fraction scalars and (u, v, L, sigma) for the integer
+    walk, or ``params`` unchanged and None for the table walk.
 
     The integer walk takes rational, trig and trig_lambda points whose
-    scalars are all ints or Fractions.  Turning ints into Fractions keeps the
-    weights and the G prefactor exact.  L is the lcm of the denominators of
-    u and v (and of c), and sigma = (alpha, beta, gamma) writes the shift of
-    an integer y as (alpha y + beta) / gamma.
+    scalars are all exact (``fields.is_exact``).  Turning ints into
+    Fractions keeps the weights and the G prefactor exact.  u and v come
+    back as ints, scaled by L together with c (``fields.to_integers``), and
+    sigma = (alpha, beta, gamma) writes the shift of an integer y as
+    (alpha y + beta) / gamma.
     """
     names = _INTEGER_SCALARS.get(regime, ())
     scalars = {name: getattr(params, name) for name in names}
-    if not names or not all(isinstance(x, (int, Fraction)) for x in (*scalars.values(), *params.u, *params.v)):
+    if not names or not is_exact((*scalars.values(), *params.u, *params.v)):
         return params, None
     ints = {name: Fraction(x) for name, x in scalars.items() if type(x) is not Fraction}
     if ints:
         params = replace(params, **ints)
-    dens = [x.denominator for x in (*params.u, *params.v)]
+    n = len(params.u)
     if regime == "rational":
-        c = params.c
-        lcm = math.lcm(c.denominator, *dens)
-        return params, (lcm, (1, c.numerator * (lcm // c.denominator), 1))
-    q = params.q
-    return params, (math.lcm(*dens), (q.numerator, 0, q.denominator))
+        (g, *xs), lcm = to_integers((params.c, *params.u, *params.v))
+        sigma = (1, g, 1)
+    else:
+        xs, lcm = to_integers((*params.u, *params.v))
+        sigma = (params.q.numerator, 0, params.q.denominator)
+    return params, (xs[:n], xs[n:], lcm, sigma)
 
 
-def _integer_sum(weights, params, lcm, sigma, vside, cleared):
+def integer_pair_tables(xs, sigma):
+    """(cross, same, D) over the ints xs for a shift sigma = (alpha, beta, gamma).
+
+    cross[a][b] = gamma (x_a - sigma x_b) with the sign of D's factor
+    x_lo - x_hi over x_a - x_b (None on the diagonal), same[t][i] = x_i - x_t
+    for i < t, and D = prod_{i<t} (x_i - x_t).
+    """
+    alpha, beta, gamma = sigma
+    same = [[xs[i] - xs[t] for i in range(t)] for t in range(len(xs))]
+    cross = [[gamma * x - alpha * y - beta if a < b else alpha * y + beta - gamma * x
+              if a > b else None for b, y in enumerate(xs)] for a, x in enumerate(xs)]
+    return cross, same, prod(prod(row) for row in same)
+
+
+def _integer_sum(weights, u, v, lcm, sigma, vside, cleared):
     """The kernel's sum over ints, divided once at the end (module docstring)."""
     alpha, beta, gamma = sigma
-    u = [x.numerator * (lcm // x.denominator) for x in params.u]
-    v = [x.numerator * (lcm // x.denominator) for x in params.v]
     xs, partners = (v, len(u)) if vside else (u, len(v))
     size = len(xs)
-
-    def cross(a, b):
-        # gamma (x_a - sigma x_b), with the sign of D's factor x_lo - x_hi over x_a - x_b
-        value = gamma * xs[a] - alpha * xs[b] - beta
-        return value if a < b else -value
-
-    pair = _pair_table([[cross(a, b) if a != b else None for b in range(size)]
-                        for a in range(size)], vside)
-    same = [[xs[i] - xs[t] for i in range(t)] for t in range(size)]
+    cross, same, divisor = integer_pair_tables(xs, sigma)
+    pair = _pair_table(cross, vside)
     if vside:
         inside = [prod(x - y for y in u) for x in v]
         outside = [prod(gamma * x - alpha * y - beta for y in u) for x in v]
@@ -525,12 +537,11 @@ def _integer_sum(weights, params, lcm, sigma, vside, cleared):
             for s, w in enumerate(weights)
         ]
     total = _subset_sum(weights, pair, inside, outside, same)
-    divisor = prod(prod(row) for row in same)  # D
     divisor *= lcm ** (size * partners) if cleared else prod(outside)
     return total / divisor
 
 
-def _source(regime, side, params, trunc=DEFAULT_TRUNCATION):
+def _source(regime, side, params):
     """F, G (member ratios) or P, Q (cleared) of ``regime`` through the kernel."""
     reg = REGIMES[regime]
     u, v = params.u, params.v
@@ -540,11 +551,11 @@ def _source(regime, side, params, trunc=DEFAULT_TRUNCATION):
     xs = v if vside else u
     size = len(xs)
     params, scaling = _integer_point(regime, params)
-    weights = reg.weights(params, vside, size, trunc)
+    weights = reg.weights(params, vside, size)
     if scaling is not None:
-        total = _integer_sum(weights, params, *scaling, vside, cleared)
+        total = _integer_sum(weights, *scaling, vside, cleared)
     else:
-        d = reg.pair(params, trunc)
+        d = reg.pair(params)
         sigma = reg.shift(params)
         shifted = list(map(sigma, xs))
         su = list(map(sigma, u)) if vside else shifted
@@ -604,34 +615,34 @@ def trig_lambda_G(params: TrigParams):
     return _source("trig_lambda", "G", params)
 
 
-def elliptic_F(params: EllipticParams, trunc=DEFAULT_TRUNCATION):
-    return _source("elliptic", "F", params, trunc)
+def elliptic_F(params: EllipticParams):
+    return _source("elliptic", "F", params)
 
 
-def elliptic_G(params: EllipticParams, trunc=DEFAULT_TRUNCATION):
-    return _source("elliptic", "G", params, trunc)
+def elliptic_G(params: EllipticParams):
+    return _source("elliptic", "G", params)
 
 
-def elliptic_P(params: EllipticParams, trunc=DEFAULT_TRUNCATION):
-    return _source("elliptic", "P", params, trunc)
+def elliptic_P(params: EllipticParams):
+    return _source("elliptic", "P", params)
 
 
-def elliptic_Q(params: EllipticParams, trunc=DEFAULT_TRUNCATION):
-    return _source("elliptic", "Q", params, trunc)
+def elliptic_Q(params: EllipticParams):
+    return _source("elliptic", "Q", params)
 
 
-def source_subset_sum(regime: str, side: str, params, trunc=DEFAULT_TRUNCATION):
+def source_subset_sum(regime: str, side: str, params):
     """Literal subset-sum evaluation of a source function."""
     if regime not in REGIMES or side not in ("F", "G"):
         raise ValueError(f"unknown (regime, side) = ({regime!r}, {side!r})")
-    return _source(regime, side, params, trunc)
+    return _source(regime, side, params)
 
 
-def source_polynomial_form(regime: str, side: str, params, trunc=DEFAULT_TRUNCATION):
+def source_polynomial_form(regime: str, side: str, params):
     """Denominator-cleared polynomial version P/Q of a source function."""
     if regime not in ("rational", "trig", "elliptic") or side not in ("P", "Q"):
         raise ValueError(f"unknown (regime, side) = ({regime!r}, {side!r})")
-    return _source(regime, side, params, trunc)
+    return _source(regime, side, params)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +673,7 @@ def apply_difference_product(f, indices, shift, z, point):
     return total
 
 
-def source_via_difference_ops(regime: str, side: str, params, trunc=DEFAULT_TRUNCATION):
+def source_via_difference_ops(regime: str, side: str, params):
     """Source function as prefactor times a product of difference operators.
 
     The F side shifts v by sigma^-1, the G side shifts u by sigma.  Contract:
@@ -680,7 +691,7 @@ def source_via_difference_ops(regime: str, side: str, params, trunc=DEFAULT_TRUN
     shift = reg.shift(params, inverse=side == "F")
 
     if regime == "elliptic":
-        lam, th = params.lam, _theta_memo(params, trunc)
+        lam, th = params.lam, _theta_memo(params)
         pref = th(lam)
         pref *= prod(th(ui / vj) for ui in u for vj in v)
         for i in range(n):

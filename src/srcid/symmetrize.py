@@ -22,11 +22,11 @@ orderings as a Held-Karp dynamic program over the set of points already
 placed (Held & Karp, J. SIAM 10, 1962): O(n 2^n) multiplications against
 O(n^2 n!) for the literal permutation sum, with the same exact value.
 When c, u and the slot values are ints or Fractions, the DP walks Python
-ints: u and c are scaled to ints a and g by the lcm of their
-denominators, D = prod_{j<k} (a_j - a_k) clears every Delta denominator,
-each slot's row of values is scaled by the lcm of its denominators, and
-the sum is divided once at the end, as in the subset-sum kernel and
-``linalg.det_exact``.
+ints: ``fields.to_integers`` makes u and c ints a and g and each slot's
+row of values ints, D = prod_{j<k} (a_j - a_k) clears every Delta
+denominator (the pair table and D come from
+``sources.integer_pair_tables``), and the sum is divided once at the end,
+as in the subset-sum kernel and ``linalg.det_exact``.
 Complex, float and mixed inputs use the ratio tables in their own field.
 
 The two symmetrization formulas verified here evaluate Sym_c of
@@ -43,8 +43,9 @@ import math
 from fractions import Fraction
 
 from .detreps import izergin_korepin, izergin_korepin_core
+from .fields import is_exact, to_integers
 from .linalg import prod
-from .sources import RatParams, rational_P
+from .sources import RatParams, integer_pair_tables, rational_P
 
 PERM_CAP = 10
 
@@ -140,31 +141,22 @@ def sym_c(slots, u, c):
 
 def _integer_tables(u, c, rows, keys):
     """(pair, table, divisor) over ints for sym_c, or None unless c, u and
-    every value in ``rows`` are ints or Fractions.
+    every value in ``rows`` are exact.
 
-    With L the lcm of the denominators of c and u, a_j = L u_j and g = L c,
-    R[j][k] = (a_j - a_k - g)/(a_j - a_k).  Each ordering meets every pair
-    once, so D = prod_{j<k} (a_j - a_k) clears all its Delta denominators:
-    pair[j][k] is R[j][k] times D's factor of {j, k}, which is
-    a_j - a_k - g for j < k and a_k - a_j + g for j > k.  Each distinct row
-    of slot values is scaled to ints by M, the lcm of its denominators, and
-    the divisor is D times the M of every slot in ``keys``, repeats included.
+    With L the scale of c and u (``fields.to_integers``), a_j = L u_j and
+    g = L c, R[j][k] = (a_j - a_k - g)/(a_j - a_k).  Each ordering meets
+    every pair once, so D = prod_{j<k} (a_j - a_k) clears all its Delta
+    denominators: pair[j][k] is R[j][k] times D's factor of {j, k}.  These
+    are the ``cross`` table and D of ``sources.integer_pair_tables`` at
+    sigma = (1, g, 1).  Each distinct row of slot values is made ints by its
+    own scale M, and the divisor is D times the M of every slot in ``keys``,
+    repeats included.
     """
-    exact = (int, Fraction)
-    if not (isinstance(c, exact) and all(isinstance(x, exact) for x in u)
-            and all(isinstance(y, exact) for row in rows.values() for y in row)):
+    if not is_exact((c, *u, *(y for row in rows.values() for y in row))):
         return None
-    n = len(u)
-    lcm = math.lcm(c.denominator, *(x.denominator for x in u))
-    a = [x.numerator * (lcm // x.denominator) for x in u]
-    g = c.numerator * (lcm // c.denominator)
-    pair = [[a[j] - a[k] - g if j < k else a[k] - a[j] + g for k in range(n)]
-            for j in range(n)]
-    divisor = prod(a[j] - a[k] for j in range(n) for k in range(j + 1, n))
-    scaled = {}
-    for key, row in rows.items():
-        scale = math.lcm(*(y.denominator for y in row))
-        scaled[key] = [y.numerator * (scale // y.denominator) for y in row], scale
+    (g, *a), _ = to_integers((c, *u))
+    pair, _, divisor = integer_pair_tables(a, (1, g, 1))
+    scaled = {key: to_integers(row) for key, row in rows.items()}
     divisor *= prod(scaled[key][1] for key in keys)
     return pair, [scaled[key][0] for key in keys], divisor
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 from srcid.cli import bench_ratios
 from srcid.engine import SamplingConfig, list_cases, run_case
 from srcid.fields import COMPLEX, EXACT
-from srcid.qseries import Truncation
 from srcid.symmetrize import lascoux_symmetrized_sides, lascoux_tau_sides
 from srcid.wallcross import (
     hook_product_identity,
@@ -23,7 +22,6 @@ from srcid.wallcross import (
 )
 
 SEED = 20260801
-TRUNC = Truncation(epsilon=1e-14)
 
 
 def _config(points, field=None, sizes=None, seed=SEED):
@@ -32,7 +30,6 @@ def _config(points, field=None, sizes=None, seed=SEED):
         points=points,
         field=field,
         fixed_sizes=sizes,
-        trunc=TRUNC,
     )
 
 

@@ -182,6 +182,39 @@ def test_verify_rejects_zero_tol_singular(capsys):
     assert "tol_singular" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_tol_singular(capsys, value):
+    # a nan or infinite radius used to reject every draw up to the resampling cap
+    code, out, err = run_cli(
+        capsys, "verify", "--field", "complex", "--case", "rational_source_identity",
+        f"--tol-singular={value}",
+    )
+    assert code == 2
+    assert out == ""
+    assert "tol_singular" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+def test_verify_rejects_negative_or_non_finite_tol(capsys, value):
+    # -1 and nan used to fail every check, inf to pass every complex one
+    code, out, err = run_cli(
+        capsys, "verify", "--field", "complex", "--case", "rational_source_identity",
+        f"--tol={value}",
+    )
+    assert code == 2
+    assert out == ""
+    assert "tol_match" in err and "Traceback" not in err
+
+
+def test_verify_accepts_a_zero_tol(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--field", "exact", "--case", "rational_source_identity",
+        "--points", "2", "--tol", "0",
+    )
+    assert code == 0
+    assert "PASS" in out
+
+
 def test_sample_rejects_exact_elliptic(capsys):
     code, out, err = run_cli(
         capsys, "sample", "--regime", "elliptic", "--field", "exact",

@@ -20,7 +20,6 @@ from srcid.detreps import (
     izergin_korepin_core,
 )
 from srcid.linalg import det, det_exact, prod
-from srcid.qseries import Truncation
 from srcid.sources import (
     REGIMES,
     EllipticParams,
@@ -31,9 +30,6 @@ from srcid.sources import (
     rational_P,
     source_subset_sum,
 )
-
-TRUNC = Truncation()
-
 
 def rand_fraction(rng, nonzero=True):
     while True:
@@ -391,12 +387,12 @@ def test_elliptic_families_match_sources():
                 n = rng.randint(1, 4)
                 params = sample_elliptic(rng, n)
                 ref = (
-                    elliptic_F(params, TRUNC) if side == "F" else elliptic_G(params, TRUNC)
+                    elliptic_F(params) if side == "F" else elliptic_G(params)
                 )
                 aux1 = sample_aux(rng, n, complex_field=True)
                 aux2 = sample_aux(rng, n, complex_field=True)
-                v1 = det_rep("elliptic", family, side, params, aux1, TRUNC)
-                v2 = det_rep("elliptic", family, side, params, aux2, TRUNC)
+                v1 = det_rep("elliptic", family, side, params, aux1)
+                v2 = det_rep("elliptic", family, side, params, aux2)
                 assert abs(v1 - ref) <= 1e-8 * max(1.0, abs(ref)), (family, side, n)
                 assert abs(v2 - v1) <= 1e-9 * max(1.0, abs(v1))
 
@@ -410,8 +406,8 @@ def test_elliptic_det_identity_direct():
         params = sample_elliptic(rng, n)
         aux_f = sample_aux(rng, n, complex_field=True)
         aux_g = sample_aux(rng, n, complex_field=True)
-        lhs = det_rep("elliptic", "mpt", "F", params, aux_f, TRUNC)
-        rhs = det_rep("elliptic", "mpt", "G", params, aux_g, TRUNC)
+        lhs = det_rep("elliptic", "mpt", "F", params, aux_f)
+        rhs = det_rep("elliptic", "mpt", "G", params, aux_g)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 

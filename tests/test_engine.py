@@ -1,5 +1,6 @@
 """Engine behavior: sampling, determinism, reports, case registry."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -191,14 +192,19 @@ def test_fixed_sizes_pin_the_case_dimensions():
 def test_singular_config_rejected():
     with pytest.raises(ValueError):
         SamplingConfig(points=0)
-    with pytest.raises(ValueError):
-        SamplingConfig(tol_singular=0.0)
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SamplingConfig(tol_singular=bad)
+    for bad in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SamplingConfig(tol_match=bad)
+    assert SamplingConfig(tol_match=0.0).tol_match == 0.0
 
 
 def test_attempt_raises_after_cap():
     from srcid.engine import SamplingError
 
-    cfg = SamplingConfig(master_seed=1, points=1, resample_cap=10)
+    cfg = SamplingConfig(master_seed=1, points=1)
     ctx = PointContext(random.Random("y"), EXACT, cfg)
     with pytest.raises(SamplingError):
         ctx.attempt(lambda: 0, lambda x: False)

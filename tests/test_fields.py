@@ -1,5 +1,6 @@
 """Field backends: residual semantics and scalar helpers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from srcid.fields import (
     ComplexField,
     ExactField,
     get_field,
+    is_exact,
     magnitude,
+    to_integers,
 )
 
 
@@ -41,3 +44,45 @@ def test_scalar_helpers():
     assert magnitude(Fraction(-3, 2)) == 1.5
     assert magnitude(3 + 4j) == 5.0
     assert magnitude(Fraction(10**400)) == float("inf")
+
+
+def test_to_integers_scales_by_the_least_common_denominator():
+    F = Fraction
+    cases = [
+        [F(1, 2), F(-2, 3), 5, F(7, 12)],
+        [F(3, 4), F(5, 6), F(-1, 10), 0],
+        [3, -4, 0, True],
+        [F(10**12 + 1, 2**40), F(-3, 5**9)],
+        [F(1, 7)],
+    ]
+    for values in cases:
+        ints, lcm = to_integers(values)
+        assert all(type(x) is int for x in ints)
+        assert ints == [lcm * x for x in values]
+        # no smaller positive scale makes every value an int: a proper
+        # divisor of lcm divides some lcm / prime, so those are checked
+        rest, primes = lcm, []
+        for prime in range(2, 100):
+            while rest % prime == 0:
+                rest //= prime
+                primes.append(prime)
+        assert rest == 1
+        for prime in set(primes):
+            assert any((lcm // prime * x).denominator != 1 for x in values)
+    assert to_integers([F(1, 2), F(1, 3), F(1, 4)])[1] == 12
+    assert to_integers((2, 3))[1] == 1
+
+
+def test_to_integers_of_nothing():
+    assert to_integers([]) == ([], 1)
+    assert to_integers(()) == ([], 1)
+    assert is_exact([])
+
+
+def test_inexact_values_are_rejected():
+    for values in ([0.5], [Fraction(1, 2), 1 + 0j], [1, math.inf], [2j], [Fraction(1, 3), 0.25]):
+        assert not is_exact(values)
+        with pytest.raises(TypeError):
+            to_integers(values)
+    assert is_exact([1, Fraction(1, 3), True])
+    assert is_exact(x for x in (Fraction(2), 7))

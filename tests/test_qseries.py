@@ -197,6 +197,38 @@ def test_q_binomial_examples():
     assert q_binomial(4, 2, Fraction(1)) == 6
 
 
+def _q_int_literal(k, q):
+    """1 + q + ... + q^{k-1}, the power chain and the sum in one loop."""
+    one = q - q + 1
+    acc, power = one - one, one
+    for _ in range(k):
+        acc += power
+        power *= q
+    return acc
+
+
+def test_q_factorials_keep_every_bit_of_the_q_int_products():
+    """q_factorial and q_binomial read one running list of q-integers; each
+    value has the repr of the product (ratio) of separate q_int calls."""
+    rng = random.Random(61)
+    draws = [rand_complex(rng, 0.3, 2.0) for _ in range(100)]
+    fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(120)]
+    # q = -1 makes [2]_q = 0, a pole of q_binomial
+    draws += [q for q in fractions if q != -1][:100]
+    for q in draws:
+        n = rng.randint(0, 12)
+        l = rng.randint(0, n)
+        assert repr(q_int(n, q)) == repr(_q_int_literal(n, q))
+        product = q - q + 1
+        for j in range(1, n + 1):
+            product *= q_int(j, q)
+        assert repr(q_factorial(n, q)) == repr(product)
+        ratio = q - q + 1
+        for j in range(1, l + 1):
+            ratio = ratio * q_int(n - l + j, q) / q_int(j, q)
+        assert repr(q_binomial(n, l, q)) == repr(ratio)
+
+
 def test_q_binomial_against_product_expansion():
     # coefficient of z^2 in prod_{j=1}^{5} (1 + q^j z) equals q^3 [5 choose 2]_q
     q = Fraction(1, 2)

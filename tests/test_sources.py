@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from srcid.linalg import prod
-from srcid.qseries import Truncation, qpoch_n, theta
+from srcid.qseries import DEFAULT_TRUNCATION, qpoch_n, theta
 from srcid.sources import (
     REGIMES,
     EllipticParams,
@@ -42,9 +42,6 @@ from srcid.sources import (
     trig_lambda_F,
     trig_lambda_G,
 )
-
-TRUNC = Truncation()
-
 
 def rand_fraction(rng, nonzero=True):
     while True:
@@ -180,8 +177,8 @@ def test_elliptic_identity_numeric():
     for _ in range(8):
         n = rng.randint(1, 4)
         params = sample_elliptic(rng, n)
-        f = elliptic_F(params, TRUNC)
-        g = elliptic_G(params, TRUNC)
+        f = elliptic_F(params)
+        g = elliptic_G(params)
         assert abs(f - g) <= 1e-8 * max(1.0, abs(f), abs(g))
 
 
@@ -220,12 +217,12 @@ def test_polynomial_clearing_relation_elliptic():
     clear = 1
     for vi in params.v:
         for uk in params.u:
-            clear *= theta(params.q * uk / vi, params.p, TRUNC)
-    lhs = elliptic_P(params, TRUNC)
-    rhs = clear * elliptic_F(params, TRUNC)
+            clear *= theta(params.q * uk / vi, params.p)
+    lhs = elliptic_P(params)
+    rhs = clear * elliptic_F(params)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
-    lhs_q = elliptic_Q(params, TRUNC)
-    rhs_q = clear * elliptic_G(params, TRUNC)
+    lhs_q = elliptic_Q(params)
+    rhs_q = clear * elliptic_G(params)
     assert abs(lhs_q - rhs_q) <= 1e-9 * max(1.0, abs(rhs_q))
 
 
@@ -343,8 +340,8 @@ def test_difference_ops_match_subset_sums_elliptic():
     rng = random.Random(43)
     for side in ("F", "G"):
         params = sample_elliptic(rng, 3)
-        lhs = source_via_difference_ops("elliptic", side, params, TRUNC)
-        rhs = source_subset_sum("elliptic", side, params, TRUNC)
+        lhs = source_via_difference_ops("elliptic", side, params)
+        rhs = source_subset_sum("elliptic", side, params)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
@@ -426,7 +423,7 @@ def test_dispatchers():
 # ---------------------------------------------------------------------------
 
 
-def subset_sum_literal(regime, side, params, trunc=TRUNC):
+def subset_sum_literal(regime, side, params):
     """F, G, P or Q by multiplying out the term of every subset K (a bitmask).
 
     The pair function d, the shift and the weights are written out here from
@@ -442,7 +439,7 @@ def subset_sum_literal(regime, side, params, trunc=TRUNC):
         d, sigma = (lambda a, b: a - b), (lambda x: q * x)
     else:
         q, p = params.q, params.p
-        d, sigma = (lambda a, b: theta(b / a, p, trunc)), (lambda x: q * x)
+        d, sigma = (lambda a, b: theta(b / a, p)), (lambda x: q * x)
     vside = side in ("F", "P")
     size = len(v) if vside else len(u)
 
@@ -454,7 +451,7 @@ def subset_sum_literal(regime, side, params, trunc=TRUNC):
         if regime == "trig_lambda":
             w *= 1 - q**s * params.lam
         if regime == "elliptic":
-            w *= theta(q**s * params.lam * prod(u) / prod(v), p, trunc)
+            w *= theta(q**s * params.lam * prod(u) / prod(v), p)
         return w
 
     if vside:
@@ -500,7 +497,7 @@ def sample_complex_flat(rng, regime, n, m):
 
 def assert_kernel_matches_literal(regime, side, params, exact):
     value = (source_subset_sum if side in ("F", "G") else source_polynomial_form)(
-        regime, side, params, TRUNC
+        regime, side, params
     )
     literal = subset_sum_literal(regime, side, params)
     if exact:
@@ -862,7 +859,7 @@ def test_elliptic_theta_values_are_evaluated_once_per_point(monkeypatch):
     expected = (general_position("elliptic", fresh), elliptic_F(fresh), elliptic_G(fresh))
     calls = []
 
-    def counted(x, p, trunc):
+    def counted(x, p, trunc=DEFAULT_TRUNCATION):
         calls.append(x)
         return theta(x, p, trunc)
 
@@ -888,7 +885,7 @@ def test_determinant_paths_evaluate_each_theta_value_once_per_point(monkeypatch)
 
     calls = []
 
-    def counted(x, p, trunc=TRUNC):
+    def counted(x, p, trunc=DEFAULT_TRUNCATION):
         calls.append((repr(x), repr(p)))  # repr keeps the sign of a zero part
         return theta(x, p, trunc)
 
@@ -924,7 +921,7 @@ def test_scale_is_the_factor_of_d_under_the_shift():
     for regime, params in (("rational", rat), ("trig", tri), ("trig_lambda", tri),
                            ("elliptic", ell)):
         reg = REGIMES[regime]
-        d, sigma = reg.pair(params, TRUNC), reg.shift(params)
+        d, sigma = reg.pair(params), reg.shift(params)
         lam = reg.scale(params, 1)
         xs = params.u + params.v
         for a in xs:
@@ -945,15 +942,15 @@ def test_theta_memo_keys_a_zero_part_with_its_sign(monkeypatch):
     p = 0.3 + 0.1j
     calls = []
 
-    def counted(x, p, trunc):
+    def counted(x, p, trunc=DEFAULT_TRUNCATION):
         calls.append(x)
         return theta(x, p, trunc)
 
     monkeypatch.setattr(sources, "theta", counted)
-    th = theta_memo(p, TRUNC)
+    th = theta_memo(p)
     args = (1.5 + 0.5j, 1.5 + 0j, complex(1.5, -0.0), complex(0.0, 0.7), complex(-0.0, 0.7))
     for x in args + args:
-        assert repr(th(x)) == repr(theta(x, p, TRUNC))
+        assert repr(th(x)) == repr(theta(x, p))
     assert len(calls) == len(args)
 
 
