@@ -47,15 +47,15 @@ evaluates each argument once and keeps the value in its dict (an argument
 with a real or imaginary part 0 is kept under x and the signs of its
 parts, since x + 0j and x - 0j are one key but may differ in theta).  An
 ``EllipticParams`` holds that one dict, argument -> theta, in its
-``thetas`` field.  The truncation of the theta products is ``qseries``'
-own: every theta here runs at ``qseries.DEFAULT_TRUNCATION``, and no
-function of this module takes a truncation.  The field takes no part in
-``__init__``, ``==``, ``hash`` or ``repr``, so ``dataclasses.replace``
-returns an object with an empty memo and equal points stay equal; the
-memo lives and dies with its object.  The determinant forms take the same memo: ``linalg``'s Frobenius
+``thetas`` field.  The field takes no part in ``__init__``, ``==``,
+``hash`` or ``repr``, so ``dataclasses.replace`` returns an object with an
+empty memo and equal points stay equal; the memo lives and dies with its
+object.  The determinant forms take the same memo: ``linalg``'s Frobenius
 and theta-Vandermonde forms as a theta callable, ``detreps``' elliptic bs
 and mpt forms through their ``EllipticParams``.  There is no module-level
-cache of theta values.
+cache of theta values.  The truncation of the theta products is owned by
+``qseries`` alone: every theta here runs at ``qseries.DEFAULT_TRUNCATION``,
+and no function of this module takes a truncation.
 
 The polynomial versions P and Q are the same sums with the member ratios'
 denominators cleared: each member of K contributes the numerator product
