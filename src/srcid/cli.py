@@ -54,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=20260801)
     p_verify.add_argument("--points", type=int, default=10)
     p_verify.add_argument("--tol", type=float, default=None,
-                          help="override the per-case matching tolerance")
+                          help="override the per-case matching tolerance of the complex field "
+                               "(an exact pass is always literal equality)")
     p_verify.add_argument("--tol-singular", type=float, default=1e-3)
     p_verify.add_argument("--nmax", type=int, default=None)
     p_verify.add_argument("--out", default=None, help="write the report to this path")

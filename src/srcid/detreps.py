@@ -47,6 +47,22 @@ Every representation here, for EVERY admissible auxiliary draw, equals the
 subset-sum source function (the P polynomial for ``ik``) on the same core
 parameters; that aux-independence is part of the verified contract.
 
+At an exact nome-0 point (``fields.is_exact`` over c or q, z, u, v and the
+family's aux values) mpt, scalar_product, bs, bs_limit and the ik core build
+their matrices as rows of Python ints and divide once at the end; dwbc and
+every complex or elliptic point take the generic path.  The nodes, eta and c
+are scaled by one L with the shift sigma = (alpha, beta, gamma) of
+``sources._integer_point`` (``fields.to_integers`` does the scaling), and
+the member ratios are the int products of ``sources.integer_member_products``.
+Every row of a matrix then shares one denominator except for its member
+ratio's, so each row is cleared by that ratio's denominator, ``det_exact``
+runs on the int rows, and the value is one Fraction over the product of the
+row scales.  The mpt mix still runs, over an int-scaled mixing matrix.
+Where the generic path would divide by 0 (a member ratio, a repeated node,
+q = 0 on the F side) or index a short mixing-matrix row, the int path hands
+the point to it, and both run the aux checks at the same step, so every
+draw raises the same error with the same text on either path.
+
 Transcription note: one-parameter extensions of these determinants are
 sometimes quoted with the balance ratio attached to row 1 as a
 (.)^{delta_i1} weight and the extension parameter left free.  That shape
@@ -63,11 +79,16 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
-from .linalg import det, prod, vandermonde
+from .fields import is_exact, to_integers
+from .linalg import det, det_exact, prod, vandermonde
 from .qseries import psi_A
-from .sources import REGIMES, _theta_memo, apart, member_ratios
+from .sources import (
+    REGIMES, _integer_point, _theta_memo, apart, integer_member_products, member_ratios,
+)
 
 AVAILABILITY = {
     "elliptic": frozenset({"mpt", "bs"}),
@@ -152,6 +173,68 @@ def _shift_columns(nodes, shift, zeff, ratio):
     ]
 
 
+def _integer_side(regime, side, params, eta=()):
+    """``_flat_side`` over ints at an exact point, or None for the Fraction path.
+
+    Over one common denominator t, x_j = ys[j] / t, shift(x_j) = ws[j] / t
+    and eta_k = etas[k] / t, while sigma(eta_k) = refs[k] / (gamma t), and
+    zeff * ratio_j = num[j] / den[j]; ``pref`` is the side's prefactor.
+    The nodes, eta and c are ints times L with sigma = (alpha, beta, gamma)
+    (``sources._integer_point``); the row shift of an int X is
+    (a X + b) / d with (a, b, d) = (gamma, -beta, alpha) on the F side and
+    sigma on the G side, so t = d L.  The member ratios are gamma^partners
+    * inside / outside (``sources.integer_member_products``).  None when the
+    Fraction path would divide by 0 here (an outside product, or q = 0 on
+    the F side) or a side is empty: that path then raises as it did.
+    """
+    params, scaling = _integer_point(regime, params, eta)
+    if scaling is None:
+        return None
+    us, vs, lcm, sigma, etas = scaling
+    alpha, beta, gamma = sigma
+    vside = side == "F"
+    xs, partners = (vs, len(us)) if vside else (us, len(vs))
+    if not xs or (vside and alpha == 0):
+        return None
+    inside, outside = integer_member_products(us, vs, sigma, vside)
+    if 0 in outside:
+        return None
+    reg = REGIMES[regime]
+    n, m = len(us), len(vs)
+    if vside:
+        a, b, d = gamma, -beta, alpha
+        zeff, pref = reg.scale(params, m - 1) * params.z, 1
+    else:
+        a, b, d = sigma
+        zeff = reg.scale(params, m - n) * params.z
+        pref = reg.prefactor(params)
+    lift = zeff.numerator * gamma**partners
+    return SimpleNamespace(
+        ys=[d * x for x in xs],
+        ws=[a * x + b for x in xs],
+        etas=[d * e for e in etas],
+        refs=[d * (alpha * e + beta) for e in etas],
+        gamma=gamma,
+        t=d * lcm,
+        num=[lift * p for p in inside],
+        den=[zeff.denominator * p for p in outside],
+        pref=pref,
+    )
+
+
+def _integer_rows(flat, plain, shifted):
+    """Rows den_j * plain_j - num_j * shifted_j: the entries x-basis minus
+    zeff * ratio_j times the shift(x)-basis, row j times den_j."""
+    return [
+        [dj * p - nj * s for p, s in zip(row, srow)]
+        for row, srow, nj, dj in zip(plain, shifted, flat.num, flat.den)
+    ]
+
+
+def _monomials(x, size):
+    return [x**k for k in range(size)]
+
+
 # ---------------------------------------------------------------------------
 # mpt family
 # ---------------------------------------------------------------------------
@@ -200,11 +283,54 @@ def _mpt_elliptic(side, params, aux):
     return _mpt_weight("elliptic", side, params, r) / denom * det(entries)
 
 
+def _mpt_integer(regime, side, params, aux):
+    """``_mpt_flat`` over the ints of ``_integer_side``; None where the
+    Fraction path must run (an inexact point, or a mixing matrix row of the
+    wrong length).
+
+    Node j's psi column times rd t^size and its shifted monomial column
+    times den_j t^(size-1) are ints once column k of the mixing matrix
+    carries rd t^(size-k) (k >= 1), resp. t^(size-1-k); the mix runs over
+    those ints, and the value is pref (rd t^size - rn prod ys) rd^(size-1)
+    det(numerator mix) / (det(psi mix) prod den).
+    """
+    mat, r = aux.pmat if side == "F" else aux.qmat, aux.r
+    if mat is None or not is_exact((r, *(x for row in mat for x in row))):
+        return None
+    flat = _integer_side(regime, side, params)
+    if flat is None:
+        return None
+    ys, t = flat.ys, flat.t
+    size = len(ys)
+    _require(len(mat) == size, "mpt needs a size-matched mixing matrix")
+    if any(len(row) != size for row in mat):
+        return None
+    # a row's scale multiplies both mixed determinants: it cancels
+    mix = [to_integers(row)[0] for row in mat]
+    rn, rd = r.numerator, r.denominator
+    powers = [t**k for k in range(size + 1)]
+    top = rd * powers[size]
+    sign = 1 if (size - 1) % 2 == 0 else -1
+    plain = [_monomials(y, size) for y in ys]
+    psi = [[top - sign * rn * y * row[-1]] + row[1:] for y, row in zip(ys, plain)]
+    mix_den = [[row[0]] + [rd * x * powers[size - k] for k, x in enumerate(row) if k] for row in mix]
+    denom = det_exact(_mix_rows(mix_den, psi)).numerator
+    _require(denom != 0, "singular mixed psi matrix")
+    rows = _integer_rows(flat, plain, [_monomials(w, size) for w in flat.ws])
+    mix_num = [[x * powers[size - 1 - k] for k, x in enumerate(row)] for row in mix]
+    value = Fraction((top - rn * prod(ys)) * rd ** (size - 1)
+                     * det_exact(_mix_rows(mix_num, rows)).numerator, denom * prod(flat.den))
+    return flat.pref * value
+
+
 def _mpt_flat(regime, side, params, aux):
     """mpt at nome 0: mixed monomial numerator over a mixed psi denominator."""
+    value = _mpt_integer(regime, side, params, aux)
+    if value is not None:
+        return value
+    mat = aux.pmat if side == "F" else aux.qmat
     nodes, shift, zeff, ratio, pref = _flat_side(regime, side, params)
     size = len(nodes)
-    mat = aux.pmat if side == "F" else aux.qmat
     _require(mat is not None and len(mat) == size, "mpt needs a size-matched mixing matrix")
     r = aux.r
     cols_den = [[psi_A(k, size, x, 0, r) for k in range(1, size + 1)] for x in nodes]
@@ -219,7 +345,26 @@ def _mpt_flat(regime, side, params, aux):
 # ---------------------------------------------------------------------------
 
 
+def _scalar_product_integer(regime, side, params):
+    """pref det[den_j ys_j^k - num_j ws_j^k] / (vandermonde(ys) prod den), t
+    cancelling; None where the Fraction path must run (an inexact point, a
+    repeated node)."""
+    flat = _integer_side(regime, side, params)
+    if flat is None:
+        return None
+    size = len(flat.ys)
+    divisor = vandermonde(flat.ys)
+    if divisor == 0:
+        return None
+    rows = _integer_rows(flat, [_monomials(y, size) for y in flat.ys],
+                         [_monomials(w, size) for w in flat.ws])
+    return flat.pref * Fraction(det_exact(rows).numerator, divisor * prod(flat.den))
+
+
 def _scalar_product(regime, side, params):
+    value = _scalar_product_integer(regime, side, params)
+    if value is not None:
+        return value
     nodes, shift, zeff, ratio, pref = _flat_side(regime, side, params)
     entries = [list(row) for row in zip(*_shift_columns(nodes, shift, zeff, ratio))]
     return pref * det(entries) / vandermonde(nodes)
@@ -357,19 +502,86 @@ def _lagrange_row(x, nodes):
     return row
 
 
+def _deformed_row(x, eta, eta_ref, delta):
+    """[lagrange_j(x, eta) - lagrange_j(x, eta_ref) / delta for each j]: the
+    two ``_lagrange_row`` folds, bit for bit, over the differences to both
+    node sets formed in one pass."""
+    diffs = [(x - e, x - f) for e, f in zip(eta, eta_ref)]
+    head = head_ref = x - x + 1
+    row = []
+    for j, (d, d_ref) in enumerate(diffs, 1):
+        acc, acc_ref = head, head_ref
+        for e, f in diffs[j:]:
+            acc *= e
+            acc_ref *= f
+        row.append(acc - acc_ref / delta)
+        head *= d
+        head_ref *= d_ref
+    return row
+
+
+def _bs_aux(aux, size, limit):
+    _require(aux.eta is not None and len(aux.eta) == size, "bs needs eta of matching length")
+    _require(len(set(aux.eta)) == size, "eta nodes must be pairwise distinct")
+    _require(limit or aux.delta not in (None, 0, 1), "bs needs delta outside {0, 1}")
+
+
+def _bs_integer(regime, side, params, aux, limit):
+    """``_bs_flat`` over the ints of ``_integer_side``; None where the
+    Fraction path must run (an inexact point, a repeated node of ``bs_limit``).
+
+    A basis row at the argument A / t is ``_lagrange_row(A, etas)`` over
+    t^(size-1), deformed to delta_n gamma^(size-1) ``_lagrange_row(A, etas)``
+    - delta_d ``_lagrange_row(gamma A, refs)`` over delta_n (gamma t)^(size-1)
+    unless limit.  Every row shares that scale, so the value is pref det(rows)
+    / (denominator * prod den), the denominator being the plain rows'
+    determinant or, in the limit, prod (ys_j - ys_i)(etas_i - etas_j).
+    """
+    # the aux values first: the cheapest test that turns a complex point away
+    if aux.eta is None or not is_exact(aux.eta) or not (limit or is_exact((aux.delta,))):
+        return None
+    flat = _integer_side(regime, side, params, aux.eta)
+    if flat is None:
+        return None
+    ys, etas = flat.ys, flat.etas
+    size = len(ys)
+    _bs_aux(aux, size, limit)
+    if limit:
+        def basis(a):
+            return _lagrange_row(a, etas)
+    else:
+        dn, dd, gamma, refs = aux.delta.numerator, aux.delta.denominator, flat.gamma, flat.refs
+        lift = dn * gamma ** (size - 1)
+
+        def basis(a):
+            return [lift * p - dd * r
+                    for p, r in zip(_lagrange_row(a, etas), _lagrange_row(gamma * a, refs))]
+
+    plain = [basis(y) for y in ys]
+    if limit:
+        denom = prod((ys[j] - ys[i]) * (etas[i] - etas[j]) for i, j in _pairs_below(ys))
+        if denom == 0:
+            return None
+    else:
+        denom = det_exact(plain).numerator
+        _require(denom != 0, "degenerate deformed node basis")
+    rows = _integer_rows(flat, plain, [basis(w) for w in flat.ws])
+    return flat.pref * Fraction(det_exact(rows).numerator, denom * prod(flat.den))
+
+
 def _bs_flat(regime, side, params, aux, limit: bool):
+    value = _bs_integer(regime, side, params, aux, limit)
+    if value is not None:
+        return value
+    eta, delta = aux.eta, aux.delta
     xs, row_shift, zeff, ratio, pref = _flat_side(regime, side, params)
     size = len(xs)
-    eta, delta = aux.eta, aux.delta
-    _require(eta is not None and len(eta) == size, "bs needs eta of matching length")
-    _require(len(set(eta)) == size, "eta nodes must be pairwise distinct")
-    _require(limit or delta not in (None, 0, 1), "bs needs delta outside {0, 1}")
+    _bs_aux(aux, size, limit)
     eta_ref = tuple(map(REGIMES[regime].shift(params), eta))
 
     def basis(x):
         # every basis function at x: the Lagrange products, deformed unless limit
-        row = _lagrange_row(x, eta)
-        return row if limit else [a - b / delta for a, b in zip(row, _lagrange_row(x, eta_ref))]
+        return _lagrange_row(x, eta) if limit else _deformed_row(x, eta, eta_ref, delta)
 
     # each node's basis row serves the plain matrix and the entries
     plain = [basis(x) for x in xs]
@@ -398,10 +610,24 @@ def izergin_korepin_core(u, v, c, scale=1):
 
     ``scale`` is multiplied in first, so a caller's prefactor keeps the
     rounding order of writing it out.  The core stays defined at c = 0.
+    Exact input is the int form scale * det[prod_{k' != k} (v_j - u_k')
+    (v_j - u_k' - c)] / (prod (v_j - v_i) prod (u_i - u_j)): row j times
+    its Cauchy entries' denominators, which removes the reciprocals.
     """
     n = len(u)
     if len(v) != n:
         raise ValueError("izergin_korepin needs len(u) == len(v)")
+    if is_exact((c, scale, *u, *v)):
+        # row j times prod_k (v_j - u_k)(v_j - u_k - c), over ints times L:
+        # entry (j, k) is the product over k' != k, two Lagrange rows' product
+        (g, *xs), lcm = to_integers((c, *u, *v))
+        us, vs = xs[:n], xs[n:]
+        divisor = prod(vs[j] - vs[i] for i, j in _pairs_below(vs))
+        divisor *= prod(us[i] - us[j] for i, j in _pairs_below(us))
+        if divisor and set(us).isdisjoint(vs) and set(us).isdisjoint(y - g for y in vs):
+            rows = [[a * b for a, b in zip(_lagrange_row(y, us), _lagrange_row(y - g, us))]
+                    for y in vs]
+            return scale * Fraction(det_exact(rows).numerator, divisor * lcm ** (n * (n - 1)))
     pref = scale * prod((vi - uk) * (vi - uk - c) for vi in v for uk in u)
     pref /= prod(v[j] - v[i] for i, j in _pairs_below(v))
     pref /= prod(u[i] - u[j] for i, j in _pairs_below(u))

@@ -401,9 +401,11 @@ class CaseDef:
     tol_complex: float = 1e-10
 
     def tol(self, field_name: str, override: Optional[float]) -> float:
-        if override is not None:
-            return override
-        return 0.0 if field_name == EXACT else self.tol_complex
+        """The pass tolerance: 0 over the exact field, whose pass is literal
+        equality whatever the override; else the override or ``tol_complex``."""
+        if field_name == EXACT:
+            return 0.0
+        return self.tol_complex if override is None else override
 
 
 REGISTRY: dict = {}

@@ -16,9 +16,9 @@ field objects below bundle the small amount of policy that differs
 between the two backends: the zero and one of the field and the residual
 used in verification reports.
 
-The exact kernels (``linalg.det_exact``, the integer walk of ``sources``
-and ``symmetrize.sym_c``) do their arithmetic over Python ints and divide
-once at the end.  ``is_exact`` is their one test for exact input, and
+The exact kernels (``linalg.det_exact``, the integer walk of ``sources``,
+``symmetrize.sym_c`` and the nome-0 rows of ``detreps``) do their
+arithmetic over Python ints and divide once at the end.  ``is_exact`` is their one test for exact input, and
 ``to_integers`` their one scaling to ints: values times L, the lcm of
 their denominators.
 """
@@ -52,7 +52,12 @@ def magnitude(x) -> float:
 
 def is_exact(values) -> bool:
     """Every value is an int or a Fraction."""
-    return all(isinstance(x, (int, Fraction)) for x in values)
+    # a loop, not all() over a generator: the complex path pays this test
+    # on every det() and every gate of the integer paths
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            return False
+    return True
 
 
 def to_integers(values):

@@ -89,7 +89,9 @@ takes its tables from it too):
 * a separated pair with ratio d(a, sigma b) / d(a, b) contributes
   (gamma a - alpha b - beta) / gamma, signed by D's factor (``cross``);
 * a member contributes v - u for each of its (v, u) pairs, and a
-  non-member gamma v - alpha u - beta = gamma d(v, sigma u);
+  non-member gamma v - alpha u - beta = gamma d(v, sigma u)
+  (``integer_member_products``, which ``detreps`` reads for its member
+  ratios too);
 * F and G divide the sum once by the product of the non-member factors
   of all summed variables, and each of their members carries gamma per
   partner; each non-member of P and Q carries 1/gamma per partner.
@@ -473,32 +475,33 @@ def _pair_table(table, vside):
 _INTEGER_SCALARS = {"rational": ("c", "z"), "trig": ("q", "z"), "trig_lambda": ("q", "z", "lam")}
 
 
-def _integer_point(regime, params):
-    """``params`` with Fraction scalars and (u, v, L, sigma) for the integer
-    walk, or ``params`` unchanged and None for the table walk.
+def _integer_point(regime, params, extra=()):
+    """``params`` with Fraction scalars and (u, v, L, sigma, extra) for the
+    integer walk, or ``params`` unchanged and None for the table walk.
 
     The integer walk takes rational, trig and trig_lambda points whose
     scalars are all exact (``fields.is_exact``).  Turning ints into
     Fractions keeps the weights and the G prefactor exact.  u and v come
     back as ints, scaled by L together with c (``fields.to_integers``), and
     sigma = (alpha, beta, gamma) writes the shift of an integer y as
-    (alpha y + beta) / gamma.
+    (alpha y + beta) / gamma.  The values ``extra`` (the bs nodes of
+    ``detreps``) must be exact too and come back scaled by the same L.
     """
     names = _INTEGER_SCALARS.get(regime, ())
     scalars = {name: getattr(params, name) for name in names}
-    if not names or not is_exact((*scalars.values(), *params.u, *params.v)):
+    if not names or not is_exact((*scalars.values(), *params.u, *params.v, *extra)):
         return params, None
     ints = {name: Fraction(x) for name, x in scalars.items() if type(x) is not Fraction}
     if ints:
         params = replace(params, **ints)
-    n = len(params.u)
+    n, m = len(params.u), len(params.v)
     if regime == "rational":
-        (g, *xs), lcm = to_integers((params.c, *params.u, *params.v))
+        (g, *xs), lcm = to_integers((params.c, *params.u, *params.v, *extra))
         sigma = (1, g, 1)
     else:
-        xs, lcm = to_integers((*params.u, *params.v))
+        xs, lcm = to_integers((*params.u, *params.v, *extra))
         sigma = (params.q.numerator, 0, params.q.denominator)
-    return params, (xs[:n], xs[n:], lcm, sigma)
+    return params, (xs[:n], xs[n:n + m], lcm, sigma, xs[n + m:])
 
 
 def integer_pair_tables(xs, sigma):
@@ -515,19 +518,29 @@ def integer_pair_tables(xs, sigma):
     return cross, same, prod(prod(row) for row in same)
 
 
-def _integer_sum(weights, u, v, lcm, sigma, vside, cleared):
-    """The kernel's sum over ints, divided once at the end (module docstring)."""
+def integer_member_products(u, v, sigma, vside):
+    """(inside, outside) over the ints u, v for a shift sigma = (alpha, beta, gamma):
+    for each v_i (``vside``) or each u_k, the products over its partners of
+    v - u and of gamma v - alpha u - beta.  A member ratio is gamma^partners
+    * inside / outside.
+    """
     alpha, beta, gamma = sigma
+    if vside:
+        return ([prod(x - y for y in u) for x in v],
+                [prod(gamma * x - alpha * y - beta for y in u) for x in v])
+    return ([prod(x - y for x in v) for y in u],
+            [prod(gamma * x - alpha * y - beta for x in v) for y in u])
+
+
+def _integer_sum(weights, scaling, vside, cleared):
+    """The kernel's sum over ints, divided once at the end (module docstring)."""
+    u, v, lcm, sigma, _ = scaling
+    gamma = sigma[2]
     xs, partners = (v, len(u)) if vside else (u, len(v))
     size = len(xs)
     cross, same, divisor = integer_pair_tables(xs, sigma)
     pair = _pair_table(cross, vside)
-    if vside:
-        inside = [prod(x - y for y in u) for x in v]
-        outside = [prod(gamma * x - alpha * y - beta for y in u) for x in v]
-    else:
-        inside = [prod(x - y for x in v) for y in u]
-        outside = [prod(gamma * x - alpha * y - beta for x in v) for y in u]
+    inside, outside = integer_member_products(u, v, sigma, vside)
     if gamma != 1:
         # 1/gamma per separated pair, and per partner gamma for each member
         # (F, G) or 1/gamma for each non-member (P, Q)
@@ -553,7 +566,7 @@ def _source(regime, side, params):
     params, scaling = _integer_point(regime, params)
     weights = reg.weights(params, vside, size)
     if scaling is not None:
-        total = _integer_sum(weights, *scaling, vside, cleared)
+        total = _integer_sum(weights, scaling, vside, cleared)
     else:
         d = reg.pair(params)
         sigma = reg.shift(params)

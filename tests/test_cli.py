@@ -215,6 +215,17 @@ def test_verify_accepts_a_zero_tol(capsys):
     assert "PASS" in out
 
 
+def test_verify_exact_field_reports_tol_zero_under_a_tol_override(capsys):
+    # an exact pass stays literal equality: --tol only sets the complex tolerance
+    code, out, _ = run_cli(
+        capsys, "verify", "--field", "exact", "--case", "rational_source_identity",
+        "--points", "2", "--tol", "0.5", "--format", "json", "--no-timings",
+    )
+    assert code == 0
+    (case,) = json.loads(out)["cases"]
+    assert case["tol"] == 0
+
+
 def test_sample_rejects_exact_elliptic(capsys):
     code, out, err = run_cli(
         capsys, "sample", "--regime", "elliptic", "--field", "exact",

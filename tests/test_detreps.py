@@ -19,7 +19,8 @@ from srcid.detreps import (
     izergin_korepin,
     izergin_korepin_core,
 )
-from srcid.linalg import det, det_exact, prod
+from srcid.linalg import det, det_exact, prod, vandermonde
+from srcid.qseries import psi_A
 from srcid.sources import (
     REGIMES,
     EllipticParams,
@@ -365,6 +366,166 @@ def test_bs_families_keep_every_bit_of_the_per_index_basis():
                             assert repr(value) == repr(literal), (regime, family, side, size)
                         else:
                             assert value == literal, (regime, family, side, size)
+
+
+# ---------------------------------------------------------------------------
+# exact points: the integer rows against Fraction oracles
+# ---------------------------------------------------------------------------
+
+
+def mpt_flat_literal(regime, side, params, aux):
+    """The nome-0 mpt over Fractions, each mixed entry its own sum: mixed
+    monomial numerator rows over mixed psi rows, times the weight."""
+    nodes, shift, zeff, ratio, pref = _flat_side(regime, side, params)
+    size = len(nodes)
+    mat = aux.pmat if side == "F" else aux.qmat
+    if mat is None or len(mat) != size:
+        raise AuxInvariantError("mpt needs a size-matched mixing matrix")
+
+    def mixed(cols):
+        return [[sum(mat[i][k] * cols[j][k] for k in range(size)) for j in range(size)]
+                for i in range(size)]
+
+    denom = det(mixed([[psi_A(k, size, x, 0, aux.r) for k in range(1, size + 1)]
+                       for x in nodes]))
+    if denom == 0:
+        raise AuxInvariantError("singular mixed psi matrix")
+    cols = [[x**k - zeff * shift(x) ** k * ratio[j] for k in range(size)]
+            for j, x in enumerate(nodes)]
+    return pref * (1 - aux.r * prod(nodes)) / denom * det(mixed(cols))
+
+
+def scalar_product_literal(regime, side, params):
+    """The nome-0 monomial determinant over Fractions."""
+    nodes, shift, zeff, ratio, pref = _flat_side(regime, side, params)
+    entries = [[x**k - zeff * shift(x) ** k * ratio[j] for j, x in enumerate(nodes)]
+               for k in range(len(nodes))]
+    return pref * det(entries) / vandermonde(nodes)
+
+
+def ik_core_literal(u, v, c, scale=1):
+    """The IK core over Fractions: Cauchy-type entries under the full prefactor."""
+    n = len(u)
+    pref = scale * prod((vi - uk) * (vi - uk - c) for vi in v for uk in u)
+    pref /= prod(v[j] - v[i] for i in range(n) for j in range(i + 1, n))
+    pref /= prod(u[i] - u[j] for i in range(n) for j in range(i + 1, n))
+    return pref * det([[1 / ((vj - uk) * (vj - uk - c)) for uk in u] for vj in v])
+
+
+def flat_literal(regime, family, side, params, aux):
+    if family == "mpt":
+        return mpt_flat_literal(regime, side, params, aux)
+    if family == "scalar_product":
+        return scalar_product_literal(regime, side, params)
+    return bs_flat_literal(regime, side, params, aux, family == "bs_limit")
+
+
+def outcome(fn, *args):
+    """("value", v) or the exception's type and text."""
+    try:
+        return ("value", fn(*args))
+    except (ZeroDivisionError, AuxInvariantError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+FLAT_FAMILIES = ("bs", "bs_limit", "mpt", "scalar_product")
+
+
+def test_exact_families_equal_the_sums_and_the_fraction_oracles_at_every_size():
+    rng = random.Random(41)
+    for regime in ("rational", "trig"):
+        draw = sample_rational if regime == "rational" else sample_trig
+        for family in FLAT_FAMILIES:
+            for side in ("F", "G"):
+                for size in range(1, 9):
+                    other = rng.randint(1, 3)
+                    n, m = (other, size) if side == "F" else (size, other)
+                    params = draw(rng, n, m)
+                    aux = sample_aux(rng, size)
+                    if size % 2:
+                        # the registry's mixing matrices are int tuples
+                        ints = tuple(tuple(int(x) for x in row) for row in aux.pmat)
+                        aux = AuxParams(r=aux.r, pmat=ints, qmat=ints, delta=aux.delta,
+                                        eta=aux.eta)
+                    value = det_rep(regime, family, side, params, aux)
+                    assert type(value) is Fraction
+                    assert value == source_subset_sum(regime, side, params), (
+                        regime, family, side, size)
+                    assert value == flat_literal(regime, family, side, params, aux), (
+                        regime, family, side, size)
+    for n in range(1, 9):
+        base = sample_rational(rng, n, n)
+        params = RatParams(c=base.c, z=Fraction(1), u=base.u, v=base.v)
+        value = det_rep("rational", "ik", "F", params)
+        assert type(value) is Fraction
+        assert value == rational_P(params)
+        assert value == (-params.c) ** n * ik_core_literal(params.u, params.v, params.c)
+        assert izergin_korepin_core(params.u, params.v, Fraction(0)) == ik_core_literal(
+            params.u, params.v, Fraction(0))
+
+
+def test_all_int_parameters_give_the_exact_fraction():
+    u, v, eta = (1, -2, 4), (7, 12), (2, -1)
+    mat = ((2, 1), (1, 3))
+    for regime, params in (("rational", RatParams(c=2, z=3, u=u, v=v)),
+                           ("trig", TrigParams(q=2, z=3, u=u, v=v))):
+        as_fractions = replace_all(params, Fraction)
+        for family in FLAT_FAMILIES:
+            aux = AuxParams(r=3, pmat=mat, qmat=mat, delta=5, eta=eta)
+            value = det_rep(regime, family, "F", params, aux)
+            assert type(value) is Fraction, (regime, family)
+            assert value == det_rep(regime, family, "F", as_fractions, aux)
+            assert value == source_subset_sum(regime, "F", as_fractions)
+    core = izergin_korepin_core((1, 2), (4, 7), 1, 3)
+    assert type(core) is Fraction
+    assert core == ik_core_literal(*(tuple(map(Fraction, xs)) for xs in ((1, 2), (4, 7))),
+                                   Fraction(1), 3)
+
+
+def replace_all(params, kind):
+    fields = {name: getattr(params, name) for name in params.__dataclass_fields__}
+    return type(params)(**{name: tuple(map(kind, x)) if isinstance(x, tuple) else kind(x)
+                           for name, x in fields.items() if x is not None})
+
+
+def test_exact_degenerate_draws_raise_what_the_fraction_oracles_raise():
+    # a trig deformed basis at delta = q^(size-1) maps every polynomial f to
+    # f(x) - f(x/q), which kills the constants: degenerate at distinct nodes
+    params = TrigParams(q=Fraction(3, 2), z=Fraction(2, 5), u=(Fraction(1),),
+                        v=(Fraction(1, 3), Fraction(2), Fraction(-3)))
+    aux = AuxParams(delta=Fraction(9, 4), eta=(Fraction(1), Fraction(5), Fraction(-2)))
+    with pytest.raises(AuxInvariantError, match="degenerate deformed node basis"):
+        det_rep("trig", "bs", "F", params, aux)
+    with pytest.raises(ZeroDivisionError):  # the oracle divides by the basis determinant
+        bs_flat_literal("trig", "F", params, aux, False)
+    # a singular mixing matrix, int and Fraction
+    for mat in (((1, 1), (1, 1)), ((Fraction(1, 2), 1), (Fraction(1, 2), 1))):
+        params = sample_trig(random.Random(17), 2, 2)
+        aux = AuxParams(r=Fraction(1, 2), pmat=mat, qmat=mat)
+        expected = outcome(mpt_flat_literal, "trig", "F", params, aux)
+        assert expected == ("AuxInvariantError", "singular mixed psi matrix")
+        assert outcome(det_rep, "trig", "mpt", "F", params, aux) == expected
+    # a repeated node, and a node on a shifted partner (v = sigma u)
+    rng = random.Random(43)
+    repeated = RatParams(c=Fraction(1, 3), z=Fraction(2, 5), u=(Fraction(1), Fraction(1)),
+                         v=(Fraction(3), Fraction(1, 2)))
+    on_shift = RatParams(c=Fraction(1, 3), z=Fraction(2, 5), u=(Fraction(1), Fraction(2)),
+                         v=(Fraction(4, 3), Fraction(1, 2)))
+    for params in (repeated, on_shift):
+        for family in FLAT_FAMILIES:
+            aux = sample_aux(rng, 2)
+            expected = outcome(flat_literal, "rational", family, "G", params, aux)
+            assert expected[0] != "value"
+            if family == "bs" and params is repeated:
+                # the oracle checks no aux and divides by the degenerate basis
+                assert expected[0] == "ZeroDivisionError"
+                expected = ("AuxInvariantError", "degenerate deformed node basis")
+            assert outcome(det_rep, "rational", family, "G", params, aux) == expected
+    u, v, c = (Fraction(1), Fraction(2)), (Fraction(5), Fraction(5)), Fraction(1, 2)
+    for args in ((u, v, c), (v, u, c), (u, (Fraction(5), Fraction(5, 2)), c)):
+        expected = outcome(ik_core_literal, *args)
+        assert expected[0] == "ZeroDivisionError"
+        assert outcome(izergin_korepin_core, *args) == expected
 
 
 def sample_elliptic(rng, n):

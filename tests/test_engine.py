@@ -91,6 +91,14 @@ def test_exact_field_pass_means_literal_equality():
     assert all(p.residual == 0.0 for p in rep.points)
 
 
+def test_exact_field_ignores_a_tolerance_override():
+    case = get_case("rational_source_identity")
+    assert case.tol(EXACT, 0.5) == 0.0
+    assert case.tol(EXACT, None) == 0.0
+    assert case.tol(COMPLEX, 0.5) == 0.5
+    assert case.tol(COMPLEX, None) == case.tol_complex
+
+
 def test_complex_field_override():
     cfg = SamplingConfig(master_seed=7, points=3, field=COMPLEX)
     rep = run_case("rational_source_identity", cfg)
