@@ -109,7 +109,8 @@ class AuxInvariantError(ValueError):
 class AuxParams:
     """Spectator parameters of the determinant representations.
 
-    ``pmat`` mixes the F-side basis rows, ``qmat`` the G-side ones; both
+    ``mat`` mixes the basis rows of the side being evaluated (the paper's P
+    on the F side, Q on the G side: a call reads only its own side's) and
     must be invertible.  The pairwise-distinct nodes ``eta`` feed the bs
     family (length m on the F side, n on the G side); ``delta`` deforms
     the node basis in the trig/rational bs family and must avoid 0 and 1
@@ -118,8 +119,7 @@ class AuxParams:
     """
 
     r: object = None
-    pmat: Optional[tuple] = None
-    qmat: Optional[tuple] = None
+    mat: Optional[tuple] = None
     delta: object = None
     eta: Optional[tuple] = None
 
@@ -256,15 +256,11 @@ def _mpt_weight(regime, side, params, r):
 def _mpt_elliptic(side, params, aux):
     p, q, lam, z, u, v = params.p, params.q, params.lam, params.z, params.u, params.v
     n = params.n
-    r = aux.r
+    mat, r = aux.mat, aux.r
     ratio = member_ratios("elliptic", side, params)
     nodes = _mpt_nodes("elliptic", side, params)
-    if side == "F":
-        mat = aux.pmat
-        balance = lam * prod(u)  # theta(balance * prod nodes) = theta(L prod u / prod v)
-    else:
-        mat = aux.qmat
-        balance = lam / prod(v)
+    # theta(balance * prod nodes) = theta(L prod u / prod v)
+    balance = lam * prod(u) if side == "F" else lam / prod(v)
     _require(mat is not None and len(mat) == n, "mpt needs an n x n mixing matrix")
     cols_den = [[psi_A(k, n, x, p, r) for k in range(1, n + 1)] for x in nodes]
     cols_num = [[psi_A(k, n, x, p, balance) for k in range(1, n + 1)] for x in nodes]
@@ -294,7 +290,7 @@ def _mpt_integer(regime, side, params, aux):
     those ints, and the value is pref (rd t^size - rn prod ys) rd^(size-1)
     det(numerator mix) / (det(psi mix) prod den).
     """
-    mat, r = aux.pmat if side == "F" else aux.qmat, aux.r
+    mat, r = aux.mat, aux.r
     if mat is None or not is_exact((r, *(x for row in mat for x in row))):
         return None
     flat = _integer_side(regime, side, params)
@@ -328,11 +324,10 @@ def _mpt_flat(regime, side, params, aux):
     value = _mpt_integer(regime, side, params, aux)
     if value is not None:
         return value
-    mat = aux.pmat if side == "F" else aux.qmat
+    mat, r = aux.mat, aux.r
     nodes, shift, zeff, ratio, pref = _flat_side(regime, side, params)
     size = len(nodes)
     _require(mat is not None and len(mat) == size, "mpt needs a size-matched mixing matrix")
-    r = aux.r
     cols_den = [[psi_A(k, size, x, 0, r) for k in range(1, size + 1)] for x in nodes]
     denom = det(_mix_rows(mat, cols_den))
     _require(denom != 0, "singular mixed psi matrix")

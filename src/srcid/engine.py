@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import linalg, sources, symmetrize, wallcross
-from .detreps import AuxInvariantError, AuxParams, aux_general_position, det_rep
+from .detreps import AVAILABILITY, AuxInvariantError, AuxParams, aux_general_position, det_rep
 from .fields import EXACT, COMPLEX, get_field
 from .linalg import (
     cauchy_vandermonde_closed,
@@ -67,6 +67,7 @@ from .sources import (
 
 
 RESAMPLE_CAP = 1000  # draws per rejection-sampled value
+AUX_ATTEMPTS = 20  # aux draws per determinant value before the point fails
 
 
 class SamplingError(RuntimeError):
@@ -198,21 +199,18 @@ class PointContext:
                 q = Fraction(self.rng.randint(-8, 8), self.rng.randint(1, 8))
                 if q != 0 and abs(q) != 1:
                     return q
-        lo, hi = ((0.2, 0.8) if self.rng.random() < 0.5 else (1.25, 5.0))
-        mod = self.rng.uniform(lo, hi)
-        ang = self.rng.uniform(0.0, 2.0 * math.pi)
-        return mod * cmath.exp(1j * ang)
+        lo, hi = (0.2, 0.8) if self.rng.random() < 0.5 else (1.25, 5.0)
+        return self.complex_scalar(lo, hi)
 
-    def nome(self, lo: float = 0.1, hi: float = 0.5) -> complex:
-        mod = self.rng.uniform(lo, hi)
-        ang = self.rng.uniform(0.0, 2.0 * math.pi)
-        return mod * cmath.exp(1j * ang)
+    def nome(self) -> complex:
+        """An elliptic nome: |p| in [0.1, 0.5]."""
+        return self.complex_scalar(0.1, 0.5)
 
-    def distinct_scalars(self, count: int, lo: float = 0.2, hi: float = 3.0) -> tuple:
+    def distinct_scalars(self, count: int) -> tuple:
         out = []
         for _ in range(count):
             for _ in range(RESAMPLE_CAP):
-                x = self.scalar(lo, hi)
+                x = self.scalar()
                 if all(self._denominator_ok(x - y) for y in out):
                     out.append(x)
                     break
@@ -337,10 +335,12 @@ class PointContext:
 
     # -- auxiliary draws ------------------------------------------------------
 
-    def small_fraction(self, lo: int = -5, hi: int = 5, nonzero: bool = True):
+    def small_fraction(self):
+        """A nonzero a/b with |a| <= 5 and 1 <= b <= 5, made complex over the
+        complex field."""
         while True:
-            val = Fraction(self.rng.randint(lo, hi), self.rng.randint(1, 5))
-            if not nonzero or val != 0:
+            val = Fraction(self.rng.randint(-5, 5), self.rng.randint(1, 5))
+            if val != 0:
                 return val if self.exact else complex(float(val))
 
     def mixing_matrix(self, size: int) -> tuple:
@@ -373,9 +373,7 @@ class PointContext:
             def draw():
                 r = self.small_fraction()
                 mat = self.mixing_matrix(size)
-                return AuxParams(
-                    r=r, pmat=mat if side == "F" else None, qmat=mat if side == "G" else None
-                )
+                return AuxParams(r=r, mat=mat)
         elif family in ("bs", "bs_limit"):
             def draw():
                 return AuxParams(delta=self.delta_value(), eta=self.eta_nodes(size))
@@ -486,8 +484,8 @@ def _det_rep_runner(regime: str, family: str, side: str):
     return run
 
 
-def _det_rep_retry(ctx, regime, family, side, params, attempts: int = 20):
-    for _ in range(attempts):
+def _det_rep_retry(ctx, regime, family, side, params):
+    for _ in range(AUX_ATTEMPTS):
         aux = ctx.sample_aux(regime, family, side, params)
         try:
             return det_rep(regime, family, side, params, aux)
@@ -711,11 +709,8 @@ def _run_elliptic_quasi_periodicity(ctx: PointContext):
     n, _ = ctx.sizes((1, 3))
     params = ctx.sample_elliptic(n)
     k = ctx.rng.randrange(n)
-    shifted_v = tuple(
-        params.p * x if idx == k else x for idx, x in enumerate(params.v)
-    )
-    shifted = EllipticParams(
-        p=params.p, q=params.q, lam=params.lam, z=params.z, u=params.u, v=shifted_v
+    shifted = replace(
+        params, v=tuple(params.p * x if idx == k else x for idx, x in enumerate(params.v))
     )
     mult = (-1 / params.p) ** (n + 1) * params.q**n * params.lam
     mult *= params.v[k] ** (-(n + 1))
@@ -1075,12 +1070,9 @@ def _build_registry():
         "mixed Cauchy/monomial block determinant closed form",
         (EXACT,), _run_cauchy_vandermonde,
     ))
-    for regime, families in (
-        ("elliptic", ("mpt", "bs")),
-        ("trig", ("mpt", "scalar_product", "dwbc", "bs", "bs_limit")),
-        ("rational", ("mpt", "scalar_product", "dwbc", "bs", "bs_limit")),
-    ):
-        for family in families:
+    for regime in ("elliptic", "trig", "rational"):
+        # ik has its own case, rational_ik, checked against P
+        for family in sorted(AVAILABILITY[regime] - {"ik"}):
             for side in ("F", "G"):
                 fields = (COMPLEX,) if regime == "elliptic" else (EXACT, COMPLEX)
                 tol = 1e-8 if regime == "elliptic" else 1e-10

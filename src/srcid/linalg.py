@@ -28,8 +28,8 @@ All three degenerate to exact rational statements at p = 0.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import prod
 
 from .fields import is_exact, to_integers
 # theta is bound here although every theta value arrives as a callable:
@@ -109,10 +109,6 @@ def det_complex(rows) -> complex:
             for c in range(col + 1, n):
                 row_r[c] -= f * row_c[c]
     return acc
-
-
-def prod(values, start=1):
-    return math.prod(values, start=start)
 
 
 def vandermonde(xs):

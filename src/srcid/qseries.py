@@ -21,13 +21,13 @@ target epsilon and ratio |q|, N = ceil(log eps / log |q|) + guard terms,
 capped at ``max_terms``, and |q| <= 0.9 is enforced as a hard limit.
 ``theta`` stays exact (both fields) when p = 0; every truncated product
 is complex-only.  The truncation is this module's alone: ``theta``,
-``qpoch_inf`` and ``psi_A`` take a ``Truncation`` and default to
-``DEFAULT_TRUNCATION``, and no caller in srcid passes another.
+``qpoch_inf`` and ``psi_A`` all truncate at ``DEFAULT_TRUNCATION`` and take
+no other.
 
 ``qpoch_inf`` reads the powers 1, q, ..., q^{N-1} from a table kept per
-(nome, ``Truncation``) pair, built once by the same repeated multiplication
-the product loop would do, so every value is bit-for-bit what a fresh loop
-gives.  The table is small and bounded: it is emptied when it reaches
+nome, built once by the same repeated multiplication the product loop
+would do, so every value is bit-for-bit what a fresh loop gives.  The
+table is small and bounded: it is emptied when it reaches
 ``_POWER_TABLES_MAX`` nomes.  It holds powers of the nome only, never
 values of theta.
 """
@@ -73,7 +73,7 @@ class Truncation:
 DEFAULT_TRUNCATION = Truncation()
 
 
-_POWER_TABLES: dict = {}  # (q, id(trunc)) -> (trunc, [1, q, ..., q^{N-1}])
+_POWER_TABLES: dict = {}  # q -> [1, q, ..., q^{N-1}]
 _POWER_TABLES_MAX = 32
 _INEXACT = (complex, float, int)
 
@@ -90,16 +90,14 @@ def _reject_exact(*values):
             )
 
 
-def _powers(q: complex, trunc: Truncation) -> list:
-    """1, q, ..., q^{N-1} with N = ``trunc.num_terms(|q|)``."""
-    # the entry holds ``trunc``, so its id is not reused while the entry lives
-    key = (q, id(trunc))
-    entry = _POWER_TABLES.get(key)
-    if entry is not None:
-        return entry[1]
+def _powers(q: complex) -> list:
+    """1, q, ..., q^{N-1} with N = ``DEFAULT_TRUNCATION.num_terms(|q|)``."""
+    powers = _POWER_TABLES.get(q)
+    if powers is not None:
+        return powers
     powers = []
     power = 1 + 0j
-    for _ in range(trunc.num_terms(abs(q))):
+    for _ in range(DEFAULT_TRUNCATION.num_terms(abs(q))):
         powers.append(power)
         power *= q
     # q = x + 0j and x - 0j compare equal but may round to powers whose zero
@@ -107,16 +105,16 @@ def _powers(q: complex, trunc: Truncation) -> list:
     if q.real and q.imag:
         if len(_POWER_TABLES) >= _POWER_TABLES_MAX:
             _POWER_TABLES.clear()
-        _POWER_TABLES[key] = (trunc, powers)
+        _POWER_TABLES[q] = powers
     return powers
 
 
-def qpoch_inf(u, q, trunc: Truncation = DEFAULT_TRUNCATION):
+def qpoch_inf(u, q):
     """Truncated (u; q)_inf over the complex field, |q| <= 0.9."""
     _reject_exact(u, q)
     u = complex(u)
     acc = 1 + 0j
-    for power in _powers(complex(q), trunc):
+    for power in _powers(complex(q)):
         acc *= 1 - u * power
     return acc
 
@@ -148,7 +146,7 @@ def qpoch_n(u, q, n: int):
     return one / acc
 
 
-def theta(u, p, trunc: Truncation = DEFAULT_TRUNCATION):
+def theta(u, p):
     """Odd theta function theta(u; p) = (u; p)_inf (p/u; p)_inf.
 
     At p = 0 this is exactly 1 - u and is evaluated exactly over either
@@ -159,7 +157,7 @@ def theta(u, p, trunc: Truncation = DEFAULT_TRUNCATION):
     if p == 0:
         return 1 - u
     _reject_exact(u, p)
-    return qpoch_inf(u, p, trunc) * qpoch_inf(complex(p) / complex(u), p, trunc)
+    return qpoch_inf(u, p) * qpoch_inf(complex(p) / complex(u), p)
 
 
 def _q_ints(n: int, q):
@@ -224,7 +222,7 @@ def sym_q_factorial(n: int, s):
     return acc
 
 
-def psi_A(j: int, n: int, u, p, r, trunc: Truncation = DEFAULT_TRUNCATION):
+def psi_A(j: int, n: int, u, p, r):
     """Row function psi_j(u; p, r) of the rank-(n-1) theta Vandermonde basis.
 
     psi_j(u; p, r) = u^{j-1} theta(p^{j-1} (-1)^{n-1} r u^n; p^n) for
@@ -238,4 +236,4 @@ def psi_A(j: int, n: int, u, p, r, trunc: Truncation = DEFAULT_TRUNCATION):
         if j == 1:
             return 1 - sign * r * u**n
         return u ** (j - 1)
-    return u ** (j - 1) * theta(p ** (j - 1) * sign * r * u**n, p**n, trunc)
+    return u ** (j - 1) * theta(p ** (j - 1) * sign * r * u**n, p**n)

@@ -21,13 +21,14 @@ holds one factor, a function of the single point placed there.
 orderings as a Held-Karp dynamic program over the set of points already
 placed (Held & Karp, J. SIAM 10, 1962): O(n 2^n) multiplications against
 O(n^2 n!) for the literal permutation sum, with the same exact value.
-When c, u and the slot values are ints or Fractions, the DP walks Python
-ints: ``fields.to_integers`` makes u and c ints a and g and each slot's
-row of values ints, D = prod_{j<k} (a_j - a_k) clears every Delta
-denominator (the pair table and D come from
+The symmetrization formulas are identities of rational functions, checked
+over the exact field only, so c, u and the slot values are ints or
+Fractions and the DP walks Python ints: ``fields.to_integers`` makes u and
+c ints a and g and each slot's row of values ints, D = prod_{j<k} (a_j -
+a_k) clears every Delta denominator (the pair table and D come from
 ``sources.integer_pair_tables``), and the sum is divided once at the end,
-as in the subset-sum kernel and ``linalg.det_exact``.
-Complex, float and mixed inputs use the ratio tables in their own field.
+as in the subset-sum kernel and ``linalg.det_exact``.  A complex or float
+input raises ``TypeError``.
 
 The two symmetrization formulas verified here evaluate Sym_c of
 (1 - theta)^{n-1} prod_{j>=2} prod_k (u_j - v_k) f(u_1), resp. of
@@ -43,7 +44,7 @@ import math
 from fractions import Fraction
 
 from .detreps import izergin_korepin, izergin_korepin_core
-from .fields import is_exact, to_integers
+from .fields import to_integers
 from .linalg import prod
 from .sources import RatParams, integer_pair_tables, rational_P
 
@@ -95,9 +96,9 @@ def sym_c(slots, u, c):
     one multiplication each, so the whole sum costs O(n 2^n).  Each distinct
     slot function is evaluated once at the n points.
 
-    When c, u and every slot value are ints or Fractions, the tables are
-    ints (``_integer_tables``) and the sum is one Fraction division at the
-    end; otherwise they are the ratios above, in the field of the inputs.
+    c, u and every slot value must be ints or Fractions (``TypeError``
+    otherwise): the tables are ints (``_integer_tables``) and the sum is one
+    Fraction division at the end.
     """
     u = tuple(u)
     n = len(u)
@@ -110,20 +111,12 @@ def sym_c(slots, u, c):
     rows = {id(slot): slot for slot in slots}
     rows = {key: [slot(x) for x in u] for key, slot in rows.items()}
     keys = [id(slot) for slot in slots]
-    integer = _integer_tables(u, c, rows, keys)
-    if integer is None:
-        zero = c - c
-        one = zero + 1
-        pair = [[(a - b - c) / (a - b) if a != b else one for b in u] for a in u]
-        table = [rows[key] for key in keys]
-    else:
-        zero, one = 0, 1
-        pair, table, divisor = integer
+    pair, table, divisor = _integer_tables(u, c, rows, keys)
     size = 1 << n
-    dp = [zero] * size
-    dp[0] = one
+    dp = [0] * size
+    dp[0] = 1
     # carried[S][k] = prod_{j in S} R[j][k] for each k outside S
-    carried = [[one] * n] + [None] * (size - 1)
+    carried = [[1] * n] + [None] * (size - 1)
     for s in range(size - 1):
         if s:
             low = s & -s
@@ -136,12 +129,12 @@ def sym_c(slots, u, c):
         for k in range(n):
             if not s >> k & 1 and h[k]:
                 dp[s | 1 << k] += acc * h[k] * pr[k]
-    return dp[-1] if integer is None else Fraction(dp[-1], divisor)
+    return Fraction(dp[-1], divisor)
 
 
 def _integer_tables(u, c, rows, keys):
-    """(pair, table, divisor) over ints for sym_c, or None unless c, u and
-    every value in ``rows`` are exact.
+    """(pair, table, divisor) over ints for sym_c; ``TypeError`` unless c, u
+    and every value in ``rows`` are exact.
 
     With L the scale of c and u (``fields.to_integers``), a_j = L u_j and
     g = L c, R[j][k] = (a_j - a_k - g)/(a_j - a_k).  Each ordering meets
@@ -152,8 +145,6 @@ def _integer_tables(u, c, rows, keys):
     own scale M, and the divisor is D times the M of every slot in ``keys``,
     repeats included.
     """
-    if not is_exact((c, *u, *(y for row in rows.values() for y in row))):
-        return None
     (g, *a), _ = to_integers((c, *u))
     pair, _, divisor = integer_pair_tables(a, (1, g, 1))
     scaled = {key: to_integers(row) for key, row in rows.items()}

@@ -1,9 +1,11 @@
 """Wall-crossing combinatorics: decreasing-minima collections, chi_t sums.
 
-``enumerate_dec(l, k)`` lists the collections (I_1, ..., I_j) of disjoint
-nonempty subsets of [1..l] with min(I_1) > ... > min(I_j) and total size
-|I_1| + ... + |I_j| = k.  Distinct minima force the ordering, so the
-collections are exactly the set partitions of the k-subsets of [1..l].
+A Dec collection (I_1, ..., I_j) is a tuple of disjoint nonempty subsets
+of [1..l] with min(I_1) > ... > min(I_j) and total size |I_1| + ... +
+|I_j| = k.  The correction formula below weighs a collection by 0 as soon
+as one part has size >= 2 (its factor gamma), so ``enumerate_dec(l, k)``
+lists only the collections that can count: the singleton chains ({h_1},
+..., {h_k}) with l >= h_1 > ... > h_k >= 1.
 
 ``chi_genus_integral`` evaluates the two fixed-point subset sums
 
@@ -53,36 +55,16 @@ from .sources import _signed_q_powers, subset_sums_by_size
 DEC_CAP = 8
 
 
-def _set_partitions(elems):
-    if not elems:
-        yield []
-        return
-    first, rest = elems[0], elems[1:]
-    for part in _set_partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-
-
-def enumerate_dec(ell: int, k: int, singletons_only: bool = False):
-    """All collections with total size k, as tuples of frozensets.
-
-    Parts are ordered by strictly decreasing minimum.  With
-    ``singletons_only`` the collections biject with chains
-    l >= h_1 > ... > h_k >= 1 via I_i = {h_i}.
-    """
+def enumerate_dec(ell: int, k: int):
+    """The singleton Dec collections of total size k, as tuples of frozensets:
+    ({h_1}, ..., {h_k}) for each chain l >= h_1 > ... > h_k >= 1, in the
+    order of the k-subsets of [1..l]."""
     if not 0 <= k <= ell <= DEC_CAP:
         raise ValueError(f"need 0 <= k <= l <= {DEC_CAP}")
-    out = []
-    for support in combinations(range(1, ell + 1), k):
-        if singletons_only:
-            parts = sorted(([x] for x in support), key=min, reverse=True)
-            out.append(tuple(frozenset(p) for p in parts))
-            continue
-        for partition in _set_partitions(list(support)):
-            parts = sorted(partition, key=min, reverse=True)
-            out.append(tuple(frozenset(p) for p in parts))
-    return out
+    return [
+        tuple(frozenset((h,)) for h in reversed(support))
+        for support in combinations(range(1, ell + 1), k)
+    ]
 
 
 def s_stat(i1, i2, signed: bool = False) -> int:
@@ -156,7 +138,7 @@ def verify_coeff_identity(ell, m, n, t, u, v):
     return lhs - rhs
 
 
-def dec_weight(coll, ell: int, m: int, n: int, t, apply_gamma: bool = True, facts=None):
+def dec_weight(coll, ell: int, m: int, n: int, t, facts=None):
     """Weight of one collection in the singleton correction formula.
 
     [l-k]_t!/[l]_t! * prod_i [d_i - 1]_t!/(t-1) * gamma(d_i)
@@ -173,7 +155,7 @@ def dec_weight(coll, ell: int, m: int, n: int, t, apply_gamma: bool = True, fact
     remaining = set(range(1, ell + 1))
     for i, part in enumerate(coll, start=1):
         d = len(part)
-        if apply_gamma and d != 1:
+        if d != 1:
             return t - t
         remaining -= part
         factor = facts[d - 1] / (t - 1)
@@ -183,7 +165,7 @@ def dec_weight(coll, ell: int, m: int, n: int, t, apply_gamma: bool = True, fact
     return weight
 
 
-def wallcrossing_sides(ell: int, m: int, n: int, t, u, v, singletons_only: bool = True):
+def wallcrossing_sides(ell: int, m: int, n: int, t, u, v):
     """(lhs, rhs) of the correction formula: chi+ - chi- vs the Dec sum."""
     if len(u) != n or len(v) != m:
         raise ValueError("needs len(u) = n, len(v) = m")
@@ -193,7 +175,7 @@ def wallcrossing_sides(ell: int, m: int, n: int, t, u, v, singletons_only: bool 
     facts = [q_factorial(j, t) for j in range(ell + 1)]
     for k in range(1, ell + 1):
         chi_rest = minus[ell - k]
-        for coll in enumerate_dec(ell, k, singletons_only=singletons_only):
+        for coll in enumerate_dec(ell, k):
             rhs += dec_weight(coll, ell, m, n, t, facts=facts) * chi_rest
     return lhs, rhs
 

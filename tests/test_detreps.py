@@ -99,12 +99,11 @@ def sample_aux(rng, size, complex_field=False):
     if complex_field:
         return AuxParams(
             r=complex(float(r)),
-            pmat=mat,
-            qmat=mat,
+            mat=mat,
             delta=complex(float(delta)),
             eta=tuple(complex(float(e)) for e in eta),
         )
-    return AuxParams(r=r, pmat=mat, qmat=mat, delta=delta, eta=eta)
+    return AuxParams(r=r, mat=mat, delta=delta, eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +232,7 @@ def test_availability_matrix():
 def test_aux_invariants_enforced():
     rng = random.Random(17)
     params = sample_trig(rng, 2, 2)
-    singular = AuxParams(r=Fraction(1, 2), pmat=((1, 1), (1, 1)))
+    singular = AuxParams(r=Fraction(1, 2), mat=((1, 1), (1, 1)))
     with pytest.raises(AuxInvariantError):
         det_rep("trig", "mpt", "F", params, singular)
     repeated_eta = AuxParams(delta=Fraction(5, 2), eta=(Fraction(1), Fraction(1)))
@@ -252,9 +251,9 @@ def test_admissibility_rejects_a_vanishing_mpt_weight():
         for side, nodes in (("F", params.v), ("G", params.u)):
             size = len(nodes)
             mat = tuple(tuple(Fraction(i == j) for j in range(size)) for i in range(size))
-            hit = AuxParams(r=1 / prod(nodes), pmat=mat, qmat=mat)
+            hit = AuxParams(r=1 / prod(nodes), mat=mat)
             assert aux_general_position(regime, "mpt", side, params, hit) == [0]
-            fine = AuxParams(r=2 / prod(nodes), pmat=mat, qmat=mat)
+            fine = AuxParams(r=2 / prod(nodes), mat=mat)
             assert 0 not in aux_general_position(regime, "mpt", side, params, fine)
 
 
@@ -378,7 +377,7 @@ def mpt_flat_literal(regime, side, params, aux):
     monomial numerator rows over mixed psi rows, times the weight."""
     nodes, shift, zeff, ratio, pref = _flat_side(regime, side, params)
     size = len(nodes)
-    mat = aux.pmat if side == "F" else aux.qmat
+    mat = aux.mat
     if mat is None or len(mat) != size:
         raise AuxInvariantError("mpt needs a size-matched mixing matrix")
 
@@ -444,8 +443,8 @@ def test_exact_families_equal_the_sums_and_the_fraction_oracles_at_every_size():
                     aux = sample_aux(rng, size)
                     if size % 2:
                         # the registry's mixing matrices are int tuples
-                        ints = tuple(tuple(int(x) for x in row) for row in aux.pmat)
-                        aux = AuxParams(r=aux.r, pmat=ints, qmat=ints, delta=aux.delta,
+                        ints = tuple(tuple(int(x) for x in row) for row in aux.mat)
+                        aux = AuxParams(r=aux.r, mat=ints, delta=aux.delta,
                                         eta=aux.eta)
                     value = det_rep(regime, family, side, params, aux)
                     assert type(value) is Fraction
@@ -471,7 +470,7 @@ def test_all_int_parameters_give_the_exact_fraction():
                            ("trig", TrigParams(q=2, z=3, u=u, v=v))):
         as_fractions = replace_all(params, Fraction)
         for family in FLAT_FAMILIES:
-            aux = AuxParams(r=3, pmat=mat, qmat=mat, delta=5, eta=eta)
+            aux = AuxParams(r=3, mat=mat, delta=5, eta=eta)
             value = det_rep(regime, family, "F", params, aux)
             assert type(value) is Fraction, (regime, family)
             assert value == det_rep(regime, family, "F", as_fractions, aux)
@@ -501,7 +500,7 @@ def test_exact_degenerate_draws_raise_what_the_fraction_oracles_raise():
     # a singular mixing matrix, int and Fraction
     for mat in (((1, 1), (1, 1)), ((Fraction(1, 2), 1), (Fraction(1, 2), 1))):
         params = sample_trig(random.Random(17), 2, 2)
-        aux = AuxParams(r=Fraction(1, 2), pmat=mat, qmat=mat)
+        aux = AuxParams(r=Fraction(1, 2), mat=mat)
         expected = outcome(mpt_flat_literal, "trig", "F", params, aux)
         assert expected == ("AuxInvariantError", "singular mixed psi matrix")
         assert outcome(det_rep, "trig", "mpt", "F", params, aux) == expected

@@ -47,6 +47,23 @@ def test_registry_covers_every_kind():
     assert "rational_ik" in ids
 
 
+def test_determinant_cases_are_the_availability_matrix_without_ik():
+    from srcid.detreps import AVAILABILITY
+
+    expected = {
+        f"{regime}_{family}_{side}"
+        for regime, families in AVAILABILITY.items()
+        for family in families - {"ik"}
+        for side in ("F", "G")
+    }
+    registered = {c.case_id for c in list_cases()
+                  if c.kind == "determinant" and c.case_id.endswith(("_F", "_G"))}
+    assert registered == expected
+    assert all(get_case(cid).regime == cid.split("_")[0] for cid in expected)
+    # ik is checked against P in its own case
+    assert get_case("rational_ik").kind == "determinant"
+
+
 def test_sampling_is_deterministic():
     cfg = SamplingConfig(master_seed=123, points=2)
     a = sample_params("rational", cfg, 0)

@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from srcid.linalg import prod
-from srcid.qseries import DEFAULT_TRUNCATION, qpoch_n, theta
+from srcid.qseries import qpoch_n, theta
 from srcid.sources import (
     REGIMES,
     EllipticParams,
@@ -859,9 +859,9 @@ def test_elliptic_theta_values_are_evaluated_once_per_point(monkeypatch):
     expected = (general_position("elliptic", fresh), elliptic_F(fresh), elliptic_G(fresh))
     calls = []
 
-    def counted(x, p, trunc=DEFAULT_TRUNCATION):
+    def counted(x, p):
         calls.append(x)
-        return theta(x, p, trunc)
+        return theta(x, p)
 
     monkeypatch.setattr(sources, "theta", counted)
     got = (general_position("elliptic", params), elliptic_F(params), elliptic_G(params))
@@ -885,9 +885,9 @@ def test_determinant_paths_evaluate_each_theta_value_once_per_point(monkeypatch)
 
     calls = []
 
-    def counted(x, p, trunc=DEFAULT_TRUNCATION):
+    def counted(x, p):
         calls.append((repr(x), repr(p)))  # repr keeps the sign of a zero part
-        return theta(x, p, trunc)
+        return theta(x, p)
 
     for module in (sources, linalg, detreps, engine):
         monkeypatch.setattr(module, "theta", counted, raising=False)
@@ -898,7 +898,7 @@ def test_determinant_paths_evaluate_each_theta_value_once_per_point(monkeypatch)
     rng = random.Random(37)
     params = _elliptic_point()
     mix = ((1, 2, 0), (0, 1, 0), (3, 0, 1))
-    aux = detreps.AuxParams(r=rand_complex(rng), pmat=mix, qmat=mix,
+    aux = detreps.AuxParams(r=rand_complex(rng), mat=mix,
                             eta=tuple(rand_complex(rng) for _ in range(params.n)))
     for family in ("bs", "mpt"):
         for side in ("F", "G"):
@@ -942,9 +942,9 @@ def test_theta_memo_keys_a_zero_part_with_its_sign(monkeypatch):
     p = 0.3 + 0.1j
     calls = []
 
-    def counted(x, p, trunc=DEFAULT_TRUNCATION):
+    def counted(x, p):
         calls.append(x)
-        return theta(x, p, trunc)
+        return theta(x, p)
 
     monkeypatch.setattr(sources, "theta", counted)
     th = theta_memo(p)

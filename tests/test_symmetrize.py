@@ -254,34 +254,6 @@ def test_sym_c_matches_the_literal_permutation_sum():
             assert sym_c(slots, u, c) == sym_c_literal(slots, u, c)
 
 
-def sym_c_ratio_literal(slots, u, c):
-    """The subset DP over the ratio tables, slot by slot, as sym_c ran before
-    its integer tables: the oracle for every bit of the non-exact path."""
-    u = tuple(u)
-    n = len(u)
-    zero = c - c
-    one = zero + 1
-    pair = [[(a - b - c) / (a - b) if a != b else one for b in u] for a in u]
-    table = [[slot(x) for x in u] for slot in slots]
-    size = 1 << n
-    dp = [zero] * size
-    dp[0] = one
-    carried = [[one] * n] + [None] * (size - 1)
-    for s in range(size - 1):
-        if s:
-            low = s & -s
-            prev, row = carried[s ^ low], pair[low.bit_length() - 1]
-            carried[s] = [None if s >> k & 1 else prev[k] * row[k] for k in range(n)]
-        acc = dp[s]
-        if not acc:
-            continue
-        h, pr = table[s.bit_count()], carried[s]
-        for k in range(n):
-            if not s >> k & 1 and h[k]:
-                dp[s | 1 << k] += acc * h[k] * pr[k]
-    return dp[-1]
-
-
 def big_fraction(rng):
     # denominators from one to six digits, with shared and coprime factors
     den = rng.choice((1, 7, 12, 360, 9973, 2**17, 3**9 * 5, 999983)) * rng.randint(1, 40)
@@ -324,26 +296,29 @@ def test_sym_c_of_int_inputs_is_the_exact_fraction():
         assert got == want == sym_c_literal(slots, [Fraction(x) for x in u], Fraction(c))
 
 
-def test_sym_c_keeps_every_bit_of_the_ratio_tables():
-    # complex, float and mixed inputs take the ratio tables, value for value
+def test_sym_c_rejects_inexact_input():
+    # the symmetrizer is exact-only: a complex or float c, point or slot value
+    # (alone or mixed with Fractions) raises TypeError from fields.to_integers
     rng = random.Random(29)
+    c, u = rand_fraction(rng), distinct_points(rng, 3)
 
-    def cplx():
-        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    def exact(x):
+        return x * x + 1
 
-    for n in range(1, 7):
-        for kind in ("complex", "complex slots", "float c"):
-            if kind == "complex":
-                c, u = cplx(), [cplx() for _ in range(n)]
-            else:
-                c, u = rand_fraction(rng), list(distinct_points(rng, n))
-                if kind == "float c":
-                    c = float(c)
-            value = cplx if kind != "float c" else (lambda: rand_fraction(rng))
-            rows = [{x: value() if rng.random() < 0.8 else 0 for x in u}.__getitem__
-                    for _ in range(3)]
-            slots = [rng.choice(rows) for _ in range(n)]
-            assert repr(sym_c(slots, u, c)) == repr(sym_c_ratio_literal(slots, u, c))
+    def cplx(x):
+        return complex(x) + 1j
+
+    assert sym_c([exact] * 3, u, c) == sym_c_literal([exact] * 3, u, c)
+    for slots, points, shift in (
+        ([cplx] * 3, u, c),  # complex slot values
+        ([exact, cplx, exact], u, c),  # one complex slot among exact ones
+        ([exact] * 3, [complex(x) for x in u], complex(c)),  # all complex
+        ([exact] * 3, u, float(c)),  # a float c
+        ([exact] * 3, (float(u[0]), *u[1:]), c),  # one float point
+        ([lambda x: 0.5] * 3, u, c),  # float slot values
+    ):
+        with pytest.raises(TypeError, match="to_integers needs ints and Fractions"):
+            sym_c(slots, points, shift)
 
 
 def test_sym_c_rejects_bad_arguments():

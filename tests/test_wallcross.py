@@ -71,25 +71,31 @@ def brute_force_dec(ell, k):
     return results
 
 
+def singleton_collections(colls):
+    return {coll for coll in colls if all(len(part) == 1 for part in coll)}
+
+
 @pytest.mark.parametrize("ell,k", [(2, 1), (2, 2), (3, 2), (4, 3), (4, 4)])
 def test_enumerate_dec_matches_brute_force(ell, k):
+    # enumerate_dec lists the collections gamma keeps: the singleton ones
     mine = set(enumerate_dec(ell, k))
-    assert mine == brute_force_dec(ell, k)
+    assert mine == singleton_collections(brute_force_dec(ell, k))
     assert len(mine) == len(enumerate_dec(ell, k))  # no duplicates
 
 
 def test_enumerate_dec_small_counts():
     # total size 1 on [1..2]: ({1}) and ({2})
     assert len(enumerate_dec(2, 1)) == 2
-    # total size 2 on [1..2]: ({1,2}) and ({2},{1})
-    assert len(enumerate_dec(2, 2)) == 2
+    # total size 2 on [1..2]: ({2},{1}); the one-part ({1,2}) is not listed
+    assert len(enumerate_dec(2, 2)) == 1
+    assert len(brute_force_dec(2, 2)) == 2
     assert enumerate_dec(3, 0) == [()]
 
 
 def test_enumerate_dec_singletons_are_descending_chains():
     for ell in range(1, 6):
         for k in range(ell + 1):
-            colls = enumerate_dec(ell, k, singletons_only=True)
+            colls = enumerate_dec(ell, k)
             assert len(colls) == math.comb(ell, k)
             for coll in colls:
                 chain = [next(iter(part)) for part in coll]
@@ -98,7 +104,7 @@ def test_enumerate_dec_singletons_are_descending_chains():
 
 
 def test_enumerate_dec_single_singleton_example():
-    assert enumerate_dec(2, 2, singletons_only=True) == [
+    assert enumerate_dec(2, 2) == [
         (frozenset({2}), frozenset({1}))
     ]
 
@@ -297,25 +303,22 @@ def test_wallcrossing_grid():
 
 
 def test_gamma_filter_kills_multipart_collections():
-    # full enumeration with the weight equals singleton-only enumeration,
-    # and dropping the weight on a multi-element part changes the value
+    # gamma weighs every hand-built collection with a part of size >= 2 as 0,
+    # so the Dec sum over all collections is the singleton-chain sum
     rng = random.Random(43)
     t, u, v = wallcross_point(rng, 2, 4)
     ell = 3
-    full = wallcrossing_sides(ell, 4, 2, t, u, v, singletons_only=False)
-    single = wallcrossing_sides(ell, 4, 2, t, u, v, singletons_only=True)
-    assert full[1] == single[1]
-    multi = [
-        coll
-        for k in range(1, ell + 1)
-        for coll in enumerate_dec(ell, k)
-        if any(len(part) > 1 for part in coll)
-    ]
-    assert multi
-    assert all(dec_weight(coll, ell, 4, 2, t) == 0 for coll in multi)
-    assert any(
-        dec_weight(coll, ell, 4, 2, t, apply_gamma=False) != 0 for coll in multi
-    )
+    everything = [coll for k in range(1, ell + 1) for coll in brute_force_dec(ell, k)]
+    multi = [coll for coll in everything if any(len(part) > 1 for part in coll)]
+    assert len(multi) == len(everything) - (2**ell - 1)
+    for coll in multi:
+        assert dec_weight(coll, ell, 4, 2, t) == 0, coll
+    # a singleton part first does not save a multi-element part after it
+    assert dec_weight((frozenset({3}), frozenset({1, 2})), ell, 4, 2, t) == 0
+    minus = [chi_genus_integral("-", j, t, u, v) for j in range(ell + 1)]
+    full = sum(dec_weight(coll, ell, 4, 2, t) * minus[ell - sum(map(len, coll))]
+               for coll in everything)
+    assert full == wallcrossing_sides(ell, 4, 2, t, u, v)[1]
 
 
 # ---------------------------------------------------------------------------
