@@ -18,9 +18,10 @@ used in verification reports.
 
 The exact kernels (``linalg.det_exact``, the integer walk of ``sources``,
 ``symmetrize.sym_c`` and the nome-0 rows of ``detreps``) do their
-arithmetic over Python ints and divide once at the end.  ``is_exact`` is their one test for exact input, and
-``to_integers`` their one scaling to ints: values times L, the lcm of
-their denominators.
+arithmetic over Python ints and divide once at the end.  ``is_exact`` is
+the one test for exact input where a generic path can take the rest, and
+``to_integers`` the one scaling to ints: values times L, the lcm of their
+denominators.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ def to_integers(values):
     """(ints, L): L is the lcm of the denominators of the exact ``values``
     (1 when there are none) and ints[i] = L * values[i].
 
-    A value without a denominator (float, complex) raises ``TypeError``;
-    callers test ``is_exact`` first, so the values are not tested twice.
+    A value without a denominator (float, complex) raises ``TypeError``:
+    that is how the exact-only ``symmetrize.sym_c`` turns such input away,
+    while the callers with a fallback path test ``is_exact`` first.
     """
     try:
         lcm = math.lcm(*(x.denominator for x in values))
