@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 from . import linalg, sources, symmetrize, wallcross
 from .detreps import AVAILABILITY, AuxInvariantError, AuxParams, aux_general_position, det_rep
-from .fields import EXACT, COMPLEX, get_field
+from .fields import EXACT, COMPLEX, get_field, to_integers
 from .linalg import (
     cauchy_vandermonde_closed,
     cauchy_vandermonde_matrix,
@@ -969,18 +969,22 @@ def _lascoux_point(ctx: PointContext, n: int):
         v = tuple(ctx.fraction(nonzero=True) for _ in range(n))
         return c, u, v
 
-    def accept(t3):
-        # u_i - u_j is also kept off +-c, and v_i - u_k off 0 and +-c
-        c, u, v = t3
-        diffs = (vi - uk for vi in v for uk in u)
-        return (
-            ctx.distinct(u)
-            and ctx.distinct(v)
-            and ctx.distinct(u, lambda a, b: a - b - c)
-            and ctx.require(*(x for d in diffs for x in (d, d - c, d + c)))
-        )
+    return ctx.attempt(draw, _lascoux_general)
 
-    return ctx.attempt(draw, accept)
+
+def _lascoux_general(point) -> bool:
+    """u and v are each distinct, u_i - u_j is kept off +-c, and v_i - u_k off
+    0 and +-c.  The tests compare the ints of one ``fields.to_integers``
+    scaling of (c, u, v): scaling by L > 0 keeps every zero test."""
+    c, u, v = point
+    (g, *ints), _ = to_integers((c, *u, *v))
+    a, b = set(ints[:len(u)]), set(ints[len(u):])
+    return (
+        len(a) == len(u)
+        and len(b) == len(v)
+        and (not g or a.isdisjoint([x + g for x in a]))
+        and b.isdisjoint([x + d for x in a for d in (0, g, -g)])
+    )
 
 
 def _run_divided_difference_symmetrization(ctx: PointContext):

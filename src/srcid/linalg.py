@@ -29,7 +29,7 @@ All three degenerate to exact rational statements at p = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .fields import is_exact, to_integers
 # theta is bound here although every theta value arrives as a callable:
@@ -52,16 +52,28 @@ def det(rows):
 def det_exact(rows) -> Fraction:
     """Bareiss elimination over Python ints; exact over the rationals.
 
-    Each row is scaled to ints by ``fields.to_integers``, the elimination
-    divides exactly with ``//``, and the determinant is divided by the
-    product of the row scales once, at the end.
+    Each row is scaled to ints by ``fields.to_integers`` (a row of ints as
+    it is) and divided by its content, the gcd of its entries, so the
+    elimination works on the smallest int rows.  It divides exactly with
+    ``//``, and the determinant is multiplied by the contents and divided by
+    the row scales once, at the end.  A zero row gives 0 at once.
     """
     a = []
-    scale = 1
+    scale = content = 1
     for r in rows:
-        ints, row_scale = to_integers(r)
+        try:
+            row_content = gcd(*r)
+            ints, row_scale = list(r), 1
+        except TypeError:  # a Fraction entry: scale the row first
+            ints, row_scale = to_integers(r)
+            row_content = gcd(*ints)
+        if not row_content:
+            return Fraction(0)
+        if row_content != 1:
+            ints = [x // row_content for x in ints]
         a.append(ints)
         scale *= row_scale
+        content *= row_content
     n = len(a)
     if n == 0:
         return Fraction(1)
@@ -83,7 +95,7 @@ def det_exact(rows) -> Fraction:
                 row_r[c] = (row_r[c] * pivot - lead * row_c[c]) // prev
             row_r[col] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return Fraction(sign * content * a[n - 1][n - 1], scale)
 
 
 def det_complex(rows) -> complex:

@@ -35,7 +35,12 @@ The two symmetrization formulas verified here evaluate Sym_c of
 (1 - tau)^n prod_{j,k} (u_j - v_k - c)/(u_j - v_k), in closed form through
 the n = m, z = 1 cleared source polynomial (the ik determinant).  Expanded
 binomially, each power is a signed sum of slot products, one sym_c call per
-shift.
+shift.  The sides functions scale once per point: ``fields.to_integers``
+makes (c, u, v) the ints (g, a, b) = L (c, u, v), every slot value (the
+root products, the tau numerators, f and the pin of u_1) is an int
+computed from them, and sym_c runs at (a, g), where Delta is unchanged
+and the scalings of u and c cost sym_c nothing.  Each lhs is divided by
+the slots' common scale once, after its binomial sum.
 """
 
 from __future__ import annotations
@@ -152,17 +157,34 @@ def _integer_tables(u, c, rows, keys):
     return pair, [scaled[key][0] for key in keys], divisor
 
 
-def _tabulated(fn, u):
-    """fn as a slot function that looks its values at the points u up."""
-    return {x: fn(x) for x in u}.__getitem__
+def _scaled_point(u, v, c):
+    """(a, b, g, L): the ints a = L u, b = L v and g = L c of one
+    ``fields.to_integers`` scaling of (c, u, v)."""
+    (g, *ints), lcm = to_integers((c, *u, *v))
+    return ints[:len(u)], ints[len(u):], g, lcm
 
 
-def _root_slots(u, v, c):
-    """The slot functions prod_k (x - v_k) and prod_k (x - v_k + c)."""
-    return (
-        _tabulated(lambda x: prod(x - vk for vk in v), u),
-        _tabulated(lambda x: prod(x - vk + c for vk in v), u),
-    )
+def _tabulated(values, a):
+    """The slot function that takes the value values[j] at the point a[j]."""
+    return dict(zip(a, values)).__getitem__
+
+
+def _root_row(a, b, shift):
+    """prod_k (x - b_k + shift) at each point x of a."""
+    return [prod(x - y + shift for y in b) for x in a]
+
+
+def _poly_row(coeffs, a, lcm):
+    """(values, M): f(a_j / L) = values[j] / M for the polynomial f with
+    coefficients ``coeffs``, evaluated over ints.
+
+    With f = sum_i (k_i / K) x^i over the ints of ``fields.to_integers`` and
+    d its degree, L^d K f(a / L) = sum_i k_i L^(d-i) a^i.
+    """
+    ks, scale = to_integers(coeffs)
+    degree = max(len(ks) - 1, 0)
+    lifted = [k * lcm ** (degree - i) for i, k in enumerate(ks)]
+    return [poly_eval(lifted, x) for x in a], scale * lcm ** degree
 
 
 def _theta_slots(n, head, plain, shifted, ell):
@@ -173,6 +195,21 @@ def _theta_slots(n, head, plain, shifted, ell):
     round into slots 1..ell-1 become shifted(x) = plain(x + c).
     """
     return [shifted] * (ell - 1) + [head] + [plain] * (n - ell)
+
+
+def _theta_sum(head, a, b, g):
+    """sum_{ell=1}^n (-1)^{ell-1} C(n-1, ell-1) Sym_c of the theta^{ell-1}
+    slots of head(u_1) prod_{j>=2} prod_k (u_j - v_k) at the int point
+    (a, b, g), one sym_c call per shift.  The root slots prod_k (x - b_k)
+    and prod_k (x - b_k + g) are L^n times their values at (u, v, c), so
+    the sum is L^{n(n-1)} times its value there (head as given)."""
+    n = len(a)
+    plain, shifted = (_tabulated(_root_row(a, b, shift), a) for shift in (0, g))
+    return sum(
+        (-1) ** (ell - 1) * math.comb(n - 1, ell - 1)
+        * sym_c(_theta_slots(n, head, plain, shifted, ell), a, g)
+        for ell in range(1, n + 1)
+    )
 
 
 def lascoux_symmetrized_sides(u, v, c, coeffs):
@@ -189,18 +226,19 @@ def lascoux_symmetrized_sides(u, v, c, coeffs):
 
     This is (n-1)! (-c)^{n-1} times ``detreps.izergin_korepin_core`` and the
     chain, which stays defined (0 for n >= 2) at c = 0.
+
+    The lhs is summed at the int point (a, b, g) of ``_scaled_point``: Sym_c
+    is unchanged when u and c are scaled together, each root slot is L^n
+    times its value at (u, v, c) and f is values / M (``_poly_row``), so the
+    sum is divided by M L^{n(n-1)} once.
     """
     u, v = tuple(u), tuple(v)
     n = len(u)
     if len(v) != n or n < 1:
         raise ValueError("needs len(u) == len(v) >= 1")
-    plain, shifted = _root_slots(u, v, c)
-    f = _tabulated(lambda x: poly_eval(coeffs, x), u)
-    lhs = None
-    for ell in range(1, n + 1):
-        coef = (-1) ** (ell - 1) * math.comb(n - 1, ell - 1)
-        term = coef * sym_c(_theta_slots(n, f, plain, shifted, ell), u, c)
-        lhs = term if lhs is None else lhs + term
+    a, b, g, lcm = _scaled_point(u, v, c)
+    values, scale = _poly_row(coeffs, a, lcm)
+    lhs = _theta_sum(_tabulated(values, a), a, b, g) / (scale * lcm ** (n * (n - 1)))
 
     core = izergin_korepin_core(u, v, c, math.factorial(n - 1) * (-c) ** (n - 1))
     return lhs, core * newton_chain(coeffs, u)
@@ -227,19 +265,24 @@ def lascoux_tau_sides(u, v, c):
         = n! c^n prod_{i,k} (v_i - u_k + c)
           / ( prod_{i<j} (v_j - v_i) prod_{i<j} (u_i - u_j) )
           * det 1/((v_j - u_k + c)(v_j - u_k))
+
+    The lhs is summed at the int point (a, b, g) of ``_scaled_point``.  The
+    product W = prod_{j,k} (a_j - b_k) is symmetric in the points, so Sym_c(W
+    tail_t) = W Sym_c(tail_t): times W, slots 1..t hold prod_k (x - b_k) and
+    slots t+1..n the numerators prod_k (x - b_k - g), all ints, and the sum
+    is divided by W once.
     """
     u, v = tuple(u), tuple(v)
     n = len(u)
     if len(v) != n or n < 1:
         raise ValueError("needs len(u) == len(v) >= 1")
-    one = c - c + 1
-    unit = _tabulated(lambda x: one, u)
-    ratio = _tabulated(lambda x: prod((x - vk - c) / (x - vk) for vk in v), u)
-    lhs = None
-    for t in range(n + 1):
-        coef = (-1) ** t * math.comb(n, t)
-        term = coef * sym_c([unit] * t + [ratio] * (n - t), u, c)
-        lhs = term if lhs is None else lhs + term
+    a, b, g, _ = _scaled_point(u, v, c)
+    below = _root_row(a, b, 0)
+    den, num = _tabulated(below, a), _tabulated(_root_row(a, b, -g), a)
+    lhs = sum(
+        (-1) ** t * math.comb(n, t) * sym_c([den] * t + [num] * (n - t), a, g)
+        for t in range(n + 1)
+    ) / prod(below)
 
     shifted = tuple(vk + c for vk in v)
     rhs = math.factorial(n) * (-1) ** n * izergin_korepin(u, shifted, c)
@@ -267,19 +310,16 @@ def reduction_identity_sides(u, v, c):
 
     In the slot order of its Delta the inner sum is the theta slot product
     of lascoux_symmetrized_sides with f replaced by the indicator of u_1, so
-    slot ell pins u_1 and Sym_c runs over the orderings of the rest.
+    slot ell pins u_1 and Sym_c runs over the orderings of the rest.  As
+    there, the lhs is summed at the int point of ``_scaled_point`` and
+    divided by L^{n(n-1)} once.
     """
     u, v = tuple(u), tuple(v)
     n = len(u)
-    one = c - c + 1
-    plain, shifted = _root_slots(u, v, c)
-    pin = _tabulated(lambda x: one if x == u[0] else one - one, u)
-    lhs = None
-    for ell in range(1, n + 1):
-        coef = (-1) ** (ell - 1) * math.comb(n - 1, ell - 1)
-        term = coef * sym_c(_theta_slots(n, pin, plain, shifted, ell), u, c)
-        lhs = term if lhs is None else lhs + term
+    a, b, g, lcm = _scaled_point(u, v, c)
+    pin = _tabulated([1] + [0] * (n - 1), a)
+    lhs = _theta_sum(pin, a, b, g) / lcm ** (n * (n - 1))
 
-    p_val = rational_P(RatParams(c=c, z=one, u=u, v=v))
+    p_val = rational_P(RatParams(c=c, z=c - c + 1, u=u, v=v))
     rhs = math.factorial(n - 1) * p_val / (-c * prod(u[0] - u[j] for j in range(1, n)))
     return lhs, rhs

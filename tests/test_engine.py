@@ -193,6 +193,58 @@ def test_distinct_takes_a_pair_function_and_rejects_a_zero_entry():
     assert not ctx.distinct((0j, 1.1 + 0.2j), d)
 
 
+def fraction_lascoux_accept(ctx, point):
+    """The Fraction accept test that _lascoux_point used before its int one."""
+    c, u, v = point
+    diffs = (vi - uk for vi in v for uk in u)
+    return (
+        ctx.distinct(u)
+        and ctx.distinct(v)
+        and ctx.distinct(u, lambda a, b: a - b - c)
+        and ctx.require(*(x for d in diffs for x in (d, d - c, d + c)))
+    )
+
+
+def test_lascoux_int_accept_agrees_with_the_fraction_predicate():
+    ctx = PointContext(random.Random(83), EXACT, SamplingConfig(master_seed=1, points=1))
+    rng = ctx.rng
+    outcomes = []
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        hi = 20 if trial % 2 else 3  # narrow draws collide often
+        c = ctx.fraction(lo=-hi, hi=hi, nonzero=True)
+        u = tuple(ctx.fraction(lo=-hi, hi=hi, nonzero=True) for _ in range(n))
+        v = tuple(ctx.fraction(lo=-hi, hi=hi, nonzero=True) for _ in range(n))
+        point = (c, u, v)
+        want = fraction_lascoux_accept(ctx, point)
+        assert engine._lascoux_general(point) == want, point
+        outcomes.append(want)
+    assert 40 < sum(outcomes) < 360  # both outcomes are well covered
+
+    # crafted draws: each breaks a condition of the general point (c, u, v)
+    F = Fraction
+    c = F(3, 7)
+    u = (F(1, 2), F(-5, 3), F(9, 4))
+    v = (F(7, 5), F(-1, 6), F(11, 8))
+    assert fraction_lascoux_accept(ctx, (c, u, v))
+    assert engine._lascoux_general((c, u, v))
+    broken = [
+        (c, (u[0], u[0] + c, u[2]), v),  # u_1 - u_2 = -c
+        (c, (u[0], u[0] - c, u[2]), v),  # u_1 - u_2 = c
+        (c, (u[0], u[1], u[0]), v),  # u_1 = u_3
+        (c, u, (v[0], v[1], v[1])),  # v_2 = v_3
+    ]
+    for shift in (0, c, -c):  # v_i - u_k in {0, c, -c}
+        broken.append((c, u, (v[0], u[2] + shift, v[2])))
+        broken.append((-c, u, (u[1] + shift, v[1], v[2])))
+    for point in broken:
+        assert not fraction_lascoux_accept(ctx, point), point
+        assert not engine._lascoux_general(point), point
+    # at c = 0 only the distinctness conditions remain, in both tests
+    assert fraction_lascoux_accept(ctx, (F(0), u, v))
+    assert engine._lascoux_general((F(0), u, v))
+
+
 def test_swap_vanishing_runners_substitute_into_the_smaller_side(monkeypatch):
     sizes = []
     real = engine.source_polynomial_form

@@ -95,6 +95,8 @@ def assert_det_exact_matches_cofactor(rows):
     assert type(value) is Fraction
     assert value == cofactor_det(rows), rows
     assert [list(r) for r in rows] == before  # the input is not touched
+    if all(type(x) is int for r in rows for x in r):
+        assert value.denominator == 1  # detreps reads .numerator of int matrices
     return value
 
 
@@ -145,6 +147,30 @@ def test_det_exact_sizes_zero_to_eight():
     for size in range(1, 9):
         rows = [[rand_fraction(rng, nonzero=False) for _ in range(size)] for _ in range(size)]
         assert_det_exact_matches_cofactor(rows)
+
+
+def test_det_exact_int_rows_with_large_contents():
+    # each int row carries a large common factor (its content), which
+    # det_exact divides out before the elimination and multiplies back after
+    rng = random.Random(47)
+    factors = (10**30 + 7, 2**61 - 1, 3**40, 12 * 10**18)
+    for size in range(1, 7):
+        for trial in range(4):
+            rows = [[rng.randint(-9, 9) * rng.choice(factors) for _ in range(size)]
+                    for _ in range(size)]
+            # one row with a negative content: every entry negative
+            rows[rng.randrange(size)] = [-rng.randint(1, 9) * factors[0] for _ in range(size)]
+            if trial == 1 and size > 1:  # a Fraction row among the int rows
+                rows[0] = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * factors[1]
+                           for _ in range(size)]
+            if trial == 2:  # a zero row
+                rows[rng.randrange(size)] = [0] * size
+            value = assert_det_exact_matches_cofactor(rows)
+            if trial == 2:
+                assert value == 0
+    # a row of ints of content 1 next to rows of large contents
+    rows = [[3 * 10**25, 6 * 10**25, -9 * 10**25], [2, 3, 5], [-(7 * 2**70), 0, 14 * 2**70]]
+    assert assert_det_exact_matches_cofactor(rows) != 0
 
 
 def test_det_complex_accuracy():

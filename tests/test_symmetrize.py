@@ -471,6 +471,53 @@ def test_reduction_identity_exact():
         assert lhs == rhs
 
 
+def test_sides_lhs_is_the_binomial_sum_over_fraction_slots():
+    # the sides sum over int slot tables at a scaled point; the oracle sums
+    # sym_c_literal over plain Fraction slot functions at (u, v, c) itself
+    rng = random.Random(73)
+    for n in range(1, 6):
+        for trial in range(2 if n < 5 else 1):
+            while True:
+                c = Fraction(0) if (n, trial) == (3, 1) else big_fraction(rng)
+                u = tuple(big_fraction(rng) for _ in range(n))
+                v = tuple(big_fraction(rng) for _ in range(n))
+                if len(set(u)) == n and not set(u) & set(v):
+                    break
+            coeffs = [big_fraction(rng) for _ in range(rng.randint(0, n + 1))]
+
+            def plain(x):
+                return math.prod(x - vk for vk in v)
+
+            def shifted(x):
+                return math.prod(x - vk + c for vk in v)
+
+            def ratio(x):
+                return math.prod((x - vk - c) / (x - vk) for vk in v)
+
+            def theta_sum(head):
+                return sum(
+                    (-1) ** (ell - 1) * math.comb(n - 1, ell - 1) * sym_c_literal(
+                        [shifted] * (ell - 1) + [head] + [plain] * (n - ell), u, c)
+                    for ell in range(1, n + 1)
+                )
+
+            lhs, _ = lascoux_symmetrized_sides(u, v, c, coeffs)
+            assert lhs == theta_sum(lambda x: poly_eval(coeffs, x))
+            assert type(lhs) is Fraction
+
+            lhs, _ = lascoux_tau_sides(u, v, c)
+            assert lhs == sum(
+                (-1) ** t * math.comb(n, t) * sym_c_literal([one] * t + [ratio] * (n - t), u, c)
+                for t in range(n + 1)
+            )
+            assert type(lhs) is Fraction
+
+            if n >= 2 and c:  # its rhs divides by c
+                lhs, _ = reduction_identity_sides(u, v, c)
+                assert lhs == theta_sum(lambda x: Fraction(int(x == u[0])))
+                assert type(lhs) is Fraction
+
+
 def test_symmetrization_identities_beyond_the_registry_sizes():
     # the registry draws n <= 6; the subset DP reaches PERM_CAP at library level
     rng = random.Random(71)
