@@ -47,21 +47,22 @@ Every representation here, for EVERY admissible auxiliary draw, equals the
 subset-sum source function (the P polynomial for ``ik``) on the same core
 parameters; that aux-independence is part of the verified contract.
 
-At an exact nome-0 point (``fields.is_exact`` over c or q, z, u, v and the
-family's aux values) mpt, scalar_product, bs, bs_limit and the ik core build
-their matrices as rows of Python ints and divide once at the end; dwbc and
-every complex or elliptic point take the generic path.  The nodes, eta and c
-are scaled by one L with the shift sigma = (alpha, beta, gamma) of
-``sources._integer_point`` (``fields.to_integers`` does the scaling), and
-the member ratios are the int products of ``sources.integer_member_products``.
-Every row of a matrix then shares one denominator except for its member
-ratio's, so each row is cleared by that ratio's denominator, ``det_exact``
-runs on the int rows, and the value is one Fraction over the product of the
-row scales.  The mpt mix still runs, over an int-scaled mixing matrix.
-Where the generic path would divide by 0 (a member ratio, a repeated node,
-q = 0 on the F side) or index a short mixing-matrix row, the int path hands
-the point to it, and both run the aux checks at the same step, so every
-draw raises the same error with the same text on either path.
+At nome 0, mpt, scalar_product, bs and bs_limit each read one side record
+(``_side``): the nodes and their row shifts, eta and sigma(eta) over one
+denominator t, and zeff * ratio_j written as lift * ins_j / den_j.  At an
+exact point (``fields.is_exact`` over c or q, z, u, v and the aux values the
+family reads) the record holds Python ints: the nodes, eta and c scaled by
+one L with the shift sigma = (alpha, beta, gamma) of
+``sources._integer_point`` (``fields.to_integers`` does the scaling), and the
+member ratios' int products of ``sources.integer_member_products``.  At any
+other point it holds the values themselves, with t = gamma = 1, lift = zeff,
+ins the member ratios and no den.  One row builder forms den_j b(y_j) -
+lift b(w_j) ins_j for the family's basis b, and the value is one division:
+at an exact point one Fraction over ints, every row sharing one scale
+besides its den_j.  An exact point where the ints would divide by 0 (a member
+ratio's pole, q = 0 on the F side) gets the record of its Fraction values,
+so it raises what the Fraction form raises.  dwbc builds its rows over the
+point's own field, and the ik core over ints at an exact point.
 
 Transcription note: one-parameter extensions of these determinants are
 sometimes quoted with the balance ratio attached to row 1 as a
@@ -80,14 +81,14 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Optional
 
 from .fields import is_exact, to_integers
 from .linalg import det, det_exact, prod, vandermonde
 from .qseries import psi_A
 from .sources import (
-    REGIMES, _integer_point, _theta_memo, apart, integer_member_products, member_ratios,
+    REGIMES, _integer_point, _ratios, _theta_memo, apart, integer_member_products,
+    member_ratios,
 )
 
 AVAILABILITY = {
@@ -111,7 +112,8 @@ class AuxParams:
 
     ``mat`` mixes the basis rows of the side being evaluated (the paper's P
     on the F side, Q on the G side: a call reads only its own side's) and
-    must be invertible.  The pairwise-distinct nodes ``eta`` feed the bs
+    must be an invertible size x size matrix, size being m on the F side
+    and n on the G side.  The pairwise-distinct nodes ``eta`` feed the bs
     family (length m on the F side, n on the G side); ``delta`` deforms
     the node basis in the trig/rational bs family and must avoid 0 and 1
     (the elliptic bs pins its second Frobenius parameter internally and
@@ -148,87 +150,95 @@ def _pairs_below(xs):
 # ---------------------------------------------------------------------------
 
 
-def _flat_side(regime, side, params):
-    """Nodes, row shift, effective z, member ratios and prefactor of one side.
+class _Side:
+    """The record ``_side`` returns (its docstring names the fields)."""
 
-    The F side runs over v with sigma^-1 and q^{m-1} z, the G side over u
-    with sigma and q^{m-n} z (q^k reads 1 in the rational regime).
+    __slots__ = ("ys", "ws", "etas", "refs", "gamma", "t", "lift", "ins", "den", "pref")
+
+    def __init__(self, ys, ws, etas, refs, gamma, t, lift, ins, den, pref):
+        self.ys, self.ws, self.etas, self.refs, self.gamma = ys, ws, etas, refs, gamma
+        self.t, self.lift, self.ins, self.den, self.pref = t, lift, ins, den, pref
+
+
+def _side(regime, side, params, aux=(), eta=()):
+    """One side of a nome-0 determinant over one denominator t.
+
+    Node j is ys[j] / t with row shift ws[j] / t, eta_k is etas[k] / t and
+    sigma(eta_k) is refs[k] / (gamma t); zeff * ratio_j is lift * ins[j] /
+    den[j], and pref is the side's prefactor.  The F side runs over v with
+    sigma^-1 and q^{m-1} z, the G side over u with sigma and q^{m-n} z (q^k
+    reads 1 in the rational regime).
+
+    When the point, ``eta`` and the family's other aux values ``aux`` are
+    exact, these are ints: the nodes, eta and c times L with sigma =
+    (alpha, beta, gamma) (``sources._integer_point``); the row shift of an
+    int X is (a X + b) / d with (a, b, d) = (gamma, -beta, alpha) on the F
+    side and sigma on the G side, so t = d L; the member ratios are
+    gamma^partners * inside / outside (``sources.integer_member_products``).
+    Elsewhere they are the values themselves: t = gamma = 1, lift = zeff,
+    ins the member ratios and den None.  So is an exact point where the ints
+    would divide by 0 (a member ratio's pole, q = 0 on the F side): its
+    Fractions raise there what the Fraction form raises.  The F side's ws is
+    then a lazy map, so a shift by q = 0 raises where the rows are built,
+    after the family's aux checks.
     """
     reg = REGIMES[regime]
-    n, m = len(params.u), len(params.v)
-    ratio = member_ratios(regime, side, params)
-    if side == "F":
-        zeff = reg.scale(params, m - 1) * params.z
-        return params.v, reg.shift(params, inverse=True), zeff, ratio, 1
-    zeff = reg.scale(params, m - n) * params.z
-    return params.u, reg.shift(params), zeff, ratio, reg.prefactor(params)
-
-
-def _shift_columns(nodes, shift, zeff, ratio):
-    """cols[j][k] = x_j^k - zeff * shift(x_j)^k * ratio_j for the nodes x_j."""
-    size = len(nodes)
-    return [
-        [x**k - zeff * shift(x) ** k * ratio[j] for k in range(size)]
-        for j, x in enumerate(nodes)
-    ]
-
-
-def _integer_side(regime, side, params, eta=()):
-    """``_flat_side`` over ints at an exact point, or None for the Fraction path.
-
-    Over one common denominator t, x_j = ys[j] / t, shift(x_j) = ws[j] / t
-    and eta_k = etas[k] / t, while sigma(eta_k) = refs[k] / (gamma t), and
-    zeff * ratio_j = num[j] / den[j]; ``pref`` is the side's prefactor.
-    The nodes, eta and c are ints times L with sigma = (alpha, beta, gamma)
-    (``sources._integer_point``); the row shift of an int X is
-    (a X + b) / d with (a, b, d) = (gamma, -beta, alpha) on the F side and
-    sigma on the G side, so t = d L.  The member ratios are gamma^partners
-    * inside / outside (``sources.integer_member_products``).  None when the
-    Fraction path would divide by 0 here (an outside product, or q = 0 on
-    the F side) or a side is empty: that path then raises as it did.
-    """
-    params, scaling = _integer_point(regime, params, eta)
-    if scaling is None:
-        return None
-    us, vs, lcm, sigma, etas = scaling
-    alpha, beta, gamma = sigma
     vside = side == "F"
-    xs, partners = (vs, len(us)) if vside else (us, len(vs))
-    if not xs or (vside and alpha == 0):
-        return None
-    inside, outside = integer_member_products(us, vs, sigma, vside)
-    if 0 in outside:
-        return None
-    reg = REGIMES[regime]
-    n, m = len(us), len(vs)
+    scaling = None
+    # the aux values first: the cheapest test that turns a complex point away
+    if is_exact(aux) and is_exact(eta):
+        params, scaling = _integer_point(regime, params, eta)
+    if scaling is not None:
+        us, vs, lcm, sigma, etas = scaling
+        alpha, beta, gamma = sigma
+        inside, outside = integer_member_products(us, vs, sigma, vside)
+        if 0 in outside or (vside and alpha == 0):
+            scaling = None
+    u, v = params.u, params.v
+    if scaling is None:
+        # ``sources.member_ratios``, keeping sigma(u) for the G side's row shifts
+        shift = reg.shift(params)
+        su = list(map(shift, u))
+        ratio = _ratios(reg.pair(params), u, su, v, vside)
     if vside:
-        a, b, d = gamma, -beta, alpha
-        zeff, pref = reg.scale(params, m - 1) * params.z, 1
+        zeff, pref = reg.scale(params, len(v) - 1) * params.z, 1
     else:
-        a, b, d = sigma
-        zeff = reg.scale(params, m - n) * params.z
-        pref = reg.prefactor(params)
-    lift = zeff.numerator * gamma**partners
-    return SimpleNamespace(
-        ys=[d * x for x in xs],
-        ws=[a * x + b for x in xs],
-        etas=[d * e for e in etas],
-        refs=[d * (alpha * e + beta) for e in etas],
-        gamma=gamma,
-        t=d * lcm,
-        num=[lift * p for p in inside],
-        den=[zeff.denominator * p for p in outside],
-        pref=pref,
-    )
+        zeff, pref = reg.scale(params, len(v) - len(u)) * params.z, reg.prefactor(params)
+    if scaling is None:
+        if vside:
+            return _Side(v, map(reg.shift(params, inverse=True), v), eta, list(map(shift, eta)),
+                         1, 1, zeff, ratio, None, pref)
+        return _Side(u, su, eta, list(map(shift, eta)), 1, 1, zeff, ratio, None, pref)
+    a, b, d = (gamma, -beta, alpha) if vside else sigma
+    xs, partners = (vs, len(us)) if vside else (us, len(vs))
+    return _Side([d * x for x in xs], [a * x + b for x in xs], [d * e for e in etas],
+                 [d * (alpha * e + beta) for e in etas], gamma, d * lcm,
+                 zeff.numerator * gamma**partners, inside,
+                 [zeff.denominator * p for p in outside], pref)
 
 
-def _integer_rows(flat, plain, shifted):
-    """Rows den_j * plain_j - num_j * shifted_j: the entries x-basis minus
-    zeff * ratio_j times the shift(x)-basis, row j times den_j."""
-    return [
-        [dj * p - nj * s for p, s in zip(row, srow)]
-        for row, srow, nj, dj in zip(plain, shifted, flat.num, flat.den)
-    ]
+def _rows(flat, plain, shifted):
+    """Row j den_j * plain_j - lift * shifted_j * ins_j: the basis at x_j minus
+    zeff * ratio_j times the basis at shift(x_j), cleared by den_j."""
+    lift = flat.lift
+    if flat.den is None:
+        return [[p - lift * s * r for p, s in zip(row, srow)]
+                for row, srow, r in zip(plain, shifted, flat.ins)]
+    return [[dj * p - nj * s for p, s in zip(row, srow)]
+            for row, srow, nj, dj in zip(plain, shifted, [lift * r for r in flat.ins], flat.den)]
+
+
+def _det(flat, rows):
+    """det(rows), an int at an exact record."""
+    return det(rows) if flat.den is None else det_exact(rows).numerator
+
+
+def _value(flat, rows, denom):
+    """pref * det(rows) / denom, the rows' den divided out: at an exact
+    record one Fraction over ints."""
+    if flat.den is None:
+        return flat.pref * det(rows) / denom
+    return flat.pref * Fraction(det_exact(rows).numerator, denom * prod(flat.den))
 
 
 def _monomials(x, size):
@@ -248,9 +258,21 @@ def _mpt_nodes(regime, side, params):
 
 
 def _mpt_weight(regime, side, params, r):
-    """theta(r prod nodes; p), the mpt weight; 1 - r prod nodes at nome 0."""
-    anchor = r * prod(_mpt_nodes(regime, side, params))
-    return _theta_memo(params)(anchor) if regime == "elliptic" else 1 - anchor
+    """theta(r prod nodes; p), the mpt weight; 1 - r prod nodes at nome 0.
+
+    An empty side's psi determinant is 1 and holds no theta for the weight
+    to cancel, nor does its numerator hold the source's theta(L; p): there
+    the weight is theta(L; p), resp. 1.
+    """
+    nodes = _mpt_nodes(regime, side, params)
+    if regime != "elliptic":
+        return 1 - r * prod(nodes) if nodes else 1
+    return _theta_memo(params)(r * prod(nodes) if nodes else params.lam)
+
+
+def _require_mix(mat, size):
+    _require(mat is not None and len(mat) == size and all(len(row) == size for row in mat),
+             "mpt needs a size-matched mixing matrix")
 
 
 def _mpt_elliptic(side, params, aux):
@@ -261,7 +283,7 @@ def _mpt_elliptic(side, params, aux):
     nodes = _mpt_nodes("elliptic", side, params)
     # theta(balance * prod nodes) = theta(L prod u / prod v)
     balance = lam * prod(u) if side == "F" else lam / prod(v)
-    _require(mat is not None and len(mat) == n, "mpt needs an n x n mixing matrix")
+    _require_mix(mat, n)
     cols_den = [[psi_A(k, n, x, p, r) for k in range(1, n + 1)] for x in nodes]
     cols_num = [[psi_A(k, n, x, p, balance) for k in range(1, n + 1)] for x in nodes]
     cols_shift = [
@@ -279,60 +301,43 @@ def _mpt_elliptic(side, params, aux):
     return _mpt_weight("elliptic", side, params, r) / denom * det(entries)
 
 
-def _mpt_integer(regime, side, params, aux):
-    """``_mpt_flat`` over the ints of ``_integer_side``; None where the
-    Fraction path must run (an inexact point, or a mixing matrix row of the
-    wrong length).
+def _mpt_flat(regime, side, params, aux):
+    """mpt at nome 0: mixed monomial rows over mixed psi rows, times the weight.
 
-    Node j's psi column times rd t^size and its shifted monomial column
-    times den_j t^(size-1) are ints once column k of the mixing matrix
-    carries rd t^(size-k) (k >= 1), resp. t^(size-1-k); the mix runs over
-    those ints, and the value is pref (rd t^size - rn prod ys) rd^(size-1)
-    det(numerator mix) / (det(psi mix) prod den).
+    psi_1 at node y_j / t is (rd t^size - rn y_j^size) / (rd t^size) for r =
+    rn / rd (rd = 1 off the ints), and psi_k the monomial (y_j / t)^(k-1).
+    Over the ints of an exact record, node j's psi column times rd t^size and
+    its row times t^(size-1) are ints once column k of the mixing matrix
+    carries rd t^(size-k) (k >= 1), resp. t^(size-1-k); the value is then
+    pref (rd t^size - rn prod ys) rd^(size-1) det(numerator mix) /
+    (det(psi mix) prod den).
     """
     mat, r = aux.mat, aux.r
-    if mat is None or not is_exact((r, *(x for row in mat for x in row))):
-        return None
-    flat = _integer_side(regime, side, params)
-    if flat is None:
-        return None
+    flat = _side(regime, side, params, (r, *(x for row in mat or () for x in row)))
     ys, t = flat.ys, flat.t
     size = len(ys)
-    _require(len(mat) == size, "mpt needs a size-matched mixing matrix")
-    if any(len(row) != size for row in mat):
-        return None
-    # a row's scale multiplies both mixed determinants: it cancels
-    mix = [to_integers(row)[0] for row in mat]
-    rn, rd = r.numerator, r.denominator
-    powers = [t**k for k in range(size + 1)]
-    top = rd * powers[size]
+    _require_mix(mat, size)
+    if flat.den is None:
+        rn, rd = r, 1
+        mix_den = mix_num = mat
+    else:
+        rn, rd = r.numerator, r.denominator
+        powers = [t**k for k in range(size + 1)]
+        # a row's scale multiplies both mixed determinants: it cancels
+        mat = [to_integers(row)[0] for row in mat]
+        mix_den = [[row[0]] + [rd * x * powers[size - k] for k, x in enumerate(row) if k]
+                   for row in mat]
+        mix_num = [[x * powers[size - 1 - k] for k, x in enumerate(row)] for row in mat]
+    top = rd * t**size
     sign = 1 if (size - 1) % 2 == 0 else -1
     plain = [_monomials(y, size) for y in ys]
-    psi = [[top - sign * rn * y * row[-1]] + row[1:] for y, row in zip(ys, plain)]
-    mix_den = [[row[0]] + [rd * x * powers[size - k] for k, x in enumerate(row) if k] for row in mix]
-    denom = det_exact(_mix_rows(mix_den, psi)).numerator
+    psi = [[top - sign * rn * y**size] + row[1:] for y, row in zip(ys, plain)]
+    denom = _det(flat, _mix_rows(mix_den, psi))
     _require(denom != 0, "singular mixed psi matrix")
-    rows = _integer_rows(flat, plain, [_monomials(w, size) for w in flat.ws])
-    mix_num = [[x * powers[size - 1 - k] for k, x in enumerate(row)] for row in mix]
-    value = Fraction((top - rn * prod(ys)) * rd ** (size - 1)
-                     * det_exact(_mix_rows(mix_num, rows)).numerator, denom * prod(flat.den))
-    return flat.pref * value
-
-
-def _mpt_flat(regime, side, params, aux):
-    """mpt at nome 0: mixed monomial numerator over a mixed psi denominator."""
-    value = _mpt_integer(regime, side, params, aux)
-    if value is not None:
-        return value
-    mat, r = aux.mat, aux.r
-    nodes, shift, zeff, ratio, pref = _flat_side(regime, side, params)
-    size = len(nodes)
-    _require(mat is not None and len(mat) == size, "mpt needs a size-matched mixing matrix")
-    cols_den = [[psi_A(k, size, x, 0, r) for k in range(1, size + 1)] for x in nodes]
-    denom = det(_mix_rows(mat, cols_den))
-    _require(denom != 0, "singular mixed psi matrix")
-    entries = _mix_rows(mat, _shift_columns(nodes, shift, zeff, ratio))
-    return pref * _mpt_weight(regime, side, params, r) / denom * det(entries)
+    rows = _rows(flat, plain, [_monomials(w, size) for w in flat.ws])
+    # an empty side has no psi column to cancel the weight (``_mpt_weight``)
+    weight = (top - rn * prod(ys)) * rd ** (size - 1) if size else 1
+    return weight * _value(flat, _mix_rows(mix_num, rows), denom)
 
 
 # ---------------------------------------------------------------------------
@@ -340,29 +345,14 @@ def _mpt_flat(regime, side, params, aux):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_product_integer(regime, side, params):
-    """pref det[den_j ys_j^k - num_j ws_j^k] / (vandermonde(ys) prod den), t
-    cancelling; None where the Fraction path must run (an inexact point, a
-    repeated node)."""
-    flat = _integer_side(regime, side, params)
-    if flat is None:
-        return None
-    size = len(flat.ys)
-    divisor = vandermonde(flat.ys)
-    if divisor == 0:
-        return None
-    rows = _integer_rows(flat, [_monomials(y, size) for y in flat.ys],
-                         [_monomials(w, size) for w in flat.ws])
-    return flat.pref * Fraction(det_exact(rows).numerator, divisor * prod(flat.den))
-
-
 def _scalar_product(regime, side, params):
-    value = _scalar_product_integer(regime, side, params)
-    if value is not None:
-        return value
-    nodes, shift, zeff, ratio, pref = _flat_side(regime, side, params)
-    entries = [list(row) for row in zip(*_shift_columns(nodes, shift, zeff, ratio))]
-    return pref * det(entries) / vandermonde(nodes)
+    """pref det[x_j^k - zeff ratio_j shift(x_j)^k] / vandermonde(x) over the
+    transposed rows; an exact record's powers of t cancel in the ratio."""
+    flat = _side(regime, side, params)
+    size = len(flat.ys)
+    rows = _rows(flat, [_monomials(y, size) for y in flat.ys],
+                 [_monomials(w, size) for w in flat.ws])
+    return _value(flat, [list(col) for col in zip(*rows)], vandermonde(flat.ys))
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +394,14 @@ def _dwbc(regime, side, params):
     u, v = params.u, params.v
     n, m = len(u), len(v)
     matrix = build_dwbc_matrix(regime, side, params)
+    # an exact start keeps the empty products' int 1 / 1 out of float
+    one = Fraction(1) if is_exact((*u, *v)) else 1
     if n >= m:
-        pref = prod(vi - uk for vi in v for uk in u)
+        pref = prod((vi - uk for vi in v for uk in u), start=one)
         pref /= prod(v[j] - v[i] for i, j in _pairs_below(v))
         pref /= prod(u[i] - u[j] for i, j in _pairs_below(u))
     else:
-        pref = prod(uk - vi for vi in v for uk in u)
+        pref = prod((uk - vi for vi in v for uk in u), start=one)
         pref /= prod(v[i] - v[j] for i, j in _pairs_below(v))
         pref /= prod(u[j] - u[i] for i, j in _pairs_below(u))
     value = pref * det(matrix)
@@ -497,11 +489,12 @@ def _lagrange_row(x, nodes):
     return row
 
 
-def _deformed_row(x, eta, eta_ref, delta):
-    """[lagrange_j(x, eta) - lagrange_j(x, eta_ref) / delta for each j]: the
+def _deformed_row(x, eta, x_ref, eta_ref, delta, lift=None):
+    """[lagrange_j(x, eta) - lagrange_j(x_ref, eta_ref) / delta for each j]: the
     two ``_lagrange_row`` folds, bit for bit, over the differences to both
-    node sets formed in one pass."""
-    diffs = [(x - e, x - f) for e, f in zip(eta, eta_ref)]
+    node sets formed in one pass.  Over ints (``lift`` given) entry j is
+    lift * lagrange_j(x, eta) - delta * lagrange_j(x_ref, eta_ref)."""
+    diffs = [(x - e, x_ref - f) for e, f in zip(eta, eta_ref)]
     head = head_ref = x - x + 1
     row = []
     for j, (d, d_ref) in enumerate(diffs, 1):
@@ -509,7 +502,7 @@ def _deformed_row(x, eta, eta_ref, delta):
         for e, f in diffs[j:]:
             acc *= e
             acc_ref *= f
-        row.append(acc - acc_ref / delta)
+        row.append(acc - acc_ref / delta if lift is None else lift * acc - delta * acc_ref)
         head *= d
         head_ref *= d_ref
     return row
@@ -521,75 +514,43 @@ def _bs_aux(aux, size, limit):
     _require(limit or aux.delta not in (None, 0, 1), "bs needs delta outside {0, 1}")
 
 
-def _bs_integer(regime, side, params, aux, limit):
-    """``_bs_flat`` over the ints of ``_integer_side``; None where the
-    Fraction path must run (an inexact point, a repeated node of ``bs_limit``).
+def _bs_flat(regime, side, params, aux, limit: bool):
+    """bs at nome 0: pref det(entries) / denom over the node basis at the
+    record's nodes, the denominator being the plain basis rows' determinant
+    or, in the limit, prod (ys_j - ys_i)(etas_i - etas_j).
 
-    A basis row at the argument A / t is ``_lagrange_row(A, etas)`` over
-    t^(size-1), deformed to delta_n gamma^(size-1) ``_lagrange_row(A, etas)``
-    - delta_d ``_lagrange_row(gamma A, refs)`` over delta_n (gamma t)^(size-1)
-    unless limit.  Every row shares that scale, so the value is pref det(rows)
-    / (denominator * prod den), the denominator being the plain rows'
-    determinant or, in the limit, prod (ys_j - ys_i)(etas_i - etas_j).
+    At an exact record a basis row at A / t is ``_lagrange_row(A, etas)``
+    over t^(size-1), deformed to delta_n gamma^(size-1) lagrange_j(A, etas) -
+    delta_d lagrange_j(gamma A, refs) over delta_n (gamma t)^(size-1) unless
+    limit; every row shares that scale, which cancels in the ratio.
     """
-    # the aux values first: the cheapest test that turns a complex point away
-    if aux.eta is None or not is_exact(aux.eta) or not (limit or is_exact((aux.delta,))):
-        return None
-    flat = _integer_side(regime, side, params, aux.eta)
-    if flat is None:
-        return None
-    ys, etas = flat.ys, flat.etas
+    delta = aux.delta
+    flat = _side(regime, side, params, () if limit else (delta,), aux.eta or ())
+    ys, etas, refs, gamma = flat.ys, flat.etas, flat.refs, flat.gamma
     size = len(ys)
     _bs_aux(aux, size, limit)
+
+    # every basis function at a: the Lagrange products, deformed unless limit
     if limit:
         def basis(a):
             return _lagrange_row(a, etas)
+    elif flat.den is None:
+        def basis(a):
+            return _deformed_row(a, etas, a, refs, delta)
     else:
-        dn, dd, gamma, refs = aux.delta.numerator, aux.delta.denominator, flat.gamma, flat.refs
-        lift = dn * gamma ** (size - 1)
+        dd, lift = delta.denominator, delta.numerator * gamma ** (size - 1)
 
         def basis(a):
-            return [lift * p - dd * r
-                    for p, r in zip(_lagrange_row(a, etas), _lagrange_row(gamma * a, refs))]
+            return _deformed_row(a, etas, gamma * a, refs, dd, lift)
 
+    # each node's basis row serves the plain matrix and the entries
     plain = [basis(y) for y in ys]
     if limit:
         denom = prod((ys[j] - ys[i]) * (etas[i] - etas[j]) for i, j in _pairs_below(ys))
-        if denom == 0:
-            return None
     else:
-        denom = det_exact(plain).numerator
+        denom = _det(flat, plain)
         _require(denom != 0, "degenerate deformed node basis")
-    rows = _integer_rows(flat, plain, [basis(w) for w in flat.ws])
-    return flat.pref * Fraction(det_exact(rows).numerator, denom * prod(flat.den))
-
-
-def _bs_flat(regime, side, params, aux, limit: bool):
-    value = _bs_integer(regime, side, params, aux, limit)
-    if value is not None:
-        return value
-    eta, delta = aux.eta, aux.delta
-    xs, row_shift, zeff, ratio, pref = _flat_side(regime, side, params)
-    size = len(xs)
-    _bs_aux(aux, size, limit)
-    eta_ref = tuple(map(REGIMES[regime].shift(params), eta))
-
-    def basis(x):
-        # every basis function at x: the Lagrange products, deformed unless limit
-        return _lagrange_row(x, eta) if limit else _deformed_row(x, eta, eta_ref, delta)
-
-    # each node's basis row serves the plain matrix and the entries
-    plain = [basis(x) for x in xs]
-    if limit:
-        denom = prod((xs[j] - xs[i]) * (eta[i] - eta[j]) for i, j in _pairs_below(xs))
-    else:
-        denom = det(plain)
-        _require(denom != 0, "degenerate deformed node basis")
-    entries = [
-        [b - zeff * bs * r for b, bs in zip(row, basis(row_shift(x)))]
-        for x, row, r in zip(xs, plain, ratio)
-    ]
-    return pref * det(entries) / denom
+    return _value(flat, _rows(flat, plain, [basis(w) for w in flat.ws]), denom)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from srcid.detreps import (
     AuxInvariantError,
     AuxParams,
     UnavailableRepresentationError,
-    _flat_side,
     aux_general_position,
     build_dwbc_matrix,
     det_rep,
@@ -28,6 +27,7 @@ from srcid.sources import (
     TrigParams,
     elliptic_F,
     elliptic_G,
+    member_ratios,
     rational_P,
     source_subset_sum,
 )
@@ -296,6 +296,22 @@ def test_flat_families_match_sources_exactly():
                     assert v1 == ref, (regime, family, side, n, m)
                     assert v2 == v1
                     hits += 1
+
+
+def _flat_side(regime, side, params):
+    """Nodes, row shift, effective z, member ratios and prefactor of one side.
+
+    The F side runs over v with sigma^-1 and q^{m-1} z, the G side over u
+    with sigma and q^{m-n} z (q^k reads 1 in the rational regime).
+    """
+    reg = REGIMES[regime]
+    n, m = len(params.u), len(params.v)
+    ratio = member_ratios(regime, side, params)
+    if side == "F":
+        zeff = reg.scale(params, m - 1) * params.z
+        return params.v, reg.shift(params, inverse=True), zeff, ratio, 1
+    zeff = reg.scale(params, m - n) * params.z
+    return params.u, reg.shift(params), zeff, ratio, reg.prefactor(params)
 
 
 def bs_flat_literal(regime, side, params, aux, limit):
@@ -604,3 +620,139 @@ def _to_complex(params, regime):
         u=tuple(complex(float(x)) for x in params.u),
         v=tuple(complex(float(x)) for x in params.v),
     )
+
+
+# ---------------------------------------------------------------------------
+# the one side record: empty sides, mixed fields, the complex branch
+# ---------------------------------------------------------------------------
+
+
+def empty_side_point(regime, side, rng):
+    """A point whose F side (m = 0) or G side (n = 0) is empty."""
+    n, m = (2, 0) if side == "F" else (0, 2)
+    return sample_rational(rng, n, m) if regime == "rational" else sample_trig(rng, n, m)
+
+
+def test_mpt_at_an_empty_side_is_the_source_value_for_every_r():
+    rng = random.Random(47)
+    for regime in ("rational", "trig"):
+        for side in ("F", "G"):
+            params = empty_side_point(regime, side, rng)
+            ref = source_subset_sum(regime, side, params)
+            for r in (Fraction(1, 2), Fraction(-7, 3)):
+                assert det_rep(regime, "mpt", side, params, AuxParams(r=r, mat=())) == ref
+                cvalue = det_rep(regime, "mpt", side, _to_complex(params, regime),
+                                 AuxParams(r=complex(float(r)), mat=()))
+                assert abs(cvalue - float(ref)) <= 1e-12 * abs(float(ref)), (regime, side)
+    params = EllipticParams(p=0.2 + 0.1j, q=0.9 - 0.2j, lam=1.3 + 0.4j, z=0.7j, u=(), v=())
+    for side, source in (("F", elliptic_F), ("G", elliptic_G)):
+        ref = source(params)
+        for r in (0.5 + 0.2j, -1.1 + 0.3j):
+            value = det_rep("elliptic", "mpt", side, params, AuxParams(r=r, mat=()))
+            assert abs(value - ref) <= 1e-12 * abs(ref), side
+
+
+def test_exact_empty_sides_give_the_source_fraction():
+    rng = random.Random(53)
+    aux = AuxParams(r=Fraction(1, 2), mat=(), delta=Fraction(5, 2), eta=())
+    for regime in ("rational", "trig"):
+        for side in ("F", "G"):
+            params = empty_side_point(regime, side, rng)
+            ref = source_subset_sum(regime, side, params)
+            for family in sorted(AVAILABILITY[regime] - {"ik"}):
+                value = det_rep(regime, family, side, params, aux)
+                assert type(value) is Fraction, (regime, family, side)
+                assert value == ref, (regime, family, side)
+
+
+def test_mpt_needs_a_square_mixing_matrix_of_the_side_size():
+    point = RatParams(c=Fraction(1, 3), z=Fraction(2, 5), u=(Fraction(1),),
+                      v=(Fraction(3), Fraction(1, 2)))
+    long_rows = ((1, 2, 3), (4, 5, 7))
+    short_row = ((1, 2), (4,))
+    points = (("rational", point), ("rational", _to_complex(point, "rational")),
+              ("elliptic", sample_elliptic(random.Random(59), 2)))
+    for regime, params in points:
+        for mat in (long_rows, short_row):
+            if regime == "rational" and params is not point:
+                mat = tuple(tuple(complex(x) for x in row) for row in mat)
+            aux = AuxParams(r=Fraction(1, 2), mat=mat)
+            with pytest.raises(AuxInvariantError, match="mpt needs a size-matched mixing matrix"):
+                det_rep(regime, "mpt", "F", params, aux)
+
+
+def test_exact_q_zero_on_the_F_side_raises_what_the_fraction_oracles_raise():
+    # sigma^-1 divides by q = 0: the rows cannot be built
+    params = TrigParams(q=Fraction(0), z=Fraction(2, 5), u=(Fraction(1), Fraction(-2)),
+                        v=(Fraction(3), Fraction(1, 2)))
+    rng = random.Random(61)
+    for family in FLAT_FAMILIES:
+        aux = sample_aux(rng, 2)
+        expected = outcome(flat_literal, "trig", family, "F", params, aux)
+        assert expected[0] == "ZeroDivisionError"
+        assert outcome(det_rep, "trig", family, "F", params, aux) == expected
+
+
+def complex_aux(aux):
+    return AuxParams(r=complex(float(aux.r)),
+                     mat=tuple(tuple(complex(float(x)) for x in row) for row in aux.mat),
+                     delta=complex(float(aux.delta)),
+                     eta=tuple(complex(float(x)) for x in aux.eta))
+
+
+def assert_matches_the_literal(regime, family, side, params, aux):
+    value = det_rep(regime, family, side, params, aux)
+    literal = flat_literal(regime, family, side, params, aux)
+    if family == "mpt":
+        assert abs(value - literal) <= 1e-12 * abs(literal), (regime, family, side)
+    else:
+        assert value == literal, (regime, family, side)
+
+
+def test_mixed_field_points_give_the_fraction_form_values():
+    # an exact point with one complex aux value, and a complex point with
+    # exact aux values, take the record of values: the literal forms' values
+    rng = random.Random(67)
+    for regime in ("rational", "trig"):
+        draw = sample_rational if regime == "rational" else sample_trig
+        for side in ("F", "G"):
+            for size in range(1, 5):
+                n, m = (2, size) if side == "F" else (size, 2)
+                params = draw(rng, n, m)
+                aux = sample_aux(rng, size)
+                caux = complex_aux(aux)
+                mixed = {"mpt": (AuxParams(r=caux.r, mat=aux.mat),
+                                 AuxParams(r=aux.r, mat=caux.mat)),
+                         "bs": (AuxParams(delta=caux.delta, eta=aux.eta),
+                                AuxParams(delta=aux.delta, eta=caux.eta)),
+                         "bs_limit": (AuxParams(eta=caux.eta),)}
+                for family, auxes in mixed.items():
+                    for one_complex in auxes:
+                        assert_matches_the_literal(regime, family, side, params, one_complex)
+                cparams = _to_complex(params, regime)
+                for family in FLAT_FAMILIES:
+                    assert_matches_the_literal(regime, family, side, cparams, aux)
+
+
+def test_the_complex_image_of_an_exact_point_agrees_with_the_exact_value():
+    rng = random.Random(71)
+    for regime in ("rational", "trig"):
+        draw = sample_rational if regime == "rational" else sample_trig
+        for family in FLAT_FAMILIES:
+            for side in ("F", "G"):
+                for size in range(1, 7):
+                    other = rng.randint(1, 3)
+                    n, m = (other, size) if side == "F" else (size, other)
+                    params = draw(rng, n, m)
+                    while True:  # an admissible aux draw, as the registry's sampler takes
+                        aux = sample_aux(rng, size)
+                        try:
+                            exact = det_rep(regime, family, side, params, aux)
+                            break
+                        except AuxInvariantError:
+                            continue
+                    value = det_rep(regime, family, side, _to_complex(params, regime),
+                                    complex_aux(aux))
+                    # relative to the exact value, or absolute where it is 0
+                    assert abs(value - complex(exact)) <= 1e-9 * max(1, abs(exact)), (
+                        regime, family, side, size)
