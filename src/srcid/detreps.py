@@ -176,10 +176,10 @@ def _side(regime, side, params, aux=(), eta=()):
     side and sigma on the G side, so t = d L; the member ratios are
     gamma^partners * inside / outside (``sources.integer_member_products``).
     Elsewhere they are the values themselves: t = gamma = 1, lift = zeff,
-    ins the member ratios and den None.  So is an exact point where the ints
-    would divide by 0 (a member ratio's pole, q = 0 on the F side): its
-    Fractions raise there what the Fraction form raises.  The F side's ws is
-    then a lazy map, so a shift by q = 0 raises where the rows are built,
+    ins the member ratios and den None.  An exact point where the ints would
+    divide by 0 (a member ratio's pole, q = 0 on the F side) gets this form
+    too, so its Fractions raise what the Fraction form raises.  The F side's
+    ws is then a lazy map: a shift by q = 0 raises where the rows are built,
     after the family's aux checks.
     """
     reg = REGIMES[regime]

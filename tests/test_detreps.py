@@ -691,6 +691,26 @@ def test_exact_q_zero_on_the_F_side_raises_what_the_fraction_oracles_raise():
         expected = outcome(flat_literal, "trig", family, "F", params, aux)
         assert expected[0] == "ZeroDivisionError"
         assert outcome(det_rep, "trig", family, "F", params, aux) == expected
+    # a singular mixing matrix is found before the shifts are taken
+    aux = AuxParams(r=Fraction(1, 2), mat=((1, 1), (1, 1)))
+    expected = outcome(mpt_flat_literal, "trig", "F", params, aux)
+    assert expected == ("AuxInvariantError", "singular mixed psi matrix")
+    assert outcome(det_rep, "trig", "mpt", "F", params, aux) == expected
+
+
+def test_trig_deformed_basis_degenerates_at_each_power_of_q():
+    # f -> f(x) - f(x / q) / delta scales x^k by 1 - q^(size-1-k) / delta:
+    # singular exactly at delta = q^i, i < size, at every q (gamma != 1 here)
+    q = Fraction(3, 2)
+    params = TrigParams(q=q, z=Fraction(2, 5), u=(Fraction(1),),
+                        v=(Fraction(1, 3), Fraction(2), Fraction(-3)))
+    eta = (Fraction(1), Fraction(5), Fraction(-2))
+    for delta in (q, q**2):
+        with pytest.raises(AuxInvariantError, match="degenerate deformed node basis"):
+            det_rep("trig", "bs", "F", params, AuxParams(delta=delta, eta=eta))
+    for delta in (q**3, Fraction(1, 2)):
+        value = det_rep("trig", "bs", "F", params, AuxParams(delta=delta, eta=eta))
+        assert value == source_subset_sum("trig", "F", params)
 
 
 def complex_aux(aux):
