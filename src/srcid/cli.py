@@ -240,7 +240,13 @@ def _cmd_bench(args) -> int:
         raise UsageError("--reps must be at least 1")
     lines = [f"{'n':>4s} {'subset_ms':>12s} {'det_ms':>12s} {'ratio':>10s}"]
     ratios = []
-    for n, t_subset, t_det in _bench_times(sizes, args.family, args.reps, args.seed):
+    for n in sizes:
+        params, aux = _bench_point(args.seed, n, args.family)
+        t_subset = min(_timed(lambda: sources.rational_F(params)) for _ in range(args.reps))
+        t_det = min(
+            _timed(lambda: detreps.det_rep("rational", args.family, "F", params, aux))
+            for _ in range(args.reps)
+        )
         ratio = t_subset / t_det if t_det > 0 else float("inf")
         ratios.append(ratio)
         lines.append(f"{n:4d} {t_subset * 1e3:12.3f} {t_det * 1e3:12.3f} {ratio:10.2f}")
@@ -256,24 +262,6 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def _bench_times(sizes, family: str, reps: int, seed: int):
-    """(n, best subset-sum seconds, best determinant seconds) per n = m in ``sizes``."""
-    for n in sizes:
-        params, aux = _bench_point(seed, n, family)
-        t_subset = min(_timed(lambda: sources.rational_F(params)) for _ in range(reps))
-        t_det = min(
-            _timed(lambda: detreps.det_rep("rational", family, "F", params, aux))
-            for _ in range(reps)
-        )
-        yield n, t_subset, t_det
-
-
-def bench_ratios(sizes=(8, 10, 12), family: str = "scalar_product",
-                 reps: int = 3, seed: int = 20260801) -> list:
-    """subset-sum/determinant time ratios for n = m in ``sizes``."""
-    return [t_subset / t_det for _, t_subset, t_det in _bench_times(sizes, family, reps, seed)]
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -287,16 +275,13 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "sample":
             return _cmd_sample(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
+        return _cmd_bench(args)
     except UnknownCaseError as exc:
         print(f"error: unknown case {exc}", file=sys.stderr)
         return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

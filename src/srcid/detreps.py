@@ -61,8 +61,9 @@ lift b(w_j) ins_j for the family's basis b, and the value is one division:
 at an exact point one Fraction over ints, every row sharing one scale
 besides its den_j.  An exact point where the ints would divide by 0 (a member
 ratio's pole, q = 0 on the F side) gets the record of its Fraction values,
-so it raises what the Fraction form raises.  dwbc builds its rows over the
-point's own field, and the ik core over ints at an exact point.
+so it raises what the Fraction form raises.  dwbc builds its rows over
+Fractions at an exact point (ints included) and over the point's own values
+elsewhere, and the ik core over ints at an exact point.
 
 Transcription note: one-parameter extensions of these determinants are
 sometimes quoted with the balance ratio attached to row 1 as a
@@ -79,7 +80,7 @@ Delta -> infinity).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -391,11 +392,16 @@ def build_dwbc_matrix(regime: str, side: str, params):
 
 
 def _dwbc(regime, side, params):
+    params, scaling = _integer_point(regime, params)
+    if scaling is not None:
+        # Fraction u, v: 1 / (v_i - u_j) over ints would be a float
+        params = replace(params, u=tuple(map(Fraction, params.u)),
+                         v=tuple(map(Fraction, params.v)))
     u, v = params.u, params.v
     n, m = len(u), len(v)
     matrix = build_dwbc_matrix(regime, side, params)
     # an exact start keeps the empty products' int 1 / 1 out of float
-    one = Fraction(1) if is_exact((*u, *v)) else 1
+    one = 1 if scaling is None else Fraction(1)
     if n >= m:
         pref = prod((vi - uk for vi in v for uk in u), start=one)
         pref /= prod(v[j] - v[i] for i, j in _pairs_below(v))

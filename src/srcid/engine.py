@@ -187,9 +187,10 @@ class PointContext:
         ang = self.rng.uniform(0.0, 2.0 * math.pi)
         return mod * cmath.exp(1j * ang)
 
-    def scalar(self, lo: float = 0.2, hi: float = 3.0, nonzero: bool = True):
+    def scalar(self, lo: float = 0.2, hi: float = 3.0):
+        """A nonzero Fraction, or a complex number with |x| in [lo, hi]."""
         if self.exact:
-            return self.fraction(nonzero=nonzero)
+            return self.fraction(nonzero=True)
         return self.complex_scalar(lo, hi)
 
     def q_scalar(self):
@@ -289,8 +290,8 @@ class PointContext:
 
     def sample_rational(self, n: int, m: int) -> RatParams:
         def draw():
-            c = self.scalar(0.3, 2.0, nonzero=True)
-            z = self.scalar(nonzero=True)
+            c = self.scalar(0.3, 2.0)
+            z = self.scalar()
             u = [self.scalar() for _ in range(n)]
             v = [self.scalar() for _ in range(m)]
             return RatParams(c=c, z=z, u=tuple(u), v=tuple(v))
@@ -300,8 +301,8 @@ class PointContext:
     def sample_trig(self, n: int, m: int, with_lam: bool = False) -> TrigParams:
         def draw():
             q = self.q_scalar()
-            z = self.scalar(nonzero=True)
-            lam = self.scalar(nonzero=True) if with_lam else None
+            z = self.scalar()
+            lam = self.scalar() if with_lam else None
             u = [self.scalar() for _ in range(n)]
             v = [self.scalar() for _ in range(m)]
             return TrigParams(q=q, z=z, u=tuple(u), v=tuple(v), lam=lam)
@@ -446,9 +447,14 @@ def match_cases(patterns, regime: str = "all", field_name: Optional[str] = None)
 # ---------------------------------------------------------------------------
 
 
+def _core_sizes(ctx: PointContext, regime: str):
+    """(n, m) of a core point: n = m in 1..4 for elliptic, else each in 0..5."""
+    return ctx.sizes((1, 4)) if regime == "elliptic" else ctx.sizes((0, 5), (0, 5))
+
+
 def _identity_runner(regime: str):
     def run(ctx: PointContext):
-        n, m = ctx.sizes((1, 4)) if regime == "elliptic" else ctx.sizes((0, 5), (0, 5))
+        n, m = _core_sizes(ctx, regime)
         params = ctx.sample(regime, n, m)
         lhs = source_subset_sum(regime, "F", params)
         return [("F = G", lhs, source_subset_sum(regime, "G", params))]
@@ -534,7 +540,7 @@ def _run_frobenius(ctx: PointContext):
         def draw():
             u = ctx.distinct_scalars(n)
             v = ctx.distinct_scalars(n)
-            lam = ctx.scalar(nonzero=True)
+            lam = ctx.scalar()
             return u, v, lam
 
         def accept(t3):
@@ -843,9 +849,9 @@ def _run_trig_to_rational_limit(ctx: PointContext):
 
 
 def _run_q_binomial_product(ctx: PointContext):
-    n = ctx.rng.randint(1, 7)
+    n, _ = ctx.sizes((1, 7))
     q = ctx.q_scalar()
-    z = ctx.scalar(nonzero=True)
+    z = ctx.scalar()
     lhs = sum(
         z**l * q ** (l * (l + 1) // 2) * q_binomial(n, l, q) for l in range(n + 1)
     )
@@ -868,7 +874,7 @@ def _fixed_size_subset_sums(u, ratio, one) -> list:
 
 
 def _run_q_subset_ratio(ctx: PointContext):
-    n = ctx.rng.randint(1, 7)
+    n, _ = ctx.sizes((1, 7))
     q = ctx.q_scalar()
     u = _q_identity_subsets(ctx, n)
     sums = _fixed_size_subset_sums(u, lambda a, b: (a - b / q) / (a - b), ctx.field.one)
@@ -877,7 +883,7 @@ def _run_q_subset_ratio(ctx: PointContext):
 
 
 def _run_q_inversion_statistic(ctx: PointContext):
-    n = ctx.rng.randint(1, 7)
+    n, _ = ctx.sizes((1, 7))
     q = ctx.q_scalar()
     # K's term is q^-inv(K), inv(K) = #{(i, j) : i in K, j notin K, i > j}
     pair = [[1 / q if i > j else 1 for j in range(n)] for i in range(n)]
@@ -887,8 +893,8 @@ def _run_q_inversion_statistic(ctx: PointContext):
 
 
 def _run_binomial_subset_identity(ctx: PointContext):
-    n = ctx.rng.randint(1, 7)
-    c = ctx.scalar(0.3, 2.0, nonzero=True)
+    n, _ = ctx.sizes((1, 7))
+    c = ctx.scalar(0.3, 2.0)
     u = _q_identity_subsets(ctx, n)
     sums = _fixed_size_subset_sums(u, lambda a, b: (a - b + c) / (a - b), ctx.field.one)
     return [(f"shifted ratios, size {ell}", total, ctx.field.one * math.comb(n, ell))
@@ -1256,8 +1262,7 @@ def sample_params(regime: str, config: SamplingConfig, point_index: int):
     ctx = PointContext(rng, sample_field(regime, config), config)
     if regime not in ("elliptic", "trig", "rational"):
         raise ValueError(f"unknown regime {regime!r}")
-    n, m = ctx.sizes((1, 4)) if regime == "elliptic" else ctx.sizes((0, 5), (0, 5))
-    return ctx.sample(regime, n, m)
+    return ctx.sample(regime, *_core_sizes(ctx, regime))
 
 
 def _check_point(checks, field_name: str, tol: float, index: int, seed: str) -> PointRecord:

@@ -17,8 +17,9 @@ Conventions used throughout the library:
     psi_j(u; p, r | rank n) = u^{j-1} * theta(p^{j-1} (-1)^{n-1} r u^n; p^n)
 
 The infinite products are truncated with a geometric tail bound: with
-target epsilon and ratio |q|, N = ceil(log eps / log |q|) + guard terms,
-capped at ``max_terms``, and |q| <= 0.9 is enforced as a hard limit.
+target epsilon = 1e-14 and ratio |q|, N = ceil(log eps / log |q|) + 8 guard
+terms, and |q| <= 0.9 is enforced as a hard limit, so N runs from 9 to 314
+(1 at q = 0).
 ``theta`` stays exact (both fields) when p = 0; every truncated product
 is complex-only.  The truncation is this module's alone: ``theta``,
 ``qpoch_inf`` and ``psi_A`` all truncate at ``DEFAULT_TRUNCATION`` and take
@@ -35,7 +36,6 @@ values of theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import ExactFieldUnavailableError
@@ -47,27 +47,19 @@ class TruncationError(ValueError):
     """Ratio outside the convergence budget of the truncated products."""
 
 
-@dataclass(frozen=True)
+_EPSILON = 1e-14
+_GUARD_TERMS = 8
+
+
 class Truncation:
-    """Truncation policy for infinite q-products."""
-
-    epsilon: float = 1e-14
-    max_terms: int = 10_000
-    guard_terms: int = 8
-
-    def __post_init__(self):
-        if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.max_terms < 1 or self.guard_terms < 0:
-            raise ValueError("max_terms >= 1 and guard_terms >= 0 required")
+    """Truncation of the infinite q-products (module docstring)."""
 
     def num_terms(self, ratio_abs: float) -> int:
         if ratio_abs > _Q_ABS_LIMIT:
             raise TruncationError(f"|q| = {ratio_abs:.4g} exceeds the {_Q_ABS_LIMIT} limit")
         if ratio_abs == 0.0:
             return 1
-        n = math.ceil(math.log(self.epsilon) / math.log(ratio_abs)) + self.guard_terms
-        return max(1, min(n, self.max_terms))
+        return math.ceil(math.log(_EPSILON) / math.log(ratio_abs)) + _GUARD_TERMS
 
 
 DEFAULT_TRUNCATION = Truncation()

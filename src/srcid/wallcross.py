@@ -3,9 +3,9 @@
 A Dec collection (I_1, ..., I_j) is a tuple of disjoint nonempty subsets
 of [1..l] with min(I_1) > ... > min(I_j) and total size |I_1| + ... +
 |I_j| = k.  The correction formula below weighs a collection by 0 as soon
-as one part has size >= 2 (its factor gamma), so ``enumerate_dec(l, k)``
-lists only the collections that can count: the singleton chains ({h_1},
-..., {h_k}) with l >= h_1 > ... > h_k >= 1.
+as one part has size >= 2 (its factor gamma), so only the singleton
+collections ({h_1}, ..., {h_k}) count, and ``enumerate_dec(l, k)`` lists
+them as the int chains (h_1, ..., h_k) with l >= h_1 > ... > h_k >= 1.
 
 ``chi_genus_integral`` evaluates the two fixed-point subset sums
 
@@ -31,13 +31,13 @@ kernel walks each side once and returns chi(l) for every l together, so
 ``wallcrossing_sides`` read every order they need from one list per side.
 
 The singleton-weighted correction formula expresses chi+(l) - chi-(l)
-through chi-(l - k) with weights built from the statistic
+through chi-(l - k), summed over the chains of ``enumerate_dec(l, k)``
+(``dec_weight``), with weights built from the statistic
 
     s(I1, I2) = #{(i, j) in I1 x I2 : i < j}        (unsigned)
               [- #{(i, j) : i > j}  when signed]
 
-where the collection weight kills every part of size >= 2.  The hook
-product identity evaluates the resulting chain sums in closed form with
+The hook product identity evaluates the resulting chain sums in closed form with
 symmetric q-numbers (n)_t, parametrized by s = t^{1/2}; its t -> 1 limit
 produces plain binomial coefficients.
 """
@@ -56,15 +56,12 @@ DEC_CAP = 8
 
 
 def enumerate_dec(ell: int, k: int):
-    """The singleton Dec collections of total size k, as tuples of frozensets:
-    ({h_1}, ..., {h_k}) for each chain l >= h_1 > ... > h_k >= 1, in the
-    order of the k-subsets of [1..l]."""
+    """The singleton Dec collections of total size k, as int chains
+    (h_1, ..., h_k) with l >= h_1 > ... > h_k >= 1, in the order of the
+    k-subsets of [1..l]."""
     if not 0 <= k <= ell <= DEC_CAP:
         raise ValueError(f"need 0 <= k <= l <= {DEC_CAP}")
-    return [
-        tuple(frozenset((h,)) for h in reversed(support))
-        for support in combinations(range(1, ell + 1), k)
-    ]
+    return [tuple(reversed(support)) for support in combinations(range(1, ell + 1), k)]
 
 
 def s_stat(i1, i2, signed: bool = False) -> int:
@@ -138,29 +135,24 @@ def verify_coeff_identity(ell, m, n, t, u, v):
     return lhs - rhs
 
 
-def dec_weight(coll, ell: int, m: int, n: int, t, facts=None):
-    """Weight of one collection in the singleton correction formula.
+def dec_weight(chain, ell: int, m: int, n: int, t, facts):
+    """Weight of the chain l >= h_1 > ... > h_k >= 1 in the singleton
+    correction formula.
 
-    [l-k]_t!/[l]_t! * prod_i [d_i - 1]_t!/(t-1) * gamma(d_i)
-        * t^{-(l-i) d_i} * (t^{s(I_i, R_i) + m d_i} - t^{s(R_i, I_i) + n d_i})
+    [l-k]_t!/[l]_t! * prod_i t^{-(l-i)} / (t-1)
+        * (t^{s({h_i}, R_i) + m} - t^{s(R_i, {h_i}) + n})
 
-    with R_i = [1..l] minus the union of the first i parts, and
-    gamma(d) = 1 for d = 1, 0 otherwise.  ``facts`` lists [j]_t! for
-    j = 0..l, formed here when omitted.
+    with R_i = [1..l] minus {h_1, ..., h_i}.  This is the Dec collection
+    weight at singleton parts, where gamma and [d_i - 1]_t! are 1.
+    ``facts`` lists [j]_t! for j = 0..l.
     """
-    if facts is None:
-        facts = [q_factorial(j, t) for j in range(ell + 1)]
-    k = sum(len(part) for part in coll)
-    weight = facts[ell - k] / facts[ell]
+    weight = facts[ell - len(chain)] / facts[ell]
     remaining = set(range(1, ell + 1))
-    for i, part in enumerate(coll, start=1):
-        d = len(part)
-        if d != 1:
-            return t - t
-        remaining -= part
-        factor = facts[d - 1] / (t - 1)
-        factor *= t ** (-(ell - i) * d)
-        factor *= t ** (s_stat(part, remaining) + m * d) - t ** (s_stat(remaining, part) + n * d)
+    for i, h in enumerate(chain, start=1):
+        remaining.discard(h)
+        factor = 1 / (t - 1)
+        factor *= t ** (i - ell)
+        factor *= t ** (s_stat((h,), remaining) + m) - t ** (s_stat(remaining, (h,)) + n)
         weight *= factor
     return weight
 
@@ -175,8 +167,8 @@ def wallcrossing_sides(ell: int, m: int, n: int, t, u, v):
     facts = [q_factorial(j, t) for j in range(ell + 1)]
     for k in range(1, ell + 1):
         chi_rest = minus[ell - k]
-        for coll in enumerate_dec(ell, k):
-            rhs += dec_weight(coll, ell, m, n, t, facts=facts) * chi_rest
+        for chain in enumerate_dec(ell, k):
+            rhs += dec_weight(chain, ell, m, n, t, facts) * chi_rest
     return lhs, rhs
 
 
@@ -191,14 +183,12 @@ def hook_product_identity(ell: int, k: int, d: int, s):
     lhs = sum_{l >= h_1 > ... > h_k >= 1} prod_i (l - 2 h_i - i + 2 + d)_t
     rhs = (d)_t! (l)_t! / ( (k)_t! (d-k)_t! (l-k)_t! ),  t = s^2.
     """
-    if not 0 <= k <= ell <= DEC_CAP:
-        raise ValueError(f"need 0 <= k <= l <= {DEC_CAP}")
+    chains = enumerate_dec(ell, k)
     if d < k:
         raise ValueError("factorial form needs d >= k")
     one = s - s + 1
     lhs = s - s
-    for combo in combinations(range(1, ell + 1), k):
-        h = tuple(reversed(combo))
+    for h in chains:
         term = one
         for i, hi in enumerate(h, start=1):
             term *= sym_q_number(ell - 2 * hi - i + 2 + d, s)
@@ -217,12 +207,10 @@ def hook_product_limit(ell: int, k: int, d: int):
     lhs = sum_{chains} (l-k)!/l! prod_i ( s_signed({h_i}, R_i) + d ),
     rhs = C(d, k), with R_i = [1..l] minus {h_1, ..., h_i}.
     """
-    if not 0 <= k <= ell <= DEC_CAP:
-        raise ValueError(f"need 0 <= k <= l <= {DEC_CAP}")
+    chains = enumerate_dec(ell, k)
     weight = Fraction(math.factorial(ell - k), math.factorial(ell))
     lhs = Fraction(0)
-    for combo in combinations(range(1, ell + 1), k):
-        h = tuple(reversed(combo))
+    for h in chains:
         remaining = set(range(1, ell + 1))
         term = weight
         for hi in h:

@@ -5,12 +5,14 @@ literal equality of reduced fractions.  The whole suite is seeded and
 deterministic.
 """
 
+import io
 import json
 import math
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 
-from srcid.cli import bench_ratios
+from srcid.cli import main
 from srcid.engine import SamplingConfig, list_cases, run_case
 from srcid.fields import COMPLEX, EXACT
 from srcid.symmetrize import lascoux_symmetrized_sides, lascoux_tau_sides
@@ -261,8 +263,11 @@ def test_criterion_11_determinism_and_bench():
     second = [run_case(cid, cfg).as_dict(include_timings=False) for cid in ids]
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
-    ratios = bench_ratios(sizes=(8, 10, 12), reps=3, seed=SEED)
-    assert ratios[0] < ratios[1] < ratios[2], ratios
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["bench", "--sizes", "8,10,12", "--reps", "3", "--seed", str(SEED)]) == 0
+    *rows, verdict = out.getvalue().splitlines()[1:]
+    ratios = [row.split()[-1] for row in rows]
+    assert verdict == "ratio strictly increasing: True", ratios
     print("\nPASS criterion 11: byte-identical reports for equal seeds; "
-          f"subset/determinant time ratios increase: "
-          f"{ratios[0]:.1f} < {ratios[1]:.1f} < {ratios[2]:.1f}")
+          f"subset/determinant time ratios increase: {' < '.join(ratios)}")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from srcid import detreps
-from srcid.cli import bench_ratios, main
+from srcid.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -248,10 +248,11 @@ def test_verify_runner_error_is_a_failed_point(capsys):
         assert all("Error: " in point["error"] for point in case["points"])
 
 
-def test_bench_ratios_increase_with_size():
-    ratios = bench_ratios(sizes=(8, 10, 12), reps=3, seed=1)
-    assert len(ratios) == 3
-    assert ratios[0] < ratios[1] < ratios[2]
+def test_bench_ratios_increase_with_size(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--sizes", "8,10,12", "--reps", "3", "--seed", "1")
+    assert code == 0
+    assert len(out.splitlines()) == 5  # header, three sizes, verdict
+    assert out.splitlines()[-1] == "ratio strictly increasing: True"
 
 
 def test_verify_nmax_and_tol_flags(capsys):

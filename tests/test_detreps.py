@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -491,6 +492,12 @@ def test_all_int_parameters_give_the_exact_fraction():
             assert type(value) is Fraction, (regime, family)
             assert value == det_rep(regime, family, "F", as_fractions, aux)
             assert value == source_subset_sum(regime, "F", as_fractions)
+        # dwbc on both sides, at n >= m and, with u and v swapped, at n < m
+        for point in (params, replace(params, u=v, v=u)):
+            for side in ("F", "G"):
+                value = det_rep(regime, "dwbc", side, point)
+                assert type(value) is Fraction, (regime, side, point)
+                assert value == source_subset_sum(regime, side, replace_all(point, Fraction))
     core = izergin_korepin_core((1, 2), (4, 7), 1, 3)
     assert type(core) is Fraction
     assert core == ik_core_literal(*(tuple(map(Fraction, xs)) for xs in ((1, 2), (4, 7))),

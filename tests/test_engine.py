@@ -342,6 +342,24 @@ def test_nmax_below_a_case_range_fails_its_points():
         SamplingConfig(nmax=-1)
 
 
+def test_q_identity_runners_honor_nmax(monkeypatch):
+    # the per-size runners return one check per size 0..n; the generating
+    # product reads [n choose l]_q for l = 0..n
+    calls = []
+    real = engine.q_binomial
+    monkeypatch.setattr(engine, "q_binomial", lambda n, l, q: calls.append(n) or real(n, l, q))
+    config = SamplingConfig(nmax=2)
+    for case_id in ("q_binomial_product", "q_subset_ratio_identity", "q_inversion_statistic",
+                    "binomial_subset_identity"):
+        seen = set()
+        for index in range(20):
+            calls.clear()
+            ctx = PointContext(random.Random(f"{case_id}:{index}"), EXACT, config)
+            checks = get_case(case_id).runner(ctx)
+            seen.add(max(calls) if case_id == "q_binomial_product" else len(checks) - 1)
+        assert seen == {1, 2}, case_id
+
+
 def test_evaluation_sampler_redraws_the_base_point():
     # point 197 used to exhaust its resampling cap: every retry reshuffled
     # the same colliding values

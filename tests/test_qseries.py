@@ -10,7 +10,6 @@ import pytest
 from srcid.fields import ExactFieldUnavailableError
 from srcid.qseries import (
     DEFAULT_TRUNCATION,
-    Truncation,
     TruncationError,
     psi_A,
     q_binomial,
@@ -340,8 +339,8 @@ def test_psi_A_index_validation():
 
 
 def test_truncation_validation():
-    with pytest.raises(ValueError):
-        Truncation(epsilon=0.0)
-    with pytest.raises(ValueError):
-        Truncation(max_terms=0)
     assert DEFAULT_TRUNCATION.num_terms(0.0) == 1
+    # ceil(log 1e-14 / log |q|) + 8 over 0 < |q| <= 0.9
+    assert DEFAULT_TRUNCATION.num_terms(1e-300) == 9
+    assert DEFAULT_TRUNCATION.num_terms(0.5) == 47 + 8
+    assert DEFAULT_TRUNCATION.num_terms(0.9) == 306 + 8

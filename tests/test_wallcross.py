@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from srcid.qseries import q_factorial
 from srcid.sources import TrigParams, trig_F
 from srcid.wallcross import (
     chi_genus_integral,
@@ -71,22 +72,24 @@ def brute_force_dec(ell, k):
     return results
 
 
-def singleton_collections(colls):
-    return {coll for coll in colls if all(len(part) == 1 for part in coll)}
+def singleton_chains(colls):
+    """The collections whose parts are all singletons, as int chains."""
+    return {tuple(min(part) for part in coll) for coll in colls
+            if all(len(part) == 1 for part in coll)}
 
 
 @pytest.mark.parametrize("ell,k", [(2, 1), (2, 2), (3, 2), (4, 3), (4, 4)])
 def test_enumerate_dec_matches_brute_force(ell, k):
     # enumerate_dec lists the collections gamma keeps: the singleton ones
     mine = set(enumerate_dec(ell, k))
-    assert mine == singleton_collections(brute_force_dec(ell, k))
+    assert mine == singleton_chains(brute_force_dec(ell, k))
     assert len(mine) == len(enumerate_dec(ell, k))  # no duplicates
 
 
 def test_enumerate_dec_small_counts():
-    # total size 1 on [1..2]: ({1}) and ({2})
+    # total size 1 on [1..2]: (1) and (2)
     assert len(enumerate_dec(2, 1)) == 2
-    # total size 2 on [1..2]: ({2},{1}); the one-part ({1,2}) is not listed
+    # total size 2 on [1..2]: (2, 1); the one-part ({1,2}) is not listed
     assert len(enumerate_dec(2, 2)) == 1
     assert len(brute_force_dec(2, 2)) == 2
     assert enumerate_dec(3, 0) == [()]
@@ -95,18 +98,17 @@ def test_enumerate_dec_small_counts():
 def test_enumerate_dec_singletons_are_descending_chains():
     for ell in range(1, 6):
         for k in range(ell + 1):
-            colls = enumerate_dec(ell, k)
-            assert len(colls) == math.comb(ell, k)
-            for coll in colls:
-                chain = [next(iter(part)) for part in coll]
-                assert all(len(part) == 1 for part in coll)
+            chains = enumerate_dec(ell, k)
+            assert len(chains) == math.comb(ell, k)
+            for chain in chains:
+                assert all(type(h) is int and 1 <= h <= ell for h in chain)
                 assert all(a > b for a, b in zip(chain, chain[1:]))
 
 
 def test_enumerate_dec_single_singleton_example():
-    assert enumerate_dec(2, 2) == [
-        (frozenset({2}), frozenset({1}))
-    ]
+    assert enumerate_dec(2, 2) == [(2, 1)]
+    # the order of the k-subsets of [1..l], each chain descending
+    assert enumerate_dec(3, 2) == [(2, 1), (3, 1), (3, 2)]
 
 
 def test_enumerate_dec_cap():
@@ -302,22 +304,19 @@ def test_wallcrossing_grid():
         assert verify_wallcrossing_K(ell, m, n, t, u, v) == 0
 
 
-def test_gamma_filter_kills_multipart_collections():
-    # gamma weighs every hand-built collection with a part of size >= 2 as 0,
-    # so the Dec sum over all collections is the singleton-chain sum
+def test_dec_sum_over_chains_is_the_correction_rhs():
+    # the Dec sum over the singleton chains of a brute-force enumeration,
+    # each chain weighted by dec_weight and chi-(l - k)
     rng = random.Random(43)
     t, u, v = wallcross_point(rng, 2, 4)
     ell = 3
-    everything = [coll for k in range(1, ell + 1) for coll in brute_force_dec(ell, k)]
-    multi = [coll for coll in everything if any(len(part) > 1 for part in coll)]
-    assert len(multi) == len(everything) - (2**ell - 1)
-    for coll in multi:
-        assert dec_weight(coll, ell, 4, 2, t) == 0, coll
-    # a singleton part first does not save a multi-element part after it
-    assert dec_weight((frozenset({3}), frozenset({1, 2})), ell, 4, 2, t) == 0
+    chains = [chain for k in range(1, ell + 1)
+              for chain in singleton_chains(brute_force_dec(ell, k))]
+    assert len(chains) == 2**ell - 1
+    facts = [q_factorial(j, t) for j in range(ell + 1)]
     minus = [chi_genus_integral("-", j, t, u, v) for j in range(ell + 1)]
-    full = sum(dec_weight(coll, ell, 4, 2, t) * minus[ell - sum(map(len, coll))]
-               for coll in everything)
+    full = sum(dec_weight(chain, ell, 4, 2, t, facts) * minus[ell - len(chain)]
+               for chain in chains)
     assert full == wallcrossing_sides(ell, 4, 2, t, u, v)[1]
 
 
