@@ -88,8 +88,8 @@ from .fields import is_exact, to_integers
 from .linalg import det, det_exact, prod, vandermonde
 from .qseries import psi_A
 from .sources import (
-    REGIMES, _integer_point, _ratios, _theta_memo, apart, integer_member_products,
-    member_ratios,
+    _INTEGER_SCALARS, REGIMES, _integer_point, _ratios, _theta_memo, apart,
+    integer_member_products, member_ratios,
 )
 
 AVAILABILITY = {
@@ -391,17 +391,26 @@ def build_dwbc_matrix(regime: str, side: str, params):
     return rows
 
 
+def _with_fractions(regime, params):
+    """``params`` with each value made a Fraction when c or q, z, u and v are
+    exact and some are ints, since an int 1 / (v_i - u_j) or q^-k is a float;
+    any other point comes back as it is."""
+    names = _INTEGER_SCALARS[regime]
+    scalars = [getattr(params, name) for name in names]
+    values = (*scalars, *params.u, *params.v)
+    if int not in map(type, values) or not is_exact(values):
+        return params
+    return replace(params, **{name: Fraction(x) for name, x in zip(names, scalars)},
+                   u=tuple(map(Fraction, params.u)), v=tuple(map(Fraction, params.v)))
+
+
 def _dwbc(regime, side, params):
-    params, scaling = _integer_point(regime, params)
-    if scaling is not None:
-        # Fraction u, v: 1 / (v_i - u_j) over ints would be a float
-        params = replace(params, u=tuple(map(Fraction, params.u)),
-                         v=tuple(map(Fraction, params.v)))
+    params = _with_fractions(regime, params)
     u, v = params.u, params.v
     n, m = len(u), len(v)
     matrix = build_dwbc_matrix(regime, side, params)
     # an exact start keeps the empty products' int 1 / 1 out of float
-    one = 1 if scaling is None else Fraction(1)
+    one = Fraction(1) if is_exact((*u, *v)) else 1
     if n >= m:
         pref = prod((vi - uk for vi in v for uk in u), start=one)
         pref /= prod(v[j] - v[i] for i, j in _pairs_below(v))

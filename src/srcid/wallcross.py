@@ -37,9 +37,9 @@ through chi-(l - k), summed over the chains of ``enumerate_dec(l, k)``
     s(I1, I2) = #{(i, j) in I1 x I2 : i < j}        (unsigned)
               [- #{(i, j) : i > j}  when signed]
 
-The hook product identity evaluates the resulting chain sums in closed form with
-symmetric q-numbers (n)_t, parametrized by s = t^{1/2}; its t -> 1 limit
-produces plain binomial coefficients.
+The hook product identity evaluates the resulting chain sums in closed
+form with symmetric q-numbers (n)_t, parametrized by s = t^{1/2}; its
+t -> 1 limit produces plain binomial coefficients.
 """
 
 from __future__ import annotations
