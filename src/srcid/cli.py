@@ -100,11 +100,14 @@ def _config_from_args(args) -> SamplingConfig:
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from exc
 
 
 def _report_json(reports, args, include_timings: bool) -> str:
@@ -234,6 +237,8 @@ def _cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
         raise UsageError("--sizes must be comma-separated integers") from exc
+    if not sizes:
+        raise UsageError("--sizes needs at least one size")
     if any(n < 1 or n > sources.SIZE_CAP for n in sizes):
         raise UsageError(f"sizes must lie in [1, {sources.SIZE_CAP}]")
     if args.reps < 1:

@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 from . import linalg, sources, symmetrize, wallcross
 from .detreps import AVAILABILITY, AuxInvariantError, AuxParams, aux_general_position, det_rep
-from .fields import EXACT, COMPLEX, get_field, to_integers
+from .fields import EXACT, COMPLEX, get_field
 from .linalg import (
     cauchy_vandermonde_closed,
     cauchy_vandermonde_matrix,
@@ -980,11 +980,12 @@ def _lascoux_point(ctx: PointContext, n: int):
 
 def _lascoux_general(point) -> bool:
     """u and v are each distinct, u_i - u_j is kept off +-c, and v_i - u_k off
-    0 and +-c.  The tests compare the ints of one ``fields.to_integers``
-    scaling of (c, u, v): scaling by L > 0 keeps every zero test."""
+    0 and +-c.  The tests compare the ints (a, b, g) of the sides functions'
+    one scaling of (c, u, v) (``symmetrize._scaled_point``): scaling by
+    L > 0 keeps every zero test."""
     c, u, v = point
-    (g, *ints), _ = to_integers((c, *u, *v))
-    a, b = set(ints[:len(u)]), set(ints[len(u):])
+    a, b, g, _ = symmetrize._scaled_point(u, v, c)
+    a, b = set(a), set(b)
     return (
         len(a) == len(u)
         and len(b) == len(v)

@@ -17,9 +17,10 @@ between the two backends: the zero and one of the field and the residual
 used in verification reports.
 
 The exact kernels (``linalg.det_exact``, the integer walk of ``sources``,
-``symmetrize.sym_c`` and the nome-0 rows of ``detreps``) do their
+the symmetrization sides and the nome-0 rows of ``detreps``) do their
 arithmetic over Python ints and divide once at the end.  ``is_exact`` is
-the one test for exact input where a generic path can take the rest, and
+the one test for exact input, both where a generic path can take the rest
+and where the exact-only ``symmetrize.sym_c`` turns other input away, and
 ``to_integers`` the one scaling to ints: values times L, the lcm of their
 denominators.
 """
@@ -65,9 +66,8 @@ def to_integers(values):
     """(ints, L): L is the lcm of the denominators of the exact ``values``
     (1 when there are none) and ints[i] = L * values[i].
 
-    A value without a denominator (float, complex) raises ``TypeError``:
-    that is how the exact-only ``symmetrize.sym_c`` turns such input away,
-    while the callers with a fallback path test ``is_exact`` first.
+    A value without a denominator (float, complex) raises ``TypeError``;
+    the callers with a fallback path test ``is_exact`` first.
     """
     try:
         lcm = math.lcm(*(x.denominator for x in values))

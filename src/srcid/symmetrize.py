@@ -17,30 +17,29 @@ agreement with the literal operator chain is itself a tested property.
 
 Every integrand symmetrized here is a slot product prod_i h_i(x_i): slot i
 holds one factor, a function of the single point placed there.
-``sym_c(slots, u, c)`` takes the slot functions h_1..h_n and sums the n!
-orderings as a Held-Karp dynamic program over the set of points already
-placed (Held & Karp, J. SIAM 10, 1962): O(n 2^n) multiplications against
-O(n^2 n!) for the literal permutation sum, with the same exact value.
-The symmetrization formulas are identities of rational functions, checked
-over the exact field only, so c, u and the slot values are ints or
-Fractions and the DP walks Python ints: ``fields.to_integers`` makes u and
-c ints a and g and each slot's row of values ints, D = prod_{j<k} (a_j -
-a_k) clears every Delta denominator (the pair table and D come from
+``sym_c(slots, u, c)`` takes each slot as its row of values h_i(u_1), ...,
+h_i(u_n) and sums the n! orderings as a Held-Karp dynamic program over the
+set of points already placed (Held & Karp, J. SIAM 10, 1962): O(n 2^n)
+multiplications against O(n^2 n!) for the literal permutation sum, with
+the same exact value.  The symmetrization formulas are identities of
+rational functions, checked over the exact field only, so c, u and the
+slot values are ints or Fractions (a complex or float input raises
+``TypeError``).  D = prod_{j<k} (u_j - u_k) clears every Delta
+denominator (the pair table and D come from
 ``sources.integer_pair_tables``), and the sum is divided once at the end,
-as in the subset-sum kernel and ``linalg.det_exact``.  A complex or float
-input raises ``TypeError``.
+as in the subset-sum kernel and ``linalg.det_exact``.
 
 The two symmetrization formulas verified here evaluate Sym_c of
 (1 - theta)^{n-1} prod_{j>=2} prod_k (u_j - v_k) f(u_1), resp. of
 (1 - tau)^n prod_{j,k} (u_j - v_k - c)/(u_j - v_k), in closed form through
 the n = m, z = 1 cleared source polynomial (the ik determinant).  Expanded
 binomially, each power is a signed sum of slot products, one sym_c call per
-shift.  The sides functions scale once per point: ``fields.to_integers``
-makes (c, u, v) the ints (g, a, b) = L (c, u, v), every slot value (the
-root products, the tau numerators, f and the pin of u_1) is an int
-computed from them, and sym_c runs at (a, g), where Delta is unchanged
-and the scalings of u and c cost sym_c nothing.  Each lhs is divided by
-the slots' common scale once, after its binomial sum.
+shift (``_alternating_sum``).  The sides functions scale once per point:
+``fields.to_integers`` makes (c, u, v) the ints (g, a, b) = L (c, u, v),
+every slot row (the root products, the tau numerators, f and the pin of
+u_1) is ints computed from them, and sym_c walks Python ints at (a, g),
+where Delta is unchanged and the scalings of u and c cost nothing.  Each
+lhs is divided by the slots' common scale once, after its binomial sum.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import math
 from fractions import Fraction
 
 from .detreps import izergin_korepin, izergin_korepin_core
-from .fields import to_integers
+from .fields import is_exact, to_integers
 from .linalg import prod
 from .sources import RatParams, integer_pair_tables, rational_P
 
@@ -89,34 +88,37 @@ def newton_chain(coeffs, u):
 
 
 def sym_c(slots, u, c):
-    """Sym_c of the slot product prod_i slots[i](x_i) at the point u.
+    """Sym_c of the slot product prod_i slots[i](x_i) at the point u, where
+    slots[i][k] is slot i's value at u_k.
 
     Filling the slots left to right, the point u_k placed into slot |S|
     after the points S meets one Delta factor R[j][k] =
     (u_j - u_k - c)/(u_j - u_k) per earlier point j in S, so
 
-        dp[S + {k}] += dp[S] * slots[|S|](u_k) * prod_{j in S} R[j][k]
+        dp[S + {k}] += dp[S] * slots[|S|][k] * prod_{j in S} R[j][k]
 
     and Sym_c = dp[all points].  The pair product is carried per (S, k), at
-    one multiplication each, so the whole sum costs O(n 2^n).  Each distinct
-    slot function is evaluated once at the n points.
+    one multiplication each, so the whole sum costs O(n 2^n).
 
     c, u and every slot value must be ints or Fractions (``TypeError``
-    otherwise): the tables are ints (``_integer_tables``) and the sum is one
-    Fraction division at the end.
+    otherwise), and each row holds n values (``ValueError``).  Each ordering
+    meets every pair once, so D = prod_{j<k} (u_j - u_k) clears all its
+    Delta denominators: the walk multiplies R[j][k] times D's factor of
+    {j, k} (the ``cross`` table and D of ``sources.integer_pair_tables`` at
+    sigma = (1, c, 1)) and divides by D once at the end.  The values are
+    summed as given, with no scaling: at ints the walk is over Python ints.
     """
     u = tuple(u)
     n = len(u)
-    if len(slots) != n:
-        raise ValueError("sym_c needs one slot per point")
+    if not is_exact((c, *u, *(x for row in slots for x in row))):
+        raise TypeError("sym_c needs ints and Fractions")
+    if len(slots) != n or any(len(row) != n for row in slots):
+        raise ValueError("sym_c needs one slot row of n values per point")
     if n > PERM_CAP:
         raise ValueError(f"sym_c is capped at n <= {PERM_CAP}")
     if len(set(u)) != n:
         raise ZeroDivisionError("sym_c needs pairwise distinct points")
-    rows = {id(slot): slot for slot in slots}
-    rows = {key: [slot(x) for x in u] for key, slot in rows.items()}
-    keys = [id(slot) for slot in slots]
-    pair, table, divisor = _integer_tables(u, c, rows, keys)
+    pair, _, divisor = integer_pair_tables(u, (1, c, 1))
     size = 1 << n
     dp = [0] * size
     dp[0] = 1
@@ -130,31 +132,20 @@ def sym_c(slots, u, c):
         acc = dp[s]
         if not acc:
             continue
-        h, pr = table[s.bit_count()], carried[s]
+        h, pr = slots[s.bit_count()], carried[s]
         for k in range(n):
             if not s >> k & 1 and h[k]:
                 dp[s | 1 << k] += acc * h[k] * pr[k]
     return Fraction(dp[-1], divisor)
 
 
-def _integer_tables(u, c, rows, keys):
-    """(pair, table, divisor) over ints for sym_c; ``TypeError`` unless c, u
-    and every value in ``rows`` are exact.
-
-    With L the scale of c and u (``fields.to_integers``), a_j = L u_j and
-    g = L c, R[j][k] = (a_j - a_k - g)/(a_j - a_k).  Each ordering meets
-    every pair once, so D = prod_{j<k} (a_j - a_k) clears all its Delta
-    denominators: pair[j][k] is R[j][k] times D's factor of {j, k}.  These
-    are the ``cross`` table and D of ``sources.integer_pair_tables`` at
-    sigma = (1, g, 1).  Each distinct row of slot values is made ints by its
-    own scale M, and the divisor is D times the M of every slot in ``keys``,
-    repeats included.
-    """
-    (g, *a), _ = to_integers((c, *u))
-    pair, _, divisor = integer_pair_tables(a, (1, g, 1))
-    scaled = {key: to_integers(row) for key, row in rows.items()}
-    divisor *= prod(scaled[key][1] for key in keys)
-    return pair, [scaled[key][0] for key in keys], divisor
+def _sizes(u, v):
+    """(u, v, n) with u and v as tuples; ``ValueError`` unless
+    len(u) == len(v) = n >= 1."""
+    u, v = tuple(u), tuple(v)
+    if len(v) != len(u) or not u:
+        raise ValueError("needs len(u) == len(v) >= 1")
+    return u, v, len(u)
 
 
 def _scaled_point(u, v, c):
@@ -162,11 +153,6 @@ def _scaled_point(u, v, c):
     ``fields.to_integers`` scaling of (c, u, v)."""
     (g, *ints), lcm = to_integers((c, *u, *v))
     return ints[:len(u)], ints[len(u):], g, lcm
-
-
-def _tabulated(values, a):
-    """The slot function that takes the value values[j] at the point a[j]."""
-    return dict(zip(a, values)).__getitem__
 
 
 def _root_row(a, b, shift):
@@ -187,29 +173,27 @@ def _poly_row(coeffs, a, lcm):
     return [poly_eval(lifted, x) for x in a], scale * lcm ** degree
 
 
-def _theta_slots(n, head, plain, shifted, ell):
-    """Slots of theta^{ell-1} applied to head(u_1) prod_{j=2}^n plain(u_j).
+def _theta_rows(head, a, b, g):
+    """The slot rows of theta^t, t = 0..n-1, applied to head(u_1)
+    prod_{j>=2} prod_k (u_j - v_k) at the int point (a, b, g).
 
     theta renames u_k to u_{k+1} with u_{k+n} = u_k + c, so head lands in
-    slot ell, the factors in slots ell+1..n stay plain, and those that wrap
-    round into slots 1..ell-1 become shifted(x) = plain(x + c).
+    slot t+1, the factors in slots t+2..n stay prod_k (x - b_k), and those
+    that wrap round into slots 1..t become prod_k (x - b_k + g).  Both root
+    rows are L^n times their values at (u, v, c), so each Sym_c is
+    L^{n(n-1)} times its value there (head as given).
     """
-    return [shifted] * (ell - 1) + [head] + [plain] * (n - ell)
-
-
-def _theta_sum(head, a, b, g):
-    """sum_{ell=1}^n (-1)^{ell-1} C(n-1, ell-1) Sym_c of the theta^{ell-1}
-    slots of head(u_1) prod_{j>=2} prod_k (u_j - v_k) at the int point
-    (a, b, g), one sym_c call per shift.  The root slots prod_k (x - b_k)
-    and prod_k (x - b_k + g) are L^n times their values at (u, v, c), so
-    the sum is L^{n(n-1)} times its value there (head as given)."""
+    plain, shifted = _root_row(a, b, 0), _root_row(a, b, g)
     n = len(a)
-    plain, shifted = (_tabulated(_root_row(a, b, shift), a) for shift in (0, g))
-    return sum(
-        (-1) ** (ell - 1) * math.comb(n - 1, ell - 1)
-        * sym_c(_theta_slots(n, head, plain, shifted, ell), a, g)
-        for ell in range(1, n + 1)
-    )
+    return [[shifted] * t + [head] + [plain] * (n - 1 - t) for t in range(n)]
+
+
+def _alternating_sum(slot_lists, a, g):
+    """sum_t (-1)^t C(r, t) Sym_c(slot_lists[t]) at (a, g), r = len - 1:
+    the binomial expansion of (1 - shift)^r, one sym_c call per power."""
+    r = len(slot_lists) - 1
+    return sum((-1) ** t * math.comb(r, t) * sym_c(slots, a, g)
+               for t, slots in enumerate(slot_lists))
 
 
 def lascoux_symmetrized_sides(u, v, c, coeffs):
@@ -232,13 +216,10 @@ def lascoux_symmetrized_sides(u, v, c, coeffs):
     times its value at (u, v, c) and f is values / M (``_poly_row``), so the
     sum is divided by M L^{n(n-1)} once.
     """
-    u, v = tuple(u), tuple(v)
-    n = len(u)
-    if len(v) != n or n < 1:
-        raise ValueError("needs len(u) == len(v) >= 1")
+    u, v, n = _sizes(u, v)
     a, b, g, lcm = _scaled_point(u, v, c)
     values, scale = _poly_row(coeffs, a, lcm)
-    lhs = _theta_sum(_tabulated(values, a), a, b, g) / (scale * lcm ** (n * (n - 1)))
+    lhs = _alternating_sum(_theta_rows(values, a, b, g), a, g) / (scale * lcm ** (n * (n - 1)))
 
     core = izergin_korepin_core(u, v, c, math.factorial(n - 1) * (-c) ** (n - 1))
     return lhs, core * newton_chain(coeffs, u)
@@ -249,8 +230,8 @@ def lascoux_rhs_via_source(u, v, c, coeffs):
 
     (n-1)!/(-c) * P_{n,n}^{(z=1)}(u | v) * d_{n-1} ... d_1 f(u_1).
     """
-    n = len(u)
-    p_val = rational_P(RatParams(c=c, z=c - c + 1, u=tuple(u), v=tuple(v)))
+    u, v, n = _sizes(u, v)
+    p_val = rational_P(RatParams(c=c, z=c - c + 1, u=u, v=v))
     return math.factorial(n - 1) / (-c) * p_val * newton_chain(coeffs, u)
 
 
@@ -272,17 +253,10 @@ def lascoux_tau_sides(u, v, c):
     slots t+1..n the numerators prod_k (x - b_k - g), all ints, and the sum
     is divided by W once.
     """
-    u, v = tuple(u), tuple(v)
-    n = len(u)
-    if len(v) != n or n < 1:
-        raise ValueError("needs len(u) == len(v) >= 1")
+    u, v, n = _sizes(u, v)
     a, b, g, _ = _scaled_point(u, v, c)
-    below = _root_row(a, b, 0)
-    den, num = _tabulated(below, a), _tabulated(_root_row(a, b, -g), a)
-    lhs = sum(
-        (-1) ** t * math.comb(n, t) * sym_c([den] * t + [num] * (n - t), a, g)
-        for t in range(n + 1)
-    ) / prod(below)
+    den, num = _root_row(a, b, 0), _root_row(a, b, -g)
+    lhs = _alternating_sum([[den] * t + [num] * (n - t) for t in range(n + 1)], a, g) / prod(den)
 
     shifted = tuple(vk + c for vk in v)
     rhs = math.factorial(n) * (-1) ** n * izergin_korepin(u, shifted, c)
@@ -292,10 +266,10 @@ def lascoux_tau_sides(u, v, c):
 
 def lascoux_tau_rhs_via_source(u, v, c):
     """tau-identity rhs as n! / prod (u_j - v_k) * P_{n,n}^{(z=1)}(u | v + c)."""
-    n = len(u)
+    u, v, n = _sizes(u, v)
     one = c - c + 1
     shifted = tuple(vk + c for vk in v)
-    p_val = rational_P(RatParams(c=c, z=one, u=tuple(u), v=shifted))
+    p_val = rational_P(RatParams(c=c, z=one, u=u, v=shifted))
     return math.factorial(n) * p_val / prod(uj - vk for uj in u for vk in v)
 
 
@@ -314,11 +288,10 @@ def reduction_identity_sides(u, v, c):
     there, the lhs is summed at the int point of ``_scaled_point`` and
     divided by L^{n(n-1)} once.
     """
-    u, v = tuple(u), tuple(v)
-    n = len(u)
+    u, v, n = _sizes(u, v)
     a, b, g, lcm = _scaled_point(u, v, c)
-    pin = _tabulated([1] + [0] * (n - 1), a)
-    lhs = _theta_sum(pin, a, b, g) / lcm ** (n * (n - 1))
+    pin = [1] + [0] * (n - 1)
+    lhs = _alternating_sum(_theta_rows(pin, a, b, g), a, g) / lcm ** (n * (n - 1))
 
     p_val = rational_P(RatParams(c=c, z=c - c + 1, u=u, v=v))
     rhs = math.factorial(n - 1) * p_val / (-c * prod(u[0] - u[j] for j in range(1, n)))

@@ -116,6 +116,20 @@ def test_verify_out_file(tmp_path, capsys):
     assert doc["cases"][0]["id"] == "rational_ik"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--case", "rational_ik", "--points", "1"),
+    ("sample", "--points", "1"),
+    ("bench", "--sizes", "2", "--reps", "1"),
+])
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_sample_dump(capsys):
     code, out, _ = run_cli(
         capsys, "sample", "--regime", "trig", "--field", "exact", "--points", "3",
@@ -157,6 +171,14 @@ def test_bench_rejects_bad_sizes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "bench", "--sizes", "0,4")
     assert code == 2
+
+
+@pytest.mark.parametrize("sizes", ["", ","])
+def test_bench_rejects_empty_sizes(capsys, sizes):
+    code, out, err = run_cli(capsys, "bench", "--sizes", sizes)
+    assert code == 2
+    assert out == ""
+    assert "--sizes" in err and "Traceback" not in err
 
 
 def test_bench_rejects_zero_reps(capsys):

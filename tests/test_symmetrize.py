@@ -210,22 +210,28 @@ def one(x):
     return Fraction(1)
 
 
+def rows(slots, u):
+    """The slot functions as sym_c takes them: each slot's values at u."""
+    return [[slot(x) for x in u] for slot in slots]
+
+
 def test_sym_c_single_variable():
-    assert sym_c([lambda x: x**2 + 1], (Fraction(3),), Fraction(5)) == 10
+    u = (Fraction(3),)
+    assert sym_c(rows([lambda x: x**2 + 1], u), u, Fraction(5)) == 10
 
 
 def test_sym_c_constant_at_c_zero():
     rng = random.Random(19)
     for n in (2, 3, 4):
         pts = distinct_points(rng, n)
-        assert sym_c([one] * n, pts, Fraction(0)) == math.factorial(n)
+        assert sym_c(rows([one] * n, pts), pts, Fraction(0)) == math.factorial(n)
 
 
 def test_sym_c_twisted_constant_sum():
     # sum over S_n of the Delta twist alone is n!
     rng = random.Random(23)
     c, u, _ = lascoux_point(rng, 3)
-    assert sym_c([one] * 3, u, c) == 6
+    assert sym_c(rows([one] * 3, u), u, c) == 6
 
 
 def test_sym_c_of_one_is_n_factorial():
@@ -234,7 +240,7 @@ def test_sym_c_of_one_is_n_factorial():
     for n in range(1, PERM_CAP + 1):
         c = rand_fraction(rng)
         u = distinct_points(rng, n)
-        assert sym_c([one] * n, u, c) == math.factorial(n)
+        assert sym_c(rows([one] * n, u), u, c) == math.factorial(n)
 
 
 def test_sym_c_matches_the_literal_permutation_sum():
@@ -251,7 +257,7 @@ def test_sym_c_matches_the_literal_permutation_sum():
             if trial % 2:
                 pinned = rng.choice(u)
                 slots[rng.randrange(n)] = lambda x, p=pinned: Fraction(int(x == p))
-            assert sym_c(slots, u, c) == sym_c_literal(slots, u, c)
+            assert sym_c(rows(slots, u), u, c) == sym_c_literal(slots, u, c)
 
 
 def big_fraction(rng):
@@ -275,7 +281,7 @@ def test_sym_c_matches_the_literal_sum_on_large_mixed_denominators():
             slots = [rng.choice((plain, sparse)) for _ in range(n)]
             if trial == 2:
                 slots[rng.randrange(n)] = lambda x: Fraction(0)
-            got = sym_c(slots, u, c)
+            got = sym_c(rows(slots, u), u, c)
             assert type(got) is Fraction
             assert got == sym_c_literal(slots, u, c)
             if trial == 2:
@@ -288,17 +294,18 @@ def test_sym_c_of_int_inputs_is_the_exact_fraction():
         c = rng.choice((0, rng.randint(1, 9), -rng.randint(1, 9)))
         u = rng.sample(range(-30, 30), n)
         values = [{x: rng.randint(-9, 9) for x in u} for _ in range(n)]
-        got = sym_c([v.__getitem__ for v in values], u, c)
+        got = sym_c(rows([v.__getitem__ for v in values], u), u, c)
         exact = [{Fraction(x): Fraction(y) for x, y in v.items()} for v in values]
         slots = [v.__getitem__ for v in exact]
-        want = sym_c(slots, [Fraction(x) for x in u], Fraction(c))
+        points = [Fraction(x) for x in u]
+        want = sym_c(rows(slots, points), points, Fraction(c))
         assert type(got) is Fraction
-        assert got == want == sym_c_literal(slots, [Fraction(x) for x in u], Fraction(c))
+        assert got == want == sym_c_literal(slots, points, Fraction(c))
 
 
 def test_sym_c_rejects_inexact_input():
     # the symmetrizer is exact-only: a complex or float c, point or slot value
-    # (alone or mixed with Fractions) raises TypeError from fields.to_integers
+    # (alone or mixed with Fractions) raises TypeError, and a short row ValueError
     rng = random.Random(29)
     c, u = rand_fraction(rng), distinct_points(rng, 3)
 
@@ -308,28 +315,33 @@ def test_sym_c_rejects_inexact_input():
     def cplx(x):
         return complex(x) + 1j
 
-    assert sym_c([exact] * 3, u, c) == sym_c_literal([exact] * 3, u, c)
-    for slots, points, shift in (
-        ([cplx] * 3, u, c),  # complex slot values
-        ([exact, cplx, exact], u, c),  # one complex slot among exact ones
-        ([exact] * 3, [complex(x) for x in u], complex(c)),  # all complex
-        ([exact] * 3, u, float(c)),  # a float c
-        ([exact] * 3, (float(u[0]), *u[1:]), c),  # one float point
-        ([lambda x: 0.5] * 3, u, c),  # float slot values
+    exact_rows = rows([exact] * 3, u)
+    assert sym_c(exact_rows, u, c) == sym_c_literal([exact] * 3, u, c)
+    complex_u = [complex(x) for x in u]
+    for slot_rows, points, shift in (
+        (rows([cplx] * 3, u), u, c),  # complex slot values
+        (rows([exact, cplx, exact], u), u, c),  # one complex slot among exact ones
+        (rows([exact] * 3, complex_u), complex_u, complex(c)),  # all complex
+        (exact_rows, u, float(c)),  # a float c
+        (exact_rows, (float(u[0]), *u[1:]), c),  # one float point
+        (rows([lambda x: 0.5] * 3, u), u, c),  # float slot values
     ):
-        with pytest.raises(TypeError, match="to_integers needs ints and Fractions"):
-            sym_c(slots, points, shift)
+        with pytest.raises(TypeError, match="sym_c needs ints and Fractions"):
+            sym_c(slot_rows, points, shift)
+    with pytest.raises(ValueError):
+        sym_c([exact_rows[0][:2], *exact_rows[1:]], u, c)
 
 
 def test_sym_c_rejects_bad_arguments():
     rng = random.Random(26)
     u = distinct_points(rng, PERM_CAP + 1)
     with pytest.raises(ValueError):
-        sym_c([one] * len(u), u, Fraction(1))
+        sym_c(rows([one] * len(u), u), u, Fraction(1))
     with pytest.raises(ValueError):
-        sym_c([one] * 2, u[:3], Fraction(1))
+        sym_c(rows([one] * 2, u[:3]), u[:3], Fraction(1))
     with pytest.raises(ZeroDivisionError):
-        sym_c([one] * 2, (Fraction(1), Fraction(1)), Fraction(1))
+        pts = (Fraction(1), Fraction(1))
+        sym_c(rows([one] * 2, pts), pts, Fraction(1))
 
 
 def test_delta_product_empty():
@@ -516,6 +528,23 @@ def test_sides_lhs_is_the_binomial_sum_over_fraction_slots():
                 lhs, _ = reduction_identity_sides(u, v, c)
                 assert lhs == theta_sum(lambda x: Fraction(int(x == u[0])))
                 assert type(lhs) is Fraction
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (4, 3), (0, 0)])
+def test_sides_and_source_routes_reject_unequal_or_empty_sizes(sizes):
+    rng = random.Random(79)
+    c, u, v = lascoux_point(rng, 4)
+    u, v = u[:sizes[0]], v[:sizes[1]]
+    coeffs = [Fraction(1), Fraction(2)]
+    for call in (
+        lambda: lascoux_symmetrized_sides(u, v, c, coeffs),
+        lambda: lascoux_rhs_via_source(u, v, c, coeffs),
+        lambda: lascoux_tau_sides(u, v, c),
+        lambda: lascoux_tau_rhs_via_source(u, v, c),
+        lambda: reduction_identity_sides(u, v, c),
+    ):
+        with pytest.raises(ValueError, match="needs len"):
+            call()
 
 
 def test_symmetrization_identities_beyond_the_registry_sizes():
