@@ -100,14 +100,14 @@ def _config_from_args(args) -> SamplingConfig:
 
 
 def _emit(text: str, out_path):
-    if not out_path:
+    if out_path:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from exc
+    else:
         sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from exc
 
 
 def _report_json(reports, args, include_timings: bool) -> str:
