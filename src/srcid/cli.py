@@ -17,6 +17,7 @@ and is byte-identical across runs for the same arguments when
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -99,15 +100,20 @@ def _config_from_args(args) -> SamplingConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(out_path):
+    """The stream a command writes its result to: standard output, or
+    ``--out`` opened before any work, so that a path that cannot be written
+    is a ``UsageError`` at once and not after the run."""
+    if not out_path:
+        yield sys.stdout
+        return
+    try:
+        fh = open(out_path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from exc
+    with fh:
+        yield fh
 
 
 def _report_json(reports, args, include_timings: bool) -> str:
@@ -179,15 +185,15 @@ def _cmd_verify(args) -> int:
     cases = engine.match_cases(patterns, regime=args.regime, field_name=args.field)
     if not cases:
         raise UsageError("selection matches no runnable case")
-    reports = [engine.run_case(c.case_id, config) for c in cases]
-    include_timings = not args.no_timings
-    if args.format == "json":
-        text = _report_json(reports, args, include_timings)
-    elif args.format == "csv":
-        text = _report_csv(reports, include_timings)
-    else:
-        text = _report_text(reports, include_timings)
-    _emit(text, args.out)
+    with _output(args.out) as out:
+        reports = [engine.run_case(c.case_id, config) for c in cases]
+        include_timings = not args.no_timings
+        if args.format == "json":
+            out.write(_report_json(reports, args, include_timings))
+        elif args.format == "csv":
+            out.write(_report_csv(reports, include_timings))
+        else:
+            out.write(_report_text(reports, include_timings))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -207,20 +213,21 @@ def _cmd_sample(args) -> int:
         raise UsageError("elliptic parameters are complex-only")
     config = _config_from_args(args)
     rows = []
-    for index in range(args.points):
-        try:
-            params = engine.sample_params(args.regime, config, index)
-        except ValueError as exc:  # --nmax below the regime's sizes
-            raise UsageError(str(exc)) from exc
-        rows.append({
-            "point": index,
-            "regime": args.regime,
-            "field": engine.sample_field(args.regime, config),
-            "n": len(params.u),
-            "m": len(params.v),
-            "params": _params_as_dict(params),
-        })
-    _emit(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.out)
+    with _output(args.out) as out:
+        for index in range(args.points):
+            try:
+                params = engine.sample_params(args.regime, config, index)
+            except ValueError as exc:  # --nmax below the regime's sizes
+                raise UsageError(str(exc)) from exc
+            rows.append({
+                "point": index,
+                "regime": args.regime,
+                "field": engine.sample_field(args.regime, config),
+                "n": len(params.u),
+                "m": len(params.v),
+                "params": _params_as_dict(params),
+            })
+        out.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -245,19 +252,20 @@ def _cmd_bench(args) -> int:
         raise UsageError("--reps must be at least 1")
     lines = [f"{'n':>4s} {'subset_ms':>12s} {'det_ms':>12s} {'ratio':>10s}"]
     ratios = []
-    for n in sizes:
-        params, aux = _bench_point(args.seed, n, args.family)
-        t_subset = min(_timed(lambda: sources.rational_F(params)) for _ in range(args.reps))
-        t_det = min(
-            _timed(lambda: detreps.det_rep("rational", args.family, "F", params, aux))
-            for _ in range(args.reps)
-        )
-        ratio = t_subset / t_det if t_det > 0 else float("inf")
-        ratios.append(ratio)
-        lines.append(f"{n:4d} {t_subset * 1e3:12.3f} {t_det * 1e3:12.3f} {ratio:10.2f}")
-    increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-    lines.append(f"ratio strictly increasing: {increasing}")
-    _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as out:
+        for n in sizes:
+            params, aux = _bench_point(args.seed, n, args.family)
+            t_subset = min(_timed(lambda: sources.rational_F(params)) for _ in range(args.reps))
+            t_det = min(
+                _timed(lambda: detreps.det_rep("rational", args.family, "F", params, aux))
+                for _ in range(args.reps)
+            )
+            ratio = t_subset / t_det if t_det > 0 else float("inf")
+            ratios.append(ratio)
+            lines.append(f"{n:4d} {t_subset * 1e3:12.3f} {t_det * 1e3:12.3f} {ratio:10.2f}")
+        increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
+        lines.append(f"ratio strictly increasing: {increasing}")
+        out.write("\n".join(lines) + "\n")
     return 0
 
 

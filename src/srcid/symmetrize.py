@@ -15,16 +15,19 @@ The chain d_{n-1} ... d_1 f(u_1) equals the Newton divided difference
 f[u_1, ..., u_n]; ``newton_chain`` computes it by the O(n^2) table, and the
 agreement with the literal operator chain is itself a tested property.
 
-Every integrand symmetrized here is a slot product prod_i h_i(x_i): slot i
-holds one factor, a function of the single point placed there.
-``sym_c(slots, u, c)`` takes each slot as its row of values h_i(u_1), ...,
-h_i(u_n) and sums the n! orderings as a Held-Karp dynamic program over the
-set of points already placed (Held & Karp, J. SIAM 10, 1962): O(n 2^n)
-multiplications against O(n^2 n!) for the literal permutation sum, with
-the same exact value.  The symmetrization formulas are identities of
-rational functions, checked over the exact field only, so c, u and the
-slot values are ints or Fractions (a complex or float input raises
-``TypeError``).  D = prod_{j<k} (u_j - u_k) clears every Delta
+Every integrand symmetrized here is a binomial sum of slot products
+prod_i h_i(x_i): slot i holds one factor, a function of the single point
+placed there.  ``sym_c(slots, u, c)`` takes three lists of slot rows
+(before, at, after), slot i's row being its values at u_1, ..., u_n, and
+returns Sym_c of sum_t prod_{i<t} before_i(x_i) at_t(x_t) prod_{i>t}
+after_i(x_i).  It sums the n! orderings of every term at once as a
+Held-Karp dynamic program over the set of points already placed (Held &
+Karp, J. SIAM 10, 1962), with two partial sums per set, before and after
+the switch slot t: O(n 2^n) multiplications against O(n^3 n!) for the
+literal sums, with the same exact value.  The symmetrization formulas are
+identities of rational functions, checked over the exact field only, so c,
+u and the slot values are ints or Fractions (a complex or float input
+raises ``TypeError``).  D = prod_{j<k} (u_j - u_k) clears every Delta
 denominator (the pair table and D come from
 ``sources.integer_pair_tables``), and the sum is divided once at the end,
 as in the subset-sum kernel and ``linalg.det_exact``.
@@ -33,13 +36,17 @@ The two symmetrization formulas verified here evaluate Sym_c of
 (1 - theta)^{n-1} prod_{j>=2} prod_k (u_j - v_k) f(u_1), resp. of
 (1 - tau)^n prod_{j,k} (u_j - v_k - c)/(u_j - v_k), in closed form through
 the n = m, z = 1 cleared source polynomial (the ik determinant).  Expanded
-binomially, each power is a signed sum of slot products, one sym_c call per
-shift (``_alternating_sum``).  The sides functions scale once per point:
+binomially, each power is a signed sum of slot products in which the shift
+t moves one switch slot: theta^t puts f in slot t+1 behind t wrapped
+factors, tau^t leaves t slots without their numerator.  The weights
+(-1)^t C(r, t) go into the at rows, so each sides function makes one sym_c
+walk.  The tau term t = n has no switch slot: tau^n leaves the empty
+product 1, and Sym_c(1) = n!, so it is the closed form (-1)^n n!.  The sides functions scale once per point:
 ``fields.to_integers`` makes (c, u, v) the ints (g, a, b) = L (c, u, v),
 every slot row (the root products, the tau numerators, f and the pin of
 u_1) is ints computed from them, and sym_c walks Python ints at (a, g),
 where Delta is unchanged and the scalings of u and c cost nothing.  Each
-lhs is divided by the slots' common scale once, after its binomial sum.
+lhs is divided by the slots' common scale once.
 """
 
 from __future__ import annotations
@@ -88,40 +95,53 @@ def newton_chain(coeffs, u):
 
 
 def sym_c(slots, u, c):
-    """Sym_c of the slot product prod_i slots[i](x_i) at the point u, where
-    slots[i][k] is slot i's value at u_k.
+    """Sym_c of the binomial slot sum
+
+        sum_t prod_{i<t} before_i(x_i) * at_t(x_t) * prod_{i>t} after_i(x_i)
+
+    at the point u, where slots = (before, at, after) and each list holds
+    one row per slot i: rows[i][k] is that slot's value at u_k.  A single
+    slot product prod_i h_i(x_i) is before = h, at = (0, ..., 0, h_{n-1}).
 
     Filling the slots left to right, the point u_k placed into slot |S|
     after the points S meets one Delta factor R[j][k] =
-    (u_j - u_k - c)/(u_j - u_k) per earlier point j in S, so
+    (u_j - u_k - c)/(u_j - u_k) per earlier point j in S.  The walk carries
+    two partial sums per S: lead[S], before the switch slot t is placed
+    (every slot so far holds its before row), and done[S], after it.  With
+    i = |S| and P = prod_{j in S} R[j][k],
 
-        dp[S + {k}] += dp[S] * slots[|S|][k] * prod_{j in S} R[j][k]
+        lead[S + {k}] += lead[S] * before_i[k] * P
+        done[S + {k}] += (lead[S] * at_i[k] + done[S] * after_i[k]) * P
 
-    and Sym_c = dp[all points].  The pair product is carried per (S, k), at
-    one multiplication each, so the whole sum costs O(n 2^n).
+    and the sum is done[all points]: one walk for every t at once.  The pair
+    table and the carried products P are shared by both sums, one
+    multiplication per (S, k), so the whole sum costs O(n 2^n).
 
-    c, u and every slot value must be ints or Fractions (``TypeError``
-    otherwise), and each row holds n values (``ValueError``).  Each ordering
-    meets every pair once, so D = prod_{j<k} (u_j - u_k) clears all its
-    Delta denominators: the walk multiplies R[j][k] times D's factor of
-    {j, k} (the ``cross`` table and D of ``sources.integer_pair_tables`` at
-    sigma = (1, c, 1)) and divides by D once at the end.  The values are
-    summed as given, with no scaling: at ints the walk is over Python ints.
+    Each list must hold n rows of n values (``ValueError``), n is capped at
+    ``PERM_CAP`` (``ValueError``), and c, u and every slot value must be
+    ints or Fractions (``TypeError``).  Each ordering meets every pair once,
+    so D = prod_{j<k} (u_j - u_k) clears all its Delta denominators: the
+    walk multiplies R[j][k] times D's factor of {j, k} (the ``cross`` table
+    and D of ``sources.integer_pair_tables`` at sigma = (1, c, 1)) and
+    divides by D once at the end.  The values are summed as given, with no
+    scaling: at ints the walk is over Python ints.
     """
     u = tuple(u)
     n = len(u)
-    if not is_exact((c, *u, *(x for row in slots for x in row))):
-        raise TypeError("sym_c needs ints and Fractions")
-    if len(slots) != n or any(len(row) != n for row in slots):
-        raise ValueError("sym_c needs one slot row of n values per point")
     if n > PERM_CAP:
         raise ValueError(f"sym_c is capped at n <= {PERM_CAP}")
+    if len(slots) != 3 or any(len(rows) != n or any(len(row) != n for row in rows)
+                              for rows in slots):
+        raise ValueError("sym_c needs (before, at, after), each n slot rows of n values")
+    if not is_exact((c, *u, *(x for rows in slots for row in rows for x in row))):
+        raise TypeError("sym_c needs ints and Fractions")
     if len(set(u)) != n:
         raise ZeroDivisionError("sym_c needs pairwise distinct points")
+    before, at, after = slots
     pair, _, divisor = integer_pair_tables(u, (1, c, 1))
     size = 1 << n
-    dp = [0] * size
-    dp[0] = 1
+    lead, done = [0] * size, [0] * size
+    lead[0] = 1
     # carried[S][k] = prod_{j in S} R[j][k] for each k outside S
     carried = [[1] * n] + [None] * (size - 1)
     for s in range(size - 1):
@@ -129,14 +149,20 @@ def sym_c(slots, u, c):
             low = s & -s
             prev, row = carried[s ^ low], pair[low.bit_length() - 1]
             carried[s] = [None if s >> k & 1 else prev[k] * row[k] for k in range(n)]
-        acc = dp[s]
-        if not acc:
+        x, y = lead[s], done[s]
+        if not (x or y):
             continue
-        h, pr = slots[s.bit_count()], carried[s]
+        i, pr = s.bit_count(), carried[s]
+        hb, ha, hf = before[i], at[i], after[i]
         for k in range(n):
-            if not s >> k & 1 and h[k]:
-                dp[s | 1 << k] += acc * h[k] * pr[k]
-    return Fraction(dp[-1], divisor)
+            if s >> k & 1:
+                continue
+            if x and hb[k]:
+                lead[s | 1 << k] += x * hb[k] * pr[k]
+            z = x * ha[k] + y * hf[k]
+            if z:
+                done[s | 1 << k] += z * pr[k]
+    return Fraction(done[-1], divisor)
 
 
 def _sizes(u, v):
@@ -173,27 +199,26 @@ def _poly_row(coeffs, a, lcm):
     return [poly_eval(lifted, x) for x in a], scale * lcm ** degree
 
 
-def _theta_rows(head, a, b, g):
-    """The slot rows of theta^t, t = 0..n-1, applied to head(u_1)
-    prod_{j>=2} prod_k (u_j - v_k) at the int point (a, b, g).
+def _binomial_rows(row, r):
+    """The at rows (-1)^t C(r, t) row, t = 0..n-1: the switch slot of
+    (1 - shift)^r expanded binomially, shift^t moving it to slot t."""
+    return [[(-1) ** t * math.comb(r, t) * x for x in row] for t in range(len(row))]
 
-    theta renames u_k to u_{k+1} with u_{k+n} = u_k + c, so head lands in
-    slot t+1, the factors in slots t+2..n stay prod_k (x - b_k), and those
-    that wrap round into slots 1..t become prod_k (x - b_k + g).  Both root
-    rows are L^n times their values at (u, v, c), so each Sym_c is
+
+def _theta_sum(head, a, b, g):
+    """Sym_c((1 - theta)^{n-1} head(u_1) prod_{j>=2} prod_k (u_j - v_k)) at the
+    int point (a, b, g), head given as its row at a.
+
+    theta renames u_k to u_{k+1} with u_{k+n} = u_k + c, so theta^t puts
+    head in slot t+1, keeps the factors of slots t+2..n at prod_k (x - b_k),
+    and makes those that wrap round into slots 1..t prod_k (x - b_k + g):
+    the rows (shifted, (-1)^t C(n-1, t) head, plain) of one sym_c walk.
+    Both root rows are L^n times their values at (u, v, c), so the sum is
     L^{n(n-1)} times its value there (head as given).
     """
-    plain, shifted = _root_row(a, b, 0), _root_row(a, b, g)
     n = len(a)
-    return [[shifted] * t + [head] + [plain] * (n - 1 - t) for t in range(n)]
-
-
-def _alternating_sum(slot_lists, a, g):
-    """sum_t (-1)^t C(r, t) Sym_c(slot_lists[t]) at (a, g), r = len - 1:
-    the binomial expansion of (1 - shift)^r, one sym_c call per power."""
-    r = len(slot_lists) - 1
-    return sum((-1) ** t * math.comb(r, t) * sym_c(slots, a, g)
-               for t, slots in enumerate(slot_lists))
+    rows = ([_root_row(a, b, g)] * n, _binomial_rows(head, n - 1), [_root_row(a, b, 0)] * n)
+    return sym_c(rows, a, g)
 
 
 def lascoux_symmetrized_sides(u, v, c, coeffs):
@@ -219,7 +244,7 @@ def lascoux_symmetrized_sides(u, v, c, coeffs):
     u, v, n = _sizes(u, v)
     a, b, g, lcm = _scaled_point(u, v, c)
     values, scale = _poly_row(coeffs, a, lcm)
-    lhs = _alternating_sum(_theta_rows(values, a, b, g), a, g) / (scale * lcm ** (n * (n - 1)))
+    lhs = _theta_sum(values, a, b, g) / (scale * lcm ** (n * (n - 1)))
 
     core = izergin_korepin_core(u, v, c, math.factorial(n - 1) * (-c) ** (n - 1))
     return lhs, core * newton_chain(coeffs, u)
@@ -250,13 +275,16 @@ def lascoux_tau_sides(u, v, c):
     The lhs is summed at the int point (a, b, g) of ``_scaled_point``.  The
     product W = prod_{j,k} (a_j - b_k) is symmetric in the points, so Sym_c(W
     tail_t) = W Sym_c(tail_t): times W, slots 1..t hold prod_k (x - b_k) and
-    slots t+1..n the numerators prod_k (x - b_k - g), all ints, and the sum
-    is divided by W once.
+    slots t+1..n the numerators prod_k (x - b_k - g), all ints.  The terms
+    t < n are the rows (den, (-1)^t C(n, t) num, num) of one sym_c walk,
+    divided by W once.  The term t = n is W Sym_c(1) = n! W, so it adds
+    (-1)^n n! with no walk.
     """
     u, v, n = _sizes(u, v)
     a, b, g, _ = _scaled_point(u, v, c)
     den, num = _root_row(a, b, 0), _root_row(a, b, -g)
-    lhs = _alternating_sum([[den] * t + [num] * (n - t) for t in range(n + 1)], a, g) / prod(den)
+    walk = sym_c(([den] * n, _binomial_rows(num, n), [num] * n), a, g)
+    lhs = walk / prod(den) + (-1) ** n * math.factorial(n)
 
     shifted = tuple(vk + c for vk in v)
     rhs = math.factorial(n) * (-1) ** n * izergin_korepin(u, shifted, c)
@@ -291,7 +319,7 @@ def reduction_identity_sides(u, v, c):
     u, v, n = _sizes(u, v)
     a, b, g, lcm = _scaled_point(u, v, c)
     pin = [1] + [0] * (n - 1)
-    lhs = _alternating_sum(_theta_rows(pin, a, b, g), a, g) / lcm ** (n * (n - 1))
+    lhs = _theta_sum(pin, a, b, g) / lcm ** (n * (n - 1))
 
     p_val = rational_P(RatParams(c=c, z=c - c + 1, u=u, v=v))
     rhs = math.factorial(n - 1) * p_val / (-c * prod(u[0] - u[j] for j in range(1, n)))

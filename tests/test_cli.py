@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from srcid import detreps
+from srcid import cli, detreps, engine
 from srcid.cli import main
 
 
@@ -121,7 +121,14 @@ def test_verify_out_file(tmp_path, capsys):
     ("sample", "--points", "1"),
     ("bench", "--sizes", "2", "--reps", "1"),
 ])
-def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # the path is opened before any work: no case runs, no point is drawn
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before --out was opened")
+
+    monkeypatch.setattr(engine, "run_case", no_work)
+    monkeypatch.setattr(engine, "sample_params", no_work)
+    monkeypatch.setattr(cli, "_bench_point", no_work)
     target = tmp_path / "missing" / "report.txt"
     code, out, err = run_cli(capsys, *argv, "--out", str(target))
     assert code == 2

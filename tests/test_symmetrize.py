@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -211,27 +212,32 @@ def one(x):
 
 
 def rows(slots, u):
-    """The slot functions as sym_c takes them: each slot's values at u."""
+    """The slot functions as plain slot rows: each slot's values at u."""
     return [[slot(x) for x in u] for slot in slots]
+
+
+def product(slot_rows):
+    """One slot product as sym_c takes it: (before, at, after), switch at the last slot."""
+    return slot_rows, [[0] * len(row) for row in slot_rows[:-1]] + slot_rows[-1:], slot_rows
 
 
 def test_sym_c_single_variable():
     u = (Fraction(3),)
-    assert sym_c(rows([lambda x: x**2 + 1], u), u, Fraction(5)) == 10
+    assert sym_c(product(rows([lambda x: x**2 + 1], u)), u, Fraction(5)) == 10
 
 
 def test_sym_c_constant_at_c_zero():
     rng = random.Random(19)
     for n in (2, 3, 4):
         pts = distinct_points(rng, n)
-        assert sym_c(rows([one] * n, pts), pts, Fraction(0)) == math.factorial(n)
+        assert sym_c(product(rows([one] * n, pts)), pts, Fraction(0)) == math.factorial(n)
 
 
 def test_sym_c_twisted_constant_sum():
     # sum over S_n of the Delta twist alone is n!
     rng = random.Random(23)
     c, u, _ = lascoux_point(rng, 3)
-    assert sym_c(rows([one] * 3, u), u, c) == 6
+    assert sym_c(product(rows([one] * 3, u)), u, c) == 6
 
 
 def test_sym_c_of_one_is_n_factorial():
@@ -240,7 +246,7 @@ def test_sym_c_of_one_is_n_factorial():
     for n in range(1, PERM_CAP + 1):
         c = rand_fraction(rng)
         u = distinct_points(rng, n)
-        assert sym_c(rows([one] * n, u), u, c) == math.factorial(n)
+        assert sym_c(product(rows([one] * n, u)), u, c) == math.factorial(n)
 
 
 def test_sym_c_matches_the_literal_permutation_sum():
@@ -257,7 +263,7 @@ def test_sym_c_matches_the_literal_permutation_sum():
             if trial % 2:
                 pinned = rng.choice(u)
                 slots[rng.randrange(n)] = lambda x, p=pinned: Fraction(int(x == p))
-            assert sym_c(rows(slots, u), u, c) == sym_c_literal(slots, u, c)
+            assert sym_c(product(rows(slots, u)), u, c) == sym_c_literal(slots, u, c)
 
 
 def big_fraction(rng):
@@ -281,7 +287,7 @@ def test_sym_c_matches_the_literal_sum_on_large_mixed_denominators():
             slots = [rng.choice((plain, sparse)) for _ in range(n)]
             if trial == 2:
                 slots[rng.randrange(n)] = lambda x: Fraction(0)
-            got = sym_c(rows(slots, u), u, c)
+            got = sym_c(product(rows(slots, u)), u, c)
             assert type(got) is Fraction
             assert got == sym_c_literal(slots, u, c)
             if trial == 2:
@@ -294,11 +300,11 @@ def test_sym_c_of_int_inputs_is_the_exact_fraction():
         c = rng.choice((0, rng.randint(1, 9), -rng.randint(1, 9)))
         u = rng.sample(range(-30, 30), n)
         values = [{x: rng.randint(-9, 9) for x in u} for _ in range(n)]
-        got = sym_c(rows([v.__getitem__ for v in values], u), u, c)
+        got = sym_c(product(rows([v.__getitem__ for v in values], u)), u, c)
         exact = [{Fraction(x): Fraction(y) for x, y in v.items()} for v in values]
         slots = [v.__getitem__ for v in exact]
         points = [Fraction(x) for x in u]
-        want = sym_c(rows(slots, points), points, Fraction(c))
+        want = sym_c(product(rows(slots, points)), points, Fraction(c))
         assert type(got) is Fraction
         assert got == want == sym_c_literal(slots, points, Fraction(c))
 
@@ -316,7 +322,7 @@ def test_sym_c_rejects_inexact_input():
         return complex(x) + 1j
 
     exact_rows = rows([exact] * 3, u)
-    assert sym_c(exact_rows, u, c) == sym_c_literal([exact] * 3, u, c)
+    assert sym_c(product(exact_rows), u, c) == sym_c_literal([exact] * 3, u, c)
     complex_u = [complex(x) for x in u]
     for slot_rows, points, shift in (
         (rows([cplx] * 3, u), u, c),  # complex slot values
@@ -327,21 +333,59 @@ def test_sym_c_rejects_inexact_input():
         (rows([lambda x: 0.5] * 3, u), u, c),  # float slot values
     ):
         with pytest.raises(TypeError, match="sym_c needs ints and Fractions"):
-            sym_c(slot_rows, points, shift)
+            sym_c(product(slot_rows), points, shift)
     with pytest.raises(ValueError):
-        sym_c([exact_rows[0][:2], *exact_rows[1:]], u, c)
+        sym_c(product([exact_rows[0][:2], *exact_rows[1:]]), u, c)
+
+
+def test_sym_c_matches_the_literal_binomial_sum():
+    # random per-position (before, at, after) rows, some entries zero, some at
+    # rows the pin of one point, against sum_t of the literal permutation sums
+    rng = random.Random(30)
+    for n in range(1, 7):
+        for trial in range(3 if n < 6 else 2):
+            c = Fraction(0) if trial == 1 else rand_fraction(rng)
+            u = distinct_points(rng, n)
+
+            def random_rows():
+                return [[rand_fraction(rng) if rng.random() < 0.7 else 0 for _ in u]
+                        for _ in u]
+
+            before, at, after = random_rows(), random_rows(), random_rows()
+            if trial != 1:
+                pinned = rng.randrange(n)
+                at[rng.randrange(n)] = [int(k == pinned) for k in range(n)]
+            fns = [[dict(zip(u, row)).__getitem__ for row in rows]
+                   for rows in (before, at, after)]
+            want = sum(sym_c_literal(fns[0][:t] + [fns[1][t]] + fns[2][t + 1:], u, c)
+                       for t in range(n))
+            got = sym_c((before, at, after), u, c)
+            assert type(got) is Fraction
+            assert got == want
 
 
 def test_sym_c_rejects_bad_arguments():
     rng = random.Random(26)
     u = distinct_points(rng, PERM_CAP + 1)
     with pytest.raises(ValueError):
-        sym_c(rows([one] * len(u), u), u, Fraction(1))
+        sym_c(product(rows([one] * len(u), u)), u, Fraction(1))
+    with pytest.raises(ValueError, match="capped"):  # the cap is checked before any value
+        sym_c(product([[1j] * len(u)] * len(u)), u, Fraction(1))
+    square = rows([one] * 3, u[:3])
+    for slots in (
+        (square, square),  # two lists
+        (square, square, square, square),  # four lists
+        (square, square[:2], square),  # an at list of n - 1 rows
+        (square, square, [*square[:2], square[2][:2]]),  # a short after row
+        ([*square, square[0]], square, square),  # a before list of n + 1 rows
+    ):
+        with pytest.raises(ValueError, match="before, at, after"):
+            sym_c(slots, u[:3], Fraction(1))
     with pytest.raises(ValueError):
-        sym_c(rows([one] * 2, u[:3]), u[:3], Fraction(1))
+        sym_c(product(rows([one] * 2, u[:3])), u[:3], Fraction(1))
     with pytest.raises(ZeroDivisionError):
         pts = (Fraction(1), Fraction(1))
-        sym_c(rows([one] * 2, pts), pts, Fraction(1))
+        sym_c(product(rows([one] * 2, pts)), pts, Fraction(1))
 
 
 def test_delta_product_empty():
@@ -485,9 +529,10 @@ def test_reduction_identity_exact():
 
 def test_sides_lhs_is_the_binomial_sum_over_fraction_slots():
     # the sides sum over int slot tables at a scaled point; the oracle sums
-    # sym_c_literal over plain Fraction slot functions at (u, v, c) itself
+    # sym_c_literal over plain Fraction slot functions at (u, v, c) itself,
+    # each slot function cached so that n = 6 evaluates it n times, not n! n
     rng = random.Random(73)
-    for n in range(1, 6):
+    for n in range(1, 7):
         for trial in range(2 if n < 5 else 1):
             while True:
                 c = Fraction(0) if (n, trial) == (3, 1) else big_fraction(rng)
@@ -497,12 +542,15 @@ def test_sides_lhs_is_the_binomial_sum_over_fraction_slots():
                     break
             coeffs = [big_fraction(rng) for _ in range(rng.randint(0, n + 1))]
 
+            @cache
             def plain(x):
                 return math.prod(x - vk for vk in v)
 
+            @cache
             def shifted(x):
                 return math.prod(x - vk + c for vk in v)
 
+            @cache
             def ratio(x):
                 return math.prod((x - vk - c) / (x - vk) for vk in v)
 
@@ -514,7 +562,7 @@ def test_sides_lhs_is_the_binomial_sum_over_fraction_slots():
                 )
 
             lhs, _ = lascoux_symmetrized_sides(u, v, c, coeffs)
-            assert lhs == theta_sum(lambda x: poly_eval(coeffs, x))
+            assert lhs == theta_sum(cache(lambda x: poly_eval(coeffs, x)))
             assert type(lhs) is Fraction
 
             lhs, _ = lascoux_tau_sides(u, v, c)
@@ -526,7 +574,7 @@ def test_sides_lhs_is_the_binomial_sum_over_fraction_slots():
 
             if n >= 2 and c:  # its rhs divides by c
                 lhs, _ = reduction_identity_sides(u, v, c)
-                assert lhs == theta_sum(lambda x: Fraction(int(x == u[0])))
+                assert lhs == theta_sum(cache(lambda x: Fraction(int(x == u[0]))))
                 assert type(lhs) is Fraction
 
 
