@@ -41,12 +41,14 @@ t moves one switch slot: theta^t puts f in slot t+1 behind t wrapped
 factors, tau^t leaves t slots without their numerator.  The weights
 (-1)^t C(r, t) go into the at rows, so each sides function makes one sym_c
 walk.  The tau term t = n has no switch slot: tau^n leaves the empty
-product 1, and Sym_c(1) = n!, so it is the closed form (-1)^n n!.  The sides functions scale once per point:
-``fields.to_integers`` makes (c, u, v) the ints (g, a, b) = L (c, u, v),
-every slot row (the root products, the tau numerators, f and the pin of
-u_1) is ints computed from them, and sym_c walks Python ints at (a, g),
-where Delta is unchanged and the scalings of u and c cost nothing.  Each
-lhs is divided by the slots' common scale once.
+product 1, and Sym_c(1) = n!, so it is the closed form (-1)^n n!.
+
+The sides functions scale once per point: ``fields.to_integers`` makes
+(c, u, v) the ints (g, a, b) = L (c, u, v), every slot row (the root
+products, the tau numerators, f and the pin of u_1) is ints computed from
+them, and sym_c walks Python ints at (a, g), where Delta is unchanged and
+the scalings of u and c cost nothing.  Each lhs is divided by the slots'
+common scale once.
 """
 
 from __future__ import annotations
@@ -200,8 +202,8 @@ def _poly_row(coeffs, a, lcm):
 
 
 def _binomial_rows(row, r):
-    """The at rows (-1)^t C(r, t) row, t = 0..n-1: the switch slot of
-    (1 - shift)^r expanded binomially, shift^t moving it to slot t."""
+    """The at rows (-1)^t C(r, t) row, t = 0..n-1: (1 - shift)^r expanded
+    binomially, shift^t putting the switch slot at 0-based position t."""
     return [[(-1) ** t * math.comb(r, t) * x for x in row] for t in range(len(row))]
 
 
