@@ -999,8 +999,8 @@ def _run_divided_difference_symmetrization(ctx: PointContext):
     c, u, v = _lascoux_point(ctx, n)
     degree = ctx.rng.randint(0, n)
     coeffs = [ctx.fraction() for _ in range(degree + 1)]
-    lhs, rhs = symmetrize.lascoux_symmetrized_sides(u, v, c, coeffs)
-    via_source = symmetrize.lascoux_rhs_via_source(u, v, c, coeffs)
+    lhs, rhs, chain = symmetrize.lascoux_symmetrized_sides(u, v, c, coeffs)
+    via_source = symmetrize.lascoux_rhs_via_source(u, v, c, chain)
     return [
         ("symmetrized sum = determinant form", lhs, rhs),
         ("determinant form = cleared polynomial route", rhs, via_source),

@@ -103,6 +103,35 @@ they are divided by L^(size * partners).  The one division at the end
 raises ``ZeroDivisionError`` where the Fraction tables did: at a repeated
 summed variable (D = 0) and, for F and G, where some d(v_i, sigma u_k) = 0.
 Every other point (elliptic, complex or float) walks the table of d ratios.
+
+An exact point is scaled once.  ``_integer_point`` is the one scaler of a
+core point; called without extra values, it keeps its result (the ints of
+u and v, L, sigma and the Fraction copy of the scalars) in the point's
+``ints`` field under the regime, and every later call reads it back.  So
+the samplers' general-position test scales a drawn point, and F, G, P, Q,
+the mpt and scalar_product sides of ``detreps`` and the operator form below
+reuse that scaling; the bs nodes are scaled afresh together with the point.
+Like ``thetas``, the field takes no part in ``__init__``, ``==``, ``hash``
+or ``repr``, ``dataclasses.replace`` starts an empty memo, and there is no
+module-level cache.  At an exact point ``general_position`` lists ints:
+the differences of the scaled u and of the scaled v, X - Y for each
+d(v_i, u_k) and gamma X - alpha Y - beta for each d(v_i, sigma u_k).  Each
+is its value times L > 0 or gamma L > 0, so every zero test, and with it
+every accepted draw, is that of the Fraction values.
+
+The operator form of an exact rational or trig point runs over ints too.
+The summed variables and their partners are scaled by alpha on the F side,
+whose shift sigma^-1 takes alpha X to gamma X - beta, or by gamma on the G
+side, whose sigma takes gamma X to alpha X + beta, so every shifted
+coordinate is an int.  With A_i and B_i the partner products of x_i,
+unshifted and shifted, and D = prod_i A_i B_i, the inner function is the
+int V(pt) D / P(pt), and ``apply_difference_product``, the one enumerator
+of shifted points, weights it by (-zeff)^|K|.  The prefactor prod (v - u) /
+V(x) at the same ints is prod_i A_i / V(x), and its degree cancels the
+inner sum's, so no power of the scale enters: the sum is divided once, by
+V(x) prod_i B_i.  It raises ``ZeroDivisionError`` where the Fraction form
+does: where some A_i or B_i is 0 (an inner value divides by it) or at a
+repeated summed variable.
 """
 
 from __future__ import annotations
@@ -153,6 +182,8 @@ class TrigParams:
     u: tuple
     v: tuple
     lam: Optional[object] = None
+    # the int form of ``_integer_point`` per regime (module docstring)
+    ints: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -169,6 +200,8 @@ class RatParams:
     z: object
     u: tuple
     v: tuple
+    # the int form of ``_integer_point`` per regime (module docstring)
+    ints: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -365,18 +398,25 @@ def general_position(regime, params):
 
     They are the row's singular values, d over the pairs of positions of u
     and of v (``apart``), and d(v_i, u_k) and d(v_i, sigma u_k) for every
-    v_i and u_k: each is a denominator of F, G or a determinant form.
+    v_i and u_k: each is a denominator of F, G or a determinant form.  At
+    an exact rational or trig point all but the singular values are ints
+    of the point's int form (module docstring), each a nonzero multiple of
+    its value.
     """
     reg = REGIMES[regime]
-    d = reg.pair(params)
-    u, v = params.u, params.v
-    su = list(map(reg.shift(params), u))
     values = reg.singular(params)
+    _, scaling = _integer_point(regime, params)
+    if scaling is None:
+        d, u, v = reg.pair(params), params.u, params.v
+        su = list(map(reg.shift(params), u))
+        crossed = [d(x, sy) for x in v for sy in su]
+    else:
+        d, (u, v, _, (alpha, beta, gamma), _) = operator.sub, scaling
+        crossed = [gamma * x - alpha * y - beta for x in v for y in u]
     values += apart(d, u)
     values += apart(d, v)
     values += [d(x, y) for x in v for y in u]
-    values += [d(x, sy) for x in v for sy in su]
-    return values
+    return values + crossed
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +526,32 @@ def _integer_point(regime, params, extra=()):
     sigma = (alpha, beta, gamma) writes the shift of an integer y as
     (alpha y + beta) / gamma.  The values ``extra`` (the bs nodes of
     ``detreps``) must be exact too and come back scaled by the same L.
+
+    Without ``extra`` a point is scaled once: the result is kept in its
+    ``ints`` field under ``regime`` and read back by every later call.
+    The memo holds the Fraction copy of ``params``, if one was made, but
+    not ``params`` itself.
     """
     names = _INTEGER_SCALARS.get(regime, ())
-    scalars = {name: getattr(params, name) for name in names}
-    if not names or not is_exact((*scalars.values(), *params.u, *params.v, *extra)):
+    if not names:
         return params, None
-    ints = {name: Fraction(x) for name, x in scalars.items() if type(x) is not Fraction}
+    if extra:
+        return _scaled_point(regime, params, names, extra)
+    memo = params.ints.get(regime)
+    if memo is None:
+        fractions, scaling = _scaled_point(regime, params, names, ())
+        memo = params.ints[regime] = (None if fractions is params else fractions, scaling)
+    fractions, scaling = memo
+    return params if fractions is None else fractions, scaling
+
+
+def _scaled_point(regime, params, names, extra):
+    """``_integer_point`` without the memo."""
+    scalars = [getattr(params, name) for name in names]
+    # the scalars first: the cheapest test that turns a complex point away
+    if not is_exact(scalars) or not is_exact((*params.u, *params.v, *extra)):
+        return params, None
+    ints = {name: Fraction(x) for name, x in zip(names, scalars) if type(x) is not Fraction}
     if ints:
         params = replace(params, **ints)
     n, m = len(params.u), len(params.v)
@@ -672,6 +732,7 @@ def apply_difference_product(f, indices, shift, z, point):
     indices = tuple(indices)
     point = tuple(point)
     k = len(indices)
+    weights = [(-z) ** bits for bits in range(k + 1)]
     total = None
     for mask in range(1 << k):
         coords = list(point)
@@ -681,9 +742,32 @@ def apply_difference_product(f, indices, shift, z, point):
                 j = indices[pos]
                 coords[j] = shift(coords[j])
                 bits += 1
-        term = (-z) ** bits * f(tuple(coords))
+        term = weights[bits] * f(tuple(coords))
         total = term if total is None else total + term
     return total
+
+
+def _integer_difference_form(scaling, vside, zeff):
+    """The rational or trig operator form over the ints of ``scaling``, before
+    the G prefactor: sum_K (-zeff)^|K| V(pt) D / P(pt), divided once by
+    V(x) prod_i B_i (module docstring)."""
+    us, vs, _, (alpha, beta, gamma), _ = scaling
+    if vside:
+        xs, partners = [alpha * x for x in vs], [alpha * y for y in us]
+        shift = lambda x: x // alpha * gamma - beta
+        partner_product = lambda x: prod(x - y for y in partners)
+    else:
+        xs, partners = [gamma * y for y in us], [gamma * x for x in vs]
+        shift = lambda y: y // gamma * alpha + beta
+        partner_product = lambda y: prod(x - y for x in partners)
+    # a partner product is a function of the coordinate's value alone
+    products = {x: partner_product(x) for x in xs}
+    shifted = [partner_product(shift(x)) for x in xs]
+    products.update(zip(map(shift, xs), shifted))
+    common = prod(products[x] for x in xs) * prod(shifted)
+    inner = lambda pt: vandermonde(pt) * common // prod(products[x] for x in pt)
+    total = apply_difference_product(inner, range(len(xs)), shift, zeff, xs)
+    return total / (vandermonde(xs) * prod(shifted))
 
 
 def source_via_difference_ops(regime: str, side: str, params):
@@ -691,17 +775,20 @@ def source_via_difference_ops(regime: str, side: str, params):
 
     The F side shifts v by sigma^-1, the G side shifts u by sigma.  Contract:
     agrees with :func:`source_subset_sum` on the same parameters (exactly
-    over the rationals, to truncation accuracy over the complex field).
+    over the rationals, to truncation accuracy over the complex field).  An
+    exact rational or trig point is expanded over ints
+    (``_integer_difference_form``).
     """
     if regime not in ("rational", "trig", "elliptic"):
         raise ValueError(f"unknown regime {regime!r}")
     if side not in ("F", "G"):
         raise ValueError(f"unknown side {side!r}")
     reg = REGIMES[regime]
-    z, u, v = params.z, params.u, params.v
+    u, v = params.u, params.v
     n, m = len(u), len(v)
-    xs = v if side == "F" else u
-    shift = reg.shift(params, inverse=side == "F")
+    vside = side == "F"
+    xs = v if vside else u
+    shift = reg.shift(params, inverse=vside)
 
     if regime == "elliptic":
         lam, th = params.lam, _theta_memo(params)
@@ -711,18 +798,21 @@ def source_via_difference_ops(regime: str, side: str, params):
             for j in range(i + 1, n):
                 pref /= u[j] * th(u[i] / u[j])
                 pref /= th(v[j] / v[i]) / v[j]
-        if side == "F":
+        if vside:
             inner = lambda vv: det(frobenius_matrix(u, vv, lam, th))
         else:
             inner = lambda uu: det(frobenius_matrix(uu, v, lam, th))
-        return pref * apply_difference_product(inner, range(n), shift, z, xs)
+        return pref * apply_difference_product(inner, range(n), shift, params.z, xs)
 
+    params, scaling = _integer_point(regime, params)
+    zeff = params.z * reg.scale(params, m - n - 1 if vside else m - n)
+    if scaling is not None:
+        total = _integer_difference_form(scaling, vside, zeff)
+        return total if vside else reg.prefactor(params) * total
     pref = prod(vi - uk for vi in v for uk in u) / vandermonde(xs)
-    if side == "F":
-        zeff = z * reg.scale(params, m - n - 1)
+    if vside:
         inner = lambda vv: vandermonde(vv) / prod(vi - uk for vi in vv for uk in u)
     else:
         pref = reg.prefactor(params) * pref
-        zeff = z * reg.scale(params, m - n)
         inner = lambda uu: vandermonde(uu) / prod(vi - uk for vi in v for uk in uu)
     return pref * apply_difference_product(inner, range(len(xs)), shift, zeff, xs)

@@ -224,7 +224,9 @@ def _theta_sum(head, a, b, g):
 
 
 def lascoux_symmetrized_sides(u, v, c, coeffs):
-    """Both sides of the symmetrization identity for a polynomial f.
+    """(lhs, rhs, chain): both sides of the symmetrization identity for a
+    polynomial f, and the factor chain = d_{n-1} ... d_1 f(u_1) of the rhs,
+    which ``lascoux_rhs_via_source`` takes.
 
     lhs = Sym_c( (1-theta)^{n-1} prod_{j=2}^n prod_k (u_j - v_k) f(u_1) ),
     the power expanded binomially into theta shifts.
@@ -248,18 +250,20 @@ def lascoux_symmetrized_sides(u, v, c, coeffs):
     values, scale = _poly_row(coeffs, a, lcm)
     lhs = _theta_sum(values, a, b, g) / (scale * lcm ** (n * (n - 1)))
 
+    chain = newton_chain(coeffs, u)
     core = izergin_korepin_core(u, v, c, math.factorial(n - 1) * (-c) ** (n - 1))
-    return lhs, core * newton_chain(coeffs, u)
+    return lhs, core * chain, chain
 
 
-def lascoux_rhs_via_source(u, v, c, coeffs):
-    """Same rhs routed through the cleared source polynomial at z = 1:
+def lascoux_rhs_via_source(u, v, c, chain):
+    """The rhs of ``lascoux_symmetrized_sides`` routed through the cleared
+    source polynomial at z = 1, given chain = d_{n-1} ... d_1 f(u_1):
 
-    (n-1)!/(-c) * P_{n,n}^{(z=1)}(u | v) * d_{n-1} ... d_1 f(u_1).
+    (n-1)!/(-c) * P_{n,n}^{(z=1)}(u | v) * chain.
     """
     u, v, n = _sizes(u, v)
     p_val = rational_P(RatParams(c=c, z=c - c + 1, u=u, v=v))
-    return math.factorial(n - 1) / (-c) * p_val * newton_chain(coeffs, u)
+    return math.factorial(n - 1) / (-c) * p_val * chain
 
 
 def lascoux_tau_sides(u, v, c):

@@ -180,7 +180,7 @@ def test_criterion_08_symmetrization_formulas():
             - u1 * v1 - u2 * v1 - u1 * v2 - u2 * v2
             + 2 * u1 * u2 + 2 * v1 * v2
         )
-        lhs, rhs = lascoux_symmetrized_sides(u, v, c, [Fraction(0), Fraction(1)])
+        lhs, rhs, _ = lascoux_symmetrized_sides(u, v, c, [Fraction(0), Fraction(1)])
         assert lhs == poly and rhs == poly
         tau_expected = (
             2 * c**2

@@ -157,6 +157,19 @@ def test_sample_lists_the_elliptic_parameters_only(capsys):
                for row in json.loads(out))
 
 
+@pytest.mark.parametrize("regime, names", [
+    ("rational", ["c", "u", "v", "z"]),
+    ("trig", ["lam", "q", "u", "v", "z"]),
+])
+def test_sample_lists_the_exact_parameters_only(capsys, regime, names):
+    # the int form a sampled point carries is no parameter
+    code, out, _ = run_cli(
+        capsys, "sample", "--regime", regime, "--field", "exact", "--points", "2",
+    )
+    assert code == 0
+    assert all(sorted(row["params"]) == names for row in json.loads(out))
+
+
 def test_bench_outputs_table(capsys):
     code, out, _ = run_cli(capsys, "bench", "--sizes", "4,6", "--reps", "1")
     assert code == 0

@@ -505,7 +505,8 @@ def test_all_int_parameters_give_the_exact_fraction():
 
 
 def replace_all(params, kind):
-    fields = {name: getattr(params, name) for name in params.__dataclass_fields__}
+    fields = {name: getattr(params, name) for name, f in params.__dataclass_fields__.items()
+              if f.init}
     return type(params)(**{name: tuple(map(kind, x)) if isinstance(x, tuple) else kind(x)
                            for name, x in fields.items() if x is not None})
 

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from srcid.linalg import prod
+from srcid.linalg import prod, vandermonde
 from srcid.qseries import qpoch_n, theta
 from srcid.sources import (
     REGIMES,
@@ -353,6 +353,101 @@ def test_rational_difference_example_from_inverse_shift():
     assert lhs == rational_F(params)
 
 
+def difference_form_literal(regime, side, params):
+    """The operator form over Fractions: prefactor times the expansion of
+    Fraction inner functions V(pt) / prod (v - u)."""
+    reg = REGIMES[regime]
+    params = as_fractions(params)
+    u, v = params.u, params.v
+    n, m = len(u), len(v)
+    xs = v if side == "F" else u
+    shift = reg.shift(params, inverse=side == "F")
+    pref = prod(vi - uk for vi in v for uk in u) / vandermonde(xs)
+    if side == "F":
+        zeff = params.z * reg.scale(params, m - n - 1)
+        inner = lambda vv: vandermonde(vv) / prod(vi - uk for vi in vv for uk in u)
+    else:
+        pref = reg.prefactor(params) * pref
+        zeff = params.z * reg.scale(params, m - n)
+        inner = lambda uu: vandermonde(uu) / prod(vi - uk for vi in v for uk in uu)
+    return pref * apply_difference_product(inner, range(len(xs)), shift, zeff, xs)
+
+
+def int_point(rng, regime, n, m):
+    """A rational or trig point whose scalars and coordinates are all ints."""
+    def draw(lo=-9, hi=9):
+        while True:
+            x = rng.randint(lo, hi)
+            if x:
+                return x
+
+    u = tuple(draw() for _ in range(n))
+    v = tuple(draw() for _ in range(m))
+    if regime == "rational":
+        return RatParams(c=draw(), z=draw(), u=u, v=v)
+    return TrigParams(q=rng.choice((-3, -2, 2, 3)), z=draw(), u=u, v=v)
+
+
+def moved_onto_coincidences(regime, params):
+    """``params`` and the point moved onto each coincidence a side divides by."""
+    reg = REGIMES[regime]
+    exact = as_fractions(params)  # an int q would make x / q a float
+    up, down = reg.shift(exact), reg.shift(exact, inverse=True)
+    u, v = params.u, params.v
+    points = [params, replace(params, v=(u[0],) + v[1:]),
+              replace(params, v=(up(u[-1]),) + v[1:]),
+              replace(params, v=(down(u[0]),) + v[1:])]
+    if len(u) > 1:
+        points.append(replace(params, u=(u[1],) + u[1:]))
+    if len(v) > 1:
+        points.append(replace(params, v=v[:-1] + (v[0],)))
+    return points
+
+
+def test_integer_difference_form_matches_the_fraction_expansion(monkeypatch):
+    import srcid.sources as sources
+
+    calls = []
+    integer_form = sources._integer_difference_form
+    monkeypatch.setattr(sources, "_integer_difference_form",
+                        lambda *args: calls.append(args) or integer_form(*args))
+    rng = random.Random(53)
+    raised = 0
+    for regime in ("rational", "trig"):
+        for n in range(1, 5):
+            for m in range(1, 5):
+                fraction_point = (sample_rational(rng, n, m) if regime == "rational"
+                                  else sample_trig(rng, n, m))
+                for params in (fraction_point, int_point(rng, regime, n, m)):
+                    for point in moved_onto_coincidences(regime, params):
+                        for side in ("F", "G"):
+                            calls.clear()
+                            try:
+                                expected = difference_form_literal(regime, side, point)
+                            except ZeroDivisionError:
+                                raised += 1
+                                with pytest.raises(ZeroDivisionError):
+                                    source_via_difference_ops(regime, side, point)
+                            else:
+                                value = source_via_difference_ops(regime, side, point)
+                                assert type(value) is Fraction, (regime, side, point)
+                                assert value == expected, (regime, side, point)
+                            assert len(calls) == 1, (regime, side, point)
+    assert raised > 100
+    # at q = 0 sigma^-1 divides by 0 and (z; q)_{m-n} refuses q
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except (ZeroDivisionError, ValueError) as exc:
+            return type(exc)
+
+    for n, m in ((0, 1), (1, 1), (1, 3)):
+        point = replace(sample_trig(rng, n, m), q=Fraction(0))
+        for side in ("F", "G"):
+            expected = outcome(difference_form_literal, "trig", side, point)
+            assert outcome(source_via_difference_ops, "trig", side, point) == expected
+
+
 # ---------------------------------------------------------------------------
 # the Lambda-weighted family
 # ---------------------------------------------------------------------------
@@ -677,7 +772,8 @@ def as_fractions(params):
         if isinstance(x, tuple):
             return tuple(map(Fraction, x))
         return None if x is None else Fraction(x)
-    return type(params)(**{f.name: conv(getattr(params, f.name)) for f in fields(params)})
+    return type(params)(**{f.name: conv(getattr(params, f.name)) for f in fields(params)
+                           if f.init})
 
 
 def assert_integer_walk_matches_literal(regime, params, sides):
@@ -839,6 +935,75 @@ def test_general_position_lists_every_ordered_pair():
         2 + n * (n - 1) // 2 + m * (m - 1) // 2 + 2 * n * m
     )
     assert apart(operator.sub, rat.u) == [F(-1), F(7, 4), F(11, 4)]
+
+
+def general_position_literal(regime, params):
+    """The general-position values over Fractions, d = a - b at the point itself."""
+    reg = REGIMES[regime]
+    u, v = params.u, params.v
+    su = list(map(reg.shift(params), u))
+    return (reg.singular(params) + apart(operator.sub, u) + apart(operator.sub, v)
+            + [x - y for x in v for y in u] + [x - sy for x in v for sy in su])
+
+
+def test_general_position_ints_vanish_where_the_fraction_values_do():
+    def put(xs, i, x):
+        return xs[:i] + (x,) + xs[i + 1:]
+
+    rng = random.Random(59)
+    vanished = 0
+    for regime in ("rational", "trig", "trig_lambda"):
+        for _ in range(40):
+            n, m = rng.randint(2, 4), rng.randint(1, 4)
+            params = (sample_rational(rng, n, m) if regime == "rational"
+                      else sample_trig(rng, n, m, with_lam=True))
+            sigma = REGIMES[regime].shift(params)
+            u, v = params.u, params.v
+            i, j = rng.sample(range(n), 2)
+            k = rng.randrange(m)
+            for point in (params, replace(params, u=put(u, i, u[j])),
+                          replace(params, v=put(v, k, u[i])),
+                          replace(params, v=put(v, k, sigma(u[i])))):
+                values = general_position(regime, point)
+                literal = general_position_literal(regime, point)
+                assert [x == 0 for x in values] == [x == 0 for x in literal], (regime, point)
+                singular = len(REGIMES[regime].singular(point))
+                assert all(type(x) is int for x in values[singular:]), (regime, point)
+                vanished += 0 in values
+    assert vanished == 3 * 40 * 3
+
+
+def test_the_int_form_is_made_once_per_point(monkeypatch):
+    import srcid.detreps as detreps
+    import srcid.sources as sources
+
+    scalings = []
+    to_integers = sources.to_integers
+    monkeypatch.setattr(sources, "to_integers",
+                        lambda values: scalings.append(values) or to_integers(values))
+    rng = random.Random(61)
+    rat = sample_rational(rng, 3, 2)
+    tri = sample_trig(rng, 2, 3)
+    for regime, params in (("rational", rat), ("trig", tri)):
+        twin = type(params)(**{f.name: getattr(params, f.name) for f in fields(params) if f.init})
+        before = (repr(params), hash(params))
+        scalings.clear()
+        assert 0 not in general_position(regime, params)
+        kept = sources._integer_point(regime, params)[1]
+        for side in ("F", "G"):
+            source_via_difference_ops(regime, side, params)
+            detreps.det_rep(regime, "scalar_product", side, params, detreps.AuxParams())
+        for side in "FGPQ":
+            sources._source(regime, side, params)
+        assert len(scalings) == 1, regime
+        assert sources._integer_point(regime, params)[1] is kept
+        # a call with extra values scales afresh and keeps the memo
+        sources._integer_point(regime, params, (Fraction(1, 7),))
+        assert len(scalings) == 2 and list(params.ints) == [regime]
+        assert (repr(params), hash(params)) == before
+        assert params == twin and hash(params) == hash(twin) and repr(params) == repr(twin)
+        assert twin.ints == {} and "ints" not in repr(params)
+        assert replace(params).ints == {}
 
 
 def _elliptic_point(n=3):

@@ -422,7 +422,7 @@ def test_symmetrization_n2_closed_polynomial():
     hits = 0
     while hits < 12:
         c, u, v = lascoux_point(rng, 2)
-        lhs, rhs = lascoux_symmetrized_sides(u, v, c, [Fraction(0), Fraction(1)])
+        lhs, rhs, _ = lascoux_symmetrized_sides(u, v, c, [Fraction(0), Fraction(1)])
         expected = N2_EXPECTED(u[0], u[1], v[0], v[1], c)
         assert lhs == expected
         assert rhs == expected
@@ -434,7 +434,7 @@ def test_symmetrization_c_zero_vanishes():
     for n in (2, 3, 4):
         _, u, v = lascoux_point(rng, n)
         coeffs = [rand_fraction(rng) for _ in range(n)]
-        lhs, rhs = lascoux_symmetrized_sides(u, v, Fraction(0), coeffs)
+        lhs, rhs, _ = lascoux_symmetrized_sides(u, v, Fraction(0), coeffs)
         assert lhs == 0
         assert rhs == 0
 
@@ -445,7 +445,7 @@ def test_symmetrization_identity_exact():
         c, u, v = lascoux_point(rng, n)
         degree = rng.randint(0, n)
         coeffs = [rand_fraction(rng) for _ in range(degree + 1)]
-        lhs, rhs = lascoux_symmetrized_sides(u, v, c, coeffs)
+        lhs, rhs, _ = lascoux_symmetrized_sides(u, v, c, coeffs)
         assert lhs == rhs
 
 
@@ -454,8 +454,9 @@ def test_symmetrization_rhs_via_source_polynomial():
     for n in (2, 3, 4):
         c, u, v = lascoux_point(rng, n)
         coeffs = [rand_fraction(rng) for _ in range(n)]
-        _, rhs = lascoux_symmetrized_sides(u, v, c, coeffs)
-        assert rhs == lascoux_rhs_via_source(u, v, c, coeffs)
+        _, rhs, chain = lascoux_symmetrized_sides(u, v, c, coeffs)
+        assert chain == newton_chain(coeffs, u)
+        assert rhs == lascoux_rhs_via_source(u, v, c, chain)
 
 
 def test_tau_symmetrization_n1():
@@ -561,7 +562,7 @@ def test_sides_lhs_is_the_binomial_sum_over_fraction_slots():
                     for ell in range(1, n + 1)
                 )
 
-            lhs, _ = lascoux_symmetrized_sides(u, v, c, coeffs)
+            lhs, _, _ = lascoux_symmetrized_sides(u, v, c, coeffs)
             assert lhs == theta_sum(cache(lambda x: poly_eval(coeffs, x)))
             assert type(lhs) is Fraction
 
@@ -586,7 +587,7 @@ def test_sides_and_source_routes_reject_unequal_or_empty_sizes(sizes):
     coeffs = [Fraction(1), Fraction(2)]
     for call in (
         lambda: lascoux_symmetrized_sides(u, v, c, coeffs),
-        lambda: lascoux_rhs_via_source(u, v, c, coeffs),
+        lambda: lascoux_rhs_via_source(u, v, c, Fraction(1)),
         lambda: lascoux_tau_sides(u, v, c),
         lambda: lascoux_tau_rhs_via_source(u, v, c),
         lambda: reduction_identity_sides(u, v, c),
@@ -601,8 +602,8 @@ def test_symmetrization_identities_beyond_the_registry_sizes():
     for n in range(7, PERM_CAP + 1):
         c, u, v = lascoux_point(rng, n)
         coeffs = [rand_fraction(rng) for _ in range(n + 1)]
-        lhs, rhs = lascoux_symmetrized_sides(u, v, c, coeffs)
-        assert lhs == rhs == lascoux_rhs_via_source(u, v, c, coeffs)
+        lhs, rhs, chain = lascoux_symmetrized_sides(u, v, c, coeffs)
+        assert lhs == rhs == lascoux_rhs_via_source(u, v, c, chain)
         lhs, rhs = lascoux_tau_sides(u, v, c)
         assert lhs == rhs == lascoux_tau_rhs_via_source(u, v, c)
         lhs, rhs = reduction_identity_sides(u, v, c)
