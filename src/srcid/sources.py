@@ -411,7 +411,8 @@ def general_position(regime, params):
         su = list(map(reg.shift(params), u))
         crossed = [d(x, sy) for x in v for sy in su]
     else:
-        d, (u, v, _, (alpha, beta, gamma), _) = operator.sub, scaling
+        u, v, _, (alpha, beta, gamma), _ = scaling
+        d = operator.sub
         crossed = [gamma * x - alpha * y - beta for x in v for y in u]
     values += apart(d, u)
     values += apart(d, v)
