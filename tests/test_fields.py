@@ -1,6 +1,7 @@
 """Field backends: residual semantics and scalar helpers."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -86,3 +87,8 @@ def test_inexact_values_are_rejected():
             to_integers(values)
     assert is_exact([1, Fraction(1, 3), True])
     assert is_exact(x for x in (Fraction(2), 7))
+    # neither a complex nor a float, tested against int and Fraction
+    class Exact(Fraction):
+        pass
+
+    assert is_exact([Exact(1, 3)]) and not is_exact([Decimal("0.5")])
