@@ -63,7 +63,8 @@ besides its den_j.  An exact point where the ints would divide by 0 (a member
 ratio's pole, q = 0 on the F side) gets the record of its Fraction values,
 so it raises what the Fraction form raises.  dwbc builds its rows over
 Fractions at an exact point (ints included) and over the point's own values
-elsewhere, and the ik core over ints at an exact point.
+elsewhere, and the ik core reads the point's int form of
+``sources._integer_point`` at an exact point.
 
 Transcription note: one-parameter extensions of these determinants are
 sometimes quoted with the balance ratio attached to row 1 as a
@@ -411,14 +412,12 @@ def _dwbc(regime, side, params):
     matrix = build_dwbc_matrix(regime, side, params)
     # an exact start keeps the empty products' int 1 / 1 out of float
     one = Fraction(1) if is_exact((*u, *v)) else 1
-    if n >= m:
-        pref = prod((vi - uk for vi in v for uk in u), start=one)
-        pref /= prod(v[j] - v[i] for i, j in _pairs_below(v))
-        pref /= prod(u[i] - u[j] for i, j in _pairs_below(u))
-    else:
-        pref = prod((uk - vi for vi in v for uk in u), start=one)
-        pref /= prod(v[i] - v[j] for i, j in _pairs_below(v))
-        pref /= prod(u[j] - u[i] for i, j in _pairs_below(u))
+    pref = prod((vi - uk for vi in v for uk in u), start=one)
+    pref /= prod(v[j] - v[i] for i, j in _pairs_below(v))
+    pref /= prod(u[i] - u[j] for i, j in _pairs_below(u))
+    # n < m negates every factor; negation is exact, in floats too
+    if n < m and (n * m + m * (m - 1) // 2 + n * (n - 1) // 2) % 2:
+        pref = -pref
     value = pref * det(matrix)
     if side == "G":
         value *= REGIMES[regime].prefactor(params)
@@ -439,6 +438,18 @@ def _bs_pinned_delta(side, params, eta):
 
 
 def _bs_elliptic(side, params, aux):
+    """Elliptic bs: pref det(entries), pref the Frobenius prefactor over the
+    thetas of the v (F) or u (G) pairs and of the eta pairs.
+
+    Both sides build their entries from one Frobenius-type entry over the
+    (num, den) pairs (eta_l, v_j) on the F side, rows i and basis index
+    k = i, and (u_i, eta_l) on the G side, basis index k = j:
+
+        theta(delta a / b) prod_{l != k} theta(x_l / y_l) / theta(delta)
+        - z theta(q delta a / b) prod_{l != k} theta(q x_l / y_l) / theta(delta) * ratio
+
+    with (a, b) the pair k and ratio the member ratio of v_j (F) or u_i (G).
+    """
     q, z, u, v = params.q, params.z, params.u, params.v
     th = _theta_memo(params)
     n = params.n
@@ -448,44 +459,25 @@ def _bs_elliptic(side, params, aux):
     ratio = member_ratios("elliptic", side, params)
     delta = _bs_pinned_delta(side, params, eta)
     th_delta = th(delta)
+
+    def entry(pairs, k, r):
+        (a, b), rest = pairs[k], pairs[:k] + pairs[k + 1:]
+        return (th(delta * a / b) * prod(th(x / y) for x, y in rest) / th_delta
+                - z * th(q * delta * a / b) * prod(th(q * x / y) for x, y in rest) / th_delta * r)
+
     pref = th_delta
     if side == "F":
-        # rows are eta_i, columns v_j
         for i, j in _pairs_below(v):
             pref /= th(v[j] / v[i]) / v[j]
             pref /= eta[j] * th(eta[i] / eta[j])
-        entries = [
-            [
-                th(delta * eta[i] / v[j])
-                * prod(th(eta[k] / v[j]) for k in range(n) if k != i)
-                / th_delta
-                - z
-                * th(q * delta * eta[i] / v[j])
-                * prod(th(q * eta[k] / v[j]) for k in range(n) if k != i)
-                / th_delta
-                * ratio[j]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return pref * det(entries)
-    for i, j in _pairs_below(u):
-        pref /= u[j] * th(u[i] / u[j])
-        pref /= th(eta[j] / eta[i]) / eta[j]
-    entries = [
-        [
-            th(delta * u[i] / eta[j])
-            * prod(th(u[i] / eta[k]) for k in range(n) if k != j)
-            / th_delta
-            - z
-            * th(q * delta * u[i] / eta[j])
-            * prod(th(q * u[i] / eta[k]) for k in range(n) if k != j)
-            / th_delta
-            * ratio[i]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+        entries = [[entry([(e, vj) for e in eta], i, ratio[j]) for j, vj in enumerate(v)]
+                   for i in range(n)]
+    else:
+        for i, j in _pairs_below(u):
+            pref /= u[j] * th(u[i] / u[j])
+            pref /= th(eta[j] / eta[i]) / eta[j]
+        entries = [[entry([(ui, e) for e in eta], j, ratio[i]) for j in range(n)]
+                   for i, ui in enumerate(u)]
     return pref * det(entries)
 
 
@@ -573,26 +565,32 @@ def _bs_flat(regime, side, params, aux, limit: bool):
 # ---------------------------------------------------------------------------
 
 
-def izergin_korepin_core(u, v, c, scale=1):
-    """The n = m, z = 1 determinant without its (-c)^n:
+def izergin_korepin_core(params, scale=1):
+    """The n = m, z = 1 determinant at the rational point ``params`` without
+    its (-c)^n:
 
     scale * prod (v_i - u_k)(v_i - u_k - c) / (prod (v_j - v_i) prod (u_i - u_j))
         * det 1 / ((v_j - u_k)(v_j - u_k - c)).
 
-    ``scale`` is multiplied in first, so a caller's prefactor keeps the
-    rounding order of writing it out.  The core stays defined at c = 0.
-    Exact input is the int form scale * det[prod_{k' != k} (v_j - u_k')
-    (v_j - u_k' - c)] / (prod (v_j - v_i) prod (u_i - u_j)): row j times
-    its Cauchy entries' denominators, which removes the reciprocals.
+    ``ValueError`` unless n == m and z == 1.  ``scale`` is multiplied in
+    first, so a caller's prefactor keeps the rounding order of writing it
+    out.  The core stays defined at c = 0.  At an exact point it is the int
+    form scale * det[prod_{k' != k} (v_j - u_k') (v_j - u_k' - c)] /
+    (prod (v_j - v_i) prod (u_i - u_j)) over the point's ints of
+    ``sources._integer_point``: row j times its Cauchy entries'
+    denominators, which removes the reciprocals.
     """
+    u, v, c = params.u, params.v, params.c
     n = len(u)
     if len(v) != n:
-        raise ValueError("izergin_korepin needs len(u) == len(v)")
-    if is_exact((c, scale, *u, *v)):
+        raise ValueError("ik requires n == m")
+    if params.z != 1:
+        raise ValueError("ik requires z == 1")
+    _, scaling = _integer_point("rational", params)
+    if scaling is not None:
         # row j times prod_k (v_j - u_k)(v_j - u_k - c), over ints times L:
         # entry (j, k) is the product over k' != k, two Lagrange rows' product
-        (g, *xs), lcm = to_integers((c, *u, *v))
-        us, vs = xs[:n], xs[n:]
+        us, vs, lcm, (_, g, _), _ = scaling
         divisor = prod(vs[j] - vs[i] for i, j in _pairs_below(vs))
         divisor *= prod(us[i] - us[j] for i, j in _pairs_below(us))
         if divisor and set(us).isdisjoint(vs) and set(us).isdisjoint(y - g for y in vs):
@@ -606,9 +604,9 @@ def izergin_korepin_core(u, v, c, scale=1):
     return pref * det(entries)
 
 
-def izergin_korepin(u, v, c):
+def izergin_korepin(params):
     """n = m, z = 1 determinant in the P-normalization: (-c)^n times the core."""
-    return izergin_korepin_core(u, v, c, (-c) ** len(u))
+    return izergin_korepin_core(params, (-params.c) ** len(params.u))
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +664,5 @@ def det_rep(regime: str, family: str, side: str, params, aux: AuxParams | None =
     if family == "bs_limit":
         return _bs_flat(regime, side, params, aux, limit=True)
     if family == "ik":
-        if params.n != params.m:
-            raise ValueError("ik requires n == m")
-        if params.z != 1:
-            raise ValueError("ik requires z == 1")
-        return izergin_korepin(params.u, params.v, params.c)
+        return izergin_korepin(params)
     raise UnavailableRepresentationError(f"unknown family {family!r}")

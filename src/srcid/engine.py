@@ -502,9 +502,7 @@ def _det_rep_retry(ctx, regime, family, side, params):
 
 def _run_rational_ik(ctx: PointContext):
     n, _ = ctx.sizes((1, 4))
-    one = Fraction(1) if ctx.exact else complex(1.0)
-    base = ctx.sample_rational(n, n)
-    params = RatParams(c=base.c, z=one, u=base.u, v=base.v)
+    params = replace(ctx.sample_rational(n, n), z=ctx.field.one)
     value = det_rep("rational", "ik", "F", params)
     reference = source_polynomial_form("rational", "P", params)
     return [("ik determinant = cleared polynomial", value, reference)]
@@ -968,27 +966,26 @@ def _run_hook_product_limit(ctx: PointContext):
 # -- symmetrization ----------------------------------------------------------
 
 
-def _lascoux_point(ctx: PointContext, n: int):
+def _lascoux_point(ctx: PointContext, n: int) -> RatParams:
     def draw():
         c = ctx.fraction(lo=-9, hi=9, nonzero=True)
         u = tuple(ctx.fraction(nonzero=True) for _ in range(n))
         v = tuple(ctx.fraction(nonzero=True) for _ in range(n))
-        return c, u, v
+        return RatParams(c=c, z=Fraction(1), u=u, v=v)
 
     return ctx.attempt(draw, _lascoux_general)
 
 
-def _lascoux_general(point) -> bool:
+def _lascoux_general(point: RatParams) -> bool:
     """u and v are each distinct, u_i - u_j is kept off +-c, and v_i - u_k off
-    0 and +-c.  The tests compare the ints (a, b, g) of the sides functions'
-    one scaling of (c, u, v) (``symmetrize._scaled_point``): scaling by
-    L > 0 keeps every zero test."""
-    c, u, v = point
-    a, b, g, _ = symmetrize._scaled_point(u, v, c)
+    0 and +-c.  The tests compare the ints (a, b, g) = L (u, v, c) of the
+    point's one int form (``sources._integer_point``), which the symmetrize
+    sides read again: scaling by L > 0 keeps every zero test."""
+    _, (a, b, _, (_, g, _), _) = sources._integer_point("rational", point)
     a, b = set(a), set(b)
     return (
-        len(a) == len(u)
-        and len(b) == len(v)
+        len(a) == len(point.u)
+        and len(b) == len(point.v)
         and (not g or a.isdisjoint([x + g for x in a]))
         and b.isdisjoint([x + d for x in a for d in (0, g, -g)])
     )
@@ -996,22 +993,22 @@ def _lascoux_general(point) -> bool:
 
 def _run_divided_difference_symmetrization(ctx: PointContext):
     n, _ = ctx.sizes((2, 6))
-    c, u, v = _lascoux_point(ctx, n)
+    point = _lascoux_point(ctx, n)
     degree = ctx.rng.randint(0, n)
     coeffs = [ctx.fraction() for _ in range(degree + 1)]
-    lhs, rhs, chain = symmetrize.lascoux_symmetrized_sides(u, v, c, coeffs)
-    via_source = symmetrize.lascoux_rhs_via_source(u, v, c, chain)
+    lhs, rhs, form = symmetrize.lascoux_symmetrized_sides(point, coeffs)
     return [
         ("symmetrized sum = determinant form", lhs, rhs),
-        ("determinant form = cleared polynomial route", rhs, via_source),
+        ("determinant form = cleared polynomial route", form,
+         symmetrize.lascoux_rhs_via_source(point)),
     ]
 
 
 def _run_tau_shift_symmetrization(ctx: PointContext):
     n, _ = ctx.sizes((1, 6))
-    c, u, v = _lascoux_point(ctx, n)
-    lhs, rhs = symmetrize.lascoux_tau_sides(u, v, c)
-    via_source = symmetrize.lascoux_tau_rhs_via_source(u, v, c)
+    point = _lascoux_point(ctx, n)
+    lhs, rhs = symmetrize.lascoux_tau_sides(point)
+    via_source = symmetrize.lascoux_tau_rhs_via_source(point)
     return [
         ("symmetrized sum = determinant form", lhs, rhs),
         ("determinant form = shifted polynomial route", rhs, via_source),
@@ -1020,8 +1017,8 @@ def _run_tau_shift_symmetrization(ctx: PointContext):
 
 def _run_symmetrization_reduction(ctx: PointContext):
     n, _ = ctx.sizes((2, 5))
-    c, u, v = _lascoux_point(ctx, n)
-    lhs, rhs = symmetrize.reduction_identity_sides(u, v, c)
+    point = _lascoux_point(ctx, n)
+    lhs, rhs = symmetrize.reduction_identity_sides(point)
     return [("leading-coefficient identity", lhs, rhs)]
 
 

@@ -111,6 +111,10 @@ u and v, L, sigma and the Fraction copy of the scalars) in the point's
 the samplers' general-position test scales a drawn point, and F, G, P, Q,
 the mpt and scalar_product sides of ``detreps`` and the operator form below
 reuse that scaling; the bs nodes are scaled afresh together with the point.
+The lascoux points are rational points at z = 1: the engine's accept test
+scales one, and the ``symmetrize`` sides, their P routes and the IK
+determinants of ``detreps`` read that int form back, as the ik case's P
+and IK share the scaling of its z = 1 point.
 Like ``thetas``, the field takes no part in ``__init__``, ``==``, ``hash``
 or ``repr``, ``dataclasses.replace`` starts an empty memo, and there is no
 module-level cache.  At an exact point ``general_position`` lists ints:

@@ -43,23 +43,27 @@ factors, tau^t leaves t slots without their numerator.  The weights
 walk.  The tau term t = n has no switch slot: tau^n leaves the empty
 product 1, and Sym_c(1) = n!, so it is the closed form (-1)^n n!.
 
-The sides functions scale once per point: ``fields.to_integers`` makes
-(c, u, v) the ints (g, a, b) = L (c, u, v), every slot row (the root
-products, the tau numerators, f and the pin of u_1) is ints computed from
-them, and sym_c walks Python ints at (a, g), where Delta is unchanged and
-the scalings of u and c cost nothing.  Each lhs is divided by the slots'
+The sides functions and the source routes take a rational point at z = 1
+(a ``sources.RatParams`` with len(u) == len(v) >= 1) and read its one int
+form from ``sources._integer_point``: the ints (g, a, b) = L (c, u, v),
+kept on the point, so the engine's accept test, the sides, the IK
+determinants and P share one scaling.  Every slot row (the root products,
+the tau numerators, f and the pin of u_1) is ints computed from them, and
+sym_c walks Python ints at (a, g), where Delta is unchanged and the
+scalings of u and c cost nothing.  Each lhs is divided by the slots'
 common scale once.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from .detreps import izergin_korepin, izergin_korepin_core
 from .fields import is_exact, to_integers
 from .linalg import prod
-from .sources import RatParams, integer_pair_tables, rational_P
+from .sources import _integer_point, integer_pair_tables, rational_P
 
 PERM_CAP = 10
 
@@ -167,20 +171,13 @@ def sym_c(slots, u, c):
     return Fraction(done[-1], divisor)
 
 
-def _sizes(u, v):
-    """(u, v, n) with u and v as tuples; ``ValueError`` unless
-    len(u) == len(v) = n >= 1."""
-    u, v = tuple(u), tuple(v)
-    if len(v) != len(u) or not u:
-        raise ValueError("needs len(u) == len(v) >= 1")
-    return u, v, len(u)
-
-
-def _scaled_point(u, v, c):
-    """(a, b, g, L): the ints a = L u, b = L v and g = L c of one
-    ``fields.to_integers`` scaling of (c, u, v)."""
-    (g, *ints), lcm = to_integers((c, *u, *v))
-    return ints[:len(u)], ints[len(u):], g, lcm
+def _size(point):
+    """n for a point with len(u) == len(v) = n >= 1 and z == 1 (``ValueError``
+    otherwise)."""
+    n = len(point.u)
+    if len(point.v) != n or not n or point.z != 1:
+        raise ValueError("needs len(u) == len(v) >= 1 and z == 1")
+    return n
 
 
 def _root_row(a, b, shift):
@@ -223,51 +220,48 @@ def _theta_sum(head, a, b, g):
     return sym_c(rows, a, g)
 
 
-def lascoux_symmetrized_sides(u, v, c, coeffs):
-    """(lhs, rhs, chain): both sides of the symmetrization identity for a
-    polynomial f, and the factor chain = d_{n-1} ... d_1 f(u_1) of the rhs,
-    which ``lascoux_rhs_via_source`` takes.
+def lascoux_symmetrized_sides(point, coeffs):
+    """(lhs, rhs, form): both sides of the symmetrization identity for a
+    polynomial f at the rational point ``point`` (z = 1), and the rhs without
+    its factor d_{n-1} ... d_1 f(u_1), which ``lascoux_rhs_via_source``
+    routes through the cleared source polynomial.
 
     lhs = Sym_c( (1-theta)^{n-1} prod_{j=2}^n prod_k (u_j - v_k) f(u_1) ),
     the power expanded binomially into theta shifts.
 
-    rhs = (n-1)! (-c)^{n-1}
-          * prod_{i,k} (v_i - u_k)(v_i - u_k - c)
-            / ( prod_{i<j} (v_j - v_i) prod_{i<j} (u_i - u_j) )
-          * det 1/((v_j - u_k)(v_j - u_k - c))
-          * d_{n-1} ... d_1 f(u_1)
+    rhs = form * d_{n-1} ... d_1 f(u_1),
+    form = (n-1)! (-c)^{n-1}
+           * prod_{i,k} (v_i - u_k)(v_i - u_k - c)
+             / ( prod_{i<j} (v_j - v_i) prod_{i<j} (u_i - u_j) )
+           * det 1/((v_j - u_k)(v_j - u_k - c))
 
-    This is (n-1)! (-c)^{n-1} times ``detreps.izergin_korepin_core`` and the
-    chain, which stays defined (0 for n >= 2) at c = 0.
+    The form is (n-1)! (-c)^{n-1} times ``detreps.izergin_korepin_core``,
+    which stays defined at c = 0, and the chain is ``newton_chain``.
 
-    The lhs is summed at the int point (a, b, g) of ``_scaled_point``: Sym_c
-    is unchanged when u and c are scaled together, each root slot is L^n
-    times its value at (u, v, c) and f is values / M (``_poly_row``), so the
-    sum is divided by M L^{n(n-1)} once.
+    The lhs is summed at the point's int form (a, b, g) = L (u, v, c) of
+    ``sources._integer_point``: Sym_c is unchanged when u and c are scaled
+    together, each root slot is L^n times its value at (u, v, c) and f is
+    values / M (``_poly_row``), so the sum is divided by M L^{n(n-1)} once.
     """
-    u, v, n = _sizes(u, v)
-    a, b, g, lcm = _scaled_point(u, v, c)
+    n = _size(point)
+    _, (a, b, lcm, (_, g, _), _) = _integer_point("rational", point)
     values, scale = _poly_row(coeffs, a, lcm)
     lhs = _theta_sum(values, a, b, g) / (scale * lcm ** (n * (n - 1)))
 
-    chain = newton_chain(coeffs, u)
-    core = izergin_korepin_core(u, v, c, math.factorial(n - 1) * (-c) ** (n - 1))
-    return lhs, core * chain, chain
+    form = izergin_korepin_core(point, math.factorial(n - 1) * (-point.c) ** (n - 1))
+    return lhs, form * newton_chain(coeffs, point.u), form
 
 
-def lascoux_rhs_via_source(u, v, c, chain):
-    """The rhs of ``lascoux_symmetrized_sides`` routed through the cleared
-    source polynomial at z = 1, given chain = d_{n-1} ... d_1 f(u_1):
-
-    (n-1)!/(-c) * P_{n,n}^{(z=1)}(u | v) * chain.
-    """
-    u, v, n = _sizes(u, v)
-    p_val = rational_P(RatParams(c=c, z=c - c + 1, u=u, v=v))
-    return math.factorial(n - 1) / (-c) * p_val * chain
+def lascoux_rhs_via_source(point):
+    """The form of ``lascoux_symmetrized_sides`` routed through the cleared
+    source polynomial at z = 1: (n-1)!/(-c) * P_{n,n}^{(z=1)}(u | v)."""
+    n = _size(point)
+    return math.factorial(n - 1) / (-point.c) * rational_P(point)
 
 
-def lascoux_tau_sides(u, v, c):
-    """Both sides of the tau-shift symmetrization identity.
+def lascoux_tau_sides(point):
+    """Both sides of the tau-shift symmetrization identity at the rational
+    point ``point`` (z = 1).
 
     tau^t of the double product prod_{j=1}^n prod_k (u_j - v_k - c)/(u_j - v_k)
     is the tail prod_{j=t+1}^n prod_k (u_j - v_k - c)/(u_j - v_k), so
@@ -278,37 +272,38 @@ def lascoux_tau_sides(u, v, c):
           / ( prod_{i<j} (v_j - v_i) prod_{i<j} (u_i - u_j) )
           * det 1/((v_j - u_k + c)(v_j - u_k))
 
-    The lhs is summed at the int point (a, b, g) of ``_scaled_point``.  The
-    product W = prod_{j,k} (a_j - b_k) is symmetric in the points, so Sym_c(W
-    tail_t) = W Sym_c(tail_t): times W, slots 1..t hold prod_k (x - b_k) and
-    slots t+1..n the numerators prod_k (x - b_k - g), all ints.  The terms
-    t < n are the rows (den, (-1)^t C(n, t) num, num) of one sym_c walk,
-    divided by W once.  The term t = n is W Sym_c(1) = n! W, so it adds
-    (-1)^n n! with no walk.
+    The lhs is summed at the point's int form (a, b, g) of
+    ``sources._integer_point``.  The product W = prod_{j,k} (a_j - b_k) is
+    symmetric in the points, so Sym_c(W tail_t) = W Sym_c(tail_t): times W,
+    slots 1..t hold prod_k (x - b_k) and slots t+1..n the numerators
+    prod_k (x - b_k - g), all ints.  The terms t < n are the rows (den,
+    (-1)^t C(n, t) num, num) of one sym_c walk, divided by W once.  The term
+    t = n is W Sym_c(1) = n! W, so it adds (-1)^n n! with no walk.
     """
-    u, v, n = _sizes(u, v)
-    a, b, g, _ = _scaled_point(u, v, c)
+    n = _size(point)
+    _, (a, b, _, (_, g, _), _) = _integer_point("rational", point)
     den, num = _root_row(a, b, 0), _root_row(a, b, -g)
     walk = sym_c(([den] * n, _binomial_rows(num, n), [num] * n), a, g)
     lhs = walk / prod(den) + (-1) ** n * math.factorial(n)
 
-    shifted = tuple(vk + c for vk in v)
-    rhs = math.factorial(n) * (-1) ** n * izergin_korepin(u, shifted, c)
+    u, v, c = point.u, point.v, point.c
+    shifted = replace(point, v=tuple(x + c for x in v))
+    rhs = math.factorial(n) * (-1) ** n * izergin_korepin(shifted)
     rhs /= prod(vi - uk for vi in v for uk in u)
     return lhs, rhs
 
 
-def lascoux_tau_rhs_via_source(u, v, c):
+def lascoux_tau_rhs_via_source(point):
     """tau-identity rhs as n! / prod (u_j - v_k) * P_{n,n}^{(z=1)}(u | v + c)."""
-    u, v, n = _sizes(u, v)
-    one = c - c + 1
-    shifted = tuple(vk + c for vk in v)
-    p_val = rational_P(RatParams(c=c, z=one, u=u, v=shifted))
+    n = _size(point)
+    u, v, c = point.u, point.v, point.c
+    p_val = rational_P(replace(point, v=tuple(x + c for x in v)))
     return math.factorial(n) * p_val / prod(uj - vk for uj in u for vk in v)
 
 
-def reduction_identity_sides(u, v, c):
-    """Both sides of the f(u_1)-coefficient identity behind the theta formula.
+def reduction_identity_sides(point):
+    """Both sides of the f(u_1)-coefficient identity behind the theta formula
+    at the rational point ``point`` (z = 1).
 
     lhs = sum_{ell=1}^n (-1)^{ell-1} C(n-1, ell-1)
             sum_{w in S_n, w(1)=1} w . ( Delta(ell,2,..,ell-1,1,ell+1,..,n)
@@ -319,14 +314,15 @@ def reduction_identity_sides(u, v, c):
     In the slot order of its Delta the inner sum is the theta slot product
     of lascoux_symmetrized_sides with f replaced by the indicator of u_1, so
     slot ell pins u_1 and Sym_c runs over the orderings of the rest.  As
-    there, the lhs is summed at the int point of ``_scaled_point`` and
-    divided by L^{n(n-1)} once.
+    there, the lhs is summed at the point's int form of
+    ``sources._integer_point`` and divided by L^{n(n-1)} once.
     """
-    u, v, n = _sizes(u, v)
-    a, b, g, lcm = _scaled_point(u, v, c)
+    n = _size(point)
+    _, (a, b, lcm, (_, g, _), _) = _integer_point("rational", point)
     pin = [1] + [0] * (n - 1)
     lhs = _theta_sum(pin, a, b, g) / lcm ** (n * (n - 1))
 
-    p_val = rational_P(RatParams(c=c, z=c - c + 1, u=u, v=v))
-    rhs = math.factorial(n - 1) * p_val / (-c * prod(u[0] - u[j] for j in range(1, n)))
+    u = point.u
+    rhs = math.factorial(n - 1) * rational_P(point)
+    rhs /= -point.c * prod(u[0] - u[j] for j in range(1, n))
     return lhs, rhs

@@ -15,6 +15,7 @@ from fractions import Fraction
 from srcid.cli import main
 from srcid.engine import SamplingConfig, list_cases, run_case
 from srcid.fields import COMPLEX, EXACT
+from srcid.sources import RatParams
 from srcid.symmetrize import lascoux_symmetrized_sides, lascoux_tau_sides
 from srcid.wallcross import (
     hook_product_identity,
@@ -180,7 +181,8 @@ def test_criterion_08_symmetrization_formulas():
             - u1 * v1 - u2 * v1 - u1 * v2 - u2 * v2
             + 2 * u1 * u2 + 2 * v1 * v2
         )
-        lhs, rhs, _ = lascoux_symmetrized_sides(u, v, c, [Fraction(0), Fraction(1)])
+        point = RatParams(c=c, z=Fraction(1), u=u, v=v)
+        lhs, rhs, _ = lascoux_symmetrized_sides(point, [Fraction(0), Fraction(1)])
         assert lhs == poly and rhs == poly
         tau_expected = (
             2 * c**2
@@ -191,7 +193,7 @@ def test_criterion_08_symmetrization_formulas():
             )
             / ((u1 - v1) * (u1 - v2) * (u2 - v1) * (u2 - v2))
         )
-        tau_lhs, tau_rhs = lascoux_tau_sides(u, v, c)
+        tau_lhs, tau_rhs = lascoux_tau_sides(point)
         assert tau_lhs == tau_expected and tau_rhs == tau_expected
         checked += 1
 
@@ -201,7 +203,7 @@ def test_criterion_08_symmetrization_formulas():
         c, u1, v1 = fraction(), fraction(), fraction()
         if u1 == v1 or u1 - v1 in (c, -c):
             continue
-        tau_lhs, tau_rhs = lascoux_tau_sides((u1,), (v1,), c)
+        tau_lhs, tau_rhs = lascoux_tau_sides(RatParams(c=c, z=Fraction(1), u=(u1,), v=(v1,)))
         assert tau_lhs == tau_rhs == -c / (u1 - v1)
         hits += 1
     print("\nPASS criterion 8: symmetrization identities exact for n in [1,6]; "

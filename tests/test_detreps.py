@@ -118,7 +118,7 @@ def test_ik_1x1_is_minus_c():
         u, v, c = rand_fraction(rng), rand_fraction(rng), rand_fraction(rng)
         if v - u == 0 or v - u - c == 0:
             continue
-        assert izergin_korepin((u,), (v,), c) == -c
+        assert izergin_korepin(RatParams(c=c, z=Fraction(1), u=(u,), v=(v,))) == -c
 
 
 def test_ik_equals_cleared_polynomial():
@@ -135,12 +135,12 @@ def test_ik_equals_cleared_polynomial():
 def test_ik_is_minus_c_to_the_n_times_its_core():
     rng = random.Random(4)
     for n in range(1, 6):
-        params = sample_rational(rng, n, n)
+        params = replace(sample_rational(rng, n, n), z=Fraction(1))
         u, v, c = params.u, params.v, params.c
-        assert izergin_korepin(u, v, c) == (-c) ** n * izergin_korepin_core(u, v, c)
-        assert izergin_korepin(u, v, c) == izergin_korepin_core(u, v, c, (-c) ** n)
+        assert izergin_korepin(params) == (-c) ** n * izergin_korepin_core(params)
+        assert izergin_korepin(params) == izergin_korepin_core(params, (-c) ** n)
         # defined at c = 0, where the (-c)^n factor alone vanishes
-        assert izergin_korepin_core(u, v, Fraction(0)) != 0
+        assert izergin_korepin_core(replace(params, c=Fraction(0))) != 0
         # complex points keep the rounding of the prefactor written out in front
         uc, vc, cc = (tuple(complex(x) for x in xs) for xs in (u, v, (c,)))
         cc = cc[0]
@@ -149,13 +149,19 @@ def test_ik_is_minus_c_to_the_n_times_its_core():
         written /= prod(vc[j] - vc[i] for i in range(n) for j in range(i + 1, n))
         written /= prod(uc[i] - uc[j] for i in range(n) for j in range(i + 1, n))
         written *= det([[1 / ((vj - uk) * (vj - uk - cc)) for uk in uc] for vj in vc])
-        assert izergin_korepin(uc, vc, cc) == written
+        assert izergin_korepin(RatParams(c=cc, z=1 + 0j, u=uc, v=vc)) == written
 
 
 def test_ik_preconditions():
     params = RatParams(c=Fraction(1), z=Fraction(2), u=(Fraction(0),), v=(Fraction(5),))
     with pytest.raises(ValueError):
         det_rep("rational", "ik", "F", params)
+    # the IK functions check z == 1 and n == m themselves
+    unequal = replace(params, z=Fraction(1), v=(Fraction(5), Fraction(6)))
+    for point, message in ((params, "ik requires z == 1"), (unequal, "ik requires n == m")):
+        for call in (izergin_korepin, izergin_korepin_core):
+            with pytest.raises(ValueError, match=message):
+                call(point)
 
 
 def test_scalar_product_m1_z0_is_one():
@@ -476,7 +482,7 @@ def test_exact_families_equal_the_sums_and_the_fraction_oracles_at_every_size():
         assert type(value) is Fraction
         assert value == rational_P(params)
         assert value == (-params.c) ** n * ik_core_literal(params.u, params.v, params.c)
-        assert izergin_korepin_core(params.u, params.v, Fraction(0)) == ik_core_literal(
+        assert izergin_korepin_core(replace(params, c=Fraction(0))) == ik_core_literal(
             params.u, params.v, Fraction(0))
 
 
@@ -498,7 +504,7 @@ def test_all_int_parameters_give_the_exact_fraction():
                 value = det_rep(regime, "dwbc", side, point)
                 assert type(value) is Fraction, (regime, side, point)
                 assert value == source_subset_sum(regime, side, replace_all(point, Fraction))
-    core = izergin_korepin_core((1, 2), (4, 7), 1, 3)
+    core = izergin_korepin_core(RatParams(c=1, z=1, u=(1, 2), v=(4, 7)), 3)
     assert type(core) is Fraction
     assert core == ik_core_literal(*(tuple(map(Fraction, xs)) for xs in ((1, 2), (4, 7))),
                                    Fraction(1), 3)
@@ -548,7 +554,8 @@ def test_exact_degenerate_draws_raise_what_the_fraction_oracles_raise():
     for args in ((u, v, c), (v, u, c), (u, (Fraction(5), Fraction(5, 2)), c)):
         expected = outcome(ik_core_literal, *args)
         assert expected[0] == "ZeroDivisionError"
-        assert outcome(izergin_korepin_core, *args) == expected
+        point = RatParams(c=args[2], z=Fraction(1), u=args[0], v=args[1])
+        assert outcome(izergin_korepin_core, point) == expected
 
 
 def sample_elliptic(rng, n):

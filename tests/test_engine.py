@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from srcid import engine
+from srcid import detreps, engine, sources, symmetrize
 from srcid.engine import (
     PointContext,
     SamplingConfig,
@@ -19,7 +19,7 @@ from srcid.engine import (
     sample_params,
 )
 from srcid.fields import COMPLEX, EXACT
-from srcid.sources import theta_memo, theta_quotient
+from srcid.sources import RatParams, theta_memo, theta_quotient
 
 
 def test_registry_covers_every_kind():
@@ -205,6 +205,12 @@ def fraction_lascoux_accept(ctx, point):
     )
 
 
+def lascoux_general(point):
+    """engine._lascoux_general at the rational point z = 1 of (c, u, v)."""
+    c, u, v = point
+    return engine._lascoux_general(RatParams(c=c, z=Fraction(1), u=u, v=v))
+
+
 def test_lascoux_int_accept_agrees_with_the_fraction_predicate():
     ctx = PointContext(random.Random(83), EXACT, SamplingConfig(master_seed=1, points=1))
     rng = ctx.rng
@@ -217,7 +223,7 @@ def test_lascoux_int_accept_agrees_with_the_fraction_predicate():
         v = tuple(ctx.fraction(lo=-hi, hi=hi, nonzero=True) for _ in range(n))
         point = (c, u, v)
         want = fraction_lascoux_accept(ctx, point)
-        assert engine._lascoux_general(point) == want, point
+        assert lascoux_general(point) == want, point
         outcomes.append(want)
     assert 40 < sum(outcomes) < 360  # both outcomes are well covered
 
@@ -227,7 +233,7 @@ def test_lascoux_int_accept_agrees_with_the_fraction_predicate():
     u = (F(1, 2), F(-5, 3), F(9, 4))
     v = (F(7, 5), F(-1, 6), F(11, 8))
     assert fraction_lascoux_accept(ctx, (c, u, v))
-    assert engine._lascoux_general((c, u, v))
+    assert lascoux_general((c, u, v))
     broken = [
         (c, (u[0], u[0] + c, u[2]), v),  # u_1 - u_2 = -c
         (c, (u[0], u[0] - c, u[2]), v),  # u_1 - u_2 = c
@@ -239,10 +245,56 @@ def test_lascoux_int_accept_agrees_with_the_fraction_predicate():
         broken.append((-c, u, (u[1] + shift, v[1], v[2])))
     for point in broken:
         assert not fraction_lascoux_accept(ctx, point), point
-        assert not engine._lascoux_general(point), point
+        assert not lascoux_general(point), point
     # at c = 0 only the distinctness conditions remain, in both tests
     assert fraction_lascoux_accept(ctx, (F(0), u, v))
-    assert engine._lascoux_general((F(0), u, v))
+    assert lascoux_general((F(0), u, v))
+
+
+def exact_runner_checks(case_id, points):
+    """The checks of ``case_id``'s runner at its first seeded exact points."""
+    case, config = get_case(case_id), SamplingConfig()
+    for index in range(points):
+        seed = point_seed(config.master_seed, case_id, index)
+        yield case.runner(PointContext(random.Random(seed), EXACT, config))
+
+
+def test_divided_difference_second_check_compares_nonzero_values():
+    # the chain f[u_1..u_n] is 0 when deg f < n - 1; the second check leaves it out
+    for checks in exact_runner_checks("divided_difference_symmetrization", 100):
+        _, form, via_source = checks[1]
+        assert form != 0 and via_source != 0
+
+
+@pytest.mark.parametrize("case_id, scalings", [
+    ("divided_difference_symmetrization", 1),
+    ("tau_shift_symmetrization", 1),
+    ("symmetrization_reduction_identity", 1),
+    # once for the draw, once for its z = 1 point, which IK and P share
+    ("rational_ik", 2),
+])
+def test_a_drawn_exact_point_is_scaled_once_per_point_object(monkeypatch, case_id, scalings):
+    scaled, drawn = [], []
+    real = sources.to_integers
+
+    def counting(values):
+        scaled.append(tuple(values))
+        return real(values)
+
+    for module in (sources, symmetrize, detreps):
+        monkeypatch.setattr(module, "to_integers", counting)
+    if case_id == "rational_ik":
+        sample = PointContext.sample_rational
+        monkeypatch.setattr(PointContext, "sample_rational",
+                            lambda ctx, n, m: drawn.append(sample(ctx, n, m)) or drawn[-1])
+    else:
+        draw = engine._lascoux_point
+        monkeypatch.setattr(engine, "_lascoux_point",
+                            lambda ctx, n: drawn.append(draw(ctx, n)) or drawn[-1])
+    for _ in exact_runner_checks(case_id, 20):
+        point = drawn.pop()
+        assert scaled.count((point.c, *point.u, *point.v)) == scalings
+        scaled.clear()
 
 
 def test_swap_vanishing_runners_substitute_into_the_smaller_side(monkeypatch):

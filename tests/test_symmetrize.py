@@ -8,6 +8,7 @@ from itertools import permutations
 
 import pytest
 
+from srcid.sources import RatParams
 from srcid.symmetrize import (
     PERM_CAP,
     divided_difference,
@@ -49,6 +50,11 @@ def lascoux_point(rng, n):
         dens += [a - b - c for a in u for b in u if a != b]
         if all(d != 0 for d in dens):
             return c, u, v
+
+
+def at(c, u, v):
+    """The rational point at z = 1 that the sides and source routes take."""
+    return RatParams(c=c, z=Fraction(1), u=tuple(u), v=tuple(v))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +428,7 @@ def test_symmetrization_n2_closed_polynomial():
     hits = 0
     while hits < 12:
         c, u, v = lascoux_point(rng, 2)
-        lhs, rhs, _ = lascoux_symmetrized_sides(u, v, c, [Fraction(0), Fraction(1)])
+        lhs, rhs, _ = lascoux_symmetrized_sides(at(c, u, v), [Fraction(0), Fraction(1)])
         expected = N2_EXPECTED(u[0], u[1], v[0], v[1], c)
         assert lhs == expected
         assert rhs == expected
@@ -434,7 +440,7 @@ def test_symmetrization_c_zero_vanishes():
     for n in (2, 3, 4):
         _, u, v = lascoux_point(rng, n)
         coeffs = [rand_fraction(rng) for _ in range(n)]
-        lhs, rhs, _ = lascoux_symmetrized_sides(u, v, Fraction(0), coeffs)
+        lhs, rhs, _ = lascoux_symmetrized_sides(at(Fraction(0), u, v), coeffs)
         assert lhs == 0
         assert rhs == 0
 
@@ -445,7 +451,7 @@ def test_symmetrization_identity_exact():
         c, u, v = lascoux_point(rng, n)
         degree = rng.randint(0, n)
         coeffs = [rand_fraction(rng) for _ in range(degree + 1)]
-        lhs, rhs, _ = lascoux_symmetrized_sides(u, v, c, coeffs)
+        lhs, rhs, _ = lascoux_symmetrized_sides(at(c, u, v), coeffs)
         assert lhs == rhs
 
 
@@ -454,15 +460,16 @@ def test_symmetrization_rhs_via_source_polynomial():
     for n in (2, 3, 4):
         c, u, v = lascoux_point(rng, n)
         coeffs = [rand_fraction(rng) for _ in range(n)]
-        _, rhs, chain = lascoux_symmetrized_sides(u, v, c, coeffs)
-        assert chain == newton_chain(coeffs, u)
-        assert rhs == lascoux_rhs_via_source(u, v, c, chain)
+        point = at(c, u, v)
+        _, rhs, form = lascoux_symmetrized_sides(point, coeffs)
+        assert rhs == form * newton_chain(coeffs, u)
+        assert form == lascoux_rhs_via_source(point)
 
 
 def test_tau_symmetrization_n1():
     rng = random.Random(43)
     c, u, v = lascoux_point(rng, 1)
-    lhs, rhs = lascoux_tau_sides(u, v, c)
+    lhs, rhs = lascoux_tau_sides(at(c, u, v))
     assert lhs == -c / (u[0] - v[0])
     assert rhs == lhs
 
@@ -490,7 +497,7 @@ def test_tau_symmetrization_n2_closed_form():
         )
         / ((u1 - v1) * (u1 - v2) * (u2 - v1) * (u2 - v2))
     )
-    lhs, rhs = lascoux_tau_sides(u, v, c)
+    lhs, rhs = lascoux_tau_sides(at(c, u, v))
     assert lhs == expected
     assert rhs == expected
 
@@ -499,7 +506,7 @@ def test_tau_symmetrization_c_zero():
     rng = random.Random(53)
     for n in (1, 2, 3):
         _, u, v = lascoux_point(rng, n)
-        lhs, rhs = lascoux_tau_sides(u, v, Fraction(0))
+        lhs, rhs = lascoux_tau_sides(at(Fraction(0), u, v))
         assert lhs == 0
         assert rhs == 0
 
@@ -508,7 +515,7 @@ def test_tau_symmetrization_identity_exact():
     rng = random.Random(59)
     for n in (1, 2, 3, 4, 5):
         c, u, v = lascoux_point(rng, n)
-        lhs, rhs = lascoux_tau_sides(u, v, c)
+        lhs, rhs = lascoux_tau_sides(at(c, u, v))
         assert lhs == rhs
 
 
@@ -516,15 +523,16 @@ def test_tau_rhs_via_shifted_source_polynomial():
     rng = random.Random(61)
     for n in (1, 2, 3):
         c, u, v = lascoux_point(rng, n)
-        _, rhs = lascoux_tau_sides(u, v, c)
-        assert rhs == lascoux_tau_rhs_via_source(u, v, c)
+        point = at(c, u, v)
+        _, rhs = lascoux_tau_sides(point)
+        assert rhs == lascoux_tau_rhs_via_source(point)
 
 
 def test_reduction_identity_exact():
     rng = random.Random(67)
     for n in (2, 3, 4, 5):
         c, u, v = lascoux_point(rng, n)
-        lhs, rhs = reduction_identity_sides(u, v, c)
+        lhs, rhs = reduction_identity_sides(at(c, u, v))
         assert lhs == rhs
 
 
@@ -562,11 +570,12 @@ def test_sides_lhs_is_the_binomial_sum_over_fraction_slots():
                     for ell in range(1, n + 1)
                 )
 
-            lhs, _, _ = lascoux_symmetrized_sides(u, v, c, coeffs)
+            point = at(c, u, v)
+            lhs, _, _ = lascoux_symmetrized_sides(point, coeffs)
             assert lhs == theta_sum(cache(lambda x: poly_eval(coeffs, x)))
             assert type(lhs) is Fraction
 
-            lhs, _ = lascoux_tau_sides(u, v, c)
+            lhs, _ = lascoux_tau_sides(point)
             assert lhs == sum(
                 (-1) ** t * math.comb(n, t) * sym_c_literal([one] * t + [ratio] * (n - t), u, c)
                 for t in range(n + 1)
@@ -574,23 +583,25 @@ def test_sides_lhs_is_the_binomial_sum_over_fraction_slots():
             assert type(lhs) is Fraction
 
             if n >= 2 and c:  # its rhs divides by c
-                lhs, _ = reduction_identity_sides(u, v, c)
+                lhs, _ = reduction_identity_sides(point)
                 assert lhs == theta_sum(cache(lambda x: Fraction(int(x == u[0]))))
                 assert type(lhs) is Fraction
 
 
-@pytest.mark.parametrize("sizes", [(3, 4), (4, 3), (0, 0)])
+@pytest.mark.parametrize("sizes", [(3, 4), (4, 3), (0, 0), (4, 4, Fraction(2))])
 def test_sides_and_source_routes_reject_unequal_or_empty_sizes(sizes):
+    # (n, m) at z = 1, or (n, n, z) at a z != 1
     rng = random.Random(79)
     c, u, v = lascoux_point(rng, 4)
-    u, v = u[:sizes[0]], v[:sizes[1]]
+    n, m, z = (*sizes, Fraction(1))[:3]
+    point = RatParams(c=c, z=z, u=u[:n], v=v[:m])
     coeffs = [Fraction(1), Fraction(2)]
     for call in (
-        lambda: lascoux_symmetrized_sides(u, v, c, coeffs),
-        lambda: lascoux_rhs_via_source(u, v, c, Fraction(1)),
-        lambda: lascoux_tau_sides(u, v, c),
-        lambda: lascoux_tau_rhs_via_source(u, v, c),
-        lambda: reduction_identity_sides(u, v, c),
+        lambda: lascoux_symmetrized_sides(point, coeffs),
+        lambda: lascoux_rhs_via_source(point),
+        lambda: lascoux_tau_sides(point),
+        lambda: lascoux_tau_rhs_via_source(point),
+        lambda: reduction_identity_sides(point),
     ):
         with pytest.raises(ValueError, match="needs len"):
             call()
@@ -602,9 +613,11 @@ def test_symmetrization_identities_beyond_the_registry_sizes():
     for n in range(7, PERM_CAP + 1):
         c, u, v = lascoux_point(rng, n)
         coeffs = [rand_fraction(rng) for _ in range(n + 1)]
-        lhs, rhs, chain = lascoux_symmetrized_sides(u, v, c, coeffs)
-        assert lhs == rhs == lascoux_rhs_via_source(u, v, c, chain)
-        lhs, rhs = lascoux_tau_sides(u, v, c)
-        assert lhs == rhs == lascoux_tau_rhs_via_source(u, v, c)
-        lhs, rhs = reduction_identity_sides(u, v, c)
+        point = at(c, u, v)
+        lhs, rhs, form = lascoux_symmetrized_sides(point, coeffs)
+        assert lhs == rhs == form * newton_chain(coeffs, u)
+        assert form == lascoux_rhs_via_source(point)
+        lhs, rhs = lascoux_tau_sides(point)
+        assert lhs == rhs == lascoux_tau_rhs_via_source(point)
+        lhs, rhs = reduction_identity_sides(point)
         assert lhs == rhs
