@@ -109,10 +109,14 @@ def run(args) -> tuple:
     try:
         modules = package_files()
         from srcid.cli import main as srcid_main
-        from srcid.engine import match_cases
+        from srcid.engine import UnknownCaseError, match_cases
 
         fields = FIELDS if args.field == "both" else (args.field,)
-        fields = [f for f in fields if match_cases(args.case, field_name=f)]
+        try:
+            fields = [f for f in fields if match_cases(args.case, field_name=f)]
+        except UnknownCaseError as exc:
+            print(f"error: no case matches {exc.args[0]!r}", file=sys.stderr)
+            return 2, modules, ran
         if not fields:
             print("error: no case matches the selection", file=sys.stderr)
             return 2, modules, ran

@@ -177,12 +177,10 @@ def _cmd_list(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _config_from_args(args)
-    patterns = args.case
-    if patterns:
-        for pattern in patterns:
-            if not engine.match_cases([pattern], regime="all"):
-                raise UsageError(f"no case matches {pattern!r}")
-    cases = engine.match_cases(patterns, regime=args.regime, field_name=args.field)
+    try:
+        cases = engine.match_cases(args.case, regime=args.regime, field_name=args.field)
+    except UnknownCaseError as exc:
+        raise UsageError(f"no case matches {exc.args[0]!r}") from None
     if not cases:
         raise UsageError("selection matches no runnable case")
     with _output(args.out) as out:

@@ -355,11 +355,17 @@ class PointContext:
                 return tuple(tuple(complex(x) for x in row) for row in rows)
 
     def eta_nodes(self, size: int) -> tuple:
+        """``size`` distinct nonzero a/b with |a| <= 9 and 1 <= b <= 4; the pool
+        holds 50 values, so a larger ``size`` raises ``SamplingError``."""
         vals: list = []
-        while len(vals) < size:
-            x = Fraction(self.rng.randint(-9, 9), self.rng.randint(1, 4))
-            if x != 0 and x not in vals:
-                vals.append(x)
+        for _ in range(size):
+            for _ in range(RESAMPLE_CAP):
+                x = Fraction(self.rng.randint(-9, 9), self.rng.randint(1, 4))
+                if x != 0 and x not in vals:
+                    vals.append(x)
+                    break
+            else:
+                raise SamplingError("could not draw distinct eta nodes")
         if self.exact:
             return tuple(vals)
         return tuple(complex(float(x)) for x in vals)
@@ -429,17 +435,23 @@ def list_cases() -> list:
 
 
 def match_cases(patterns, regime: str = "all", field_name: Optional[str] = None) -> list:
-    """Select registered cases by glob patterns, regime, and field support."""
-    selected = []
-    for case in list_cases():
-        if patterns and not any(fnmatch.fnmatch(case.case_id, p) for p in patterns):
-            continue
-        if regime not in ("all", case.regime):
-            continue
-        if field_name is not None and field_name not in case.fields:
-            continue
-        selected.append(case)
-    return selected
+    """Select registered cases by glob patterns, regime, and field support.
+
+    Each pattern is matched against the registered case ids once, and the
+    first pattern that matches none raises ``UnknownCaseError(pattern)``,
+    whatever the regime and field.
+    """
+    cases = list_cases()
+    if patterns:
+        ids, chosen = [case.case_id for case in cases], set()
+        for pattern in patterns:
+            hits = fnmatch.filter(ids, pattern)
+            if not hits:
+                raise UnknownCaseError(pattern)
+            chosen.update(hits)
+        cases = [case for case in cases if case.case_id in chosen]
+    return [case for case in cases if regime in ("all", case.regime)
+            and (field_name is None or field_name in case.fields)]
 
 
 # ---------------------------------------------------------------------------

@@ -75,14 +75,13 @@ sums of ``engine``'s q-identity cases and the chi_t sums of ``wallcross``
 read its per-size sums unweighted.  The hard size cap is max(n, m) <= 12.
 
 Exact rational, trig and trig_lambda points (every scalar an int or a
-Fraction) walk Python ints instead of Fractions, so no step pays a gcd.
-``fields.to_integers`` makes u and v (and c) ints, times their L, and the
-shift of an integer y is written sigma(y) = (alpha y + beta) / gamma:
-(1, c L, 1) in the rational regime, (a, 0, b) in the trigonometric ones,
-where q = a/b.  The sum is multiplied by D = prod_{i<j} (x_i - x_j) over
-the summed variables x, which clears every pair ratio
-(``integer_pair_tables`` builds the pair tables and D; ``symmetrize.sym_c``
-takes its tables from it too):
+Fraction) walk Python ints instead of Fractions.  ``fields.to_integers``
+makes u and v (and c) ints, times their L, and the shift of an integer y
+is written sigma(y) = (alpha y + beta) / gamma: (1, c L, 1) in the
+rational regime, (a, 0, b) in the trigonometric ones, where q = a/b.  The
+sum is multiplied by D = prod_{i<j} (x_i - x_j) over the summed variables
+x, which clears every pair ratio (``integer_pair_tables`` builds the pair
+tables; ``symmetrize.sym_c`` takes its tables from it too):
 
 * a pair on the same side of K contributes x_lo - x_hi (the kernel's
   ``same`` table);
@@ -96,13 +95,29 @@ takes its tables from it too):
   of all summed variables, and each of their members carries gamma per
   partner; each non-member of P and Q carries 1/gamma per partner.
 
-The exponent of gamma in a term depends on |K| alone, so the powers are
-folded into the size weights.  F and G are homogeneous of degree 0 in
-(u, v, c) and do not see L, but P and Q have degree size * partners, so
-they are divided by L^(size * partners).  The one division at the end
-raises ``ZeroDivisionError`` where the Fraction tables did: at a repeated
-summed variable (D = 0) and, for F and G, where some d(v_i, sigma u_k) = 0.
-Every other point (elliptic, complex or float) walks the table of d ratios.
+Before the walk, the content of each choice set is divided out of these
+tables (the content and primitive part of von zur Gathen and Gerhard,
+Modern Computer Algebra, section 6.2).  Every term takes exactly one value
+from each set: one of same[t][i], cross[t][i] and cross[i][t] for a pair
+i < t, one of the two member values of an index t.  So dividing each set
+by its gcd divides every S_s by one int, the product of the gcds.  The
+entries are L (or a power of L) times values with small denominators, so
+most of their bits are content: at n = 12 the step takes an S_s from about
+5700 bits to about 1400.  F and G form D and the non-member product from
+the reduced tables, and the product cancels exactly; in P and Q the pair
+gcds cancel against D, and the product of the member gcds is multiplied
+back once.  A set whose values are all 0 (gcd 0) is left as it is.
+
+The exponent of gamma in a term depends on |K| alone, so the powers of
+gamma and the weights w(s) are brought over one denominator as ints, and
+the sum is one Fraction, made at the end.  F and G are homogeneous of
+degree 0 in (u, v, c) and do not see L, but P and Q have degree size *
+partners, so they are divided by L^(size * partners).  The one division at
+the end raises ``ZeroDivisionError`` where the Fraction tables did: at a
+repeated summed variable (D = 0, since a zero in ``same`` stays 0) and,
+for F and G, where some d(v_i, sigma u_k) = 0 (a zero non-member value
+stays 0).  Every other point (elliptic, complex or float) walks the table
+of d ratios.
 
 An exact point is scaled once.  ``_integer_point`` is the one scaler of a
 core point; called without extra values, it keeps its result (the ints of
@@ -114,7 +129,9 @@ reuse that scaling; the bs nodes are scaled afresh together with the point.
 The lascoux points are rational points at z = 1: the engine's accept test
 scales one, and the ``symmetrize`` sides, their P routes and the IK
 determinants of ``detreps`` read that int form back, as the ik case's P
-and IK share the scaling of its z = 1 point.
+and IK share the scaling of its z = 1 point.  The tau identity's point
+(u, v + c) is not scaled either: ``_shifted_by_c`` derives its int form
+from the drawn point's.
 Like ``thetas``, the field takes no part in ``__init__``, ``==``, ``hash``
 or ``repr``, ``dataclasses.replace`` starts an empty memo, and there is no
 module-level cache.  At an exact point ``general_position`` lists ints:
@@ -302,9 +319,9 @@ def _q_scale(params, k):
 
 def _signed_powers(z, size):
     # (-z)^s for s = 0..size
-    out = [z - z + 1]
+    out, step = [z - z + 1], -z
     for _ in range(size):
-        out.append(out[-1] * -z)
+        out.append(out[-1] * step)
     return out
 
 
@@ -569,18 +586,37 @@ def _scaled_point(regime, params, names, extra):
     return params, (xs[:n], xs[n:n + m], lcm, sigma, xs[n + m:])
 
 
+def _shifted_by_c(params):
+    """The rational point ``params`` with v + c, its int form derived from
+    that of ``params`` when that has one.
+
+    v_i = (v_i + c) - c, so the shifted values have the same lcm L, and
+    their ints are b + g for the ints b of v and g = L c: the shifted point
+    is not scaled again.
+    """
+    v = tuple(x + params.c for x in params.v)
+    shifted = replace(params, v=v)
+    fractions, scaling = _integer_point("rational", params)
+    if scaling is not None:
+        a, b, lcm, sigma, extra = scaling
+        copy = None if fractions is params else replace(fractions, v=v)
+        shifted.ints["rational"] = (copy, (a, [y + sigma[1] for y in b], lcm, sigma, extra))
+    return shifted
+
+
 def integer_pair_tables(xs, sigma):
-    """(cross, same, D) over the ints xs for a shift sigma = (alpha, beta, gamma).
+    """(cross, same) over the ints xs for a shift sigma = (alpha, beta, gamma).
 
     cross[a][b] = gamma (x_a - sigma x_b) with the sign of D's factor
-    x_lo - x_hi over x_a - x_b (None on the diagonal), same[t][i] = x_i - x_t
-    for i < t, and D = prod_{i<t} (x_i - x_t).
+    x_lo - x_hi over x_a - x_b (None on the diagonal) and same[t][i] =
+    x_i - x_t for i < t, so D = prod_{i<t} (x_i - x_t) is the product of
+    ``same``.
     """
     alpha, beta, gamma = sigma
     same = [[xs[i] - xs[t] for i in range(t)] for t in range(len(xs))]
     cross = [[gamma * x - alpha * y - beta if a < b else alpha * y + beta - gamma * x
               if a > b else None for b, y in enumerate(xs)] for a, x in enumerate(xs)]
-    return cross, same, prod(prod(row) for row in same)
+    return cross, same
 
 
 def integer_member_products(u, v, sigma, vside):
@@ -597,26 +633,53 @@ def integer_member_products(u, v, sigma, vside):
             [prod(gamma * x - alpha * y - beta for x in v) for y in u])
 
 
+def _divide_content(cross, same, inside, outside):
+    """Divide the gcd of each choice set out of the int tables, in place, and
+    return the product of the member sets' gcds (module docstring).
+
+    The choice sets are {same[t][i], cross[t][i], cross[i][t]} for i < t and
+    {inside[t], outside[t]}; a set of zeros (gcd 0) is left as it is.
+    """
+    for t, near in enumerate(same):
+        row = cross[t]
+        for i, x in enumerate(near):
+            g = math.gcd(x, row[i], cross[i][t])
+            if g > 1:
+                near[i] = x // g
+                row[i] //= g
+                cross[i][t] //= g
+    content = 1
+    for t, x in enumerate(inside):
+        g = math.gcd(x, outside[t])
+        if g > 1:
+            inside[t] = x // g
+            outside[t] //= g
+            content *= g
+    return content
+
+
 def _integer_sum(weights, scaling, vside, cleared):
     """The kernel's sum over ints, divided once at the end (module docstring)."""
     u, v, lcm, sigma, _ = scaling
     gamma = sigma[2]
     xs, partners = (v, len(u)) if vside else (u, len(v))
     size = len(xs)
-    cross, same, divisor = integer_pair_tables(xs, sigma)
-    pair = _pair_table(cross, vside)
+    cross, same = integer_pair_tables(xs, sigma)
     inside, outside = integer_member_products(u, v, sigma, vside)
-    if gamma != 1:
-        # 1/gamma per separated pair, and per partner gamma for each member
-        # (F, G) or 1/gamma for each non-member (P, Q)
-        g = Fraction(gamma)
-        weights = [
-            w * g ** (-s * (size - s) + (-(size - s) if cleared else s) * partners)
-            for s, w in enumerate(weights)
-        ]
-    total = _subset_sum(weights, pair, inside, outside, same)
-    divisor *= lcm ** (size * partners) if cleared else prod(outside)
-    return total / divisor
+    content = _divide_content(cross, same, inside, outside)
+    by_size = subset_sums_by_size(_pair_table(cross, vside), inside, outside, same)
+    # the power of gamma per size: 1/gamma per separated pair, and per
+    # partner gamma for each member (F, G) or 1/gamma for each non-member (P, Q)
+    powers = [-s * (size - s) + (-(size - s) if cleared else s) * partners
+              for s in range(size + 1)]
+    low = min(powers)
+    denominator = math.lcm(*(w.denominator for w in weights))
+    total = sum(w.numerator * (denominator // w.denominator) * gamma ** (e - low) * x
+                for w, e, x in zip(weights, powers, by_size))
+    denominator *= gamma ** -low * prod(map(prod, same))
+    if cleared:
+        return Fraction(total * content, denominator * lcm ** (size * partners))
+    return Fraction(total, denominator * prod(outside))
 
 
 def _source(regime, side, params):

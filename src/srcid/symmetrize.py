@@ -47,23 +47,24 @@ The sides functions and the source routes take a rational point at z = 1
 (a ``sources.RatParams`` with len(u) == len(v) >= 1) and read its one int
 form from ``sources._integer_point``: the ints (g, a, b) = L (c, u, v),
 kept on the point, so the engine's accept test, the sides, the IK
-determinants and P share one scaling.  Every slot row (the root products,
-the tau numerators, f and the pin of u_1) is ints computed from them, and
-sym_c walks Python ints at (a, g), where Delta is unchanged and the
-scalings of u and c cost nothing.  Each lhs is divided by the slots'
-common scale once.
+determinants and P share one scaling; the tau identity's point
+(u, v + c) takes its ints (a, b + g) from it (``sources._shifted_by_c``).
+A point with a complex or float value raises ``TypeError``.  Every slot
+row (the root products, the tau numerators, f and the pin of u_1) is ints
+computed from them, and sym_c walks Python ints at (a, g), where Delta is
+unchanged and the scalings of u and c cost nothing.  Each lhs is divided
+by the slots' common scale once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 from .detreps import izergin_korepin, izergin_korepin_core
 from .fields import is_exact, to_integers
 from .linalg import prod
-from .sources import _integer_point, integer_pair_tables, rational_P
+from .sources import _integer_point, _shifted_by_c, integer_pair_tables, rational_P
 
 PERM_CAP = 10
 
@@ -144,7 +145,8 @@ def sym_c(slots, u, c):
     if len(set(u)) != n:
         raise ZeroDivisionError("sym_c needs pairwise distinct points")
     before, at, after = slots
-    pair, _, divisor = integer_pair_tables(u, (1, c, 1))
+    pair, same = integer_pair_tables(u, (1, c, 1))
+    divisor = prod(map(prod, same))
     size = 1 << n
     lead, done = [0] * size, [0] * size
     lead[0] = 1
@@ -178,6 +180,15 @@ def _size(point):
     if len(point.v) != n or not n or point.z != 1:
         raise ValueError("needs len(u) == len(v) >= 1 and z == 1")
     return n
+
+
+def _int_form(point):
+    """The int form (a, b, L, sigma, extra) of ``sources._integer_point`` at the
+    rational ``point``; ``TypeError`` at a point with a complex or float value."""
+    _, scaling = _integer_point("rational", point)
+    if scaling is None:
+        raise TypeError("a symmetrization side needs ints and Fractions")
+    return scaling
 
 
 def _root_row(a, b, shift):
@@ -244,7 +255,7 @@ def lascoux_symmetrized_sides(point, coeffs):
     values / M (``_poly_row``), so the sum is divided by M L^{n(n-1)} once.
     """
     n = _size(point)
-    _, (a, b, lcm, (_, g, _), _) = _integer_point("rational", point)
+    a, b, lcm, (_, g, _), _ = _int_form(point)
     values, scale = _poly_row(coeffs, a, lcm)
     lhs = _theta_sum(values, a, b, g) / (scale * lcm ** (n * (n - 1)))
 
@@ -281,14 +292,13 @@ def lascoux_tau_sides(point):
     t = n is W Sym_c(1) = n! W, so it adds (-1)^n n! with no walk.
     """
     n = _size(point)
-    _, (a, b, _, (_, g, _), _) = _integer_point("rational", point)
+    a, b, _, (_, g, _), _ = _int_form(point)
     den, num = _root_row(a, b, 0), _root_row(a, b, -g)
     walk = sym_c(([den] * n, _binomial_rows(num, n), [num] * n), a, g)
     lhs = walk / prod(den) + (-1) ** n * math.factorial(n)
 
-    u, v, c = point.u, point.v, point.c
-    shifted = replace(point, v=tuple(x + c for x in v))
-    rhs = math.factorial(n) * (-1) ** n * izergin_korepin(shifted)
+    u, v = point.u, point.v
+    rhs = math.factorial(n) * (-1) ** n * izergin_korepin(_shifted_by_c(point))
     rhs /= prod(vi - uk for vi in v for uk in u)
     return lhs, rhs
 
@@ -296,8 +306,8 @@ def lascoux_tau_sides(point):
 def lascoux_tau_rhs_via_source(point):
     """tau-identity rhs as n! / prod (u_j - v_k) * P_{n,n}^{(z=1)}(u | v + c)."""
     n = _size(point)
-    u, v, c = point.u, point.v, point.c
-    p_val = rational_P(replace(point, v=tuple(x + c for x in v)))
+    u, v = point.u, point.v
+    p_val = rational_P(_shifted_by_c(point))
     return math.factorial(n) * p_val / prod(uj - vk for uj in u for vk in v)
 
 
@@ -318,7 +328,7 @@ def reduction_identity_sides(point):
     ``sources._integer_point`` and divided by L^{n(n-1)} once.
     """
     n = _size(point)
-    _, (a, b, lcm, (_, g, _), _) = _integer_point("rational", point)
+    a, b, lcm, (_, g, _), _ = _int_form(point)
     pin = [1] + [0] * (n - 1)
     lhs = _theta_sum(pin, a, b, g) / lcm ** (n * (n - 1))
 

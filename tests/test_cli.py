@@ -55,6 +55,21 @@ def test_verify_unknown_case_exit_two(capsys):
     assert "no case matches" in err
 
 
+def test_verify_names_the_first_unmatched_pattern_after_one_registry_scan(capsys, monkeypatch):
+    scans = []
+    list_cases = engine.list_cases
+    monkeypatch.setattr(engine, "list_cases", lambda: scans.append(1) or list_cases())
+    code, _, err = run_cli(capsys, "verify", "--case", "rational_ik", "--case", "no_such_*",
+                           "--case", "other_missing")
+    assert code == 2
+    assert "no case matches 'no_such_*'" in err and "other_missing" not in err
+    assert len(scans) == 1
+    # the selection keeps the registry order, whatever the pattern order
+    selected = engine.match_cases(["trig_mpt_?", "rational_*"], field_name="exact")
+    assert [c.case_id for c in selected] == sorted(c.case_id for c in selected)
+    assert {c.regime for c in selected} == {"rational", "trig"}
+
+
 def test_verify_bad_flag_exit_two(capsys):
     code, _, _ = run_cli(capsys, "verify", "--field", "imaginary")
     assert code == 2

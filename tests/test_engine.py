@@ -294,6 +294,8 @@ def test_a_drawn_exact_point_is_scaled_once_per_point_object(monkeypatch, case_i
     for _ in exact_runner_checks(case_id, 20):
         point = drawn.pop()
         assert scaled.count((point.c, *point.u, *point.v)) == scalings
+        # tau's point (u, v + c) takes its int form from the drawn point's
+        assert (point.c, *point.u, *(x + point.c for x in point.v)) not in scaled
         scaled.clear()
 
 
@@ -337,6 +339,27 @@ def test_attempt_raises_after_cap():
     ctx = PointContext(random.Random("y"), EXACT, cfg)
     with pytest.raises(SamplingError):
         ctx.attempt(lambda: 0, lambda x: False)
+
+
+def test_eta_nodes_raise_once_their_pool_of_fifty_values_is_drawn():
+    from srcid.engine import SamplingError
+
+    def uncapped(rng, size):
+        # the draw without a cap, which never ends at size 51
+        vals = []
+        while len(vals) < size:
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            if x != 0 and x not in vals:
+                vals.append(x)
+        return tuple(vals)
+
+    cfg = SamplingConfig(master_seed=1, points=1)
+    for size in (0, 1, 5, 12, 50):
+        ctx = PointContext(random.Random(size), EXACT, cfg)
+        assert ctx.eta_nodes(size) == uncapped(random.Random(size), size)
+    ctx = PointContext(random.Random("eta"), EXACT, cfg)
+    with pytest.raises(SamplingError):
+        ctx.eta_nodes(51)
 
 
 def test_sampling_failure_recorded_per_point():

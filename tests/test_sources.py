@@ -855,6 +855,111 @@ def test_integer_walk_raises_where_the_tables_divide_by_zero():
         assert_integer_walk_matches_literal(regime, repeated_v, "GQ")
 
 
+def table_walk(regime, side, params):
+    """F, G, P or Q by the kernel over Fraction tables, the walk of a point
+    without an int form."""
+    import srcid.sources as sources
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sources, "_integer_point", lambda regime, params: (params, None))
+        return sources._source(regime, side, as_fractions(params))
+
+
+def outcome(regime, side, params, walk):
+    try:
+        return walk(regime, side, params)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def large_lcm_point(rng, regime, n, m):
+    """A point whose denominators are products of two of three large primes,
+    so that L has more than 25 bits."""
+    primes = (7919, 104729, 1299709)
+
+    def draw():
+        return Fraction(rng.randint(-10**6, 10**6) or 1, rng.choice(primes) * rng.choice(primes))
+
+    u, v = tuple(draw() for _ in range(n)), tuple(draw() for _ in range(m))
+    if regime == "rational":
+        return RatParams(c=draw(), z=Fraction(-3, 11), u=u, v=v)
+    return TrigParams(q=Fraction(-7, 5), z=Fraction(5, 13), u=u, v=v, lam=Fraction(2, 9))
+
+
+def test_reduced_int_walk_matches_the_fraction_table_walk():
+    # summed sizes 1..12: every side at n = m <= 8; above, one side per
+    # regime against two partners (the Fraction tables cost seconds there)
+    import srcid.sources as sources
+
+    rng = random.Random(131)
+    for n in range(1, 13):
+        for regime in ("rational", "trig", "trig_lambda"):
+            all_sides = "FG" if regime == "trig_lambda" else "FGPQ"
+            sides = all_sides if n <= 8 else all_sides[n % len(all_sides)]
+            sizes = (n, n) if n <= 8 else (2, n) if sides in "FP" else (n, 2)
+            for large in ((False, True) if n <= 8 else (n % 3 == 0,)):
+                if large:
+                    params = large_lcm_point(rng, regime, *sizes)
+                    assert denominators_lcm(params).bit_length() > 25
+                else:
+                    params = exact_point(rng, regime, *sizes)
+                for side in sides:
+                    kernel = outcome(regime, side, params, sources._source)
+                    assert type(kernel) is Fraction, (regime, side, n)
+                    assert kernel == table_walk(regime, side, params), (regime, side, n, large)
+
+
+def test_reduced_int_walk_raises_where_the_fraction_tables_do():
+    import srcid.sources as sources
+
+    rng = random.Random(137)
+    points = []
+    for regime in ("rational", "trig"):
+        for n, m in ((1, 1), (2, 3), (3, 2), (4, 4)):
+            for draw in (exact_point, large_lcm_point):
+                points += [(regime, p) for p in moved_onto_coincidences(regime, draw(rng, regime, n, m))]
+    # sets whose values are all 0: a repeated 0 of trig's summed u, and at
+    # c = 0 a v_i = u_k that is also sigma u_k
+    F = Fraction
+    points.append(("trig", TrigParams(q=F(-3, 2), z=F(3, 7), u=(F(0), F(1, 2), F(0)), v=(F(5, 3),))))
+    points.append(("rational", RatParams(c=F(0), z=F(2, 5), u=(F(1, 2), F(2)), v=(F(1, 2), F(7, 3)))))
+    raised = 0
+    for regime, params in points:
+        for side in "FGPQ":
+            expected = outcome(regime, side, params, table_walk)
+            assert outcome(regime, side, params, sources._source) == expected, (regime, side, params)
+            raised += expected is ZeroDivisionError
+    assert raised > 20
+
+
+def test_every_choice_set_reaches_the_kernel_with_gcd_one(monkeypatch):
+    # each pair's {same, pair[t][i], pair[i][t]} and each index's {inside, outside}
+    import srcid.sources as sources
+
+    seen = []
+    kernel = sources.subset_sums_by_size
+
+    def spy(pair, inside=None, outside=None, same=None, one=1):
+        seen.append((pair, inside, outside, same))
+        return kernel(pair, inside, outside, same, one)
+
+    monkeypatch.setattr(sources, "subset_sums_by_size", spy)
+    rng = random.Random(139)
+    for regime in ("rational", "trig", "trig_lambda"):
+        for n, m in ((1, 3), (3, 1), (4, 4), (6, 5)):
+            for draw in (exact_point, large_lcm_point):
+                params = draw(rng, regime, n, m)
+                assert denominators_lcm(params) > 1
+                for side in ("FG" if regime == "trig_lambda" else "FGPQ"):
+                    seen.clear()
+                    sources._source(regime, side, params)
+                    (pair, inside, outside, same), = seen
+                    for t in range(len(pair)):
+                        assert math.gcd(inside[t], outside[t]) == 1, (regime, side, t)
+                        for i in range(t):
+                            assert math.gcd(same[t][i], pair[t][i], pair[i][t]) == 1
+
+
 def test_elliptic_sums_at_nome_zero_are_the_lambda_weighted_trig_sums():
     rng = random.Random(83)
     for n in range(0, 6):
