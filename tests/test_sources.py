@@ -904,7 +904,7 @@ def test_reduced_int_walk_matches_the_fraction_table_walk():
                 else:
                     params = exact_point(rng, regime, *sizes)
                 for side in sides:
-                    kernel = outcome(regime, side, params, sources._source)
+                    kernel = sources._source(regime, side, params)
                     assert type(kernel) is Fraction, (regime, side, n)
                     assert kernel == table_walk(regime, side, params), (regime, side, n, large)
 
@@ -917,17 +917,20 @@ def test_reduced_int_walk_raises_where_the_fraction_tables_do():
     for regime in ("rational", "trig"):
         for n, m in ((1, 1), (2, 3), (3, 2), (4, 4)):
             for draw in (exact_point, large_lcm_point):
-                points += [(regime, p) for p in moved_onto_coincidences(regime, draw(rng, regime, n, m))]
+                moved = moved_onto_coincidences(regime, draw(rng, regime, n, m))
+                points += [(regime, p) for p in moved]
     # sets whose values are all 0: a repeated 0 of trig's summed u, and at
     # c = 0 a v_i = u_k that is also sigma u_k
     F = Fraction
-    points.append(("trig", TrigParams(q=F(-3, 2), z=F(3, 7), u=(F(0), F(1, 2), F(0)), v=(F(5, 3),))))
-    points.append(("rational", RatParams(c=F(0), z=F(2, 5), u=(F(1, 2), F(2)), v=(F(1, 2), F(7, 3)))))
+    points.append(("trig", TrigParams(q=F(-3, 2), z=F(3, 7), u=(F(0), F(1, 2), F(0)),
+                                      v=(F(5, 3),))))
+    points.append(("rational", RatParams(c=F(0), z=F(2, 5), u=(F(1, 2), F(2)),
+                                         v=(F(1, 2), F(7, 3)))))
     raised = 0
     for regime, params in points:
         for side in "FGPQ":
             expected = outcome(regime, side, params, table_walk)
-            assert outcome(regime, side, params, sources._source) == expected, (regime, side, params)
+            assert outcome(regime, side, params, sources._source) == expected, (regime, side)
             raised += expected is ZeroDivisionError
     assert raised > 20
 

@@ -607,19 +607,17 @@ def test_sides_and_source_routes_reject_unequal_or_empty_sizes(sizes):
             call()
 
 
-@pytest.mark.parametrize("sides", ["lascoux_symmetrized_sides", "lascoux_tau_sides",
-                                   "reduction_identity_sides"])
+@pytest.mark.parametrize("sides", [
+    lambda point: lascoux_symmetrized_sides(point, [Fraction(1)]),
+    lascoux_tau_sides,
+    reduction_identity_sides,
+], ids=["theta", "tau", "reduction"])
 def test_sides_reject_a_complex_point(sides):
     rng = random.Random(83)
     c, u, v = lascoux_point(rng, 3)
     point = RatParams(c=complex(c), z=1, u=tuple(map(complex, u)), v=tuple(map(complex, v)))
-    call = {
-        "lascoux_symmetrized_sides": lambda: lascoux_symmetrized_sides(point, [Fraction(1)]),
-        "lascoux_tau_sides": lambda: lascoux_tau_sides(point),
-        "reduction_identity_sides": lambda: reduction_identity_sides(point),
-    }[sides]
     with pytest.raises(TypeError, match="needs ints and Fractions"):
-        call()
+        sides(point)
 
 
 def test_symmetrization_identities_beyond_the_registry_sizes():
