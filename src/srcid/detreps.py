@@ -50,11 +50,11 @@ parameters; that aux-independence is part of the verified contract.
 At nome 0, mpt, scalar_product, bs and bs_limit each read one side record
 (``_side``): the nodes and their row shifts, eta and sigma(eta) over one
 denominator t, and zeff * ratio_j written as lift * ins_j / den_j.  At an
-exact point (``fields.is_exact`` over c or q, z, u, v and the aux values the
-family reads) the record holds Python ints: the nodes, eta and c scaled by
-one L with the shift sigma = (alpha, beta, gamma) of
-``sources._integer_point`` (``fields.to_integers`` does the scaling), and the
-member ratios' int products of ``sources.integer_member_products``.  At any
+exact point with exact aux values the record holds Python ints: the point's
+one int form (``sources.int_form``: u, v and c times L, and the shift sigma
+= (alpha, beta, gamma)), with the bs nodes eta brought onto it by one lcm
+step rather than a new scaling, and the member ratios' int products of
+``sources.integer_member_products``.  At any
 other point it holds the values themselves, with t = gamma = 1, lift = zeff,
 ins the member ratios and no den.  One row builder forms den_j b(y_j) -
 lift b(w_j) ins_j for the family's basis b, and the value is one division:
@@ -62,9 +62,8 @@ at an exact point one Fraction over ints, every row sharing one scale
 besides its den_j.  An exact point where the ints would divide by 0 (a member
 ratio's pole, q = 0 on the F side) gets the record of its Fraction values,
 so it raises what the Fraction form raises.  dwbc builds its rows over
-Fractions at an exact point (ints included) and over the point's own values
-elsewhere, and the ik core reads the point's int form of
-``sources._integer_point`` at an exact point.
+the point's own values (Fractions at an exact point), and the ik core reads
+the point's int form at an exact point.
 
 Transcription note: one-parameter extensions of these determinants are
 sometimes quoted with the balance ratio attached to row 1 as a
@@ -80,8 +79,9 @@ Delta -> infinity).
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -89,8 +89,7 @@ from .fields import is_exact, to_integers
 from .linalg import det, det_exact, prod, vandermonde
 from .qseries import psi_A
 from .sources import (
-    _INTEGER_SCALARS, REGIMES, _integer_point, _ratios, _theta_memo, apart,
-    integer_member_products, member_ratios,
+    REGIMES, _ratios, _theta_memo, apart, int_form, integer_member_products, member_ratios,
 )
 
 AVAILABILITY = {
@@ -173,9 +172,11 @@ def _side(regime, side, params, aux=(), eta=()):
 
     When the point, ``eta`` and the family's other aux values ``aux`` are
     exact, these are ints: the nodes, eta and c times L with sigma =
-    (alpha, beta, gamma) (``sources._integer_point``); the row shift of an
-    int X is (a X + b) / d with (a, b, d) = (gamma, -beta, alpha) on the F
-    side and sigma on the G side, so t = d L; the member ratios are
+    (alpha, beta, gamma), from the point's ``sources.int_form``.  eta joins
+    that form by one lcm step: u, v, beta and L times k = lcm(L, L_eta) / L,
+    which gives the ints of scaling c, u, v and eta together.  The row shift
+    of an int X is (a X + b) / d with (a, b, d) = (gamma, -beta, alpha) on
+    the F side and sigma on the G side, so t = d L; the member ratios are
     gamma^partners * inside / outside (``sources.integer_member_products``).
     Elsewhere they are the values themselves: t = gamma = 1, lift = zeff,
     ins the member ratios and den None.  An exact point where the ints would
@@ -186,18 +187,21 @@ def _side(regime, side, params, aux=(), eta=()):
     """
     reg = REGIMES[regime]
     vside = side == "F"
-    scaling = None
+    form = None
     # the aux values first: the cheapest test that turns a complex point away
     if is_exact(aux) and is_exact(eta):
-        params, scaling = _integer_point(regime, params, eta)
-    if scaling is not None:
-        us, vs, lcm, sigma, etas = scaling
-        alpha, beta, gamma = sigma
+        form = int_form(params)
+    if form is not None:
+        us, vs, lcm, (alpha, beta, gamma) = form
+        # eta onto the point's scale: u, v and beta times lcm(L, L_eta) / L
+        k = math.lcm(lcm, *(e.denominator for e in eta)) // lcm
+        us, vs, beta, lcm = [k * x for x in us], [k * y for y in vs], k * beta, k * lcm
+        etas, sigma = [e.numerator * (lcm // e.denominator) for e in eta], (alpha, beta, gamma)
         inside, outside = integer_member_products(us, vs, sigma, vside)
         if 0 in outside or (vside and alpha == 0):
-            scaling = None
+            form = None
     u, v = params.u, params.v
-    if scaling is None:
+    if form is None:
         # ``sources.member_ratios``, keeping sigma(u) for the G side's row shifts
         shift = reg.shift(params)
         su = list(map(shift, u))
@@ -206,7 +210,7 @@ def _side(regime, side, params, aux=(), eta=()):
         zeff, pref = reg.scale(params, len(v) - 1) * params.z, 1
     else:
         zeff, pref = reg.scale(params, len(v) - len(u)) * params.z, reg.prefactor(params)
-    if scaling is None:
+    if form is None:
         if vside:
             return _Side(v, map(reg.shift(params, inverse=True), v), eta, list(map(shift, eta)),
                          1, 1, zeff, ratio, None, pref)
@@ -392,21 +396,7 @@ def build_dwbc_matrix(regime: str, side: str, params):
     return rows
 
 
-def _with_fractions(regime, params):
-    """``params`` with each value made a Fraction when c or q, z, u and v are
-    exact and some are ints, since an int 1 / (v_i - u_j) or q^-k is a float;
-    any other point comes back as it is."""
-    names = _INTEGER_SCALARS[regime]
-    scalars = [getattr(params, name) for name in names]
-    values = (*scalars, *params.u, *params.v)
-    if int not in map(type, values) or not is_exact(values):
-        return params
-    return replace(params, **{name: Fraction(x) for name, x in zip(names, scalars)},
-                   u=tuple(map(Fraction, params.u)), v=tuple(map(Fraction, params.v)))
-
-
 def _dwbc(regime, side, params):
-    params = _with_fractions(regime, params)
     u, v = params.u, params.v
     n, m = len(u), len(v)
     matrix = build_dwbc_matrix(regime, side, params)
@@ -576,8 +566,8 @@ def izergin_korepin_core(params, scale=1):
     first, so a caller's prefactor keeps the rounding order of writing it
     out.  The core stays defined at c = 0.  At an exact point it is the int
     form scale * det[prod_{k' != k} (v_j - u_k') (v_j - u_k' - c)] /
-    (prod (v_j - v_i) prod (u_i - u_j)) over the point's ints of
-    ``sources._integer_point``: row j times its Cauchy entries'
+    (prod (v_j - v_i) prod (u_i - u_j)) over the ints of the point's
+    ``sources.int_form``: row j times its Cauchy entries'
     denominators, which removes the reciprocals.
     """
     u, v, c = params.u, params.v, params.c
@@ -586,11 +576,11 @@ def izergin_korepin_core(params, scale=1):
         raise ValueError("ik requires n == m")
     if params.z != 1:
         raise ValueError("ik requires z == 1")
-    _, scaling = _integer_point("rational", params)
-    if scaling is not None:
+    form = int_form(params)
+    if form is not None:
         # row j times prod_k (v_j - u_k)(v_j - u_k - c), over ints times L:
         # entry (j, k) is the product over k' != k, two Lagrange rows' product
-        us, vs, lcm, (_, g, _), _ = scaling
+        us, vs, lcm, (_, g, _) = form
         divisor = prod(vs[j] - vs[i] for i, j in _pairs_below(vs))
         divisor *= prod(us[i] - us[j] for i, j in _pairs_below(us))
         if divisor and set(us).isdisjoint(vs) and set(us).isdisjoint(y - g for y in vs):

@@ -514,7 +514,7 @@ def _det_rep_retry(ctx, regime, family, side, params):
 
 def _run_rational_ik(ctx: PointContext):
     n, _ = ctx.sizes((1, 4))
-    params = replace(ctx.sample_rational(n, n), z=ctx.field.one)
+    params = sources.derive(ctx.sample_rational(n, n), z=ctx.field.one)
     value = det_rep("rational", "ik", "F", params)
     reference = source_polynomial_form("rational", "P", params)
     return [("ik determinant = cleared polynomial", value, reference)]
@@ -749,7 +749,7 @@ def _run_lambda_weighted_identity(ctx: PointContext):
     q, z, lam = params.q, params.z, params.lam
     lhs = None
     for ell in range(0, n - m + 1):
-        shifted = TrigParams(q=q, z=q ** (n - m) * z, u=params.u, v=params.v, lam=q**ell * lam)
+        shifted = sources.derive(params, z=q ** (n - m) * z, lam=q**ell * lam)
         term = (-z) ** ell * q ** (ell * (ell - 1) // 2) * q_binomial(n - m, ell, q)
         term *= sources.trig_lambda_F(shifted)
         lhs = term if lhs is None else lhs + term
@@ -762,13 +762,10 @@ def _run_lambda_zero_reduction(ctx: PointContext):
     params = ctx.sample_trig(n, m)
     q, z = params.q, params.z
     zero = ctx.field.zero
-    weighted = TrigParams(q=q, z=q ** (n - m) * z, u=params.u, v=params.v, lam=zero)
-    lhs = sources.trig_lambda_F(weighted)
+    lhs = sources.trig_lambda_F(sources.derive(params, z=q ** (n - m) * z, lam=zero))
     for j in range(1, n - m + 1):
         lhs *= 1 - q ** (j - 1) * z
-    rhs = sources.trig_lambda_G(
-        TrigParams(q=q, z=z, u=params.u, v=params.v, lam=zero)
-    )
+    rhs = sources.trig_lambda_G(sources.derive(params, lam=zero))
     return [("weight-free reduction", lhs, rhs)]
 
 
@@ -991,9 +988,9 @@ def _lascoux_point(ctx: PointContext, n: int) -> RatParams:
 def _lascoux_general(point: RatParams) -> bool:
     """u and v are each distinct, u_i - u_j is kept off +-c, and v_i - u_k off
     0 and +-c.  The tests compare the ints (a, b, g) = L (u, v, c) of the
-    point's one int form (``sources._integer_point``), which the symmetrize
+    point's one int form (``sources.int_form``), which the symmetrize
     sides read again: scaling by L > 0 keeps every zero test."""
-    _, (a, b, _, (_, g, _), _) = sources._integer_point("rational", point)
+    a, b, _, (_, g, _) = sources.int_form(point)
     a, b = set(a), set(b)
     return (
         len(a) == len(point.u)

@@ -119,19 +119,22 @@ for F and G, where some d(v_i, sigma u_k) = 0 (a zero non-member value
 stays 0).  Every other point (elliptic, complex or float) walks the table
 of d ratios.
 
-An exact point is scaled once.  ``_integer_point`` is the one scaler of a
-core point; called without extra values, it keeps its result (the ints of
-u and v, L, sigma and the Fraction copy of the scalars) in the point's
-``ints`` field under the regime, and every later call reads it back.  So
-the samplers' general-position test scales a drawn point, and F, G, P, Q,
-the mpt and scalar_product sides of ``detreps`` and the operator form below
-reuse that scaling; the bs nodes are scaled afresh together with the point.
-The lascoux points are rational points at z = 1: the engine's accept test
-scales one, and the ``symmetrize`` sides, their P routes and the IK
-determinants of ``detreps`` read that int form back, as the ik case's P
-and IK share the scaling of its z = 1 point.  The tau identity's point
-(u, v + c) is not scaled either: ``_shifted_by_c`` derives its int form
-from the drawn point's.
+A ``RatParams`` or ``TrigParams`` is exact when every value it holds is an
+int or a Fraction; it then holds Fractions only (``__post_init__`` turns
+its ints into Fractions, since an int 1 / x or q^-k is a float), while a
+point with a complex or float value keeps its values as given.  An exact
+point is scaled once.  ``int_form`` is the one scaler of a core point: it
+makes the point's ``IntForm`` (u, v, L, sigma), chosen by the point's type,
+keeps it in the point's ``ints`` field, and reads it back at every later
+call, so the trig and trig_lambda sums of one point share it.  So the
+samplers' general-position test scales a drawn point, and F, G, P, Q, the
+nome-0 sides of ``detreps`` (the bs nodes joining by one lcm step), the ik
+and lascoux forms and the operator form below reuse that scaling.  A point
+made from a drawn one by ``derive`` carries the drawn point's form where
+the change cannot alter it (a new z or lambda: the ik case's z = 1 point,
+the trig_lambda points of the lambda cases) or decides it (the tau
+identity's point (u, v + c), whose ints are b + g), so it is not scaled
+again either.
 Like ``thetas``, the field takes no part in ``__init__``, ``==``, ``hash``
 or ``repr``, ``dataclasses.replace`` starts an empty memo, and there is no
 module-level cache.  At an exact point ``general_position`` lists ints:
@@ -161,7 +164,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .fields import is_exact, to_integers
 from .linalg import frobenius_matrix, det, prod, vandermonde
@@ -196,41 +199,63 @@ class EllipticParams:
         return len(self.u)
 
 
+class IntForm(NamedTuple):
+    """An exact rational or trig point over ints (module docstring): u and v
+    times L, and sigma = (alpha, beta, gamma), the shift of an int y being
+    (alpha y + beta) / gamma."""
+
+    u: list
+    v: list
+    lcm: int
+    sigma: tuple
+
+
 @dataclass(frozen=True)
-class TrigParams:
+class _CorePoint:
+    """What ``RatParams`` and ``TrigParams`` share; ``_SCALARS`` names their
+    values besides u and v."""
+
+    # the point's ``IntForm`` once ``int_form`` made it, False at an inexact point
+    ints: object = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        names = [name for name in self._SCALARS if getattr(self, name) is not None]
+        values = (*(getattr(self, name) for name in names), *self.u, *self.v)
+        if not is_exact(values):
+            object.__setattr__(self, "ints", False)
+        elif int in map(type, values):
+            # an exact point holds Fractions: an int 1 / x or q^-k is a float
+            for name in names:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, "u", tuple(map(Fraction, self.u)))
+            object.__setattr__(self, "v", tuple(map(Fraction, self.v)))
+
+    @property
+    def n(self) -> int:
+        return len(self.u)
+
+    @property
+    def m(self) -> int:
+        return len(self.v)
+
+
+@dataclass(frozen=True)
+class TrigParams(_CorePoint):
     q: object
     z: object
     u: tuple
     v: tuple
     lam: Optional[object] = None
-    # the int form of ``_integer_point`` per regime (module docstring)
-    ints: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.u)
-
-    @property
-    def m(self) -> int:
-        return len(self.v)
+    _SCALARS = ("q", "z", "lam")
 
 
 @dataclass(frozen=True)
-class RatParams:
+class RatParams(_CorePoint):
     c: object
     z: object
     u: tuple
     v: tuple
-    # the int form of ``_integer_point`` per regime (module docstring)
-    ints: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.u)
-
-    @property
-    def m(self) -> int:
-        return len(self.v)
+    _SCALARS = ("c", "z")
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +451,13 @@ def general_position(regime, params):
     """
     reg = REGIMES[regime]
     values = reg.singular(params)
-    _, scaling = _integer_point(regime, params)
-    if scaling is None:
+    form = int_form(params)
+    if form is None:
         d, u, v = reg.pair(params), params.u, params.v
         su = list(map(reg.shift(params), u))
         crossed = [d(x, sy) for x in v for sy in su]
     else:
-        u, v, _, (alpha, beta, gamma), _ = scaling
+        u, v, _, (alpha, beta, gamma) = form
         d = operator.sub
         crossed = [gamma * x - alpha * y - beta for x in v for y in u]
     values += apart(d, u)
@@ -489,10 +514,13 @@ def subset_sums_by_size(pair, inside=None, outside=None, same=None, one=1):
         walk(t + 1, take, members + (t,), others)
         walk(t + 1, skip, members, others + (t,))
 
-    if size:
-        walk(0, one, (), ())
-    else:
-        by_size[0] += one
+    try:
+        if size:
+            walk(0, one, (), ())
+        else:
+            by_size[0] += one
+    finally:
+        del walk  # walk refers to itself: without this, only the cyclic GC frees it
     return by_size
 
 
@@ -533,75 +561,42 @@ def _pair_table(table, vside):
     return table if vside else [list(col) for col in zip(*table)]
 
 
-# the scalars besides u and v that the integer walk's regimes read
-_INTEGER_SCALARS = {"rational": ("c", "z"), "trig": ("q", "z"), "trig_lambda": ("q", "z", "lam")}
+def int_form(params):
+    """The ``IntForm`` of an exact rational or trig point, made once and kept
+    in its ``ints`` field; None at any other point (module docstring)."""
+    form = getattr(params, "ints", False)
+    if form is None:
+        n = len(params.u)
+        if isinstance(params, RatParams):
+            (g, *xs), lcm = to_integers((params.c, *params.u, *params.v))
+            sigma = (1, g, 1)
+        else:
+            xs, lcm = to_integers((*params.u, *params.v))
+            sigma = (params.q.numerator, 0, params.q.denominator)
+        form = IntForm(xs[:n], xs[n:], lcm, sigma)
+        object.__setattr__(params, "ints", form)
+    return form or None
 
 
-def _integer_point(regime, params, extra=()):
-    """``params`` with Fraction scalars and (u, v, L, sigma, extra) for the
-    integer walk, or ``params`` unchanged and None for the table walk.
+def derive(params, **changes):
+    """``dataclasses.replace(params, **changes)`` holding the int form that
+    follows from that of ``params``, so the new point is not scaled again.
 
-    The integer walk takes rational, trig and trig_lambda points whose
-    scalars are all exact (``fields.is_exact``).  Turning ints into
-    Fractions keeps the weights and the G prefactor exact.  u and v come
-    back as ints, scaled by L together with c (``fields.to_integers``), and
-    sigma = (alpha, beta, gamma) writes the shift of an integer y as
-    (alpha y + beta) / gamma.  The values ``extra`` (the bs nodes of
-    ``detreps``) must be exact too and come back scaled by the same L.
-
-    Without ``extra`` a point is scaled once: the result is kept in its
-    ``ints`` field under ``regime`` and read back by every later call.
-    The memo holds the Fraction copy of ``params``, if one was made, but
-    not ``params`` itself, so a point is freed without the cyclic GC.
+    The form holds u, v and c or q: a change of z or lam leaves it as it is,
+    and a rational point's v set to v + c keeps L (v_i = (v_i + c) - c) and
+    has the ints b + g for the ints b of v and g = L c.  After any other
+    change the new point makes its own form.
     """
-    names = _INTEGER_SCALARS.get(regime, ())
-    if not names:
-        return params, None
-    if extra:
-        return _scaled_point(regime, params, names, extra)
-    memo = params.ints.get(regime)
-    if memo is None:
-        fractions, scaling = _scaled_point(regime, params, names, ())
-        memo = params.ints[regime] = (None if fractions is params else fractions, scaling)
-    fractions, scaling = memo
-    return params if fractions is None else fractions, scaling
-
-
-def _scaled_point(regime, params, names, extra):
-    """``_integer_point`` without the memo."""
-    scalars = [getattr(params, name) for name in names]
-    # the scalars first: the cheapest test that turns a complex point away
-    if not is_exact(scalars) or not is_exact((*params.u, *params.v, *extra)):
-        return params, None
-    ints = {name: Fraction(x) for name, x in zip(names, scalars) if type(x) is not Fraction}
-    if ints:
-        params = replace(params, **ints)
-    n, m = len(params.u), len(params.v)
-    if regime == "rational":
-        (g, *xs), lcm = to_integers((params.c, *params.u, *params.v, *extra))
-        sigma = (1, g, 1)
-    else:
-        xs, lcm = to_integers((*params.u, *params.v, *extra))
-        sigma = (params.q.numerator, 0, params.q.denominator)
-    return params, (xs[:n], xs[n:n + m], lcm, sigma, xs[n + m:])
-
-
-def _shifted_by_c(params):
-    """The rational point ``params`` with v + c, its int form derived from
-    that of ``params`` when that has one.
-
-    v_i = (v_i + c) - c, so the shifted values have the same lcm L, and
-    their ints are b + g for the ints b of v and g = L c: the shifted point
-    is not scaled again.
-    """
-    v = tuple(x + params.c for x in params.v)
-    shifted = replace(params, v=v)
-    fractions, scaling = _integer_point("rational", params)
-    if scaling is not None:
-        a, b, lcm, sigma, extra = scaling
-        copy = None if fractions is params else replace(fractions, v=v)
-        shifted.ints["rational"] = (copy, (a, [y + sigma[1] for y in b], lcm, sigma, extra))
-    return shifted
+    point = replace(params, **changes)
+    form = int_form(params)
+    if form is None or point.ints is False:
+        return point
+    if changes.keys() <= {"z", "lam"}:
+        object.__setattr__(point, "ints", form)
+    elif (changes.keys() == {"v"} and isinstance(params, RatParams)
+          and point.v == tuple(x + params.c for x in params.v)):
+        object.__setattr__(point, "ints", form._replace(v=[y + form.sigma[1] for y in form.v]))
+    return point
 
 
 def integer_pair_tables(xs, sigma):
@@ -658,9 +653,10 @@ def _divide_content(cross, same, inside, outside):
     return content
 
 
-def _integer_sum(weights, scaling, vside, cleared):
-    """The kernel's sum over ints, divided once at the end (module docstring)."""
-    u, v, lcm, sigma, _ = scaling
+def _integer_sum(weights, form, vside, cleared):
+    """The kernel's sum over the ints of ``form``, divided once at the end
+    (module docstring)."""
+    u, v, lcm, sigma = form
     gamma = sigma[2]
     xs, partners = (v, len(u)) if vside else (u, len(v))
     size = len(xs)
@@ -691,10 +687,10 @@ def _source(regime, side, params):
     cleared = side in ("P", "Q")
     xs = v if vside else u
     size = len(xs)
-    params, scaling = _integer_point(regime, params)
+    form = int_form(params)
     weights = reg.weights(params, vside, size)
-    if scaling is not None:
-        total = _integer_sum(weights, scaling, vside, cleared)
+    if form is not None:
+        total = _integer_sum(weights, form, vside, cleared)
     else:
         d = reg.pair(params)
         sigma = reg.shift(params)
@@ -815,11 +811,11 @@ def apply_difference_product(f, indices, shift, z, point):
     return total
 
 
-def _integer_difference_form(scaling, vside, zeff):
-    """The rational or trig operator form over the ints of ``scaling``, before
+def _integer_difference_form(form, vside, zeff):
+    """The rational or trig operator form over the ints of ``form``, before
     the G prefactor: sum_K (-zeff)^|K| V(pt) D / P(pt), divided once by
     V(x) prod_i B_i (module docstring)."""
-    us, vs, _, (alpha, beta, gamma), _ = scaling
+    us, vs, _, (alpha, beta, gamma) = form
     if vside:
         xs, partners = [alpha * x for x in vs], [alpha * y for y in us]
         shift = lambda x: x // alpha * gamma - beta
@@ -872,10 +868,10 @@ def source_via_difference_ops(regime: str, side: str, params):
             inner = lambda uu: det(frobenius_matrix(uu, v, lam, th))
         return pref * apply_difference_product(inner, range(n), shift, params.z, xs)
 
-    params, scaling = _integer_point(regime, params)
+    form = int_form(params)
     zeff = params.z * reg.scale(params, m - n - 1 if vside else m - n)
-    if scaling is not None:
-        total = _integer_difference_form(scaling, vside, zeff)
+    if form is not None:
+        total = _integer_difference_form(form, vside, zeff)
         return total if vside else reg.prefactor(params) * total
     pref = prod(vi - uk for vi in v for uk in u) / vandermonde(xs)
     if vside:

@@ -45,10 +45,10 @@ product 1, and Sym_c(1) = n!, so it is the closed form (-1)^n n!.
 
 The sides functions and the source routes take a rational point at z = 1
 (a ``sources.RatParams`` with len(u) == len(v) >= 1) and read its one int
-form from ``sources._integer_point``: the ints (g, a, b) = L (c, u, v),
-kept on the point, so the engine's accept test, the sides, the IK
-determinants and P share one scaling; the tau identity's point
-(u, v + c) takes its ints (a, b + g) from it (``sources._shifted_by_c``).
+form, ``sources.int_form``: the ints (g, a, b) = L (c, u, v), kept on the
+point, so the engine's accept test, the sides, the IK determinants and P
+share one scaling; the tau identity's point (u, v + c), made by
+``sources.derive``, takes its ints (a, b + g) from it.
 A point with a complex or float value raises ``TypeError``.  Every slot
 row (the root products, the tau numerators, f and the pin of u_1) is ints
 computed from them, and sym_c walks Python ints at (a, g), where Delta is
@@ -64,7 +64,7 @@ from fractions import Fraction
 from .detreps import izergin_korepin, izergin_korepin_core
 from .fields import is_exact, to_integers
 from .linalg import prod
-from .sources import _integer_point, _shifted_by_c, integer_pair_tables, rational_P
+from .sources import derive, int_form, integer_pair_tables, rational_P
 
 PERM_CAP = 10
 
@@ -183,12 +183,12 @@ def _size(point):
 
 
 def _int_form(point):
-    """The int form (a, b, L, sigma, extra) of ``sources._integer_point`` at the
-    rational ``point``; ``TypeError`` at a point with a complex or float value."""
-    _, scaling = _integer_point("rational", point)
-    if scaling is None:
+    """The ``sources.IntForm`` (a, b, L, sigma) of the rational ``point``;
+    ``TypeError`` at a point with a complex or float value."""
+    form = int_form(point)
+    if form is None:
         raise TypeError("a symmetrization side needs ints and Fractions")
-    return scaling
+    return form
 
 
 def _root_row(a, b, shift):
@@ -250,12 +250,12 @@ def lascoux_symmetrized_sides(point, coeffs):
     which stays defined at c = 0, and the chain is ``newton_chain``.
 
     The lhs is summed at the point's int form (a, b, g) = L (u, v, c) of
-    ``sources._integer_point``: Sym_c is unchanged when u and c are scaled
+    ``sources.int_form``: Sym_c is unchanged when u and c are scaled
     together, each root slot is L^n times its value at (u, v, c) and f is
     values / M (``_poly_row``), so the sum is divided by M L^{n(n-1)} once.
     """
     n = _size(point)
-    a, b, lcm, (_, g, _), _ = _int_form(point)
+    a, b, lcm, (_, g, _) = _int_form(point)
     values, scale = _poly_row(coeffs, a, lcm)
     lhs = _theta_sum(values, a, b, g) / (scale * lcm ** (n * (n - 1)))
 
@@ -284,7 +284,7 @@ def lascoux_tau_sides(point):
           * det 1/((v_j - u_k + c)(v_j - u_k))
 
     The lhs is summed at the point's int form (a, b, g) of
-    ``sources._integer_point``.  The product W = prod_{j,k} (a_j - b_k) is
+    ``sources.int_form``.  The product W = prod_{j,k} (a_j - b_k) is
     symmetric in the points, so Sym_c(W tail_t) = W Sym_c(tail_t): times W,
     slots 1..t hold prod_k (x - b_k) and slots t+1..n the numerators
     prod_k (x - b_k - g), all ints.  The terms t < n are the rows (den,
@@ -292,13 +292,14 @@ def lascoux_tau_sides(point):
     t = n is W Sym_c(1) = n! W, so it adds (-1)^n n! with no walk.
     """
     n = _size(point)
-    a, b, _, (_, g, _), _ = _int_form(point)
+    a, b, _, (_, g, _) = _int_form(point)
     den, num = _root_row(a, b, 0), _root_row(a, b, -g)
     walk = sym_c(([den] * n, _binomial_rows(num, n), [num] * n), a, g)
     lhs = walk / prod(den) + (-1) ** n * math.factorial(n)
 
     u, v = point.u, point.v
-    rhs = math.factorial(n) * (-1) ** n * izergin_korepin(_shifted_by_c(point))
+    shifted = derive(point, v=tuple(x + point.c for x in v))
+    rhs = math.factorial(n) * (-1) ** n * izergin_korepin(shifted)
     rhs /= prod(vi - uk for vi in v for uk in u)
     return lhs, rhs
 
@@ -307,7 +308,7 @@ def lascoux_tau_rhs_via_source(point):
     """tau-identity rhs as n! / prod (u_j - v_k) * P_{n,n}^{(z=1)}(u | v + c)."""
     n = _size(point)
     u, v = point.u, point.v
-    p_val = rational_P(_shifted_by_c(point))
+    p_val = rational_P(derive(point, v=tuple(x + point.c for x in v)))
     return math.factorial(n) * p_val / prod(uj - vk for uj in u for vk in v)
 
 
@@ -325,10 +326,10 @@ def reduction_identity_sides(point):
     of lascoux_symmetrized_sides with f replaced by the indicator of u_1, so
     slot ell pins u_1 and Sym_c runs over the orderings of the rest.  As
     there, the lhs is summed at the point's int form of
-    ``sources._integer_point`` and divided by L^{n(n-1)} once.
+    ``sources.int_form`` and divided by L^{n(n-1)} once.
     """
     n = _size(point)
-    a, b, lcm, (_, g, _), _ = _int_form(point)
+    a, b, lcm, (_, g, _) = _int_form(point)
     pin = [1] + [0] * (n - 1)
     lhs = _theta_sum(pin, a, b, g) / lcm ** (n * (n - 1))
 

@@ -10,6 +10,7 @@ import pytest
 
 from srcid.detreps import (
     AVAILABILITY,
+    _side,
     AuxInvariantError,
     AuxParams,
     UnavailableRepresentationError,
@@ -19,6 +20,7 @@ from srcid.detreps import (
     izergin_korepin,
     izergin_korepin_core,
 )
+from srcid.fields import to_integers
 from srcid.linalg import det, det_exact, prod, vandermonde
 from srcid.qseries import psi_A
 from srcid.sources import (
@@ -28,6 +30,8 @@ from srcid.sources import (
     TrigParams,
     elliptic_F,
     elliptic_G,
+    int_form,
+    integer_member_products,
     member_ratios,
     rational_P,
     source_subset_sum,
@@ -791,3 +795,38 @@ def test_the_complex_image_of_an_exact_point_agrees_with_the_exact_value():
                     # relative to the exact value, or absolute where it is 0
                     assert abs(value - complex(exact)) <= 1e-9 * max(1, abs(exact)), (
                         regime, family, side, size)
+
+
+def test_eta_joins_the_int_form_with_the_ints_of_the_joint_scaling():
+    # lcm(L, L_eta) / L times the point's form is what scaling (c, u, v, eta)
+    # together gives, also where eta's denominators do not divide L
+    rng = random.Random(73)
+    spread = 0
+    for regime in ("rational", "trig"):
+        for _ in range(20):
+            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            params = sample_rational(rng, n, m) if regime == "rational" else sample_trig(rng, n, m)
+            lcm = int_form(params).lcm
+            for side in ("F", "G"):
+                size = m if side == "F" else n
+                eta = tuple(Fraction(x, rng.choice((1, 5, 7, 11)) * rng.randint(1, 4))
+                            for x in rng.sample(range(-30, 31), size))
+                flat = _side(regime, side, params, eta=eta)
+                if regime == "rational":
+                    (g, *xs), joint = to_integers((params.c, *params.u, *params.v, *eta))
+                    sigma = (1, g, 1)
+                else:
+                    xs, joint = to_integers((*params.u, *params.v, *eta))
+                    sigma = (params.q.numerator, 0, params.q.denominator)
+                alpha, beta, gamma = sigma
+                us, vs, etas = xs[:n], xs[n:n + m], xs[n + m:]
+                d = alpha if side == "F" else gamma
+                assert flat.t == d * joint
+                assert flat.ys == [d * x for x in (vs if side == "F" else us)]
+                assert flat.etas == [d * e for e in etas]
+                assert flat.refs == [d * (alpha * e + beta) for e in etas]
+                inside, outside = integer_member_products(us, vs, sigma, side == "F")
+                assert flat.ins == inside
+                assert len({Fraction(x, y) for x, y in zip(flat.den, outside)}) == 1
+                spread += joint != lcm
+    assert spread > 10

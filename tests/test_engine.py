@@ -19,7 +19,7 @@ from srcid.engine import (
     sample_params,
 )
 from srcid.fields import COMPLEX, EXACT
-from srcid.sources import RatParams, theta_memo, theta_quotient
+from srcid.sources import RatParams, TrigParams, theta_memo, theta_quotient
 
 
 def test_registry_covers_every_kind():
@@ -270,32 +270,42 @@ def test_divided_difference_second_check_compares_nonzero_values():
     ("divided_difference_symmetrization", 1),
     ("tau_shift_symmetrization", 1),
     ("symmetrization_reduction_identity", 1),
-    # once for the draw, once for its z = 1 point, which IK and P share
-    ("rational_ik", 2),
+    # the z = 1 point, which IK and P share, takes the draw's int form
+    ("rational_ik", 1),
+    # eta is brought onto the point's form, not scaled with the point
+    ("rational_bs_F", 1),
+    ("trig_bs_G", 1),
+    # the trig_lambda points (new z and Lambda) take the draw's int form
+    ("lambda_weighted_binomial_identity", 1),
+    ("lambda_zero_reduction", 1),
 ])
 def test_a_drawn_exact_point_is_scaled_once_per_point_object(monkeypatch, case_id, scalings):
     scaled, drawn = [], []
-    real = sources.to_integers
+    real, attempt = sources.to_integers, PointContext.attempt
 
     def counting(values):
         scaled.append(tuple(values))
         return real(values)
 
+    def drawing(ctx, draw, accept):
+        x = attempt(ctx, draw, accept)
+        if isinstance(x, (RatParams, TrigParams)):
+            drawn.append(x)
+        return x
+
     for module in (sources, symmetrize, detreps):
         monkeypatch.setattr(module, "to_integers", counting)
-    if case_id == "rational_ik":
-        sample = PointContext.sample_rational
-        monkeypatch.setattr(PointContext, "sample_rational",
-                            lambda ctx, n, m: drawn.append(sample(ctx, n, m)) or drawn[-1])
-    else:
-        draw = engine._lascoux_point
-        monkeypatch.setattr(engine, "_lascoux_point",
-                            lambda ctx, n: drawn.append(draw(ctx, n)) or drawn[-1])
+    monkeypatch.setattr(PointContext, "attempt", drawing)
     for _ in exact_runner_checks(case_id, 20):
         point = drawn.pop()
-        assert scaled.count((point.c, *point.u, *point.v)) == scalings
+        assert not drawn
+        rational = isinstance(point, RatParams)
+        key = (*((point.c,) if rational else ()), *point.u, *point.v)
+        # no second scaling of the point, alone or together with eta
+        assert [t for t in scaled if t[:len(key)] == key] == [key] * scalings
         # tau's point (u, v + c) takes its int form from the drawn point's
-        assert (point.c, *point.u, *(x + point.c for x in point.v)) not in scaled
+        if rational:
+            assert (point.c, *point.u, *(x + point.c for x in point.v)) not in scaled
         scaled.clear()
 
 
@@ -440,3 +450,19 @@ def test_evaluation_sampler_redraws_the_base_point():
     # the same colliding values
     rep = run_case("rational_evaluation_swap", SamplingConfig(points=200, field=EXACT))
     assert rep.passed, [p.error for p in rep.points if not p.ok]
+
+
+def test_registry_exact_points_are_scaled_once_each(monkeypatch):
+    # 40 cases, 10 points each, 5 seeds: one scaling per drawn point, rejected
+    # draws included, and none for a point derived from a drawn one
+    scalings = []
+    real = sources.to_integers
+    monkeypatch.setattr(sources, "to_integers",
+                        lambda values: scalings.append(values) or real(values))
+    cases = [c.case_id for c in match_cases(None, field_name=EXACT)
+             if c.kind not in ("lascoux", "specialization")]
+    assert len(cases) == 40
+    for seed in range(20260801, 20260806):
+        for case_id in cases:
+            run_case(case_id, SamplingConfig(master_seed=seed, points=10, field=EXACT))
+    assert len(scalings) == 1563

@@ -1,6 +1,7 @@
 """Source functions: subset sums, polynomial versions, difference operators."""
 
 import cmath
+import gc
 import math
 import operator
 import random
@@ -20,11 +21,13 @@ from srcid.sources import (
     TrigParams,
     apart,
     apply_difference_product,
+    derive,
     elliptic_F,
     elliptic_G,
     elliptic_P,
     elliptic_Q,
     general_position,
+    int_form,
     rational_F,
     rational_G,
     rational_P,
@@ -861,7 +864,7 @@ def table_walk(regime, side, params):
     import srcid.sources as sources
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sources, "_integer_point", lambda regime, params: (params, None))
+        patch.setattr(sources, "int_form", lambda params: None)
         return sources._source(regime, side, as_fractions(params))
 
 
@@ -1097,21 +1100,25 @@ def test_the_int_form_is_made_once_per_point(monkeypatch):
         before = (repr(params), hash(params))
         scalings.clear()
         assert 0 not in general_position(regime, params)
-        kept = sources._integer_point(regime, params)[1]
+        kept = sources.int_form(params)
         for side in ("F", "G"):
             source_via_difference_ops(regime, side, params)
             detreps.det_rep(regime, "scalar_product", side, params, detreps.AuxParams())
         for side in "FGPQ":
             sources._source(regime, side, params)
+        if regime == "trig":
+            # a point derived with a new z and Lambda shares the form, which
+            # trig and trig_lambda both read
+            derived = sources.derive(params, z=params.z / 3, lam=Fraction(2, 7))
+            for side in "FG":
+                sources._source("trig_lambda", side, derived)
+            assert derived.ints is kept
         assert len(scalings) == 1, regime
-        assert sources._integer_point(regime, params)[1] is kept
-        # a call with extra values scales afresh and keeps the memo
-        sources._integer_point(regime, params, (Fraction(1, 7),))
-        assert len(scalings) == 2 and list(params.ints) == [regime]
+        assert sources.int_form(params) is kept and params.ints is kept
         assert (repr(params), hash(params)) == before
         assert params == twin and hash(params) == hash(twin) and repr(params) == repr(twin)
-        assert twin.ints == {} and "ints" not in repr(params)
-        assert replace(params).ints == {}
+        assert twin.ints is None and "ints" not in repr(params)
+        assert replace(params).ints is None
 
 
 def _elliptic_point(n=3):
@@ -1245,3 +1252,49 @@ def test_theta_memo_changes_neither_repr_nor_equality():
     assert (repr(params), hash(params)) == before
     assert repr(params) == repr(twin) and params == twin and hash(params) == hash(twin)
     assert "thetas" not in repr(params)
+
+
+def test_an_exact_point_holds_fractions():
+    rat = RatParams(c=2, z=Fraction(1, 3), u=(1, -4), v=(5,))
+    tri = TrigParams(q=3, z=2, u=(1,), v=(Fraction(1, 2), 7), lam=-1)
+    for point in (rat, tri, TrigParams(q=3, z=2, u=(1,), v=(4,))):
+        values = [x for f in fields(point) if f.init for x in
+                  (getattr(point, f.name) if f.name in "uv" else (getattr(point, f.name),))]
+        assert all(type(x) is Fraction for x in values if x is not None), point
+        twin = as_fractions(point)
+        assert point == twin and hash(point) == hash(twin) and repr(point) == repr(twin)
+    assert rat.u == (Fraction(1), Fraction(-4)) and tri.lam == Fraction(-1)
+    # one complex or float value keeps the ints as they are, and no int form
+    for point in (RatParams(c=2, z=0.5j, u=(1, -4), v=(5,)),
+                  TrigParams(q=3, z=2, u=(1,), v=(4,), lam=0.5)):
+        assert type(point.u[0]) is int and int_form(point) is None
+
+
+def test_a_derived_point_carries_the_int_form_it_cannot_change():
+    rng = random.Random(67)
+    rat, tri = sample_rational(rng, 3, 2), sample_trig(rng, 2, 3, with_lam=True)
+    shifted = derive(rat, v=tuple(x + rat.c for x in rat.v))
+    fresh = replace(rat, v=shifted.v)
+    assert shifted == fresh and shifted.ints == int_form(fresh)
+    for point, changes in ((rat, {"z": Fraction(1)}), (tri, {"z": rat.c, "lam": rat.z})):
+        derived = derive(point, **changes)
+        assert derived == replace(point, **changes)
+        assert derived.ints is int_form(point) == int_form(replace(point, **changes))
+    # any other change, or an inexact result, gets a form of its own
+    for point, changes in ((rat, {"v": tuple(x - rat.c for x in rat.v)}), (rat, {"c": rat.z}),
+                           (tri, {"q": tri.q + 1}), (tri, {"v": rat.u})):
+        assert derive(point, **changes).ints is None
+    assert derive(rat, z=0.5j).ints is False and int_form(derive(rat, z=0.5j)) is None
+
+
+def test_subset_sums_leave_no_reference_cycle():
+    subset_sums_by_size([[None, 2], [3, None]], [1, 2], [3, 4], [[], [5]])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            subset_sums_by_size([[None, 2], [3, None]], [1, 2], [3, 4], [[], [5]])
+        # a cycle left by a call is found only by the collector
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
