@@ -1258,9 +1258,9 @@ def test_an_exact_point_holds_fractions():
     rat = RatParams(c=2, z=Fraction(1, 3), u=(1, -4), v=(5,))
     tri = TrigParams(q=3, z=2, u=(1,), v=(Fraction(1, 2), 7), lam=-1)
     for point in (rat, tri, TrigParams(q=3, z=2, u=(1,), v=(4,))):
-        values = [x for f in fields(point) if f.init for x in
-                  (getattr(point, f.name) if f.name in "uv" else (getattr(point, f.name),))]
-        assert all(type(x) is Fraction for x in values if x is not None), point
+        scalars = [getattr(point, name, None) for name in ("c", "q", "z", "lam")]
+        values = [x for x in scalars if x is not None] + [*point.u, *point.v]
+        assert all(type(x) is Fraction for x in values), point
         twin = as_fractions(point)
         assert point == twin and hash(point) == hash(twin) and repr(point) == repr(twin)
     assert rat.u == (Fraction(1), Fraction(-4)) and tri.lam == Fraction(-1)
