@@ -74,7 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--out", default=None)
 
     p_bench = sub.add_parser(
-        "bench", help="time subset sums against determinant evaluation"
+        "bench", help="time subset sums against determinant evaluation",
+        description="Time rational_F against one determinant family at complex rational "
+                    "points, n = m: subset_ms times the subset sums' complex table walk, "
+                    "not the int walks of exact points.",
     )
     p_bench.add_argument("--sizes", default="8,10,12",
                          help="comma-separated n values (n = m)")

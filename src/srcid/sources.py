@@ -64,18 +64,30 @@ vanishing and evaluation lemmas specialize, so they are summed directly in
 this form rather than by multiplying F by the clearing factor (which would
 be 0/0 at exactly the interesting points).
 
-One kernel, ``subset_sums_by_size``, evaluates all of them.  It decides
-the indices in or out of K depth first and carries the product of the
-factors between decided indices, so each decision costs one multiplication
-per earlier index: O(m 2^m) multiplications and no division, against
-O(m^2 2^m) for evaluating every subset on its own.  It returns one sum per
-size |K|; F, G, P and Q weight those sums by w(|K|).  The kernel is the
-only subset enumerator in srcid: the fixed-size cross-ratio and inversion
-sums of ``engine``'s q-identity cases and the chi_t sums of ``wallcross``
-read its per-size sums unweighted.  The hard size cap is max(n, m) <= 12.
+One kernel, ``subset_sums_by_size``, evaluates all of them over any field.
+It decides the indices in or out of K depth first and carries the product
+of the factors between decided indices, so each decision costs one
+multiplication per earlier index: O(m 2^m) multiplications and no
+division, against O(m^2 2^m) for evaluating every subset on its own.  It
+returns one sum per size |K|; F, G, P and Q weight those sums by w(|K|),
+and the fixed-size cross-ratio and inversion sums of ``engine``'s
+q-identity cases and the chi_t sums of ``wallcross`` read them unweighted.
+The int tables below have a second walk, ``_level_sums``, with the same
+per-size sums.  Over ints a product can be taken in any order, so it
+decides index t for every subset K of [0, t) at once: it first multiplies
+the small table entries of each K's two branches together, by doubling
+over the earlier indices, and then multiplies each prefix term once per
+branch, where the depth-first walk multiplies it by up to t entries one at
+a time.  At n = 12 the prefix terms have about 1400 bits, so this is about
+2^(n+1) big multiplications against 2n 2^n.  The last index's products go
+straight into the per-size sums, so the 2^m leaf terms are never held; at
+n = 12 the walk holds about 0.7 MiB.  Below ``LEVEL_WALK_FROM`` summed
+variables the depth-first walk is the faster of the two and the int sums
+take it.  These two walks are the only subset enumerators in srcid.  The
+hard size cap is max(n, m) <= 12.
 
-Exact rational, trig and trig_lambda points (every scalar an int or a
-Fraction) walk Python ints instead of Fractions.  ``fields.to_integers``
+Exact rational, trig and trig_lambda sums (every scalar and weight an int
+or a Fraction) walk Python ints instead of Fractions.  ``fields.to_integers``
 makes u and v (and c) ints, times their L, and the shift of an integer y
 is written sigma(y) = (alpha y + beta) / gamma: (1, c L, 1) in the
 rational regime, (a, 0, b) in the trigonometric ones, where q = a/b.  The
@@ -116,13 +128,16 @@ partners, so they are divided by L^(size * partners).  The one division at
 the end raises ``ZeroDivisionError`` where the Fraction tables did: at a
 repeated summed variable (D = 0, since a zero in ``same`` stays 0) and,
 for F and G, where some d(v_i, sigma u_k) = 0 (a zero non-member value
-stays 0).  Every other point (elliptic, complex or float) walks the table
-of d ratios.
+stays 0).  Every other sum (elliptic, complex or float, or with inexact
+weights) walks the table of d ratios.
 
-A ``RatParams`` or ``TrigParams`` is exact when every value it holds is an
-int or a Fraction; it then holds Fractions only (``__post_init__`` turns
+A ``RatParams`` or ``TrigParams`` is exact when c or q, z, u and v are
+ints or Fractions; it then holds Fractions there (``__post_init__`` turns
 its ints into Fractions, since an int 1 / x or q^-k is a float), while a
-point with a complex or float value keeps its values as given.  An exact
+point with a complex or float value among them keeps its values as given.
+Lambda enters only the trig_lambda weights and does not decide: an exact
+point with a complex Lambda has its int form, and its trig_lambda sums,
+whose weights are then complex, walk the table of d ratios.  An exact
 point is scaled once.  ``int_form`` is the one scaler of a core point: it
 makes the point's ``IntForm`` (u, v, L, sigma), chosen by the point's type,
 keeps it in the point's ``ints`` field, and reads it back at every later
@@ -171,6 +186,8 @@ from .linalg import frobenius_matrix, det, prod, vandermonde
 from .qseries import qpoch_n, theta
 
 SIZE_CAP = 12
+# the int sums walk level by level from this summed size up (module docstring)
+LEVEL_WALK_FROM = 6
 
 
 class SizeCapError(ValueError):
@@ -213,19 +230,24 @@ class IntForm(NamedTuple):
 @dataclass(frozen=True)
 class _CorePoint:
     """What ``RatParams`` and ``TrigParams`` share; ``_SCALARS`` names their
-    values besides u and v."""
+    values besides u and v that decide exactness."""
 
     # the point's ``IntForm`` once ``int_form`` made it, False at an inexact point
     ints: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        names = [name for name in self._SCALARS if getattr(self, name) is not None]
-        values = (*(getattr(self, name) for name in names), *self.u, *self.v)
+        # lam enters only the trig_lambda weights, so it does not decide
+        # exactness; an exact lam is made a Fraction with the rest
+        values = (*(getattr(self, name) for name in self._SCALARS), *self.u, *self.v)
         if not is_exact(values):
             object.__setattr__(self, "ints", False)
-        elif int in map(type, values):
+            return
+        lam = getattr(self, "lam", None)
+        if type(lam) is int:
+            object.__setattr__(self, "lam", Fraction(lam))
+        if int in map(type, values):
             # an exact point holds Fractions: an int 1 / x or q^-k is a float
-            for name in names:
+            for name in self._SCALARS:
                 object.__setattr__(self, name, Fraction(getattr(self, name)))
             object.__setattr__(self, "u", tuple(map(Fraction, self.u)))
             object.__setattr__(self, "v", tuple(map(Fraction, self.v)))
@@ -246,7 +268,7 @@ class TrigParams(_CorePoint):
     u: tuple
     v: tuple
     lam: Optional[object] = None
-    _SCALARS = ("q", "z", "lam")
+    _SCALARS = ("q", "z")
 
 
 @dataclass(frozen=True)
@@ -524,6 +546,40 @@ def subset_sums_by_size(pair, inside=None, outside=None, same=None, one=1):
     return by_size
 
 
+def _level_sums(pair, inside, outside, same):
+    """``subset_sums_by_size(pair, inside, outside, same)`` over int tables,
+    one index at a time (module docstring).
+
+    Bit j of a mask K over the earlier indices says j is in K.  Index t
+    joins K with the take factor inside[t] prod pair[t][j] (j not in K)
+    prod same[t][i] (i in K), or stays out with the skip factor outside[t]
+    prod pair[i][t] (i in K) prod same[t][j] (j not in K).  Both factors of
+    every mask are built by doubling over j, so each prefix term is
+    multiplied once per branch; the last index's products go straight into
+    the per-size sums.
+    """
+    size = len(pair)
+    by_size = [0] * (size + 1)
+    terms = [1]
+    for t in range(size):
+        row, near = pair[t], same[t]
+        take, skip = [inside[t]], [outside[t]]
+        for j in range(t):
+            out_take, shared, in_skip = row[j], near[j], pair[j][t]
+            take = [f * out_take for f in take] + [f * shared for f in take]
+            skip = [f * shared for f in skip] + [f * in_skip for f in skip]
+        if t < size - 1:
+            terms = [x * f for x, f in zip(terms, skip)] + [x * f for x, f in zip(terms, take)]
+            continue
+        for mask, x in enumerate(terms):
+            s = mask.bit_count()
+            by_size[s] += x * skip[mask]
+            by_size[s + 1] += x * take[mask]
+    if not size:
+        by_size[0] = 1
+    return by_size
+
+
 def _subset_sum(weights, pair, *tables):
     """sum_s weights[s] S_s over the ``subset_sums_by_size`` of the tables."""
     by_size = subset_sums_by_size(pair, *tables)
@@ -663,7 +719,8 @@ def _integer_sum(weights, form, vside, cleared):
     cross, same = integer_pair_tables(xs, sigma)
     inside, outside = integer_member_products(u, v, sigma, vside)
     content = _divide_content(cross, same, inside, outside)
-    by_size = subset_sums_by_size(_pair_table(cross, vside), inside, outside, same)
+    walk = _level_sums if size >= LEVEL_WALK_FROM else subset_sums_by_size
+    by_size = walk(_pair_table(cross, vside), inside, outside, same)
     # the power of gamma per size: 1/gamma per separated pair, and per
     # partner gamma for each member (F, G) or 1/gamma for each non-member (P, Q)
     powers = [-s * (size - s) + (-(size - s) if cleared else s) * partners
@@ -689,7 +746,7 @@ def _source(regime, side, params):
     size = len(xs)
     form = int_form(params)
     weights = reg.weights(params, vside, size)
-    if form is not None:
+    if form is not None and is_exact(weights):
         total = _integer_sum(weights, form, vside, cleared)
     else:
         d = reg.pair(params)

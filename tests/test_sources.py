@@ -15,6 +15,7 @@ from srcid.linalg import prod, vandermonde
 from srcid.qseries import qpoch_n, theta
 from srcid.sources import (
     REGIMES,
+    SIZE_CAP,
     EllipticParams,
     RatParams,
     SizeCapError,
@@ -939,31 +940,115 @@ def test_reduced_int_walk_raises_where_the_fraction_tables_do():
 
 
 def test_every_choice_set_reaches_the_kernel_with_gcd_one(monkeypatch):
-    # each pair's {same, pair[t][i], pair[i][t]} and each index's {inside, outside}
+    # each pair's {same, pair[t][i], pair[i][t]} and each index's {inside, outside},
+    # through whichever walk the int sum takes
     import srcid.sources as sources
 
     seen = []
-    kernel = sources.subset_sums_by_size
+    for name in ("subset_sums_by_size", "_level_sums"):
+        def spy(pair, inside, outside, same, *rest, walk=getattr(sources, name), name=name):
+            seen.append((name, pair, inside, outside, same))
+            return walk(pair, inside, outside, same, *rest)
 
-    def spy(pair, inside=None, outside=None, same=None, one=1):
-        seen.append((pair, inside, outside, same))
-        return kernel(pair, inside, outside, same, one)
-
-    monkeypatch.setattr(sources, "subset_sums_by_size", spy)
+        monkeypatch.setattr(sources, name, spy)
+    walks = set()
     rng = random.Random(139)
     for regime in ("rational", "trig", "trig_lambda"):
-        for n, m in ((1, 3), (3, 1), (4, 4), (6, 5)):
+        for n, m in ((1, 3), (3, 1), (4, 4), (6, 5), (8, 7)):
             for draw in (exact_point, large_lcm_point):
                 params = draw(rng, regime, n, m)
                 assert denominators_lcm(params) > 1
                 for side in ("FG" if regime == "trig_lambda" else "FGPQ"):
                     seen.clear()
                     sources._source(regime, side, params)
-                    (pair, inside, outside, same), = seen
+                    (name, pair, inside, outside, same), = seen
+                    walks.add(name)
                     for t in range(len(pair)):
                         assert math.gcd(inside[t], outside[t]) == 1, (regime, side, t)
                         for i in range(t):
                             assert math.gcd(same[t][i], pair[t][i], pair[i][t]) == 1
+    assert walks == {"subset_sums_by_size", "_level_sums"}
+
+
+def random_int_tables(rng, size):
+    """Int kernel tables with zero entries, and one all-zero choice set at
+    size 2 and up (a pair's at even sizes, an index's at odd ones)."""
+    def entry():
+        return rng.choice((0, rng.randint(-9, 9), rng.randint(-10**12, 10**12)))
+
+    pair = [[None if a == b else entry() for b in range(size)] for a in range(size)]
+    inside, outside = [entry() for _ in range(size)], [entry() for _ in range(size)]
+    same = [[entry() for _ in range(t)] for t in range(size)]
+    if size >= 2:
+        t = rng.randrange(1, size)
+        if size % 2:
+            inside[t] = outside[t] = 0
+        else:
+            i = rng.randrange(t)
+            same[t][i] = pair[t][i] = pair[i][t] = 0
+    return pair, inside, outside, same
+
+
+def test_level_walk_equals_the_depth_first_walk_on_int_tables():
+    import srcid.sources as sources
+
+    rng = random.Random(149)
+    for size in range(0, SIZE_CAP + 1):
+        for _ in range(4 if size < 10 else 1):
+            tables = random_int_tables(rng, size)
+            sums = sources._level_sums(*tables)
+            assert sums == subset_sums_by_size(*tables), size
+            assert all(type(x) is int for x in sums)
+    assert sources._level_sums([], [], [], []) == [1]
+
+
+def test_both_int_walks_raise_at_the_same_points(monkeypatch):
+    # F, G, P, Q at summed size 7 through each walk, at points that divide by
+    # zero and at all-zero choice sets (a repeated 0 of trig's u, and at c = 0
+    # a v_i = u_k that is also sigma u_k)
+    import srcid.sources as sources
+
+    F = Fraction
+    rng = random.Random(151)
+    points = []
+    for regime in ("rational", "trig"):
+        points += [(regime, p) for p in moved_onto_coincidences(
+            regime, exact_point(rng, regime, 7, 7))]
+    points.append(("trig", TrigParams(q=F(-3, 2), z=F(3, 7), u=(F(0), F(1, 2), F(0), *map(F, range(3, 7))),
+                                      v=(F(5, 3),))))
+    points.append(("rational", RatParams(c=F(0), z=F(2, 5), u=(F(1, 2), F(2)),
+                                         v=(F(1, 2), *(F(k, 3) for k in range(7, 13))))))
+    raised = 0
+    for regime, params in points:
+        for side in "FGPQ":
+            outcomes = []
+            for start in (0, SIZE_CAP + 1):
+                monkeypatch.setattr(sources, "LEVEL_WALK_FROM", start)
+                outcomes.append(outcome(regime, side, params, sources._source))
+            assert outcomes[0] == outcomes[1], (regime, side, params)
+            raised += outcomes[0] is ZeroDivisionError
+    assert raised > 10
+
+
+def test_the_level_walk_holds_under_one_mib():
+    # one n = 12 rational F sum at the large-n workload's point of the default seed
+    import tracemalloc
+
+    import srcid.engine as engine
+    from srcid.fields import EXACT
+
+    seed = 20260801
+    config = engine.SamplingConfig(master_seed=seed, field=EXACT)
+    ctx = engine.PointContext(random.Random(f"{seed}:large-n:rational:12"), EXACT, config)
+    params = ctx.sample_rational(12, 12)
+    value = rational_F(params)
+    tracemalloc.start()
+    try:
+        assert rational_F(params) == value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_elliptic_sums_at_nome_zero_are_the_lambda_weighted_trig_sums():
@@ -1264,10 +1349,31 @@ def test_an_exact_point_holds_fractions():
         twin = as_fractions(point)
         assert point == twin and hash(point) == hash(twin) and repr(point) == repr(twin)
     assert rat.u == (Fraction(1), Fraction(-4)) and tri.lam == Fraction(-1)
-    # one complex or float value keeps the ints as they are, and no int form
+    # one complex or float value of c or q, z, u, v keeps the ints as they
+    # are, and no int form
     for point in (RatParams(c=2, z=0.5j, u=(1, -4), v=(5,)),
-                  TrigParams(q=3, z=2, u=(1,), v=(4,), lam=0.5)):
+                  TrigParams(q=0.5, z=2, u=(1,), v=(4,), lam=-1)):
         assert type(point.u[0]) is int and int_form(point) is None
+
+
+def test_lambda_does_not_decide_exactness():
+    # q, z, u, v exact and lam complex or float: F and G are the Fractions of
+    # the point without lam, and the trig_lambda sums, linear in lam, walk
+    # the d ratio tables with inexact weights
+    from srcid.detreps import build_dwbc_matrix
+
+    for lam in (0.5j, 0.5, 1.5 - 2j):
+        point = TrigParams(q=2, z=3, u=(1, 4), v=(5, 7), lam=lam)
+        assert point.lam == lam and type(point.u[0]) is Fraction
+        assert int_form(point) == int_form(TrigParams(q=2, z=3, u=(1, 4), v=(5, 7)))
+        assert trig_F(point) == trig_G(point) == Fraction(98, 5)
+        assert type(trig_F(point)) is Fraction and type(trig_G(point)) is Fraction
+        assert all(type(x) is Fraction for row in build_dwbc_matrix("trig", "F", point)
+                   for x in row)
+        for sum_ in (trig_lambda_F, trig_lambda_G):
+            at_one = sum_(replace(point, lam=1))
+            expected = Fraction(98, 5) - lam * (Fraction(98, 5) - at_one)
+            assert abs(sum_(point) - complex(expected)) < 1e-12 * abs(expected), sum_
 
 
 def test_a_derived_point_carries_the_int_form_it_cannot_change():
