@@ -970,16 +970,17 @@ def test_every_choice_set_reaches_the_kernel_with_gcd_one(monkeypatch):
     assert walks == {"subset_sums_by_size", "_level_sums"}
 
 
-def random_int_tables(rng, size):
-    """Int kernel tables with zero entries, and one all-zero choice set at
-    size 2 and up (a pair's at even sizes, an index's at odd ones)."""
+def random_int_tables(rng, size, zero_set=False):
+    """Int kernel tables with some zero entries; with ``zero_set`` one choice
+    set is all zeros (a pair's at even sizes, an index's at odd ones), which
+    makes every per-size sum 0."""
     def entry():
-        return rng.choice((0, rng.randint(-9, 9), rng.randint(-10**12, 10**12)))
+        return rng.choice((0, *(rng.randint(-9, 9) or 1, rng.randint(-10**12, 10**12)) * 8))
 
     pair = [[None if a == b else entry() for b in range(size)] for a in range(size)]
     inside, outside = [entry() for _ in range(size)], [entry() for _ in range(size)]
     same = [[entry() for _ in range(t)] for t in range(size)]
-    if size >= 2:
+    if zero_set and size >= 2:
         t = rng.randrange(1, size)
         if size % 2:
             inside[t] = outside[t] = 0
@@ -989,16 +990,23 @@ def random_int_tables(rng, size):
     return pair, inside, outside, same
 
 
-def test_level_walk_equals_the_depth_first_walk_on_int_tables():
+@pytest.mark.parametrize("holds", [None, 3, 1])
+def test_level_walk_equals_the_depth_first_walk_on_int_tables(monkeypatch, holds):
+    # holds: how many indices a walk takes before it decides index 0 first
     import srcid.sources as sources
 
+    if holds is not None:
+        monkeypatch.setattr(sources, "LEVEL_WALK_HOLDS", holds)
     rng = random.Random(149)
+    nonzero = 0
     for size in range(0, SIZE_CAP + 1):
-        for _ in range(4 if size < 10 else 1):
-            tables = random_int_tables(rng, size)
+        for zero_set in (False, True) * (3 if size < 10 else 1):
+            tables = random_int_tables(rng, size, zero_set)
             sums = sources._level_sums(*tables)
-            assert sums == subset_sums_by_size(*tables), size
+            assert sums == subset_sums_by_size(*tables), (size, zero_set)
             assert all(type(x) is int for x in sums)
+            nonzero += sum(map(bool, sums))
+    assert nonzero > 80
     assert sources._level_sums([], [], [], []) == [1]
 
 
@@ -1030,8 +1038,9 @@ def test_both_int_walks_raise_at_the_same_points(monkeypatch):
     assert raised > 10
 
 
-def test_the_level_walk_holds_under_one_mib():
-    # one n = 12 rational F sum at the large-n workload's point of the default seed
+def test_the_level_walk_holds_under_half_a_mib():
+    # one n = 12 rational F sum at the large-n workload's point of the default
+    # seed: 0.72 MiB without the split on index 0, 1.5 MiB holding every leaf term
     import tracemalloc
 
     import srcid.engine as engine
@@ -1048,7 +1057,7 @@ def test_the_level_walk_holds_under_one_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    assert peak < 1 << 19, peak
 
 
 def test_elliptic_sums_at_nome_zero_are_the_lambda_weighted_trig_sums():
