@@ -1,16 +1,16 @@
 """Time the exact int subset sums by each walk, summed size by summed size.
 
-    python3 scripts/walk_timings.py [--sizes 2-12] [--seed 20260801] [--repeat 5]
+    python3 scripts/walk_timings.py [--sizes 2-12] [--repeat 5]
 
 For each summed size n, regime (rational, trig) and side (F, G) the script
-draws the exact point at n = m that the large-n benchmark workload draws for
-``--seed`` and times ``sources.source_subset_sum`` with the depth-first walk
-(``subset_sums_by_size``) and with the level walk (``_level_sums``), chosen
-by setting ``sources.LEVEL_WALK_FROM`` above or below n.  The two walks are
-timed in turn, and each prints its best of ``--repeat`` runs in ms per sum,
-then the ratio DFS / level (above 1: the level walk is faster).  These
-timings are what ``LEVEL_WALK_FROM`` is chosen from.  Only the standard
-library is used.
+draws the exact point at n = m that the large-n benchmark workload draws at
+its default seed and times ``sources.source_subset_sum`` with the
+depth-first walk (``subset_sums_by_size``) and with the level walk
+(``_level_sums``), chosen by setting ``sources.LEVEL_WALK_FROM`` above or
+below n.  The two walks are timed in turn, and each prints its best of
+``--repeat`` runs in ms per sum, then the ratio DFS / level (above 1: the
+level walk is faster).  These timings are what ``LEVEL_WALK_FROM`` is
+chosen from.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from srcid import engine, sources  # noqa: E402
 from srcid.fields import EXACT  # noqa: E402
 
+SEED = 20260801
 
-def draw(regime, n, seed):
-    """The large-n workload's point for (regime, n) at ``seed``."""
-    config = engine.SamplingConfig(master_seed=seed, field=EXACT)
-    ctx = engine.PointContext(random.Random(f"{seed}:large-n:{regime}:{n}"), EXACT, config)
+
+def draw(regime, n):
+    """The large-n workload's point for (regime, n) at ``SEED``."""
+    config = engine.SamplingConfig(master_seed=SEED, field=EXACT)
+    ctx = engine.PointContext(random.Random(f"{SEED}:large-n:{regime}:{n}"), EXACT, config)
     return ctx.sample_rational(n, n) if regime == "rational" else ctx.sample_trig(n, n)
 
 
@@ -44,7 +46,6 @@ def best_ms(regime, side, params, start, repeat):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", default="2-12", help="lo-hi summed sizes")
-    parser.add_argument("--seed", type=int, default=20260801)
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
     lo, hi = map(int, args.sizes.split("-"))
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
     try:
         for n in range(lo, hi + 1):
             for regime in ("rational", "trig"):
-                params = draw(regime, n, args.seed)
+                params = draw(regime, n)
                 for side in "FG":
                     dfs = best_ms(regime, side, params, n + 1, args.repeat)
                     level = best_ms(regime, side, params, n, args.repeat)
