@@ -88,9 +88,7 @@ from typing import Optional
 from .fields import is_exact, to_integers
 from .linalg import det, det_exact, prod, vandermonde
 from .qseries import psi_A
-from .sources import (
-    REGIMES, _ratios, _theta_memo, apart, int_form, integer_member_products, member_ratios,
-)
+from .sources import REGIMES, _theta_memo, apart, int_form, integer_member_products, member_ratios
 
 AVAILABILITY = {
     "elliptic": frozenset({"mpt", "bs"}),
@@ -202,10 +200,8 @@ def _side(regime, side, params, aux=(), eta=()):
             form = None
     u, v = params.u, params.v
     if form is None:
-        # ``sources.member_ratios``, keeping sigma(u) for the G side's row shifts
         shift = reg.shift(params)
-        su = list(map(shift, u))
-        ratio = _ratios(reg.pair(params), u, su, v, vside)
+        ratio = member_ratios(regime, side, params)
     if vside:
         zeff, pref = reg.scale(params, len(v) - 1) * params.z, 1
     else:
@@ -214,7 +210,8 @@ def _side(regime, side, params, aux=(), eta=()):
         if vside:
             return _Side(v, map(reg.shift(params, inverse=True), v), eta, list(map(shift, eta)),
                          1, 1, zeff, ratio, None, pref)
-        return _Side(u, su, eta, list(map(shift, eta)), 1, 1, zeff, ratio, None, pref)
+        return _Side(u, list(map(shift, u)), eta, list(map(shift, eta)),
+                     1, 1, zeff, ratio, None, pref)
     a, b, d = (gamma, -beta, alpha) if vside else sigma
     xs, partners = (vs, len(us)) if vside else (us, len(vs))
     return _Side([d * x for x in xs], [a * x + b for x in xs], [d * e for e in etas],

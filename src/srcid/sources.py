@@ -1,4 +1,4 @@
-"""Source functions: one regime table, one subset-sum kernel, difference-operator forms.
+"""Source functions: a regime table, a subset walk per table kind, difference-operator forms.
 
 A source function is a sum over subsets K of the v indices (F side) or of
 the u indices (G side), each term carrying a size weight w(|K|) and
@@ -64,30 +64,30 @@ vanishing and evaluation lemmas specialize, so they are summed directly in
 this form rather than by multiplying F by the clearing factor (which would
 be 0/0 at exactly the interesting points).
 
-One kernel, ``subset_sums_by_size``, evaluates all of them over any field.
-It decides the indices in or out of K depth first and carries the product
-of the factors between decided indices, so each decision costs one
+There is one subset walk per kind of table.  ``subset_sums_by_size``
+walks tables of values over any field: the complex, elliptic and
+inexact-weight sums, the fixed-size cross-ratio and inversion sums of
+``engine``'s q-identity cases and the chi_t sums of ``wallcross``.  It
+decides the indices in or out of K depth first and carries the product of
+the factors between decided indices, so each decision costs one
 multiplication per earlier index: O(m 2^m) multiplications and no
-division, against O(m^2 2^m) for evaluating every subset on its own.  It
-returns one sum per size |K|; F, G, P and Q weight those sums by w(|K|),
-and the fixed-size cross-ratio and inversion sums of ``engine``'s
-q-identity cases and the chi_t sums of ``wallcross`` read them unweighted.
-The int tables below have a second walk, ``_level_sums``, with the same
-per-size sums.  Over ints a product can be taken in any order, so it
-decides index t for every subset K of [0, t) at once: it first multiplies
-the small table entries of each K's two branches together, by doubling
-over the earlier indices, and then multiplies each prefix term once per
-branch, where the depth-first walk multiplies it by up to t entries one at
-a time.  At n = 12 the prefix terms have about 1400 bits, so this is about
+division, against O(m^2 2^m) for evaluating every subset on its own.
+``_level_sums`` walks the int tables of the exact sums below, at every
+size.  Over ints a product can be taken in any order, so it decides index
+t for every subset K of [0, t) at once: it first multiplies the small
+table entries of each K's two branches together, by doubling over the
+earlier indices, and then multiplies each prefix term once per branch,
+where a depth-first walk multiplies it by up to t entries one at a time.
+At n = 12 the prefix terms have about 1400 bits, so this is about
 2^(n+1) big multiplications against 2n 2^n.  The walk holds a level's
 prefix terms, so its memory is bounded twice: the last index's products go
 straight into the per-size sums, so the 2^m leaf terms are never held, and
 above ``LEVEL_WALK_HOLDS`` = 11 indices index 0 is decided first and each
 branch walks the rest.  At n = 12 a walk holds about 0.36 MiB (0.72 MiB
-without the split, for 1-2% less time).  Below ``LEVEL_WALK_FROM`` summed
-variables the depth-first walk is the faster of the two and the int sums
-take it.  These two walks are the only subset enumerators in srcid.  The
-hard size cap is max(n, m) <= 12.
+without the split, for 1-2% less time).  Both walks return one sum per
+size |K|; F, G, P and Q weight those sums by w(|K|), and the q-identity and
+chi_t sums read them unweighted.  These two walks are the only subset
+enumerators in srcid.  The hard size cap is max(n, m) <= 12.
 
 Exact rational, trig and trig_lambda sums (every scalar and weight an int
 or a Fraction) walk Python ints instead of Fractions.  ``fields.to_integers``
@@ -98,7 +98,7 @@ sum is multiplied by D = prod_{i<j} (x_i - x_j) over the summed variables
 x, which clears every pair ratio (``integer_pair_tables`` builds the pair
 tables; ``symmetrize.sym_c`` takes its tables from it too):
 
-* a pair on the same side of K contributes x_lo - x_hi (the kernel's
+* a pair on the same side of K contributes x_lo - x_hi (the level walk's
   ``same`` table);
 * a separated pair with ratio d(a, sigma b) / d(a, b) contributes
   (gamma a - alpha b - beta) / gamma, signed by D's factor (``cross``);
@@ -189,9 +189,8 @@ from .linalg import frobenius_matrix, det, prod, vandermonde
 from .qseries import qpoch_n, theta
 
 SIZE_CAP = 12
-# the int sums walk level by level from this summed size up, and that walk
-# decides index 0 first above LEVEL_WALK_HOLDS indices (module docstring)
-LEVEL_WALK_FROM = 6
+# the level walk of the int sums decides index 0 first above this many
+# indices (module docstring)
 LEVEL_WALK_HOLDS = 11
 
 
@@ -494,7 +493,7 @@ def general_position(regime, params):
 
 
 # ---------------------------------------------------------------------------
-# the subset-sum kernel
+# the subset walks
 # ---------------------------------------------------------------------------
 
 
@@ -503,18 +502,17 @@ def _check_cap(*sizes):
         raise SizeCapError(f"subset enumeration capped at max(n, m) <= {SIZE_CAP}")
 
 
-def subset_sums_by_size(pair, inside=None, outside=None, same=None, one=1):
-    """[S_0, ..., S_m]: S_s sums over K subset [0..m) with |K| = s the
-    products of pair[i][j] (i in K, j notin K), inside[i] (i in K),
-    outside[j] (j notin K) and same[j][i] (i < j on the same side of K).
-    A table that is None contributes no factor, and the empty product is
-    ``one``, so every S_s has the type of the caller's field.
+def subset_sums_by_size(pair, inside=None, outside=None, one=1):
+    """[S_0, ..., S_m] over tables of values: S_s sums over K subset [0..m)
+    with |K| = s the products of pair[i][j] (i in K, j notin K), inside[i]
+    (i in K) and outside[j] (j notin K).  A table that is None contributes
+    no factor, and the empty product is ``one``, so every S_s has the type
+    of the caller's field.  The exact int sums take ``_level_sums``.
 
-    Index t joins K with inside[t], pair[t][j] for every earlier j left out
-    and same[t][i] for every earlier i in K, or stays out with outside[t],
-    pair[i][t] for every earlier i in K and same[t][j] for every earlier j
-    left out.  Each leaf adds its product to the sum of its size; the two
-    leaves of the last index are added there, without a further call.
+    Index t joins K with inside[t] and pair[t][j] for every earlier j left
+    out, or stays out with outside[t] and pair[i][t] for every earlier i in
+    K.  Each leaf adds its product to the sum of its size; the two leaves
+    of the last index are added there, without a further call.
     """
     size = len(pair)
     by_size = [0] * (size + 1)
@@ -528,12 +526,6 @@ def subset_sums_by_size(pair, inside=None, outside=None, same=None, one=1):
         skip = term if outside is None else term * outside[t]
         for i in members:
             skip *= pair[i][t]
-        if same is not None:
-            near = same[t]
-            for i in members:
-                take *= near[i]
-            for j in others:
-                skip *= near[j]
         if t == last:
             by_size[len(members) + 1] += take
             by_size[len(members)] += skip
@@ -552,8 +544,10 @@ def subset_sums_by_size(pair, inside=None, outside=None, same=None, one=1):
 
 
 def _level_sums(pair, inside, outside, same):
-    """``subset_sums_by_size(pair, inside, outside, same)`` over int tables,
-    one index at a time (module docstring).
+    """[S_0, ..., S_m] over int tables, one index at a time (module
+    docstring): S_s sums over K subset [0..m) with |K| = s the products of
+    pair[i][j] (i in K, j notin K), inside[i] (i in K), outside[j] (j notin
+    K) and same[j][i] (i < j on the same side of K).
 
     Bit j of a mask K over the earlier indices says j is in K.  Index t
     joins K with the take factor inside[t] prod pair[t][j] (j not in K)
@@ -736,8 +730,7 @@ def _integer_sum(weights, form, vside, cleared):
     cross, same = integer_pair_tables(xs, sigma)
     inside, outside = integer_member_products(u, v, sigma, vside)
     content = _divide_content(cross, same, inside, outside)
-    walk = _level_sums if size >= LEVEL_WALK_FROM else subset_sums_by_size
-    by_size = walk(_pair_table(cross, vside), inside, outside, same)
+    by_size = _level_sums(_pair_table(cross, vside), inside, outside, same)
     # the power of gamma per size: 1/gamma per separated pair, and per
     # partner gamma for each member (F, G) or 1/gamma for each non-member (P, Q)
     powers = [-s * (size - s) + (-(size - s) if cleared else s) * partners

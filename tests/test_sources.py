@@ -636,7 +636,7 @@ def size_sums_literal(pair, inside=None, outside=None, same=None):
     for ell in range(size + 1):
         total = 0
         for kset in combinations(range(size), ell):
-            term = Fraction(1)
+            term = 1
             for i in range(size):
                 for j in range(size):
                     if i in kset and j not in kset:
@@ -665,15 +665,14 @@ def test_size_sums_match_the_literal_enumeration():
             pair = [[entry() if i != j else None for j in range(size)] for i in range(size)]
             inside = [entry() for _ in range(size)]
             outside = [entry() for _ in range(size)]
-            same = [[entry() for _ in range(t)] for t in range(size)]
             zeros += sum(row.count(0) for row in pair)
-            for tables in ((pair,), (pair, inside), (pair, inside, outside, same)):
+            for tables in ((pair,), (pair, inside), (pair, inside, outside)):
                 sums = subset_sums_by_size(*tables, one=Fraction(1))
                 assert sums == size_sums_literal(*tables), (size, tables)
     assert zeros
 
 
-def size_sums_walk_literal(pair, inside=None, outside=None, same=None, one=1):
+def size_sums_walk_literal(pair, inside=None, outside=None, one=1):
     """The kernel's walk with one call per leaf: every subset recurses to
     t = size and adds its product there, in depth-first order."""
     size = len(pair)
@@ -690,12 +689,6 @@ def size_sums_walk_literal(pair, inside=None, outside=None, same=None, one=1):
         skip = term if outside is None else term * outside[t]
         for i in members:
             skip *= pair[i][t]
-        if same is not None:
-            near = same[t]
-            for i in members:
-                take *= near[i]
-            for j in others:
-                skip *= near[j]
         walk(t + 1, take, members + (t,), others)
         walk(t + 1, skip, members, others + (t,))
 
@@ -711,10 +704,9 @@ def test_size_sums_keep_every_bit_of_the_walk_with_one_call_per_leaf():
         pair = [[rand_complex(rng) if i != j else None for j in range(size)] for i in range(size)]
         inside = [rand_complex(rng) for _ in range(size)]
         outside = [rand_complex(rng) for _ in range(size)]
-        same = [[rand_complex(rng) for _ in range(t)] for t in range(size)]
-        for mask in range(8):
+        for mask in range(4):
             tables = [table if mask >> bit & 1 else None
-                      for bit, table in enumerate((inside, outside, same))]
+                      for bit, table in enumerate((inside, outside))]
             sums = subset_sums_by_size(pair, *tables, one=1 + 0j)
             literal = size_sums_walk_literal(pair, *tables, one=1 + 0j)
             assert repr(sums) == repr(literal), (size, mask)
@@ -942,18 +934,18 @@ def test_reduced_int_walk_raises_where_the_fraction_tables_do():
 
 
 def test_every_choice_set_reaches_the_kernel_with_gcd_one(monkeypatch):
-    # each pair's {same, pair[t][i], pair[i][t]} and each index's {inside, outside},
-    # through whichever walk the int sum takes
+    # each pair's {same, pair[t][i], pair[i][t]} and each index's {inside,
+    # outside}, through the level walk that every int sum takes
     import srcid.sources as sources
 
     seen = []
-    for name in ("subset_sums_by_size", "_level_sums"):
-        def spy(pair, inside, outside, same, *rest, walk=getattr(sources, name), name=name):
-            seen.append((name, pair, inside, outside, same))
-            return walk(pair, inside, outside, same, *rest)
+    walk = sources._level_sums
 
-        monkeypatch.setattr(sources, name, spy)
-    walks = set()
+    def spy(pair, inside, outside, same):
+        seen.append((pair, inside, outside, same))
+        return walk(pair, inside, outside, same)
+
+    monkeypatch.setattr(sources, "_level_sums", spy)
     rng = random.Random(139)
     for regime in ("rational", "trig", "trig_lambda"):
         for n, m in ((1, 3), (3, 1), (4, 4), (6, 5), (8, 7)):
@@ -963,13 +955,12 @@ def test_every_choice_set_reaches_the_kernel_with_gcd_one(monkeypatch):
                 for side in ("FG" if regime == "trig_lambda" else "FGPQ"):
                     seen.clear()
                     sources._source(regime, side, params)
-                    (name, pair, inside, outside, same), = seen
-                    walks.add(name)
+                    (pair, inside, outside, same), = seen
+                    assert len(pair) == (m if side in "FP" else n), (regime, side, n, m)
                     for t in range(len(pair)):
                         assert math.gcd(inside[t], outside[t]) == 1, (regime, side, t)
                         for i in range(t):
                             assert math.gcd(same[t][i], pair[t][i], pair[i][t]) == 1
-    assert walks == {"subset_sums_by_size", "_level_sums"}
 
 
 def random_int_tables(rng, size, zero_set=False):
@@ -992,22 +983,33 @@ def random_int_tables(rng, size, zero_set=False):
     return pair, inside, outside, same
 
 
+@pytest.fixture(scope="module")
+def int_tables_and_literal_sums():
+    """(size, zero_set, tables, literal sums) per drawn table, each table's
+    literal sums made once for every LEVEL_WALK_HOLDS the walk is run at."""
+    rng = random.Random(149)
+    drawn = []
+    for size in range(0, SIZE_CAP + 1):
+        for zero_set in (False, True) * (3 if size < 10 else 1):
+            tables = random_int_tables(rng, size, zero_set)
+            drawn.append((size, zero_set, tables, size_sums_literal(*tables)))
+    return drawn
+
+
 @pytest.mark.parametrize("holds", [None, 3, 1])
-def test_level_walk_equals_the_depth_first_walk_on_int_tables(monkeypatch, holds):
+def test_level_walk_equals_the_literal_enumeration_on_int_tables(
+        monkeypatch, int_tables_and_literal_sums, holds):
     # holds: how many indices a walk takes before it decides index 0 first
     import srcid.sources as sources
 
     if holds is not None:
         monkeypatch.setattr(sources, "LEVEL_WALK_HOLDS", holds)
-    rng = random.Random(149)
     nonzero = 0
-    for size in range(0, SIZE_CAP + 1):
-        for zero_set in (False, True) * (3 if size < 10 else 1):
-            tables = random_int_tables(rng, size, zero_set)
-            sums = sources._level_sums(*tables)
-            assert sums == subset_sums_by_size(*tables), (size, zero_set)
-            assert all(type(x) is int for x in sums)
-            nonzero += sum(map(bool, sums))
+    for size, zero_set, tables, literal in int_tables_and_literal_sums:
+        sums = sources._level_sums(*tables)
+        assert sums == literal, (size, zero_set)
+        assert all(type(x) is int for x in sums)
+        nonzero += sum(map(bool, sums))
     assert nonzero > 80
     assert sources._level_sums([], [], [], []) == [1]
 
@@ -1377,12 +1379,12 @@ def test_a_derived_point_carries_the_int_form_it_cannot_change():
 
 
 def test_subset_sums_leave_no_reference_cycle():
-    subset_sums_by_size([[None, 2], [3, None]], [1, 2], [3, 4], [[], [5]])
+    subset_sums_by_size([[None, 2], [3, None]], [1, 2], [3, 4])
     gc.collect()
     gc.disable()
     try:
         for _ in range(100):
-            subset_sums_by_size([[None, 2], [3, None]], [1, 2], [3, 4], [[], [5]])
+            subset_sums_by_size([[None, 2], [3, None]], [1, 2], [3, 4])
         # a cycle left by a call is found only by the collector
         assert gc.collect() == 0
     finally:
