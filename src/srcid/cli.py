@@ -1,7 +1,8 @@
 """Command-line front end: list cases, run suites, dump samples, benchmark.
 
 Exit codes: 0 all selected cases pass, 1 at least one case fails,
-2 invalid arguments (including unknown case ids).
+2 invalid arguments (including unknown case ids) or output that cannot
+be written.
 
 The JSON report layout is
 
@@ -22,6 +23,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -107,16 +109,20 @@ def _config_from_args(args) -> SamplingConfig:
 def _output(out_path):
     """The stream a command writes its result to: standard output, or
     ``--out`` opened before any work, so that a path that cannot be written
-    is a ``UsageError`` at once and not after the run."""
-    if not out_path:
-        yield sys.stdout
-        return
+    is a ``UsageError`` at once and not after the run.  A command does no
+    other I/O, so an ``OSError`` here is a failed write, flush or close of
+    the stream: a ``UsageError`` too."""
+    where = f"--out {out_path}" if out_path else "standard output"
     try:
-        fh = open(out_path, "w")
+        fh = open(out_path, "w") if out_path else sys.stdout
+        with fh if out_path else contextlib.nullcontext():
+            yield fh
+            fh.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from exc
-    with fh:
-        yield fh
+        if not out_path:
+            # Python flushes stdout again at exit: what the failed write left goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
+        raise UsageError(f"cannot write {where}: {exc.strerror}") from exc
 
 
 def _report_json(reports, args, include_timings: bool) -> str:
@@ -171,10 +177,10 @@ def _report_text(reports, include_timings: bool) -> str:
 
 
 def _cmd_list(args) -> int:
-    cases = engine.match_cases(None, regime=args.regime)
-    for case in cases:
-        fields = "/".join(case.fields)
-        print(f"{case.case_id:40s} [{case.kind:14s}] ({case.regime}, {fields}) {case.anchor}")
+    with _output(None) as out:
+        for case in engine.match_cases(None, regime=args.regime):
+            out.write(f"{case.case_id:40s} [{case.kind:14s}] ({case.regime}, "
+                      f"{'/'.join(case.fields)}) {case.anchor}\n")
     return 0
 
 

@@ -88,7 +88,7 @@ from typing import Optional
 from .fields import is_exact, to_integers
 from .linalg import det, det_exact, prod, vandermonde
 from .qseries import psi_A
-from .sources import REGIMES, _theta_memo, apart, int_form, integer_member_products, member_ratios
+from .sources import REGIMES, apart, int_form, integer_member_products, member_ratios, point_thetas
 
 AVAILABILITY = {
     "elliptic": frozenset({"mpt", "bs"}),
@@ -185,10 +185,7 @@ def _side(regime, side, params, aux=(), eta=()):
     """
     reg = REGIMES[regime]
     vside = side == "F"
-    form = None
-    # the aux values first: the cheapest test that turns a complex point away
-    if is_exact(aux) and is_exact(eta):
-        form = int_form(params)
+    form = int_form(params) if is_exact(aux) and is_exact(eta) else None
     if form is not None:
         us, vs, lcm, (alpha, beta, gamma) = form
         # eta onto the point's scale: u, v and beta times lcm(L, L_eta) / L
@@ -270,7 +267,7 @@ def _mpt_weight(regime, side, params, r):
     nodes = _mpt_nodes(regime, side, params)
     if regime != "elliptic":
         return 1 - r * prod(nodes) if nodes else 1
-    return _theta_memo(params)(r * prod(nodes) if nodes else params.lam)
+    return point_thetas(params)(r * prod(nodes) if nodes else params.lam)
 
 
 def _require_mix(mat, size):
@@ -438,7 +435,7 @@ def _bs_elliptic(side, params, aux):
     with (a, b) the pair k and ratio the member ratio of v_j (F) or u_i (G).
     """
     q, z, u, v = params.q, params.z, params.u, params.v
-    th = _theta_memo(params)
+    th = point_thetas(params)
     n = params.n
     eta = aux.eta
     _require(eta is not None and len(eta) == n, "bs needs eta of matching length")
@@ -614,7 +611,7 @@ def aux_general_position(regime, family, side, params, aux):
         return []
     values = apart(operator.sub, aux.eta)
     if regime == "elliptic":
-        values.append(_theta_memo(params)(_bs_pinned_delta(side, params, aux.eta)))
+        values.append(point_thetas(params)(_bs_pinned_delta(side, params, aux.eta)))
         values += apart(REGIMES["elliptic"].pair(params), aux.eta)
     elif aux.delta is not None:
         values += [aux.delta, 1 - aux.delta]

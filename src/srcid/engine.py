@@ -514,7 +514,7 @@ def _det_rep_retry(ctx, regime, family, side, params):
 
 def _run_rational_ik(ctx: PointContext):
     n, _ = ctx.sizes((1, 4))
-    params = sources.derive(ctx.sample_rational(n, n), z=ctx.field.one)
+    params = replace(ctx.sample_rational(n, n), z=ctx.field.one)
     value = det_rep("rational", "ik", "F", params)
     reference = source_polynomial_form("rational", "P", params)
     return [("ik determinant = cleared polynomial", value, reference)]
@@ -749,7 +749,7 @@ def _run_lambda_weighted_identity(ctx: PointContext):
     q, z, lam = params.q, params.z, params.lam
     lhs = None
     for ell in range(0, n - m + 1):
-        shifted = sources.derive(params, z=q ** (n - m) * z, lam=q**ell * lam)
+        shifted = replace(params, z=q ** (n - m) * z, lam=q**ell * lam)
         term = (-z) ** ell * q ** (ell * (ell - 1) // 2) * q_binomial(n - m, ell, q)
         term *= sources.trig_lambda_F(shifted)
         lhs = term if lhs is None else lhs + term
@@ -762,10 +762,10 @@ def _run_lambda_zero_reduction(ctx: PointContext):
     params = ctx.sample_trig(n, m)
     q, z = params.q, params.z
     zero = ctx.field.zero
-    lhs = sources.trig_lambda_F(sources.derive(params, z=q ** (n - m) * z, lam=zero))
+    lhs = sources.trig_lambda_F(replace(params, z=q ** (n - m) * z, lam=zero))
     for j in range(1, n - m + 1):
         lhs *= 1 - q ** (j - 1) * z
-    rhs = sources.trig_lambda_G(sources.derive(params, lam=zero))
+    rhs = sources.trig_lambda_G(replace(params, lam=zero))
     return [("weight-free reduction", lhs, rhs)]
 
 

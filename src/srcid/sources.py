@@ -141,25 +141,23 @@ point with a complex or float value among them keeps its values as given.
 Lambda enters only the trig_lambda weights and does not decide: an exact
 point with a complex Lambda has its int form, and its trig_lambda sums,
 whose weights are then complex, walk the table of d ratios.  An exact
-point is scaled once.  ``int_form`` is the one scaler of a core point: it
-makes the point's ``IntForm`` (u, v, L, sigma), chosen by the point's type,
-keeps it in the point's ``ints`` field, and reads it back at every later
-call, so the trig and trig_lambda sums of one point share it.  So the
-samplers' general-position test scales a drawn point, and F, G, P, Q, the
-nome-0 sides of ``detreps`` (the bs nodes joining by one lcm step), the ik
-and lascoux forms and the operator form below reuse that scaling.  A point
-made from a drawn one by ``derive`` carries the drawn point's form where
-the change cannot alter it (a new z or lambda: the ik case's z = 1 point,
-the trig_lambda points of the lambda cases) or decides it (the tau
-identity's point (u, v + c), whose ints are b + g), so it is not scaled
-again either.
+point is scaled once, when it is made: ``__post_init__`` makes its
+``IntForm`` (u, v, L, sigma), ``to_integers`` of (c, u, v) with sigma =
+(1, L c, 1) at a rational point and of (u, v) with sigma = (a, 0, b) at a
+trig one, and keeps it in the ``ints`` field, None at an inexact point.
+``int_form`` reads that field, so the trig and trig_lambda sums of one
+point, the samplers' general-position test, F, G, P, Q, the nome-0 sides
+of ``detreps`` (the bs nodes joining by one lcm step), the ik and lascoux
+forms and the operator form below share one scaling.  A point made from
+another by ``dataclasses.replace`` (a new z or lambda, or the tau
+identity's point (u, v + c)) is made, and so scaled, like any other.
 Like ``thetas``, the field takes no part in ``__init__``, ``==``, ``hash``
-or ``repr``, ``dataclasses.replace`` starts an empty memo, and there is no
-module-level cache.  At an exact point ``general_position`` lists ints:
-the differences of the scaled u and of the scaled v, X - Y for each
-d(v_i, u_k) and gamma X - alpha Y - beta for each d(v_i, sigma u_k).  Each
-is its value times L > 0 or gamma L > 0, so every zero test, and with it
-every accepted draw, is that of the Fraction values.
+or ``repr``, and there is no module-level cache.  At an exact point
+``general_position`` lists ints: the differences of the scaled u and of
+the scaled v, X - Y for each d(v_i, u_k) and gamma X - alpha Y - beta for
+each d(v_i, sigma u_k).  Each is its value times L > 0 or gamma L > 0, so
+every zero test, and with it every accepted draw, is that of the Fraction
+values.
 
 The operator form of an exact rational or trig point runs over ints too.
 The summed variables and their partners are scaled by alpha on the F side,
@@ -180,7 +178,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -236,15 +234,14 @@ class _CorePoint:
     """What ``RatParams`` and ``TrigParams`` share; ``_SCALARS`` names their
     values besides u and v that decide exactness."""
 
-    # the point's ``IntForm`` once ``int_form`` made it, False at an inexact point
-    ints: object = field(default=None, init=False, compare=False, repr=False)
+    # the point's ``IntForm``, made with an exact point; None at an inexact one
+    ints: Optional[IntForm] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # lam enters only the trig_lambda weights, so it does not decide
         # exactness; an exact lam is made a Fraction with the rest
         values = (*(getattr(self, name) for name in self._SCALARS), *self.u, *self.v)
         if not is_exact(values):
-            object.__setattr__(self, "ints", False)
             return
         lam = getattr(self, "lam", None)
         if type(lam) is int:
@@ -255,6 +252,14 @@ class _CorePoint:
                 object.__setattr__(self, name, Fraction(getattr(self, name)))
             object.__setattr__(self, "u", tuple(map(Fraction, self.u)))
             object.__setattr__(self, "v", tuple(map(Fraction, self.v)))
+        n = len(self.u)
+        if isinstance(self, RatParams):
+            (g, *xs), lcm = to_integers((self.c, *self.u, *self.v))
+            sigma = (1, g, 1)
+        else:
+            xs, lcm = to_integers((*self.u, *self.v))
+            sigma = (self.q.numerator, 0, self.q.denominator)
+        object.__setattr__(self, "ints", IntForm(xs[:n], xs[n:], lcm, sigma))
 
     @property
     def n(self) -> int:
@@ -336,8 +341,9 @@ def theta_memo(p, values=None):
     return th
 
 
-def _theta_memo(params):
-    """``theta_memo`` on the ``thetas`` field of an ``EllipticParams``."""
+def point_thetas(params):
+    """x -> theta(x; p) at an ``EllipticParams``: ``theta_memo`` on its
+    ``thetas`` field, so every theta value at the point is evaluated once."""
     return theta_memo(params.p, params.thetas)
 
 
@@ -347,7 +353,7 @@ def theta_quotient(th):
 
 
 def _theta_quotient(params):
-    return theta_quotient(_theta_memo(params))
+    return theta_quotient(point_thetas(params))
 
 
 def _additive_shift(params, inverse=False):
@@ -376,8 +382,8 @@ def _signed_powers(z, size):
     return out
 
 
-def _signed_q_powers(z, q, size):
-    # (-z)^s q^{s(s-1)/2} for s = 0..size
+def signed_q_powers(z, q, size):
+    """(-z)^s q^(s(s-1)/2) for s = 0..size: the trigonometric size weights."""
     tri = [q - q + 1]
     for s in range(1, size + 1):
         tri.append(tri[-1] * q ** (s - 1))
@@ -390,20 +396,20 @@ def _rational_weights(params, vside, size):
 
 def _trig_weights(params, vside, size):
     z = params.z if vside else params.q ** (params.m - params.n) * params.z
-    return _signed_q_powers(z, params.q, size)
+    return signed_q_powers(z, params.q, size)
 
 
 def _trig_lambda_weights(params, vside, size):
     if params.lam is None:
         raise ValueError("trig_lambda regime needs params.lam")
     q, lam = params.q, params.lam
-    return [w * (1 - q**s * lam) for s, w in enumerate(_signed_q_powers(params.z, q, size))]
+    return [w * (1 - q**s * lam) for s, w in enumerate(signed_q_powers(params.z, q, size))]
 
 
 def _elliptic_weights(params, vside, size):
-    q, th = params.q, _theta_memo(params)
+    q, th = params.q, point_thetas(params)
     base = params.lam * prod(params.u) / prod(params.v)
-    return [w * th(q**s * base) for s, w in enumerate(_signed_q_powers(params.z, q, size))]
+    return [w * th(q**s * base) for s, w in enumerate(signed_q_powers(params.z, q, size))]
 
 
 def _rational_prefactor(params):
@@ -429,7 +435,7 @@ def _trig_singular(params):
 
 
 def _elliptic_singular(params):
-    return [_theta_memo(params)(params.lam)]
+    return [point_thetas(params)(params.lam)]
 
 
 REGIMES = {
@@ -629,41 +635,9 @@ def _pair_table(table, vside):
 
 
 def int_form(params):
-    """The ``IntForm`` of an exact rational or trig point, made once and kept
-    in its ``ints`` field; None at any other point (module docstring)."""
-    form = getattr(params, "ints", False)
-    if form is None:
-        n = len(params.u)
-        if isinstance(params, RatParams):
-            (g, *xs), lcm = to_integers((params.c, *params.u, *params.v))
-            sigma = (1, g, 1)
-        else:
-            xs, lcm = to_integers((*params.u, *params.v))
-            sigma = (params.q.numerator, 0, params.q.denominator)
-        form = IntForm(xs[:n], xs[n:], lcm, sigma)
-        object.__setattr__(params, "ints", form)
-    return form or None
-
-
-def derive(params, **changes):
-    """``dataclasses.replace(params, **changes)`` holding the int form that
-    follows from that of ``params``, so the new point is not scaled again.
-
-    The form holds u, v and c or q: a change of z or lam leaves it as it is,
-    and a rational point's v set to v + c keeps L (v_i = (v_i + c) - c) and
-    has the ints b + g for the ints b of v and g = L c.  After any other
-    change the new point makes its own form.
-    """
-    point = replace(params, **changes)
-    form = int_form(params)
-    if form is None or point.ints is False:
-        return point
-    if changes.keys() <= {"z", "lam"}:
-        object.__setattr__(point, "ints", form)
-    elif (changes.keys() == {"v"} and isinstance(params, RatParams)
-          and point.v == tuple(x + params.c for x in params.v)):
-        object.__setattr__(point, "ints", form._replace(v=[y + form.sigma[1] for y in form.v]))
-    return point
+    """The ``IntForm`` of an exact rational or trig point, made with the
+    point; None at any other point (module docstring)."""
+    return getattr(params, "ints", None)
 
 
 def integer_pair_tables(xs, sigma):
@@ -922,7 +896,7 @@ def source_via_difference_ops(regime: str, side: str, params):
     shift = reg.shift(params, inverse=vside)
 
     if regime == "elliptic":
-        lam, th = params.lam, _theta_memo(params)
+        lam, th = params.lam, point_thetas(params)
         pref = th(lam)
         pref *= prod(th(ui / vj) for ui in u for vj in v)
         for i in range(n):

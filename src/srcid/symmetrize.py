@@ -45,10 +45,9 @@ product 1, and Sym_c(1) = n!, so it is the closed form (-1)^n n!.
 
 The sides functions and the source routes take a rational point at z = 1
 (a ``sources.RatParams`` with len(u) == len(v) >= 1) and read its one int
-form, ``sources.int_form``: the ints (g, a, b) = L (c, u, v), kept on the
-point, so the engine's accept test, the sides, the IK determinants and P
-share one scaling; the tau identity's point (u, v + c), made by
-``sources.derive``, takes its ints (a, b + g) from it.
+form, ``sources.int_form``: the ints (g, a, b) = L (c, u, v), made with
+the point, so the engine's accept test, the sides, the IK determinants and
+P share one scaling.
 A point with a complex or float value raises ``TypeError``.  Every slot
 row (the root products, the tau numerators, f and the pin of u_1) is ints
 computed from them, and sym_c walks Python ints at (a, g), where Delta is
@@ -59,12 +58,13 @@ by the slots' common scale once.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from .detreps import izergin_korepin, izergin_korepin_core
 from .fields import is_exact, to_integers
 from .linalg import prod
-from .sources import derive, int_form, integer_pair_tables, rational_P
+from .sources import int_form, integer_pair_tables, rational_P
 
 PERM_CAP = 10
 
@@ -298,7 +298,7 @@ def lascoux_tau_sides(point):
     lhs = walk / prod(den) + (-1) ** n * math.factorial(n)
 
     u, v = point.u, point.v
-    shifted = derive(point, v=tuple(x + point.c for x in v))
+    shifted = replace(point, v=tuple(x + point.c for x in v))
     rhs = math.factorial(n) * (-1) ** n * izergin_korepin(shifted)
     rhs /= prod(vi - uk for vi in v for uk in u)
     return lhs, rhs
@@ -308,7 +308,7 @@ def lascoux_tau_rhs_via_source(point):
     """tau-identity rhs as n! / prod (u_j - v_k) * P_{n,n}^{(z=1)}(u | v + c)."""
     n = _size(point)
     u, v = point.u, point.v
-    p_val = rational_P(derive(point, v=tuple(x + point.c for x in v)))
+    p_val = rational_P(replace(point, v=tuple(x + point.c for x in v)))
     return math.factorial(n) * p_val / prod(uj - vk for uj in u for vk in v)
 
 

@@ -50,7 +50,7 @@ from itertools import combinations
 
 from .linalg import prod
 from .qseries import q_factorial, q_binomial, sym_q_factorial, sym_q_number
-from .sources import _signed_q_powers, subset_sums_by_size
+from .sources import signed_q_powers, subset_sums_by_size
 
 DEC_CAP = 8
 
@@ -107,7 +107,7 @@ def geometric_sides(z, t, u, v):
     if n > m:
         raise ValueError("needs n <= m")
     lhs, rhs = (
-        sum(w * chi for w, chi in zip(_signed_q_powers(z, t, size), _chi_sums(sign, t, u, v)))
+        sum(w * chi for w, chi in zip(signed_q_powers(z, t, size), _chi_sums(sign, t, u, v)))
         for sign, size in (("+", m), ("-", n))
     )
     for j in range(1, m - n + 1):

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, report formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +154,31 @@ def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys, monkeypatch, 
     assert out == ""
     assert err.startswith("error: cannot write --out") and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, to_stdout", [
+    (("verify", "--case", "q_binomial_product", "--points", "1", "--out", "/dev/full"), False),
+    (("sample", "--points", "1", "--out", "/dev/full"), False),
+    (("bench", "--sizes", "2", "--reps", "1", "--out", "/dev/full"), False),
+    (("list",), True),
+    (("verify", "--case", "q_binomial_product", "--points", "1"), True),
+])
+def test_a_failed_write_is_a_usage_error(argv, to_stdout):
+    # a full device fails the write, flush or close, after the run; standard
+    # output is block-buffered, as by default, and Python reports nothing
+    # more when it flushes it at exit
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "srcid.cli", *argv], env=env, text=True,
+                              stdout=full if to_stdout else subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"error: cannot write {'standard output' if to_stdout else '--out /dev/full'}: "
+        "No space left on device"
+    ]
 
 
 def test_sample_dump(capsys):

@@ -266,47 +266,45 @@ def test_divided_difference_second_check_compares_nonzero_values():
         assert form != 0 and via_source != 0
 
 
+# scalings: how often each exact point object is scaled, once, when it is made
 @pytest.mark.parametrize("case_id, scalings", [
     ("divided_difference_symmetrization", 1),
     ("tau_shift_symmetrization", 1),
     ("symmetrization_reduction_identity", 1),
-    # the z = 1 point, which IK and P share, takes the draw's int form
+    # the z = 1 point, which IK and P share
     ("rational_ik", 1),
     # eta is brought onto the point's form, not scaled with the point
     ("rational_bs_F", 1),
     ("trig_bs_G", 1),
-    # the trig_lambda points (new z and Lambda) take the draw's int form
+    # the trig_lambda points (new z and Lambda)
     ("lambda_weighted_binomial_identity", 1),
     ("lambda_zero_reduction", 1),
 ])
 def test_a_drawn_exact_point_is_scaled_once_per_point_object(monkeypatch, case_id, scalings):
-    scaled, drawn = [], []
-    real, attempt = sources.to_integers, PointContext.attempt
+    scaled, made = [], []
+    real, post_init = sources.to_integers, sources._CorePoint.__post_init__
 
     def counting(values):
         scaled.append(tuple(values))
         return real(values)
 
-    def drawing(ctx, draw, accept):
-        x = attempt(ctx, draw, accept)
-        if isinstance(x, (RatParams, TrigParams)):
-            drawn.append(x)
-        return x
+    def making(point):
+        before = len(scaled)
+        post_init(point)
+        assert len(scaled) - before == scalings * (point.ints is not None)
+        if point.ints is not None:
+            made.append(point)
 
     for module in (sources, symmetrize, detreps):
         monkeypatch.setattr(module, "to_integers", counting)
-    monkeypatch.setattr(PointContext, "attempt", drawing)
+    monkeypatch.setattr(sources._CorePoint, "__post_init__", making)
     for _ in exact_runner_checks(case_id, 20):
-        point = drawn.pop()
-        assert not drawn
-        rational = isinstance(point, RatParams)
-        key = (*((point.c,) if rational else ()), *point.u, *point.v)
-        # no second scaling of the point, alone or together with eta
-        assert [t for t in scaled if t[:len(key)] == key] == [key] * scalings
-        # tau's point (u, v + c) takes its int form from the drawn point's
-        if rational:
-            assert (point.c, *point.u, *(x + point.c for x in point.v)) not in scaled
+        assert made
+        keys = [(*((p.c,) if isinstance(p, RatParams) else ()), *p.u, *p.v) for p in made]
+        # no point is scaled again, alone or together with eta
+        assert sum(t[:len(key)] == key for t in scaled for key in set(keys)) == scalings * len(keys)
         scaled.clear()
+        made.clear()
 
 
 def test_swap_vanishing_runners_substitute_into_the_smaller_side(monkeypatch):
@@ -453,8 +451,9 @@ def test_evaluation_sampler_redraws_the_base_point():
 
 
 def test_registry_exact_points_are_scaled_once_each(monkeypatch):
-    # 40 cases, 10 points each, 5 seeds: one scaling per drawn point, rejected
-    # draws included, and none for a point derived from a drawn one
+    # 40 cases, 10 points each, 5 seeds: one scaling per exact point made,
+    # rejected draws included; a point made from a drawn one (a new z or
+    # Lambda, or v + c) scales itself as it is made
     scalings = []
     real = sources.to_integers
     monkeypatch.setattr(sources, "to_integers",
@@ -465,4 +464,4 @@ def test_registry_exact_points_are_scaled_once_each(monkeypatch):
     for seed in range(20260801, 20260806):
         for case_id in cases:
             run_case(case_id, SamplingConfig(master_seed=seed, points=10, field=EXACT))
-    assert len(scalings) == 1563
+    assert len(scalings) == 1841

@@ -29,4 +29,4 @@ def private_imports():
 
 
 def test_the_private_names_read_across_modules_are_pinned():
-    assert private_imports() == {("detreps", "_theta_memo"), ("wallcross", "_signed_q_powers")}
+    assert private_imports() == set()

@@ -22,7 +22,6 @@ from srcid.sources import (
     TrigParams,
     apart,
     apply_difference_product,
-    derive,
     elliptic_F,
     elliptic_G,
     elliptic_P,
@@ -1164,31 +1163,39 @@ def test_the_int_form_is_made_once_per_point(monkeypatch):
                         lambda values: scalings.append(values) or to_integers(values))
     rng = random.Random(61)
     rat = sample_rational(rng, 3, 2)
-    tri = sample_trig(rng, 2, 3)
+    tri = sample_trig(rng, 2, 3, with_lam=True)
     for regime, params in (("rational", rat), ("trig", tri)):
-        twin = type(params)(**{f.name: getattr(params, f.name) for f in fields(params) if f.init})
         before = (repr(params), hash(params))
+        kept = params.ints
+        scalings.clear()
+        twin = type(params)(**{f.name: getattr(params, f.name) for f in fields(params) if f.init})
+        # a point is scaled once, when it is made
+        assert len(scalings) == 1 and twin.ints == kept and twin.ints is not kept
         scalings.clear()
         assert 0 not in general_position(regime, params)
-        kept = sources.int_form(params)
         for side in ("F", "G"):
             source_via_difference_ops(regime, side, params)
             detreps.det_rep(regime, "scalar_product", side, params, detreps.AuxParams())
         for side in "FGPQ":
             sources._source(regime, side, params)
         if regime == "trig":
-            # a point derived with a new z and Lambda shares the form, which
-            # trig and trig_lambda both read
-            derived = sources.derive(params, z=params.z / 3, lam=Fraction(2, 7))
+            # trig and trig_lambda read one form
             for side in "FG":
-                sources._source("trig_lambda", side, derived)
-            assert derived.ints is kept
-        assert len(scalings) == 1, regime
+                sources._source("trig_lambda", side, params)
+        assert not scalings, regime
         assert sources.int_form(params) is kept and params.ints is kept
         assert (repr(params), hash(params)) == before
         assert params == twin and hash(params) == hash(twin) and repr(params) == repr(twin)
-        assert twin.ints is None and "ints" not in repr(params)
-        assert replace(params).ints is None
+        assert "ints" not in repr(params)
+    # a point made by replace scales itself to the form its parent's implies:
+    # a new z or Lambda leaves it, and v + c keeps L, since c's denominator
+    # is in it, and moves the ints of v by g = L c
+    assert replace(tri, z=rat.c, lam=rat.z).ints == tri.ints
+    assert replace(rat, z=Fraction(1)).ints == rat.ints
+    shifted = replace(rat, v=tuple(x + rat.c for x in rat.v))
+    g = rat.ints.sigma[1]
+    assert shifted.ints == rat.ints._replace(v=[y + g for y in rat.ints.v])
+    assert replace(rat, z=0.5j).ints is None and int_form(replace(rat, z=0.5j)) is None
 
 
 def _elliptic_point(n=3):
@@ -1359,23 +1366,6 @@ def test_lambda_does_not_decide_exactness():
             at_one = sum_(replace(point, lam=1))
             expected = Fraction(98, 5) - lam * (Fraction(98, 5) - at_one)
             assert abs(sum_(point) - complex(expected)) < 1e-12 * abs(expected), sum_
-
-
-def test_a_derived_point_carries_the_int_form_it_cannot_change():
-    rng = random.Random(67)
-    rat, tri = sample_rational(rng, 3, 2), sample_trig(rng, 2, 3, with_lam=True)
-    shifted = derive(rat, v=tuple(x + rat.c for x in rat.v))
-    fresh = replace(rat, v=shifted.v)
-    assert shifted == fresh and shifted.ints == int_form(fresh)
-    for point, changes in ((rat, {"z": Fraction(1)}), (tri, {"z": rat.c, "lam": rat.z})):
-        derived = derive(point, **changes)
-        assert derived == replace(point, **changes)
-        assert derived.ints is int_form(point) == int_form(replace(point, **changes))
-    # any other change, or an inexact result, gets a form of its own
-    for point, changes in ((rat, {"v": tuple(x - rat.c for x in rat.v)}), (rat, {"c": rat.z}),
-                           (tri, {"q": tri.q + 1}), (tri, {"v": rat.u})):
-        assert derive(point, **changes).ints is None
-    assert derive(rat, z=0.5j).ints is False and int_form(derive(rat, z=0.5j)) is None
 
 
 def test_subset_sums_leave_no_reference_cycle():
