@@ -873,18 +873,12 @@ def _q_identity_subsets(ctx: PointContext, n: int):
     return ctx.attempt(draw, ctx.distinct)
 
 
-def _fixed_size_subset_sums(u, ratio, one) -> list:
-    """For l = 0..n, the sum over K subset [0..n) with |K| = l of the
-    product of ratio(u_i, u_j) over i in K and j not in K."""
-    pair = [[ratio(a, b) if i != j else None for j, b in enumerate(u)] for i, a in enumerate(u)]
-    return sources.subset_sums_by_size(pair, one=one)
-
-
 def _run_q_subset_ratio(ctx: PointContext):
     n, _ = ctx.sizes((1, 7))
     q = ctx.q_scalar()
     u = _q_identity_subsets(ctx, n)
-    sums = _fixed_size_subset_sums(u, lambda a, b: (a - b / q) / (a - b), ctx.field.one)
+    # the ratio (a - b/q) / (a - b) is the trig F pair ratio at 1/q, with no partners
+    sums = sources.size_sums("trig", "F", TrigParams(q=1 / q, z=0, u=(), v=u))
     return [(f"subset ratio, size {ell}", total, q_binomial(n, ell, 1 / q))
             for ell, total in enumerate(sums)]
 
@@ -903,7 +897,8 @@ def _run_binomial_subset_identity(ctx: PointContext):
     n, _ = ctx.sizes((1, 7))
     c = ctx.scalar(0.3, 2.0)
     u = _q_identity_subsets(ctx, n)
-    sums = _fixed_size_subset_sums(u, lambda a, b: (a - b + c) / (a - b), ctx.field.one)
+    # the ratio (a - b + c) / (a - b) is the rational F pair ratio at -c, with no partners
+    sums = sources.size_sums("rational", "F", RatParams(c=-c, z=0, u=(), v=u))
     return [(f"shifted ratios, size {ell}", total, ctx.field.one * math.comb(n, ell))
             for ell, total in enumerate(sums)]
 

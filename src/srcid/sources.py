@@ -64,11 +64,20 @@ vanishing and evaluation lemmas specialize, so they are summed directly in
 this form rather than by multiplying F by the clearing factor (which would
 be 0/0 at exactly the interesting points).
 
-There is one subset walk per kind of table.  ``subset_sums_by_size``
-walks tables of values over any field: the complex, elliptic and
-inexact-weight sums, the fixed-size cross-ratio and inversion sums of
-``engine``'s q-identity cases and the chi_t sums of ``wallcross``.  It
-decides the indices in or out of K depth first and carries the product of
+There is one size-sum primitive over one subset walk per kind of table.
+``size_sums(regime, side, params)`` returns [S_0, ..., S_size], the sums
+of F, G, P or Q over the K of each size before the weights w(s) and the G
+prefactor, in the point's field: from the int walk below at an exact
+rational or trig point (one Fraction per size), from the table of d
+ratios at any other point.  F, G, P and Q weight the same per-size sums;
+at an exact point with exact weights they weight the per-size ints and
+divide once, so they make no Fraction per size.  Other sums read the
+primitive as it is: ``engine``'s q-identity cases the F sums of a point
+with no partners (trig at 1/q for the ratio (a - b/q) / (a - b), rational
+at -c for (a - b + c) / (a - b)), and ``wallcross``' chi_t sums the trig
+sums at q = 1/t.  ``subset_sums_by_size`` walks tables of values over any
+field: the complex, elliptic and inexact-weight sums, and the constant
+table of ``engine``'s inversion statistic.  It decides the indices in or out of K depth first and carries the product of
 the factors between decided indices, so each decision costs one
 multiplication per earlier index: O(m 2^m) multiplications and no
 division, against O(m^2 2^m) for evaluating every subset on its own.
@@ -85,9 +94,7 @@ straight into the per-size sums, so the 2^m leaf terms are never held, and
 above ``LEVEL_WALK_HOLDS`` = 11 indices index 0 is decided first and each
 branch walks the rest.  At n = 12 a walk holds about 0.36 MiB (0.72 MiB
 without the split, for 1-2% less time).  Both walks return one sum per
-size |K|; F, G, P and Q weight those sums by w(|K|), and the q-identity and
-chi_t sums read them unweighted.  These two walks are the only subset
-enumerators in srcid.  The hard size cap is max(n, m) <= 12.
+size |K|.  These two walks are the only subset enumerators in srcid.  The hard size cap is max(n, m) <= 12.
 
 Exact rational, trig and trig_lambda sums (every scalar and weight an int
 or a Fraction) walk Python ints instead of Fractions.  ``fields.to_integers``
@@ -513,7 +520,9 @@ def subset_sums_by_size(pair, inside=None, outside=None, one=1):
     with |K| = s the products of pair[i][j] (i in K, j notin K), inside[i]
     (i in K) and outside[j] (j notin K).  A table that is None contributes
     no factor, and the empty product is ``one``, so every S_s has the type
-    of the caller's field.  The exact int sums take ``_level_sums``.
+    of the caller's field.  ``size_sums`` walks the d-ratio tables here
+    (the exact int sums take ``_level_sums``), and ``engine``'s inversion
+    statistic its constant table.
 
     Index t joins K with inside[t] and pair[t][j] for every earlier j left
     out, or stays out with outside[t] and pair[i][t] for every earlier i in
@@ -595,15 +604,6 @@ def _level_sums(pair, inside, outside, same):
     if not size:
         by_size[0] = 1
     return by_size
-
-
-def _subset_sum(weights, pair, *tables):
-    """sum_s weights[s] S_s over the ``subset_sums_by_size`` of the tables."""
-    by_size = subset_sums_by_size(pair, *tables)
-    total = weights[0] * by_size[0]
-    for s in range(1, len(by_size)):
-        total += weights[s] * by_size[s]
-    return total
 
 
 def _ratios(d, u, su, v, vside):
@@ -694,9 +694,9 @@ def _divide_content(cross, same, inside, outside):
     return content
 
 
-def _integer_sum(weights, form, vside, cleared):
-    """The kernel's sum over the ints of ``form``, divided once at the end
-    (module docstring)."""
+def _integer_sizes(form, vside, cleared):
+    """The per-size sums over the ints of ``form`` as (ints, denominator),
+    S_s = ints[s] / denominator (module docstring)."""
     u, v, lcm, sigma = form
     gamma = sigma[2]
     xs, partners = (v, len(u)) if vside else (u, len(v))
@@ -710,39 +710,62 @@ def _integer_sum(weights, form, vside, cleared):
     powers = [-s * (size - s) + (-(size - s) if cleared else s) * partners
               for s in range(size + 1)]
     low = min(powers)
-    denominator = math.lcm(*(w.denominator for w in weights))
-    total = sum(w.numerator * (denominator // w.denominator) * gamma ** (e - low) * x
-                for w, e, x in zip(weights, powers, by_size))
-    denominator *= gamma ** -low * prod(map(prod, same))
+    # P and Q take the member gcds back and L^(size * partners) out; in F
+    # and G the non-member product cancels the gcds
+    scale, divisor = (content, lcm ** (size * partners)) if cleared else (1, prod(outside))
+    denominator = gamma ** -low * prod(map(prod, same)) * divisor
+    return [scale * gamma ** (e - low) * x for e, x in zip(powers, by_size)], denominator
+
+
+def _value_sizes(reg, params, vside, cleared):
+    """The per-size sums of the table of d ratios at ``params``."""
+    d, sigma, u, v = reg.pair(params), reg.shift(params), params.u, params.v
+    xs = v if vside else u
+    shifted = list(map(sigma, xs))
+    su = list(map(sigma, u)) if vside else shifted
+    pair = _pair_table([[d(x, shifted[b]) / d(x, y) if a != b else None
+                         for b, y in enumerate(xs)] for a, x in enumerate(xs)], vside)
     if cleared:
-        return Fraction(total * content, denominator * lcm ** (size * partners))
-    return Fraction(total, denominator * prod(outside))
+        return subset_sums_by_size(pair, *_products(d, u, su, v, vside))
+    return subset_sums_by_size(pair, _ratios(d, u, su, v, vside))
+
+
+def size_sums(regime: str, side: str, params):
+    """[S_0, ..., S_size]: the per-size sums of F, G, P or Q of ``regime``
+    before the weights w(s) and the G prefactor, in the point's field.
+
+    An exact rational or trig point takes the int walk, with one Fraction
+    per size; any other point walks the table of d ratios.
+    """
+    if regime not in REGIMES or side not in ("F", "G", "P", "Q"):
+        raise ValueError(f"unknown (regime, side) = ({regime!r}, {side!r})")
+    _check_cap(len(params.u), len(params.v))
+    vside, cleared = side in ("F", "P"), side in ("P", "Q")
+    if int_form(params) is None:
+        return _value_sizes(REGIMES[regime], params, vside, cleared)
+    ints, denominator = _integer_sizes(int_form(params), vside, cleared)
+    return [Fraction(x, denominator) for x in ints]
 
 
 def _source(regime, side, params):
-    """F, G (member ratios) or P, Q (cleared) of ``regime`` through the kernel."""
+    """F, G (member ratios) or P, Q (cleared) of ``regime``: the weighted
+    per-size sums, over ints divided once at an exact point with exact weights."""
     reg = REGIMES[regime]
-    u, v = params.u, params.v
-    _check_cap(len(u), len(v))
-    vside = side in ("F", "P")
-    cleared = side in ("P", "Q")
-    xs = v if vside else u
-    size = len(xs)
+    _check_cap(len(params.u), len(params.v))
+    vside, cleared = side in ("F", "P"), side in ("P", "Q")
+    size = len(params.v if vside else params.u)
     form = int_form(params)
     weights = reg.weights(params, vside, size)
     if form is not None and is_exact(weights):
-        total = _integer_sum(weights, form, vside, cleared)
+        ints, denominator = _integer_sizes(form, vside, cleared)
+        common = math.lcm(*(w.denominator for w in weights))
+        total = Fraction(sum(w.numerator * (common // w.denominator) * x
+                             for w, x in zip(weights, ints)), common * denominator)
     else:
-        d = reg.pair(params)
-        sigma = reg.shift(params)
-        shifted = list(map(sigma, xs))
-        su = list(map(sigma, u)) if vside else shifted
-        pair = _pair_table([[d(xs[a], shifted[b]) / d(xs[a], xs[b]) if a != b else None
-                             for b in range(size)] for a in range(size)], vside)
-        if cleared:
-            total = _subset_sum(weights, pair, *_products(d, u, su, v, vside))
-        else:
-            total = _subset_sum(weights, pair, _ratios(d, u, su, v, vside))
+        by_size = _value_sizes(reg, params, vside, cleared)
+        total = weights[0] * by_size[0]
+        for s in range(1, size + 1):
+            total += weights[s] * by_size[s]
     return total if vside else reg.prefactor(params) * total
 
 

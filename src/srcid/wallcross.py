@@ -22,13 +22,23 @@ of the generating-series identity
     sum_l (-z)^l t^{l(l-1)/2} chi+(l)
         = prod_{j=1}^{m-n} (1 - t^{m-j} z) * sum_l (-z)^l t^{l(l-1)/2} chi-(l).
 
-Both signs are one sum: with r(a, b) = (1 - t a/b)/(1 - a/b), the '+'
-side's pair factor is r(v_i, v_j) and its member factor r(u_k, v_i), and
-the '-' side takes r with its arguments swapped.  ``sources``' subset-sum
-kernel walks each side once and returns chi(l) for every l together, so
-``geometric_sides`` weights one list per side by the size weights
-(-z)^l t^{l(l-1)/2} of ``sources``, and ``coeff_identity_sides`` and
-``wallcrossing_sides`` read every order they need from one list per side.
+Both signs are per-size sums of ``sources``' trigonometric sums at
+q = 1/t.  With r(a, b) = (1 - t a/b)/(1 - a/b), the '+' side's pair
+factor r(v_i, v_j) is t times the trig F pair ratio (v_i - v_j/t)/(v_i - v_j),
+and its member factor r(u_k, v_i) is the trig F member ratio of v_i at the
+partners t u.  The '-' side takes r with its arguments swapped: t times the
+trig G pair ratio, and the trig G member ratio of u_i at the partners v/t.
+A K of size l separates l(size - l) pairs, so with S_l the unweighted
+per-size sums of ``sources.size_sums``
+
+    chi+(l)(t, u, v) = t^{l(m-l)} S^F_l at (q, u, v) = (1/t, t u, v),
+    chi-(l)(t, u, v) = t^{l(n-l)} S^G_l at (q, u, v) = (1/t, u, v/t).
+
+One call per side gives chi(l) for every l together (over ints at an exact
+point), so ``geometric_sides`` weights one list per side by the size
+weights (-z)^l t^{l(l-1)/2} of ``sources``, and ``coeff_identity_sides``
+and ``wallcrossing_sides`` read every order they need from one list per
+side.
 
 The singleton-weighted correction formula expresses chi+(l) - chi-(l)
 through chi-(l - k), summed over the chains of ``enumerate_dec(l, k)``
@@ -48,9 +58,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import prod
 from .qseries import q_factorial, q_binomial, sym_q_factorial, sym_q_number
-from .sources import signed_q_powers, subset_sums_by_size
+from .sources import TrigParams, signed_q_powers, size_sums
 
 DEC_CAP = 8
 
@@ -80,19 +89,13 @@ def _chi_sums(sign: str, t, u, v, top: int = 0) -> list:
         raise ValueError("sign must be '+' or '-'")
     if top < 0:
         raise ValueError("the order l must be non-negative")
-    plus = sign == "+"
-    xs, ys = (v, u) if plus else (u, v)
-
-    def ratio(a, b):
-        # (1 - t a/b) / (1 - a/b) on the '+' side, (1 - t b/a) / (1 - b/a) on the '-' side
-        if not plus:
-            a, b = b, a
-        return (1 - t * a / b) / (1 - a / b)
-
-    one = t - t + 1
-    pair = [[ratio(a, b) if i != j else None for j, b in enumerate(xs)] for i, a in enumerate(xs)]
-    inside = [prod(ratio(y, x) for y in ys) for x in xs]
-    sums = subset_sums_by_size(pair, inside, one=one)
+    # chi(l) = t^(l(size - l)) S_l of the trig sums at q = 1/t (module docstring)
+    if sign == "+":
+        size, point = len(v), TrigParams(q=1 / t, z=0, u=tuple(t * y for y in u), v=v)
+    else:
+        size, point = len(u), TrigParams(q=1 / t, z=0, u=u, v=tuple(x / t for x in v))
+    sums = size_sums("trig", "F" if sign == "+" else "G", point)
+    sums = [t ** (ell * (size - ell)) * s for ell, s in enumerate(sums)]
     return sums + [t - t] * (top + 1 - len(sums))
 
 

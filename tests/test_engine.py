@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -443,6 +444,52 @@ def test_q_identity_runners_honor_nmax(monkeypatch):
         assert seen == {1, 2}, case_id
 
 
+class PinnedContext(PointContext):
+    """An exact context of size n whose q and scalar draws are given."""
+
+    def __init__(self, n, q, scalars):
+        super().__init__(random.Random(0), EXACT, SamplingConfig(fixed_sizes=(n, n)))
+        self.pinned_q, self.draws = q, iter(scalars)
+
+    def q_scalar(self):
+        return self.pinned_q
+
+    def scalar(self, lo=0.2, hi=3.0):
+        return next(self.draws)
+
+
+def fixed_size_literal(u, ratio):
+    """For l = 0..n, the sum over K subset [0..n) with |K| = l of the
+    product of ratio(u_i, u_j) over i in K and j not in K."""
+    n = len(u)
+    return [sum(math.prod(ratio(u[i], u[j]) for i in kset for j in range(n) if j not in kset)
+                for kset in combinations(range(n), ell)) for ell in range(n + 1)]
+
+
+def test_q_identity_size_sums_match_the_literal_ratio_sums():
+    # the runners read the trig F sums at 1/q and the rational F sums at -c,
+    # with no partners: size by size, the literal fixed-size ratio sums
+    rng = random.Random(101)
+    for n in range(1, 8):
+        for sign in (-1, -1, 1):
+            q = Fraction(sign * rng.randint(2, 9), rng.randint(1, 9))
+            if abs(q) == 1:
+                q += sign
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+            u = ()
+            while len(set(u)) < n:
+                u = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n))
+            for case_id, ctx, ratio in (
+                ("q_subset_ratio_identity", PinnedContext(n, q, u),
+                 lambda a, b: (a - b / q) / (a - b)),
+                ("binomial_subset_identity", PinnedContext(n, None, (c, *u)),
+                 lambda a, b: (a - b + c) / (a - b)),
+            ):
+                values = [value for _, value, _ in get_case(case_id).runner(ctx)]
+                assert values == fixed_size_literal(u, ratio), (case_id, q, c, u)
+                assert {type(x) for x in values} == {Fraction}, (case_id, q, c, u)
+
+
 def test_evaluation_sampler_redraws_the_base_point():
     # point 197 used to exhaust its resampling cap: every retry reshuffled
     # the same colliding values
@@ -453,7 +500,8 @@ def test_evaluation_sampler_redraws_the_base_point():
 def test_registry_exact_points_are_scaled_once_each(monkeypatch):
     # 40 cases, 10 points each, 5 seeds: one scaling per exact point made,
     # rejected draws included; a point made from a drawn one (a new z or
-    # Lambda, or v + c) scales itself as it is made
+    # Lambda, or v + c) scales itself as it is made, and so does the trig or
+    # rational point of each chi and q-identity size sum
     scalings = []
     real = sources.to_integers
     monkeypatch.setattr(sources, "to_integers",
@@ -464,4 +512,4 @@ def test_registry_exact_points_are_scaled_once_each(monkeypatch):
     for seed in range(20260801, 20260806):
         for case_id in cases:
             run_case(case_id, SamplingConfig(master_seed=seed, points=10, field=EXACT))
-    assert len(scalings) == 1841
+    assert len(scalings) == 2141

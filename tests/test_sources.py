@@ -32,6 +32,7 @@ from srcid.sources import (
     rational_G,
     rational_P,
     rational_Q,
+    size_sums,
     source_polynomial_form,
     source_subset_sum,
     source_via_difference_ops,
@@ -514,6 +515,12 @@ def test_dispatchers():
         source_subset_sum("rational", "X", params)
     with pytest.raises(ValueError):
         source_subset_sum("nope", "F", params)
+    for regime, side in (("rational", "X"), ("nope", "F")):
+        with pytest.raises(ValueError):
+            size_sums(regime, side, params)
+    u = tuple(Fraction(k + 1) for k in range(SIZE_CAP + 1))
+    with pytest.raises(SizeCapError):
+        size_sums("rational", "F", RatParams(c=Fraction(1), z=Fraction(2), u=u[:1], v=u))
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +528,9 @@ def test_dispatchers():
 # ---------------------------------------------------------------------------
 
 
-def subset_sum_literal(regime, side, params):
-    """F, G, P or Q by multiplying out the term of every subset K (a bitmask).
+def literal_tables(regime, side, params):
+    """(weights, pair, num, den) of F, G, P or Q: the size weights, the pair
+    ratios and each summed variable's member numerator and denominator.
 
     The pair function d, the shift and the weights are written out here from
     the formulas of the ``sources`` docstring, apart from the library's
@@ -562,8 +570,15 @@ def subset_sum_literal(regime, side, params):
                  for j in range(size)] for i in range(size)]
         num = [prod(d(vk, u[i]) for vk in v) for i in range(size)]
         den = [prod(d(vk, sigma(u[i])) for vk in v) for i in range(size)]
-    weights = [weight(s) for s in range(size + 1)]
+    return [weight(s) for s in range(size + 1)], pair, num, den
 
+
+def subset_sum_literal(regime, side, params):
+    """F, G, P or Q by multiplying out the term of every subset K (a bitmask)."""
+    weights, pair, num, den = literal_tables(regime, side, params)
+    u, v, z = params.u, params.v, params.z
+    size = len(pair)
+    vside = side in ("F", "P")
     total = 0
     for mask in range(1 << size):
         inside = [i for i in range(size) if mask >> i & 1]
@@ -580,7 +595,7 @@ def subset_sum_literal(regime, side, params):
     if not vside and regime == "rational":
         total *= (1 - z) ** (len(v) - len(u))
     if not vside and regime == "trig":
-        total *= qpoch_n(z, q, len(v) - len(u))
+        total *= qpoch_n(z, params.q, len(v) - len(u))
     return total
 
 
@@ -598,10 +613,28 @@ def assert_kernel_matches_literal(regime, side, params, exact):
         regime, side, params
     )
     literal = subset_sum_literal(regime, side, params)
+    # the per-size sums, size by size, and their weighting: F, G, P and Q
+    # are sum_s w(s) S_s (times the G prefactor) to the last bit
+    _, pair, num, den = literal_tables(regime, side, params)
+    # a member ratio with no partners is 1 / 1: one keeps it in the field
+    one = params.z - params.z + 1
+    members = ([one * a / b for a, b in zip(num, den)],) if side in ("F", "G") else (num, den)
+    sums, by_size = size_sums(regime, side, params), size_sums_literal(pair, *members)
+    reg, vside = REGIMES[regime], side in ("F", "P")
+    weights = reg.weights(params, vside, len(pair))
+    total = weights[0] * sums[0]
+    for s in range(1, len(sums)):
+        total += weights[s] * sums[s]
+    if not vside:
+        total = reg.prefactor(params) * total
+    assert repr(total) == repr(value), (regime, side, params)
     if exact:
         assert value == literal, (regime, side, params)
+        assert sums == by_size and {type(x) for x in sums} == {Fraction}, (regime, side, params)
     else:
         assert abs(value - literal) <= 1e-9 * max(1.0, abs(literal)), (regime, side, params)
+        for x, y in zip(sums, by_size, strict=True):
+            assert abs(x - y) <= 1e-9 * max(1.0, abs(y)), (regime, side, params)
 
 
 def test_kernel_matches_the_literal_enumeration():
