@@ -1,4 +1,4 @@
-"""Source functions: a regime table, a subset walk per table kind, difference-operator forms.
+"""Source functions: a regime table, per-size subset sums, difference-operator forms.
 
 A source function is a sum over subsets K of the v indices (F side) or of
 the u indices (G side), each term carrying a size weight w(|K|) and
@@ -77,10 +77,11 @@ with no partners (trig at 1/q for the ratio (a - b/q) / (a - b), rational
 at -c for (a - b + c) / (a - b)), and ``wallcross``' chi_t sums the trig
 sums at q = 1/t.  ``subset_sums_by_size`` walks tables of values over any
 field: the complex, elliptic and inexact-weight sums, and the constant
-table of ``engine``'s inversion statistic.  It decides the indices in or out of K depth first and carries the product of
-the factors between decided indices, so each decision costs one
-multiplication per earlier index: O(m 2^m) multiplications and no
-division, against O(m^2 2^m) for evaluating every subset on its own.
+table of ``engine``'s inversion statistic.  It decides the indices in or
+out of K depth first and carries the product of the factors between
+decided indices, so each decision costs one multiplication per earlier
+index: O(m 2^m) multiplications and no division, against O(m^2 2^m) for
+evaluating every subset on its own.
 ``_level_sums`` walks the int tables of the exact sums below, at every
 size.  Over ints a product can be taken in any order, so it decides index
 t for every subset K of [0, t) at once: it first multiplies the small
@@ -94,7 +95,8 @@ straight into the per-size sums, so the 2^m leaf terms are never held, and
 above ``LEVEL_WALK_HOLDS`` = 11 indices index 0 is decided first and each
 branch walks the rest.  At n = 12 a walk holds about 0.36 MiB (0.72 MiB
 without the split, for 1-2% less time).  Both walks return one sum per
-size |K|.  These two walks are the only subset enumerators in srcid.  The hard size cap is max(n, m) <= 12.
+size |K|.  These two walks are the only subset enumerators in srcid.
+The hard size cap is max(n, m) <= 12.
 
 Exact rational, trig and trig_lambda sums (every scalar and weight an int
 or a Fraction) walk Python ints instead of Fractions.  ``fields.to_integers``
