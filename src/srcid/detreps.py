@@ -549,7 +549,7 @@ def _bs_flat(regime, side, params, aux, limit: bool):
 # ---------------------------------------------------------------------------
 
 
-def izergin_korepin_core(params, scale=1):
+def izergin_korepin_core(params, scale):
     """The n = m, z = 1 determinant at the rational point ``params`` without
     its (-c)^n:
 

@@ -26,7 +26,11 @@ Sampling policy (complex field): moduli of generic scalars in [0.2, 3],
 |q| in [0.2, 0.8] or [1.25, 5], |p| in [0.1, 0.5]; elliptic u, v moduli
 kept in [0.4, 2] so the theta products stay well conditioned.  Exact
 field: fractions with numerator and denominator within +-20, resampled
-only on literal coincidence of a protected denominator.
+only on literal coincidence of a protected denominator.  Every resample,
+of a whole point or of one scalar, node or matrix inside it, goes through
+``PointContext.attempt``, which raises ``SamplingError`` after
+``RESAMPLE_CAP`` rejected draws; ``AUX_ATTEMPTS`` separately bounds the
+redraws of an auxiliary draw whose determinant raised ``AuxInvariantError``.
 """
 
 from __future__ import annotations
@@ -177,10 +181,20 @@ class PointContext:
     # -- scalar draws ------------------------------------------------------
 
     def fraction(self, lo: int = -20, hi: int = 20, nonzero: bool = False) -> Fraction:
-        while True:
-            val = Fraction(self.rng.randint(lo, hi), self.rng.randint(1, 20))
-            if not nonzero or val != 0:
-                return val
+        return self._ratio(lo, hi, 20, bool if nonzero else lambda val: True)
+
+    def _ratio(self, lo: int, hi: int, den: int, accept: Callable) -> Fraction:
+        """a/b with lo <= a <= hi and 1 <= b <= den, redrawn until ``accept`` holds."""
+        randint = self.rng.randint
+        return self.attempt(lambda: Fraction(randint(lo, hi), randint(1, den)), accept)
+
+    def _in_field(self, value):
+        """An exact draw (an int, a Fraction or nested tuples of them) in the point's field."""
+        if self.exact:
+            return value
+        if isinstance(value, tuple):
+            return tuple(map(self._in_field, value))
+        return complex(value)
 
     def complex_scalar(self, lo: float = 0.2, hi: float = 3.0) -> complex:
         mod = self.rng.uniform(lo, hi)
@@ -196,10 +210,7 @@ class PointContext:
     def q_scalar(self):
         """|q| away from 0 and 1 in both fields."""
         if self.exact:
-            while True:
-                q = Fraction(self.rng.randint(-8, 8), self.rng.randint(1, 8))
-                if q != 0 and abs(q) != 1:
-                    return q
+            return self._ratio(-8, 8, 8, lambda q: q != 0 and abs(q) != 1)
         lo, hi = (0.2, 0.8) if self.rng.random() < 0.5 else (1.25, 5.0)
         return self.complex_scalar(lo, hi)
 
@@ -210,13 +221,7 @@ class PointContext:
     def distinct_scalars(self, count: int) -> tuple:
         out = []
         for _ in range(count):
-            for _ in range(RESAMPLE_CAP):
-                x = self.scalar()
-                if all(self._denominator_ok(x - y) for y in out):
-                    out.append(x)
-                    break
-            else:
-                raise SamplingError("could not draw distinct scalars")
+            out.append(self.attempt(self.scalar, lambda x: self.require(*(x - y for y in out))))
         return tuple(out)
 
     # -- general-position checks -------------------------------------------
@@ -246,7 +251,12 @@ class PointContext:
         return self.clear(lambda: sources.apart(d, xs))
 
     def attempt(self, draw: Callable, accept: Callable):
-        """Rejection-sample ``draw()`` until ``accept(x)`` holds."""
+        """Rejection-sample ``draw()`` until ``accept(x)`` holds.
+
+        The one rejection loop: every resampled draw of a point, the scalar
+        and auxiliary draws inside a larger ``draw`` included, comes through
+        here, and ``RESAMPLE_CAP`` rejected draws raise ``SamplingError``.
+        """
         for _ in range(RESAMPLE_CAP):
             x = draw()
             if accept(x):
@@ -337,42 +347,30 @@ class PointContext:
     # -- auxiliary draws ------------------------------------------------------
 
     def small_fraction(self):
-        """A nonzero a/b with |a| <= 5 and 1 <= b <= 5, made complex over the
-        complex field."""
-        while True:
-            val = Fraction(self.rng.randint(-5, 5), self.rng.randint(1, 5))
-            if val != 0:
-                return val if self.exact else complex(float(val))
+        """A nonzero a/b with |a| <= 5 and 1 <= b <= 5, in the point's field."""
+        return self._in_field(self._ratio(-5, 5, 5, bool))
 
     def mixing_matrix(self, size: int) -> tuple:
-        while True:
-            rows = tuple(
-                tuple(self.rng.randint(-5, 5) for _ in range(size)) for _ in range(size)
-            )
-            if size == 0 or linalg.det_exact(rows) != 0:
-                if self.exact:
-                    return rows
-                return tuple(tuple(complex(x) for x in row) for row in rows)
+        """An invertible size x size matrix of ints in [-5, 5], in the point's field."""
+        randint = self.rng.randint
+        rows = self.attempt(
+            lambda: tuple(tuple(randint(-5, 5) for _ in range(size)) for _ in range(size)),
+            lambda rows: linalg.det_exact(rows) != 0,
+        )
+        return self._in_field(rows)
 
     def eta_nodes(self, size: int) -> tuple:
-        """``size`` distinct nonzero a/b with |a| <= 9 and 1 <= b <= 4; the pool
-        holds 50 values, so a larger ``size`` raises ``SamplingError``."""
+        """``size`` distinct nonzero a/b with |a| <= 9 and 1 <= b <= 4, in the
+        point's field.  Each node is one ``attempt``; the pool holds 50 values,
+        so at a larger ``size`` a node exhausts ``RESAMPLE_CAP`` and raises
+        ``SamplingError``."""
         vals: list = []
         for _ in range(size):
-            for _ in range(RESAMPLE_CAP):
-                x = Fraction(self.rng.randint(-9, 9), self.rng.randint(1, 4))
-                if x != 0 and x not in vals:
-                    vals.append(x)
-                    break
-            else:
-                raise SamplingError("could not draw distinct eta nodes")
-        if self.exact:
-            return tuple(vals)
-        return tuple(complex(float(x)) for x in vals)
+            vals.append(self._ratio(-9, 9, 4, lambda x: x != 0 and x not in vals))
+        return self._in_field(tuple(vals))
 
     def delta_value(self):
-        val = Fraction(self.rng.randint(20, 100), 10)
-        return val if self.exact else complex(float(val))
+        return self._in_field(Fraction(self.rng.randint(20, 100), 10))
 
     def sample_aux(self, regime: str, family: str, side: str, params) -> AuxParams:
         size = len(params.v) if side == "F" else len(params.u)
@@ -523,10 +521,8 @@ def _run_rational_ik(ctx: PointContext):
 def _run_elliptic_det_identity(ctx: PointContext):
     n, _ = ctx.sizes((1, 3))
     params = ctx.sample_elliptic(n)
-    aux_f = ctx.sample_aux("elliptic", "mpt", "F", params)
-    aux_g = ctx.sample_aux("elliptic", "mpt", "G", params)
-    lhs = det_rep("elliptic", "mpt", "F", params, aux_f)
-    rhs = det_rep("elliptic", "mpt", "G", params, aux_g)
+    lhs = _det_rep_retry(ctx, "elliptic", "mpt", "F", params)
+    rhs = _det_rep_retry(ctx, "elliptic", "mpt", "G", params)
     return [("mixed-basis determinants agree", lhs, rhs)]
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, report formats."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -33,6 +34,19 @@ def test_list_regime_filter(capsys):
     assert code == 0
     assert "rational_source_identity" not in out
     assert "elliptic_source_identity" in out
+
+
+def test_exact_report_at_the_default_seed_is_pinned(capsys):
+    # The report bytes, pinned across commits: every exact draw and value of
+    # 3 points per case.  The exact field holds no float, so the bytes do not
+    # depend on the platform's libm.  A change that moves an exact draw or
+    # value on purpose (new point records, redrawn degenerate points) re-pins
+    # this sha256 and records the old one, the new one and why in CHANGES.md.
+    code, out, _ = run_cli(capsys, "verify", "--field", "exact", "--points", "3",
+                           "--format", "json", "--no-timings")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "44f8ba0b857ac662256010eb7a914666316715412c864849092de804509795e8")
 
 
 def test_verify_success_exit_zero(capsys):

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from srcid import detreps, engine, sources, symmetrize
+from srcid import detreps, engine, linalg, sources, symmetrize
 from srcid.engine import (
     PointContext,
     SamplingConfig,
@@ -169,15 +169,6 @@ def test_every_registered_case_passes_at_default_tolerance():
     for case in list_cases():
         rep = run_case(case.case_id, cfg)
         assert rep.passed, (case.case_id, rep.max_rel_err)
-
-
-def test_point_context_rejection_sampling():
-    cfg = SamplingConfig(master_seed=1, points=1)
-    ctx = PointContext(random.Random("x"), EXACT, cfg)
-    values = ctx.distinct_scalars(6)
-    assert len(set(values)) == 6
-    # the fraction helper honors the nonzero flag
-    assert all(ctx.fraction(nonzero=True) != 0 for _ in range(50))
 
 
 def test_distinct_takes_a_pair_function_and_rejects_a_zero_entry():
@@ -369,6 +360,151 @@ def test_eta_nodes_raise_once_their_pool_of_fifty_values_is_drawn():
     ctx = PointContext(random.Random("eta"), EXACT, cfg)
     with pytest.raises(SamplingError):
         ctx.eta_nodes(51)
+
+
+# Each primitive's rejection loop as it was written out before every resample
+# went through PointContext.attempt, uncapped where it had no cap.  Each takes
+# a context over its own rng and reads only the loop-free helpers from it.
+
+
+def loop_fraction(ctx):
+    while True:
+        val = Fraction(ctx.rng.randint(-20, 20), ctx.rng.randint(1, 20))
+        if val != 0:
+            return val
+
+
+def loop_q_scalar(ctx):
+    if ctx.exact:
+        while True:
+            q = Fraction(ctx.rng.randint(-8, 8), ctx.rng.randint(1, 8))
+            if q != 0 and abs(q) != 1:
+                return q
+    lo, hi = (0.2, 0.8) if ctx.rng.random() < 0.5 else (1.25, 5.0)
+    return ctx.complex_scalar(lo, hi)
+
+
+def loop_small_fraction(ctx):
+    while True:
+        val = Fraction(ctx.rng.randint(-5, 5), ctx.rng.randint(1, 5))
+        if val != 0:
+            return val if ctx.exact else complex(float(val))
+
+
+def loop_mixing_matrix(ctx, size):
+    while True:
+        rows = tuple(
+            tuple(ctx.rng.randint(-5, 5) for _ in range(size)) for _ in range(size)
+        )
+        if size == 0 or linalg.det_exact(rows) != 0:
+            if ctx.exact:
+                return rows
+            return tuple(tuple(complex(x) for x in row) for row in rows)
+
+
+def loop_distinct_scalars(ctx, count):
+    out = []
+    for _ in range(count):
+        while True:
+            x = loop_fraction(ctx) if ctx.exact else ctx.complex_scalar()
+            if all((x != y) if ctx.exact else abs(x - y) >= ctx.tol_singular for y in out):
+                out.append(x)
+                break
+    return tuple(out)
+
+
+def loop_eta_nodes(ctx, size):
+    vals = []
+    for _ in range(size):
+        while True:
+            x = Fraction(ctx.rng.randint(-9, 9), ctx.rng.randint(1, 4))
+            if x != 0 and x not in vals:
+                vals.append(x)
+                break
+    if ctx.exact:
+        return tuple(vals)
+    return tuple(complex(float(x)) for x in vals)
+
+
+@pytest.mark.parametrize("field_name", (EXACT, COMPLEX))
+def test_sampler_primitives_draw_what_their_old_loops_drew(field_name):
+    # same values of the same types (repr tells Fraction(1) from (1+0j)), and
+    # the same rng calls: the twin generators end in the same state
+    cfg = SamplingConfig(master_seed=1, points=1, tol_singular=0.5)
+    for seed in range(12):
+        ctx = PointContext(random.Random(seed), field_name, cfg)
+        old = PointContext(random.Random(seed), field_name, cfg)
+        for _ in range(4):
+            drawn = ctx.fraction(nonzero=True)
+            assert drawn != 0
+            assert repr(drawn) == repr(loop_fraction(old))
+            assert repr(ctx.q_scalar()) == repr(loop_q_scalar(old))
+            assert repr(ctx.small_fraction()) == repr(loop_small_fraction(old))
+            for size in (0, 1, 2, 3):
+                assert repr(ctx.mixing_matrix(size)) == repr(loop_mixing_matrix(old, size))
+            for count in (0, 3, 8):
+                drawn = ctx.distinct_scalars(count)
+                assert ctx.distinct(drawn)
+                assert repr(drawn) == repr(loop_distinct_scalars(old, count))
+                drawn = ctx.eta_nodes(count)
+                assert len(set(drawn)) == count
+                assert repr(drawn) == repr(loop_eta_nodes(old, count))
+        assert ctx.rng.getstate() == old.rng.getstate()
+
+
+class ZeroRandint:
+    """An rng whose randint gives 0 when 0 is in range and its lower bound
+    otherwise, so every drawn numerator is 0 and every int matrix singular.
+    It fails the test once a sampler makes 5 * RESAMPLE_CAP calls, so a loop
+    that ignores the cap fails instead of hanging."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def randint(self, lo, hi):
+        self.calls += 1
+        assert self.calls <= 5 * engine.RESAMPLE_CAP, "no stop at RESAMPLE_CAP"
+        return 0 if lo <= 0 <= hi else lo
+
+
+CAPPED_DRAWS = [
+    (EXACT, "fraction", (-20, 20, True)),
+    (EXACT, "scalar", ()),
+    (EXACT, "q_scalar", ()),
+    (EXACT, "distinct_scalars", (2,)),
+    (EXACT, "small_fraction", ()),
+    (COMPLEX, "small_fraction", ()),
+    (EXACT, "mixing_matrix", (2,)),
+    (COMPLEX, "mixing_matrix", (2,)),
+    (EXACT, "eta_nodes", (1,)),
+    (COMPLEX, "eta_nodes", (1,)),
+]
+
+
+@pytest.mark.parametrize("field_name, name, args", CAPPED_DRAWS,
+                         ids=[f"{field}-{name}" for field, name, _ in CAPPED_DRAWS])
+def test_every_sampler_primitive_stops_at_the_resampling_cap(field_name, name, args):
+    ctx = PointContext(ZeroRandint(), field_name, SamplingConfig(master_seed=1, points=1))
+    with pytest.raises(engine.SamplingError, match="resampling cap exceeded"):
+        getattr(ctx, name)(*args)
+
+
+@pytest.mark.parametrize("case_id", ["elliptic_mpt_det_identity", "elliptic_mpt_F"])
+def test_determinant_cases_redraw_aux_after_an_aux_invariant_error(monkeypatch, case_id):
+    # the first determinant of every point rejects its aux draw; each case
+    # redraws it instead of failing the point
+    real, seen = engine.det_rep, {}  # id -> point, kept alive so no id is reused
+
+    def rejects_once(regime, family, side, params, aux=None):
+        if id(params) not in seen:
+            seen[id(params)] = params
+            raise detreps.AuxInvariantError("rejected on purpose")
+        return real(regime, family, side, params, aux)
+
+    monkeypatch.setattr(engine, "det_rep", rejects_once)
+    report = run_case(case_id, SamplingConfig(master_seed=5, points=3, field=COMPLEX))
+    assert report.passed
+    assert len(seen) == 3
 
 
 def test_sampling_failure_recorded_per_point():
