@@ -75,7 +75,9 @@ AUX_ATTEMPTS = 20  # aux draws per determinant value before the point fails
 
 
 class SamplingError(RuntimeError):
-    """Rejection sampling exceeded ``RESAMPLE_CAP`` draws."""
+    """A point could not be drawn: ``PointContext.attempt`` rejected
+    ``RESAMPLE_CAP`` draws, ``AUX_ATTEMPTS`` aux draws all raised
+    ``AuxInvariantError``, or the field cannot hold the parameters."""
 
 
 class UnknownCaseError(KeyError):

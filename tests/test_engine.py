@@ -344,19 +344,12 @@ def test_attempt_raises_after_cap():
 def test_eta_nodes_raise_once_their_pool_of_fifty_values_is_drawn():
     from srcid.engine import SamplingError
 
-    def uncapped(rng, size):
-        # the draw without a cap, which never ends at size 51
-        vals = []
-        while len(vals) < size:
-            x = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            if x != 0 and x not in vals:
-                vals.append(x)
-        return tuple(vals)
-
     cfg = SamplingConfig(master_seed=1, points=1)
     for size in (0, 1, 5, 12, 50):
         ctx = PointContext(random.Random(size), EXACT, cfg)
-        assert ctx.eta_nodes(size) == uncapped(random.Random(size), size)
+        old = PointContext(random.Random(size), EXACT, cfg)
+        assert ctx.eta_nodes(size) == loop_eta_nodes(old, size)
+    # at size 51 loop_eta_nodes, which has no cap, never ends
     ctx = PointContext(random.Random("eta"), EXACT, cfg)
     with pytest.raises(SamplingError):
         ctx.eta_nodes(51)
