@@ -35,10 +35,12 @@ Families (availability by regime):
 
       B_j(x) = prod_{k != j} (x - eta_k) - (1/Delta) prod_{k != j} (x - eta_k') ,
 
-  with eta' the once-shifted nodes (q eta_k, resp. eta_k + c); Delta = 1
-  degenerates the basis (the leading terms cancel), which is exactly the
-  Delta != 1 invariant.  ``bs_limit`` is the Delta -> infinity form, the
-  plain Lagrange-node determinant.
+  with eta' the once-shifted nodes (q eta_k, resp. eta_k + c).  The
+  basis is (I - S / Delta) applied to the Lagrange basis, S the node shift,
+  whose eigenvalues are q^k for k = 0..m-1 (all 1 in the rational regime):
+  it degenerates exactly at Delta = q^k, which ``aux_general_position``
+  rejects.  ``bs_limit`` is the Delta -> infinity form, the plain
+  Lagrange-node determinant.
 * ``ik``: the n = m, z = 1 determinant with entries
   1 / ((v_j - u_k)(v_j - u_k - c)), returned in the denominator-cleared
   P-normalization.
@@ -114,9 +116,9 @@ class AuxParams:
     must be an invertible size x size matrix, size being m on the F side
     and n on the G side.  The pairwise-distinct nodes ``eta`` feed the bs
     family (length m on the F side, n on the G side); ``delta`` deforms
-    the node basis in the trig/rational bs family and must avoid 0 and 1
-    (the elliptic bs pins its second Frobenius parameter internally and
-    ignores ``delta``).
+    the node basis in the trig/rational bs family and must avoid 0 and
+    q^k for k < size, 1 in the rational regime (the elliptic bs pins its
+    second Frobenius parameter internally and ignores ``delta``).
     """
 
     r: object = None
@@ -480,25 +482,6 @@ def _lagrange_row(x, nodes):
     return row
 
 
-def _deformed_row(x, eta, x_ref, eta_ref, delta, lift=None):
-    """[lagrange_j(x, eta) - lagrange_j(x_ref, eta_ref) / delta for each j]: the
-    two ``_lagrange_row`` folds, bit for bit, over the differences to both
-    node sets formed in one pass.  Over ints (``lift`` given) entry j is
-    lift * lagrange_j(x, eta) - delta * lagrange_j(x_ref, eta_ref)."""
-    diffs = [(x - e, x_ref - f) for e, f in zip(eta, eta_ref)]
-    head = head_ref = x - x + 1
-    row = []
-    for j, (d, d_ref) in enumerate(diffs, 1):
-        acc, acc_ref = head, head_ref
-        for e, f in diffs[j:]:
-            acc *= e
-            acc_ref *= f
-        row.append(acc - acc_ref / delta if lift is None else lift * acc - delta * acc_ref)
-        head *= d
-        head_ref *= d_ref
-    return row
-
-
 def _bs_aux(aux, size, limit):
     _require(aux.eta is not None and len(aux.eta) == size, "bs needs eta of matching length")
     _require(len(set(aux.eta)) == size, "eta nodes must be pairwise distinct")
@@ -527,12 +510,13 @@ def _bs_flat(regime, side, params, aux, limit: bool):
             return _lagrange_row(a, etas)
     elif flat.den is None:
         def basis(a):
-            return _deformed_row(a, etas, a, refs, delta)
+            return [p - s / delta for p, s in zip(_lagrange_row(a, etas), _lagrange_row(a, refs))]
     else:
         dd, lift = delta.denominator, delta.numerator * gamma ** (size - 1)
 
         def basis(a):
-            return _deformed_row(a, etas, gamma * a, refs, dd, lift)
+            return [lift * p - dd * s
+                    for p, s in zip(_lagrange_row(a, etas), _lagrange_row(gamma * a, refs))]
 
     # each node's basis row serves the plain matrix and the entries
     plain = [basis(y) for y in ys]
@@ -599,11 +583,16 @@ def izergin_korepin(params):
 
 
 def aux_general_position(regime, family, side, params, aux):
-    """The values that must not vanish for ``aux`` to be an admissible draw.
+    """The values that must not vanish for ``aux`` to be an admissible draw:
+    at a point in general position, ``det_rep`` evaluates every draw at
+    which none does.
 
-    mpt: its weight theta(r prod nodes; p).  bs and bs_limit: the eta pairs,
+    mpt: its weight theta(r prod nodes; p); with the point's general
+    position and the invertible mixing matrix it keeps the mixed psi
+    determinant, theta(r prod x) prod x_j theta(x_i / x_j), off 0.  bs and bs_limit: the eta pairs,
     and theta of the pinned delta and of the eta ratios (elliptic) or delta
-    and 1 - delta.
+    and q^k - delta (``Regime.scale``): for bs every k < size, where the
+    deformed basis degenerates, for bs_limit, which never deforms, k = 0.
     """
     if family == "mpt":
         return [_mpt_weight(regime, side, params, aux.r)]
@@ -614,7 +603,8 @@ def aux_general_position(regime, family, side, params, aux):
         values.append(point_thetas(params)(_bs_pinned_delta(side, params, aux.eta)))
         values += apart(REGIMES["elliptic"].pair(params), aux.eta)
     elif aux.delta is not None:
-        values += [aux.delta, 1 - aux.delta]
+        scale, size = REGIMES[regime].scale, len(aux.eta) if family == "bs" else 1
+        values += [aux.delta] + [scale(params, k) - aux.delta for k in range(size)]
     return values
 
 

@@ -29,8 +29,9 @@ field: fractions with numerator and denominator within +-20, resampled
 only on literal coincidence of a protected denominator.  Every resample,
 of a whole point or of one scalar, node or matrix inside it, goes through
 ``PointContext.attempt``, which raises ``SamplingError`` after
-``RESAMPLE_CAP`` rejected draws; ``AUX_ATTEMPTS`` separately bounds the
-redraws of an auxiliary draw whose determinant raised ``AuxInvariantError``.
+``RESAMPLE_CAP`` rejected draws.  An auxiliary draw is admissible when
+``detreps.aux_general_position`` holds, which makes its determinant
+evaluable: an ``AuxInvariantError`` fails its point like any other error.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import linalg, sources, symmetrize, wallcross
-from .detreps import AVAILABILITY, AuxInvariantError, AuxParams, aux_general_position, det_rep
+from .detreps import AVAILABILITY, AuxParams, aux_general_position, det_rep
 from .fields import EXACT, COMPLEX, get_field
 from .linalg import (
     cauchy_vandermonde_closed,
@@ -71,13 +72,11 @@ from .sources import (
 
 
 RESAMPLE_CAP = 1000  # draws per rejection-sampled value
-AUX_ATTEMPTS = 20  # aux draws per determinant value before the point fails
 
 
 class SamplingError(RuntimeError):
     """A point could not be drawn: ``PointContext.attempt`` rejected
-    ``RESAMPLE_CAP`` draws, ``AUX_ATTEMPTS`` aux draws all raised
-    ``AuxInvariantError``, or the field cannot hold the parameters."""
+    ``RESAMPLE_CAP`` draws, or the field cannot hold the parameters."""
 
 
 class UnknownCaseError(KeyError):
@@ -486,30 +485,19 @@ def _diff_runner(regime: str, side: str):
 
 
 def _det_rep_runner(regime: str, family: str, side: str):
-    needs_aux = family in ("mpt", "bs")
-
     def run(ctx: PointContext):
         n, m = ctx.sizes((1, 4)) if regime == "elliptic" else ctx.sizes((1, 4), (1, 4))
         params = ctx.sample(regime, n, m)
         reference = source_subset_sum(regime, side, params)
-        value1 = _det_rep_retry(ctx, regime, family, side, params)
+        args = (regime, family, side, params)
+        value1 = det_rep(*args, ctx.sample_aux(*args))
         checks = [("representation = subset sum", value1, reference)]
-        if needs_aux or family == "bs_limit":
-            value2 = _det_rep_retry(ctx, regime, family, side, params)
+        if family in ("mpt", "bs", "bs_limit"):
+            value2 = det_rep(*args, ctx.sample_aux(*args))
             checks.append(("aux independence", value2, value1))
         return checks
 
     return run
-
-
-def _det_rep_retry(ctx, regime, family, side, params):
-    for _ in range(AUX_ATTEMPTS):
-        aux = ctx.sample_aux(regime, family, side, params)
-        try:
-            return det_rep(regime, family, side, params, aux)
-        except AuxInvariantError:
-            continue
-    raise SamplingError(f"no admissible aux draw for {regime}/{family}/{side}")
 
 
 def _run_rational_ik(ctx: PointContext):
@@ -523,8 +511,9 @@ def _run_rational_ik(ctx: PointContext):
 def _run_elliptic_det_identity(ctx: PointContext):
     n, _ = ctx.sizes((1, 3))
     params = ctx.sample_elliptic(n)
-    lhs = _det_rep_retry(ctx, "elliptic", "mpt", "F", params)
-    rhs = _det_rep_retry(ctx, "elliptic", "mpt", "G", params)
+    f_args, g_args = ("elliptic", "mpt", "F", params), ("elliptic", "mpt", "G", params)
+    lhs = det_rep(*f_args, ctx.sample_aux(*f_args))
+    rhs = det_rep(*g_args, ctx.sample_aux(*g_args))
     return [("mixed-basis determinants agree", lhs, rhs)]
 
 
@@ -895,7 +884,8 @@ def _run_binomial_subset_identity(ctx: PointContext):
     n, _ = ctx.sizes((1, 7))
     c = ctx.scalar(0.3, 2.0)
     u = _q_identity_subsets(ctx, n)
-    # the ratio (a - b + c) / (a - b) is the rational F pair ratio at -c, with no partners
+    # the ratio (a - b + c) / (a - b) is the rational F pair ratio at -c, with no partners;
+    # the size-l sum is C(n, l) at every c, so the case cannot see c (c -> -c passes too)
     sums = sources.size_sums("rational", "F", RatParams(c=-c, z=0, u=(), v=u))
     return [(f"shifted ratios, size {ell}", total, ctx.field.one * math.comb(n, ell))
             for ell, total in enumerate(sums)]
@@ -945,14 +935,7 @@ def _run_hook_product(ctx: PointContext):
     ell = ctx.rng.randint(0, 6)
     d = ctx.rng.randint(0, 6)
     k = ctx.rng.randint(0, min(ell, d))
-
-    def draw():
-        return ctx.fraction(nonzero=True)
-
-    def accept(s):
-        return abs(s) != 1
-
-    s = ctx.attempt(draw, accept)
+    s = ctx._ratio(-20, 20, 20, lambda s: s != 0 and abs(s) != 1)
     lhs, rhs = wallcross.hook_product_identity(ell, k, d, s)
     return [(f"chains l={ell} k={k} d={d}", lhs, rhs)]
 

@@ -49,6 +49,20 @@ def test_exact_report_at_the_default_seed_is_pinned(capsys):
         "44f8ba0b857ac662256010eb7a914666316715412c864849092de804509795e8")
 
 
+@pytest.mark.parametrize("seed, digest", [
+    ("1", "2b2e11ca8a6369e77fd659f6b0e1296e36a8d4e57d7ff71b6052722f8f59f5fd"),
+    ("3", "98ec20ed5f005073cb00aca020290659e7b07cf0857fcd8d4e25308f05cd4d78"),
+], ids=["seed-1", "seed-3"])
+def test_exact_trig_bs_reports_through_a_degenerate_delta_are_pinned(capsys, seed, digest):
+    # an aux draw of trig_bs_F point 158 at seed 1 (q = 5) and one of
+    # trig_bs_G point 195 at seed 3 (q = 3) has delta = q, a degenerate
+    # deformed basis: the aux sampler rejects it and draws again
+    code, out, _ = run_cli(capsys, "verify", "--field", "exact", "--seed", seed, "--points",
+                           "200", "--case", "trig_bs_[FG]", "--format", "json", "--no-timings")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_success_exit_zero(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -30,6 +30,7 @@ from srcid.sources import (
     TrigParams,
     elliptic_F,
     elliptic_G,
+    general_position,
     int_form,
     integer_member_products,
     member_ratios,
@@ -719,17 +720,28 @@ def test_exact_q_zero_on_the_F_side_raises_what_the_fraction_oracles_raise():
 
 def test_trig_deformed_basis_degenerates_at_each_power_of_q():
     # f -> f(x) - f(x / q) / delta scales x^k by 1 - q^(size-1-k) / delta:
-    # singular exactly at delta = q^i, i < size, at every q (gamma != 1 here)
-    q = Fraction(3, 2)
-    params = TrigParams(q=q, z=Fraction(2, 5), u=(Fraction(1),),
-                        v=(Fraction(1, 3), Fraction(2), Fraction(-3)))
-    eta = (Fraction(1), Fraction(5), Fraction(-2))
-    for delta in (q, q**2):
-        with pytest.raises(AuxInvariantError, match="degenerate deformed node basis"):
-            det_rep("trig", "bs", "F", params, AuxParams(delta=delta, eta=eta))
-    for delta in (q**3, Fraction(1, 2)):
-        value = det_rep("trig", "bs", "F", params, AuxParams(delta=delta, eta=eta))
-        assert value == source_subset_sum("trig", "F", params)
+    # singular exactly at delta = q^k, k < size, at every q and on both
+    # sides (gamma != 1 at q = 3/2), and the admissibility list says so
+    u, v = (Fraction(1), Fraction(7, 3)), (Fraction(1, 3), Fraction(5, 2), Fraction(-3))
+    for q in (Fraction(2), Fraction(-2), Fraction(3, 2)):
+        params = TrigParams(q=q, z=Fraction(2, 5), u=u, v=v)
+        assert 0 not in general_position("trig", params)
+        for side in ("F", "G"):
+            eta = (Fraction(1), Fraction(5), Fraction(-2))[:len(v if side == "F" else u)]
+            for k in range(len(eta) + 2):
+                aux = AuxParams(delta=q**k, eta=eta)
+                if k < len(eta):
+                    assert 0 in aux_general_position("trig", "bs", side, params, aux)
+                    # delta = 1 is refused before the basis is built
+                    text = "degenerate deformed node basis" if k else "delta outside {0, 1}"
+                    with pytest.raises(AuxInvariantError, match=text):
+                        det_rep("trig", "bs", side, params, aux)
+                else:
+                    assert 0 not in aux_general_position("trig", "bs", side, params, aux)
+                    value = det_rep("trig", "bs", side, params, aux)
+                    assert value == source_subset_sum("trig", side, params), (q, side, k)
+    value = det_rep("trig", "bs", "G", params, AuxParams(delta=Fraction(1, 2), eta=eta))
+    assert value == source_subset_sum("trig", "G", params)
 
 
 def complex_aux(aux):

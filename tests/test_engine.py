@@ -482,22 +482,57 @@ def test_every_sampler_primitive_stops_at_the_resampling_cap(field_name, name, a
         getattr(ctx, name)(*args)
 
 
-@pytest.mark.parametrize("case_id", ["elliptic_mpt_det_identity", "elliptic_mpt_F"])
-def test_determinant_cases_redraw_aux_after_an_aux_invariant_error(monkeypatch, case_id):
-    # the first determinant of every point rejects its aux draw; each case
-    # redraws it instead of failing the point
-    real, seen = engine.det_rep, {}  # id -> point, kept alive so no id is reused
+def aux_draw_settings():
+    # every regime, family with aux, side and field; exact trig also at
+    # q = 2 and -2, where the deformation's draws meet the powers of q
+    for regime, families in detreps.AVAILABILITY.items():
+        for family in sorted(families & {"mpt", "bs", "bs_limit"}):
+            for side in ("F", "G"):
+                for field_name in (COMPLEX,) if regime == "elliptic" else (EXACT, COMPLEX):
+                    for q in (None, 2, -2) if (regime, field_name) == ("trig", EXACT) else (None,):
+                        yield regime, family, side, field_name, q
 
-    def rejects_once(regime, family, side, params, aux=None):
-        if id(params) not in seen:
-            seen[id(params)] = params
-            raise detreps.AuxInvariantError("rejected on purpose")
-        return real(regime, family, side, params, aux)
 
-    monkeypatch.setattr(engine, "det_rep", rejects_once)
-    report = run_case(case_id, SamplingConfig(master_seed=5, points=3, field=COMPLEX))
-    assert report.passed
-    assert len(seen) == 3
+def test_every_accepted_aux_draw_evaluates():
+    for regime, family, side, field_name, q in aux_draw_settings():
+        for size in range(1, 5):
+            seed = f"{regime}:{family}:{side}:{field_name}:{q}:{size}"
+            ctx = PointContext(random.Random(seed), field_name, SamplingConfig())
+            if q is not None:
+                ctx.q_scalar = lambda: Fraction(q)
+            other = ctx.rng.randint(1, 3)
+            n, m = (size, size) if regime == "elliptic" else (
+                (other, size) if side == "F" else (size, other))
+            params = ctx.sample(regime, n, m)
+            for _ in range(12 if q is None else 40):
+                aux = ctx.sample_aux(regime, family, side, params)
+                try:
+                    detreps.det_rep(regime, family, side, params, aux)
+                except detreps.AuxInvariantError as exc:
+                    pytest.fail(f"{seed}: {aux} was accepted but raised {exc}")
+
+
+def test_an_aux_invariant_error_fails_only_its_own_point(monkeypatch):
+    # every admissible aux draw evaluates, so no runner redraws after an
+    # AuxInvariantError: it fails its own point, and the other points run
+    real = engine.det_rep
+
+    for case_id in ("elliptic_mpt_det_identity", "elliptic_mpt_F", "trig_bs_F"):
+        points = []  # kept alive so no id is reused
+
+        def rejects_point_1(regime, family, side, params, aux=None):
+            if not points or points[-1] is not params:
+                points.append(params)
+            if len(points) == 2:
+                raise detreps.AuxInvariantError("rejected on purpose")
+            return real(regime, family, side, params, aux)
+
+        monkeypatch.setattr(engine, "det_rep", rejects_point_1)
+        field = COMPLEX if case_id.startswith("elliptic") else EXACT
+        report = run_case(case_id, SamplingConfig(master_seed=5, points=3, field=field))
+        assert [p.error for p in report.points] == [
+            None, "AuxInvariantError: rejected on purpose", None], case_id
+        assert [p.ok for p in report.points] == [True, False, True], case_id
 
 
 def test_sampling_failure_recorded_per_point():
