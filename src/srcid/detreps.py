@@ -37,8 +37,8 @@ Families (availability by regime):
 
   with eta' the once-shifted nodes (q eta_k, resp. eta_k + c).  The
   basis is (I - S / Delta) applied to the Lagrange basis, S the node shift,
-  whose eigenvalues are q^k for k = 0..m-1 (all 1 in the rational regime):
-  it degenerates exactly at Delta = q^k, which ``aux_general_position``
+  whose eigenvalues are q^k for k = 0..m-1 (1 in the rational regime): it
+  degenerates exactly at Delta = q^k, which ``aux_general_position``
   rejects.  ``bs_limit`` is the Delta -> infinity form, the plain
   Lagrange-node determinant.
 * ``ik``: the n = m, z = 1 determinant with entries
@@ -589,10 +589,11 @@ def aux_general_position(regime, family, side, params, aux):
 
     mpt: its weight theta(r prod nodes; p); with the point's general
     position and the invertible mixing matrix it keeps the mixed psi
-    determinant, theta(r prod x) prod x_j theta(x_i / x_j), off 0.  bs and bs_limit: the eta pairs,
-    and theta of the pinned delta and of the eta ratios (elliptic) or delta
-    and q^k - delta (``Regime.scale``): for bs every k < size, where the
-    deformed basis degenerates, for bs_limit, which never deforms, k = 0.
+    determinant, theta(r prod x) prod x_j theta(x_i / x_j), off 0.  bs and
+    bs_limit: the eta pairs, and theta of the pinned delta and of the eta
+    ratios (elliptic) or delta and q^k - delta (``Regime.scale``): for bs
+    every k < size, where the deformed basis degenerates; for bs_limit,
+    which ignores delta, only k = 0 (a longer list would move its draws).
     """
     if family == "mpt":
         return [_mpt_weight(regime, side, params, aux.r)]

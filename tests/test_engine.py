@@ -518,7 +518,7 @@ def test_an_aux_invariant_error_fails_only_its_own_point(monkeypatch):
     real = engine.det_rep
 
     for case_id in ("elliptic_mpt_det_identity", "elliptic_mpt_F", "trig_bs_F"):
-        points = []  # kept alive so no id is reused
+        points = []  # each point's params, in the order the points run
 
         def rejects_point_1(regime, family, side, params, aux=None):
             if not points or points[-1] is not params:
