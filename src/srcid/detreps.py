@@ -90,7 +90,8 @@ from typing import Optional
 from .fields import is_exact, to_integers
 from .linalg import det, det_exact, prod, vandermonde
 from .qseries import psi_A
-from .sources import REGIMES, apart, int_form, integer_member_products, member_ratios, point_thetas
+from .sources import (REGIMES, apart, int_form, integer_member_products, member_ratios,
+                      point_thetas, theta_memo)
 
 AVAILABILITY = {
     "elliptic": frozenset({"mpt", "bs"}),
@@ -286,10 +287,13 @@ def _mpt_elliptic(side, params, aux):
     # theta(balance * prod nodes) = theta(L prod u / prod v)
     balance = lam * prod(u) if side == "F" else lam / prod(v)
     _require_mix(mat, n)
-    cols_den = [[psi_A(k, n, x, p, r) for k in range(1, n + 1)] for x in nodes]
-    cols_num = [[psi_A(k, n, x, p, balance) for k in range(1, n + 1)] for x in nodes]
+    # the psi rows read the point's memo at their nome p^n, so the balance
+    # rows, equal at every aux draw, are evaluated once per point
+    th = theta_memo(p**n, params.thetas)
+    cols_den = [[psi_A(k, n, x, p, r, th) for k in range(1, n + 1)] for x in nodes]
+    cols_num = [[psi_A(k, n, x, p, balance, th) for k in range(1, n + 1)] for x in nodes]
     cols_shift = [
-        [psi_A(k, n, q * x, p, balance) for k in range(1, n + 1)] for x in nodes
+        [psi_A(k, n, q * x, p, balance, th) for k in range(1, n + 1)] for x in nodes
     ]
     mixed_den = _mix_rows(mat, cols_den)
     mixed_num = _mix_rows(mat, cols_num)
@@ -591,9 +595,10 @@ def aux_general_position(regime, family, side, params, aux):
     position and the invertible mixing matrix it keeps the mixed psi
     determinant, theta(r prod x) prod x_j theta(x_i / x_j), off 0.  bs and
     bs_limit: the eta pairs, and theta of the pinned delta and of the eta
-    ratios (elliptic) or delta and q^k - delta (``Regime.scale``): for bs
-    every k < size, where the deformed basis degenerates; for bs_limit,
-    which ignores delta, only k = 0 (a longer list would move its draws).
+    ratios (elliptic) or delta and q^k - delta (``Regime.scale``), each
+    distinct q^k once: for bs every k < size, where the deformed basis
+    degenerates; for bs_limit, which ignores delta, only k = 0 (a longer
+    list would move its draws).
     """
     if family == "mpt":
         return [_mpt_weight(regime, side, params, aux.r)]
@@ -605,7 +610,9 @@ def aux_general_position(regime, family, side, params, aux):
         values += apart(REGIMES["elliptic"].pair(params), aux.eta)
     elif aux.delta is not None:
         scale, size = REGIMES[regime].scale, len(aux.eta) if family == "bs" else 1
-        values += [aux.delta] + [scale(params, k) - aux.delta for k in range(size)]
+        # each distinct lambda^k once: the rational lambda^k are all 1
+        scales = dict.fromkeys(scale(params, k) for k in range(size))
+        values += [aux.delta] + [x - aux.delta for x in scales]
     return values
 
 

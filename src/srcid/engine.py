@@ -16,7 +16,8 @@ specializations alike, with d from ``Regime.pair`` and the closed
 product's prefactor from the F-side weight and ``Regime.scale``.  The
 elliptic size draw and the elliptic range of an extra variable
 (``PointContext.variable``) are the only per-regime choices left in them.
-Every theta value at a point comes from one ``sources.theta_memo``.
+Every theta value at a point, and at the points derived from it, comes
+from one ``sources.theta_memo``.
 
 Determinism contract: the per-point generator is seeded with
 hash(master_seed, case_id, point_index), so reports are byte-identical
@@ -574,20 +575,22 @@ def _run_theta_vandermonde(ctx: PointContext):
     if ctx.exact:
         u = ctx.distinct_scalars(n)
         r = ctx.fraction(nonzero=True)
-        p = Fraction(0)
-        th = sources.theta_memo(p)
+        p, thetas = Fraction(0), {}
     else:
         def draw():
             p = ctx.nome()
             r = ctx.complex_scalar()
             u = tuple(ctx.variable("elliptic") for _ in range(n))
-            return p, r, u, sources.theta_memo(p)
+            return p, r, u, {}
 
         def accept(drawn):
-            return ctx.distinct(drawn[2], sources.theta_quotient(drawn[3]))
+            p, _, u, thetas = drawn
+            return ctx.distinct(u, sources.theta_quotient(sources.theta_memo(p, thetas)))
 
-        p, r, u, th = ctx.attempt(draw, accept)
-    lhs, rhs = elliptic_vandermonde_sides(u, p, r, th)
+        p, r, u, thetas = ctx.attempt(draw, accept)
+    # one memo per nome: at n = 1 the psi rows' nome p^n is p
+    th, th_n = (sources.theta_memo(nome, thetas) for nome in (p, p**n))
+    lhs, rhs = elliptic_vandermonde_sides(u, p, r, th, th_n)
     return [("det = factorization", lhs, rhs)]
 
 

@@ -165,19 +165,20 @@ def frobenius_closed(u, v, lam, th):
 # ---------------------------------------------------------------------------
 
 
-def psi_vandermonde_matrix(u, p, r):
-    """Matrix [psi_j(u_k)] with row index j, column index k."""
+def psi_vandermonde_matrix(u, p, r, th):
+    """Matrix [psi_j(u_k)] with row index j, column index k, th(x) = theta(x; p^n)."""
     n = len(u)
-    return [[psi_A(j, n, u[k], p, r) for k in range(n)] for j in range(1, n + 1)]
+    return [[psi_A(j, n, u[k], p, r, th) for k in range(n)] for j in range(1, n + 1)]
 
 
-def elliptic_vandermonde_sides(u, p, r, th):
-    """(lhs, rhs) of the theta Vandermonde factorization, th(x) = theta(x; p).
+def elliptic_vandermonde_sides(u, p, r, th, th_n):
+    """(lhs, rhs) of the theta Vandermonde factorization, th(x) = theta(x; p)
+    and th_n(x) = theta(x; p^n), n = len(u), the psi rows' nome.
 
     At p = 0 the (p; p)_inf factor is 1 and the rhs is exact.
     """
     n = len(u)
-    lhs = det(psi_vandermonde_matrix(u, p, r))
+    lhs = det(psi_vandermonde_matrix(u, p, r, th_n))
     rhs = 1 if p == 0 else (qpoch_inf(p, p) / qpoch_inf(p**n, p**n)) ** n
     rhs *= th(r * prod(u))
     for i in range(n):

@@ -21,9 +21,10 @@ target epsilon = 1e-14 and ratio |q|, N = ceil(log eps / log |q|) + 8 guard
 terms, and |q| <= 0.9 is enforced as a hard limit, so N runs from 9 to 314
 (1 at q = 0).
 ``theta`` stays exact (both fields) when p = 0; every truncated product
-is complex-only.  The truncation is this module's alone: ``theta``,
-``qpoch_inf`` and ``psi_A`` all truncate at ``DEFAULT_TRUNCATION`` and take
-no other.
+is complex-only.  The truncation is this module's alone: ``theta`` and
+``qpoch_inf`` truncate at ``DEFAULT_TRUNCATION`` and take no other, and
+``psi_A`` reads its theta values from a callable its caller passes, a
+memo over ``theta``.
 
 ``qpoch_inf`` reads the powers 1, q, ..., q^{N-1} from a table kept per
 nome, built once by the same repeated multiplication the product loop
@@ -214,12 +215,14 @@ def sym_q_factorial(n: int, s):
     return acc
 
 
-def psi_A(j: int, n: int, u, p, r):
+def psi_A(j: int, n: int, u, p, r, th):
     """Row function psi_j(u; p, r) of the rank-(n-1) theta Vandermonde basis.
 
     psi_j(u; p, r) = u^{j-1} theta(p^{j-1} (-1)^{n-1} r u^n; p^n) for
-    1 <= j <= n.  At p = 0 the piecewise form is used and stays exact:
-    1 - (-1)^{n-1} r u^n for j = 1, u^{j-1} otherwise.
+    1 <= j <= n, with th(x) = theta(x; p^n): the caller's memo at that nome
+    (``sources.theta_memo``), so the rows of one point share their theta
+    values.  At p = 0 the piecewise form is used, stays exact and calls no
+    th: 1 - (-1)^{n-1} r u^n for j = 1, u^{j-1} otherwise.
     """
     if not 1 <= j <= n:
         raise ValueError(f"psi_A needs 1 <= j <= n, got j={j}, n={n}")
@@ -228,4 +231,4 @@ def psi_A(j: int, n: int, u, p, r):
         if j == 1:
             return 1 - sign * r * u**n
         return u ** (j - 1)
-    return u ** (j - 1) * theta(p ** (j - 1) * sign * r * u**n, p**n)
+    return u ** (j - 1) * th(p ** (j - 1) * sign * r * u**n)

@@ -42,18 +42,27 @@ positions, theta(b/a; p) in both orders.
 The elliptic sums, their weights and ``general_position`` repeat theta
 arguments: d(v_i, u_k) is a denominator, a member factor on both sides and
 an entry of the P and Q products.  So every theta value at a point comes
-from one memo, made by ``theta_memo(p)``: a callable x -> theta(x; p) that
-evaluates each argument once and keeps the value in its dict (an argument
-with a real or imaginary part 0 is kept under x and the signs of its
-parts, since x + 0j and x - 0j are one key but may differ in theta).  An
-``EllipticParams`` holds that one dict, argument -> theta, in its
-``thetas`` field.  The field takes no part in ``__init__``, ``==``,
-``hash`` or ``repr``, so ``dataclasses.replace`` returns an object with an
-empty memo and equal points stay equal; the memo lives and dies with its
-object.  The determinant forms take the same memo: ``linalg``'s Frobenius
-and theta-Vandermonde forms as a theta callable, ``detreps``' elliptic bs
-and mpt forms through their ``EllipticParams``.  There is no module-level
-cache of theta values.  The truncation of the theta products is owned by
+from one memo, made by ``theta_memo(p, thetas)``: a callable x ->
+theta(x; p) that evaluates each argument once and keeps the value in the
+dict that ``thetas`` holds for the nome p.  ``thetas`` maps a nome to its
+dict, argument -> theta; a nome or an argument with a real or imaginary
+part 0 is keyed by the number and the signs of its parts (``_memo_key``),
+since x + 0j and x - 0j are one key but may differ in theta.  An
+``EllipticParams`` holds its ``thetas`` in a field that ``__init__``
+takes and ``==``, ``hash`` and ``repr`` do not, so equal points stay
+equal and ``dataclasses.replace`` hands a derived point its parent's
+dict: the substituted v of ``engine``'s vanishing and evaluation runners
+and the v_k -> p v_k point of the quasi-periodicity case read every theta
+value their parent holds.  theta(x; p) depends on x and p alone, so
+sharing keeps every value bit for bit, and a point replaced at a new nome
+reads its own nome's dict, never a theta of another nome.
+``point_thetas(params)`` is the memo at the point's nome p, and
+``theta_memo(nome, params.thetas)`` at another nome of the same point, as
+``detreps``' mpt form reads its psi rows at p^n.  The determinant forms
+take the same memo: ``linalg``'s Frobenius and theta-Vandermonde forms and
+``qseries.psi_A`` as a theta callable, ``detreps``' elliptic bs and mpt
+forms through their ``EllipticParams``.  There is no module-level cache of
+theta values.  The truncation of the theta products is owned by
 ``qseries`` alone: every theta here runs at ``qseries.DEFAULT_TRUNCATION``,
 and no function of this module takes a truncation.
 
@@ -160,8 +169,8 @@ of ``detreps`` (the bs nodes joining by one lcm step), the ik and lascoux
 forms and the operator form below share one scaling.  A point made from
 another by ``dataclasses.replace`` (a new z or lambda, or the tau
 identity's point (u, v + c)) is made, and so scaled, like any other.
-Like ``thetas``, the field takes no part in ``__init__``, ``==``, ``hash``
-or ``repr``, and there is no module-level cache.  At an exact point
+The field takes no part in ``__init__``, ``==``, ``hash`` or ``repr``,
+and there is no module-level cache.  At an exact point
 ``general_position`` lists ints: the differences of the scaled u and of
 the scaled v, X - Y for each d(v_i, u_k) and gamma X - alpha Y - beta for
 each d(v_i, sigma u_k).  Each is its value times L > 0 or gamma L > 0, so
@@ -213,8 +222,9 @@ class EllipticParams:
     z: complex
     u: tuple
     v: tuple
-    # theta(x; p) per argument x (module docstring)
-    thetas: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # nome -> {argument x -> theta(x; nome)}, the point's theta memo; replace
+    # hands it on, so a derived point reads its parent's values (module docstring)
+    thetas: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.u) != len(self.v):
@@ -330,17 +340,22 @@ def _difference(params):
     return operator.sub
 
 
-def theta_memo(p, values=None):
-    """x -> theta(x; p), evaluated once per argument held in ``values``.
+def _memo_key(x):
+    # x + 0j and x - 0j are one key but may differ in theta, so a zero part's
+    # sign joins the key
+    return x if x.real and x.imag else (x, math.copysign(1, x.real), math.copysign(1, x.imag))
 
-    ``values`` is the memo's dict, a new one when None; one memo serves one
-    point (module docstring).
+
+def theta_memo(p, thetas=None):
+    """x -> theta(x; p), evaluated once per argument held in ``thetas``.
+
+    ``thetas`` maps a nome to its dict, argument -> theta (a new one when
+    None); the memo reads and fills the dict of p (module docstring).
     """
-    if values is None:
-        values = {}
+    values = {} if thetas is None else thetas.setdefault(_memo_key(p), {})
 
     def th(x):
-        # x + 0j and x - 0j are one key, so a zero part's sign joins the key
+        # _memo_key, inline: this is the one path to every theta value
         key = x if x.real and x.imag else (x, math.copysign(1, x.real), math.copysign(1, x.imag))
         value = values.get(key)
         if value is None:
@@ -352,7 +367,8 @@ def theta_memo(p, values=None):
 
 def point_thetas(params):
     """x -> theta(x; p) at an ``EllipticParams``: ``theta_memo`` on its
-    ``thetas`` field, so every theta value at the point is evaluated once."""
+    ``thetas`` field, so every theta value at the point and at the points
+    derived from it is evaluated once."""
     return theta_memo(params.p, params.thetas)
 
 

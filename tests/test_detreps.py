@@ -280,6 +280,23 @@ def test_admissibility_lists_the_bs_nodes_and_delta():
     assert aux_general_position("rational", "dwbc", "F", params, AuxParams()) == []
 
 
+def test_admissibility_lists_each_distinct_degenerate_delta_once():
+    """bs lists delta and lambda^k - delta once per distinct lambda^k, k < size:
+    once in the rational regime (lambda = 1), once per k at a generic q, and
+    twice at q = -1, whose powers alternate."""
+    eta = tuple(map(Fraction, (1, 3, 5, 7)))
+    pairs = len(eta) * (len(eta) - 1) // 2
+    delta = Fraction(5, 2)
+    aux = AuxParams(delta=delta, eta=eta)
+    rat = RatParams(c=Fraction(1, 3), z=Fraction(2, 5), u=(Fraction(1),), v=tuple(eta))
+    assert aux_general_position("rational", "bs", "F", rat, aux)[pairs:] == [delta, 1 - delta]
+    for q, scales in ((Fraction(2, 3), [Fraction(2, 3) ** k for k in range(4)]),
+                      (Fraction(-1), [1, -1])):
+        tri = TrigParams(q=q, z=Fraction(2, 5), u=(Fraction(1),), v=tuple(eta))
+        values = aux_general_position("trig", "bs", "F", tri, aux)
+        assert values[pairs:] == [delta] + [x - delta for x in scales], q
+
+
 # ---------------------------------------------------------------------------
 # every family equals the subset sums, exactly, with independent aux
 # ---------------------------------------------------------------------------
@@ -413,7 +430,8 @@ def mpt_flat_literal(regime, side, params, aux):
         return [[sum(mat[i][k] * cols[j][k] for k in range(size)) for j in range(size)]
                 for i in range(size)]
 
-    denom = det(mixed([[psi_A(k, size, x, 0, aux.r) for k in range(1, size + 1)]
+    # at nome 0 psi_A reads no theta
+    denom = det(mixed([[psi_A(k, size, x, 0, aux.r, None) for k in range(1, size + 1)]
                        for x in nodes]))
     if denom == 0:
         raise AuxInvariantError("singular mixed psi matrix")

@@ -1,5 +1,6 @@
 """Engine behavior: sampling, determinism, reports, case registry."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -677,3 +678,25 @@ def test_registry_exact_points_are_scaled_once_each(monkeypatch):
         for case_id in cases:
             run_case(case_id, SamplingConfig(master_seed=seed, points=10, field=EXACT))
     assert len(scalings) == 2141
+
+
+def test_elliptic_cases_record_the_same_points_without_the_theta_memo(monkeypatch):
+    # a point's memo is shared with the points derived from it and holds one
+    # dict per nome; theta(x; p) depends on x and p alone, so evaluating
+    # theta at every lookup instead must record every point bit for bit
+    cases = [c.case_id for c in list_cases() if c.regime == "elliptic" and COMPLEX in c.fields]
+    assert len(cases) == 14
+
+    def records():
+        return [json.dumps(run_case(case_id, SamplingConfig(points=4, field=COMPLEX))
+                           .as_dict(include_timings=False)) for case_id in cases]
+
+    memoized = records()
+    lookups = []
+
+    def no_memo(p, thetas=None):
+        return lambda x: lookups.append(x) or sources.theta(x, p)
+
+    monkeypatch.setattr(sources, "theta_memo", no_memo)
+    assert records() == memoized
+    assert lookups

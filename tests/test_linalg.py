@@ -274,7 +274,7 @@ def test_theta_vandermonde_n1():
     rng = random.Random(53)
     u = (rand_complex(rng),)
     p = 0.2 * cmath.exp(0.3j)
-    lhs, rhs = elliptic_vandermonde_sides(u, p, rand_complex(rng), theta_memo(p))
+    lhs, rhs = elliptic_vandermonde_sides(u, p, rand_complex(rng), theta_memo(p), theta_memo(p))
     assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
 
 
@@ -282,7 +282,8 @@ def test_theta_vandermonde_flat_nome_exact():
     rng = random.Random(59)
     u = distinct_fractions(rng, 3)
     r = rand_fraction(rng)
-    lhs, rhs = elliptic_vandermonde_sides(u, Fraction(0), r, theta_memo(Fraction(0)))
+    th = theta_memo(Fraction(0))
+    lhs, rhs = elliptic_vandermonde_sides(u, Fraction(0), r, th, th)
     assert lhs == rhs
     expected = (1 - r * u[0] * u[1] * u[2])
     for i in range(3):
@@ -298,7 +299,7 @@ def test_theta_vandermonde_sweep():
         u = tuple(rand_complex(rng) for _ in range(n))
         p = rng.uniform(0.1, 0.45) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         r = rand_complex(rng)
-        lhs, rhs = elliptic_vandermonde_sides(u, p, r, theta_memo(p))
+        lhs, rhs = elliptic_vandermonde_sides(u, p, r, theta_memo(p), theta_memo(p**n))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 

@@ -316,26 +316,46 @@ def test_sym_q_factorial():
 # ---------------------------------------------------------------------------
 
 
+def _no_theta(x):
+    pytest.fail(f"theta read at {x!r}")
+
+
 def test_psi_A_flat_nome_branches():
-    assert psi_A(2, 3, Fraction(5), Fraction(0), Fraction(7)) == 5
+    # nome 0 takes the piecewise form and reads no theta
+    assert psi_A(2, 3, Fraction(5), Fraction(0), Fraction(7), _no_theta) == 5
     # j = 1, n = 2: 1 - (-1) r u^2 = 1 + 3 * 4
-    assert psi_A(1, 2, Fraction(2), Fraction(0), Fraction(3)) == 13
+    assert psi_A(1, 2, Fraction(2), Fraction(0), Fraction(3), _no_theta) == 13
 
 
 def test_psi_A_small_nome_limit():
     rng = random.Random(17)
     u = rand_complex(rng, 0.5, 1.5)
     r = rand_complex(rng, 0.5, 1.5)
-    at_zero = psi_A(1, 2, u, 0.0, r)
-    near_zero = psi_A(1, 2, u, 1e-7, r)
+    at_zero = psi_A(1, 2, u, 0.0, r, _no_theta)
+    near_zero = psi_A(1, 2, u, 1e-7, r, lambda x: theta(x, 1e-7**2))
     assert abs(near_zero - at_zero) <= 1e-6 * max(1.0, abs(at_zero))
+
+
+def test_psi_A_reads_theta_at_the_nome_p_to_the_n():
+    rng = random.Random(19)
+    u, r = rand_complex(rng, 0.5, 1.5), rand_complex(rng, 0.5, 1.5)
+    p = 0.3 * cmath.exp(0.7j)
+    args = []
+
+    def th(x):
+        args.append(x)
+        return theta(x, p**3)
+
+    # psi_2(u; p, r | rank 3) = u theta(p r u^3; p^3)
+    assert psi_A(2, 3, u, p, r, th) == u * theta(p * r * u**3, p**3)
+    assert args == [p * 1 * r * u**3]
 
 
 def test_psi_A_index_validation():
     with pytest.raises(ValueError):
-        psi_A(0, 3, 1.0, 0.2, 1.0)
+        psi_A(0, 3, 1.0, 0.2, 1.0, _no_theta)
     with pytest.raises(ValueError):
-        psi_A(4, 3, 1.0, 0.2, 1.0)
+        psi_A(4, 3, 1.0, 0.2, 1.0, _no_theta)
 
 
 def test_truncation_validation():

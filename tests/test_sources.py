@@ -1241,11 +1241,17 @@ def _elliptic_point(n=3):
                           u=tuple(draw() for _ in range(n)), v=tuple(draw() for _ in range(n)))
 
 
+def _twin(params):
+    """An equal ``EllipticParams`` with a memo of its own (``replace`` hands on its memo)."""
+    return EllipticParams(p=params.p, q=params.q, lam=params.lam, z=params.z,
+                          u=params.u, v=params.v)
+
+
 def test_elliptic_theta_values_are_evaluated_once_per_point(monkeypatch):
     import srcid.sources as sources
 
     params = _elliptic_point()
-    fresh = replace(params)
+    fresh = _twin(params)
     expected = (general_position("elliptic", fresh), elliptic_F(fresh), elliptic_G(fresh))
     calls = []
 
@@ -1266,8 +1272,8 @@ def test_elliptic_theta_values_are_evaluated_once_per_point(monkeypatch):
 
 def test_determinant_paths_evaluate_each_theta_value_once_per_point(monkeypatch):
     """The Frobenius and theta-Vandermonde runners and the elliptic bs and mpt
-    representations take every theta value from one memo per point (psi_A's
-    own theta is left out)."""
+    representations take every theta value from one memo per point, the
+    psi rows' theta at nome p^n included."""
     import srcid.detreps as detreps
     import srcid.engine as engine
     import srcid.linalg as linalg
@@ -1292,12 +1298,46 @@ def test_determinant_paths_evaluate_each_theta_value_once_per_point(monkeypatch)
                             eta=tuple(rand_complex(rng) for _ in range(params.n)))
     for family in ("bs", "mpt"):
         for side in ("F", "G"):
-            point = replace(params)
+            point = _twin(params)
             calls.clear()
             assert 0 not in detreps.aux_general_position("elliptic", family, side, point, aux)
             value = detreps.det_rep("elliptic", family, side, point, aux)
             assert cmath.isclose(value, source_subset_sum("elliptic", side, point), rel_tol=1e-8)
             assert calls and len(calls) == len(set(calls)), (family, side)
+            if family == "mpt":
+                # the psi rows' theta values, at nome p^n, are counted too
+                assert (repr(point.p ** point.n)) in {nome for _, nome in calls}
+
+
+def test_the_quasi_periodicity_point_evaluates_only_the_thetas_of_its_moved_v(monkeypatch):
+    """After F at a point, F at its v_k -> p v_k point (``replace``, as the
+    quasi-periodicity case builds it) evaluates theta only at the arguments
+    that hold the moved v_k: the pair ratios with it at either end, its member
+    ratio and every weight, whose prod v holds it."""
+    import srcid.sources as sources
+
+    params = _elliptic_point()
+    elliptic_F(params)
+    k, q, u = 1, params.q, params.u
+    moved = replace(params, v=tuple(params.p * x if i == k else x for i, x in enumerate(params.v)))
+    w = moved.v[k]
+    expected = {y / w for y in u} | {q * y / w for y in u}
+    for j, x in enumerate(moved.v):
+        if j != k:
+            expected |= {q * x / w, x / w, q * w / x, w / x}
+    balance = moved.lam * prod(moved.u) / prod(moved.v)
+    expected |= {q**s * balance for s in range(moved.n + 1)}
+    calls = []
+
+    def counted(x, p):
+        calls.append(x)
+        return theta(x, p)
+
+    monkeypatch.setattr(sources, "theta", counted)
+    value = elliptic_F(moved)
+    assert len(calls) == len(set(calls)) == 7 * moved.n - 3
+    assert set(calls) == expected
+    assert value == elliptic_F(_twin(moved))
 
 
 def test_scale_is_the_factor_of_d_under_the_shift():
@@ -1344,7 +1384,7 @@ def test_theta_memo_keys_a_zero_part_with_its_sign(monkeypatch):
     assert len(calls) == len(args)
 
 
-def test_replace_starts_a_fresh_theta_memo():
+def test_replace_at_a_new_nome_starts_a_fresh_theta_memo():
     params = _elliptic_point()
     elliptic_F(params)
     moved = replace(params, p=0.2 - 0.15j)
