@@ -1306,7 +1306,7 @@ def test_determinant_paths_evaluate_each_theta_value_once_per_point(monkeypatch)
             assert calls and len(calls) == len(set(calls)), (family, side)
             if family == "mpt":
                 # the psi rows' theta values, at nome p^n, are counted too
-                assert (repr(point.p ** point.n)) in {nome for _, nome in calls}
+                assert repr(point.p ** point.n) in {nome for _, nome in calls}
 
 
 def test_the_quasi_periodicity_point_evaluates_only_the_thetas_of_its_moved_v(monkeypatch):
