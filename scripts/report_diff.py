@@ -9,7 +9,9 @@ the head is the working tree.  For each field, ``srcid verify --field
 the sha256 of each report, then every point whose record differs, with
 its case, index, residual and pass flag before and after, one line per
 case with differing points (how many of its points differ and how many
-changed their pass flag), and the same two counts over the field.  As with
+changed their pass flag, the case's tolerance, and its worst residual and
+failing points on base and on head, so a change in the last bits reads as
+a change of margin), and the same two counts over the field.  As with
 diff(1), the exit status is 0 when both fields' reports are byte-identical
 and 1 when either differs; 2 means a report could not be made.
 """
@@ -51,6 +53,17 @@ def points_of(text: str) -> dict:
             for case in doc["cases"] for point in case["points"]}
 
 
+def margins_of(text: str) -> dict:
+    """case id -> (tol, worst residual, failing points) of one report."""
+    return {case["id"]: (case["tol"], max((p["residual"] for p in case["points"]), default=None),
+                         sum(1 for p in case["points"] if not p["ok"]))
+            for case in json.loads(text)["cases"]}
+
+
+def margin(case: tuple | None) -> str:
+    return "absent" if case is None else f"worst {case[1]:.3g}, {case[2]} failing"
+
+
 def outcome(point) -> str:
     return "absent" if point is None else f"{point['residual']:.3g} ok={point['ok']}"
 
@@ -61,6 +74,7 @@ def compare(field: str, before: str, after: str) -> bool:
     for side, sha in zip(("base", "head"), hashes):
         print(f"{field} {side} sha256 {sha}")
     old, new = points_of(before), points_of(after)
+    old_cases, new_cases = margins_of(before), margins_of(after)
     # case -> [points, differing, changed pass/fail]
     tally = defaultdict(lambda: [0, 0, 0])
     for key in sorted(old.keys() | new.keys()):
@@ -75,8 +89,10 @@ def compare(field: str, before: str, after: str) -> bool:
         print(f"  {field} {key[0]}#{key[1]}: {outcome(a)} -> {outcome(b)}")
     for case, (points, differing, flipped) in tally.items():
         if differing:
+            a, b = old_cases.get(case), new_cases.get(case)
             print(f"  {field} {case}: {differing} of {points} points differ, "
-                  f"{flipped} changed pass/fail")
+                  f"{flipped} changed pass/fail; tol {(a or b)[0]:.3g}, "
+                  f"base {margin(a)}, head {margin(b)}")
     differing = sum(counts[1] for counts in tally.values())
     flipped = sum(counts[2] for counts in tally.values())
     print(f"{field}: {differing} of {len(old)} points differ, {flipped} changed pass/fail")

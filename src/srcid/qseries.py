@@ -20,18 +20,32 @@ The infinite products are truncated with a geometric tail bound: with
 target epsilon = 1e-14 and ratio |q|, N = ceil(log eps / log |q|) + 8 guard
 terms, and |q| <= 0.9 is enforced as a hard limit, so N runs from 9 to 314
 (1 at q = 0).
-``theta`` stays exact (both fields) when p = 0; every truncated product
-is complex-only.  The truncation is this module's alone: ``theta`` and
+``theta`` stays exact (both fields) when p = 0; at p != 0 it is
+complex-only.  The truncation is this module's alone: ``theta`` and
 ``qpoch_inf`` truncate at ``DEFAULT_TRUNCATION`` and take no other, and
 ``psi_A`` reads its theta values from a callable its caller passes, a
 memo over ``theta``.
 
+At p != 0, ``theta`` sums the Jacobi triple product (Gasper & Rahman,
+*Basic Hypergeometric Series*, 2nd ed., section 1.6)
+
+    theta(u; p) (p; p)_inf = sum_{k in Z} (-1)^k p^{k(k-1)/2} u^k ,
+
+whose terms shrink like |p|^{k^2/2}, so a few terms on each side of k = 0
+replace two products of N factors.  At u = 1 and u = p, where the product
+form is exactly 0, it returns 0.  The sum stops by the rule in the
+``theta`` docstring, and where its terms cancel by more than a factor of
+64 (near a zero of theta) ``theta`` takes the product form instead.
+(p; p)_inf is ``qpoch_inf(p, p)``.
+
 ``qpoch_inf`` reads the powers 1, q, ..., q^{N-1} from a table kept per
 nome, built once by the same repeated multiplication the product loop
 would do, so every value is bit-for-bit what a fresh loop gives.  The
-table is small and bounded: it is emptied when it reaches
-``_POWER_TABLES_MAX`` nomes.  It holds powers of the nome only, never
-values of theta.
+same entry keeps (q; q)_inf, the loop's value at u = q, once it is first
+asked for, so ``theta`` multiplies one such product per nome.  The table
+is small and bounded: it is emptied when it reaches ``_POWER_TABLES_MAX``
+nomes, and a nome with a zero part gets no entry.  It holds the nome's
+powers and (q; q)_inf only, never values of theta.
 """
 
 from __future__ import annotations
@@ -66,7 +80,7 @@ class Truncation:
 DEFAULT_TRUNCATION = Truncation()
 
 
-_POWER_TABLES: dict = {}  # q -> [1, q, ..., q^{N-1}]
+_POWER_TABLES: dict = {}  # q -> [[1, q, ..., q^{N-1}], (q; q)_inf or None]
 _POWER_TABLES_MAX = 32
 _INEXACT = (complex, float, int)
 
@@ -83,32 +97,40 @@ def _reject_exact(*values):
             )
 
 
-def _powers(q: complex) -> list:
-    """1, q, ..., q^{N-1} with N = ``DEFAULT_TRUNCATION.num_terms(|q|)``."""
-    powers = _POWER_TABLES.get(q)
-    if powers is not None:
-        return powers
+def _table(q: complex) -> list:
+    """[powers 1, q, ..., q^{N-1}, (q; q)_inf once known] for the nome q,
+    N = ``DEFAULT_TRUNCATION.num_terms(|q|)``."""
+    entry = _POWER_TABLES.get(q)
+    if entry is not None:
+        return entry
     powers = []
     power = 1 + 0j
     for _ in range(DEFAULT_TRUNCATION.num_terms(abs(q))):
         powers.append(power)
         power *= q
+    entry = [powers, None]
     # q = x + 0j and x - 0j compare equal but may round to powers whose zero
     # parts differ in sign, so only a q with no zero part is kept
     if q.real and q.imag:
         if len(_POWER_TABLES) >= _POWER_TABLES_MAX:
             _POWER_TABLES.clear()
-        _POWER_TABLES[q] = powers
-    return powers
+        _POWER_TABLES[q] = entry
+    return entry
 
 
 def qpoch_inf(u, q):
     """Truncated (u; q)_inf over the complex field, |q| <= 0.9."""
     _reject_exact(u, q)
-    u = complex(u)
+    u, q = complex(u), complex(q)
+    entry = _table(q)
+    # a kept q has no zero part, so u == q means u is q to the bit
+    if u == q and entry[1] is not None:
+        return entry[1]
     acc = 1 + 0j
-    for power in _powers(complex(q)):
+    for power in entry[0]:
         acc *= 1 - u * power
+    if u == q:
+        entry[1] = acc
     return acc
 
 
@@ -139,18 +161,79 @@ def qpoch_n(u, q, n: int):
     return one / acc
 
 
+_SUM_EPSILON = 2.0**-53  # unit roundoff of a double
+_CANCELLATION_MAX = 64  # the largest sum of |terms| / |sum| the triple product is used at
+
+
+def _theta_side(a: complex, p: complex, p_abs: float) -> tuple:
+    """(S(a), sum of |t_k|) for S(a) = sum_{k>=1} t_k, t_k = prod_{j<k} (-a p^j):
+    the k >= 1 half of the triple product at a = u, its k <= -1 half at a = p/u
+    (``theta`` docstring).  |t_k| is carried in floats."""
+    total = 0j
+    term = 1 + 0j
+    step = -a
+    size = 1.0  # |term|
+    largest = 1.0  # the largest |term| so far, the k = 0 term included
+    mass = 0.0  # the sum of |term| over k >= 1
+    ratio = abs(a)  # |step| = |t_{k+1} / t_k|
+    if ratio == math.inf:  # a overflowed, and so would every term after k = 0
+        return complex(math.nan, math.nan), math.inf
+    while ratio > 0.5 or size > _SUM_EPSILON * largest:
+        term *= step
+        total += term
+        size *= ratio
+        mass += size
+        if size > largest:
+            largest = size
+        ratio *= p_abs
+        step *= p
+    return total, mass
+
+
 def theta(u, p):
     """Odd theta function theta(u; p) = (u; p)_inf (p/u; p)_inf.
 
     At p = 0 this is exactly 1 - u and is evaluated exactly over either
-    field; for p != 0 it is complex-only with truncated products.
+    field.  At p != 0 it is complex-only: 0 at u = 1 and u = p, where the
+    product form is exactly 0, and elsewhere the triple product
+
+        theta(u; p) = (1 + S(u) + S(p/u)) / (p; p)_inf ,
+        S(a) = sum_{k>=1} t_k ,  t_k = prod_{j<k} (-a p^j) ,
+
+    with (p; p)_inf from ``qpoch_inf(p, p)``, which also raises
+    ``TruncationError`` above |p| = 0.9.  S(u) holds the terms k >= 1 of
+    the sum over Z and S(p/u) the terms k <= -1.
+
+    Stop rule: |t_{k+1} / t_k| = r_k = |a| |p|^k only falls with k.  Each S
+    stops after the first t_k with r_k <= 1/2 and |t_k| <= 2^-53 M, M the
+    largest |t_j| of that side (t_0 = 1 included).  The terms left out sum
+    to at most |t_k| (r_k + r_k^2 + ...) <= |t_k| <= 2^-53 M, below one
+    rounding of the largest term added.
+
+    Cancellation: the sum's rounding error is a few units of 2^-53 times
+    the sum of |t_k| over every term added, so its relative error is that
+    many units times kappa = (sum of |t_k|) / |1 + S(u) + S(p/u)|.  kappa is
+    large near a zero of theta, and where (p; p)_inf is small at |p| near
+    0.9.  Where kappa > 64, theta returns the product form
+    ``qpoch_inf(u, p) * qpoch_inf(p / u, p)`` instead.
     """
     if u == 0:
         raise ValueError("theta requires u != 0")
     if p == 0:
         return 1 - u
     _reject_exact(u, p)
-    return qpoch_inf(u, p) * qpoch_inf(complex(p) / complex(u), p)
+    u, p = complex(u), complex(p)
+    norm = qpoch_inf(p, p)
+    if u == 1 or u == p:
+        return 0j
+    p_abs = abs(p)
+    w = p / u
+    above, above_mass = _theta_side(u, p, p_abs)
+    below, below_mass = _theta_side(w, p, p_abs)
+    total = 1 + above + below
+    if abs(total) * _CANCELLATION_MAX < 1 + above_mass + below_mass:
+        return qpoch_inf(u, p) * qpoch_inf(w, p)
+    return total / norm
 
 
 def _q_ints(n: int, q):

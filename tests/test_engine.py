@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from srcid import detreps, engine, linalg, sources, symmetrize
+from srcid import detreps, engine, linalg, qseries, sources, symmetrize
 from srcid.engine import (
     PointContext,
     SamplingConfig,
@@ -700,3 +700,47 @@ def test_elliptic_cases_record_the_same_points_without_the_theta_memo(monkeypatc
     monkeypatch.setattr(sources, "theta_memo", no_memo)
     assert records() == memoized
     assert lookups
+
+
+def _without_memos(value):
+    # a draw's theta memo, as a dict or as the callable over one, is left out
+    if isinstance(value, dict) or callable(value):
+        return None
+    if isinstance(value, (tuple, list)):
+        return type(value)(_without_memos(x) for x in value)
+    return value
+
+
+def test_elliptic_draws_do_not_move_when_theta_is_the_product_loop(monkeypatch):
+    # theta sums the triple product; the same accepted draws and pass flags
+    # must come out of theta as the product (u; p)_inf (p/u; p)_inf, the
+    # memos (whose values differ in the last bits) left out
+    cases = [c.case_id for c in list_cases() if c.regime == "elliptic" and COMPLEX in c.fields]
+    assert {"theta_vandermonde_factorization", "frobenius_factorization"} <= set(cases)
+    real_attempt = PointContext.attempt
+
+    def run():
+        draws = []
+
+        def attempt(self, draw, accept):
+            x = real_attempt(self, draw, accept)
+            draws.append(_without_memos(x))
+            return x
+
+        monkeypatch.setattr(PointContext, "attempt", attempt)
+        flags = [[point.ok for point in run_case(case_id, SamplingConfig(points=4, field=COMPLEX))
+                  .points] for case_id in cases]
+        return draws, flags
+
+    def product_theta(u, p):
+        if p == 0:
+            return 1 - u
+        return qseries.qpoch_inf(u, p) * qseries.qpoch_inf(complex(p) / complex(u), p)
+
+    draws, flags = run()
+    for module in (qseries, sources):
+        monkeypatch.setattr(module, "theta", product_theta)
+    product_draws, product_flags = run()
+    assert len(draws) > len(cases)
+    assert draws == product_draws
+    assert flags == product_flags

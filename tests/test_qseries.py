@@ -133,18 +133,69 @@ def _qpoch_inf_loop(u, q):
     return acc
 
 
-def test_theta_is_bit_identical_to_the_product_loop():
-    rng = random.Random(23)
+def _product_nomes(rng):
     # more nomes than the power table keeps, each used twice, plus real and
     # imaginary nomes, whose powers are never kept
     nomes = [rand_complex(rng, 0.05, 0.9) for _ in range(80)]
-    nomes += [0.4 + 0j, 0.4 - 0j, -0.6 + 0j, -0.6 - 0j, 0.5j, -0.5j, 0.9 + 0j]
-    for p in nomes:
+    return nomes + [0.4 + 0j, 0.4 - 0j, -0.6 + 0j, -0.6 - 0j, 0.5j, -0.5j, 0.9 + 0j]
+
+
+def test_qpoch_inf_is_bit_identical_to_the_product_loop():
+    rng = random.Random(23)
+    for p in _product_nomes(rng):
+        for _ in range(2):
+            u = rand_complex(rng, 0.2, 3.0)
+            assert qpoch_inf(u, p) == _qpoch_inf_loop(u, p)
+            # (p; p)_inf, read from the nome's table the second time
+            assert qpoch_inf(p, p) == _qpoch_inf_loop(p, p)
+
+
+# theta sums the triple product and the oracle multiplies 2N factors, each
+# with a rounding of 2^-53; N is at most 314 (|p| = 0.9), so the two may
+# differ by about 2 * 314 * 2^-53 = 7e-14 relative
+THETA_PRODUCT_BOUND = 1e-13
+
+
+def test_theta_matches_the_product_loop():
+    rng = random.Random(23)
+    for p in _product_nomes(rng):
         for _ in range(2):
             u = rand_complex(rng, 0.2, 3.0)
             oracle = _qpoch_inf_loop(u, p) * _qpoch_inf_loop(p / u, p)
-            assert theta(u, p) == oracle
-            assert qpoch_inf(u, p) == _qpoch_inf_loop(u, p)
+            assert abs(theta(u, p) - oracle) <= THETA_PRODUCT_BOUND * abs(oracle), (u, p)
+
+
+def test_theta_is_exactly_zero_at_one_and_at_the_nome():
+    rng = random.Random(29)
+    nomes = [rand_complex(rng, 0.05, 0.9) for _ in range(40)]
+    nomes += [0.4 + 0j, 0.4 - 0j, -0.6 + 0j, 0.5j, -0.5j, 0.9 + 0j]
+    for p in nomes:
+        for u in (1 + 0j, complex(1.0, -0.0), 1, 1.0, p):
+            value = theta(u, p)
+            assert value == 0 and type(value) is complex, (u, p)
+
+
+def test_theta_is_symmetric_under_u_to_p_over_u():
+    # theta(p/u) = theta(u): the product form has it by construction, the
+    # sum only up to rounding (its two halves swap, at a p/(p/u) that is u
+    # up to one rounding)
+    rng = random.Random(31)
+    for _ in range(200):
+        p = rand_complex(rng, 0.05, 0.9)
+        u = rand_complex(rng, 0.2, 3.0)
+        value = theta(u, p)
+        assert abs(theta(p / u, p) - value) <= 2e-14 * abs(value), (u, p)
+
+
+def test_theta_takes_the_product_form_where_the_sum_cancels():
+    # next to a zero of theta the triple product's terms cancel; there theta
+    # is the product loop itself, bit for bit
+    rng = random.Random(37)
+    for _ in range(40):
+        p = rand_complex(rng, 0.05, 0.9)
+        for u in (1 + 1e-9j, p * (1 - 1e-9), p * p * (1 + 1e-9), 1 / p * (1 + 1e-9j)):
+            oracle = _qpoch_inf_loop(u, p) * _qpoch_inf_loop(p / u, p)
+            assert theta(u, p) == oracle, (u, p)
 
 
 def test_theta_keeps_its_errors():
