@@ -98,8 +98,8 @@ def _reject_exact(*values):
 
 
 def _table(q: complex) -> list:
-    """[powers 1, q, ..., q^{N-1}, (q; q)_inf once known] for the nome q,
-    N = ``DEFAULT_TRUNCATION.num_terms(|q|)``."""
+    """The entry [powers, (q; q)_inf or None] of the nome q, powers being
+    1, q, ..., q^{N-1} with N = ``DEFAULT_TRUNCATION.num_terms(|q|)``."""
     entry = _POWER_TABLES.get(q)
     if entry is not None:
         return entry

@@ -219,6 +219,13 @@ def test_theta_keeps_its_errors():
         theta(Fraction(0), Fraction(0))
 
 
+def test_theta_returns_nan_where_its_argument_overflows():
+    # u = inf, and p/u = inf at a subnormal u: every term after k = 0 would
+    # be infinite, so the sum returns instead of walking on
+    for u in (complex(math.inf, 0), complex(5e-324, 0), complex(0, 5e-324)):
+        assert cmath.isnan(theta(u, 0.3 + 0.1j)), u
+
+
 def test_theta_at_nome_zero_keeps_the_argument_type():
     theta(0.5 + 0.25j, 0.3 + 0.1j)
     theta(0.5, 0.3)
