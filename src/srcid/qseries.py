@@ -176,9 +176,8 @@ def _theta_side(a: complex, p: complex, p_abs: float) -> tuple:
     largest = 1.0  # the largest |term| so far, the k = 0 term included
     mass = 0.0  # the sum of |term| over k >= 1
     ratio = abs(a)  # |step| = |t_{k+1} / t_k|
-    if ratio == math.inf:  # a overflowed, and so would every term after k = 0
-        return complex(math.nan, math.nan), math.inf
-    while ratio > 0.5 or size > _SUM_EPSILON * largest:
+    # an overflowed term stops the walk too: inf > 2^-53 * inf is false
+    while size > _SUM_EPSILON * largest:
         term *= step
         total += term
         size *= ratio
@@ -205,8 +204,11 @@ def theta(u, p):
     the sum over Z and S(p/u) the terms k <= -1.
 
     Stop rule: |t_{k+1} / t_k| = r_k = |a| |p|^k only falls with k.  Each S
-    stops after the first t_k with r_k <= 1/2 and |t_k| <= 2^-53 M, M the
-    largest |t_j| of that side (t_0 = 1 included).  The terms left out sum
+    stops after the first t_k with |t_k| <= 2^-53 M, M the largest |t_j| of
+    that side (t_0 = 1 included).  Then r_k <= 1/2: the |t_j| fell from M
+    to |t_k|, each r_j on the way is at most 1 and r_k times |p|^-1 per
+    step back, so with |p| <= 0.9 at most six of them exceed 1/2, and six
+    factors above 1/2 cannot shrink M by 2^-53.  So the terms left out sum
     to at most |t_k| (r_k + r_k^2 + ...) <= |t_k| <= 2^-53 M, below one
     rounding of the largest term added.
 
