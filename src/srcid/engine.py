@@ -77,7 +77,10 @@ RESAMPLE_CAP = 1000  # draws per rejection-sampled value
 
 class SamplingError(RuntimeError):
     """A point could not be drawn: ``PointContext.attempt`` rejected
-    ``RESAMPLE_CAP`` draws, or the field cannot hold the parameters."""
+    ``RESAMPLE_CAP`` draws, or ``sample_field`` refused a regime the
+    requested field cannot hold (elliptic over the exact field).  The field
+    object's draws and nonzero test decide what is rejected; the context
+    branches on no field itself."""
 
 
 class UnknownCaseError(KeyError):
@@ -167,36 +170,31 @@ class VerificationReport:
 
 
 class PointContext:
-    """Seeded sampling helpers for one verification point."""
+    """Seeded sampling helpers for one verification point.
+
+    ``field`` (the ``fields`` object named by ``field_name``) answers every
+    question whose answer differs by field: ``scalar`` and ``q_scalar`` (the
+    generic draws), ``convert`` (an exact draw brought into the field),
+    ``nonzero`` (the general-position test behind ``require``) and ``zero``
+    and ``one``.  No draw and no general-position test here branches on the
+    field, so any object with those hooks may be assigned to ``field``.
+    """
 
     def __init__(self, rng: random.Random, field_name: str, config: SamplingConfig):
         self.rng = rng
-        self.field_name = field_name
         self.field = get_field(field_name)
         self.config = config
         self.tol_singular = config.tol_singular
 
-    @property
-    def exact(self) -> bool:
-        return self.field_name == EXACT
-
     # -- scalar draws ------------------------------------------------------
 
     def fraction(self, lo: int = -20, hi: int = 20, nonzero: bool = False) -> Fraction:
-        return self._ratio(lo, hi, 20, bool if nonzero else lambda val: True)
+        return self.ratio(lo, hi, 20, bool if nonzero else lambda val: True)
 
-    def _ratio(self, lo: int, hi: int, den: int, accept: Callable) -> Fraction:
+    def ratio(self, lo: int, hi: int, den: int, accept: Callable) -> Fraction:
         """a/b with lo <= a <= hi and 1 <= b <= den, redrawn until ``accept`` holds."""
         randint = self.rng.randint
         return self.attempt(lambda: Fraction(randint(lo, hi), randint(1, den)), accept)
-
-    def _in_field(self, value):
-        """An exact draw (an int, a Fraction or nested tuples of them) in the point's field."""
-        if self.exact:
-            return value
-        if isinstance(value, tuple):
-            return tuple(map(self._in_field, value))
-        return complex(value)
 
     def complex_scalar(self, lo: float = 0.2, hi: float = 3.0) -> complex:
         mod = self.rng.uniform(lo, hi)
@@ -204,17 +202,12 @@ class PointContext:
         return mod * cmath.exp(1j * ang)
 
     def scalar(self, lo: float = 0.2, hi: float = 3.0):
-        """A nonzero Fraction, or a complex number with |x| in [lo, hi]."""
-        if self.exact:
-            return self.fraction(nonzero=True)
-        return self.complex_scalar(lo, hi)
+        """A generic nonzero scalar of the field (complex: |x| in [lo, hi])."""
+        return self.field.scalar(self, lo, hi)
 
     def q_scalar(self):
-        """|q| away from 0 and 1 in both fields."""
-        if self.exact:
-            return self._ratio(-8, 8, 8, lambda q: q != 0 and abs(q) != 1)
-        lo, hi = (0.2, 0.8) if self.rng.random() < 0.5 else (1.25, 5.0)
-        return self.complex_scalar(lo, hi)
+        """|q| away from 0 and 1 in every field."""
+        return self.field.q_scalar(self)
 
     def nome(self) -> complex:
         """An elliptic nome: |p| in [0.1, 0.5]."""
@@ -228,13 +221,9 @@ class PointContext:
 
     # -- general-position checks -------------------------------------------
 
-    def _denominator_ok(self, value) -> bool:
-        if self.exact:
-            return value != 0
-        return abs(value) >= self.tol_singular
-
     def require(self, *denominators) -> bool:
-        return all(self._denominator_ok(d) for d in denominators)
+        nonzero, tol = self.field.nonzero, self.tol_singular
+        return all(nonzero(d, tol) for d in denominators)
 
     def clear(self, values: Callable) -> bool:
         """The list ``values()`` stays away from 0; a value that cannot be
@@ -322,9 +311,6 @@ class PointContext:
         return self.attempt(draw, lambda p: self.general("trig", p))
 
     def sample_elliptic(self, n: int) -> EllipticParams:
-        if self.exact:
-            raise SamplingError("elliptic parameters are complex-only")
-
         def draw():
             p = self.nome()
             q = self.q_scalar()
@@ -350,7 +336,7 @@ class PointContext:
 
     def small_fraction(self):
         """A nonzero a/b with |a| <= 5 and 1 <= b <= 5, in the point's field."""
-        return self._in_field(self._ratio(-5, 5, 5, bool))
+        return self.field.convert(self.ratio(-5, 5, 5, bool))
 
     def mixing_matrix(self, size: int) -> tuple:
         """An invertible size x size matrix of ints in [-5, 5], in the point's field."""
@@ -359,7 +345,7 @@ class PointContext:
             lambda: tuple(tuple(randint(-5, 5) for _ in range(size)) for _ in range(size)),
             lambda rows: linalg.det_exact(rows) != 0,
         )
-        return self._in_field(rows)
+        return self.field.convert(rows)
 
     def eta_nodes(self, size: int) -> tuple:
         """``size`` distinct nonzero a/b with |a| <= 9 and 1 <= b <= 4, in the
@@ -368,11 +354,11 @@ class PointContext:
         ``SamplingError``."""
         vals: list = []
         for _ in range(size):
-            vals.append(self._ratio(-9, 9, 4, lambda x: x != 0 and x not in vals))
-        return self._in_field(tuple(vals))
+            vals.append(self.ratio(-9, 9, 4, lambda x: x != 0 and x not in vals))
+        return self.field.convert(tuple(vals))
 
     def delta_value(self):
-        return self._in_field(Fraction(self.rng.randint(20, 100), 10))
+        return self.field.convert(Fraction(self.rng.randint(20, 100), 10))
 
     def sample_aux(self, regime: str, family: str, side: str, params) -> AuxParams:
         size = len(params.v) if side == "F" else len(params.u)
@@ -406,11 +392,9 @@ class CaseDef:
     tol_complex: float = 1e-10
 
     def tol(self, field_name: str, override: Optional[float]) -> float:
-        """The pass tolerance: 0 over the exact field, whose pass is literal
-        equality whatever the override; else the override or ``tol_complex``."""
-        if field_name == EXACT:
-            return 0.0
-        return self.tol_complex if override is None else override
+        """The pass tolerance over the named field (``fields`` ``tol``): 0 over
+        the exact field whatever the override; else the override or ``tol_complex``."""
+        return get_field(field_name).tol(self.tol_complex, override)
 
 
 REGISTRY: dict = {}
@@ -534,7 +518,7 @@ def _bs_delta_limit_runner(regime: str):
 
 def _run_frobenius(ctx: PointContext):
     n, _ = ctx.sizes((1, 5))
-    if ctx.exact:
+    if ctx.field.name == EXACT:
         def draw():
             u = ctx.distinct_scalars(n)
             v = ctx.distinct_scalars(n)
@@ -572,7 +556,7 @@ def _run_frobenius(ctx: PointContext):
 
 def _run_theta_vandermonde(ctx: PointContext):
     n, _ = ctx.sizes((1, 5))
-    if ctx.exact:
+    if ctx.field.name == EXACT:
         u = ctx.distinct_scalars(n)
         r = ctx.fraction(nonzero=True)
         p, thetas = Fraction(0), {}
@@ -938,7 +922,7 @@ def _run_hook_product(ctx: PointContext):
     ell = ctx.rng.randint(0, 6)
     d = ctx.rng.randint(0, 6)
     k = ctx.rng.randint(0, min(ell, d))
-    s = ctx._ratio(-20, 20, 20, lambda s: s != 0 and abs(s) != 1)
+    s = ctx.ratio(-20, 20, 20, lambda s: s != 0 and abs(s) != 1)
     lhs, rhs = wallcross.hook_product_identity(ell, k, d, s)
     return [(f"chains l={ell} k={k} d={d}", lhs, rhs)]
 
@@ -1238,8 +1222,13 @@ def point_seed(master_seed: int, case_id: str, index: int) -> str:
 
 
 def sample_field(regime: str, config: SamplingConfig) -> str:
-    """The field ``sample_params`` draws ``regime``'s points over."""
-    return config.field or (COMPLEX if regime == "elliptic" else EXACT)
+    """The field ``sample_params`` draws ``regime``'s points over.  The
+    elliptic regime needs truncated theta products, so it refuses the exact
+    field with a ``SamplingError``."""
+    field_name = config.field or (COMPLEX if regime == "elliptic" else EXACT)
+    if regime == "elliptic" and field_name == EXACT:
+        raise SamplingError("elliptic parameters are complex-only")
+    return field_name
 
 
 def sample_params(regime: str, config: SamplingConfig, point_index: int):
@@ -1251,9 +1240,9 @@ def sample_params(regime: str, config: SamplingConfig, point_index: int):
     return ctx.sample(regime, *_core_sizes(ctx, regime))
 
 
-def _check_point(checks, field_name: str, tol: float, index: int, seed: str) -> PointRecord:
+def _check_point(checks, field, tol: float, index: int, seed: str) -> PointRecord:
     """The point's record: its worst check against the tolerance."""
-    residual = get_field(field_name).residual
+    residual = field.residual
     worst = None
     for label, lhs, rhs in checks:
         res = residual(lhs, rhs)
@@ -1287,7 +1276,7 @@ def run_case(case_id: str, config: SamplingConfig) -> VerificationReport:
         seed = point_seed(config.master_seed, case_id, index)
         ctx = PointContext(random.Random(seed), field_name, config)
         try:
-            record = _check_point(case.runner(ctx), field_name, tol, index, seed)
+            record = _check_point(case.runner(ctx), ctx.field, tol, index, seed)
         except SamplingError as exc:
             record = PointRecord(index, seed, math.inf, False, error=f"sampling: {exc}")
         except Exception as exc:  # one failed point; the run goes on

@@ -12,9 +12,15 @@ Every quantity in this library lives in one of two fields:
 The arithmetic itself is done with the native Python types; Fraction
 already keeps values in lowest terms with a positive denominator, and
 both types raise ``ZeroDivisionError`` on division by exact zero.  The
-field objects below bundle the small amount of policy that differs
-between the two backends: the zero and one of the field and the residual
-used in verification reports.
+field objects below are the one place that knows how the two backends
+differ.  Each answers the same hooks: its ``zero`` and ``one``; the
+generic draws ``scalar(ctx, lo, hi)`` and ``q_scalar(ctx)``, made from
+the point context's generator; ``convert``, which brings an exact draw
+(nested tuples included) into the field; ``nonzero(x, tol_singular)``,
+the general-position test; ``tol(tol_complex, override)``, a case's pass
+tolerance; and ``residual``, a check's distance in the report.
+``engine.PointContext`` holds one field object and branches on none of
+these, so a new field (a test may define one) needs no change there.
 
 The exact kernels (``linalg.det_exact``, the integer walk of ``sources``,
 the symmetrization sides and the nome-0 rows of ``detreps``) do their
@@ -30,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 
 class FieldError(ArithmeticError):
@@ -87,17 +94,34 @@ class ComplexField:
     """
 
     name = COMPLEX
+    zero = 0j
+    one = 1 + 0j
 
     def residual(self, a, b) -> float:
         return abs(a - b) / max(1.0, abs(a), abs(b))
 
-    @property
-    def zero(self) -> complex:
-        return 0j
+    def scalar(self, ctx, lo: float, hi: float) -> complex:
+        """A generic scalar: |x| in [lo, hi], uniform angle."""
+        return ctx.complex_scalar(lo, hi)
 
-    @property
-    def one(self) -> complex:
-        return 1 + 0j
+    def q_scalar(self, ctx) -> complex:
+        """A base q: |q| in [0.2, 0.8] or [1.25, 5], either with probability 1/2."""
+        lo, hi = (0.2, 0.8) if ctx.rng.random() < 0.5 else (1.25, 5.0)
+        return ctx.complex_scalar(lo, hi)
+
+    def convert(self, value):
+        """An exact draw (an int, a Fraction or nested tuples of them) as complex values."""
+        if isinstance(value, tuple):
+            return tuple(map(self.convert, value))
+        return complex(value)
+
+    def nonzero(self, x, tol_singular: float) -> bool:
+        """General position: |x| is at least ``tol_singular``."""
+        return abs(x) >= tol_singular
+
+    def tol(self, tol_complex: float, override: Optional[float]) -> float:
+        """The pass tolerance: the override, or the case's ``tol_complex``."""
+        return tol_complex if override is None else override
 
 
 @dataclass(frozen=True)
@@ -105,17 +129,32 @@ class ExactField:
     """Arbitrary-precision rationals; equality is literal, no tolerance."""
 
     name = EXACT
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def residual(self, a, b) -> float:
         return 0.0 if a == b else magnitude(a - b)
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def scalar(self, ctx, lo: float, hi: float) -> Fraction:
+        """A generic scalar: a nonzero a/b with |a| <= 20 and 1 <= b <= 20;
+        ``lo`` and ``hi`` bound a complex modulus and are not read here."""
+        return ctx.fraction(nonzero=True)
 
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def q_scalar(self, ctx) -> Fraction:
+        """A base q: a/b with |a|, b <= 8, neither 0 nor +-1."""
+        return ctx.ratio(-8, 8, 8, lambda q: q != 0 and abs(q) != 1)
+
+    def convert(self, value):
+        """An exact draw is already in the field."""
+        return value
+
+    def nonzero(self, x, tol_singular: float) -> bool:
+        """General position is literal: x != 0, whatever ``tol_singular``."""
+        return x != 0
+
+    def tol(self, tol_complex: float, override: Optional[float]) -> float:
+        """0: a pass is literal equality, whatever the override."""
+        return 0.0
 
 
 _FIELDS = {COMPLEX: ComplexField(), EXACT: ExactField()}

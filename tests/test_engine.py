@@ -20,7 +20,7 @@ from srcid.engine import (
     run_case,
     sample_params,
 )
-from srcid.fields import COMPLEX, EXACT
+from srcid.fields import COMPLEX, EXACT, get_field
 from srcid.sources import RatParams, TrigParams, theta_memo, theta_quotient
 
 
@@ -84,6 +84,8 @@ def test_sampling_smoke_many_draws():
     for index in range(50):
         params = sample_params("elliptic", cfg, index)
         assert 1 <= len(params.u) <= 4
+    with pytest.raises(engine.SamplingError, match="elliptic parameters are complex-only"):
+        sample_params("elliptic", SamplingConfig(field=EXACT), 0)
 
 
 def test_empty_sizes_are_valid():
@@ -358,7 +360,12 @@ def test_eta_nodes_raise_once_their_pool_of_fifty_values_is_drawn():
 
 # Each primitive's rejection loop as it was written out before every resample
 # went through PointContext.attempt, uncapped where it had no cap.  Each takes
-# a context over its own rng and reads only the loop-free helpers from it.
+# a context over its own rng and reads only the loop-free helpers and the
+# field's name from it.
+
+
+def exact(ctx):
+    return ctx.field.name == EXACT
 
 
 def loop_fraction(ctx):
@@ -369,7 +376,7 @@ def loop_fraction(ctx):
 
 
 def loop_q_scalar(ctx):
-    if ctx.exact:
+    if exact(ctx):
         while True:
             q = Fraction(ctx.rng.randint(-8, 8), ctx.rng.randint(1, 8))
             if q != 0 and abs(q) != 1:
@@ -382,7 +389,7 @@ def loop_small_fraction(ctx):
     while True:
         val = Fraction(ctx.rng.randint(-5, 5), ctx.rng.randint(1, 5))
         if val != 0:
-            return val if ctx.exact else complex(float(val))
+            return val if exact(ctx) else complex(float(val))
 
 
 def loop_mixing_matrix(ctx, size):
@@ -391,7 +398,7 @@ def loop_mixing_matrix(ctx, size):
             tuple(ctx.rng.randint(-5, 5) for _ in range(size)) for _ in range(size)
         )
         if size == 0 or linalg.det_exact(rows) != 0:
-            if ctx.exact:
+            if exact(ctx):
                 return rows
             return tuple(tuple(complex(x) for x in row) for row in rows)
 
@@ -400,8 +407,8 @@ def loop_distinct_scalars(ctx, count):
     out = []
     for _ in range(count):
         while True:
-            x = loop_fraction(ctx) if ctx.exact else ctx.complex_scalar()
-            if all((x != y) if ctx.exact else abs(x - y) >= ctx.tol_singular for y in out):
+            x = loop_fraction(ctx) if exact(ctx) else ctx.complex_scalar()
+            if all((x != y) if exact(ctx) else abs(x - y) >= ctx.tol_singular for y in out):
                 out.append(x)
                 break
     return tuple(out)
@@ -415,7 +422,7 @@ def loop_eta_nodes(ctx, size):
             if x != 0 and x not in vals:
                 vals.append(x)
                 break
-    if ctx.exact:
+    if exact(ctx):
         return tuple(vals)
     return tuple(complex(float(x)) for x in vals)
 
@@ -744,3 +751,91 @@ def test_elliptic_draws_do_not_move_when_theta_is_the_product_loop(monkeypatch):
     assert len(draws) > len(cases)
     assert draws == product_draws
     assert flags == product_flags
+
+
+# A field the library does not know: Gaussian rationals a + bi, a and b
+# Fractions.  Its draws are the complex field's draws made exact, with the
+# same rng calls; its nonzero test is the complex one.
+
+
+class Gauss:
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, Gauss):
+            return x
+        if isinstance(x, complex):
+            return Gauss(x.real, x.imag)
+        return Gauss(x)
+
+    def __add__(self, other):
+        other = Gauss.of(other)
+        return Gauss(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Gauss(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -Gauss.of(other)
+
+    def __rsub__(self, other):
+        return Gauss.of(other) - self
+
+    def __mul__(self, other):
+        o = Gauss.of(other)
+        return Gauss(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = Gauss.of(other)
+        norm = o.re * o.re + o.im * o.im
+        return self * Gauss(o.re / norm, -o.im / norm)
+
+    def __pow__(self, k):
+        out, base = Gauss(1), self if k >= 0 else Gauss(1) / self
+        for _ in range(abs(k)):
+            out *= base
+        return out
+
+    def __eq__(self, other):
+        other = Gauss.of(other)
+        return self.re == other.re and self.im == other.im
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+class GaussField:
+    name = "gaussian"
+    zero = Gauss(0)
+    one = Gauss(1)
+
+    def scalar(self, ctx, lo, hi):
+        return Gauss.of(ctx.complex_scalar(lo, hi))
+
+    def q_scalar(self, ctx):
+        return Gauss.of(get_field(COMPLEX).q_scalar(ctx))
+
+    def convert(self, value):
+        return tuple(map(self.convert, value)) if isinstance(value, tuple) else Gauss.of(value)
+
+    def nonzero(self, x, tol_singular):
+        return abs(complex(x)) >= tol_singular
+
+
+def test_a_field_the_library_does_not_know_runs_a_case_exactly():
+    # PointContext asks its field for every draw and zero test, so a field
+    # defined here runs a case unchanged, with literal P = 0 and Q = 0
+    runner = get_case("rational_vanishing_swap").runner
+    for index in range(5):
+        ctx = PointContext(random.Random(f"gauss:{index}"), EXACT, SamplingConfig())
+        ctx.field = GaussField()
+        checks = runner(ctx)
+        assert [label for label, _, _ in checks] == ["P = 0", "Q = 0"]
+        for _, lhs, rhs in checks:
+            assert isinstance(lhs, Gauss) and lhs == rhs == Gauss(0)

@@ -31,6 +31,13 @@ def test_exact_field_is_literal():
     assert field.residual(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)) > 0.0
     assert field.residual(Fraction(2), Fraction(2)) == 0.0
     assert field.residual(Fraction(2), Fraction(5, 2)) == 0.5
+    # the rest of the field's hooks: literal zero test, draws kept as they
+    # are, no tolerance whatever the override
+    assert field.nonzero(Fraction(1, 10**30), 1e-3) and not field.nonzero(Fraction(0), 1e-3)
+    drawn = (Fraction(1, 3), ((2, Fraction(-5, 4)),))
+    assert field.convert(drawn) is drawn
+    assert field.tol(1e-10, None) == field.tol(1e-10, 0.5) == 0.0
+    assert (field.zero, field.one) == (0, 1) and type(field.one) is Fraction
 
 
 def test_complex_field_closeness_scales():
@@ -39,6 +46,14 @@ def test_complex_field_closeness_scales():
     assert field.residual(1e6 + 0j, 1e6 * (1 + 1e-12)) <= 1e-10
     assert not field.residual(0.0, 2e-10) <= 1e-10
     assert field.residual(0.0, 0.5e-10) <= 1e-10
+    # general position: |x| >= tol_singular, so exactly at it holds
+    assert field.nonzero(1e-3j, 1e-3) and field.nonzero(-1e-3 + 0j, 1e-3)
+    assert not field.nonzero(0.999e-3 + 0j, 1e-3)
+    drawn = (Fraction(1, 3), ((2, Fraction(-5, 4)),))
+    assert field.convert(drawn) == (complex(float(Fraction(1, 3))), ((2 + 0j, -1.25 + 0j),))
+    assert type(field.convert(drawn)[1][0][0]) is complex
+    assert field.tol(1e-10, None) == 1e-10 and field.tol(1e-10, 0.5) == 0.5
+    assert (field.zero, field.one) == (0j, 1 + 0j) and type(field.one) is complex
 
 
 def test_scalar_helpers():

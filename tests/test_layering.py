@@ -30,3 +30,48 @@ def private_imports():
 
 def test_the_private_names_read_across_modules_are_pinned():
     assert private_imports() == set()
+
+
+FIELD_NAMES = {"EXACT", "COMPLEX"}
+
+
+def _names_a_field(node) -> bool:
+    """``node`` is EXACT or COMPLEX, bare or as ``fields.X``, or their string."""
+    if isinstance(node, ast.Name):
+        return node.id in FIELD_NAMES
+    if isinstance(node, ast.Attribute):
+        return node.attr in FIELD_NAMES
+    return isinstance(node, ast.Constant) and node.value in ("exact", "complex")
+
+
+def field_branches():
+    """{module.function}: each top-level srcid function or method that reads
+    an ``.exact`` attribute or compares a value with a field's name.  The
+    field objects of ``fields`` answer every other exact-or-complex choice."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defs = [(node.name, node) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for name, func in defs:
+            for node in ast.walk(func):
+                if ((isinstance(node, ast.Attribute) and node.attr == "exact")
+                        or (isinstance(node, ast.Compare)
+                            and any(map(_names_a_field, [node.left, *node.comparators])))):
+                    found.add(f"{path.stem}.{name}")
+    return found
+
+
+def test_the_functions_that_branch_on_the_field_are_pinned():
+    # the p = 0 runners state a different identity per field, the elliptic
+    # regime refuses the exact field, and the CLI turns that refusal into a
+    # usage error; a new branch belongs in a field object, or in this list
+    assert field_branches() == {
+        "engine._run_frobenius",
+        "engine._run_theta_vandermonde",
+        "engine.sample_field",
+        "cli._cmd_sample",
+    }
