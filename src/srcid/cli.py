@@ -1,8 +1,8 @@
 """Command-line front end: list cases, run suites, dump samples, benchmark.
 
 Exit codes: 0 all selected cases pass, 1 at least one case fails,
-2 invalid arguments (including unknown case ids) or output that cannot
-be written.
+2 invalid arguments (including unknown case ids), a ``sample`` point that
+cannot be drawn, or output that cannot be written.
 
 The JSON report layout is
 
@@ -216,15 +216,15 @@ def _params_as_dict(params) -> dict:
 
 
 def _cmd_sample(args) -> int:
-    if args.regime == "elliptic" and args.field == EXACT:
-        raise UsageError("elliptic parameters are complex-only")
     config = _config_from_args(args)
     rows = []
     with _output(args.out) as out:
         for index in range(args.points):
             try:
                 params = engine.sample_params(args.regime, config, index)
-            except ValueError as exc:  # --nmax below the regime's sizes
+            # --nmax below the regime's sizes, a field that refuses the
+            # regime, or a draw past the resampling cap
+            except (ValueError, engine.SamplingError) as exc:
                 raise UsageError(str(exc)) from exc
             rows.append({
                 "point": index,

@@ -85,6 +85,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .fields import is_exact, to_integers
@@ -140,11 +141,6 @@ def _mix_rows(mat, cols):
         [sum(mat[i][k] * cols[j][k] for k in range(size)) for j in range(size)]
         for i in range(size)
     ]
-
-
-def _pairs_below(xs):
-    n = len(xs)
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +399,11 @@ def _dwbc(regime, side, params):
     # an exact start keeps the empty products' int 1 / 1 out of float
     one = Fraction(1) if is_exact((*u, *v)) else 1
     pref = prod((vi - uk for vi in v for uk in u), start=one)
-    pref /= prod(v[j] - v[i] for i, j in _pairs_below(v))
-    pref /= prod(u[i] - u[j] for i, j in _pairs_below(u))
-    # n < m negates every factor; negation is exact, in floats too
-    if n < m and (n * m + m * (m - 1) // 2 + n * (n - 1) // 2) % 2:
+    pref /= vandermonde(v)
+    pref /= vandermonde(u)
+    # the u pairs' prod (u_i - u_j) is vandermonde(u) times n(n-1)/2 signs,
+    # and n < m negates every factor again; negation is exact, in floats too
+    if (m * (m - 1) // 2 + n * m if n < m else n * (n - 1) // 2) % 2:
         pref = -pref
     value = pref * det(matrix)
     if side == "G":
@@ -457,13 +454,13 @@ def _bs_elliptic(side, params, aux):
 
     pref = th_delta
     if side == "F":
-        for i, j in _pairs_below(v):
+        for i, j in combinations(range(n), 2):
             pref /= th(v[j] / v[i]) / v[j]
             pref /= eta[j] * th(eta[i] / eta[j])
         entries = [[entry([(e, vj) for e in eta], i, ratio[j]) for j, vj in enumerate(v)]
                    for i in range(n)]
     else:
-        for i, j in _pairs_below(u):
+        for i, j in combinations(range(n), 2):
             pref /= u[j] * th(u[i] / u[j])
             pref /= th(eta[j] / eta[i]) / eta[j]
         entries = [[entry([(ui, e) for e in eta], j, ratio[i]) for j in range(n)]
@@ -525,7 +522,8 @@ def _bs_flat(regime, side, params, aux, limit: bool):
     # each node's basis row serves the plain matrix and the entries
     plain = [basis(y) for y in ys]
     if limit:
-        denom = prod((ys[j] - ys[i]) * (etas[i] - etas[j]) for i, j in _pairs_below(ys))
+        denom = prod((ys[j] - ys[i]) * (etas[i] - etas[j])
+                     for i, j in combinations(range(size), 2))
     else:
         denom = _det(flat, plain)
         _require(denom != 0, "degenerate deformed node basis")
@@ -558,20 +556,23 @@ def izergin_korepin_core(params, scale):
         raise ValueError("ik requires n == m")
     if params.z != 1:
         raise ValueError("ik requires z == 1")
+    # prod_{i<j} (u_i - u_j) is vandermonde(u) times n(n-1)/2 signs
+    flip = n * (n - 1) // 2 % 2
     form = int_form(params)
     if form is not None:
         # row j times prod_k (v_j - u_k)(v_j - u_k - c), over ints times L:
         # entry (j, k) is the product over k' != k, two Lagrange rows' product
         us, vs, lcm, (_, g, _) = form
-        divisor = prod(vs[j] - vs[i] for i, j in _pairs_below(vs))
-        divisor *= prod(us[i] - us[j] for i, j in _pairs_below(us))
+        divisor = vandermonde(vs) * vandermonde(us) * (-1 if flip else 1)
         if divisor and set(us).isdisjoint(vs) and set(us).isdisjoint(y - g for y in vs):
             rows = [[a * b for a, b in zip(_lagrange_row(y, us), _lagrange_row(y - g, us))]
                     for y in vs]
             return scale * Fraction(det_exact(rows).numerator, divisor * lcm ** (n * (n - 1)))
     pref = scale * prod((vi - uk) * (vi - uk - c) for vi in v for uk in u)
-    pref /= prod(v[j] - v[i] for i, j in _pairs_below(v))
-    pref /= prod(u[i] - u[j] for i, j in _pairs_below(u))
+    pref /= vandermonde(v)
+    pref /= vandermonde(u)
+    if flip:  # negation is exact, in floats too
+        pref = -pref
     entries = [[1 / ((vj - uk) * (vj - uk - c)) for uk in u] for vj in v]
     return pref * det(entries)
 

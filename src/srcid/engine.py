@@ -49,7 +49,7 @@ from typing import Callable, Optional
 
 from . import linalg, sources, symmetrize, wallcross
 from .detreps import AVAILABILITY, AuxParams, aux_general_position, det_rep
-from .fields import EXACT, COMPLEX, get_field
+from .fields import EXACT, COMPLEX, SamplingError, get_field
 from .linalg import (
     cauchy_vandermonde_closed,
     cauchy_vandermonde_matrix,
@@ -73,14 +73,6 @@ from .sources import (
 
 
 RESAMPLE_CAP = 1000  # draws per rejection-sampled value
-
-
-class SamplingError(RuntimeError):
-    """A point could not be drawn: ``PointContext.attempt`` rejected
-    ``RESAMPLE_CAP`` draws, or ``sample_field`` refused a regime the
-    requested field cannot hold (elliptic over the exact field).  The field
-    object's draws and nonzero test decide what is rejected; the context
-    branches on no field itself."""
 
 
 class UnknownCaseError(KeyError):
@@ -174,10 +166,12 @@ class PointContext:
 
     ``field`` (the ``fields`` object named by ``field_name``) answers every
     question whose answer differs by field: ``scalar`` and ``q_scalar`` (the
-    generic draws), ``convert`` (an exact draw brought into the field),
-    ``nonzero`` (the general-position test behind ``require``) and ``zero``
-    and ``one``.  No draw and no general-position test here branches on the
-    field, so any object with those hooks may be assigned to ``field``.
+    generic draws), ``nome`` (the elliptic nome; the exact field refuses it
+    with a ``SamplingError``, so an exact ``sample_elliptic`` does too),
+    ``convert`` (an exact draw brought into the field), ``nonzero`` (the
+    general-position test behind ``require``) and ``zero`` and ``one``.  No
+    draw and no general-position test here branches on the field, so any
+    object with those hooks may be assigned to ``field``.
     """
 
     def __init__(self, rng: random.Random, field_name: str, config: SamplingConfig):
@@ -209,9 +203,9 @@ class PointContext:
         """|q| away from 0 and 1 in every field."""
         return self.field.q_scalar(self)
 
-    def nome(self) -> complex:
-        """An elliptic nome: |p| in [0.1, 0.5]."""
-        return self.complex_scalar(0.1, 0.5)
+    def nome(self):
+        """An elliptic nome, or the field's ``SamplingError``."""
+        return self.field.nome(self)
 
     def distinct_scalars(self, count: int) -> tuple:
         out = []
@@ -516,66 +510,80 @@ def _bs_delta_limit_runner(regime: str):
     return run
 
 
-def _run_frobenius(ctx: PointContext):
-    n, _ = ctx.sizes((1, 5))
-    if ctx.field.name == EXACT:
-        def draw():
-            u = ctx.distinct_scalars(n)
-            v = ctx.distinct_scalars(n)
-            lam = ctx.scalar()
-            return u, v, lam
-
-        def accept(t3):
-            u, v, lam = t3
-            dens = [1 - lam] + [1 - ui / vj for ui in u for vj in v]
-            dens += [1 - lam * ui / vj for ui in u for vj in v]
-            return ctx.require(*dens)
-
-        u, v, lam = ctx.attempt(draw, accept)
-        th = sources.theta_memo(Fraction(0))
-    else:
-        def draw():
-            p = ctx.nome()
-            lam = ctx.complex_scalar()
-            u = tuple(ctx.variable("elliptic") for _ in range(n))
-            v = tuple(ctx.variable("elliptic") for _ in range(n))
-            return p, lam, u, v, sources.theta_memo(p)
-
-        def accept(drawn):
-            lam, u, v, th = drawn[1:]
-            d = sources.theta_quotient(th)
-            return ctx.clear(
-                lambda: [th(lam), *(d(vj, ui) for ui in u for vj in v),
-                         *sources.apart(d, u), *sources.apart(d, v)]
-            )
-
-        _, lam, u, v, th = ctx.attempt(draw, accept)
+def _frobenius_checks(u, v, lam, th):
     matrix = frobenius_matrix(u, v, lam, th)
     return [("det = closed form", det(matrix), frobenius_closed(u, v, lam, th))]
 
 
-def _run_theta_vandermonde(ctx: PointContext):
+def _run_frobenius_p0(ctx: PointContext):
     n, _ = ctx.sizes((1, 5))
-    if ctx.field.name == EXACT:
+
+    def draw():
         u = ctx.distinct_scalars(n)
-        r = ctx.fraction(nonzero=True)
-        p, thetas = Fraction(0), {}
-    else:
-        def draw():
-            p = ctx.nome()
-            r = ctx.complex_scalar()
-            u = tuple(ctx.variable("elliptic") for _ in range(n))
-            return p, r, u, {}
+        v = ctx.distinct_scalars(n)
+        lam = ctx.scalar()
+        return u, v, lam
 
-        def accept(drawn):
-            p, _, u, thetas = drawn
-            return ctx.distinct(u, sources.theta_quotient(sources.theta_memo(p, thetas)))
+    def accept(t3):
+        u, v, lam = t3
+        dens = [1 - lam] + [1 - ui / vj for ui in u for vj in v]
+        dens += [1 - lam * ui / vj for ui in u for vj in v]
+        return ctx.require(*dens)
 
-        p, r, u, thetas = ctx.attempt(draw, accept)
+    u, v, lam = ctx.attempt(draw, accept)
+    return _frobenius_checks(u, v, lam, sources.theta_memo(Fraction(0)))
+
+
+def _run_frobenius(ctx: PointContext):
+    n, _ = ctx.sizes((1, 5))
+
+    def draw():
+        p = ctx.nome()
+        lam = ctx.complex_scalar()
+        u = tuple(ctx.variable("elliptic") for _ in range(n))
+        v = tuple(ctx.variable("elliptic") for _ in range(n))
+        return p, lam, u, v, sources.theta_memo(p)
+
+    def accept(drawn):
+        lam, u, v, th = drawn[1:]
+        d = sources.theta_quotient(th)
+        return ctx.clear(
+            lambda: [th(lam), *(d(vj, ui) for ui in u for vj in v),
+                     *sources.apart(d, u), *sources.apart(d, v)]
+        )
+
+    _, lam, u, v, th = ctx.attempt(draw, accept)
+    return _frobenius_checks(u, v, lam, th)
+
+
+def _theta_vandermonde_checks(u, p, r, thetas):
     # one memo per nome: at n = 1 the psi rows' nome p^n is p
-    th, th_n = (sources.theta_memo(nome, thetas) for nome in (p, p**n))
+    th, th_n = (sources.theta_memo(nome, thetas) for nome in (p, p**len(u)))
     lhs, rhs = elliptic_vandermonde_sides(u, p, r, th, th_n)
     return [("det = factorization", lhs, rhs)]
+
+
+def _run_theta_vandermonde_p0(ctx: PointContext):
+    n, _ = ctx.sizes((1, 5))
+    u = ctx.distinct_scalars(n)
+    return _theta_vandermonde_checks(u, Fraction(0), ctx.scalar(), {})
+
+
+def _run_theta_vandermonde(ctx: PointContext):
+    n, _ = ctx.sizes((1, 5))
+
+    def draw():
+        p = ctx.nome()
+        r = ctx.complex_scalar()
+        u = tuple(ctx.variable("elliptic") for _ in range(n))
+        return p, r, u, {}
+
+    def accept(drawn):
+        p, _, u, thetas = drawn
+        return ctx.distinct(u, sources.theta_quotient(sources.theta_memo(p, thetas)))
+
+    p, r, u, thetas = ctx.attempt(draw, accept)
+    return _theta_vandermonde_checks(u, p, r, thetas)
 
 
 def _run_cauchy_vandermonde(ctx: PointContext):
@@ -1033,7 +1041,7 @@ def _build_registry():
     add(CaseDef(
         "frobenius_factorization_p0", "factorization", "rational",
         "flat-nome theta-Cauchy determinant, exact rational check",
-        (EXACT,), _run_frobenius,
+        (EXACT,), _run_frobenius_p0,
     ))
     add(CaseDef(
         "theta_vandermonde_factorization", "factorization", "elliptic",
@@ -1043,7 +1051,7 @@ def _build_registry():
     add(CaseDef(
         "theta_vandermonde_factorization_p0", "factorization", "rational",
         "flat-nome Vandermonde factorization, exact rational check",
-        (EXACT,), _run_theta_vandermonde,
+        (EXACT,), _run_theta_vandermonde_p0,
     ))
     add(CaseDef(
         "cauchy_vandermonde_factorization", "factorization", "rational",
@@ -1222,13 +1230,11 @@ def point_seed(master_seed: int, case_id: str, index: int) -> str:
 
 
 def sample_field(regime: str, config: SamplingConfig) -> str:
-    """The field ``sample_params`` draws ``regime``'s points over.  The
-    elliptic regime needs truncated theta products, so it refuses the exact
-    field with a ``SamplingError``."""
-    field_name = config.field or (COMPLEX if regime == "elliptic" else EXACT)
-    if regime == "elliptic" and field_name == EXACT:
-        raise SamplingError("elliptic parameters are complex-only")
-    return field_name
+    """The field ``sample_params`` draws ``regime``'s points over: the
+    requested one, else complex for the elliptic regime and exact for the
+    others.  A field that cannot hold the regime refuses its draw
+    (``ExactField.nome``)."""
+    return config.field or (COMPLEX if regime == "elliptic" else EXACT)
 
 
 def sample_params(regime: str, config: SamplingConfig, point_index: int):

@@ -14,8 +14,10 @@ already keeps values in lowest terms with a positive denominator, and
 both types raise ``ZeroDivisionError`` on division by exact zero.  The
 field objects below are the one place that knows how the two backends
 differ.  Each answers the same hooks: its ``zero`` and ``one``; the
-generic draws ``scalar(ctx, lo, hi)`` and ``q_scalar(ctx)``, made from
-the point context's generator; ``convert``, which brings an exact draw
+generic draws ``scalar(ctx, lo, hi)`` and ``q_scalar(ctx)`` and the
+elliptic nome ``nome(ctx)``, made from the point context's generator (the
+exact field refuses the nome with a ``SamplingError``: a nonzero nome
+needs truncated theta products); ``convert``, which brings an exact draw
 (nested tuples included) into the field; ``nonzero(x, tol_singular)``,
 the general-position test; ``tol(tol_complex, override)``, a case's pass
 tolerance; and ``residual``, a check's distance in the report.
@@ -45,6 +47,12 @@ class FieldError(ArithmeticError):
 
 class ExactFieldUnavailableError(FieldError):
     """Operation is only defined over the complex field."""
+
+
+class SamplingError(RuntimeError):
+    """A point could not be drawn: ``engine.PointContext.attempt`` rejected
+    ``RESAMPLE_CAP`` draws, or a field refused a draw it cannot hold
+    (``ExactField.nome``: the elliptic regime is complex-only)."""
 
 
 EXACT = "exact"
@@ -109,6 +117,10 @@ class ComplexField:
         lo, hi = (0.2, 0.8) if ctx.rng.random() < 0.5 else (1.25, 5.0)
         return ctx.complex_scalar(lo, hi)
 
+    def nome(self, ctx) -> complex:
+        """An elliptic nome: |p| in [0.1, 0.5], uniform angle."""
+        return ctx.complex_scalar(0.1, 0.5)
+
     def convert(self, value):
         """An exact draw (an int, a Fraction or nested tuples of them) as complex values."""
         if isinstance(value, tuple):
@@ -143,6 +155,10 @@ class ExactField:
     def q_scalar(self, ctx) -> Fraction:
         """A base q: a/b with |a|, b <= 8, neither 0 nor +-1."""
         return ctx.ratio(-8, 8, 8, lambda q: q != 0 and abs(q) != 1)
+
+    def nome(self, ctx):
+        """Refused: a nonzero nome needs truncated theta products."""
+        raise SamplingError("elliptic parameters are complex-only")
 
     def convert(self, value):
         """An exact draw is already in the field."""

@@ -206,15 +206,8 @@ def cauchy_vandermonde_closed(u, v):
     n, m = len(u), len(v)
     if m > n:
         raise ValueError("cauchy_vandermonde_closed needs len(u) >= len(v)")
-    num = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            num *= v[j] - v[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= u[i] - u[j]
-    den = 1
-    for vi in v:
-        for uk in u:
-            den *= vi - uk
-    return num / den
+    # prod_{i<j} (u_i - u_j) is vandermonde(u) times n(n-1)/2 signs
+    num = vandermonde(v) * vandermonde(u)
+    if n * (n - 1) // 2 % 2:
+        num = -num
+    return num / prod(vi - uk for vi in v for uk in u)

@@ -38,14 +38,11 @@ form is exactly 0, it returns 0.  The sum stops by the rule in the
 64 (near a zero of theta) ``theta`` takes the product form instead.
 (p; p)_inf is ``qpoch_inf(p, p)``.
 
-``qpoch_inf`` reads the powers 1, q, ..., q^{N-1} from a table kept per
-nome, built once by the same repeated multiplication the product loop
-would do, so every value is bit-for-bit what a fresh loop gives.  The
-same entry keeps (q; q)_inf, the loop's value at u = q, once it is first
-asked for, so ``theta`` multiplies one such product per nome.  The table
-is small and bounded: it is emptied when it reaches ``_POWER_TABLES_MAX``
-nomes, and a nome with a zero part gets no entry.  It holds the nome's
-powers and (q; q)_inf only, never values of theta.
+``qpoch_inf`` keeps (q; q)_inf, its value at u = q, for each nome it is
+asked that of, so ``theta`` multiplies one such product per nome; every
+other call runs the product loop.  The kept values are bounded: they are
+emptied when they reach ``_QQ_INF_MAX`` nomes, and a nome with a zero part
+is never kept.  They hold (q; q)_inf only, never values of theta.
 """
 
 from __future__ import annotations
@@ -80,8 +77,8 @@ class Truncation:
 DEFAULT_TRUNCATION = Truncation()
 
 
-_POWER_TABLES: dict = {}  # q -> [[1, q, ..., q^{N-1}], (q; q)_inf or None]
-_POWER_TABLES_MAX = 32
+_QQ_INF: dict = {}  # q -> (q; q)_inf
+_QQ_INF_MAX = 32
 _INEXACT = (complex, float, int)
 
 
@@ -97,40 +94,23 @@ def _reject_exact(*values):
             )
 
 
-def _table(q: complex) -> list:
-    """The entry [powers, (q; q)_inf or None] of the nome q, powers being
-    1, q, ..., q^{N-1} with N = ``DEFAULT_TRUNCATION.num_terms(|q|)``."""
-    entry = _POWER_TABLES.get(q)
-    if entry is not None:
-        return entry
-    powers = []
-    power = 1 + 0j
-    for _ in range(DEFAULT_TRUNCATION.num_terms(abs(q))):
-        powers.append(power)
-        power *= q
-    entry = [powers, None]
-    # q = x + 0j and x - 0j compare equal but may round to powers whose zero
-    # parts differ in sign, so only a q with no zero part is kept
-    if q.real and q.imag:
-        if len(_POWER_TABLES) >= _POWER_TABLES_MAX:
-            _POWER_TABLES.clear()
-        _POWER_TABLES[q] = entry
-    return entry
-
-
 def qpoch_inf(u, q):
     """Truncated (u; q)_inf over the complex field, |q| <= 0.9."""
     _reject_exact(u, q)
     u, q = complex(u), complex(q)
-    entry = _table(q)
     # a kept q has no zero part, so u == q means u is q to the bit
-    if u == q and entry[1] is not None:
-        return entry[1]
-    acc = 1 + 0j
-    for power in entry[0]:
+    if u == q and q in _QQ_INF:
+        return _QQ_INF[q]
+    acc = power = 1 + 0j
+    for _ in range(DEFAULT_TRUNCATION.num_terms(abs(q))):
         acc *= 1 - u * power
-    if u == q:
-        entry[1] = acc
+        power *= q
+    # q = x + 0j and x - 0j compare equal but may give products whose zero
+    # parts differ in sign, so only a q with no zero part is kept
+    if u == q and q.real and q.imag:
+        if len(_QQ_INF) >= _QQ_INF_MAX:
+            _QQ_INF.clear()
+        _QQ_INF[q] = acc
     return acc
 
 

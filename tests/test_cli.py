@@ -345,6 +345,17 @@ def test_sample_rejects_exact_elliptic(capsys):
     assert "complex-only" in err and "Traceback" not in err
 
 
+def test_a_sample_past_the_resampling_cap_is_a_usage_error(capsys, monkeypatch):
+    def capped(*args):
+        raise engine.SamplingError("resampling cap exceeded")
+
+    monkeypatch.setattr(engine, "sample_params", capped)
+    code, out, err = run_cli(capsys, "sample", "--regime", "trig")
+    assert code == 2
+    assert out == ""
+    assert err == "error: resampling cap exceeded\n"
+
+
 def test_verify_runner_error_is_a_failed_point(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--case", "*symmetrization*", "--nmax", "0", "--points", "2",

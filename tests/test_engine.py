@@ -88,6 +88,12 @@ def test_sampling_smoke_many_draws():
         sample_params("elliptic", SamplingConfig(field=EXACT), 0)
 
 
+def test_an_exact_context_refuses_the_elliptic_draw():
+    ctx = PointContext(random.Random(1), EXACT, SamplingConfig())
+    with pytest.raises(engine.SamplingError, match="elliptic parameters are complex-only"):
+        ctx.sample_elliptic(2)
+
+
 def test_empty_sizes_are_valid():
     cfg = SamplingConfig(master_seed=11, points=1, fixed_sizes=(0, 0))
     params = sample_params("rational", cfg, 0)

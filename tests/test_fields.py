@@ -1,16 +1,20 @@
 """Field backends: residual semantics and scalar helpers."""
 
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from srcid import engine
+from srcid.engine import PointContext, SamplingConfig
 from srcid.fields import (
     COMPLEX,
     EXACT,
     ComplexField,
     ExactField,
+    SamplingError,
     get_field,
     is_exact,
     magnitude,
@@ -23,6 +27,23 @@ def test_get_field():
     assert isinstance(get_field(EXACT), ExactField)
     with pytest.raises(ValueError):
         get_field("octonion")
+
+
+def test_the_complex_nome_is_the_complex_scalar_draw():
+    drawn, expected = (PointContext(random.Random(7), COMPLEX, SamplingConfig())
+                       for _ in range(2))
+    for _ in range(20):
+        assert ComplexField().nome(drawn) == expected.complex_scalar(0.1, 0.5)
+    assert drawn.rng.getstate() == expected.rng.getstate()
+
+
+def test_the_exact_field_refuses_the_nome():
+    ctx = PointContext(random.Random(7), EXACT, SamplingConfig())
+    state = ctx.rng.getstate()
+    with pytest.raises(SamplingError, match="elliptic parameters are complex-only"):
+        ExactField().nome(ctx)
+    assert ctx.rng.getstate() == state
+    assert engine.SamplingError is SamplingError
 
 
 def test_exact_field_is_literal():

@@ -66,12 +66,6 @@ def field_branches():
 
 
 def test_the_functions_that_branch_on_the_field_are_pinned():
-    # the p = 0 runners state a different identity per field, the elliptic
-    # regime refuses the exact field, and the CLI turns that refusal into a
-    # usage error; a new branch belongs in a field object, or in this list
-    assert field_branches() == {
-        "engine._run_frobenius",
-        "engine._run_theta_vandermonde",
-        "engine.sample_field",
-        "cli._cmd_sample",
-    }
+    # no function branches on the field: a new exact-or-complex choice
+    # belongs in a field object of ``fields``, as a hook
+    assert field_branches() == set()

@@ -134,8 +134,8 @@ def _qpoch_inf_loop(u, q):
 
 
 def _product_nomes(rng):
-    # more nomes than the power table keeps, each used twice, plus real and
-    # imaginary nomes, whose powers are never kept
+    # more nomes than qpoch_inf keeps (q; q)_inf of, each used twice, plus
+    # real and imaginary nomes, whose (q; q)_inf is never kept
     nomes = [rand_complex(rng, 0.05, 0.9) for _ in range(80)]
     return nomes + [0.4 + 0j, 0.4 - 0j, -0.6 + 0j, -0.6 - 0j, 0.5j, -0.5j, 0.9 + 0j]
 
@@ -146,7 +146,7 @@ def test_qpoch_inf_is_bit_identical_to_the_product_loop():
         for _ in range(2):
             u = rand_complex(rng, 0.2, 3.0)
             assert qpoch_inf(u, p) == _qpoch_inf_loop(u, p)
-            # (p; p)_inf, read from the nome's table the second time
+            # (p; p)_inf, the kept value the second time
             assert qpoch_inf(p, p) == _qpoch_inf_loop(p, p)
 
 
@@ -199,7 +199,7 @@ def test_theta_takes_the_product_form_where_the_sum_cancels():
 
 
 def test_theta_keeps_its_errors():
-    # a nome already in the power table, then its rejection cases
+    # a nome whose (p; p)_inf is kept, then its rejection cases
     theta(0.7 + 0.2j, 0.3 + 0.1j)
     with pytest.raises(TruncationError):
         theta(0.7 + 0.2j, 0.91)
