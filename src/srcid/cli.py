@@ -108,10 +108,11 @@ def _config_from_args(args) -> SamplingConfig:
 @contextlib.contextmanager
 def _output(out_path):
     """The stream a command writes its result to: standard output, or
-    ``--out`` opened before any work, so that a path that cannot be written
-    is a ``UsageError`` at once and not after the run.  A command does no
-    other I/O, so an ``OSError`` here is a failed write, flush or close of
-    the stream: a ``UsageError`` too."""
+    ``--out``.  ``verify`` and ``bench`` open it before any work, so that a
+    path that cannot be written is a ``UsageError`` at once and not after
+    the run; ``sample`` opens it after its draws, so that a refused draw
+    keeps the file.  A command does no other I/O, so an ``OSError`` here is
+    a failed write, flush or close of the stream: a ``UsageError`` too."""
     where = f"--out {out_path}" if out_path else "standard output"
     try:
         fh = open(out_path, "w") if out_path else sys.stdout
@@ -218,22 +219,23 @@ def _params_as_dict(params) -> dict:
 def _cmd_sample(args) -> int:
     config = _config_from_args(args)
     rows = []
+    # every row is drawn before --out is opened, so a refused draw leaves the file as it was
+    for index in range(args.points):
+        try:
+            params = engine.sample_params(args.regime, config, index)
+        # --nmax below the regime's sizes, a field that refuses the
+        # regime, or a draw past the resampling cap
+        except (ValueError, engine.SamplingError) as exc:
+            raise UsageError(str(exc)) from exc
+        rows.append({
+            "point": index,
+            "regime": args.regime,
+            "field": engine.sample_field(args.regime, config),
+            "n": len(params.u),
+            "m": len(params.v),
+            "params": _params_as_dict(params),
+        })
     with _output(args.out) as out:
-        for index in range(args.points):
-            try:
-                params = engine.sample_params(args.regime, config, index)
-            # --nmax below the regime's sizes, a field that refuses the
-            # regime, or a draw past the resampling cap
-            except (ValueError, engine.SamplingError) as exc:
-                raise UsageError(str(exc)) from exc
-            rows.append({
-                "point": index,
-                "regime": args.regime,
-                "field": engine.sample_field(args.regime, config),
-                "n": len(params.u),
-                "m": len(params.v),
-                "params": _params_as_dict(params),
-            })
         out.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -12,8 +12,10 @@ Operators on functions of u_1, ..., u_n:
            double product it acts on (see lascoux_tau_sides)
 
 The chain d_{n-1} ... d_1 f(u_1) equals the Newton divided difference
-f[u_1, ..., u_n]; ``newton_chain`` computes it by the O(n^2) table, and the
-agreement with the literal operator chain is itself a tested property.
+f[u_1, ..., u_n].  The sides read it off the int row of f at the point's
+int form as one Fraction (``_chain_from_row``); ``newton_chain`` is the
+generic O(n^2) table over any field, and the tests check the sides' chain
+against it and against the literal operator chain.
 
 Every integrand symmetrized here is a binomial sum of slot products
 prod_i h_i(x_i): slot i holds one factor, a function of the single point
@@ -52,7 +54,10 @@ A point with a complex or float value raises ``TypeError``.  Every slot
 row (the root products, the tau numerators, f and the pin of u_1) is ints
 computed from them, and sym_c walks Python ints at (a, g), where Delta is
 unchanged and the scalings of u and c cost nothing.  Each lhs is divided
-by the slots' common scale once.
+by the slots' common scale once.  The rhs routes read the same ints: the
+chain and the products they divide by, prod (v_i - u_k) =
+prod (b_i - a_k) / L^(n^2) and prod_{j>=2} (u_1 - u_j) =
+prod (a_1 - a_j) / L^(n-1), are ints until one Fraction made at the end.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from fractions import Fraction
 
 from .detreps import izergin_korepin, izergin_korepin_core
 from .fields import is_exact, to_integers
-from .linalg import prod
+from .linalg import prod, vandermonde
 from .sources import int_form, integer_pair_tables, rational_P
 
 PERM_CAP = 10
@@ -209,6 +214,20 @@ def _poly_row(coeffs, a, lcm):
     return [poly_eval(lifted, x) for x in a], scale * lcm ** degree
 
 
+def _chain_from_row(values, scale, a, lcm):
+    """f[u_1, ..., u_n] from the row f(a_j / L) = values[j] / M (``_poly_row``).
+
+    f[u] = sum_j f(u_j) / prod_{k != j} (u_j - u_k), and with u = a / L and
+    V = ``linalg.vandermonde``, prod_{k != j} (a_j - a_k) is
+    (-1)^(n-1-j) V(a) / V(a without a_j), so the chain is the one Fraction
+    L^(n-1) sum_j (-1)^(n-1-j) values_j V(a without a_j) / (M V(a)).
+    """
+    n = len(a)
+    total = sum((-1) ** (n - 1 - j) * x * vandermonde(a[:j] + a[j + 1:])
+                for j, x in enumerate(values))
+    return Fraction(lcm ** (n - 1) * total, scale * vandermonde(a))
+
+
 def _binomial_rows(row, r):
     """The at rows (-1)^t C(r, t) row, t = 0..n-1: (1 - shift)^r expanded
     binomially, shift^t putting the switch slot at 0-based position t."""
@@ -247,7 +266,9 @@ def lascoux_symmetrized_sides(point, coeffs):
            * det 1/((v_j - u_k)(v_j - u_k - c))
 
     The form is (n-1)! (-c)^{n-1} times ``detreps.izergin_korepin_core``,
-    which stays defined at c = 0, and the chain is ``newton_chain``.
+    which stays defined at c = 0.  The chain is read off the lhs's int row
+    of f (``_chain_from_row``); it equals ``newton_chain(coeffs, u)``, the
+    generic table that the tests check it against.
 
     The lhs is summed at the point's int form (a, b, g) = L (u, v, c) of
     ``sources.int_form``: Sym_c is unchanged when u and c are scaled
@@ -260,7 +281,7 @@ def lascoux_symmetrized_sides(point, coeffs):
     lhs = _theta_sum(values, a, b, g) / (scale * lcm ** (n * (n - 1)))
 
     form = izergin_korepin_core(point, math.factorial(n - 1) * (-point.c) ** (n - 1))
-    return lhs, form * newton_chain(coeffs, point.u), form
+    return lhs, form * _chain_from_row(values, scale, a, lcm), form
 
 
 def lascoux_rhs_via_source(point):
@@ -289,27 +310,28 @@ def lascoux_tau_sides(point):
     slots 1..t hold prod_k (x - b_k) and slots t+1..n the numerators
     prod_k (x - b_k - g), all ints.  The terms t < n are the rows (den,
     (-1)^t C(n, t) num, num) of one sym_c walk, divided by W once.  The term
-    t = n is W Sym_c(1) = n! W, so it adds (-1)^n n! with no walk.
+    t = n is W Sym_c(1) = n! W, so it adds (-1)^n n! with no walk.  The rhs
+    divides by prod_{i,k} (v_i - u_k) = (-1)^(n^2) W / L^(n^2), whose sign
+    cancels its (-1)^n.
     """
     n = _size(point)
-    a, b, _, (_, g, _) = _int_form(point)
+    a, b, lcm, (_, g, _) = _int_form(point)
     den, num = _root_row(a, b, 0), _root_row(a, b, -g)
     walk = sym_c(([den] * n, _binomial_rows(num, n), [num] * n), a, g)
     lhs = walk / prod(den) + (-1) ** n * math.factorial(n)
 
-    u, v = point.u, point.v
-    shifted = replace(point, v=tuple(x + point.c for x in v))
-    rhs = math.factorial(n) * (-1) ** n * izergin_korepin(shifted)
-    rhs /= prod(vi - uk for vi in v for uk in u)
+    shifted = replace(point, v=tuple(x + point.c for x in point.v))
+    rhs = izergin_korepin(shifted) * Fraction(math.factorial(n) * lcm ** (n * n), prod(den))
     return lhs, rhs
 
 
 def lascoux_tau_rhs_via_source(point):
-    """tau-identity rhs as n! / prod (u_j - v_k) * P_{n,n}^{(z=1)}(u | v + c)."""
+    """tau-identity rhs as n! / prod (u_j - v_k) * P_{n,n}^{(z=1)}(u | v + c),
+    prod (u_j - v_k) being prod (a_j - b_k) / L^(n^2) at the int form."""
     n = _size(point)
-    u, v = point.u, point.v
-    p_val = rational_P(replace(point, v=tuple(x + point.c for x in v)))
-    return math.factorial(n) * p_val / prod(uj - vk for uj in u for vk in v)
+    a, b, lcm, _ = _int_form(point)
+    p_val = rational_P(replace(point, v=tuple(x + point.c for x in point.v)))
+    return p_val * Fraction(math.factorial(n) * lcm ** (n * n), prod(_root_row(a, b, 0)))
 
 
 def reduction_identity_sides(point):
@@ -326,14 +348,14 @@ def reduction_identity_sides(point):
     of lascoux_symmetrized_sides with f replaced by the indicator of u_1, so
     slot ell pins u_1 and Sym_c runs over the orderings of the rest.  As
     there, the lhs is summed at the point's int form of
-    ``sources.int_form`` and divided by L^{n(n-1)} once.
+    ``sources.int_form`` and divided by L^{n(n-1)} once; the rhs divides by
+    -c prod_{j>=2} (u_1 - u_j) = -g prod_{j>=2} (a_1 - a_j) / L^n.
     """
     n = _size(point)
     a, b, lcm, (_, g, _) = _int_form(point)
     pin = [1] + [0] * (n - 1)
     lhs = _theta_sum(pin, a, b, g) / lcm ** (n * (n - 1))
 
-    u = point.u
-    rhs = math.factorial(n - 1) * rational_P(point)
-    rhs /= -point.c * prod(u[0] - u[j] for j in range(1, n))
+    rhs = rational_P(point) * Fraction(math.factorial(n - 1) * lcm ** n,
+                                       -g * prod(a[0] - x for x in a[1:]))
     return lhs, rhs

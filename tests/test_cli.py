@@ -49,6 +49,16 @@ def test_exact_report_at_the_default_seed_is_pinned(capsys):
         "44f8ba0b857ac662256010eb7a914666316715412c864849092de804509795e8")
 
 
+def test_exact_symmetrization_report_at_200_points_is_pinned(capsys):
+    # the three lascoux cases at 200 points reach n = 6, which the 3-point
+    # pin above does not: every drawn point and every exact side value
+    code, out, _ = run_cli(capsys, "verify", "--field", "exact", "--points", "200",
+                           "--case", "*symmetri*", "--format", "json", "--no-timings")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "aeceafabd58797c320b79cd1d866245a250902fe6d75e2210b303d2f2248cf03")
+
+
 @pytest.mark.parametrize("seed, digest", [
     ("1", "2b2e11ca8a6369e77fd659f6b0e1296e36a8d4e57d7ff71b6052722f8f59f5fd"),
     ("3", "98ec20ed5f005073cb00aca020290659e7b07cf0857fcd8d4e25308f05cd4d78"),
@@ -169,12 +179,12 @@ def test_verify_out_file(tmp_path, capsys):
     ("bench", "--sizes", "2", "--reps", "1"),
 ])
 def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
-    # the path is opened before any work: no case runs, no point is drawn
+    # verify and bench open the path before any work: no case runs, no bench
+    # point is drawn; sample draws its rows first and fails on the open after
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before --out was opened")
 
     monkeypatch.setattr(engine, "run_case", no_work)
-    monkeypatch.setattr(engine, "sample_params", no_work)
     monkeypatch.setattr(cli, "_bench_point", no_work)
     target = tmp_path / "missing" / "report.txt"
     code, out, err = run_cli(capsys, *argv, "--out", str(target))
@@ -182,6 +192,30 @@ def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys, monkeypatch, 
     assert out == ""
     assert err.startswith("error: cannot write --out") and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--regime", "elliptic", "--field", "exact"),
+    ("--regime", "elliptic", "--nmax", "0"),
+], ids=["exact-elliptic", "nmax-0"])
+def test_a_refused_sample_leaves_the_out_file_as_it_was(tmp_path, capsys, argv):
+    # every row is drawn before --out is opened
+    target = tmp_path / "sample.json"
+    target.write_text("old\n")
+    code, out, err = run_cli(capsys, "sample", *argv, "--out", str(target))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    assert target.read_bytes() == b"old\n"
+
+
+def test_sample_out_file(tmp_path, capsys):
+    target = tmp_path / "sample.json"
+    target.write_text("old\n")
+    code, out, _ = run_cli(capsys, "sample", "--regime", "trig", "--points", "2",
+                           "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert [row["point"] for row in json.loads(target.read_text())] == [0, 1]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -8,7 +8,8 @@ from itertools import permutations
 
 import pytest
 
-from srcid.sources import RatParams
+from srcid.detreps import izergin_korepin
+from srcid.sources import RatParams, rational_P
 from srcid.symmetrize import (
     PERM_CAP,
     divided_difference,
@@ -464,6 +465,61 @@ def test_symmetrization_rhs_via_source_polynomial():
         _, rhs, form = lascoux_symmetrized_sides(point, coeffs)
         assert rhs == form * newton_chain(coeffs, u)
         assert form == lascoux_rhs_via_source(point)
+
+
+def operator_chain(coeffs, u):
+    """d_{n-1} ... d_1 f(u_1), each divided difference applied literally."""
+    fn = lambda xs: poly_eval(coeffs, xs[0])
+    for k in range(len(u) - 1):
+        fn = _apply_dd(fn, k)
+    return fn(tuple(u))
+
+
+def test_the_rhs_chain_is_the_newton_table_and_the_operator_chain():
+    # the sides read f[u_1..u_n] off the int row of f at L u; the generic
+    # Fraction table and the literal operator chain are its oracles, at every
+    # degree 0..n+1 (below n - 1 the chain is 0) and at points with negative,
+    # integer and non-integer coordinates
+    rng = random.Random(89)
+    signs, fractional = set(), set()
+    for n in range(1, 9):
+        for degree in range(n + 2):
+            c, u, v = lascoux_point(rng, n)
+            if degree == n:  # scaled to ints, where the int form's L is 1
+                lcm = math.lcm(*(x.denominator for x in (c, *u, *v)))
+                c, u, v = c * lcm, tuple(x * lcm for x in u), tuple(x * lcm for x in v)
+            coeffs = [rand_fraction(rng) for _ in range(degree + 1)]
+            point = at(c, u, v)
+            _, rhs, form = lascoux_symmetrized_sides(point, coeffs)
+            chain = newton_chain(coeffs, u)
+            assert type(rhs) is Fraction
+            assert rhs == form * chain
+            assert chain == operator_chain(coeffs, u)
+            if degree < n - 1:
+                assert rhs == chain == 0
+            signs.update(x > 0 for x in u)
+            fractional.update(x.denominator > 1 for x in u)
+    assert signs == fractional == {True, False}
+
+
+def test_the_tau_and_reduction_rhs_are_the_fraction_formulas():
+    # the rhs routes divide by products over the int form; here they are
+    # written out over the point's Fractions
+    rng = random.Random(97)
+    for n in range(1, 8):
+        for _ in range(2):
+            c, u, v = lascoux_point(rng, n)
+            point = at(c, u, v)
+            shifted = at(c, u, [x + c for x in v])
+            _, rhs = lascoux_tau_sides(point)
+            want = math.factorial(n) * (-1) ** n * izergin_korepin(shifted)
+            assert rhs == want / math.prod(vi - uk for vi in v for uk in u)
+            want = math.factorial(n) * rational_P(shifted)
+            assert lascoux_tau_rhs_via_source(point) == want / math.prod(
+                uj - vk for uj in u for vk in v)
+            _, rhs = reduction_identity_sides(point)
+            want = math.factorial(n - 1) * rational_P(point)
+            assert rhs == want / (-c * math.prod(u[0] - u[j] for j in range(1, n)))
 
 
 def test_tau_symmetrization_n1():
