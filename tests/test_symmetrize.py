@@ -165,11 +165,15 @@ def test_newton_chain_equals_operator_chain():
             if x not in pts:
                 pts.append(x)
         pts = tuple(pts)
+        assert operator_chain(coeffs, pts) == newton_chain(coeffs, pts)
 
-        fn = lambda xs: poly_eval(coeffs, xs[0])
-        for k in range(n - 1):
-            fn = _apply_dd(fn, k)
-        assert fn(pts) == newton_chain(coeffs, pts)
+
+def operator_chain(coeffs, u):
+    """d_{n-1} ... d_1 f(u_1), each divided difference applied literally."""
+    fn = lambda xs: poly_eval(coeffs, xs[0])
+    for k in range(len(u) - 1):
+        fn = _apply_dd(fn, k)
+    return fn(tuple(u))
 
 
 def _apply_dd(f, k):
@@ -467,14 +471,6 @@ def test_symmetrization_rhs_via_source_polynomial():
         assert form == lascoux_rhs_via_source(point)
 
 
-def operator_chain(coeffs, u):
-    """d_{n-1} ... d_1 f(u_1), each divided difference applied literally."""
-    fn = lambda xs: poly_eval(coeffs, xs[0])
-    for k in range(len(u) - 1):
-        fn = _apply_dd(fn, k)
-    return fn(tuple(u))
-
-
 def test_the_rhs_chain_is_the_newton_table_and_the_operator_chain():
     # the sides read f[u_1..u_n] off the int row of f at L u; the generic
     # Fraction table and the literal operator chain are its oracles, at every
@@ -666,8 +662,9 @@ def test_sides_and_source_routes_reject_unequal_or_empty_sizes(sizes):
 @pytest.mark.parametrize("sides", [
     lambda point: lascoux_symmetrized_sides(point, [Fraction(1)]),
     lascoux_tau_sides,
+    lascoux_tau_rhs_via_source,
     reduction_identity_sides,
-], ids=["theta", "tau", "reduction"])
+], ids=["theta", "tau", "tau-source", "reduction"])
 def test_sides_reject_a_complex_point(sides):
     rng = random.Random(83)
     c, u, v = lascoux_point(rng, 3)
