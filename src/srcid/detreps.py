@@ -59,11 +59,11 @@ step rather than a new scaling, and the member ratios' int products of
 ``sources.integer_member_products``.  At any
 other point it holds the values themselves, with t = gamma = 1, lift = zeff,
 ins the member ratios and no den.  One row builder forms den_j b(y_j) -
-lift b(w_j) ins_j for the family's basis b, and the value is one division:
-at an exact point one Fraction over ints, every row sharing one scale
-besides its den_j.  An exact point where the ints would divide by 0 (a member
-ratio's pole, q = 0 on the F side) gets the record of its Fraction values,
-so it raises what the Fraction form raises.  dwbc builds its rows over
+lift b(w_j) ins_j for the family's basis b, and the value is pref det /
+denom: at an exact point the determinants of int rows, every row sharing
+one scale besides its den_j.  An exact point where the ints would divide
+by 0 (a member ratio's pole, q = 0 on the F side) gets the record of its
+Fraction values, so it raises what the Fraction form raises.  dwbc builds its rows over
 the point's own values (Fractions at an exact point), and the ik core reads
 the point's int form at an exact point.
 
@@ -89,7 +89,7 @@ from itertools import combinations
 from typing import Optional
 
 from .fields import is_exact, to_integers
-from .linalg import det, det_exact, prod, vandermonde
+from .linalg import det, prod, vandermonde
 from .qseries import psi_A
 from .sources import (REGIMES, apart, int_form, integer_member_products, member_ratios,
                       point_thetas, theta_memo)
@@ -227,17 +227,12 @@ def _rows(flat, plain, shifted):
             for row, srow, nj, dj in zip(plain, shifted, [lift * r for r in flat.ins], flat.den)]
 
 
-def _det(flat, rows):
-    """det(rows), an int at an exact record."""
-    return det(rows) if flat.den is None else det_exact(rows).numerator
-
-
 def _value(flat, rows, denom):
-    """pref * det(rows) / denom, the rows' den divided out: at an exact
-    record one Fraction over ints."""
-    if flat.den is None:
-        return flat.pref * det(rows) / denom
-    return flat.pref * Fraction(det_exact(rows).numerator, denom * prod(flat.den))
+    """pref * det(rows) / denom, the rows' den divided out at an exact
+    record, whose rows are ints."""
+    if flat.den is not None:
+        denom *= prod(flat.den)
+    return flat.pref * det(rows) / denom
 
 
 def _monomials(x, size):
@@ -334,7 +329,7 @@ def _mpt_flat(regime, side, params, aux):
     sign = 1 if (size - 1) % 2 == 0 else -1
     plain = [_monomials(y, size) for y in ys]
     psi = [[top - sign * rn * y**size] + row[1:] for y, row in zip(ys, plain)]
-    denom = _det(flat, _mix_rows(mix_den, psi))
+    denom = det(_mix_rows(mix_den, psi))
     _require(denom != 0, "singular mixed psi matrix")
     rows = _rows(flat, plain, [_monomials(w, size) for w in flat.ws])
     # an empty side has no psi column to cancel the weight (``_mpt_weight``)
@@ -424,6 +419,12 @@ def _bs_pinned_delta(side, params, eta):
     return params.lam * prod(eta) / prod(params.v)
 
 
+def _bs_aux(aux, size, limit):
+    _require(aux.eta is not None and len(aux.eta) == size, "bs needs eta of matching length")
+    _require(len(set(aux.eta)) == size, "eta nodes must be pairwise distinct")
+    _require(limit or aux.delta not in (None, 0, 1), "bs needs delta outside {0, 1}")
+
+
 def _bs_elliptic(side, params, aux):
     """Elliptic bs: pref det(entries), pref the Frobenius prefactor over the
     thetas of the v (F) or u (G) pairs and of the eta pairs.
@@ -441,8 +442,8 @@ def _bs_elliptic(side, params, aux):
     th = point_thetas(params)
     n = params.n
     eta = aux.eta
-    _require(eta is not None and len(eta) == n, "bs needs eta of matching length")
-    _require(len(set(eta)) == n, "eta nodes must be pairwise distinct")
+    # delta is pinned here, not read: the eta checks of bs_limit
+    _bs_aux(aux, n, limit=True)
     ratio = member_ratios("elliptic", side, params)
     delta = _bs_pinned_delta(side, params, eta)
     th_delta = th(delta)
@@ -483,12 +484,6 @@ def _lagrange_row(x, nodes):
     return row
 
 
-def _bs_aux(aux, size, limit):
-    _require(aux.eta is not None and len(aux.eta) == size, "bs needs eta of matching length")
-    _require(len(set(aux.eta)) == size, "eta nodes must be pairwise distinct")
-    _require(limit or aux.delta not in (None, 0, 1), "bs needs delta outside {0, 1}")
-
-
 def _bs_flat(regime, side, params, aux, limit: bool):
     """bs at nome 0: pref det(entries) / denom over the node basis at the
     record's nodes, the denominator being the plain basis rows' determinant
@@ -525,7 +520,7 @@ def _bs_flat(regime, side, params, aux, limit: bool):
         denom = prod((ys[j] - ys[i]) * (etas[i] - etas[j])
                      for i, j in combinations(range(size), 2))
     else:
-        denom = _det(flat, plain)
+        denom = det(plain)
         _require(denom != 0, "degenerate deformed node basis")
     return _value(flat, _rows(flat, plain, [basis(w) for w in flat.ws]), denom)
 
@@ -567,7 +562,7 @@ def izergin_korepin_core(params, scale):
         if divisor and set(us).isdisjoint(vs) and set(us).isdisjoint(y - g for y in vs):
             rows = [[a * b for a, b in zip(_lagrange_row(y, us), _lagrange_row(y - g, us))]
                     for y in vs]
-            return scale * Fraction(det_exact(rows).numerator, divisor * lcm ** (n * (n - 1)))
+            return scale * det(rows) / (divisor * lcm ** (n * (n - 1)))
     pref = scale * prod((vi - uk) * (vi - uk - c) for vi in v for uk in u)
     pref /= vandermonde(v)
     pref /= vandermonde(u)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import linalg, sources, symmetrize, wallcross
+from . import sources, symmetrize, wallcross
 from .detreps import AVAILABILITY, AuxParams, aux_general_position, det_rep
 from .fields import EXACT, COMPLEX, SamplingError, get_field
 from .linalg import (
@@ -337,7 +337,7 @@ class PointContext:
         randint = self.rng.randint
         rows = self.attempt(
             lambda: tuple(tuple(randint(-5, 5) for _ in range(size)) for _ in range(size)),
-            lambda rows: linalg.det_exact(rows) != 0,
+            lambda rows: det(rows) != 0,
         )
         return self.field.convert(rows)
 

@@ -13,16 +13,27 @@ The arithmetic itself is done with the native Python types; Fraction
 already keeps values in lowest terms with a positive denominator, and
 both types raise ``ZeroDivisionError`` on division by exact zero.  The
 field objects below are the one place that knows how the two backends
-differ.  Each answers the same hooks: its ``zero`` and ``one``; the
-generic draws ``scalar(ctx, lo, hi)`` and ``q_scalar(ctx)`` and the
-elliptic nome ``nome(ctx)``, made from the point context's generator (the
-exact field refuses the nome with a ``SamplingError``: a nonzero nome
-needs truncated theta products); ``convert``, which brings an exact draw
-(nested tuples included) into the field; ``nonzero(x, tol_singular)``,
-the general-position test; ``tol(tol_complex, override)``, a case's pass
-tolerance; and ``residual``, a check's distance in the report.
-``engine.PointContext`` holds one field object and branches on none of
-these, so a new field (a test may define one) needs no change there.
+differ.
+
+A new field (a test may define one) is an object with the hooks below and
+values with the arithmetic below, and needs no change outside it.
+
+* The object's hooks: its ``zero`` and ``one``; the generic draws
+  ``scalar(ctx, lo, hi)`` and ``q_scalar(ctx)`` and the elliptic nome
+  ``nome(ctx)``, made from the point context's generator (the exact field
+  refuses the nome with a ``SamplingError``: a nonzero nome needs
+  truncated theta products); ``convert``, which brings an exact draw
+  (nested tuples included) into the field; ``nonzero(x, tol_singular)``,
+  the general-position test; ``tol(tol_complex, override)``, a case's
+  pass tolerance; and ``residual``, a check's distance in the report.
+  ``engine.PointContext`` holds one field object and branches on none of
+  these.
+* Its values: +, -, *, / (with each other and with ints on either
+  side), ``==`` (with None too: ``bs`` tests an aux value not drawn), ``abs``
+  (the pivot order of ``linalg.det``'s LU, which takes every value that
+  is not an int or a Fraction as it is), ``hash`` (the distinctness of the
+  bs nodes eta, the theta memo keys) and ``.real``/``.imag`` (the theta
+  memo keys at nome 0).  No field supplies its own determinant.
 
 The exact kernels (``linalg.det_exact``, the integer walk of ``sources``,
 the symmetrization sides and the nome-0 rows of ``detreps``) do their
@@ -41,11 +52,7 @@ from fractions import Fraction
 from typing import Optional
 
 
-class FieldError(ArithmeticError):
-    """Base class for field-level failures."""
-
-
-class ExactFieldUnavailableError(FieldError):
+class ExactFieldUnavailableError(ArithmeticError):
     """Operation is only defined over the complex field."""
 
 

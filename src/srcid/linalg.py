@@ -1,11 +1,16 @@
-"""Dense determinants over both fields plus the closed-form factorizations.
+"""Dense determinants plus the closed-form factorizations.
 
-Matrices are plain row-major lists of lists.  Complex matrices go through
-LU with partial pivoting by modulus; exact matrices go through
-fraction-free Bareiss elimination over Python ints (each row made ints by
-``fields.to_integers``, every division exact, one Fraction division by the
-row scales at the end), so rational input gives a bit-exact rational
-determinant.  A singular matrix returns 0 rather than
+Matrices are plain row-major lists of lists.  ``det`` makes the one choice
+of elimination, by the entries: ints and Fractions (an empty matrix
+included) go through fraction-free Bareiss elimination over Python ints
+(each row made ints by ``fields.to_integers``, every division exact, one
+Fraction division by the row scales at the end), so rational input gives a
+bit-exact rational determinant; every other value goes through LU with
+partial pivoting by ``abs``, over the entries as given.  The LU asks its
+entries for +, -, *, /, ``== 0`` and ``abs`` only, and makes its zero and
+one from their own arithmetic, so complex doubles pivot by modulus and a
+value of another field (Gaussian rationals, say) keeps its own arithmetic,
+exact if that is.  A singular matrix returns 0 rather than
 raising: the vanishing lemmas downstream rely on exact zero determinants
 being legitimate values.
 
@@ -38,10 +43,10 @@ from .qseries import psi_A, qpoch_inf, theta  # noqa: F401
 
 
 def det(rows):
-    """Determinant of a square list-of-lists matrix; empty matrix gives 1."""
+    """Determinant of a square list-of-lists matrix: ``det_exact`` over ints
+    and Fractions (an empty matrix gives Fraction(1)), ``det_complex`` over
+    any other entries."""
     n = len(rows)
-    if n == 0:
-        return 1
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
     if is_exact(x for r in rows for x in r):
@@ -98,15 +103,19 @@ def det_exact(rows) -> Fraction:
     return Fraction(sign * content * a[n - 1][n - 1], scale)
 
 
-def det_complex(rows) -> complex:
-    """LU with partial pivoting by modulus."""
-    a = [[complex(x) for x in r] for r in rows]
+def det_complex(rows):
+    """LU with partial pivoting by ``abs``, over the entries as given (at
+    least one): its zero is an entry minus itself and its one that zero plus
+    1, so complex entries give a complex determinant and Fractions an exact
+    one."""
+    a = [list(r) for r in rows]
     n = len(a)
-    acc = 1 + 0j
+    zero = a[0][0] - a[0][0]
+    acc = zero + 1
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[piv][col] == 0:
-            return 0j
+            return zero
         if piv != col:
             a[piv], a[col] = a[col], a[piv]
             acc = -acc

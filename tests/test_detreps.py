@@ -625,6 +625,22 @@ def test_elliptic_det_identity_direct():
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
+def test_elliptic_bs_checks_eta_as_bs_limit_does_and_ignores_delta():
+    rng = random.Random(37)
+    params = sample_elliptic(rng, 2)
+    eta = (0.7 + 0.2j, -1.1 + 0.5j)
+    for bad, message in (((eta[0],), "bs needs eta of matching length"),
+                         ((eta[0], eta[0]), "eta nodes must be pairwise distinct")):
+        for delta in (None, 1):
+            with pytest.raises(AuxInvariantError, match=message):
+                det_rep("elliptic", "bs", "F", params, AuxParams(delta=delta, eta=bad))
+    # a delta that bs refuses at nome 0 is not read: the pinned one is used
+    assert (det_rep("elliptic", "bs", "G", params, AuxParams(delta=1, eta=eta))
+            == det_rep("elliptic", "bs", "G", params, AuxParams(eta=eta)))
+    with pytest.raises(AuxInvariantError, match="bs needs eta of matching length"):
+        det_rep("elliptic", "bs", "G", params, AuxParams())
+
+
 def test_bs_large_delta_approaches_limit():
     rng = random.Random(31)
     for regime in ("trig", "rational"):

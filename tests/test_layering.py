@@ -69,3 +69,32 @@ def test_the_functions_that_branch_on_the_field_are_pinned():
     # no function branches on the field: a new exact-or-complex choice
     # belongs in a field object of ``fields``, as a hook
     assert field_branches() == set()
+
+
+ELIMINATIONS = {"det_exact", "det_complex"}
+
+
+def elimination_names():
+    """{(module, name)}: each reference to ``det_exact`` or ``det_complex``
+    outside ``linalg`` (a name, an attribute or an import), the re-exports of
+    ``__init__`` apart."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                if path.stem != "__init__":
+                    found.update((path.stem, alias.name) for alias in node.names
+                                 if alias.name in ELIMINATIONS)
+            elif isinstance(node, ast.Name) and node.id in ELIMINATIONS:
+                found.add((path.stem, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in ELIMINATIONS:
+                found.add((path.stem, node.attr))
+    return found
+
+
+def test_only_linalg_names_an_elimination():
+    # linalg.det is the one choice between Bareiss and the LU: every other
+    # module takes a determinant through it
+    assert elimination_names() == set()

@@ -66,6 +66,25 @@ def test_det_identity_and_2x2():
     assert det([]) == 1
 
 
+def test_det_chooses_bareiss_for_ints_and_fractions_and_the_lu_otherwise():
+    # the empty matrix too: an exact value stays a Fraction at size 0
+    for rows in ([], [[3]], [[1, 2], [3, 4]], [[Fraction(1, 2), 2], [3, 4]]):
+        assert type(det(rows)) is Fraction
+    assert det([[1j, 2], [3, 4]]) == 4j - 6 and type(det([[1j, 2], [3, 4]])) is complex
+    assert type(det([[0j, 0], [3, 4]])) is complex
+
+
+def test_det_complex_takes_its_entries_as_given():
+    # over Fractions the LU is exact: no entry is converted to a double
+    rng = random.Random(19)
+    for size in range(1, 6):
+        rows = [[rand_fraction(rng, nonzero=False) for _ in range(size)] for _ in range(size)]
+        value = det_complex(rows)
+        assert type(value) is Fraction and value == det_exact(rows) == cofactor_det(rows)
+    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    assert type(det_complex(singular)) is Fraction and det_complex(singular) == 0
+
+
 def test_det_exact_matches_cofactor_oracle():
     rng = random.Random(23)
     rows = [[rand_fraction(rng, nonzero=False) for _ in range(5)] for _ in range(5)]
