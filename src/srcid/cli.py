@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", default="8,10,12",
                          help="comma-separated n values (n = m)")
     p_bench.add_argument("--family", default="scalar_product",
-                         choices=sorted(detreps.AVAILABILITY["rational"] - {"ik"}))
+                         choices=sorted(detreps.FAMILIES["rational"]))
     p_bench.add_argument("--reps", type=int, default=3)
     p_bench.add_argument("--seed", type=int, default=20260801)
     p_bench.add_argument("--out", default=None)
@@ -148,14 +148,14 @@ def _report_json(reports, args, include_timings: bool) -> str:
 def _report_csv(reports, include_timings: bool) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = ["case_id", "field", "point", "seed", "residual", "ok", "label"]
+    header = ["case_id", "field", "point", "seed", "residual", "ok", "label", "error"]
     if include_timings:
         header.append("case_millis")
     writer.writerow(header)
     for rep in reports:
         for rec in rep.points:
             row = [rep.case_id, rep.field, rec.index, rec.seed, repr(rec.residual),
-                   rec.ok, rec.label]
+                   rec.ok, rec.label, rec.error or ""]
             if include_timings:
                 row.append(f"{rep.millis:.3f}")
             writer.writerow(row)

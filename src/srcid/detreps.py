@@ -1,6 +1,6 @@
 """Determinant representations of the source functions.
 
-Families (availability by regime):
+Families (availability by regime; above the line, the keys of ``FAMILIES``):
 
     ================  ========  ======  ==========
     family            elliptic  trig    rational
@@ -10,8 +10,18 @@ Families (availability by regime):
     dwbc                          x        x
     bs                   x        x        x
     bs_limit                      x        x
-    ik                                     x
     ================  ========  ======  ==========
+    ik                                     x      ``izergin_korepin`` only
+    ================  ========  ======  ==========
+
+``FAMILIES`` maps each regime to {family: evaluator}, every evaluator
+taking (regime, side, params, aux); trig and rational share one nome-0
+table.  ``det_rep`` checks its arguments and looks the family up there.
+``AUX_DRAWS`` maps each family that draws auxiliary values (mpt, bs,
+bs_limit) to its draw(ctx, size) from an ``engine.PointContext``; the other
+families take none.  The ik determinant is not a per-side representation
+(it has no side and no aux values, and equals the P polynomial): its entry
+point is ``izergin_korepin``, and ``det_rep`` refuses it.
 
 * ``mpt``: a ratio of two mixed-basis determinants.  The denominator mixes
   the theta-Vandermonde basis psi_k with auxiliary parameter r; the
@@ -41,13 +51,13 @@ Families (availability by regime):
   degenerates exactly at Delta = q^k, which ``aux_general_position``
   rejects.  ``bs_limit`` is the Delta -> infinity form, the plain
   Lagrange-node determinant.
-* ``ik``: the n = m, z = 1 determinant with entries
+* ``ik`` (``izergin_korepin``): the n = m, z = 1 determinant with entries
   1 / ((v_j - u_k)(v_j - u_k - c)), returned in the denominator-cleared
   P-normalization.
 
 Every representation here, for EVERY admissible auxiliary draw, equals the
-subset-sum source function (the P polynomial for ``ik``) on the same core
-parameters; that aux-independence is part of the verified contract.
+subset-sum source function on the same core parameters; that
+aux-independence is part of the verified contract.
 
 At nome 0, mpt, scalar_product, bs and bs_limit each read one side record
 (``_side``): the nodes and their row shifts, eta and sigma(eta) over one
@@ -94,15 +104,8 @@ from .qseries import psi_A
 from .sources import (REGIMES, apart, int_form, integer_member_products, member_ratios,
                       point_thetas, theta_memo)
 
-AVAILABILITY = {
-    "elliptic": frozenset({"mpt", "bs"}),
-    "trig": frozenset({"mpt", "scalar_product", "dwbc", "bs", "bs_limit"}),
-    "rational": frozenset({"mpt", "scalar_product", "dwbc", "bs", "bs_limit", "ik"}),
-}
-
-
 class UnavailableRepresentationError(ValueError):
-    """(regime, family) pair outside the availability matrix."""
+    """(regime, family) pair outside ``FAMILIES``."""
 
 
 class AuxInvariantError(ValueError):
@@ -269,7 +272,7 @@ def _require_mix(mat, size):
              "mpt needs a size-matched mixing matrix")
 
 
-def _mpt_elliptic(side, params, aux):
+def _mpt_elliptic(regime, side, params, aux):
     p, q, lam, z, u, v = params.p, params.q, params.lam, params.z, params.u, params.v
     n = params.n
     mat, r = aux.mat, aux.r
@@ -342,7 +345,7 @@ def _mpt_flat(regime, side, params, aux):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_product(regime, side, params):
+def _scalar_product(regime, side, params, aux):
     """pref det[x_j^k - zeff ratio_j shift(x_j)^k] / vandermonde(x) over the
     transposed rows; an exact record's powers of t cancel in the ratio."""
     flat = _side(regime, side, params)
@@ -359,7 +362,7 @@ def _scalar_product(regime, side, params):
 
 def build_dwbc_matrix(regime: str, side: str, params):
     """Domain-wall matrix only (no prefactor): Y/Z for n >= m, U/V for n < m."""
-    if regime not in ("trig", "rational"):
+    if "dwbc" not in FAMILIES.get(regime, ()):
         raise UnavailableRepresentationError("dwbc exists in the trig and rational regimes")
     reg = REGIMES[regime]
     z, u, v = params.z, params.u, params.v
@@ -387,7 +390,7 @@ def build_dwbc_matrix(regime: str, side: str, params):
     return rows
 
 
-def _dwbc(regime, side, params):
+def _dwbc(regime, side, params, aux):
     u, v = params.u, params.v
     n, m = len(u), len(v)
     matrix = build_dwbc_matrix(regime, side, params)
@@ -425,7 +428,7 @@ def _bs_aux(aux, size, limit):
     _require(limit or aux.delta not in (None, 0, 1), "bs needs delta outside {0, 1}")
 
 
-def _bs_elliptic(side, params, aux):
+def _bs_elliptic(regime, side, params, aux):
     """Elliptic bs: pref det(entries), pref the Frobenius prefactor over the
     thetas of the v (F) or u (G) pairs and of the eta pairs.
 
@@ -613,34 +616,43 @@ def aux_general_position(regime, family, side, params, aux):
 
 
 # ---------------------------------------------------------------------------
-# dispatcher
+# the family table, its aux draws and the dispatcher
 # ---------------------------------------------------------------------------
 
 
+def _bs(regime, side, params, aux):
+    return _bs_flat(regime, side, params, aux, limit=False)
+
+
+def _bs_limit(regime, side, params, aux):
+    return _bs_flat(regime, side, params, aux, limit=True)
+
+
+_NOME_0 = {"mpt": _mpt_flat, "scalar_product": _scalar_product, "dwbc": _dwbc,
+           "bs": _bs, "bs_limit": _bs_limit}
+FAMILIES = {"elliptic": {"mpt": _mpt_elliptic, "bs": _bs_elliptic},
+            "trig": _NOME_0, "rational": _NOME_0}
+
+
+# keyword arguments are evaluated as written: r before mat, delta before eta
+def _mpt_draw(ctx, size):
+    return AuxParams(r=ctx.small_fraction(), mat=ctx.mixing_matrix(size))
+
+
+def _bs_draw(ctx, size):
+    return AuxParams(delta=ctx.delta_value(), eta=ctx.eta_nodes(size))
+
+
+AUX_DRAWS = {"mpt": _mpt_draw, "bs": _bs_draw, "bs_limit": _bs_draw}
+
+
 def det_rep(regime: str, family: str, side: str, params, aux: AuxParams | None = None):
-    """Evaluate one determinant representation of a source function."""
-    if regime not in AVAILABILITY:
+    """Evaluate the representation ``family`` of ``FAMILIES[regime]`` of the
+    ``side`` source function (ik is ``izergin_korepin``, not a family here)."""
+    if regime not in FAMILIES:
         raise UnavailableRepresentationError(f"unknown regime {regime!r}")
-    if family not in AVAILABILITY[regime]:
+    if family not in FAMILIES[regime]:
         raise UnavailableRepresentationError(f"family {family!r} unavailable for {regime!r}")
     if side not in ("F", "G"):
         raise ValueError(f"side must be 'F' or 'G', got {side!r}")
-    aux = aux or AuxParams()
-
-    if family == "mpt":
-        if regime == "elliptic":
-            return _mpt_elliptic(side, params, aux)
-        return _mpt_flat(regime, side, params, aux)
-    if family == "scalar_product":
-        return _scalar_product(regime, side, params)
-    if family == "dwbc":
-        return _dwbc(regime, side, params)
-    if family == "bs":
-        if regime == "elliptic":
-            return _bs_elliptic(side, params, aux)
-        return _bs_flat(regime, side, params, aux, limit=False)
-    if family == "bs_limit":
-        return _bs_flat(regime, side, params, aux, limit=True)
-    if family == "ik":
-        return izergin_korepin(params)
-    raise UnavailableRepresentationError(f"unknown family {family!r}")
+    return FAMILIES[regime][family](regime, side, params, aux or AuxParams())

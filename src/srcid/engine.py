@@ -48,7 +48,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import sources, symmetrize, wallcross
-from .detreps import AVAILABILITY, AuxParams, aux_general_position, det_rep
+from .detreps import (AUX_DRAWS, FAMILIES, AuxParams, aux_general_position, det_rep,
+                      izergin_korepin)
 from .fields import EXACT, COMPLEX, SamplingError, get_field
 from .linalg import (
     cauchy_vandermonde_closed,
@@ -354,25 +355,20 @@ class PointContext:
     def delta_value(self):
         return self.field.convert(Fraction(self.rng.randint(20, 100), 10))
 
-    def sample_aux(self, regime: str, family: str, side: str, params) -> AuxParams:
+    def sample_aux(self, regime: str, family: str, side: str, params) -> Optional[AuxParams]:
+        """An admissible draw of ``family``'s auxiliary values
+        (``detreps.AUX_DRAWS``), or None for a family that takes none."""
+        draw = AUX_DRAWS.get(family)
+        if draw is None:
+            return None
         size = len(params.v) if side == "F" else len(params.u)
-        if family == "mpt":
-            def draw():
-                r = self.small_fraction()
-                mat = self.mixing_matrix(size)
-                return AuxParams(r=r, mat=mat)
-        elif family in ("bs", "bs_limit"):
-            def draw():
-                return AuxParams(delta=self.delta_value(), eta=self.eta_nodes(size))
-        else:
-            return AuxParams()
 
         def accept(aux):
             return self.clear(
                 lambda: aux_general_position(regime, family, side, params, aux)
             )
 
-        return self.attempt(draw, accept)
+        return self.attempt(lambda: draw(self, size), accept)
 
 
 @dataclass(frozen=True)
@@ -469,9 +465,10 @@ def _det_rep_runner(regime: str, family: str, side: str):
         params = ctx.sample(regime, n, m)
         reference = source_subset_sum(regime, side, params)
         args = (regime, family, side, params)
-        value1 = det_rep(*args, ctx.sample_aux(*args))
+        aux = ctx.sample_aux(*args)
+        value1 = det_rep(*args, aux)
         checks = [("representation = subset sum", value1, reference)]
-        if family in ("mpt", "bs", "bs_limit"):
+        if aux is not None:
             value2 = det_rep(*args, ctx.sample_aux(*args))
             checks.append(("aux independence", value2, value1))
         return checks
@@ -482,7 +479,7 @@ def _det_rep_runner(regime: str, family: str, side: str):
 def _run_rational_ik(ctx: PointContext):
     n, _ = ctx.sizes((1, 4))
     params = replace(ctx.sample_rational(n, n), z=ctx.field.one)
-    value = det_rep("rational", "ik", "F", params)
+    value = izergin_korepin(params)
     reference = source_polynomial_form("rational", "P", params)
     return [("ik determinant = cleared polynomial", value, reference)]
 
@@ -1058,9 +1055,8 @@ def _build_registry():
         "mixed Cauchy/monomial block determinant closed form",
         (EXACT,), _run_cauchy_vandermonde,
     ))
-    for regime in ("elliptic", "trig", "rational"):
-        # ik has its own case, rational_ik, checked against P
-        for family in sorted(AVAILABILITY[regime] - {"ik"}):
+    for regime, families in FAMILIES.items():
+        for family in sorted(families):
             for side in ("F", "G"):
                 fields = (COMPLEX,) if regime == "elliptic" else (EXACT, COMPLEX)
                 tol = 1e-8 if regime == "elliptic" else 1e-10

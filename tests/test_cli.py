@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, report formats."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -161,6 +163,26 @@ def test_verify_csv_format(capsys):
     assert len(lines) == 4  # header + one row per point
 
 
+def test_verify_csv_carries_a_failed_points_error(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--case", "rational_vanishing", "--nmax", "1", "--format", "csv",
+        "--no-timings",
+    )
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["case_id", "field", "point", "seed", "residual", "ok", "label", "error"]
+    assert len(rows) == 11
+    assert {row[-1] for row in rows[1:]} == {
+        "ValueError: --nmax 1 is below this case's sizes 2..5"}
+    # a point without an error leaves the column empty; case_millis stays last
+    code, out, _ = run_cli(capsys, "verify", "--case", "rational_ik", "--points", "2",
+                           "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][-2:] == ["error", "case_millis"]
+    assert all(row[-2] == "" for row in rows[1:])
+
+
 def test_verify_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -283,7 +305,7 @@ def test_bench_outputs_table(capsys):
     assert "ratio strictly increasing" in out
 
 
-@pytest.mark.parametrize("family", sorted(detreps.AVAILABILITY["rational"] - {"ik"}))
+@pytest.mark.parametrize("family", sorted(detreps.FAMILIES["rational"]))
 def test_bench_runs_every_family(capsys, family):
     # bs, bs_limit and mpt need auxiliary parameters, drawn after the point
     code, out, err = run_cli(capsys, "bench", "--sizes", "2,3", "--reps", "1", "--family", family)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from srcid.detreps import (
-    AVAILABILITY,
+    FAMILIES,
     _side,
     AuxInvariantError,
     AuxParams,
@@ -133,7 +133,7 @@ def test_ik_equals_cleared_polynomial():
         one = Fraction(1)
         params = RatParams(c=params.c, z=one, u=params.u, v=params.v)
         break
-    via_det = det_rep("rational", "ik", "F", params)
+    via_det = izergin_korepin(params)
     assert via_det == rational_P(params)
 
 
@@ -159,7 +159,8 @@ def test_ik_is_minus_c_to_the_n_times_its_core():
 
 def test_ik_preconditions():
     params = RatParams(c=Fraction(1), z=Fraction(2), u=(Fraction(0),), v=(Fraction(5),))
-    with pytest.raises(ValueError):
+    # ik is not a per-side representation: its entry point is izergin_korepin
+    with pytest.raises(UnavailableRepresentationError):
         det_rep("rational", "ik", "F", params)
     # the IK functions check z == 1 and n == m themselves
     unequal = replace(params, z=Fraction(1), v=(Fraction(5), Fraction(6)))
@@ -232,7 +233,7 @@ def test_dwbc_rejects_elliptic():
 
 
 def test_availability_matrix():
-    assert AVAILABILITY["elliptic"] == {"mpt", "bs"}
+    assert FAMILIES["elliptic"].keys() == {"mpt", "bs"}
     with pytest.raises(UnavailableRepresentationError):
         det_rep("elliptic", "dwbc", "F", None)
     with pytest.raises(UnavailableRepresentationError):
@@ -305,7 +306,7 @@ def test_admissibility_lists_each_distinct_degenerate_delta_once():
 def test_flat_families_match_sources_exactly():
     rng = random.Random(19)
     for regime in ("trig", "rational"):
-        for family in sorted(AVAILABILITY[regime] - {"ik"}):
+        for family in sorted(FAMILIES[regime]):
             for side in ("F", "G"):
                 hits = 0
                 while hits < 3:
@@ -501,7 +502,7 @@ def test_exact_families_equal_the_sums_and_the_fraction_oracles_at_every_size():
     for n in range(1, 9):
         base = sample_rational(rng, n, n)
         params = RatParams(c=base.c, z=Fraction(1), u=base.u, v=base.v)
-        value = det_rep("rational", "ik", "F", params)
+        value = izergin_korepin(params)
         assert type(value) is Fraction
         assert value == rational_P(params)
         assert value == (-params.c) ** n * ik_core_literal(params.u, params.v, params.c)
@@ -713,7 +714,7 @@ def test_exact_empty_sides_give_the_source_fraction():
         for side in ("F", "G"):
             params = empty_side_point(regime, side, rng)
             ref = source_subset_sum(regime, side, params)
-            for family in sorted(AVAILABILITY[regime] - {"ik"}):
+            for family in sorted(FAMILIES[regime]):
                 value = det_rep(regime, family, side, params, aux)
                 assert type(value) is Fraction, (regime, family, side)
                 assert value == ref, (regime, family, side)

@@ -36,7 +36,7 @@ def test_registry_covers_every_kind():
         "wallcrossing",
         "lascoux",
     }
-    # the determinant availability matrix is fully registered
+    # the determinant family table is fully registered
     ids = {c.case_id for c in list_cases()}
     for regime, families in (
         ("elliptic", ("mpt", "bs")),
@@ -50,12 +50,12 @@ def test_registry_covers_every_kind():
 
 
 def test_determinant_cases_are_the_availability_matrix_without_ik():
-    from srcid.detreps import AVAILABILITY
+    from srcid.detreps import FAMILIES
 
     expected = {
         f"{regime}_{family}_{side}"
-        for regime, families in AVAILABILITY.items()
-        for family in families - {"ik"}
+        for regime, families in FAMILIES.items()
+        for family in families
         for side in ("F", "G")
     }
     registered = {c.case_id for c in list_cases()
@@ -64,6 +64,29 @@ def test_determinant_cases_are_the_availability_matrix_without_ik():
     assert all(get_case(cid).regime == cid.split("_")[0] for cid in expected)
     # ik is checked against P in its own case
     assert get_case("rational_ik").kind == "determinant"
+
+
+def test_aux_independence_is_checked_exactly_for_the_families_that_draw_aux():
+    draws = detreps.AUX_DRAWS
+    cases = [c for c in list_cases()
+             if c.kind == "determinant" and c.case_id.endswith(("_F", "_G"))]
+    assert cases
+    for case in cases:
+        regime, side = case.regime, case.case_id[-1]
+        family = case.case_id[len(regime) + 1:-2]
+        for index in range(2):
+            ctx = PointContext(random.Random(f"{case.case_id}:{index}"), case.fields[0],
+                               SamplingConfig())
+            checks = case.runner(ctx)
+            labels = [label for label, _, _ in checks]
+            assert labels[1:] == (["aux independence"] if family in draws else []), case.case_id
+            aux = ctx.sample_aux(regime, family, side, ctx.sample(regime, 2, 2))
+            assert (aux is None) == (family not in draws), case.case_id
+    # ik draws none either, and every family that draws is in some regime's table
+    ctx = PointContext(random.Random(0), EXACT, SamplingConfig())
+    assert ctx.sample_aux("rational", "ik", "F", ctx.sample_rational(2, 2)) is None
+    assert all(any(family in families for families in detreps.FAMILIES.values())
+               for family in draws)
 
 
 def test_sampling_is_deterministic():
@@ -499,8 +522,8 @@ def test_every_sampler_primitive_stops_at_the_resampling_cap(field_name, name, a
 def aux_draw_settings():
     # every regime, family with aux, side and field; exact trig also at
     # q = 2 and -2, where the deformation's draws meet the powers of q
-    for regime, families in detreps.AVAILABILITY.items():
-        for family in sorted(families & {"mpt", "bs", "bs_limit"}):
+    for regime, families in detreps.FAMILIES.items():
+        for family in sorted(families.keys() & detreps.AUX_DRAWS.keys()):
             for side in ("F", "G"):
                 for field_name in (COMPLEX,) if regime == "elliptic" else (EXACT, COMPLEX):
                     for q in (None, 2, -2) if (regime, field_name) == ("trig", EXACT) else (None,):

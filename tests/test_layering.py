@@ -98,3 +98,45 @@ def test_only_linalg_names_an_elimination():
     # linalg.det is the one choice between Bareiss and the LU: every other
     # module takes a determinant through it
     assert elimination_names() == set()
+
+
+FAMILY_NAMES = {"mpt", "scalar_product", "dwbc", "bs", "bs_limit", "ik"}
+
+
+def _holds_a_family(node) -> bool:
+    """``node`` is a family's name, or a tuple, list or set literal holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_holds_a_family, node.elts))
+    return isinstance(node, ast.Constant) and node.value in FAMILY_NAMES
+
+
+def family_branches():
+    """{module.function}: each top-level srcid function or method outside
+    ``detreps`` that compares a value with a determinant family's name or
+    subtracts a set holding one.  ``detreps.FAMILIES`` and
+    ``detreps.AUX_DRAWS`` answer which families a regime has and which draw
+    auxiliary values."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "detreps":
+            continue
+        tree = ast.parse(path.read_text())
+        defs = [(node.name, node) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for name, func in defs:
+            for node in ast.walk(func):
+                if ((isinstance(node, ast.Compare)
+                        and any(map(_holds_a_family, [node.left, *node.comparators])))
+                        or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                            and any(map(_holds_a_family, [node.left, node.right])))):
+                    found.add(f"{path.stem}.{name}")
+    return found
+
+
+def test_no_function_outside_detreps_branches_on_a_family():
+    # the families of a regime are the keys of detreps.FAMILIES and the
+    # families that draw aux values the keys of detreps.AUX_DRAWS
+    assert family_branches() == set()
