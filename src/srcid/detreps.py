@@ -18,10 +18,12 @@ Families (availability by regime; above the line, the keys of ``FAMILIES``):
 taking (regime, side, params, aux); trig and rational share one nome-0
 table.  ``det_rep`` checks its arguments and looks the family up there.
 ``AUX_DRAWS`` maps each family that draws auxiliary values (mpt, bs,
-bs_limit) to its draw(ctx, size) from an ``engine.PointContext``; the other
-families take none.  The ik determinant is not a per-side representation
-(it has no side and no aux values, and equals the P polynomial): its entry
-point is ``izergin_korepin``, and ``det_rep`` refuses it.
+bs_limit) to its ``AuxDraw`` record: its draw from an
+``engine.PointContext`` and the list of values an admissible draw keeps
+off 0; the other families take none.  The ik determinant is not a
+per-side representation (it has no side and no aux values, and equals the
+P polynomial): its entry point is ``izergin_korepin``, and ``det_rep``
+refuses it.
 
 * ``mpt``: a ratio of two mixed-basis determinants.  The denominator mixes
   the theta-Vandermonde basis psi_k with auxiliary parameter r; the
@@ -48,7 +50,7 @@ point is ``izergin_korepin``, and ``det_rep`` refuses it.
   with eta' the once-shifted nodes (q eta_k, resp. eta_k + c).  The
   basis is (I - S / Delta) applied to the Lagrange basis, S the node shift,
   whose eigenvalues are q^k for k = 0..m-1 (1 in the rational regime): it
-  degenerates exactly at Delta = q^k, which ``aux_general_position``
+  degenerates exactly at Delta = q^k, which bs's ``AUX_DRAWS`` record
   rejects.  ``bs_limit`` is the Delta -> infinity form, the plain
   Lagrange-node determinant.
 * ``ik`` (``izergin_korepin``): the n = m, z = 1 determinant with entries
@@ -95,8 +97,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .fields import is_exact, to_integers
 from .linalg import det, prod, vandermonde
@@ -121,9 +124,10 @@ class AuxParams:
     must be an invertible size x size matrix, size being m on the F side
     and n on the G side.  The pairwise-distinct nodes ``eta`` feed the bs
     family (length m on the F side, n on the G side); ``delta`` deforms
-    the node basis in the trig/rational bs family and must avoid 0 and
-    q^k for k < size, 1 in the rational regime (the elliptic bs pins its
-    second Frobenius parameter internally and ignores ``delta``).
+    the node basis in the trig/rational bs family (the elliptic bs pins its
+    second Frobenius parameter internally and ignores ``delta``).  The
+    values an admissible draw keeps off 0 are listed by the family's
+    ``AUX_DRAWS`` record.
     """
 
     r: object = None
@@ -581,69 +585,97 @@ def izergin_korepin(params):
 
 
 # ---------------------------------------------------------------------------
-# admissible auxiliary draws
-# ---------------------------------------------------------------------------
-
-
-def aux_general_position(regime, family, side, params, aux):
-    """The values that must not vanish for ``aux`` to be an admissible draw:
-    at a point in general position, ``det_rep`` evaluates every draw at
-    which none does.
-
-    mpt: its weight theta(r prod nodes; p); with the point's general
-    position and the invertible mixing matrix it keeps the mixed psi
-    determinant, theta(r prod x) prod x_j theta(x_i / x_j), off 0.  bs and
-    bs_limit: the eta pairs, and theta of the pinned delta and of the eta
-    ratios (elliptic) or delta and q^k - delta (``Regime.scale``), each
-    distinct q^k once: for bs every k < size, where the deformed basis
-    degenerates; for bs_limit, which ignores delta, only k = 0 (a longer
-    list would move its draws).
-    """
-    if family == "mpt":
-        return [_mpt_weight(regime, side, params, aux.r)]
-    if family not in ("bs", "bs_limit"):
-        return []
-    values = apart(operator.sub, aux.eta)
-    if regime == "elliptic":
-        values.append(point_thetas(params)(_bs_pinned_delta(side, params, aux.eta)))
-        values += apart(REGIMES["elliptic"].pair(params), aux.eta)
-    elif aux.delta is not None:
-        scale, size = REGIMES[regime].scale, len(aux.eta) if family == "bs" else 1
-        # each distinct lambda^k once: the rational lambda^k are all 1
-        scales = dict.fromkeys(scale(params, k) for k in range(size))
-        values += [aux.delta] + [x - aux.delta for x in scales]
-    return values
-
-
-# ---------------------------------------------------------------------------
 # the family table, its aux draws and the dispatcher
 # ---------------------------------------------------------------------------
 
 
-def _bs(regime, side, params, aux):
-    return _bs_flat(regime, side, params, aux, limit=False)
-
-
-def _bs_limit(regime, side, params, aux):
-    return _bs_flat(regime, side, params, aux, limit=True)
-
-
 _NOME_0 = {"mpt": _mpt_flat, "scalar_product": _scalar_product, "dwbc": _dwbc,
-           "bs": _bs, "bs_limit": _bs_limit}
+           "bs": partial(_bs_flat, limit=False), "bs_limit": partial(_bs_flat, limit=True)}
 FAMILIES = {"elliptic": {"mpt": _mpt_elliptic, "bs": _bs_elliptic},
             "trig": _NOME_0, "rational": _NOME_0}
 
 
+class AuxDraw(NamedTuple):
+    """One family's auxiliary values: how they are drawn and when a draw is
+    admissible.
+
+    ``draw(ctx, size)`` draws an ``AuxParams`` for a side of ``size`` nodes
+    from an ``engine.PointContext``.  ``admissible(regime, side, params,
+    aux)`` lists the values that must not vanish: at a point in general
+    position, ``det_rep`` evaluates every draw at which none does.
+    """
+
+    draw: Callable
+    admissible: Callable
+
+
+def _small_fraction(ctx):
+    """A nonzero a/b with |a| <= 5 and 1 <= b <= 5, in the point's field."""
+    return ctx.field.convert(ctx.ratio(-5, 5, 5, bool))
+
+
+def _mixing_matrix(ctx, size):
+    """An invertible size x size matrix of ints in [-5, 5], in the point's field."""
+    randint = ctx.rng.randint
+    rows = ctx.attempt(
+        lambda: tuple(tuple(randint(-5, 5) for _ in range(size)) for _ in range(size)),
+        lambda rows: det(rows) != 0,
+    )
+    return ctx.field.convert(rows)
+
+
+def _eta_nodes(ctx, size):
+    """``size`` distinct nonzero a/b with |a| <= 9 and 1 <= b <= 4, in the
+    point's field.  Each node is one ``attempt``; the pool holds 50 values,
+    so at a larger ``size`` a node exhausts ``engine.RESAMPLE_CAP`` and raises
+    ``SamplingError``."""
+    vals: list = []
+    for _ in range(size):
+        vals.append(ctx.ratio(-9, 9, 4, lambda x: x != 0 and x not in vals))
+    return ctx.field.convert(tuple(vals))
+
+
+def _delta_value(ctx):
+    """a/10 with 20 <= a <= 100, in the point's field."""
+    return ctx.field.convert(Fraction(ctx.rng.randint(20, 100), 10))
+
+
 # keyword arguments are evaluated as written: r before mat, delta before eta
 def _mpt_draw(ctx, size):
-    return AuxParams(r=ctx.small_fraction(), mat=ctx.mixing_matrix(size))
+    return AuxParams(r=_small_fraction(ctx), mat=_mixing_matrix(ctx, size))
+
+
+def _mpt_admissible(regime, side, params, aux):
+    """The mpt weight theta(r prod nodes; p) (``_mpt_weight``).  With the
+    point's general position and the invertible mixing matrix it keeps the
+    mixed psi determinant, theta(r prod x) prod x_j theta(x_i / x_j), off 0."""
+    return [_mpt_weight(regime, side, params, aux.r)]
 
 
 def _bs_draw(ctx, size):
-    return AuxParams(delta=ctx.delta_value(), eta=ctx.eta_nodes(size))
+    return AuxParams(delta=_delta_value(ctx), eta=_eta_nodes(ctx, size))
 
 
-AUX_DRAWS = {"mpt": _mpt_draw, "bs": _bs_draw, "bs_limit": _bs_draw}
+def _bs_admissible(regime, side, params, aux, limit: bool):
+    """The eta differences, and theta of the pinned delta and of the eta
+    ratios (elliptic) or delta and q^k - delta (``Regime.scale``; q reads 1
+    in the rational regime), each distinct q^k once: for bs every k below
+    the size, where the deformed basis degenerates; for bs_limit, which
+    ignores delta, only k = 0 (a longer list would move its draws)."""
+    values = apart(operator.sub, aux.eta)
+    if regime == "elliptic":
+        values.append(point_thetas(params)(_bs_pinned_delta(side, params, aux.eta)))
+        values += apart(REGIMES["elliptic"].pair(params), aux.eta)
+    else:
+        scale = REGIMES[regime].scale
+        scales = dict.fromkeys(scale(params, k) for k in range(1 if limit else len(aux.eta)))
+        values += [aux.delta] + [x - aux.delta for x in scales]
+    return values
+
+
+AUX_DRAWS = {"mpt": AuxDraw(_mpt_draw, _mpt_admissible),
+             "bs": AuxDraw(_bs_draw, partial(_bs_admissible, limit=False)),
+             "bs_limit": AuxDraw(_bs_draw, partial(_bs_admissible, limit=True))}
 
 
 def det_rep(regime: str, family: str, side: str, params, aux: AuxParams | None = None):

@@ -4,11 +4,12 @@ Every verified statement is a named case.  A case samples "general
 position" parameter points (rejection sampling against a singular-value
 radius), evaluates both sides of its statement, and reports per-point
 residuals.  General position is the regime table's denominator list,
-``sources.general_position`` (``detreps.aux_general_position`` for the
-auxiliary draws): a draw is accepted when no entry is within the radius
-of 0.  Over the exact field a pass means literal equality of reduced
-fractions; over the complex field it means relative error
-|lhs - rhs| / max(1, |lhs|, |rhs|) within the case tolerance.
+``sources.general_position`` (for the auxiliary draws, the admissible
+list of the family's ``detreps.AUX_DRAWS`` record): a draw is accepted
+when no entry is within the radius of 0.  Over the exact field a pass
+means literal equality of reduced fractions; over the complex field it
+means relative error |lhs - rhs| / max(1, |lhs|, |rhs|) within the case
+tolerance.
 
 The runners read the regime table where they can: one vanishing and one
 evaluation runner serve the rational, trigonometric and elliptic
@@ -30,9 +31,10 @@ field: fractions with numerator and denominator within +-20, resampled
 only on literal coincidence of a protected denominator.  Every resample,
 of a whole point or of one scalar, node or matrix inside it, goes through
 ``PointContext.attempt``, which raises ``SamplingError`` after
-``RESAMPLE_CAP`` rejected draws.  An auxiliary draw is admissible when
-``detreps.aux_general_position`` holds, which makes its determinant
-evaluable: an ``AuxInvariantError`` fails its point like any other error.
+``RESAMPLE_CAP`` rejected draws.  ``detreps.AUX_DRAWS`` holds each
+family's auxiliary draw and its admissibility list; ``sample_aux`` looks
+the record up, and an admissible draw makes its determinant evaluable: an
+``AuxInvariantError`` fails its point like any other error.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import sources, symmetrize, wallcross
-from .detreps import (AUX_DRAWS, FAMILIES, AuxParams, aux_general_position, det_rep,
-                      izergin_korepin)
+from .detreps import AUX_DRAWS, FAMILIES, AuxParams, det_rep, izergin_korepin
 from .fields import EXACT, COMPLEX, SamplingError, get_field
 from .linalg import (
     cauchy_vandermonde_closed,
@@ -329,46 +330,16 @@ class PointContext:
 
     # -- auxiliary draws ------------------------------------------------------
 
-    def small_fraction(self):
-        """A nonzero a/b with |a| <= 5 and 1 <= b <= 5, in the point's field."""
-        return self.field.convert(self.ratio(-5, 5, 5, bool))
-
-    def mixing_matrix(self, size: int) -> tuple:
-        """An invertible size x size matrix of ints in [-5, 5], in the point's field."""
-        randint = self.rng.randint
-        rows = self.attempt(
-            lambda: tuple(tuple(randint(-5, 5) for _ in range(size)) for _ in range(size)),
-            lambda rows: det(rows) != 0,
-        )
-        return self.field.convert(rows)
-
-    def eta_nodes(self, size: int) -> tuple:
-        """``size`` distinct nonzero a/b with |a| <= 9 and 1 <= b <= 4, in the
-        point's field.  Each node is one ``attempt``; the pool holds 50 values,
-        so at a larger ``size`` a node exhausts ``RESAMPLE_CAP`` and raises
-        ``SamplingError``."""
-        vals: list = []
-        for _ in range(size):
-            vals.append(self.ratio(-9, 9, 4, lambda x: x != 0 and x not in vals))
-        return self.field.convert(tuple(vals))
-
-    def delta_value(self):
-        return self.field.convert(Fraction(self.rng.randint(20, 100), 10))
-
     def sample_aux(self, regime: str, family: str, side: str, params) -> Optional[AuxParams]:
-        """An admissible draw of ``family``'s auxiliary values
-        (``detreps.AUX_DRAWS``), or None for a family that takes none."""
-        draw = AUX_DRAWS.get(family)
-        if draw is None:
+        """An admissible draw of ``family``'s auxiliary values (its
+        ``detreps.AUX_DRAWS`` record), or None for a family that takes none."""
+        record = AUX_DRAWS.get(family)
+        if record is None:
             return None
         size = len(params.v) if side == "F" else len(params.u)
-
-        def accept(aux):
-            return self.clear(
-                lambda: aux_general_position(regime, family, side, params, aux)
-            )
-
-        return self.attempt(lambda: draw(self, size), accept)
+        return self.attempt(
+            lambda: record.draw(self, size),
+            lambda aux: self.clear(lambda: record.admissible(regime, side, params, aux)))
 
 
 @dataclass(frozen=True)
@@ -1243,11 +1214,14 @@ def sample_params(regime: str, config: SamplingConfig, point_index: int):
 
 
 def _check_point(checks, field, tol: float, index: int, seed: str) -> PointRecord:
-    """The point's record: its worst check against the tolerance."""
+    """The point's record: its worst check against the tolerance.  A NaN
+    residual counts as infinite, so its point fails."""
     residual = field.residual
     worst = None
     for label, lhs, rhs in checks:
         res = residual(lhs, rhs)
+        if math.isnan(res):  # an overflowed side: inf / inf
+            res = math.inf
         if worst is None or res > worst[0]:
             worst = (res, label, lhs, rhs)
     res, label, lhs, rhs = worst

@@ -61,6 +61,20 @@ def test_exact_symmetrization_report_at_200_points_is_pinned(capsys):
         "aeceafabd58797c320b79cd1d866245a250902fe6d75e2210b303d2f2248cf03")
 
 
+def test_exact_report_at_200_points_is_pinned(tmp_path, capsys):
+    # every exact case at 200 points: every draw, aux draws and their
+    # redraws included, and every exact value.  A change that moves these
+    # bytes on purpose re-pins the sha256 and says why in CHANGES.md.  The
+    # complex report is left to scripts/report_diff.py: its last bits
+    # depend on the platform's libm.
+    target = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "verify", "--field", "exact", "--points", "200",
+                           "--format", "json", "--no-timings", "--out", str(target))
+    assert (code, out) == (0, "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "69e287e94fe9b3fc57c175bba724a3bd428b5acfb529d0818062ff687fc001ad")
+
+
 @pytest.mark.parametrize("seed, digest", [
     ("1", "2b2e11ca8a6369e77fd659f6b0e1296e36a8d4e57d7ff71b6052722f8f59f5fd"),
     ("3", "98ec20ed5f005073cb00aca020290659e7b07cf0857fcd8d4e25308f05cd4d78"),

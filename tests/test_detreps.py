@@ -9,12 +9,12 @@ from fractions import Fraction
 import pytest
 
 from srcid.detreps import (
+    AUX_DRAWS,
     FAMILIES,
     _side,
     AuxInvariantError,
     AuxParams,
     UnavailableRepresentationError,
-    aux_general_position,
     build_dwbc_matrix,
     det_rep,
     izergin_korepin,
@@ -265,9 +265,9 @@ def test_admissibility_rejects_a_vanishing_mpt_weight():
             size = len(nodes)
             mat = tuple(tuple(Fraction(i == j) for j in range(size)) for i in range(size))
             hit = AuxParams(r=1 / prod(nodes), mat=mat)
-            assert aux_general_position(regime, "mpt", side, params, hit) == [0]
+            assert AUX_DRAWS["mpt"].admissible(regime, side, params, hit) == [0]
             fine = AuxParams(r=2 / prod(nodes), mat=mat)
-            assert 0 not in aux_general_position(regime, "mpt", side, params, fine)
+            assert 0 not in AUX_DRAWS["mpt"].admissible(regime, side, params, fine)
 
 
 def test_admissibility_lists_the_bs_nodes_and_delta():
@@ -275,10 +275,10 @@ def test_admissibility_lists_the_bs_nodes_and_delta():
     eta = (Fraction(1), Fraction(3))
     for delta in (Fraction(0), Fraction(1)):
         aux = AuxParams(delta=delta, eta=eta)
-        assert 0 in aux_general_position("rational", "bs", "F", params, aux)
+        assert 0 in AUX_DRAWS["bs"].admissible("rational", "F", params, aux)
     aux = AuxParams(delta=Fraction(5, 2), eta=(Fraction(3), Fraction(3)))
-    assert 0 in aux_general_position("rational", "bs_limit", "F", params, aux)
-    assert aux_general_position("rational", "dwbc", "F", params, AuxParams()) == []
+    assert 0 in AUX_DRAWS["bs_limit"].admissible("rational", "F", params, aux)
+    assert "dwbc" not in AUX_DRAWS
 
 
 def test_admissibility_lists_each_distinct_degenerate_delta_once():
@@ -290,12 +290,40 @@ def test_admissibility_lists_each_distinct_degenerate_delta_once():
     delta = Fraction(5, 2)
     aux = AuxParams(delta=delta, eta=eta)
     rat = RatParams(c=Fraction(1, 3), z=Fraction(2, 5), u=(Fraction(1),), v=tuple(eta))
-    assert aux_general_position("rational", "bs", "F", rat, aux)[pairs:] == [delta, 1 - delta]
+    assert AUX_DRAWS["bs"].admissible("rational", "F", rat, aux)[pairs:] == [delta, 1 - delta]
     for q, scales in ((Fraction(2, 3), [Fraction(2, 3) ** k for k in range(4)]),
                       (Fraction(-1), [1, -1])):
         tri = TrigParams(q=q, z=Fraction(2, 5), u=(Fraction(1),), v=tuple(eta))
-        values = aux_general_position("trig", "bs", "F", tri, aux)
+        values = AUX_DRAWS["bs"].admissible("trig", "F", tri, aux)
         assert values[pairs:] == [delta] + [x - delta for x in scales], q
+
+
+def planted_degenerate_draw(family):
+    """(regime, side, point, aux): a draw of ``family``'s aux values at which
+    its determinant cannot be evaluated, at a point in general position."""
+    u, v = (Fraction(1),), (Fraction(2), Fraction(-3))
+    rat = RatParams(c=Fraction(1, 3), z=Fraction(2, 5), u=u, v=v)
+    tri = TrigParams(q=Fraction(2, 3), z=Fraction(2, 5), u=u, v=v)
+    identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    return {
+        # the weight 1 - r prod v vanishes
+        "mpt": ("rational", "F", rat, AuxParams(r=1 / prod(v), mat=identity)),
+        # delta = q^1, an eigenvalue of the node shift at size 2
+        "bs": ("trig", "F", tri, AuxParams(delta=tri.q, eta=(Fraction(1), Fraction(3)))),
+        # two equal nodes
+        "bs_limit": ("rational", "F", rat,
+                     AuxParams(delta=Fraction(5, 2), eta=(Fraction(3), Fraction(3)))),
+    }[family]
+
+
+@pytest.mark.parametrize("family", sorted(AUX_DRAWS))
+def test_each_aux_record_flags_a_planted_degenerate_draw(family):
+    # a family added to AUX_DRAWS needs its own planted draw above
+    regime, side, params, aux = planted_degenerate_draw(family)
+    assert 0 not in general_position(regime, params)
+    assert 0 in AUX_DRAWS[family].admissible(regime, side, params, aux)
+    with pytest.raises(AuxInvariantError):
+        det_rep(regime, family, side, params, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -766,13 +794,13 @@ def test_trig_deformed_basis_degenerates_at_each_power_of_q():
             for k in range(len(eta) + 2):
                 aux = AuxParams(delta=q**k, eta=eta)
                 if k < len(eta):
-                    assert 0 in aux_general_position("trig", "bs", side, params, aux)
+                    assert 0 in AUX_DRAWS["bs"].admissible("trig", side, params, aux)
                     # delta = 1 is refused before the basis is built
                     text = "degenerate deformed node basis" if k else "delta outside {0, 1}"
                     with pytest.raises(AuxInvariantError, match=text):
                         det_rep("trig", "bs", side, params, aux)
                 else:
-                    assert 0 not in aux_general_position("trig", "bs", side, params, aux)
+                    assert 0 not in AUX_DRAWS["bs"].admissible("trig", side, params, aux)
                     value = det_rep("trig", "bs", side, params, aux)
                     assert value == source_subset_sum("trig", side, params), (q, side, k)
     value = det_rep("trig", "bs", "G", params, AuxParams(delta=Fraction(1, 2), eta=eta))

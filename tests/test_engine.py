@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -380,11 +381,11 @@ def test_eta_nodes_raise_once_their_pool_of_fifty_values_is_drawn():
     for size in (0, 1, 5, 12, 50):
         ctx = PointContext(random.Random(size), EXACT, cfg)
         old = PointContext(random.Random(size), EXACT, cfg)
-        assert ctx.eta_nodes(size) == loop_eta_nodes(old, size)
+        assert detreps._eta_nodes(ctx, size) == loop_eta_nodes(old, size)
     # at size 51 loop_eta_nodes, which has no cap, never ends
     ctx = PointContext(random.Random("eta"), EXACT, cfg)
     with pytest.raises(SamplingError):
-        ctx.eta_nodes(51)
+        detreps._eta_nodes(ctx, 51)
 
 
 # Each primitive's rejection loop as it was written out before every resample
@@ -469,14 +470,15 @@ def test_sampler_primitives_draw_what_their_old_loops_drew(field_name):
             assert drawn != 0
             assert repr(drawn) == repr(loop_fraction(old))
             assert repr(ctx.q_scalar()) == repr(loop_q_scalar(old))
-            assert repr(ctx.small_fraction()) == repr(loop_small_fraction(old))
+            assert repr(detreps._small_fraction(ctx)) == repr(loop_small_fraction(old))
             for size in (0, 1, 2, 3):
-                assert repr(ctx.mixing_matrix(size)) == repr(loop_mixing_matrix(old, size))
+                drawn = detreps._mixing_matrix(ctx, size)
+                assert repr(drawn) == repr(loop_mixing_matrix(old, size))
             for count in (0, 3, 8):
                 drawn = ctx.distinct_scalars(count)
                 assert ctx.distinct(drawn)
                 assert repr(drawn) == repr(loop_distinct_scalars(old, count))
-                drawn = ctx.eta_nodes(count)
+                drawn = detreps._eta_nodes(ctx, count)
                 assert len(set(drawn)) == count
                 assert repr(drawn) == repr(loop_eta_nodes(old, count))
         assert ctx.rng.getstate() == old.rng.getstate()
@@ -514,9 +516,11 @@ CAPPED_DRAWS = [
 @pytest.mark.parametrize("field_name, name, args", CAPPED_DRAWS,
                          ids=[f"{field}-{name}" for field, name, _ in CAPPED_DRAWS])
 def test_every_sampler_primitive_stops_at_the_resampling_cap(field_name, name, args):
+    # the aux primitives are detreps helpers that take the context first
     ctx = PointContext(ZeroRandint(), field_name, SamplingConfig(master_seed=1, points=1))
+    draw = getattr(ctx, name, None) or partial(getattr(detreps, f"_{name}"), ctx)
     with pytest.raises(engine.SamplingError, match="resampling cap exceeded"):
-        getattr(ctx, name)(*args)
+        draw(*args)
 
 
 def aux_draw_settings():
@@ -615,6 +619,28 @@ def test_runner_exception_recorded_per_point():
     assert len(rep.points) == 3
     assert all(not p.ok for p in rep.points)
     assert all(p.error == "ValueError: needs len(u) == len(v) >= 1" for p in rep.points)
+
+
+def test_a_nan_or_infinite_residual_in_any_check_fails_its_point():
+    # an overflowed complex side gives a NaN residual (inf / inf), which no
+    # comparison ranks: it must still be the point's worst check
+    from srcid.engine import REGISTRY, CaseDef
+
+    inf, nan = math.inf, complex(math.nan)
+    checks = iter([[("a", 1, 1), ("b", inf, 0)],
+                   [("a", nan, 0), ("b", 1, 1)],
+                   [("a", 1, 1), ("b", inf, inf), ("c", 2, 2)]])
+    case = CaseDef("synthetic_overflow", "synthetic", "rational",
+                   "synthetic case for an overflowed side", (COMPLEX,), lambda ctx: next(checks))
+    REGISTRY[case.case_id] = case
+    try:
+        rep = run_case(case.case_id, SamplingConfig(master_seed=1, points=3))
+    finally:
+        del REGISTRY[case.case_id]
+    assert not rep.passed
+    assert rep.max_rel_err == math.inf
+    assert [(p.ok, p.residual, p.label) for p in rep.points] == [
+        (False, math.inf, "b"), (False, math.inf, "a"), (False, math.inf, "b")]
 
 
 def test_nmax_below_a_case_range_fails_its_points():

@@ -1300,7 +1300,7 @@ def test_determinant_paths_evaluate_each_theta_value_once_per_point(monkeypatch)
         for side in ("F", "G"):
             point = _twin(params)
             calls.clear()
-            assert 0 not in detreps.aux_general_position("elliptic", family, side, point, aux)
+            assert 0 not in detreps.AUX_DRAWS[family].admissible("elliptic", side, point, aux)
             value = detreps.det_rep("elliptic", family, side, point, aux)
             assert cmath.isclose(value, source_subset_sum("elliptic", side, point), rel_tol=1e-8)
             assert calls and len(calls) == len(set(calls)), (family, side)
