@@ -5,11 +5,12 @@ position" parameter points (rejection sampling against a singular-value
 radius), evaluates both sides of its statement, and reports per-point
 residuals.  General position is the regime table's denominator list,
 ``sources.general_position`` (for the auxiliary draws, the admissible
-list of the family's ``detreps.AUX_DRAWS`` record): a draw is accepted
-when no entry is within the radius of 0.  Over the exact field a pass
-means literal equality of reduced fractions; over the complex field it
-means relative error |lhs - rhs| / max(1, |lhs|, |rhs|) within the case
-tolerance.
+list of the family's ``detreps.AUX_DRAWS`` record; for the base point of
+an elliptic specialization, the part of it that the substituted point
+keeps, ``PointContext.sample_base``): a draw is accepted when no entry is
+within the radius of 0.  Over the exact field a pass means literal
+equality of reduced fractions; over the complex field it means relative
+error |lhs - rhs| / max(1, |lhs|, |rhs|) within the case tolerance.
 
 The runners read the regime table where they can: one vanishing and one
 evaluation runner serve the rational, trigonometric and elliptic
@@ -306,19 +307,21 @@ class PointContext:
 
         return self.attempt(draw, lambda p: self.general("trig", p))
 
-    def sample_elliptic(self, n: int) -> EllipticParams:
-        def draw():
-            p = self.nome()
-            q = self.q_scalar()
-            if abs(q) > 2.5:
-                q *= 2.5 / abs(q)
-            lam = self.complex_scalar()
-            z = self.complex_scalar()
-            u = [self.variable("elliptic") for _ in range(n)]
-            v = [self.variable("elliptic") for _ in range(n)]
-            return EllipticParams(p=p, q=q, lam=lam, z=z, u=tuple(u), v=tuple(v))
+    def _draw_elliptic(self, n: int) -> EllipticParams:
+        """One elliptic point, unchecked: the rng calls of every elliptic draw."""
+        p = self.nome()
+        q = self.q_scalar()
+        if abs(q) > 2.5:
+            q *= 2.5 / abs(q)
+        lam = self.complex_scalar()
+        z = self.complex_scalar()
+        u = [self.variable("elliptic") for _ in range(n)]
+        v = [self.variable("elliptic") for _ in range(n)]
+        return EllipticParams(p=p, q=q, lam=lam, z=z, u=tuple(u), v=tuple(v))
 
-        return self.attempt(draw, lambda par: self.general("elliptic", par))
+    def sample_elliptic(self, n: int) -> EllipticParams:
+        return self.attempt(lambda: self._draw_elliptic(n),
+                            lambda par: self.general("elliptic", par))
 
     def sample(self, regime: str, n: int, m: int):
         """Core parameters of ``regime`` at sizes (n, m); elliptic uses n only."""
@@ -327,6 +330,27 @@ class PointContext:
         if regime == "trig":
             return self.sample_trig(n, m)
         return self.sample_rational(n, m)
+
+    def sample_base(self, regime: str, n: int, m: int, swap: bool):
+        """The base point of a specialization, whose v (u with ``swap``) the
+        runner then replaces.
+
+        An elliptic base is drawn by ``sample_elliptic``'s own draw and
+        accepted on the values the substituted point keeps: theta(lam)
+        (``Regime.singular``) and d over the pairs of u (v with ``swap``),
+        theta(u_j / u_i) for i != j.  Theta over the values to be replaced
+        is never evaluated.  A rational or trig base takes the full
+        ``general_position`` of ``sample``: its list holds no theta, and
+        accepting on the kept side alone would change which exact draws are
+        rejected, and so the exact report's bytes.
+        """
+        if regime != "elliptic":
+            return self.sample(regime, n, m)
+        reg = sources.REGIMES[regime]
+        return self.attempt(
+            lambda: self._draw_elliptic(n),
+            lambda par: self.clear(
+                lambda: reg.singular(par) + sources.apart(reg.pair(par), par.v if swap else par.u)))
 
     # -- auxiliary draws ------------------------------------------------------
 
@@ -581,6 +605,11 @@ def _substitute_positions(ctx, values):
 def _vanishing_runner(regime: str, swap: bool):
     """P = Q = 0 where v holds u_k and sigma(u_k) (m <= n), or with ``swap``
     where u holds v_k and sigma^-1(v_k) (n <= m).
+
+    The base point comes from ``PointContext.sample_base``: an elliptic base
+    is accepted on theta(lam) and theta over the pairs of the kept side,
+    since its other side is replaced; a rational or trig base takes the full
+    ``general_position``, which evaluates no theta.
     """
     reg = sources.REGIMES[regime]
 
@@ -589,7 +618,7 @@ def _vanishing_runner(regime: str, swap: bool):
                 else ctx.sizes((2, 5), (2, 5), rule="m_le_n"))
         if swap:
             n, m = m, n
-        base = ctx.sample(regime, n, m)
+        base = ctx.sample_base(regime, n, m, swap)
         anchors = base.v if swap else base.u
         x = anchors[ctx.rng.randrange(len(anchors))]
         pair = [x, reg.shift(base, inverse=swap)(x)]
@@ -617,10 +646,16 @@ def _evaluation_runner(regime: str, swap: bool):
     u = {v_I, sigma^-1(v_J)} (n <= m), against their closed product.
 
     A rejected draw redraws the base point, the split and the order: the
-    acceptance test depends on the substituted values only as a set.  At
-    v = {u_I, sigma(u_J)} the F-side weight w(|J|) times lambda^(|I| |J|)
-    (``Regime.scale``) is the closed product's prefactor: the elliptic
-    weight theta(q^|J| L prod u / prod v; p) is then theta(L; p).
+    acceptance test depends on the substituted values only as a set.  The
+    base point comes from ``PointContext.sample_base``, as in
+    ``_vanishing_runner``: elliptic is accepted on theta(lam) and theta over
+    the pairs of u (v with ``swap``), rational and trig on the full
+    ``general_position``.
+
+    At v = {u_I, sigma(u_J)} the F-side weight w(|J|) times
+    lambda^(|I| |J|) (``Regime.scale``) is the closed product's prefactor:
+    the elliptic weight theta(q^|J| L prod u / prod v; p) is then
+    theta(L; p).
     """
     reg = sources.REGIMES[regime]
 
@@ -631,7 +666,7 @@ def _evaluation_runner(regime: str, swap: bool):
             n, m = m, n
 
         def draw():
-            base = ctx.sample(regime, n, m)
+            base = ctx.sample_base(regime, n, m, swap)
             xs = base.v if swap else base.u
             picks = ctx.rng.sample(range(len(xs)), n if swap else m)
             split = ctx.rng.randint(0, len(picks))
@@ -955,8 +990,7 @@ def _run_divided_difference_symmetrization(ctx: PointContext):
 def _run_tau_shift_symmetrization(ctx: PointContext):
     n, _ = ctx.sizes((1, 6))
     point = _lascoux_point(ctx, n)
-    lhs, rhs = symmetrize.lascoux_tau_sides(point)
-    via_source = symmetrize.lascoux_tau_rhs_via_source(point)
+    lhs, rhs, via_source = symmetrize.lascoux_tau_sides(point)
     return [
         ("symmetrized sum = determinant form", lhs, rhs),
         ("determinant form = shifted polynomial route", rhs, via_source),

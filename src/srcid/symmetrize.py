@@ -292,8 +292,9 @@ def lascoux_rhs_via_source(point):
 
 
 def lascoux_tau_sides(point):
-    """Both sides of the tau-shift symmetrization identity at the rational
-    point ``point`` (z = 1).
+    """(lhs, rhs, via_source): both sides of the tau-shift symmetrization
+    identity at the rational point ``point`` (z = 1), and the rhs routed
+    through the cleared source polynomial (``lascoux_tau_rhs_via_source``).
 
     tau^t of the double product prod_{j=1}^n prod_k (u_j - v_k - c)/(u_j - v_k)
     is the tail prod_{j=t+1}^n prod_k (u_j - v_k - c)/(u_j - v_k), so
@@ -312,26 +313,33 @@ def lascoux_tau_sides(point):
     (-1)^t C(n, t) num, num) of one sym_c walk, divided by W once.  The term
     t = n is W Sym_c(1) = n! W, so it adds (-1)^n n! with no walk.  The rhs
     divides by prod_{i,k} (v_i - u_k) = (-1)^(n^2) W / L^(n^2), whose sign
-    cancels its (-1)^n.
+    cancels its (-1)^n.  The rhs and via_source read one shifted point
+    (``_tau_rhs_point``).
     """
     n = _size(point)
-    a, b, lcm, (_, g, _) = _int_form(point)
+    a, b, _, (_, g, _) = _int_form(point)
     den, num = _root_row(a, b, 0), _root_row(a, b, -g)
     walk = sym_c(([den] * n, _binomial_rows(num, n), [num] * n), a, g)
     lhs = walk / prod(den) + (-1) ** n * math.factorial(n)
 
+    shifted, scale = _tau_rhs_point(point)
+    return lhs, izergin_korepin(shifted) * scale, rational_P(shifted) * scale
+
+
+def _tau_rhs_point(point):
+    """(shifted, scale): the point (u, v + c) that the tau rhs reads, and
+    n! / prod (u_j - v_k), prod (u_j - v_k) being W / L^(n^2) at the int form."""
+    n = _size(point)
+    a, b, lcm, _ = _int_form(point)
     shifted = replace(point, v=tuple(x + point.c for x in point.v))
-    rhs = izergin_korepin(shifted) * Fraction(math.factorial(n) * lcm ** (n * n), prod(den))
-    return lhs, rhs
+    return shifted, Fraction(math.factorial(n) * lcm ** (n * n), prod(_root_row(a, b, 0)))
 
 
 def lascoux_tau_rhs_via_source(point):
     """tau-identity rhs as n! / prod (u_j - v_k) * P_{n,n}^{(z=1)}(u | v + c),
-    prod (u_j - v_k) being prod (a_j - b_k) / L^(n^2) at the int form."""
-    n = _size(point)
-    a, b, lcm, _ = _int_form(point)
-    p_val = rational_P(replace(point, v=tuple(x + point.c for x in point.v)))
-    return p_val * Fraction(math.factorial(n) * lcm ** (n * n), prod(_root_row(a, b, 0)))
+    the third value of ``lascoux_tau_sides``."""
+    shifted, scale = _tau_rhs_point(point)
+    return rational_P(shifted) * scale
 
 
 def reduction_identity_sides(point):

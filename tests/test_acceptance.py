@@ -193,7 +193,7 @@ def test_criterion_08_symmetrization_formulas():
             )
             / ((u1 - v1) * (u1 - v2) * (u2 - v1) * (u2 - v2))
         )
-        tau_lhs, tau_rhs = lascoux_tau_sides(point)
+        tau_lhs, tau_rhs, _ = lascoux_tau_sides(point)
         assert tau_lhs == tau_expected and tau_rhs == tau_expected
         checked += 1
 
@@ -203,7 +203,7 @@ def test_criterion_08_symmetrization_formulas():
         c, u1, v1 = fraction(), fraction(), fraction()
         if u1 == v1 or u1 - v1 in (c, -c):
             continue
-        tau_lhs, tau_rhs = lascoux_tau_sides(RatParams(c=c, z=Fraction(1), u=(u1,), v=(v1,)))
+        tau_lhs, tau_rhs, _ = lascoux_tau_sides(RatParams(c=c, z=Fraction(1), u=(u1,), v=(v1,)))
         assert tau_lhs == tau_rhs == -c / (u1 - v1)
         hits += 1
     print("\nPASS criterion 8: symmetrization identities exact for n in [1,6]; "

@@ -724,6 +724,64 @@ def test_evaluation_sampler_redraws_the_base_point():
     assert rep.passed, [p.error for p in rep.points if not p.ok]
 
 
+@pytest.mark.parametrize("swap", (False, True))
+def test_the_elliptic_base_draw_is_the_sample_elliptic_draw(swap):
+    # the same rng calls; only the accept list is shorter, and at these
+    # seeds the full list rejects no draw that the kept side accepts
+    config = SamplingConfig()
+    for n in range(1, 5):
+        for seed in range(300):
+            base = PointContext(random.Random(seed), COMPLEX, config)
+            full = PointContext(random.Random(seed), COMPLEX, config)
+            assert base.sample_base("elliptic", n, n, swap) == full.sample_elliptic(n)
+            assert base.rng.getstate() == full.rng.getstate()
+
+
+@pytest.mark.parametrize("swap", (False, True))
+def test_the_elliptic_base_draw_evaluates_theta_on_the_kept_side_only(monkeypatch, swap):
+    # theta(lam) and theta(x_j / x_i) over the kept x, at each drawn point
+    drawn, evaluated = [], []
+    real_draw, real_theta = PointContext._draw_elliptic, sources.theta
+    monkeypatch.setattr(PointContext, "_draw_elliptic",
+                        lambda self, n: drawn.append(real_draw(self, n)) or drawn[-1])
+    monkeypatch.setattr(sources, "theta",
+                        lambda x, p: evaluated.append((x, p)) or real_theta(x, p))
+    for seed in range(50):
+        ctx = PointContext(random.Random(seed), COMPLEX, SamplingConfig())
+        ctx.sample_base("elliptic", 1 + seed % 4, 0, swap)
+    allowed = set()
+    for par in drawn:
+        kept = par.v if swap else par.u
+        allowed.add((par.lam, par.p))
+        allowed.update((b / a, par.p) for i, a in enumerate(kept)
+                       for j, b in enumerate(kept) if i != j)
+    assert evaluated and set(evaluated) <= allowed
+
+
+def test_the_elliptic_specializations_evaluate_theta_on_the_kept_side(monkeypatch):
+    # 10 points at the default seed; the full base check took 414 and 636
+    calls = []
+    real = sources.theta
+    monkeypatch.setattr(sources, "theta", lambda x, p: calls.append(x) or real(x, p))
+    counts = {}
+    for case_id in ("elliptic_evaluation", "elliptic_vanishing"):
+        calls.clear()
+        assert run_case(case_id, SamplingConfig(field=COMPLEX)).passed
+        counts[case_id] = len(calls)
+    assert counts == {"elliptic_evaluation": 228, "elliptic_vanishing": 384}
+
+
+def test_the_tau_runner_builds_its_shifted_point_once(monkeypatch):
+    # the rhs and its source route read one point (u, v + c)
+    built = []
+    real = symmetrize.replace
+    monkeypatch.setattr(symmetrize, "replace",
+                        lambda point, **changes: built.append(point) or real(point, **changes))
+    for _ in exact_runner_checks("tau_shift_symmetrization", 20):
+        assert len(built) == 1
+        built.clear()
+
+
 def test_registry_exact_points_are_scaled_once_each(monkeypatch):
     # 40 cases, 10 points each, 5 seeds: one scaling per exact point made,
     # rejected draws included; a point made from a drawn one (a new z or

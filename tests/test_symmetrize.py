@@ -507,7 +507,7 @@ def test_the_tau_and_reduction_rhs_are_the_fraction_formulas():
             c, u, v = lascoux_point(rng, n)
             point = at(c, u, v)
             shifted = at(c, u, [x + c for x in v])
-            _, rhs = lascoux_tau_sides(point)
+            _, rhs, _ = lascoux_tau_sides(point)
             want = math.factorial(n) * (-1) ** n * izergin_korepin(shifted)
             assert rhs == want / math.prod(vi - uk for vi in v for uk in u)
             want = math.factorial(n) * rational_P(shifted)
@@ -521,7 +521,7 @@ def test_the_tau_and_reduction_rhs_are_the_fraction_formulas():
 def test_tau_symmetrization_n1():
     rng = random.Random(43)
     c, u, v = lascoux_point(rng, 1)
-    lhs, rhs = lascoux_tau_sides(at(c, u, v))
+    lhs, rhs, _ = lascoux_tau_sides(at(c, u, v))
     assert lhs == -c / (u[0] - v[0])
     assert rhs == lhs
 
@@ -549,7 +549,7 @@ def test_tau_symmetrization_n2_closed_form():
         )
         / ((u1 - v1) * (u1 - v2) * (u2 - v1) * (u2 - v2))
     )
-    lhs, rhs = lascoux_tau_sides(at(c, u, v))
+    lhs, rhs, _ = lascoux_tau_sides(at(c, u, v))
     assert lhs == expected
     assert rhs == expected
 
@@ -558,7 +558,7 @@ def test_tau_symmetrization_c_zero():
     rng = random.Random(53)
     for n in (1, 2, 3):
         _, u, v = lascoux_point(rng, n)
-        lhs, rhs = lascoux_tau_sides(at(Fraction(0), u, v))
+        lhs, rhs, _ = lascoux_tau_sides(at(Fraction(0), u, v))
         assert lhs == 0
         assert rhs == 0
 
@@ -567,7 +567,7 @@ def test_tau_symmetrization_identity_exact():
     rng = random.Random(59)
     for n in (1, 2, 3, 4, 5):
         c, u, v = lascoux_point(rng, n)
-        lhs, rhs = lascoux_tau_sides(at(c, u, v))
+        lhs, rhs, _ = lascoux_tau_sides(at(c, u, v))
         assert lhs == rhs
 
 
@@ -576,8 +576,8 @@ def test_tau_rhs_via_shifted_source_polynomial():
     for n in (1, 2, 3):
         c, u, v = lascoux_point(rng, n)
         point = at(c, u, v)
-        _, rhs = lascoux_tau_sides(point)
-        assert rhs == lascoux_tau_rhs_via_source(point)
+        _, rhs, via_source = lascoux_tau_sides(point)
+        assert rhs == via_source == lascoux_tau_rhs_via_source(point)
 
 
 def test_reduction_identity_exact():
@@ -627,7 +627,7 @@ def test_sides_lhs_is_the_binomial_sum_over_fraction_slots():
             assert lhs == theta_sum(cache(lambda x: poly_eval(coeffs, x)))
             assert type(lhs) is Fraction
 
-            lhs, _ = lascoux_tau_sides(point)
+            lhs, _, _ = lascoux_tau_sides(point)
             assert lhs == sum(
                 (-1) ** t * math.comb(n, t) * sym_c_literal([one] * t + [ratio] * (n - t), u, c)
                 for t in range(n + 1)
@@ -683,7 +683,7 @@ def test_symmetrization_identities_beyond_the_registry_sizes():
         lhs, rhs, form = lascoux_symmetrized_sides(point, coeffs)
         assert lhs == rhs == form * newton_chain(coeffs, u)
         assert form == lascoux_rhs_via_source(point)
-        lhs, rhs = lascoux_tau_sides(point)
-        assert lhs == rhs == lascoux_tau_rhs_via_source(point)
+        lhs, rhs, via_source = lascoux_tau_sides(point)
+        assert lhs == rhs == via_source == lascoux_tau_rhs_via_source(point)
         lhs, rhs = reduction_identity_sides(point)
         assert lhs == rhs
