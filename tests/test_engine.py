@@ -759,7 +759,8 @@ def test_the_elliptic_base_draw_evaluates_theta_on_the_kept_side_only(monkeypatc
 
 
 def test_the_elliptic_specializations_evaluate_theta_on_the_kept_side(monkeypatch):
-    # 10 points at the default seed; the full base check took 414 and 636
+    # 10 points at the default seed; a base point accepted on the full
+    # general_position would evaluate 414 and 636
     calls = []
     real = sources.theta
     monkeypatch.setattr(sources, "theta", lambda x, p: calls.append(x) or real(x, p))
